@@ -93,29 +93,31 @@ def _integrator_config(args) -> IntegratorConfig:
     return cfg
 
 
-def _write_trajectory(traj, args, default_format: str = "csv") -> None:
+def _report_events(events: list[dict]) -> int:
+    """Print the stop events of a run; the exit code is 3 if it went non-finite."""
+    for event in events:
+        print(f"event: {event}")
+    return 3 if any(e["kind"] == "non_finite" for e in events) else 0
+
+
+def _write_trajectory(traj, args, default_format: str = "csv") -> int:
     fmt = args.format or default_format
     if args.out is None:
         print(f"samples: {len(traj)}")
-        print(f"max charge drift: {traj.max_charge_drift():.3e}")
-        print(f"max null drift:   {traj.max_null_drift():.3e}")
-        for event in traj.events:
-            print(f"event: {event}")
-        return
-    out = Path(args.out)
-    if fmt == "csv":
-        write_trajectory_csv(traj, out)
-    elif fmt == "json":
-        write_trajectory_json(traj, out)
-    elif fmt == "svg":
-        write_trajectory_svg(traj, out, mode=args.svg_mode)
     else:
-        raise ContractViolation(f"unsupported trajectory format {fmt!r}")
-    print(f"wrote {out}")
+        out = Path(args.out)
+        if fmt == "csv":
+            write_trajectory_csv(traj, out)
+        elif fmt == "json":
+            write_trajectory_json(traj, out)
+        elif fmt == "svg":
+            write_trajectory_svg(traj, out, mode=args.svg_mode)
+        else:
+            raise ContractViolation(f"unsupported trajectory format {fmt!r}")
+        print(f"wrote {out}")
     print(f"max charge drift: {traj.max_charge_drift():.3e}")
     print(f"max null drift:   {traj.max_null_drift():.3e}")
-    for event in traj.events:
-        print(f"event: {event}")
+    return _report_events(traj.events)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +172,14 @@ def cmd_geodesic(args) -> int:
             Path(args.out).write_text(polyline_svg([base.x[:, :2]], labels=["reduced base path"]))
             print(f"wrote {args.out}")
         print(f"samples: {len(base)}; final speed^2 drift {abs(base.speed2[-1] - base.speed2[0]):.3e}")
-        return 0
+        return _report_events(base.events)
     values = parse_tuple(args.state)
     n = scenario.dim
     if len(values) != 2 * n + 2:
         raise ContractViolation(f"--state needs {2 * n + 2} values: x..., t, vx..., vt")
     state = GeodesicState(np.array(values[:n]), values[n], np.array(values[n + 1 : 2 * n + 1]), values[2 * n + 1])
     traj = integrate(state, scenario, cfg, chart=chart)
-    _write_trajectory(traj, args)
-    return 3 if any(e["kind"] == "non_finite" for e in traj.events) else 0
+    return _write_trajectory(traj, args)
 
 
 def cmd_null_shoot(args) -> int:
@@ -199,8 +200,7 @@ def cmd_null_shoot(args) -> int:
         print("note: frozen state (zero charge)")
         return 0
     traj = integrate(state, scenario, cfg, chart=chart)
-    _write_trajectory(traj, args)
-    return 3 if any(e["kind"] == "non_finite" for e in traj.events) else 0
+    return _write_trajectory(traj, args)
 
 
 def cmd_christoffel(args) -> int:

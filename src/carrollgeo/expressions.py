@@ -3,8 +3,8 @@ and CLI coordinate arguments.
 
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
-Expressions are parsed with :mod:`ast` and evaluated by a recursive walker;
-nothing outside the whitelist can execute.
+Expressions are parsed with :mod:`ast` and compiled in one validating walk
+into a tree of closures; nothing outside the whitelist can execute.
 """
 
 from __future__ import annotations
@@ -37,78 +37,75 @@ _BINOPS = {
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b,
+    # libm pow, as for floats' **, but a negative base with a fractional
+    # exponent is a ValueError instead of a complex result
+    ast.Pow: math.pow,
 }
 
 
-def _evaluate(node: ast.AST, env: Mapping[str, float]) -> float:
+Evaluator = Callable[[Sequence[float]], float]
+
+
+def _compile(node: ast.AST, slots: Mapping[str, int]) -> Evaluator:
+    """Validate ``node`` and return its evaluator, a closure over the
+    positional arguments; ``slots`` maps variable names to positions."""
     if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
+        return _compile(node.body, slots)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
-            return float(node.value)
-        raise ConstructionError(f"non-numeric literal {node.value!r}")
+        if not isinstance(node.value, (int, float)):
+            raise ConstructionError(f"non-numeric literal {node.value!r}")
+        value = float(node.value)
+        return lambda args: value
     if isinstance(node, ast.Name):
-        if node.id in env:
-            return float(env[node.id])
+        if node.id in slots:
+            i = slots[node.id]
+            return lambda args: float(args[i])
         if node.id in _CONSTANTS:
-            return _CONSTANTS[node.id]
+            value = _CONSTANTS[node.id]
+            return lambda args: value
         raise ConstructionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, slots), _compile(node.right, slots)
+        return lambda args: op(left(args), right(args))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        v = _evaluate(node.operand, env)
-        return v if isinstance(node.op, ast.UAdd) else -v
+        operand = _compile(node.operand, slots)
+        return operand if isinstance(node.op, ast.UAdd) else lambda args: -operand(args)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ConstructionError("only whitelisted functions are allowed")
         if node.keywords or len(node.args) != 1:
             raise ConstructionError("functions take exactly one positional argument")
-        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
+        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], slots)
+        return lambda args: fn(arg(args))
     raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def _validate(node: ast.AST, names: Sequence[str]) -> None:
-    if isinstance(node, ast.Expression):
-        _validate(node.body, names)
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ConstructionError(f"non-numeric literal {node.value!r}")
-    elif isinstance(node, ast.Name):
-        if node.id not in names and node.id not in _CONSTANTS:
-            raise ConstructionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _validate(node.left, names)
-        _validate(node.right, names)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        _validate(node.operand, names)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise ConstructionError("only whitelisted functions are allowed")
-        if node.keywords or len(node.args) != 1:
-            raise ConstructionError("functions take exactly one positional argument")
-        _validate(node.args[0], names)
-    else:
-        raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
-
-
 def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., float]:
-    """Compile ``text`` into a function of the given positional variables."""
-    source = text.strip().replace("^", "**")
+    """Compile ``text`` into a function of the given positional variables.
+
+    Arithmetic failures at call time (division by zero, a domain error such
+    as ``sqrt(-1)``, overflow) raise :class:`ConstructionError` naming the
+    expression.
+    """
+    source = text.strip()
     try:
-        tree = ast.parse(source, mode="eval")
+        tree = ast.parse(source.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
     names = tuple(variables)
-    _validate(tree, names)
+    body = _compile(tree, {name: i for i, name in enumerate(names)})
 
     def fn(*args: float) -> float:
         if len(args) != len(names):
             raise ConstructionError(f"expression expects {len(names)} arguments, got {len(args)}")
-        return _evaluate(tree, dict(zip(names, args)))
+        try:
+            return body(args)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
 
     fn.__name__ = "expr"
-    fn.source = text.strip()  # type: ignore[attr-defined]
+    fn.source = source  # type: ignore[attr-defined]
     return fn
 
 

@@ -7,11 +7,17 @@ or a fixed-step classical RK4 for convergence studies. The symbols come
 from the finite-difference oracle by default; the closed-form variant is
 selectable for scenarios with a vanishing gauge field.
 
-Monitors recorded at every accepted step: the conserved fiber charge
-q = -(vt/t + vx . A), the null residual <vx, vx>_gM - (vt/t + vx . A)^2,
-and the squared base speed. Integration stops with an event record when the
-fiber coordinate approaches zero (the bundle excludes t = 0), when the
-state leaves a hard chart domain, or when a step underflows.
+Both flows, the full one (``integrate``) and the weak-gauge-field base
+reduction (``integrate_small_gauge``), run through one stepping loop,
+``_drive``, which ends a run early with an event record: ``non_finite`` (a
+stage or step result is not finite), ``step_underflow``, ``max_steps``, or
+the flow's guard on an accepted state: ``t_guard`` (the fiber coordinate
+approaches zero, which the bundle excludes; full flow only) and
+``left_chart`` (the state leaves a hard chart domain).
+
+Monitors recorded at every sample of the full flow: the conserved fiber
+charge q = -(vt/t + vx . A), the null residual
+<vx, vx>_gM - (vt/t + vx . A)^2, and the squared base speed.
 """
 
 from __future__ import annotations
@@ -136,11 +142,6 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     a = gauge.at(state.x, chart)
     omega_v = state.vt / state.t + float(state.vx @ a)
     return float(state.vx @ gm @ state.vx) - omega_v**2
-
-
-def base_speed2(state: GeodesicState, scenario: Scenario, chart: str) -> float:
-    gm = np.asarray(scenario.metric.blocks[chart](state.x, state.t), dtype=float)
-    return float(state.vx @ gm @ state.vx)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +342,68 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
 # integration
 # ---------------------------------------------------------------------------
 
+def _drive(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    span: float,
+    cfg: IntegratorConfig,
+    guard: Callable[[np.ndarray], str | None],
+) -> tuple[list[float], list[np.ndarray], list[dict]]:
+    """Step y' = rhs(y) from parameter 0 towards ``span``; returns the sample
+    parameters, the sampled states and the event records.
+
+    ``cfg.method`` "rk45" takes Fehlberg 4(5) steps under error control;
+    "rk4" is the same loop without it: round(span / rk4_step) steps of fixed
+    size, the last one not clamped to ``span``. ``guard(y)`` names the reason
+    an accepted state ends the run (that state is kept), or returns None. A
+    non-finite stage or step result ends the run as ``non_finite`` and is
+    not kept.
+    """
+    if cfg.method not in ("rk45", "rk4"):
+        raise ContractViolation(f"unknown integrator method {cfg.method!r}")
+    adaptive = cfg.method == "rk45"
+
+    def stage(y: np.ndarray) -> np.ndarray:
+        # a non-finite stage point has no symbols; its slope is non-finite too
+        return rhs(y) if np.all(np.isfinite(y)) else np.full(y.size, np.nan)
+
+    lam, y = 0.0, y0
+    params, states, events = [lam], [y], []
+    h = min(cfg.initial_step, cfg.max_step, span) if adaptive else cfg.rk4_step
+    for _ in range(cfg.max_steps if adaptive else int(round(span / h))):
+        if adaptive:
+            if lam >= span:
+                break
+            h = min(h, span - lam)
+            y_new, err = _rkf45_step(stage, y, h)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        else:
+            y_new, err_norm = _rk4_step(stage, y, h), 0.0
+        if not (math.isfinite(err_norm) and np.all(np.isfinite(y_new))):
+            events.append({"kind": "non_finite", "lambda": lam + h})
+            break
+        if err_norm <= 1.0:
+            lam, y = lam + h, y_new
+            params.append(lam)
+            states.append(y)
+            reason = guard(y)
+            if reason is not None:
+                events.append({"kind": reason, "lambda": lam})
+                break
+        if adaptive:
+            factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+            h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
+            if h < cfg.min_step:
+                events.append({"kind": "step_underflow", "lambda": lam})
+                break
+    else:
+        # the step budget ran out (a fixed-step run simply ends here)
+        if adaptive and lam < span:
+            events.append({"kind": "max_steps", "lambda": lam})
+    return params, states, events
+
+
 def integrate(
     state0: GeodesicState,
     scenario: Scenario,
@@ -350,118 +413,43 @@ def integrate(
 ) -> Trajectory:
     """Integrate the geodesic flow of the sign -1 assembled metric.
 
-    Returns the sampled trajectory with per-step monitors. Integration halts
-    early with an event record if |t| falls below the guard, the state goes
-    non-finite, the state leaves a hard chart domain, or the adaptive step
-    underflows; the partial trajectory is returned in every case.
+    Returns the sampled trajectory with per-sample monitors and the events
+    that stopped it early (``t_guard``, ``left_chart`` or a stepping event),
+    if any; the partial trajectory is returned in every case.
     """
     cfg = cfg or IntegratorConfig()
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
     kk = scenario.kk(-1, scenario.connection(gauge))
-    rhs = geodesic_rhs(kk, chart, cfg)
     chart_obj = scenario.atlas.chart(chart)
-
     n = state0.dim
     t_guard = cfg.t_guard_factor * abs(state0.t)
-    lam = 0.0
-    y = state0.as_vector()
 
-    lams = [lam]
-    ys = [y.copy()]
-    events: list[dict] = []
-
-    def guard(y_new: np.ndarray, lam_new: float) -> str | None:
-        if not np.all(np.isfinite(y_new)):
-            return "non_finite"
-        if abs(y_new[n]) < t_guard:
+    def guard(y: np.ndarray) -> str | None:
+        if abs(y[n]) < t_guard:
             return "t_guard"
-        if not chart_obj.inside(y_new[:n]):
-            return "left_chart"
-        return None
+        return None if chart_obj.inside(y[:n]) else "left_chart"
 
-    if cfg.method == "rk4":
-        h = cfg.rk4_step
-        steps = int(round(cfg.lambda_max / h))
-        for _ in range(steps):
-            y_new = _rk4_step(rhs, y, h)
-            lam_new = lam + h
-            reason = guard(y_new, lam_new)
-            if reason is not None:
-                events.append({"kind": reason, "lambda": lam_new})
-                if reason != "non_finite":
-                    lams.append(lam_new)
-                    ys.append(y_new)
-                break
-            y, lam = y_new, lam_new
-            lams.append(lam)
-            ys.append(y.copy())
-    elif cfg.method == "rk45":
-        h = min(cfg.initial_step, cfg.max_step, cfg.lambda_max)
-        steps = 0
-        while lam < cfg.lambda_max and steps < cfg.max_steps:
-            steps += 1
-            h = min(h, cfg.lambda_max - lam)
-            y_new, err = _rkf45_step(rhs, y, h)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if err_norm <= 1.0:
-                lam_new = lam + h
-                reason = guard(y_new, lam_new)
-                if reason is not None:
-                    events.append({"kind": reason, "lambda": lam_new})
-                    if reason != "non_finite":
-                        lams.append(lam_new)
-                        ys.append(y_new)
-                    break
-                y, lam = y_new, lam_new
-                lams.append(lam)
-                ys.append(y.copy())
-            factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            h = min(h, cfg.max_step)
-            if h < cfg.min_step:
-                events.append({"kind": "step_underflow", "lambda": lam})
-                break
-        if steps >= cfg.max_steps:
-            events.append({"kind": "max_steps", "lambda": lam})
-    else:
-        raise ContractViolation(f"unknown integrator method {cfg.method!r}")
-
+    lams, ys, events = _drive(geodesic_rhs(kk, chart, cfg), state0.as_vector(), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
-    lam_arr = np.array(lams)
-    xs = arr[:, :n]
-    ts = arr[:, n]
-    vxs = arr[:, n + 1 : 2 * n + 1]
-    vts = arr[:, 2 * n + 1]
+    xs, ts, vxs, vts = arr[:, :n], arr[:, n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
 
-    charges = np.empty(lam_arr.size)
-    nulls = np.empty(lam_arr.size)
-    speeds = np.empty(lam_arr.size)
-    for i in range(lam_arr.size):
-        s = GeodesicState(xs[i], ts[i], vxs[i], vts[i], lam_arr[i])
-        charges[i] = carroll_charge(s, gauge, chart)
-        nulls[i] = null_residual(s, scenario, gauge, chart)
-        speeds[i] = base_speed2(s, scenario, chart)
+    # one metric block and one gauge evaluation per sample feed all three monitors
+    block = scenario.metric.blocks[chart]
+    charges, nulls, speeds = np.empty(len(ys)), np.empty(len(ys)), np.empty(len(ys))
+    for i in range(len(ys)):
+        x, t, vx = xs[i], float(ts[i]), vxs[i]
+        gm = np.asarray(block(x, t), dtype=float)
+        omega_v = float(vts[i]) / t + float(vx @ gauge.at(x, chart))
+        speeds[i] = float(vx @ gm @ vx)
+        charges[i] = -omega_v
+        nulls[i] = speeds[i] - omega_v**2
 
     return Trajectory(
-        lam=lam_arr,
-        x=xs,
-        t=ts,
-        vx=vxs,
-        vt=vts,
-        charge=charges,
-        null_residual=nulls,
-        base_speed2=speeds,
-        events=events,
-        meta={
-            "scenario": scenario.name,
-            "chart": chart,
-            "method": cfg.method,
-            "christoffel": cfg.christoffel,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-        },
+        lam=np.array(lams), x=xs, t=ts, vx=vxs, vt=vts,
+        charge=charges, null_residual=nulls, base_speed2=speeds, events=events,
+        meta={"scenario": scenario.name, "chart": chart, "method": cfg.method,
+              "christoffel": cfg.christoffel, "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol},
     )
 
 
@@ -499,6 +487,7 @@ class BaseTrajectory:
     x: np.ndarray
     vx: np.ndarray
     speed2: np.ndarray
+    events: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -522,7 +511,10 @@ def integrate_small_gauge(
 
     ``v0`` must be unit in g_M (the constraint fixes the speed; in log-time
     it is 1). The curvature enters directly; pass ``curvature_fn`` to bypass
-    the gauge field, e.g. for a constant synthetic field strength.
+    the gauge field, e.g. for a constant synthetic field strength. Steps with
+    ``cfg.method``; the run ends early with an event record (its ``lambda``
+    is the log-time u) on ``left_chart``, ``non_finite``, ``step_underflow``
+    or ``max_steps``.
     """
     cfg = cfg or IntegratorConfig()
     chart = chart or scenario.default_chart
@@ -553,29 +545,9 @@ def integrate_small_gauge(
         acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)
         return np.concatenate([v, acc])
 
-    y = np.concatenate([x0, v0])
-    u = 0.0
-    us = [u]
-    ys = [y.copy()]
-    h = min(cfg.initial_step, cfg.max_step)
-    steps = 0
-    while u < u_max and steps < cfg.max_steps:
-        steps += 1
-        h = min(h, u_max - u)
-        y_new, err = _rkf45_step(rhs, y, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm <= 1.0:
-            u += h
-            y = y_new
-            us.append(u)
-            ys.append(y.copy())
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        h = min(h, cfg.max_step)
-        if h < cfg.min_step:
-            break
-
+    chart_obj = scenario.atlas.chart(chart)
+    guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
+    us, ys, events = _drive(rhs, np.concatenate([x0, v0]), u_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
     speeds = np.empty(len(us))
@@ -583,7 +555,7 @@ def integrate_small_gauge(
         gm = np.asarray(scenario.metric.blocks[chart](xs[i], 1.0), dtype=float)
         speeds[i] = float(vs[i] @ gm @ vs[i])
     return BaseTrajectory(
-        u=np.array(us), x=xs, vx=vs, speed2=speeds,
+        u=np.array(us), x=xs, vx=vs, speed2=speeds, events=events,
         meta={"scenario": scenario.name, "chart": chart, "sign_q": sign_q},
     )
 

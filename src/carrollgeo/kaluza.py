@@ -134,7 +134,7 @@ def christoffel_numeric(
     """Levi-Civita symbols of the raw metric by central differences.
 
     Returns Gamma[A, B, C] with the upper index first, symmetrized in the
-    lower pair (the raw formula is symmetric up to roundoff).
+    lower pair.
     """
     field_fn = kk.raw_field(p.chart)
     raw_p = p.raw()
@@ -144,14 +144,18 @@ def christoffel_numeric(
         cond = float(np.linalg.cond(g))
         if not np.isfinite(cond) or cond > cond_limit:
             raise NumericError(f"metric condition number {cond:.3e} exceeds {cond_limit:.0e}")
-    ginv = np.linalg.inv(g)
-    dg = _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dg[C, A, B]
+    return _levi_civita(g, _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,)))
+
+
+def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[a, b, c] from a metric and its partials dg[c, a, b] = d_c g_ab,
+    symmetrized in the lower pair (the raw formula is symmetric up to roundoff)."""
     lowered = (
         np.transpose(dg, (1, 0, 2))  # [d, b, c] = d_b G_dc
         + np.transpose(dg, (1, 2, 0))  # [d, b, c] = d_c G_db
         - dg  # [d, b, c] = d_d G_bc
     )
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
+    gamma = 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(g), lowered)
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
@@ -170,12 +174,7 @@ def _base_symbols_numeric(kk: KKMetric, x: np.ndarray, t: float, chart: str, fd_
     def gm_of_x(y: np.ndarray) -> np.ndarray:
         return np.asarray(fn(y, t), dtype=float)
 
-    g = gm_of_x(x)
-    ginv = np.linalg.inv(g)
-    dg = _fd.partials(gm_of_x, np.asarray(x, dtype=float), rel=fd_rel)
-    lowered = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+    return _levi_civita(gm_of_x(x), _fd.partials(gm_of_x, np.asarray(x, dtype=float), rel=fd_rel))
 
 
 def base_symbols_at(kk: KKMetric, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:

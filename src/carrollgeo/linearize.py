@@ -259,13 +259,6 @@ def moebius_transition_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
     lower_e = np.linspace(-a + 0.01, -(math.pi - a) - 0.01, samples_per_overlap)
     lower_w = lower_e + 2.0 * math.pi
 
-    def psi_we(m: float, r: float) -> float:
-        # east -> west: flip on the lower component (west angle > pi)
-        return r if m < math.pi / 2.0 + 0.5 else -r
-
-    def psi_ew(m: float, r: float) -> float:
-        return r if m < math.pi / 2.0 + 0.5 else -r
-
     # both components keyed by the source-chart angle; east coordinates of the
     # lower overlap are negative, west ones exceed pi
     def psi_east_to_west(m: float, r: float) -> float:

@@ -192,17 +192,15 @@ def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator, samples: 
 
 
 def run_all(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in ("load_warnings",):
-        results.append(
-            CheckResult(
-                name=name,
-                passed=not scenario.warnings,
-                value=float(len(scenario.warnings)),
-                tol=0.0,
-                detail="; ".join(scenario.warnings),
-            )
+    results = [
+        CheckResult(
+            name="load_warnings",
+            passed=not scenario.warnings,
+            value=float(len(scenario.warnings)),
+            tol=0.0,
+            detail="; ".join(scenario.warnings),
         )
+    ]
     for suite in (
         kernel_suite,
         killing_suite,

@@ -204,3 +204,21 @@ def test_linearize_atlas_file(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["geodesic", "flat", "--state", "1, 2"]) == 2
+
+
+@pytest.mark.parametrize("coord", ["1/0", "sqrt(-1)", "exp(1000)"])
+def test_expression_arithmetic_error_is_usage_error(coord, capsys):
+    assert main(["christoffel", "flat", "--param", "n=2", "--at", f"{coord}, 0, 1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and coord in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_small_gauge_prints_stop_events(capsys):
+    # a tilted start on the angle chart runs into the pole guard band
+    code = main([
+        "geodesic", "schwarzschild", "--param", "GM=0.5", "--small-gauge",
+        "--state", "pi/2, 0, 1, 0", "--lambda-max", "3",
+    ])
+    assert code == 0
+    assert "event: {'kind': 'left_chart'" in capsys.readouterr().out

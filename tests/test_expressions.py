@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -49,5 +50,23 @@ def test_rejects_attribute_access():
 def test_domain_errors_surface_at_call_time():
     fn = compile_expression("sqrt(m - 2)", ("m",))
     assert fn(6.0) == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstructionError, match="sqrt"):
         fn(0.0)
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("1/0", ZeroDivisionError),
+        ("sqrt(-1)", ValueError),
+        ("log(0)", ValueError),
+        ("(-1)^0.5", ValueError),
+        ("exp(1000)", OverflowError),
+        ("10^400", OverflowError),
+    ],
+)
+def test_arithmetic_errors_name_the_expression(text, cause):
+    with pytest.raises(ConstructionError, match=re.escape(repr(text))) as info:
+        parse_number(text)
+    assert isinstance(info.value.__cause__, cause)
+

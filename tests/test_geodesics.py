@@ -165,6 +165,25 @@ def test_rk4_fourth_order_convergence(schwarzschild):
     assert errs[0] / errs[1] >= 14.0
 
 
+def _nan_past_half(value):
+    # a field that turns NaN once x1 reaches 0.5
+    return lambda x: value * (1.0 if x[0] < 0.5 else math.nan)
+
+
+@pytest.mark.parametrize("flow", ["rk45", "rk4", "small_gauge"])
+def test_non_finite_stage_stops_with_event(flat2, flow):
+    if flow == "small_gauge":
+        run = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, u_max=2.0,
+                                    curvature_fn=_nan_past_half(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    else:
+        gauge = _gauge(lambda x: np.array([0.0, _nan_past_half(0.0)(x)]))
+        state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=1.0, t0=1.0), flat2, gauge=gauge)
+        run = integrate(state, flat2, IntegratorConfig(method=flow, lambda_max=2.0), gauge=gauge)
+    assert [e["kind"] for e in run.events] == ["non_finite"]
+    assert 0.4 < run.events[0]["lambda"] < 0.6
+    assert np.all(np.isfinite(run.x)) and 0.4 < run.x[-1, 0] < 0.5
+
+
 # -- log time -------------------------------------------------------------------
 
 def test_log_time_slope(schwarzschild):
@@ -196,6 +215,26 @@ def test_reduced_flow_circular_orbit(flat2):
     assert np.max(np.abs(radii - 1.0)) < 1e-6
     assert np.linalg.norm(base.x[-1] - base.x[0]) < 1e-6
     assert np.max(np.abs(base.speed2 - 1.0)) < 1e-8
+    assert base.events == []
+
+
+def test_reduced_flow_honours_rk4(flat2):
+    field = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])
+    cfg = IntegratorConfig(method="rk4", rk4_step=0.01)
+    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, cfg,
+                                 curvature_fn=field, u_max=2.0 * math.pi)
+    assert len(base) == round(2.0 * math.pi / 0.01) + 1
+    assert np.allclose(np.diff(base.u), 0.01)
+    assert base.events == []
+    radii = np.linalg.norm(base.x - np.array([0.0, -1.0]), axis=1)
+    assert np.max(np.abs(radii - 1.0)) < 1e-8
+
+
+def test_reduced_flow_left_chart_event(schwarzschild):
+    # heading for the pole: the angle chart's guard band ends the run
+    base = integrate_small_gauge([math.pi / 2, 0.0], [1.0, 0.0], schwarzschild, +1, u_max=3.0)
+    assert [e["kind"] for e in base.events] == ["left_chart"]
+    assert base.u[-1] == base.events[0]["lambda"] < 3.0
 
 
 def test_reduced_flow_straight_line_without_field(flat2):
