@@ -45,7 +45,6 @@ from .kaluza import (
     build_kk,
     christoffel_closed,
     christoffel_numeric,
-    christoffel_numeric_batch,
     closed_form_deviation,
     covariant_metric_derivative,
     divergence,

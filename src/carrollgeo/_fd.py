@@ -84,6 +84,11 @@ def gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel: float = DEFAU
     return np.array([float(partial(f, x, a, rel=rel)) for a in range(x.size)])
 
 
+def log_gradient(phi: Callable[[np.ndarray], float], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
+    """grad log|phi| at ``x``: the logarithmic derivative of a nonzero factor."""
+    return gradient(lambda y: float(np.log(abs(phi(y)))), x, rel=rel)
+
+
 def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
     """J[i, j] = d f_i / d x_j."""
     x = np.asarray(x, dtype=float)

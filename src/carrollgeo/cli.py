@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios as scen
-from .errors import CarrollError, ConstructionError, ContractViolation, NumericError
+from .errors import CarrollError, ConstructionError, ContractViolation, DomainError, NumericError
 from .expressions import parse_number, parse_tuple
 from .geodesics import (
     GeodesicState,
@@ -368,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractViolation, ConstructionError) as exc:
+    except (ContractViolation, ConstructionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -49,14 +49,20 @@ class GaugeField:
         )
 
     def at(self, x: np.ndarray, chart: str) -> np.ndarray:
+        """A(x) on ``chart`` as an (n,) float array; the only reader of ``components``."""
         try:
             fn = self.components[chart]
         except KeyError:
             raise ContractViolation(f"gauge field has no components for chart {chart!r}") from None
-        return np.atleast_1d(np.asarray(fn(np.asarray(x, dtype=float)), dtype=float))
+        x = np.asarray(x, dtype=float)
+        a = np.atleast_1d(np.asarray(fn(x), dtype=float))
+        if a.shape != (x.size,):
+            raise ContractViolation(f"gauge field has shape {a.shape}, expected {(x.size,)}")
+        return a
 
-    def is_trivial(self, points: Sequence[Point], tol: float = 0.0) -> bool:
-        return all(float(np.max(np.abs(self.at(p.x, p.chart)), initial=0.0)) <= tol for p in points)
+    def jacobian(self, x: np.ndarray, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+        """jac[b, a] = d_a A_b at ``x`` by central differences."""
+        return _fd.jacobian(lambda y: self.at(y, chart), x, rel=fd_rel)
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,7 @@ def orthogonality_check(
 
 def curvature_numeric(gauge: GaugeField, x: np.ndarray, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
     """F_ab = d_a A_b - d_b A_a by central differences; antisymmetric exactly."""
-    x = np.asarray(x, dtype=float)
-    jac = _fd.jacobian(lambda y: gauge.at(y, chart), x, rel=fd_rel)  # jac[b, a] = d_a A_b
+    jac = gauge.jacobian(x, chart, fd_rel)  # jac[b, a] = d_a A_b
     return jac.T - jac
 
 
@@ -212,10 +217,7 @@ def connection_from_partition(
                 rho = partition.value(tr.dst, np.asarray(tr.base_map(x), dtype=float))
                 if abs(rho) < 1e-14:
                     continue
-                grad_log = _fd.gradient(
-                    lambda y: float(np.log(abs(tr.fiber_factor(y)))), x, rel=fd_rel
-                )
-                total += rho * grad_log
+                total += rho * _fd.log_gradient(tr.fiber_factor, x, rel=fd_rel)
             return total
 
         return a_of

@@ -31,7 +31,7 @@ import numpy as np
 from . import _fd
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import Point
+from .geometry import Chart, Point
 from .kaluza import KKMetric, base_symbols_at, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
@@ -138,7 +138,7 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     """<vx, vx>_gM - (vt/t + vx . A)^2; vanishes exactly on null states."""
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
-    gm = np.asarray(scenario.metric.blocks[chart](state.x, state.t), dtype=float)
+    gm = scenario.metric.at(state.x, state.t, chart)
     a = gauge.at(state.x, chart)
     omega_v = state.vt / state.t + float(state.vx @ a)
     return float(state.vx @ gm @ state.vx) - omega_v**2
@@ -171,7 +171,7 @@ def unit_direction(scenario: Scenario, x: np.ndarray, u: np.ndarray, t: float,
                    chart: str | None = None) -> np.ndarray:
     """Normalize a base direction to unit length in g_M(x, t)."""
     chart = chart or scenario.default_chart
-    gm = np.asarray(scenario.metric.blocks[chart](np.asarray(x, float), t), dtype=float)
+    gm = scenario.metric.at(np.asarray(x, float), t, chart)
     u = np.asarray(u, dtype=float)
     norm = math.sqrt(float(u @ gm @ u))
     if norm == 0.0:
@@ -198,7 +198,7 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
         raise ContractViolation("delta contradicts the sign of q (delta = -sign(q))")
     if q == 0.0:
         return GeodesicState(x0, t0, np.zeros(x0.size), 0.0)
-    gm = np.asarray(scenario.metric.blocks[chart](x0, t0), dtype=float)
+    gm = scenario.metric.at(x0, t0, chart)
     u = np.asarray(spec.u, dtype=float)
     norm = math.sqrt(float(u @ gm @ u))
     if abs(norm - 1.0) > 1e-10:
@@ -266,7 +266,7 @@ def printed_spatial_acceleration(
     if scenario.metric.time_dependent:
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
-    gminv = np.linalg.inv(scenario.metric.block(p))
+    gminv = np.linalg.inv(scenario.metric.at(p.x, p.t, chart))
     kk = scenario.kk(-1, scenario.connection(gauge))
     base = base_symbols_at(kk, p, fd_rel)
     a = gauge.at(state.x, chart)
@@ -293,7 +293,7 @@ def printed_temporal_acceleration(
 
         t'' = -t ( (1/2) x' . (dA + dA^T) . x' + A . x'' ) + t'^2 / t
     """
-    jac_a = _fd.jacobian(lambda y: gauge.at(y, chart), state.x, rel=fd_rel)
+    jac_a = gauge.jacobian(state.x, chart, fd_rel)
     sym = jac_a + jac_a.T
     a = gauge.at(state.x, chart)
     return float(
@@ -404,6 +404,14 @@ def _drive(
     return params, states, events
 
 
+def _initial_chart(scenario: Scenario, chart: str, x0: np.ndarray) -> Chart:
+    """The chart a flow runs on; its hard domain must hold the initial base point."""
+    chart_obj = scenario.atlas.chart(chart)
+    if not chart_obj.inside(x0):
+        raise ContractViolation(f"initial base point {np.asarray(x0).tolist()} is outside chart {chart!r}")
+    return chart_obj
+
+
 def integrate(
     state0: GeodesicState,
     scenario: Scenario,
@@ -421,7 +429,7 @@ def integrate(
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
     kk = scenario.kk(-1, scenario.connection(gauge))
-    chart_obj = scenario.atlas.chart(chart)
+    chart_obj = _initial_chart(scenario, chart, state0.x)
     n = state0.dim
     t_guard = cfg.t_guard_factor * abs(state0.t)
 
@@ -435,11 +443,10 @@ def integrate(
     xs, ts, vxs, vts = arr[:, :n], arr[:, n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
 
     # one metric block and one gauge evaluation per sample feed all three monitors
-    block = scenario.metric.blocks[chart]
     charges, nulls, speeds = np.empty(len(ys)), np.empty(len(ys)), np.empty(len(ys))
     for i in range(len(ys)):
         x, t, vx = xs[i], float(ts[i]), vxs[i]
-        gm = np.asarray(block(x, t), dtype=float)
+        gm = scenario.metric.at(x, t, chart)
         omega_v = float(vts[i]) / t + float(vx @ gauge.at(x, chart))
         speeds[i] = float(vx @ gm @ vx)
         charges[i] = -omega_v
@@ -522,7 +529,8 @@ def integrate_small_gauge(
         raise ContractViolation("sign_q must be +1 or -1")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    gm0 = np.asarray(scenario.metric.blocks[chart](x0, 1.0), dtype=float)
+    chart_obj = _initial_chart(scenario, chart, x0)
+    gm0 = scenario.metric.at(x0, 1.0, chart)
     speed = math.sqrt(float(v0 @ gm0 @ v0))
     if abs(speed - 1.0) > 1e-10:
         raise ContractViolation(f"initial base speed must be 1 in g_M (got {speed:.12f})")
@@ -540,19 +548,18 @@ def integrate_small_gauge(
         x, v = y[:n], y[n:]
         p = Point(x, 1.0, chart)
         base = base_symbols_at(kk, p, cfg.fd_rel)
-        gminv = np.linalg.inv(scenario.metric.block(p))
+        gminv = np.linalg.inv(scenario.metric.at(x, 1.0, chart))
         f = np.asarray(curvature_fn(x), dtype=float)
         acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)
         return np.concatenate([v, acc])
 
-    chart_obj = scenario.atlas.chart(chart)
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
     us, ys, events = _drive(rhs, np.concatenate([x0, v0]), u_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
     speeds = np.empty(len(us))
     for i in range(len(us)):
-        gm = np.asarray(scenario.metric.blocks[chart](xs[i], 1.0), dtype=float)
+        gm = scenario.metric.at(xs[i], 1.0, chart)
         speeds[i] = float(vs[i] @ gm @ vs[i])
     return BaseTrajectory(
         u=np.array(us), x=xs, vx=vs, speed2=speeds, events=events,

@@ -126,7 +126,6 @@ class VectorField:
     """Vector field given by its adapted components at every point."""
 
     components: Callable[[Point], TangentVector]
-    weight: float | None = None
 
     def at(self, p: Point) -> TangentVector:
         v = self.components(p)
@@ -134,15 +133,13 @@ class VectorField:
             raise ContractViolation("vector field returned a vector at the wrong base point")
         return v
 
-    def raw_at(self, p: Point) -> np.ndarray:
-        return self.at(p).raw()
-
-    def is_vertical(self, points: Sequence[Point], tol: float = 0.0) -> bool:
-        return all(float(np.max(np.abs(self.at(p).vx), initial=0.0)) <= tol for p in points)
+    def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
+        """Raw components as a function of the raw (x..., t) coordinate vector."""
+        return lambda raw: self.at(Point(raw[:-1], raw[-1], chart)).raw()
 
 
 def euler_field() -> VectorField:
-    return VectorField(lambda p: euler(p), weight=0.0)
+    return VectorField(euler)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,7 @@ class ChartTransition:
         """
         p = v.base
         jac = _fd.jacobian(lambda x: np.asarray(self.base_map(x), dtype=float), p.x, rel=fd_rel)
-        grad_log_phi = _fd.gradient(lambda x: float(np.log(abs(self.fiber_factor(x)))), p.x, rel=fd_rel)
+        grad_log_phi = _fd.log_gradient(self.fiber_factor, p.x, rel=fd_rel)
         new_vx = jac @ v.vx
         new_vtb = v.vtb + float(v.vx @ grad_log_phi)
         return TangentVector(new_vx, new_vtb, self.map_point(p))
@@ -248,44 +245,50 @@ class DegenerateMetric:
     """Velocity-quadratic form with block structure [[g_M(x, t), 0], [0, 0]].
 
     ``blocks`` maps a chart name to the base block g_M as a function of
-    (x, t). The kernel direction (the Euler field) is built into the block
-    structure and never sampled.
+    (x, t), read only through :meth:`at`. The kernel direction (the Euler
+    field) is built into the block structure and never sampled.
     """
 
     blocks: Mapping[str, Callable[[np.ndarray, float], np.ndarray]]
     time_dependent: bool = False
-    weight_hint: float | None = None
 
-    def block(self, p: Point) -> np.ndarray:
+    def at(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
+        """The base block g_M(x, t) on ``chart`` as an (n, n) float array.
+
+        The callable is looked up on every call, so a caller may swap the
+        entries of ``blocks`` after construction.
+        """
         try:
-            fn = self.blocks[p.chart]
+            fn = self.blocks[chart]
         except KeyError:
-            raise ContractViolation(f"metric has no block for chart {p.chart!r}") from None
-        g = np.asarray(fn(p.x, p.t), dtype=float)
-        if g.shape != (p.dim, p.dim):
-            raise ContractViolation(f"metric block has shape {g.shape}, expected {(p.dim, p.dim)}")
+            raise ContractViolation(f"metric has no block for chart {chart!r}") from None
+        g = np.asarray(fn(x, t), dtype=float)
+        n = len(x)
+        if g.shape != (n, n):
+            raise ContractViolation(f"metric block has shape {g.shape}, expected {(n, n)}")
         return g
 
-    def full(self, p: Point) -> np.ndarray:
-        """Full (n+1) x (n+1) adapted-frame matrix (identical in raw coordinates)."""
-        g = self.block(p)
-        n = p.dim
+    def t_derivative(self, x: np.ndarray, t: float, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+        """dg_M/dt at (x, t) by central differences that keep the sign of t."""
+        return _fd.partial(lambda arr: self.at(x, float(arr[0]), chart), np.array([t]), 0, rel=fd_rel, keep_sign=(0,))
+
+    def _padded(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
+        g = self.at(x, t, chart)
+        n = len(x)
         out = np.zeros((n + 1, n + 1))
         out[:n, :n] = g
         return out
 
+    def full(self, p: Point) -> np.ndarray:
+        """Full (n+1) x (n+1) adapted-frame matrix (identical in raw coordinates)."""
+        return self._padded(p.x, p.t, p.chart)
+
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
         """The padded metric as a function of raw (x..., t) coordinates."""
-        fn = self.blocks[chart]
 
         def field_fn(raw: np.ndarray) -> np.ndarray:
             raw = np.asarray(raw, dtype=float)
-            x, t = raw[:-1], float(raw[-1])
-            g = np.asarray(fn(x, t), dtype=float)
-            n = x.size
-            out = np.zeros((n + 1, n + 1))
-            out[:n, :n] = g
-            return out
+            return self._padded(raw[:-1], float(raw[-1]), chart)
 
         return field_fn
 
@@ -298,34 +301,20 @@ def metric_eval(g: DegenerateMetric, p: Point, v: TangentVector, w: TangentVecto
     """
     if not (v.base.same_place(p) and w.base.same_place(p)):
         raise ContractViolation("vectors must be based at the evaluation point")
-    return float(v.vx @ g.block(p) @ w.vx)
+    return float(v.vx @ g.at(p.x, p.t, p.chart) @ w.vx)
 
 
 # ---------------------------------------------------------------------------
 # lifts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerticalLift:
-    """Interior product with a vector field, acting on velocity-quadratic forms.
+def vertical_lift(X: VectorField, g: DegenerateMetric, p: Point) -> Callable[[TangentVector], float]:
+    """Interior product of ``g`` with X at ``p``: the one-form w -> g(X(p), w).
 
-    Contracting once gives a one-form; contracting that with a second vector
-    recovers the metric pairing.
+    Contracting it with a second vector recovers the metric pairing.
     """
-
-    source: VectorField
-
-    def contract(self, g: DegenerateMetric, p: Point) -> Callable[[TangentVector], float]:
-        v = self.source.at(p)
-
-        def one_form(w: TangentVector) -> float:
-            return metric_eval(g, p, v, w)
-
-        return one_form
-
-
-def vertical_lift(X: VectorField) -> VerticalLift:
-    return VerticalLift(X)
+    v = X.at(p)
+    return lambda w: metric_eval(g, p, v, w)
 
 
 def lie_derivative_metric(
@@ -344,32 +333,18 @@ def lie_derivative_metric(
     raw_p = p.raw()
     n1 = raw_p.size
     t_axis = n1 - 1
-
-    def x_raw(raw: np.ndarray) -> np.ndarray:
-        q = Point(raw[:-1], raw[-1], p.chart)
-        return X.raw_at(q)
-
+    x_fn = X.raw_field(p.chart)
     g = field_fn(raw_p)
     dg = _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dg[C, A, B] = d_C G_AB
-    dx = _fd.partials(x_raw, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dx[C, A] = d_C X^A
-    xc = x_raw(raw_p)
+    dx = _fd.partials(x_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dx[C, A] = d_C X^A
+    xc = x_fn(raw_p)
     transport = np.einsum("c,cab->ab", xc, dg)
     frame = np.einsum("ac,cb->ab", dx, g) + np.einsum("bc,ac->ab", dx, g)
     return transport + frame
 
 
-@dataclass(frozen=True)
-class TangentLift:
-    """First-order operator implementing the Lie derivative on metric functions."""
-
-    source: VectorField
-
-    def derive_metric(self, metric, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
-        return lie_derivative_metric(self.source, metric, p, fd_rel=fd_rel)
-
-
-def tangent_lift(X: VectorField) -> TangentLift:
-    return TangentLift(X)
+# the tangent lift of X acts on metric functions as the Lie derivative
+tangent_lift = lie_derivative_metric
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +360,6 @@ class EulerWeight:
     residual: float
     lie_block: np.ndarray
 
-    @property
-    def weight(self) -> float | None:
-        return self.factor if self.proportional else None
-
 
 def euler_weight(
     g: DegenerateMetric,
@@ -397,14 +368,8 @@ def euler_weight(
     fd_rel: float = _fd.DEFAULT_REL_STEP,
 ) -> EulerWeight:
     """Evaluate (L_Euler g)(p) = t dg_M/dt and test proportionality to g(p)."""
-    fn = g.blocks[p.chart]
-
-    def block_of_t(arr: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(p.x, float(arr[0])), dtype=float)
-
-    dgdt = _fd.partial(block_of_t, np.array([p.t]), 0, rel=fd_rel, keep_sign=(0,))
-    lie = p.t * dgdt
-    gm = g.block(p)
+    lie = p.t * g.t_derivative(p.x, p.t, p.chart, fd_rel)
+    gm = g.at(p.x, p.t, p.chart)
     denom = float(np.sum(gm * gm))
     if denom == 0.0:
         raise ContractViolation("degenerate base block: cannot test homogeneity")
@@ -428,13 +393,10 @@ def euler_bracket(X: VectorField, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP
     """
     raw_p = p.raw()
     t_axis = raw_p.size - 1
-
-    def x_raw(raw: np.ndarray) -> np.ndarray:
-        return X.raw_at(Point(raw[:-1], raw[-1], p.chart))
-
-    dt_x = _fd.partial(x_raw, raw_p, t_axis, rel=fd_rel, keep_sign=(t_axis,))
+    x_fn = X.raw_field(p.chart)
+    dt_x = _fd.partial(x_fn, raw_p, t_axis, rel=fd_rel, keep_sign=(t_axis,))
     bracket = p.t * dt_x
-    bracket[t_axis] -= x_raw(raw_p)[t_axis]
+    bracket[t_axis] -= x_fn(raw_p)[t_axis]
     return bracket
 
 
@@ -480,21 +442,17 @@ class FiberRescaling:
         return Point(p.x, float(self.phi(p.x)) * p.t, p.chart)
 
     def tangent(self, v: TangentVector) -> TangentVector:
-        grad_log = _fd.gradient(lambda x: float(np.log(abs(self.phi(x)))), v.base.x, rel=self.fd_rel)
+        grad_log = _fd.log_gradient(self.phi, v.base.x, rel=self.fd_rel)
         return TangentVector(v.vx.copy(), v.vtb + float(v.vx @ grad_log), self.point(v.base))
 
     def metric(self, g: DegenerateMetric) -> DegenerateMetric:
         phi = self.phi
 
-        def transform(fn):
-            return lambda x, t: fn(x, t / float(phi(x)))
+        def transform(chart: str):
+            return lambda x, t: g.at(x, t / float(phi(x)), chart)
 
-        return DegenerateMetric(
-            blocks={name: transform(fn) for name, fn in g.blocks.items()},
-            time_dependent=g.time_dependent,
-            weight_hint=g.weight_hint,
-        )
+        return DegenerateMetric(blocks={name: transform(name) for name in g.blocks}, time_dependent=g.time_dependent)
 
     def gauge_shift(self, x: np.ndarray) -> np.ndarray:
         """The inhomogeneous term: grad(phi)/phi at x."""
-        return _fd.gradient(lambda y: float(np.log(abs(self.phi(y)))), np.asarray(x, float), rel=self.fd_rel)
+        return _fd.log_gradient(self.phi, x, rel=self.fd_rel)

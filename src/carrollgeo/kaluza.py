@@ -51,34 +51,29 @@ class KKMetric:
     # -- components ---------------------------------------------------------
 
     def adapted(self, p: Point) -> np.ndarray:
-        gm = self.metric.block(p)
-        a = self.gauge.at(p.x, p.chart)
-        n = p.dim
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = gm + self.sign * np.outer(a, a)
-        out[:n, n] = self.sign * a
-        out[n, :n] = self.sign * a
-        out[n, n] = self.sign
-        return out
+        return self._components(p.x, p.t, p.chart, 1.0)
 
     def raw(self, p: Point) -> np.ndarray:
-        return self._raw_components(p.x, p.t, p.chart)
+        return self._components(p.x, p.t, p.chart, p.t)
 
-    def _raw_components(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        gm = np.asarray(self.metric.blocks[chart](x, t), dtype=float)
+    def _components(self, x: np.ndarray, t: float, chart: str, frame: float) -> np.ndarray:
+        """Components in the frame whose fiber vector is ``frame`` * d/dt:
+        frame 1 gives the adapted components, frame t the raw ones."""
+        gm = self.metric.at(x, t, chart)
         a = self.gauge.at(x, chart)
         n = x.size
         out = np.zeros((n + 1, n + 1))
         out[:n, :n] = gm + self.sign * np.outer(a, a)
-        out[:n, n] = self.sign * a / t
-        out[n, :n] = self.sign * a / t
-        out[n, n] = self.sign / t**2
+        out[:n, n] = self.sign * a / frame
+        out[n, :n] = self.sign * a / frame
+        out[n, n] = self.sign / frame**2
         return out
 
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
         def field_fn(raw: np.ndarray) -> np.ndarray:
             raw = np.asarray(raw, dtype=float)
-            return self._raw_components(raw[:-1], float(raw[-1]), chart)
+            t = float(raw[-1])
+            return self._components(raw[:-1], t, chart, t)
 
         return field_fn
 
@@ -94,7 +89,7 @@ class KKMetric:
     def det_identity_residual(self, p: Point) -> float:
         """Relative defect of det(raw) * t^2 = sign * det(g_M)."""
         det_raw = float(np.linalg.det(self.raw(p)))
-        det_gm = float(np.linalg.det(self.metric.block(p)))
+        det_gm = float(np.linalg.det(self.metric.at(p.x, p.t, p.chart)))
         return abs(det_raw * p.t**2 - self.sign * det_gm) / max(abs(det_gm), 1e-300)
 
     def signature(self, p: Point) -> tuple[int, int]:
@@ -155,25 +150,17 @@ def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
         + np.transpose(dg, (1, 2, 0))  # [d, b, c] = d_c G_db
         - dg  # [d, b, c] = d_d G_bc
     )
-    gamma = 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(g), lowered)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"metric is not invertible: {exc}") from None
+    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
-
-
-def christoffel_numeric_batch(
-    kk: KKMetric, points: Sequence[Point], fd_rel: float = _fd.DEFAULT_REL_STEP
-) -> list[np.ndarray]:
-    """Batch variant; evaluations at distinct points are independent and may
-    be farmed out by the caller."""
-    return [christoffel_numeric(kk, p, fd_rel=fd_rel) for p in points]
 
 
 def _base_symbols_numeric(kk: KKMetric, x: np.ndarray, t: float, chart: str, fd_rel: float) -> np.ndarray:
     """Levi-Civita symbols of the base block at frozen t."""
-    fn = kk.metric.blocks[chart]
-
-    def gm_of_x(y: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(y, t), dtype=float)
-
+    gm_of_x = lambda y: kk.metric.at(y, t, chart)
     return _levi_civita(gm_of_x(x), _fd.partials(gm_of_x, np.asarray(x, dtype=float), rel=fd_rel))
 
 
@@ -188,12 +175,7 @@ def _block_t_derivative(kk: KKMetric, p: Point, fd_rel: float) -> np.ndarray:
         return np.asarray(kk.metric_t_derivative(p.x, p.t, p.chart), dtype=float)
     if not kk.metric.time_dependent:
         return np.zeros((p.dim, p.dim))
-    fn = kk.metric.blocks[p.chart]
-
-    def block_of_t(arr: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(p.x, float(arr[0])), dtype=float)
-
-    return _fd.partial(block_of_t, np.array([p.t]), 0, rel=fd_rel, keep_sign=(0,))
+    return kk.metric.t_derivative(p.x, p.t, p.chart, fd_rel)
 
 
 def christoffel_closed(
@@ -217,7 +199,7 @@ def christoffel_closed(
     n = p.dim
     t = p.t
     s = kk.sign
-    gm = kk.metric.block(p)
+    gm = kk.metric.at(p.x, p.t, p.chart)
     gminv = np.linalg.inv(gm)
     a = kk.gauge.at(p.x, p.chart)
     base = base_symbols_at(kk, p, fd_rel)
@@ -237,7 +219,7 @@ def christoffel_closed(
                 "use the finite-difference oracle"
             )
         f = curvature(kk.gauge, p.x, p.chart, fd_rel=fd_rel)
-        jac_a = _fd.jacobian(lambda y: kk.gauge.at(y, p.chart), p.x, rel=fd_rel)  # jac[b, a] = d_a A_b
+        jac_a = kk.gauge.jacobian(p.x, p.chart, fd_rel)  # jac[b, a] = d_a A_b
         sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
         ag = gminv @ a  # (g_M)^{cd} A_d
 
@@ -305,18 +287,16 @@ def covariant_metric_derivative(
 
 def volume_density(metric: DegenerateMetric, p: Point) -> float:
     """sqrt(|det g_M(x, t)|) / |t|, the density of the canonical volume."""
-    det_gm = float(np.linalg.det(metric.block(p)))
+    det_gm = float(np.linalg.det(metric.at(p.x, p.t, p.chart)))
     if det_gm == 0.0:
         raise DomainError("base block is singular; volume density undefined")
     return float(np.sqrt(abs(det_gm)) / abs(p.t))
 
 
 def _density_field(metric: DegenerateMetric, chart: str) -> Callable[[np.ndarray], float]:
-    fn = metric.blocks[chart]
-
     def rho(raw: np.ndarray) -> float:
         x, t = raw[:-1], float(raw[-1])
-        return float(np.sqrt(abs(np.linalg.det(np.asarray(fn(x, t), dtype=float)))) / abs(t))
+        return float(np.sqrt(abs(np.linalg.det(metric.at(x, t, chart)))) / abs(t))
 
     return rho
 
@@ -329,12 +309,8 @@ def divergence(X, metric: DegenerateMetric, p: Point, fd_rel: float = _fd.DEFAUL
     rho = _density_field(metric, p.chart)
     raw_p = p.raw()
     t_axis = raw_p.size - 1
-
-    def product(raw: np.ndarray) -> np.ndarray:
-        q = Point(raw[:-1], raw[-1], p.chart)
-        return rho(raw) * X.raw_at(q)
-
-    d = _fd.partials(product, raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    x_fn = X.raw_field(p.chart)
+    d = _fd.partials(lambda raw: rho(raw) * x_fn(raw), raw_p, rel=fd_rel, keep_sign=(t_axis,))
     return float(np.trace(d)) / rho(raw_p)
 
 
@@ -345,12 +321,9 @@ def divergence_expanded(X, metric: DegenerateMetric, p: Point, fd_rel: float = _
     raw_p = p.raw()
     t_axis = raw_p.size - 1
     grad_rho = _fd.partials(lambda raw: np.array(rho(raw)), raw_p, rel=fd_rel, keep_sign=(t_axis,))
-
-    def x_raw(raw: np.ndarray) -> np.ndarray:
-        return X.raw_at(Point(raw[:-1], raw[-1], p.chart))
-
-    dx = _fd.partials(x_raw, raw_p, rel=fd_rel, keep_sign=(t_axis,))
-    return float(grad_rho.ravel() @ x_raw(raw_p)) / rho(raw_p) + float(np.trace(dx))
+    x_fn = X.raw_field(p.chart)
+    dx = _fd.partials(x_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    return float(grad_rho.ravel() @ x_fn(raw_p)) / rho(raw_p) + float(np.trace(dx))
 
 
 # ---------------------------------------------------------------------------

@@ -391,8 +391,7 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
             overlaps.append(OverlapRecord(charts=(j, i), samples={i: ms, j: ms}))
             for key, target in ((f"to_{i}", (i, j)), (f"to_{j}", (j, i))):
                 if key in sec:
-                    fn = compile_expression(sec[key], ("m", "r"))
-                    psi[target] = (lambda f: lambda m, r: f(m, r))(fn)
+                    psi[target] = compile_expression(sec[key], ("m", "r"))
         elif section_name.startswith("triple"):
             sec = parser[section_name]
             trio = [s.strip() for s in sec["charts"].split(",")]
@@ -404,9 +403,7 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
 
     if "sections" in parser:
         for name in charts:
-            text = parser["sections"].get(name, "0")
-            fn = compile_expression(text, ("m",))
-            sections[name] = (lambda f: lambda m: f(m))(fn)
+            sections[name] = compile_expression(parser["sections"].get(name, "0"), ("m",))
     else:
         sections = {name: (lambda m: 0.0) for name in charts}
 

@@ -305,17 +305,25 @@ def circle_atlas(fiber_upper: Callable[[float], float], fiber_lower: Callable[[f
 # catalog builders
 # ---------------------------------------------------------------------------
 
+def _number_param(params: Mapping, key: str, default: float) -> float:
+    """A numeric catalog parameter; a string is read as a constant expression."""
+    value = params.get(key, default)
+    if isinstance(value, str):
+        value = parse_number(value)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConstructionError(f"parameter {key} must be a number, got {value!r}") from None
+
+
 def _build_flat(params: Mapping) -> Scenario:
-    n = int(params.get("n", 2))
-    if n < 1:
-        raise ContractViolation("flat scenario needs n >= 1")
+    n = _number_param(params, "n", 2)
+    if not (n >= 1 and n.is_integer()):
+        raise ConstructionError(f"flat scenario needs an integer n >= 1, got {n:g}")
+    n = int(n)
     chart = Chart(name="cartesian", coords=tuple(f"x{i + 1}" for i in range(n)), box=((-2.0, 2.0),) * n)
     atlas = Atlas([chart])
-    metric = DegenerateMetric(
-        blocks={"cartesian": lambda x, t: np.eye(n)},
-        time_dependent=False,
-        weight_hint=0.0,
-    )
+    metric = DegenerateMetric(blocks={"cartesian": lambda x, t: np.eye(n)}, time_dependent=False)
     return Scenario(
         name=f"flat({n})",
         dim=n,
@@ -331,25 +339,24 @@ def _build_flat(params: Mapping) -> Scenario:
     )
 
 
-def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description, weight_hint):
+def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     """Common assembly for the sphere-based scenarios.
 
     ``scale(t)`` multiplies the round block; ``dgdt_factor(t)`` is its exact
     t-derivative divided by scale, i.e. d(scale)/dt = dgdt_factor * scale.
     """
-    blocks = _sphere_charts_metric(radius2, scale)
-    time_dependent = dgdt_factor is not None
+    metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
 
     def metric_t_derivative(x, t, chart_name):
         if dgdt_factor is None:
             return np.zeros((2, 2))
-        return dgdt_factor(t) * np.asarray(blocks[chart_name](x, t), dtype=float)
+        return dgdt_factor(t) * metric.at(x, t, chart_name)
 
     return Scenario(
         name=name,
         dim=2,
         atlas=sphere_atlas(),
-        metric=DegenerateMetric(blocks=blocks, time_dependent=time_dependent, weight_hint=weight_hint),
+        metric=metric,
         gauge=GaugeField.trivial(2, ["angular", "stereo_n", "stereo_s"]),
         default_chart="angular",
         params={},
@@ -368,12 +375,11 @@ def _build_sphere_pullback(params: Mapping) -> Scenario:
         dgdt_factor=None,
         expects={"euler_killing": True, "weight": 0.0},
         description="unit round sphere pulled back to a trivial bundle",
-        weight_hint=0.0,
     )
 
 
 def _build_schwarzschild(params: Mapping) -> Scenario:
-    gm_param = float(params.get("GM", 0.5))
+    gm_param = _number_param(params, "GM", 0.5)
     radius = 2.0 * gm_param
     sc = _build_sphere_like(
         f"schwarzschild(GM={gm_param:g})",
@@ -382,7 +388,6 @@ def _build_schwarzschild(params: Mapping) -> Scenario:
         dgdt_factor=None,
         expects={"euler_killing": True, "weight": 0.0},
         description="horizon sphere of radius 2*GM with a fiber-independent metric",
-        weight_hint=0.0,
     )
     sc.params = {"GM": gm_param, "radius": radius}
     return sc
@@ -396,13 +401,12 @@ def _build_lightcone(params: Mapping) -> Scenario:
         dgdt_factor=lambda t: 2.0 / t,
         expects={"euler_killing": False, "weight": 2.0},
         description="round sphere scaled by t^2 (degree-two homogeneous)",
-        weight_hint=2.0,
     )
     return sc
 
 
 def _build_thakurta(params: Mapping) -> Scenario:
-    gm_param = float(params.get("GM", 0.5))
+    gm_param = _number_param(params, "GM", 0.5)
     radius = 2.0 * gm_param
     u_text = str(params.get("U", "t"))
     u_fn = compile_expression(u_text, ("t",))
@@ -420,7 +424,6 @@ def _build_thakurta(params: Mapping) -> Scenario:
         dgdt_factor=dgdt_factor,
         expects={"euler_killing": False, "conformal": True},
         description="horizon sphere with a fiber-dependent conformal factor exp(-U(t))",
-        weight_hint=None,
     )
     sc.params = {"GM": gm_param, "radius": radius, "U": u_text}
     return sc
@@ -431,7 +434,6 @@ def _build_moebius(params: Mapping) -> Scenario:
     metric = DegenerateMetric(
         blocks={"east": lambda x, t: np.eye(1), "west": lambda x, t: np.eye(1)},
         time_dependent=False,
-        weight_hint=0.0,
     )
     return Scenario(
         name="moebius",
@@ -472,13 +474,13 @@ def verify_scenario(scenario: Scenario, rng: np.random.Generator, samples: int =
     for chart_name in scenario.atlas.chart_names():
         points = scenario.sample_points(rng, samples, chart=chart_name)
         for p in points:
-            gm = scenario.metric.block(p)
+            gm = scenario.metric.at(p.x, p.t, p.chart)
             asym = float(np.max(np.abs(gm - gm.T), initial=0.0))
             if asym > 1e-12:
                 warnings.append(f"{chart_name}: base block asymmetry {asym:.3e}")
                 break
         for p in points:
-            det = float(np.linalg.det(scenario.metric.block(p)))
+            det = float(np.linalg.det(scenario.metric.at(p.x, p.t, p.chart)))
             if abs(det) <= 1e-12:
                 warnings.append(f"{chart_name}: base block nearly singular (det {det:.3e})")
                 break

@@ -64,7 +64,7 @@ def kernel_suite(scenario: Scenario, rng: np.random.Generator, samples: int = 10
             v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
             worst_kernel = max(worst_kernel, abs(metric_eval(scenario.metric, p, euler(p), v)))
             worst_det = max(worst_det, abs(float(np.linalg.det(scenario.metric.full(p)))))
-            gm = scenario.metric.block(p)
+            gm = scenario.metric.at(p.x, p.t, p.chart)
             worst_asym = max(worst_asym, float(np.max(np.abs(gm - gm.T), initial=0.0)))
             min_abs_det = min(min_abs_det, abs(float(np.linalg.det(gm))))
             worst_cond = max(worst_cond, float(np.linalg.cond(gm)))

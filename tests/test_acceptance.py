@@ -153,7 +153,7 @@ def test_criterion_04_christoffel_oracle_equivalence():
     t = 1.3
     p = th.point([1.1, 0.2], t)
     gt = christoffel_numeric(th.kk(+1), p)
-    gm = th.metric.block(p)
+    gm = th.metric.at(p.x, p.t, p.chart)
     table_ok &= abs(gt[0, 0, 2] + 0.5) < 1e-6 and abs(gt[1, 1, 2] + 0.5) < 1e-6
     table_ok &= float(np.max(np.abs(gt[2, :2, :2] - (t**2 / 2.0) * gm))) < 1e-6
     ok = worst < 1e-6 and table_ok

@@ -222,3 +222,25 @@ def test_small_gauge_prints_stop_events(capsys):
     ])
     assert code == 0
     assert "event: {'kind': 'left_chart'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["check", "schwarzschild", "--param", "GM=1/0"], "1/0"),
+        (["check", "flat", "--param", "n=abc"], "abc"),
+        (["check", "flat", "--param", "n=2.5"], "integer"),
+        (["geodesic", "schwarzschild", "--state", "0, 0, 1, 0, 1, -1", "--chart", "angular"], "angular"),
+        (["christoffel", "flat", "--at", "0, 0, 1e-12"], "fiber coordinate"),
+        (["null-shoot", "schwarzschild", "--point", "1,0", "--dir", "0,1", "--q", "1", "--chart", "nope"], "nope"),
+        (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--chart", "nope"], "nope"),
+        (["geodesic", "flat", "--state", "0,0,1,1,0,-1", "--chart", "nope"], "nope"),
+    ],
+    ids=["GM_div0", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
+         "geodesic_chart"],
+)
+def test_bad_input_is_one_line_usage_error(argv, needle, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1

@@ -46,7 +46,7 @@ def test_charge_stationary_state(flat2):
 def test_charge_angular_momentum_relation(schwarzschild):
     # on the equator L = g_phiphi * vphi and |Q| = |L| / (2GM) with 2GM = 1
     state = _equatorial_state(schwarzschild, q=1.0)
-    gm = schwarzschild.metric.block(schwarzschild.point(state.x, state.t))
+    gm = schwarzschild.metric.at(state.x, state.t, schwarzschild.default_chart)
     L = gm[1, 1] * state.vx[1]
     q = carroll_charge(state, schwarzschild.gauge, "angular")
     assert abs(q) == pytest.approx(abs(L) / 1.0, abs=1e-12)

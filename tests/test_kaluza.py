@@ -11,7 +11,6 @@ from carrollgeo.kaluza import (
     build_kk,
     christoffel_closed,
     christoffel_numeric,
-    christoffel_numeric_batch,
     closed_form_deviation,
     covariant_metric_derivative,
     divergence,
@@ -39,7 +38,7 @@ def test_build_schwarzschild_adapted_block(schwarzschild):
     kk = schwarzschild.kk(+1)
     p = schwarzschild.point([math.pi / 3, 0.5], 2.0)
     adapted = kk.adapted(p)
-    assert np.allclose(adapted[:2, :2], schwarzschild.metric.block(p))
+    assert np.allclose(adapted[:2, :2], schwarzschild.metric.at(p.x, p.t, p.chart))
     assert adapted[2, 2] == 1.0 and np.all(adapted[:2, 2] == 0.0)
 
 
@@ -104,7 +103,7 @@ def test_thakurta_symbol_table(thakurta):
     t = 1.4
     p = thakurta.point([1.2, 0.3], t)
     gamma = christoffel_numeric(thakurta.kk(+1), p)
-    gm = thakurta.metric.block(p)
+    gm = thakurta.metric.at(p.x, p.t, p.chart)
     assert gamma[0, 0, 2] == pytest.approx(-0.5, abs=1e-8)
     assert gamma[1, 1, 2] == pytest.approx(-0.5, abs=1e-8)
     assert abs(gamma[0, 1, 2]) < 1e-8
@@ -144,14 +143,6 @@ def test_closed_form_rejects_lorentzian_gauge(flat2):
     kk = flat2.kk(-1, flat2.connection(gauge))
     with pytest.raises(NumericError):
         christoffel_closed(kk, flat2.point([0.1, 0.2], 1.0))
-
-
-def test_batch_evaluation_matches_pointwise(flat2, rng):
-    kk = flat2.kk(-1)
-    pts = flat2.sample_points(rng, 3)
-    batch = christoffel_numeric_batch(kk, pts)
-    for p, gamma in zip(pts, batch):
-        assert np.allclose(gamma, christoffel_numeric(kk, p))
 
 
 # -- metric compatibility ---------------------------------------------------------
@@ -251,3 +242,10 @@ def test_gauge_field_mixed_symbol_diverges(flat2):
     X = lambda x, t: np.array([1.0, 0.0, 0.0])
     Y = lambda x, t: np.array([0.0, 0.0, 1.0])
     assert not regularity_probe(kk, X, Y, [0.2, 0.3], "cartesian").all_bounded
+
+
+def test_singular_metric_is_numeric_error(schwarzschild):
+    # theta = 0 is the pole of the angle chart: g_phiphi = sin(theta)^2 vanishes exactly
+    p = schwarzschild.point([0.0, 0.3], 1.0)
+    with pytest.raises(NumericError, match="not invertible"):
+        christoffel_numeric(schwarzschild.kk(-1), p, cond_limit=None)

@@ -36,7 +36,7 @@ def test_unknown_scenario_raises():
 def test_schwarzschild_parameters():
     s = load("schwarzschild", GM=0.5, verify=False)
     p = s.point([math.pi / 2, 0.0], 1.0)
-    gm = s.metric.block(p)
+    gm = s.metric.at(p.x, p.t, p.chart)
     assert gm[1, 1] == pytest.approx(1.0)  # (2 GM)^2 sin^2 at the equator
     assert euler_weight(s.metric, p).factor == pytest.approx(0.0, abs=1e-10)
 
@@ -44,7 +44,7 @@ def test_schwarzschild_parameters():
 def test_lightcone_declares_weight_two():
     s = load("lightcone", verify=False)
     p = s.point([1.0, 0.2], 2.0)
-    assert s.metric.block(p)[0, 0] == pytest.approx(4.0)
+    assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(4.0)
     assert euler_weight(s.metric, p).factor == pytest.approx(2.0, abs=1e-9)
 
 
@@ -127,7 +127,7 @@ def test_scenario_file_round_trip(tmp_path, rng):
     assert s.name == "demo"
     assert s.warnings == []
     p = s.point([0.5, 0.0], 1.0)
-    assert s.metric.block(p)[0, 0] == pytest.approx(1.25)
+    assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(1.25)
     assert s.gauge.is_zero
 
 
@@ -197,4 +197,4 @@ def test_grid_scenario_file(tmp_path, rng):
     s = load(str(path), rng=rng)
     assert s.warnings == []
     p = s.point([0.4, 0.1], 1.0)
-    assert s.metric.block(p)[0, 0] == pytest.approx(1.1, abs=1e-12)
+    assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(1.1, abs=1e-12)
