@@ -36,47 +36,63 @@ def _guarded_step(p: np.ndarray, axis: int, rel: float, keep_sign: Sequence[int]
     return step_size(p[axis], rel)
 
 
-def partial(
-    f: Callable[[np.ndarray], np.ndarray],
-    p: np.ndarray,
-    axis: int,
-    rel: float = DEFAULT_REL_STEP,
-    richardson: bool = True,
-    keep_sign: Sequence[int] = (),
-):
+def _offsets(h: float) -> tuple[float, float, float, float]:
+    """The stencil's offsets on one axis, in order."""
+    return h, -h, h / 2.0, -h / 2.0
+
+
+def stencil(p: np.ndarray, rel: float = DEFAULT_REL_STEP, keep_sign: Sequence[int] = ()):
+    """The Richardson stencil around ``p`` (m coordinates): the points, shape
+    (4m + 1, m), the centre first and then ``_offsets`` on each axis in turn,
+    and the per-axis steps h, shape (m,)."""
+    p = np.asarray(p, dtype=float)
+    m = p.size
+    h = [_guarded_step(p, a, rel, keep_sign) for a in range(m)]
+    points = np.empty((4 * m + 1, m))
+    points[:] = p
+    for a, step in enumerate(h):
+        points[1 + 4 * a : 5 + 4 * a, a] += _offsets(step)
+    return points, np.array(h)
+
+
+def richardson(plus, minus, plus_half, minus_half, h):
+    """(4 d(h/2) - d(h)) / 3, d(s) the central difference over the values at
+    +s and -s. Elementwise: the values of one axis, or of every axis stacked
+    along the leading axis with h shaped to broadcast."""
+    d1 = (plus - minus) / (2.0 * h)
+    d2 = (plus_half - minus_half) / (2.0 * (h / 2.0))
+    return (4.0 * d2 - d1) / 3.0
+
+
+def stacked_partials(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Partials from the values at the stencil points after the centre,
+    shape (4m, ...), stacked along the leading axis."""
+    h = np.reshape(h, (-1,) + (1,) * (values.ndim - 1))
+    return richardson(values[0::4], values[1::4], values[2::4], values[3::4], h)
+
+
+def partial(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, axis: int, rel: float = DEFAULT_REL_STEP,
+            keep_sign: Sequence[int] = ()):
     """Partial derivative of ``f`` along ``axis`` at ``p``.
 
     ``f`` may return a scalar or an ndarray; the result has the same shape.
     """
     p = np.asarray(p, dtype=float)
     h = _guarded_step(p, axis, rel, keep_sign)
-
-    def central(step: float):
-        hi = p.copy()
-        lo = p.copy()
-        hi[axis] += step
-        lo[axis] -= step
-        return (np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float)) / (2.0 * step)
-
-    d1 = central(h)
-    if not richardson:
-        return d1
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    values = []
+    for offset in _offsets(h):
+        q = p.copy()
+        q[axis] += offset
+        values.append(np.asarray(f(q), dtype=float))
+    return richardson(*values, h)
 
 
-def partials(
-    f: Callable[[np.ndarray], np.ndarray],
-    p: np.ndarray,
-    rel: float = DEFAULT_REL_STEP,
-    richardson: bool = True,
-    keep_sign: Sequence[int] = (),
-) -> np.ndarray:
-    """All partial derivatives, stacked along a new leading axis."""
-    p = np.asarray(p, dtype=float)
-    return np.stack(
-        [partial(f, p, a, rel=rel, richardson=richardson, keep_sign=keep_sign) for a in range(p.size)]
-    )
+def partials(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, rel: float = DEFAULT_REL_STEP,
+             keep_sign: Sequence[int] = ()) -> np.ndarray:
+    """All partial derivatives, stacked along a new leading axis; ``f`` is
+    called at the 4m stencil points, not at the centre."""
+    points, h = stencil(p, rel, keep_sign)
+    return stacked_partials(np.array([np.asarray(f(q), dtype=float) for q in points[1:]]), h)
 
 
 def gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:

@@ -46,11 +46,12 @@ _BINOPS = {
 Evaluator = Callable[[Sequence[float]], float]
 
 
-def _compile(node: ast.AST, slots: Mapping[str, int]) -> Evaluator:
+def _compile(node: ast.AST, slots: Mapping[str, int], used: set[str]) -> Evaluator:
     """Validate ``node`` and return its evaluator, a closure over the
-    positional arguments; ``slots`` maps variable names to positions."""
+    positional arguments; ``slots`` maps variable names to positions, and
+    every variable the expression reads is added to ``used``."""
     if isinstance(node, ast.Expression):
-        return _compile(node.body, slots)
+        return _compile(node.body, slots, used)
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConstructionError(f"non-numeric literal {node.value!r}")
@@ -58,6 +59,7 @@ def _compile(node: ast.AST, slots: Mapping[str, int]) -> Evaluator:
         return lambda args: value
     if isinstance(node, ast.Name):
         if node.id in slots:
+            used.add(node.id)
             i = slots[node.id]
             return lambda args: float(args[i])
         if node.id in _CONSTANTS:
@@ -66,17 +68,17 @@ def _compile(node: ast.AST, slots: Mapping[str, int]) -> Evaluator:
         raise ConstructionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op = _BINOPS[type(node.op)]
-        left, right = _compile(node.left, slots), _compile(node.right, slots)
+        left, right = _compile(node.left, slots, used), _compile(node.right, slots, used)
         return lambda args: op(left(args), right(args))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        operand = _compile(node.operand, slots)
+        operand = _compile(node.operand, slots, used)
         return operand if isinstance(node.op, ast.UAdd) else lambda args: -operand(args)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ConstructionError("only whitelisted functions are allowed")
         if node.keywords or len(node.args) != 1:
             raise ConstructionError("functions take exactly one positional argument")
-        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], slots)
+        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], slots, used)
         return lambda args: fn(arg(args))
     raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
 
@@ -86,7 +88,8 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., flo
 
     Arithmetic failures at call time (division by zero, a domain error such
     as ``sqrt(-1)``, overflow) raise :class:`ConstructionError` naming the
-    expression.
+    expression. The function's ``constant`` attribute is True when the
+    expression reads none of its variables.
     """
     source = text.strip()
     try:
@@ -94,7 +97,8 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., flo
     except SyntaxError as exc:
         raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
     names = tuple(variables)
-    body = _compile(tree, {name: i for i, name in enumerate(names)})
+    used: set[str] = set()
+    body = _compile(tree, {name: i for i, name in enumerate(names)}, used)
 
     def fn(*args: float) -> float:
         if len(args) != len(names):
@@ -106,6 +110,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., flo
 
     fn.__name__ = "expr"
     fn.source = source  # type: ignore[attr-defined]
+    fn.constant = not used  # type: ignore[attr-defined]
     return fn
 
 

@@ -69,11 +69,6 @@ class GeodesicState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, [self.t], self.vx, [self.vt]])
 
-    @classmethod
-    def from_vector(cls, y: np.ndarray, lam: float) -> "GeodesicState":
-        n = (y.size - 2) // 2
-        return cls(y[:n], y[n], y[n + 1 : 2 * n + 1], y[2 * n + 1], lam)
-
 
 @dataclass
 class IntegratorConfig:
@@ -213,14 +208,16 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable[[np.ndarray, float], np.ndarray]:
+def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Symbols as a function of the raw position (x..., t)."""
     if cfg.christoffel == "closed":
         if not kk.gauge.is_zero and kk.sign != +1:
             raise NumericError("closed-form symbols need a vanishing gauge field for sign -1")
-        fn = lambda x, t: christoffel_closed(kk, Point(x, t, chart), fd_rel=cfg.fd_rel)
+        fn = lambda raw: christoffel_closed(kk, Point(raw[:-1], raw[-1], chart), fd_rel=cfg.fd_rel)
     elif cfg.christoffel == "numeric":
-        # the fiber guard owns the t -> 0 boundary, so no conditioning gate here
-        fn = lambda x, t: christoffel_numeric(kk, Point(x, t, chart), fd_rel=cfg.fd_rel, cond_limit=None)
+        # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
+        # the stencil's sign guard refuses a fiber coordinate near zero
+        fn = lambda raw: christoffel_numeric(kk, raw, fd_rel=cfg.fd_rel, cond_limit=None, chart=chart)
     else:
         raise ContractViolation(f"unknown christoffel provider {cfg.christoffel!r}")
     return fn
@@ -238,7 +235,7 @@ def geodesic_rhs(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable[[n
         if not np.any(vel):
             # frozen states are exact fixed points; skip the symbol evaluation
             return np.concatenate([vel, np.zeros(n + 1)])
-        gamma = gamma_at(y[:n], float(y[n]))
+        gamma = gamma_at(y[: n + 1])
         acc = -np.einsum("abc,b,c->a", gamma, vel, vel)
         return np.concatenate([vel, acc])
 

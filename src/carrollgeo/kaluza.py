@@ -51,31 +51,34 @@ class KKMetric:
     # -- components ---------------------------------------------------------
 
     def adapted(self, p: Point) -> np.ndarray:
-        return self._components(p.x, p.t, p.chart, 1.0)
+        return self.components(p.raw()[None], p.chart, adapted=True)[0]
 
     def raw(self, p: Point) -> np.ndarray:
-        return self._components(p.x, p.t, p.chart, p.t)
+        return self.components(p.raw()[None], p.chart)[0]
 
-    def _components(self, x: np.ndarray, t: float, chart: str, frame: float) -> np.ndarray:
-        """Components in the frame whose fiber vector is ``frame`` * d/dt:
-        frame 1 gives the adapted components, frame t the raw ones."""
-        gm = self.metric.at(x, t, chart)
-        a = self.gauge.at(x, chart)
-        n = x.size
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = gm + self.sign * np.outer(a, a)
-        out[:n, n] = self.sign * a / frame
-        out[n, :n] = self.sign * a / frame
-        out[n, n] = self.sign / frame**2
+    def components(self, raw: np.ndarray, chart: str, adapted: bool = False) -> np.ndarray:
+        """Raw components (adapted ones: fiber frame vector t * d/dt) at the
+        K raw points (x..., t) of ``raw``, shape (K, n + 1, n + 1). Fields are
+        read point by point through ``metric.at`` and ``gauge.at``; the
+        blocks are filled for all points at once."""
+        x, t = raw[:, :-1], raw[:, -1].tolist()
+        gm = np.array([self.metric.at(xi, ti, chart) for xi, ti in zip(x, t)])
+        a = np.array([self.gauge.at(xi, chart) for xi in x])
+        sa = self.sign * a
+        n = x.shape[1]
+        out = np.empty((len(t), n + 1, n + 1))
+        out[:, :n, :n] = gm + sa[:, :, None] * a[:, None, :]
+        if adapted:
+            out[:, :n, n] = out[:, n, :n] = sa
+            out[:, n, n] = self.sign
+        else:
+            out[:, :n, n] = out[:, n, :n] = sa / raw[:, -1:]
+            # per point as Python floats: t**2 is libm pow, which an array power is not
+            out[:, n, n] = [self.sign / ti**2 for ti in t]
         return out
 
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
-        def field_fn(raw: np.ndarray) -> np.ndarray:
-            raw = np.asarray(raw, dtype=float)
-            t = float(raw[-1])
-            return self._components(raw[:-1], t, chart, t)
-
-        return field_fn
+        return lambda raw: self.components(np.asarray(raw, dtype=float)[None], chart)[0]
 
     def eval(self, p: Point, v: TangentVector, w: TangentVector) -> float:
         if not (v.base.same_place(p) and w.base.same_place(p)):
@@ -120,26 +123,25 @@ def build_kk(
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
-def christoffel_numeric(
-    kk: KKMetric,
-    p: Point,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-    cond_limit: float | None = 1e12,
-) -> np.ndarray:
+def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, fd_rel: float = _fd.DEFAULT_REL_STEP,
+                        cond_limit: float | None = 1e12, *, chart: str | None = None) -> np.ndarray:
     """Levi-Civita symbols of the raw metric by central differences.
 
+    ``p`` is a Point, or raw coordinates (x..., t) on ``chart`` (no Point is
+    built: the integrator calls this at every stage). One pass over the
+    stencil: the metric is assembled at all 4m + 1 points at once, gated on
+    the condition number at the centre, and differenced as stacked arrays.
     Returns Gamma[A, B, C] with the upper index first, symmetrized in the
     lower pair.
     """
-    field_fn = kk.raw_field(p.chart)
-    raw_p = p.raw()
-    t_axis = raw_p.size - 1
-    g = field_fn(raw_p)
+    raw_p, chart = (p.raw(), p.chart) if chart is None else (p, chart)
+    points, h = _fd.stencil(raw_p, rel=fd_rel, keep_sign=(raw_p.size - 1,))
+    g = kk.components(points, chart)
     if cond_limit is not None:
-        cond = float(np.linalg.cond(g))
+        cond = float(np.linalg.cond(g[0]))
         if not np.isfinite(cond) or cond > cond_limit:
             raise NumericError(f"metric condition number {cond:.3e} exceeds {cond_limit:.0e}")
-    return _levi_civita(g, _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,)))
+    return _levi_civita(g[0], _fd.stacked_partials(g[1:], h))
 
 
 def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:

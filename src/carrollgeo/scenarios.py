@@ -196,13 +196,14 @@ def sphere_atlas() -> Atlas:
 
 def _sphere_charts_metric(radius2: float, scale: Callable[[float], float] | None = None):
     """Per-chart blocks for (scale factor)(t) * radius^2 * round metric."""
-    s = scale or (lambda t: 1.0)
     angular = _angular_block(radius2)
     stereo = _stereo_block(radius2)
+    if scale is None:
+        return {"angular": angular, "stereo_n": stereo, "stereo_s": stereo}
     return {
-        "angular": lambda x, t: s(t) * angular(x, t),
-        "stereo_n": lambda x, t: s(t) * stereo(x, t),
-        "stereo_s": lambda x, t: s(t) * stereo(x, t),
+        "angular": lambda x, t: scale(t) * angular(x, t),
+        "stereo_n": lambda x, t: scale(t) * stereo(x, t),
+        "stereo_s": lambda x, t: scale(t) * stereo(x, t),
     }
 
 
@@ -316,6 +317,13 @@ def _number_param(params: Mapping, key: str, default: float) -> float:
         raise ConstructionError(f"parameter {key} must be a number, got {value!r}") from None
 
 
+def _mass_param(params: Mapping) -> float:
+    gm = _number_param(params, "GM", 0.5)
+    if not (math.isfinite(gm) and gm > 0.0):  # the radius 2 GM enters the metric only squared
+        raise ConstructionError(f"parameter GM must be finite and positive, got {gm:g}")
+    return gm
+
+
 def _build_flat(params: Mapping) -> Scenario:
     n = _number_param(params, "n", 2)
     if not (n >= 1 and n.is_integer()):
@@ -379,7 +387,7 @@ def _build_sphere_pullback(params: Mapping) -> Scenario:
 
 
 def _build_schwarzschild(params: Mapping) -> Scenario:
-    gm_param = _number_param(params, "GM", 0.5)
+    gm_param = _mass_param(params)
     radius = 2.0 * gm_param
     sc = _build_sphere_like(
         f"schwarzschild(GM={gm_param:g})",
@@ -406,7 +414,7 @@ def _build_lightcone(params: Mapping) -> Scenario:
 
 
 def _build_thakurta(params: Mapping) -> Scenario:
-    gm_param = _number_param(params, "GM", 0.5)
+    gm_param = _mass_param(params)
     radius = 2.0 * gm_param
     u_text = str(params.get("U", "t"))
     u_fn = compile_expression(u_text, ("t",))
@@ -611,7 +619,8 @@ def _parse_vector(text: str, dim: int):
     comps = [compile_expression(c, variables) for c in body[7:-1].split(",")]
     if len(comps) != dim:
         raise ConstructionError(f"vector has {len(comps)} entries, expected {dim}")
-    is_zero = all(fn.source.strip() in {"0", "0.0"} for fn in comps)  # type: ignore[attr-defined]
+    # zero only when every component is a constant expression equal to 0
+    is_zero = all(fn.constant and fn(*[0.0] * dim) == 0.0 for fn in comps)  # type: ignore[attr-defined]
 
     def a_fn(x: np.ndarray) -> np.ndarray:
         args = tuple(float(v) for v in x)

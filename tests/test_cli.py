@@ -228,6 +228,8 @@ def test_small_gauge_prints_stop_events(capsys):
     "argv, needle",
     [
         (["check", "schwarzschild", "--param", "GM=1/0"], "1/0"),
+        (["check", "schwarzschild", "--param", "GM=-1"], "GM"),
+        (["check", "thakurta", "--param", "GM=0"], "GM"),
         (["check", "flat", "--param", "n=abc"], "abc"),
         (["check", "flat", "--param", "n=2.5"], "integer"),
         (["geodesic", "schwarzschild", "--state", "0, 0, 1, 0, 1, -1", "--chart", "angular"], "angular"),
@@ -236,7 +238,7 @@ def test_small_gauge_prints_stop_events(capsys):
         (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--chart", "nope"], "nope"),
         (["geodesic", "flat", "--state", "0,0,1,1,0,-1", "--chart", "nope"], "nope"),
     ],
-    ids=["GM_div0", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
+    ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, capsys):

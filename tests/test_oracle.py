@@ -1,0 +1,163 @@
+"""The one-pass finite-difference oracle against a per-axis reference.
+
+``christoffel_numeric`` assembles the metric at all 4m + 1 stencil points at
+once and differences them as stacked arrays. The reference below is the same
+oracle written as a loop over axes; the two must agree bit for bit, in the
+symbols themselves and in every output of the CLI commands that use them.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import carrollgeo as cg
+from carrollgeo import _fd, kaluza
+from carrollgeo.cli import main
+from carrollgeo.connection import GaugeField
+from carrollgeo.errors import NumericError
+from carrollgeo.kaluza import christoffel_numeric
+
+CATALOG = ["flat", "lightcone", "sphere_pullback", "moebius", "schwarzschild", "thakurta"]
+
+
+def reference_christoffel(kk, p, fd_rel=_fd.DEFAULT_REL_STEP, cond_limit=1e12, *, chart=None):
+    """The oracle one axis at a time: ``_fd.partial`` over ``kk.raw_field``."""
+    raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
+    field_fn = kk.raw_field(chart)
+    g = field_fn(raw)
+    if cond_limit is not None and not np.linalg.cond(g) <= cond_limit:
+        raise NumericError("metric condition number exceeds the limit")
+    t_axis = raw.size - 1
+    dg = np.stack([_fd.partial(field_fn, raw, a, rel=fd_rel, keep_sign=(t_axis,)) for a in range(raw.size)])
+    return kaluza._levi_civita(g, dg)
+
+
+def _gauged_flat2():
+    flat = cg.load("flat", n=2, verify=False)
+    gauge = GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
+    return flat, gauge
+
+
+def _cases():
+    for name in CATALOG:
+        scenario = cg.load(name, verify=False)
+        for chart in scenario.atlas.charts:
+            yield pytest.param(scenario, None, chart, id=f"{name}-{chart}")
+    flat, gauge = _gauged_flat2()
+    yield pytest.param(flat, gauge, "cartesian", id="flat2-gauge")
+
+
+def test_partial_is_the_richardson_combination_of_two_central_differences():
+    f = lambda q: np.array([math.sin(q[0]) * q[1] ** 3, math.exp(q[0] - q[1])])
+    p = np.array([0.7, -1.3])
+    for axis in (0, 1):
+        h = _fd.step_size(p[axis])
+
+        def central(step):
+            hi, lo = p.copy(), p.copy()
+            hi[axis] += step
+            lo[axis] -= step
+            return (f(hi) - f(lo)) / (2.0 * step)
+
+        expected = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        assert np.array_equal(_fd.partial(f, p, axis), expected)
+        assert np.array_equal(_fd.partials(f, p)[axis], expected)
+
+
+def test_stacked_assembly_is_the_per_point_formula():
+    """[[g_M + s A A^T, s A / t], [s A^T / t, s / t^2]] at each point, as the
+    reference's ``raw_field`` sees it, with t**2 taken as a Python float."""
+    scenario, gauge = _gauged_flat2()
+    rng = np.random.default_rng(3)
+    # include fiber values where libm pow(t, 2) and the product t * t round differently
+    ts = rng.uniform(0.1, 3.0, 20_000)
+    ts = np.concatenate([ts[:200], ts[ts**2 != np.array([t**2 for t in ts.tolist()])][:20]])
+    raw = np.column_stack([rng.uniform(-2.0, 2.0, (ts.size, 2)), ts * rng.choice([-1, 1], ts.size)])
+    for sign in (+1, -1):
+        kk = scenario.kk(sign, scenario.connection(gauge))
+        stacked = kk.components(raw, "cartesian")
+        for g, q in zip(stacked, raw):
+            x, t = q[:2], float(q[2])
+            gm, a = scenario.metric.at(x, t, "cartesian"), gauge.at(x, "cartesian")
+            mixed = (sign * a / t)[:, None]
+            expected = np.block([[gm + sign * np.outer(a, a), mixed], [mixed.T, np.array([[sign / t**2]])]])
+            assert np.array_equal(g, expected)
+            assert np.array_equal(kk.raw_field("cartesian")(q), expected)
+
+
+@pytest.mark.parametrize("scenario, gauge, chart", list(_cases()))
+def test_one_pass_oracle_is_bit_identical_to_per_axis_reference(scenario, gauge, chart):
+    rng = np.random.default_rng(7)
+    points = scenario.sample_points(rng, 6, chart=chart, include_negative_t=True)
+    assert {math.copysign(1.0, p.t) for p in points} == {1.0, -1.0}
+    for sign in (+1, -1):
+        kk = scenario.kk(sign, scenario.connection(gauge))
+        for p in points:
+            expected = reference_christoffel(kk, p, cond_limit=None)
+            assert np.array_equal(christoffel_numeric(kk, p, cond_limit=None), expected)
+            # the integrator's form: raw coordinates and a chart, no Point
+            assert np.array_equal(christoffel_numeric(kk, p.raw(), cond_limit=None, chart=chart), expected)
+
+
+@pytest.mark.parametrize("name, use_gauge", [("schwarzschild", False), ("flat", True)])
+def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
+    """Counted as the benchmark tracer counts: wrappers around the per-chart
+    callables. At n = 2 the stencil has 4 * 3 + 1 = 13 points."""
+    if use_gauge:
+        scenario, gauge = _gauged_flat2()
+    else:
+        scenario = cg.load(name, verify=False)
+        gauge = scenario.gauge
+    calls = {"block": 0, "gauge": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapped
+
+    blocks = scenario.metric.blocks
+    blocks.update({chart: counted("block", fn) for chart, fn in blocks.items()})
+    gauge.components = {chart: counted("gauge", fn) for chart, fn in gauge.components.items()}
+    kk = scenario.kk(-1, scenario.connection(gauge))
+    p = scenario.point([0.4, 0.3], 1.3)
+    christoffel_numeric(kk, p)
+    assert calls == {"block": 13, "gauge": 13}
+
+
+COMMANDS = {
+    "tilt_json": ["null-shoot", "schwarzschild", "--param", "GM=0.5", "--point", "1.4, 0.2", "--dir", "0.3, 1",
+                  "--q", "0.8", "--lambda-max", "3", "--format", "json", "--out", "tilt.json"],
+    "thakurta_csv": ["null-shoot", "thakurta", "--param", "GM=0.5", "--param", "U=t", "--point", "1.5, 0.1",
+                     "--dir", "0.2, 1", "--q", "0.7", "--lambda-max", "2", "--out", "thak.csv"],
+    "lightcone_negative_q": ["null-shoot", "lightcone", "--point", "1.5, 0.1", "--dir", "0.2, 1", "--q", "-0.7",
+                             "--lambda-max", "2", "--out", "lc.csv"],
+    "christoffel_count": ["christoffel", "schwarzschild", "--param", "GM=0.5", "--count", "5", "--seed", "11",
+                          "--out", "cs.csv"],
+    "check_out": ["check", "schwarzschild", "--param", "GM=0.5", "--seed", "1", "--out", "check.json"],
+}
+
+
+def _run(argv, workdir, capsys, monkeypatch):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_cli_outputs_are_byte_identical_with_the_reference_oracle(argv, tmp_path, capsys, monkeypatch):
+    shipped = _run(argv, tmp_path / "shipped", capsys, monkeypatch)
+    with monkeypatch.context() as patch:
+        # every package module that bound the oracle by name calls the reference instead
+        for module in [m for n, m in sys.modules.items() if n == "carrollgeo" or n.startswith("carrollgeo.")]:
+            if getattr(module, "christoffel_numeric", None) is christoffel_numeric:
+                patch.setattr(module, "christoffel_numeric", reference_christoffel)
+        assert kaluza.christoffel_numeric is reference_christoffel
+        reference = _run(argv, tmp_path / "reference", capsys, monkeypatch)
+    assert shipped[0] == 0 and shipped[3]
+    assert shipped == reference

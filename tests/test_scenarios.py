@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ def test_scenario_file_round_trip(tmp_path, rng):
     p = s.point([0.5, 0.0], 1.0)
     assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(1.25)
     assert s.gauge.is_zero
+
+
+@pytest.mark.parametrize("text, is_zero", [
+    ("vector(0.00, 0)", True), ("vector(-0, 0e0)", True), ("vector((0), 0)", True),
+    ("vector(0*x1, 0)", False), ("vector(0, 1e-300)", False),
+])
+def test_zero_gauge_is_decided_from_the_compiled_expression(tmp_path, rng, text, is_zero):
+    path = tmp_path / "demo.ini"
+    path.write_text(GOOD_FILE.replace("vector(0, 0)", text))
+    assert load(str(path), rng=rng).gauge.is_zero is is_zero
+
+
+def test_demo_file_with_zero_gauge_spelled_0_00_runs_the_christoffel_check(tmp_path):
+    # a gauge field not recognized as zero made the check compare no samples (value 0)
+    demo = (Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini").read_text()
+    assert "vector(0, 0)" in demo
+    path = tmp_path / "demo.ini"
+    path.write_text(demo.replace("vector(0, 0)", "vector(0.00, 0)"))
+    scenario = load(str(path), rng=np.random.default_rng(1))
+    assert scenario.gauge.is_zero
+    (check,) = [r for r in run_all(scenario, np.random.default_rng(1)) if r.name == "christoffel_oracle_agreement"]
+    assert check.passed and check.value > 0.0
 
 
 def test_defect_file_is_flagged(tmp_path, rng):
