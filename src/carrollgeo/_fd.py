@@ -1,9 +1,13 @@
 """Central finite differences with one Richardson extrapolation pass.
 
-All derivative-based operations in the library go through these helpers so
-the stepping policy lives in one place: relative step h = rel * max(1, |c|)
-per coordinate, and an optional sign guard that shrinks the step so a
-stencil never crosses zero on protected axes (the fiber coordinate).
+This module is the only place that knows how the package differentiates:
+the step sizes, the stencil and the Richardson combination. The step is
+h = rel * max(1, |c|) per coordinate, with an optional sign guard that
+shrinks it so a stencil never crosses zero on protected axes (the fiber
+coordinate). ``DEFAULT_REL_STEP`` applies to the bundle's fields (metric
+blocks, gauge fields, vector fields, assembled metrics) and
+``TRANSITION_REL_STEP`` to chart-transition data (base maps, fiber factors,
+fiber transitions); callers do not choose a step.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_REL_STEP = 1e-5
+TRANSITION_REL_STEP = 1e-6
 SIGN_GUARD_CUTOFF = 1e-9
 
 
@@ -31,19 +36,20 @@ def _guarded_step(p: np.ndarray, axis: int, rel: float, keep_sign: Sequence[int]
             )
         # Sign-guarded axes scale like the coordinate itself (fields vary by
         # powers of it), so the step is proportional to |c|; the clamp keeps
-        # both stencils on one side even for coarse user-supplied rel.
+        # both stencils on one side even for a coarse rel.
         return min(rel * c, 0.49 * c)
     return step_size(p[axis], rel)
 
 
-def _offsets(h: float) -> tuple[float, float, float, float]:
-    """The stencil's offsets on one axis, in order."""
+def offsets(h: float) -> tuple[float, float, float, float]:
+    """The stencil's offsets on one axis, in the order ``richardson`` takes
+    its values."""
     return h, -h, h / 2.0, -h / 2.0
 
 
 def stencil(p: np.ndarray, rel: float = DEFAULT_REL_STEP, keep_sign: Sequence[int] = ()):
     """The Richardson stencil around ``p`` (m coordinates): the points, shape
-    (4m + 1, m), the centre first and then ``_offsets`` on each axis in turn,
+    (4m + 1, m), the centre first and then ``offsets`` on each axis in turn,
     and the per-axis steps h, shape (m,)."""
     p = np.asarray(p, dtype=float)
     m = p.size
@@ -51,14 +57,14 @@ def stencil(p: np.ndarray, rel: float = DEFAULT_REL_STEP, keep_sign: Sequence[in
     points = np.empty((4 * m + 1, m))
     points[:] = p
     for a, step in enumerate(h):
-        points[1 + 4 * a : 5 + 4 * a, a] += _offsets(step)
+        points[1 + 4 * a : 5 + 4 * a, a] += offsets(step)
     return points, np.array(h)
 
 
 def richardson(plus, minus, plus_half, minus_half, h):
     """(4 d(h/2) - d(h)) / 3, d(s) the central difference over the values at
-    +s and -s. Elementwise: the values of one axis, or of every axis stacked
-    along the leading axis with h shaped to broadcast."""
+    +s and -s. Elementwise: plain floats, the values of one axis, or of every
+    axis stacked along the leading axis with h shaped to broadcast."""
     d1 = (plus - minus) / (2.0 * h)
     d2 = (plus_half - minus_half) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
@@ -80,7 +86,7 @@ def partial(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, axis: int, rel
     p = np.asarray(p, dtype=float)
     h = _guarded_step(p, axis, rel, keep_sign)
     values = []
-    for offset in _offsets(h):
+    for offset in offsets(h):
         q = p.copy()
         q[axis] += offset
         values.append(np.asarray(f(q), dtype=float))
@@ -89,29 +95,14 @@ def partial(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, axis: int, rel
 
 def partials(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, rel: float = DEFAULT_REL_STEP,
              keep_sign: Sequence[int] = ()) -> np.ndarray:
-    """All partial derivatives, stacked along a new leading axis; ``f`` is
-    called at the 4m stencil points, not at the centre."""
-    points, h = stencil(p, rel, keep_sign)
-    return stacked_partials(np.array([np.asarray(f(q), dtype=float) for q in points[1:]]), h)
+    """All partial derivatives, stacked along a new leading axis, so a
+    Jacobian d f_i / d x_j is ``partials(f, x).T``; ``f`` is called at the 4m
+    stencil points, not at the centre. Axis by axis: for the small stencils
+    of its callers this is cheaper than filling a ``stencil`` array."""
+    p = np.asarray(p, dtype=float)
+    return np.array([partial(f, p, a, rel, keep_sign) for a in range(p.size)])
 
 
-def gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.array([float(partial(f, x, a, rel=rel)) for a in range(x.size)])
-
-
-def log_gradient(phi: Callable[[np.ndarray], float], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
-    """grad log|phi| at ``x``: the logarithmic derivative of a nonzero factor."""
-    return gradient(lambda y: float(np.log(abs(phi(y)))), x, rel=rel)
-
-
-def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
-    """J[i, j] = d f_i / d x_j."""
-    x = np.asarray(x, dtype=float)
-    cols = [np.asarray(partial(f, x, a, rel=rel), dtype=float) for a in range(x.size)]
-    return np.stack(cols, axis=-1)
-
-
-def scalar_derivative(f: Callable[[float], float], value: float, rel: float = DEFAULT_REL_STEP) -> float:
-    g = lambda arr: f(float(arr[0]))
-    return float(partial(g, np.array([value]), 0, rel=rel))
+def log_gradient(phi: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """grad log|phi| at ``x``: the logarithmic derivative of a nonzero fiber factor."""
+    return partials(lambda y: float(np.log(abs(phi(y)))), x, rel=TRANSITION_REL_STEP)

@@ -162,6 +162,8 @@ def cmd_geodesic(args) -> int:
         v0 = unit_direction(scenario, x0, v0, 1.0, chart)
         field_strength = None
         if args.field is not None:
+            if n != 2:
+                raise ContractViolation(f"--field sets F_12 and needs a 2-d base, got dimension {n}")
             b = args.field
             field_strength = lambda x: np.array([[0.0, b], [-b, 0.0]])
         base = integrate_small_gauge(

@@ -60,9 +60,9 @@ class GaugeField:
             raise ContractViolation(f"gauge field has shape {a.shape}, expected {(x.size,)}")
         return a
 
-    def jacobian(self, x: np.ndarray, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, chart: str) -> np.ndarray:
         """jac[b, a] = d_a A_b at ``x`` by central differences."""
-        return _fd.jacobian(lambda y: self.at(y, chart), x, rel=fd_rel)
+        return _fd.partials(lambda y: self.at(y, chart), x).T
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,19 @@ def orthogonality_check(
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature_numeric(gauge: GaugeField, x: np.ndarray, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+def curvature_numeric(gauge: GaugeField, x: np.ndarray, chart: str) -> np.ndarray:
     """F_ab = d_a A_b - d_b A_a by central differences; antisymmetric exactly."""
-    jac = gauge.jacobian(x, chart, fd_rel)  # jac[b, a] = d_a A_b
+    jac = gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
     return jac.T - jac
 
 
-def curvature(gauge: GaugeField, x: np.ndarray, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+def curvature(gauge: GaugeField, x: np.ndarray, chart: str) -> np.ndarray:
     """Curvature of the gauge field, preferring a registered closed form."""
     form = gauge.curvature_forms.get(chart)
     if form is not None:
         f = np.asarray(form(np.asarray(x, dtype=float)), dtype=float)
         return 0.5 * (f - f.T)
-    return curvature_numeric(gauge, x, chart, fd_rel=fd_rel)
+    return curvature_numeric(gauge, x, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,6 @@ def connection_from_partition(
     atlas: Atlas,
     partition: PartitionOfUnity,
     rng: np.random.Generator | None = None,
-    fd_rel: float = 1e-6,
 ) -> ConnectionOneForm:
     """Glue the per-chart trivial forms with a partition of unity.
 
@@ -217,7 +216,7 @@ def connection_from_partition(
                 rho = partition.value(tr.dst, np.asarray(tr.base_map(x), dtype=float))
                 if abs(rho) < 1e-14:
                     continue
-                total += rho * _fd.log_gradient(tr.fiber_factor, x, rel=fd_rel)
+                total += rho * _fd.log_gradient(tr.fiber_factor, x)
             return total
 
         return a_of

@@ -1,5 +1,5 @@
 """Tiny arithmetic expression grammar shared by scenario files, atlas files
-and CLI coordinate arguments.
+and CLI coordinate arguments, and the checked reading of INI file values.
 
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
@@ -10,6 +10,7 @@ into a tree of closures; nothing outside the whitelist can execute.
 from __future__ import annotations
 
 import ast
+import configparser
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -123,3 +124,36 @@ def parse_tuple(text: str) -> tuple[float, ...]:
     """Comma-separated constant expressions, e.g. ``pi/2, 0, 1``."""
     parts = [chunk for chunk in text.split(",") if chunk.strip()]
     return tuple(parse_number(chunk) for chunk in parts)
+
+
+def parse_pair(text: str) -> tuple[float, ...]:
+    """Two comma-separated constant expressions ``lo, hi``."""
+    values = tuple(parse_number(chunk) for chunk in text.split(","))
+    if len(values) != 2:
+        raise ConstructionError(f"expected two values lo, hi, got {len(values)}")
+    return values
+
+
+def parse_bool(text: str) -> bool:
+    """An INI boolean, spelled as :mod:`configparser` accepts it."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConstructionError("expected a boolean (true/false, yes/no, on/off, 1/0)") from None
+
+
+_REQUIRED = object()
+
+
+def ini_value(section: configparser.SectionProxy, key: str, convert: Callable[[str], object], default=_REQUIRED):
+    """``convert(section[key])`` for a section of a scenario or atlas file, or
+    ``default`` when the key is absent and a default is given. A missing key
+    or a malformed value is a ConstructionError naming the key."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConstructionError(f"[{section.name}] needs a {key!r} entry")
+        return default
+    try:
+        return convert(section[key])
+    except (ValueError, ConstructionError) as exc:
+        raise ConstructionError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None

@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _fd
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import Chart, Point
@@ -82,7 +81,6 @@ class IntegratorConfig:
     t_guard_factor: float = 1e-6
     max_steps: int = 500_000
     christoffel: str = "numeric"  # or "closed"
-    fd_rel: float = _fd.DEFAULT_REL_STEP
     rk4_step: float = 0.01
 
 
@@ -213,11 +211,11 @@ def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable
     if cfg.christoffel == "closed":
         if not kk.gauge.is_zero and kk.sign != +1:
             raise NumericError("closed-form symbols need a vanishing gauge field for sign -1")
-        fn = lambda raw: christoffel_closed(kk, Point(raw[:-1], raw[-1], chart), fd_rel=cfg.fd_rel)
+        fn = lambda raw: christoffel_closed(kk, Point(raw[:-1], raw[-1], chart))
     elif cfg.christoffel == "numeric":
         # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
         # the stencil's sign guard refuses a fiber coordinate near zero
-        fn = lambda raw: christoffel_numeric(kk, raw, fd_rel=cfg.fd_rel, cond_limit=None, chart=chart)
+        fn = lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
     else:
         raise ContractViolation(f"unknown christoffel provider {cfg.christoffel!r}")
     return fn
@@ -247,7 +245,6 @@ def printed_spatial_acceleration(
     scenario: Scenario,
     gauge: GaugeField | None = None,
     chart: str | None = None,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
 ) -> np.ndarray:
     """Transcription of the first-published spatial equation, kept as a
     secondary right-hand side.
@@ -265,9 +262,9 @@ def printed_spatial_acceleration(
     p = Point(state.x, state.t, chart)
     gminv = np.linalg.inv(scenario.metric.at(p.x, p.t, chart))
     kk = scenario.kk(-1, scenario.connection(gauge))
-    base = base_symbols_at(kk, p, fd_rel)
+    base = base_symbols_at(kk, p)
     a = gauge.at(state.x, chart)
-    f = curvature(gauge, state.x, chart, fd_rel=fd_rel)
+    f = curvature(gauge, state.x, chart)
     vx = state.vx
     omega_v = state.vt / state.t + float(vx @ a)
     gf_v = gminv @ f @ vx  # g^{ab} F_bc x'^c
@@ -284,13 +281,12 @@ def printed_temporal_acceleration(
     acc_x: np.ndarray,
     gauge: GaugeField,
     chart: str,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
 ) -> float:
     """Second-order fiber equation evaluated on a given spatial acceleration:
 
         t'' = -t ( (1/2) x' . (dA + dA^T) . x' + A . x'' ) + t'^2 / t
     """
-    jac_a = gauge.jacobian(state.x, chart, fd_rel)
+    jac_a = gauge.jacobian(state.x, chart)
     sym = jac_a + jac_a.T
     a = gauge.at(state.x, chart)
     return float(
@@ -354,10 +350,16 @@ def _drive(
     size, the last one not clamped to ``span``. ``guard(y)`` names the reason
     an accepted state ends the run (that state is kept), or returns None. A
     non-finite stage or step result ends the run as ``non_finite`` and is
-    not kept.
+    not kept. The span must be finite and >= 0, and the step and the
+    tolerances finite and > 0, else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ContractViolation(f"integration span must be finite and >= 0, got {span}")
+    for name, value in (("rk4_step", cfg.rk4_step), ("rel_tol", cfg.rel_tol), ("abs_tol", cfg.abs_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ContractViolation(f"{name} must be finite and > 0, got {value}")
     adaptive = cfg.method == "rk45"
 
     def stage(y: np.ndarray) -> np.ndarray:
@@ -536,7 +538,7 @@ def integrate_small_gauge(
 
     if curvature_fn is None:
         g = gauge if gauge is not None else scenario.gauge
-        curvature_fn = lambda x: curvature(g, x, chart, fd_rel=cfg.fd_rel)
+        curvature_fn = lambda x: curvature(g, x, chart)
 
     kk = scenario.kk(-1)
     n = x0.size
@@ -544,7 +546,7 @@ def integrate_small_gauge(
     def rhs(y: np.ndarray) -> np.ndarray:
         x, v = y[:n], y[n:]
         p = Point(x, 1.0, chart)
-        base = base_symbols_at(kk, p, cfg.fd_rel)
+        base = base_symbols_at(kk, p)
         gminv = np.linalg.inv(scenario.metric.at(x, 1.0, chart))
         f = np.asarray(curvature_fn(x), dtype=float)
         acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)

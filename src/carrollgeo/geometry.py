@@ -197,15 +197,15 @@ class ChartTransition:
             raise ConstructionError("fiber transition factor vanishes")
         return Point(np.asarray(self.base_map(p.x), dtype=float), phi * p.t, self.dst)
 
-    def map_tangent(self, v: TangentVector, fd_rel: float = 1e-6) -> TangentVector:
+    def map_tangent(self, v: TangentVector) -> TangentVector:
         """Push a tangent vector through the transition.
 
         The adapted fiber velocity shifts by the logarithmic derivative of the
         fiber factor: vtb' = vtb + vx . grad(log|phi|).
         """
         p = v.base
-        jac = _fd.jacobian(lambda x: np.asarray(self.base_map(x), dtype=float), p.x, rel=fd_rel)
-        grad_log_phi = _fd.log_gradient(self.fiber_factor, p.x, rel=fd_rel)
+        jac = _fd.partials(lambda x: np.asarray(self.base_map(x), dtype=float), p.x, rel=_fd.TRANSITION_REL_STEP).T
+        grad_log_phi = _fd.log_gradient(self.fiber_factor, p.x)
         new_vx = jac @ v.vx
         new_vtb = v.vtb + float(v.vx @ grad_log_phi)
         return TangentVector(new_vx, new_vtb, self.map_point(p))
@@ -268,9 +268,9 @@ class DegenerateMetric:
             raise ContractViolation(f"metric block has shape {g.shape}, expected {(n, n)}")
         return g
 
-    def t_derivative(self, x: np.ndarray, t: float, chart: str, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+    def t_derivative(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
         """dg_M/dt at (x, t) by central differences that keep the sign of t."""
-        return _fd.partial(lambda arr: self.at(x, float(arr[0]), chart), np.array([t]), 0, rel=fd_rel, keep_sign=(0,))
+        return _fd.partial(lambda arr: self.at(x, float(arr[0]), chart), np.array([t]), 0, keep_sign=(0,))
 
     def _padded(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
         g = self.at(x, t, chart)
@@ -317,12 +317,7 @@ def vertical_lift(X: VectorField, g: DegenerateMetric, p: Point) -> Callable[[Ta
     return lambda w: metric_eval(g, p, v, w)
 
 
-def lie_derivative_metric(
-    X: VectorField,
-    metric,
-    p: Point,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-) -> np.ndarray:
+def lie_derivative_metric(X: VectorField, metric, p: Point) -> np.ndarray:
     """(L_X G)_AB in raw (x, t) coordinates by central differences.
 
     ``metric`` is either a :class:`DegenerateMetric` (zero-padded) or any
@@ -335,8 +330,8 @@ def lie_derivative_metric(
     t_axis = n1 - 1
     x_fn = X.raw_field(p.chart)
     g = field_fn(raw_p)
-    dg = _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dg[C, A, B] = d_C G_AB
-    dx = _fd.partials(x_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dx[C, A] = d_C X^A
+    dg = _fd.partials(field_fn, raw_p, keep_sign=(t_axis,))  # dg[C, A, B] = d_C G_AB
+    dx = _fd.partials(x_fn, raw_p, keep_sign=(t_axis,))  # dx[C, A] = d_C X^A
     xc = x_fn(raw_p)
     transport = np.einsum("c,cab->ab", xc, dg)
     frame = np.einsum("ac,cb->ab", dx, g) + np.einsum("bc,ac->ab", dx, g)
@@ -361,21 +356,17 @@ class EulerWeight:
     lie_block: np.ndarray
 
 
-def euler_weight(
-    g: DegenerateMetric,
-    p: Point,
-    rel_tol: float = 1e-6,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-) -> EulerWeight:
-    """Evaluate (L_Euler g)(p) = t dg_M/dt and test proportionality to g(p)."""
-    lie = p.t * g.t_derivative(p.x, p.t, p.chart, fd_rel)
+def euler_weight(g: DegenerateMetric, p: Point) -> EulerWeight:
+    """Evaluate (L_Euler g)(p) = t dg_M/dt and test proportionality to g(p)
+    (relative residual at most 1e-6)."""
+    lie = p.t * g.t_derivative(p.x, p.t, p.chart)
     gm = g.at(p.x, p.t, p.chart)
     denom = float(np.sum(gm * gm))
     if denom == 0.0:
         raise ContractViolation("degenerate base block: cannot test homogeneity")
     k = float(np.sum(lie * gm)) / denom
     residual = float(np.linalg.norm(lie - k * gm)) / max(float(np.linalg.norm(gm)), 1e-300)
-    return EulerWeight(proportional=residual <= rel_tol, factor=k, residual=residual, lie_block=lie)
+    return EulerWeight(proportional=residual <= 1e-6, factor=k, residual=residual, lie_block=lie)
 
 
 @dataclass(frozen=True)
@@ -385,7 +376,7 @@ class KillingReport:
     bracket_residual: float
 
 
-def euler_bracket(X: VectorField, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+def euler_bracket(X: VectorField, p: Point) -> np.ndarray:
     """Raw components of [Euler, X] at p, by finite differences.
 
     With Euler = (0, ..., 0, t) in raw coordinates this is
@@ -394,18 +385,13 @@ def euler_bracket(X: VectorField, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP
     raw_p = p.raw()
     t_axis = raw_p.size - 1
     x_fn = X.raw_field(p.chart)
-    dt_x = _fd.partial(x_fn, raw_p, t_axis, rel=fd_rel, keep_sign=(t_axis,))
+    dt_x = _fd.partial(x_fn, raw_p, t_axis, keep_sign=(t_axis,))
     bracket = p.t * dt_x
     bracket[t_axis] -= x_fn(raw_p)[t_axis]
     return bracket
 
 
-def killing_residual(
-    X: VectorField,
-    metric,
-    points: Sequence[Point],
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-) -> KillingReport:
+def killing_residual(X: VectorField, metric, points: Sequence[Point]) -> KillingReport:
     """Max Frobenius norm of L_X metric over the samples, plus projectability.
 
     A field is projectable (weight zero) when its bracket with the Euler
@@ -417,8 +403,8 @@ def killing_residual(
     res = 0.0
     brk = 0.0
     for p in points:
-        res = max(res, float(np.linalg.norm(lie_derivative_metric(X, metric, p, fd_rel=fd_rel))))
-        brk = max(brk, float(np.linalg.norm(euler_bracket(X, p, fd_rel=fd_rel))))
+        res = max(res, float(np.linalg.norm(lie_derivative_metric(X, metric, p))))
+        brk = max(brk, float(np.linalg.norm(euler_bracket(X, p))))
     return KillingReport(residual=res, projectable=brk <= 1e-7, bracket_residual=brk)
 
 
@@ -436,13 +422,12 @@ class FiberRescaling:
     """
 
     phi: Callable[[np.ndarray], float]
-    fd_rel: float = 1e-6
 
     def point(self, p: Point) -> Point:
         return Point(p.x, float(self.phi(p.x)) * p.t, p.chart)
 
     def tangent(self, v: TangentVector) -> TangentVector:
-        grad_log = _fd.log_gradient(self.phi, v.base.x, rel=self.fd_rel)
+        grad_log = _fd.log_gradient(self.phi, v.base.x)
         return TangentVector(v.vx.copy(), v.vtb + float(v.vx @ grad_log), self.point(v.base))
 
     def metric(self, g: DegenerateMetric) -> DegenerateMetric:
@@ -455,4 +440,4 @@ class FiberRescaling:
 
     def gauge_shift(self, x: np.ndarray) -> np.ndarray:
         """The inhomogeneous term: grad(phi)/phi at x."""
-        return _fd.log_gradient(self.phi, x, rel=self.fd_rel)
+        return _fd.log_gradient(self.phi, x)

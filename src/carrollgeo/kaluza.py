@@ -123,8 +123,8 @@ def build_kk(
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
-def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, fd_rel: float = _fd.DEFAULT_REL_STEP,
-                        cond_limit: float | None = 1e12, *, chart: str | None = None) -> np.ndarray:
+def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: float | None = 1e12,
+                        chart: str | None = None) -> np.ndarray:
     """Levi-Civita symbols of the raw metric by central differences.
 
     ``p`` is a Point, or raw coordinates (x..., t) on ``chart`` (no Point is
@@ -135,7 +135,7 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, fd_rel: float = _fd
     lower pair.
     """
     raw_p, chart = (p.raw(), p.chart) if chart is None else (p, chart)
-    points, h = _fd.stencil(raw_p, rel=fd_rel, keep_sign=(raw_p.size - 1,))
+    points, h = _fd.stencil(raw_p, keep_sign=(raw_p.size - 1,))
     g = kk.components(points, chart)
     if cond_limit is not None:
         cond = float(np.linalg.cond(g[0]))
@@ -160,31 +160,24 @@ def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
-def _base_symbols_numeric(kk: KKMetric, x: np.ndarray, t: float, chart: str, fd_rel: float) -> np.ndarray:
-    """Levi-Civita symbols of the base block at frozen t."""
-    gm_of_x = lambda y: kk.metric.at(y, t, chart)
-    return _levi_civita(gm_of_x(x), _fd.partials(gm_of_x, np.asarray(x, dtype=float), rel=fd_rel))
-
-
-def base_symbols_at(kk: KKMetric, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> np.ndarray:
+def base_symbols_at(kk: KKMetric, p: Point) -> np.ndarray:
+    """Levi-Civita symbols of the base block at frozen t: the registered
+    closed form, else by central differences."""
     if kk.base_symbols is not None:
         return np.asarray(kk.base_symbols(p.x, p.t, p.chart), dtype=float)
-    return _base_symbols_numeric(kk, p.x, p.t, p.chart, fd_rel)
+    gm_of_x = lambda y: kk.metric.at(y, p.t, p.chart)
+    return _levi_civita(gm_of_x(p.x), _fd.partials(gm_of_x, p.x))
 
 
-def _block_t_derivative(kk: KKMetric, p: Point, fd_rel: float) -> np.ndarray:
+def _block_t_derivative(kk: KKMetric, p: Point) -> np.ndarray:
     if kk.metric_t_derivative is not None:
         return np.asarray(kk.metric_t_derivative(p.x, p.t, p.chart), dtype=float)
     if not kk.metric.time_dependent:
         return np.zeros((p.dim, p.dim))
-    return kk.metric.t_derivative(p.x, p.t, p.chart, fd_rel)
+    return kk.metric.t_derivative(p.x, p.t, p.chart)
 
 
-def christoffel_closed(
-    kk: KKMetric,
-    p: Point,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-) -> np.ndarray:
+def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
     """Closed-form symbols assembled from base data.
 
     For a vanishing gauge field (both signs) the output agrees with the
@@ -204,8 +197,8 @@ def christoffel_closed(
     gm = kk.metric.at(p.x, p.t, p.chart)
     gminv = np.linalg.inv(gm)
     a = kk.gauge.at(p.x, p.chart)
-    base = base_symbols_at(kk, p, fd_rel)
-    dgdt = _block_t_derivative(kk, p, fd_rel)
+    base = base_symbols_at(kk, p)
+    dgdt = _block_t_derivative(kk, p)
 
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
@@ -220,8 +213,8 @@ def christoffel_closed(
                 "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
                 "use the finite-difference oracle"
             )
-        f = curvature(kk.gauge, p.x, p.chart, fd_rel=fd_rel)
-        jac_a = kk.gauge.jacobian(p.x, p.chart, fd_rel)  # jac[b, a] = d_a A_b
+        f = curvature(kk.gauge, p.x, p.chart)
+        jac_a = kk.gauge.jacobian(p.x, p.chart)  # jac[b, a] = d_a A_b
         sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
         ag = gminv @ a  # (g_M)^{cd} A_d
 
@@ -250,13 +243,11 @@ def christoffel_closed(
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
-def closed_form_deviation(
-    kk: KKMetric, points: Sequence[Point], fd_rel: float = _fd.DEFAULT_REL_STEP
-) -> float:
+def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:
     """Max componentwise |closed - numeric| over the sample points."""
     worst = 0.0
     for p in points:
-        delta = christoffel_closed(kk, p, fd_rel) - christoffel_numeric(kk, p, fd_rel)
+        delta = christoffel_closed(kk, p) - christoffel_numeric(kk, p)
         worst = max(worst, float(np.max(np.abs(delta))))
     return worst
 
@@ -265,12 +256,7 @@ def closed_form_deviation(
 # compatibility, volume, divergence
 # ---------------------------------------------------------------------------
 
-def covariant_metric_derivative(
-    gamma: np.ndarray,
-    metric,
-    p: Point,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
-) -> np.ndarray:
+def covariant_metric_derivative(gamma: np.ndarray, metric, p: Point) -> np.ndarray:
     """nabla_C G_AB = d_C G_AB - Gamma^D_CA G_DB - Gamma^D_CB G_AD.
 
     ``metric`` is anything exposing ``raw_field(chart)``; pass the original
@@ -281,7 +267,7 @@ def covariant_metric_derivative(
     raw_p = p.raw()
     t_axis = raw_p.size - 1
     g = field_fn(raw_p)
-    dg = _fd.partials(field_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    dg = _fd.partials(field_fn, raw_p, keep_sign=(t_axis,))
     corr1 = np.einsum("dca,db->cab", gamma, g)
     corr2 = np.einsum("dcb,ad->cab", gamma, g)
     return dg - corr1 - corr2
@@ -303,7 +289,7 @@ def _density_field(metric: DegenerateMetric, chart: str) -> Callable[[np.ndarray
     return rho
 
 
-def divergence(X, metric: DegenerateMetric, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> float:
+def divergence(X, metric: DegenerateMetric, p: Point) -> float:
     """Div(X) = rho^{-1} sum_A d_A(rho X^A) in raw coordinates.
 
     Independent of any connection; differentiates the product directly.
@@ -312,19 +298,19 @@ def divergence(X, metric: DegenerateMetric, p: Point, fd_rel: float = _fd.DEFAUL
     raw_p = p.raw()
     t_axis = raw_p.size - 1
     x_fn = X.raw_field(p.chart)
-    d = _fd.partials(lambda raw: rho(raw) * x_fn(raw), raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    d = _fd.partials(lambda raw: rho(raw) * x_fn(raw), raw_p, keep_sign=(t_axis,))
     return float(np.trace(d)) / rho(raw_p)
 
 
-def divergence_expanded(X, metric: DegenerateMetric, p: Point, fd_rel: float = _fd.DEFAULT_REL_STEP) -> float:
+def divergence_expanded(X, metric: DegenerateMetric, p: Point) -> float:
     """Product-rule route rho^{-1}(d_A rho) X^A + d_A X^A, kept as an
     independent cross-check of :func:`divergence`."""
     rho = _density_field(metric, p.chart)
     raw_p = p.raw()
     t_axis = raw_p.size - 1
-    grad_rho = _fd.partials(lambda raw: np.array(rho(raw)), raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    grad_rho = _fd.partials(lambda raw: np.array(rho(raw)), raw_p, keep_sign=(t_axis,))
     x_fn = X.raw_field(p.chart)
-    dx = _fd.partials(x_fn, raw_p, rel=fd_rel, keep_sign=(t_axis,))
+    dx = _fd.partials(x_fn, raw_p, keep_sign=(t_axis,))
     return float(grad_rho.ravel() @ x_fn(raw_p)) / rho(raw_p) + float(np.trace(dx))
 
 
@@ -358,7 +344,6 @@ def regularity_probe(
     x0: np.ndarray,
     chart: str,
     t_values: Sequence[float] | None = None,
-    fd_rel: float = _fd.DEFAULT_REL_STEP,
 ) -> RegularityReport:
     """Evaluate (nabla_X Y)^A = X^B d_B Y^A + Gamma^A_BC X^B Y^C along t -> 0.
 
@@ -378,8 +363,8 @@ def regularity_probe(
         def y_raw(raw: np.ndarray) -> np.ndarray:
             return np.asarray(Y(raw[:-1], float(raw[-1])), dtype=float)
 
-        dy = _fd.partials(y_raw, raw_p, rel=fd_rel, keep_sign=(t_axis,))  # dy[B, A]
-        gamma = christoffel_numeric(kk, p, fd_rel=fd_rel, cond_limit=None)
+        dy = _fd.partials(y_raw, raw_p, keep_sign=(t_axis,))  # dy[B, A]
+        gamma = christoffel_numeric(kk, p, cond_limit=None)
         xv = np.asarray(X(x0, float(t)), dtype=float)
         yv = y_raw(raw_p)
         rows.append(xv @ dy + np.einsum("abc,b,c->a", gamma, xv, yv))

@@ -11,19 +11,20 @@ closed forms can be registered per overlap for tests.
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
+from . import _fd
 from .errors import ConstructionError, NumericError
-from .expressions import compile_expression, parse_number
+from .expressions import compile_expression, ini_value, parse_pair
 
 Transition = Callable[[float, float], float]
 Section = Callable[[float], float]
 
-FIBER_STEP = 1e-6
 ZERO_SECTION_CUTOFF = 1e-12
 
 
@@ -160,16 +161,14 @@ class LinearizedCocycle:
         return self.coefficients[(i, j)](m)
 
 
-def _fiber_derivative(psi: Transition, m: float, step: float = FIBER_STEP) -> float:
-    def central(h: float) -> float:
-        return (psi(m, h) - psi(m, -h)) / (2.0 * h)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+def _fiber_derivative(psi: Transition, m: float) -> float:
+    """d/dr psi(m, r) at r = 0, on plain floats (a numpy stencil costs more
+    here than the transition itself)."""
+    h = _fd.TRANSITION_REL_STEP
+    return _fd.richardson(*(psi(m, r) for r in _fd.offsets(h)), h)
 
 
-def linearize(shifted: TransitionAtlas, step: float = FIBER_STEP) -> LinearizedCocycle:
+def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     """Extract c_ij(m) = d/dr psi~_ij(m, 0) and check the cocycle closure.
 
     Raises NumericError when a coefficient is numerically zero (the
@@ -181,7 +180,7 @@ def linearize(shifted: TransitionAtlas, step: float = FIBER_STEP) -> LinearizedC
         if form is not None:
             coeffs[key] = form
         else:
-            coeffs[key] = (lambda psi_fn: lambda m: _fiber_derivative(psi_fn, m, step))(psi)
+            coeffs[key] = functools.partial(_fiber_derivative, psi)
 
     sampled: list[CocycleSample] = []
     pair_res = 0.0
@@ -351,6 +350,10 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
     )
 
 
+def _names(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",")]
+
+
 def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> TransitionAtlas:
     """Structured-text atlas: [charts], [overlap NAME] sections, [sections].
 
@@ -381,10 +384,10 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
     for section_name in parser.sections():
         if section_name.startswith("overlap"):
             sec = parser[section_name]
-            pair = [s.strip() for s in sec["charts"].split(",")]
+            pair = ini_value(sec, "charts", _names)
             if len(pair) != 2:
                 raise ConstructionError(f"[{section_name}] charts must list two names")
-            lo, hi = (parse_number(s) for s in sec["interval"].split(","))
+            lo, hi = ini_value(sec, "interval", parse_pair)
             ms = np.linspace(lo, hi, samples_per_overlap)
             i, j = pair
             overlaps.append(OverlapRecord(charts=(i, j), samples={i: ms, j: ms}))
@@ -394,10 +397,10 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
                     psi[target] = compile_expression(sec[key], ("m", "r"))
         elif section_name.startswith("triple"):
             sec = parser[section_name]
-            trio = [s.strip() for s in sec["charts"].split(",")]
+            trio = ini_value(sec, "charts", _names)
             if len(trio) != 3:
                 raise ConstructionError(f"[{section_name}] charts must list three names")
-            lo, hi = (parse_number(s) for s in sec["interval"].split(","))
+            lo, hi = ini_value(sec, "interval", parse_pair)
             ms = np.linspace(lo, hi, samples_per_overlap)
             triples.append(TripleRecord(charts=tuple(trio), samples={c: ms for c in trio}))
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import _fd
 from .connection import ConnectionOneForm, GaugeField
 from .errors import ConstructionError, ContractViolation
-from .expressions import compile_expression, parse_number
+from .expressions import compile_expression, ini_value, parse_bool, parse_number, parse_pair
 from .geometry import (
     Atlas,
     Chart,
@@ -82,6 +82,8 @@ class Scenario:
         t_range: tuple[float, float] = (0.5, 2.0),
         include_negative_t: bool = False,
     ) -> list[Point]:
+        if count < 0:
+            raise ContractViolation(f"sample count must be >= 0, got {count}")
         name = chart or self.default_chart
         c = self.atlas.chart(name)
         xs = c.sample(rng, count)
@@ -423,7 +425,7 @@ def _build_thakurta(params: Mapping) -> Scenario:
         return math.exp(-u_fn(t))
 
     def dgdt_factor(t: float) -> float:
-        return -_fd.scalar_derivative(u_fn, t)
+        return -float(_fd.partial(lambda arr: u_fn(float(arr[0])), np.array([t]), 0))
 
     sc = _build_sphere_like(
         f"thakurta(GM={gm_param:g}, U={u_text})",
@@ -577,12 +579,7 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     inner = text.strip()
     if not (inner.startswith("box(") and inner.endswith(")")):
         raise ConstructionError(f"expected box(lo, hi; ...), got {text!r}")
-    spans = inner[4:-1].split(";")
-    out = []
-    for span in spans:
-        lo, hi = (parse_number(s) for s in span.split(","))
-        out.append((lo, hi))
-    return tuple(out)
+    return tuple(parse_pair(span) for span in inner[4:-1].split(";"))
 
 
 def _parse_matrix(text: str, dim: int):
@@ -640,14 +637,14 @@ def load_scenario_file(path: str | Path) -> Scenario:
         raise ConstructionError("scenario file needs [meta], [charts] and [metric] sections")
 
     meta = parser["meta"]
-    dim = int(meta.get("dim", "0"))
+    dim = ini_value(meta, "dim", int, default=0)
     if dim < 1:
         raise ConstructionError("[meta] dim must be a positive integer")
     name = meta.get("name", path.stem)
 
     charts = []
-    for chart_name, spec in parser["charts"].items():
-        box = _parse_box(spec)
+    for chart_name in parser["charts"]:
+        box = ini_value(parser["charts"], chart_name, _parse_box)
         if len(box) != dim:
             raise ConstructionError(f"chart {chart_name} box has {len(box)} spans, expected {dim}")
         charts.append(Chart(name=chart_name, coords=tuple(f"x{i + 1}" for i in range(dim)), box=box))
@@ -655,7 +652,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
     default_chart = meta.get("default_chart", charts[0].name)
 
     metric_section = parser["metric"]
-    time_dependent = metric_section.getboolean("time_dependent", fallback=False)
+    time_dependent = ini_value(metric_section, "time_dependent", parse_bool, default=False)
     blocks = {}
     for chart in charts:
         if chart.name not in metric_section:
@@ -687,12 +684,9 @@ def load_scenario_file(path: str | Path) -> Scenario:
     expects: dict = {}
     if "expects" in parser:
         section = parser["expects"]
-        if "euler_killing" in section:
-            expects["euler_killing"] = section.getboolean("euler_killing")
-        if "weight" in section:
-            expects["weight"] = float(section["weight"])
-        if "conformal" in section:
-            expects["conformal"] = section.getboolean("conformal")
+        for key, convert in (("euler_killing", parse_bool), ("weight", float), ("conformal", parse_bool)):
+            if key in section:
+                expects[key] = ini_value(section, key, convert)
 
     return Scenario(
         name=name,

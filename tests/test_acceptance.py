@@ -52,7 +52,7 @@ def _stereo_embed(x):
 
 def _orbit_keeps_pole_distance(x0, v0, min_axis_tilt=0.35):
     p3 = _stereo_embed(x0)
-    j = _fd.jacobian(_stereo_embed, np.asarray(x0, dtype=float))
+    j = _fd.partials(_stereo_embed, np.asarray(x0, dtype=float)).T
     v3 = j @ v0
     axis = np.cross(p3, v3)
     norm = np.linalg.norm(axis)

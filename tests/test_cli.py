@@ -224,6 +224,9 @@ def test_small_gauge_prints_stop_events(capsys):
     assert "event: {'kind': 'left_chart'" in capsys.readouterr().out
 
 
+SHOOT_FLAT = ["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -237,12 +240,69 @@ def test_small_gauge_prints_stop_events(capsys):
         (["null-shoot", "schwarzschild", "--point", "1,0", "--dir", "0,1", "--q", "1", "--chart", "nope"], "nope"),
         (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--chart", "nope"], "nope"),
         (["geodesic", "flat", "--state", "0,0,1,1,0,-1", "--chart", "nope"], "nope"),
+        (["geodesic", "flat", "--param", "n=3", "--small-gauge", "--field", "1", "--state", "0,0,0,1,0,0"], "--field"),
+        (["geodesic", "flat", "--param", "n=1", "--small-gauge", "--field", "1", "--state", "0,1"], "--field"),
+        (SHOOT_FLAT + ["--lambda-max", "nan"], "span"),
+        (SHOOT_FLAT + ["--lambda-max", "-1"], "span"),
+        (SHOOT_FLAT + ["--method", "rk4", "--rk4-step", "-0.1"], "rk4_step"),
+        (SHOOT_FLAT + ["--method", "rk4", "--rk4-step", "0"], "rk4_step"),
+        (SHOOT_FLAT + ["--tol", "0"], "rel_tol"),
+        (["christoffel", "flat", "--count", "-1"], "count"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
-         "geodesic_chart"],
+         "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
+         "tol_zero", "count_negative"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, capsys):
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+SCENARIO_FILE = """[meta]
+dim = 2
+[charts]
+main = box(-1, 1; -1, 1)
+[metric]
+time_dependent = false
+main = matrix(1, 0; 0, 1)
+[expects]
+weight = 0
+"""
+ATLAS_FILE = """[charts]
+a = interval(-2, 2)
+b = interval(0.5, 3)
+[overlap mid]
+charts = a, b
+interval = 0.6, 1.9
+to_a = exp(sin(m)) * r
+to_b = exp(-sin(m)) * r
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, old, new, needle",
+    [
+        ("check", SCENARIO_FILE, "dim = 2", "dim = abc", "dim"),
+        ("check", SCENARIO_FILE, "box(-1, 1; -1, 1)", "box(-1,1; -1)", "main"),
+        ("check", SCENARIO_FILE, "weight = 0", "weight = abc", "weight"),
+        ("check", SCENARIO_FILE, "time_dependent = false", "time_dependent = maybe", "time_dependent"),
+        ("check", SCENARIO_FILE, "weight = 0", "euler_killing = maybe", "euler_killing"),
+        ("check", SCENARIO_FILE, "weight = 0", "conformal = maybe", "conformal"),
+        ("linearize", ATLAS_FILE, "charts = a, b\n", "", "charts"),
+        ("linearize", ATLAS_FILE, "interval = 0.6, 1.9", "interval = 0.2", "interval"),
+    ],
+    ids=["dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval"],
+)
+def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):
+    assert old in text
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    good.write_text(text)
+    bad.write_text(text.replace(old, new))
+    assert main([command, str(good)]) == 0
+    capsys.readouterr()
+    assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert len(err.strip().splitlines()) == 1

@@ -44,6 +44,25 @@ def test_field_dicts_are_read_only_through_the_accessors():
     assert {hit[1:3] for hit in hits} == ACCESSORS
 
 
+def test_finite_difference_steps_are_not_parameters():
+    """``_fd`` owns the steps: no signature or dataclass field in the package
+    is named ``fd_rel``, and only ``_fd``'s own primitives take ``rel`` or
+    ``step``."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        banned = {"fd_rel"} if path.name == "_fd.py" else {"fd_rel", "rel", "step"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            offenders += [(path.name, node.lineno, name) for name in names if name in banned]
+    assert offenders == []
+
+
 def _flat2_with(metric=None, gauge=None):
     s = cg.load("flat", n=2, verify=False)
     s.metric = metric or s.metric

@@ -18,11 +18,12 @@ from carrollgeo.cli import main
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import NumericError
 from carrollgeo.kaluza import christoffel_numeric
+from carrollgeo.linearize import linearize, shift_transitions, synthetic_circle_atlas
 
 CATALOG = ["flat", "lightcone", "sphere_pullback", "moebius", "schwarzschild", "thakurta"]
 
 
-def reference_christoffel(kk, p, fd_rel=_fd.DEFAULT_REL_STEP, cond_limit=1e12, *, chart=None):
+def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None):
     """The oracle one axis at a time: ``_fd.partial`` over ``kk.raw_field``."""
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
     field_fn = kk.raw_field(chart)
@@ -30,7 +31,7 @@ def reference_christoffel(kk, p, fd_rel=_fd.DEFAULT_REL_STEP, cond_limit=1e12, *
     if cond_limit is not None and not np.linalg.cond(g) <= cond_limit:
         raise NumericError("metric condition number exceeds the limit")
     t_axis = raw.size - 1
-    dg = np.stack([_fd.partial(field_fn, raw, a, rel=fd_rel, keep_sign=(t_axis,)) for a in range(raw.size)])
+    dg = np.stack([_fd.partial(field_fn, raw, a, keep_sign=(t_axis,)) for a in range(raw.size)])
     return kaluza._levi_civita(g, dg)
 
 
@@ -50,20 +51,32 @@ def _cases():
 
 
 def test_partial_is_the_richardson_combination_of_two_central_differences():
-    f = lambda q: np.array([math.sin(q[0]) * q[1] ** 3, math.exp(q[0] - q[1])])
-    p = np.array([0.7, -1.3])
-    for axis in (0, 1):
-        h = _fd.step_size(p[axis])
+    # a shifted fiber transition psi(m, r) at its section r = 0, where d/dr is
+    # the linearize coefficient c(m)
+    shifted = shift_transitions(synthetic_circle_atlas())
+    rec = shifted.overlaps[0]
+    psi, m = shifted.psi[rec.charts], float(rec.points(rec.charts[1])[5])
+    coefficient = linearize(shifted).value(*rec.charts, m)
+    cases = [
+        (lambda q: np.array([math.sin(q[0]) * q[1] ** 3, math.exp(q[0] - q[1])]), np.array([0.7, -1.3]),
+         _fd.DEFAULT_REL_STEP, {}),
+        (lambda q: np.array(psi(q[0], q[1])), np.array([m, 0.0]), _fd.TRANSITION_REL_STEP, {1: coefficient}),
+    ]
+    for f, p, rel, known in cases:
+        for axis in (0, 1):
+            h = _fd.step_size(p[axis], rel)
 
-        def central(step):
-            hi, lo = p.copy(), p.copy()
-            hi[axis] += step
-            lo[axis] -= step
-            return (f(hi) - f(lo)) / (2.0 * step)
+            def central(step):
+                hi, lo = p.copy(), p.copy()
+                hi[axis] += step
+                lo[axis] -= step
+                return (f(hi) - f(lo)) / (2.0 * step)
 
-        expected = (4.0 * central(h / 2.0) - central(h)) / 3.0
-        assert np.array_equal(_fd.partial(f, p, axis), expected)
-        assert np.array_equal(_fd.partials(f, p)[axis], expected)
+            expected = (4.0 * central(h / 2.0) - central(h)) / 3.0
+            assert np.array_equal(_fd.partial(f, p, axis, rel), expected)
+            assert np.array_equal(_fd.partials(f, p, rel)[axis], expected)
+            if axis in known:
+                assert known[axis] == expected
 
 
 def test_stacked_assembly_is_the_per_point_formula():
