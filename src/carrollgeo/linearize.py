@@ -96,19 +96,24 @@ def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionA
             f"section is inconsistent on overlap ({i}, {j}) at m = {m:.6g}: gap {worst:.3e}"
         )
 
-    # The shifted map needs s_i at the image base point; for the atlases here
-    # every overlap stores aligned coordinates, so build a per-pair lookup
-    # from the j-side coordinate to the i-side one.
+    # The shifted map needs s_i at the image base point. Overlap records store
+    # aligned coordinates, so m_j moves by the i - j offset of its nearest sample
+    # (first record, then first index, as argmin picks): exact samples through a
+    # dict, any other point by a scan. The section terms depend only on m, so the
+    # next stencil point reuses the last m's (never a zero's: -0.0 == 0.0).
     def make_shifted(i: str, j: str) -> Transition:
         psi = atlas.transition(i, j)
         s_i, s_j = atlas.sections[i], atlas.sections[j]
-        pairs = [
-            (rec.points(j), rec.points(i))
-            for rec in atlas.overlaps
-            if set(rec.charts) == {i, j}
-        ]
+        pairs = [(rec.points(j), rec.points(i)) for rec in atlas.overlaps if set(rec.charts) == {i, j}]
+        offsets: dict[float, float] = {}
+        for mj, mi in pairs:
+            for v, offset in zip(mj.tolist(), mi - mj):
+                offsets.setdefault(v, offset)
+        memo = (None, 0.0, 0.0)
 
         def to_i(m_j: float) -> float:
+            if m_j in offsets:
+                return m_j + offsets[m_j]
             best = m_j
             gap = float("inf")
             for mj, mi in pairs:
@@ -119,7 +124,11 @@ def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionA
             return best
 
         def shifted(m: float, r: float) -> float:
-            return psi(m, r + s_j(m)) - s_i(to_i(m))
+            nonlocal memo
+            last, sj, si = memo
+            if last != m or m == 0.0:
+                last, sj, si = memo = (m, s_j(m), s_i(to_i(m)))
+            return psi(m, r + sj) - si
 
         return shifted
 
@@ -350,8 +359,15 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
     )
 
 
-def _names(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",")]
+def _chart_names(sec: configparser.SectionProxy, count: int, charts: list[str]) -> list[str]:
+    """The ``charts`` entry of an [overlap] or [triple]: ``count`` names from [charts]."""
+    names = ini_value(sec, "charts", lambda text: [s.strip() for s in text.split(",")])
+    if len(names) != count:
+        raise ConstructionError(f"[{sec.name}] charts must list {count} names")
+    for name in names:
+        if name not in charts:
+            raise ConstructionError(f"[{sec.name}] names chart {name!r}, which [charts] does not define")
+    return names
 
 
 def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> TransitionAtlas:
@@ -381,15 +397,13 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
     triples: list[TripleRecord] = []
     sections: dict[str, Section] = {}
 
-    for section_name in parser.sections():
+    # triples last: each checks the transitions that the overlaps define
+    for section_name in sorted(parser.sections(), key=lambda name: name.startswith("triple")):
         if section_name.startswith("overlap"):
             sec = parser[section_name]
-            pair = ini_value(sec, "charts", _names)
-            if len(pair) != 2:
-                raise ConstructionError(f"[{section_name}] charts must list two names")
+            i, j = _chart_names(sec, 2, charts)
             lo, hi = ini_value(sec, "interval", parse_pair)
             ms = np.linspace(lo, hi, samples_per_overlap)
-            i, j = pair
             overlaps.append(OverlapRecord(charts=(i, j), samples={i: ms, j: ms}))
             overlaps.append(OverlapRecord(charts=(j, i), samples={i: ms, j: ms}))
             for key, target in ((f"to_{i}", (i, j)), (f"to_{j}", (j, i))):
@@ -397,9 +411,10 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
                     psi[target] = compile_expression(sec[key], ("m", "r"))
         elif section_name.startswith("triple"):
             sec = parser[section_name]
-            trio = ini_value(sec, "charts", _names)
-            if len(trio) != 3:
-                raise ConstructionError(f"[{section_name}] charts must list three names")
+            i, j, k = trio = _chart_names(sec, 3, charts)
+            for a, b in ((i, j), (j, k), (i, k)):
+                if (a, b) not in psi:
+                    raise ConstructionError(f"[{section_name}] needs a transition {a} <- {b} from an [overlap]")
             lo, hi = ini_value(sec, "interval", parse_pair)
             ms = np.linspace(lo, hi, samples_per_overlap)
             triples.append(TripleRecord(charts=tuple(trio), samples={c: ms for c in trio}))

@@ -579,7 +579,10 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     inner = text.strip()
     if not (inner.startswith("box(") and inner.endswith(")")):
         raise ConstructionError(f"expected box(lo, hi; ...), got {text!r}")
-    return tuple(parse_pair(span) for span in inner[4:-1].split(";"))
+    box = tuple(parse_pair(span) for span in inner[4:-1].split(";"))
+    if any(not lo < hi for lo, hi in box):
+        raise ConstructionError("every span lo, hi needs lo < hi")
+    return box
 
 
 def _parse_matrix(text: str, dim: int):
@@ -648,6 +651,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
         if len(box) != dim:
             raise ConstructionError(f"chart {chart_name} box has {len(box)} spans, expected {dim}")
         charts.append(Chart(name=chart_name, coords=tuple(f"x{i + 1}" for i in range(dim)), box=box))
+    if not charts:
+        raise ConstructionError(f"scenario file {path}: [charts] defines no chart")
     atlas = Atlas(charts)
     default_chart = meta.get("default_chart", charts[0].name)
 

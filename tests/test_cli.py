@@ -292,8 +292,21 @@ to_b = exp(-sin(m)) * r
         ("check", SCENARIO_FILE, "weight = 0", "conformal = maybe", "conformal"),
         ("linearize", ATLAS_FILE, "charts = a, b\n", "", "charts"),
         ("linearize", ATLAS_FILE, "interval = 0.6, 1.9", "interval = 0.2", "interval"),
+        ("check", SCENARIO_FILE, "box(-1, 1; -1, 1)", "box(1.5, -1.5; -1.5, 1.5)", "main"),
+        ("check", SCENARIO_FILE, "main = box(-1, 1; -1, 1)\n", "", "[charts]"),
+        ("linearize", ATLAS_FILE, "charts = a, b\n", "charts = a, zz\n", "[overlap mid]"),
+        (
+            "linearize",
+            ATLAS_FILE,
+            "b = interval(0.5, 3)\n",
+            "b = interval(0.5, 3)\nc = interval(1, 4)\n[triple abc]\ncharts = a, b, c\ninterval = 1, 1.5\n",
+            "[triple abc]",
+        ),
     ],
-    ids=["dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval"],
+    ids=[
+        "dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval",
+        "reversed_box", "empty_charts", "overlap_unknown_chart", "triple_without_transitions",
+    ],
 )
 def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):
     assert old in text

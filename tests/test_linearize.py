@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carrollgeo.cli import main
 from carrollgeo.errors import ConstructionError, NumericError
 from carrollgeo.linearize import (
     OverlapRecord,
@@ -241,3 +244,131 @@ def test_atlas_file_requires_transitions(tmp_path):
     path.write_text("[charts]\na = interval(0, 1)\n")
     with pytest.raises(ConstructionError):
         load_atlas_file(path)
+
+
+def test_atlas_file_triple_before_its_overlaps(tmp_path):
+    # a [triple] may precede the [overlap] sections that define its transitions
+    path = tmp_path / "three.ini"
+    path.write_text(
+        "[charts]\na = interval(-3, 3)\nb = interval(-3, 3)\nc = interval(-3, 3)\n"
+        "[triple abc]\ncharts = a, b, c\ninterval = 0.1, 0.4\n"
+        "[overlap ab]\ncharts = a, b\ninterval = 0, 1\nto_a = 2 * r\nto_b = r / 2\n"
+        "[overlap bc]\ncharts = b, c\ninterval = 0, 1\nto_b = 3 * r\nto_c = r / 3\n"
+        "[overlap ac]\ncharts = a, c\ninterval = 0, 1\nto_a = 6 * r\nto_c = r / 6\n"
+    )
+    cocycle = linearize(shift_transitions(load_atlas_file(path)))
+    assert cocycle.triple_residual < 1e-8
+
+
+# -- the shifted map against the per-call nearest-sample reference ------------------
+
+EXAMPLE_ATLAS = Path(__file__).resolve().parents[1] / "docs" / "examples" / "atlas_twochart.ini"
+
+
+def _reference_shift(atlas: TransitionAtlas) -> TransitionAtlas:
+    """The shift as first written: nearest sample by argmin and both section
+    terms recomputed on every call."""
+
+    def make_shifted(i, j):
+        psi = atlas.transition(i, j)
+        s_i, s_j = atlas.sections[i], atlas.sections[j]
+        pairs = [(rec.points(j), rec.points(i)) for rec in atlas.overlaps if set(rec.charts) == {i, j}]
+
+        def to_i(m_j):
+            best = m_j
+            gap = float("inf")
+            for mj, mi in pairs:
+                k = int(np.argmin(np.abs(mj - m_j)))
+                if abs(mj[k] - m_j) < gap:
+                    gap = abs(mj[k] - m_j)
+                    best = m_j + (mi[k] - mj[k])
+            return best
+
+        return lambda m, r: psi(m, r + s_j(m)) - s_i(to_i(m))
+
+    zero = lambda m: 0.0
+    return replace(atlas, psi={key: make_shifted(*key) for key in atlas.psi}, sections={c: zero for c in atlas.charts})
+
+
+def _dyadic_atlas() -> TransitionAtlas:
+    """Chart a's coordinate is twice chart b's, so the i - j offset differs
+    from sample to sample. Samples are dyadic, so a midpoint between two of
+    them is an exact tie; b = 0.5 appears twice, and a third record holds it
+    once more, each time with an a-side partner a few ulps apart (inside the
+    section tolerance) so that picking the wrong one changes the bits."""
+    mb = np.array([0.25, 0.5, 0.5, 0.75, 1.0])
+    ma = np.array([0.5, 1.0, 1.0 + 2.0**-40, 1.5, 2.0])
+    identity = lambda m, r: r
+    return TransitionAtlas(
+        charts=["a", "b"],
+        psi={("a", "b"): identity, ("b", "a"): identity},
+        sections={"a": lambda m: 0.5 * m, "b": lambda m: m},
+        overlaps=[
+            OverlapRecord(charts=("a", "b"), samples={"a": ma, "b": mb}),
+            OverlapRecord(charts=("b", "a"), samples={"a": ma, "b": mb}),
+            OverlapRecord(charts=("a", "b"), samples={"a": np.array([1.0 + 2.0**-39, 1.25]), "b": np.array([0.5, 0.625])}),
+        ],
+    )
+
+
+def _atlases():
+    for n in (32, 256):
+        yield f"moebius-{n}", moebius_transition_atlas(n)
+        yield f"synthetic-{n}", synthetic_circle_atlas(n)
+        yield f"file-{n}", load_atlas_file(EXAMPLE_ATLAS, n)
+    yield "dyadic", _dyadic_atlas()
+
+
+def _off_sample_points(atlas: TransitionAtlas, i: str, j: str) -> list[float]:
+    points = []
+    for rec in atlas.overlaps:
+        if set(rec.charts) == {i, j}:
+            mj = np.sort(rec.points(j))
+            points += (0.5 * (mj[:-1] + mj[1:])).tolist()  # midpoints: exact ties on dyadic samples
+            points += np.nextafter(mj, np.inf).tolist() + [float(mj[0]) - 0.3, float(mj[-1]) + 0.3]
+    for rec in atlas.triples:
+        points += np.asarray(rec.samples[j], dtype=float).tolist()
+    return points
+
+
+def test_shift_matches_reference_bit_for_bit():
+    for name, atlas in _atlases():
+        fast, slow = shift_transitions(atlas), _reference_shift(atlas)
+        got, want = linearize(fast), linearize(slow)
+        assert len(got.sampled) == len(want.sampled), name
+        for a, b in zip(got.sampled, want.sampled):
+            assert a.charts == b.charts and np.array_equal(a.m, b.m), name
+            assert np.array_equal(a.c, b.c), (name, a.charts)
+        assert got.pair_residual == want.pair_residual, name
+        assert got.triple_residual == want.triple_residual, name
+        for key in atlas.psi:
+            samples = [float(m) for rec in atlas.overlaps if set(rec.charts) == set(key) for m in rec.points(key[1])]
+            points = _off_sample_points(atlas, *key)
+            # each point twice in a row, then revisited after another point
+            for m in points + samples[:8] + points[::-1] + [0.0, -0.0, 0.0]:
+                for r in (0.0, 0.3, -1e-6):
+                    assert fast.psi[key](m, r) == slow.psi[key](m, r), (name, key, m, r)
+
+
+def _reference_csv(atlas: TransitionAtlas) -> bytes:
+    cocycle = linearize(_reference_shift(atlas))
+    lines = ["to, src, m, c"]
+    for sample in cocycle.sampled:
+        i, j = sample.charts
+        lines += [f"{i}, {j}, {float(m)!r}, {float(c)!r}" for m, c in zip(sample.m, sample.c)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "argument, build",
+    [
+        ("moebius", moebius_transition_atlas),
+        ("synthetic", synthetic_circle_atlas),
+        (str(EXAMPLE_ATLAS), lambda: load_atlas_file(EXAMPLE_ATLAS)),
+    ],
+    ids=["moebius", "synthetic", "atlas_file"],
+)
+def test_cli_linearize_csv_matches_reference(argument, build, tmp_path, capsys):
+    out = tmp_path / "cocycle.csv"
+    assert main(["linearize", argument, "--out", str(out)]) == 0
+    assert out.read_bytes() == _reference_csv(build())
