@@ -62,8 +62,7 @@ def _load_scenario(args) -> scen.Scenario:
     name = getattr(args, "scenario_pos", None) or args.scenario
     if name is None:
         raise ContractViolation("a scenario name or file is required (positional or --scenario)")
-    rng = np.random.default_rng(args.seed)
-    return scen.load(name, rng=rng, **_parse_params(args.param))
+    return scen.load(name, **_parse_params(args.param))
 
 
 def _add_common(sub: argparse.ArgumentParser, scenario_positional: bool = True) -> None:
@@ -293,7 +292,7 @@ def cmd_scenarios(args) -> int:
     if args.action != "list":
         raise ContractViolation("supported action: list")
     for name in scen.catalog_names():
-        built = scen.load(name, verify=False)
+        built = scen.load(name)
         print(f"{name:16s} {built.description}")
     return 0
 

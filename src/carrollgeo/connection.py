@@ -99,16 +99,16 @@ def projector_idempotence_check(
     omega: ConnectionOneForm,
     points: Sequence[Point],
     rng: np.random.Generator,
-    vectors_per_point: int = 4,
 ) -> float:
-    """Max over random tangent vectors of the idempotence and splitting defects.
+    """Max over four random tangent vectors per point of the idempotence and
+    splitting defects.
 
     Checks Phi(Phi(X)) = Phi(X), that the image is vertical, and that the
     horizontal part lies in ker(omega).
     """
     worst = 0.0
     for p in points:
-        for _ in range(vectors_per_point):
+        for _ in range(4):
             X = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
             phi_x = projector(omega, X)
             phi_phi_x = projector(omega, phi_x)
@@ -124,12 +124,12 @@ def orthogonality_check(
     omega: ConnectionOneForm,
     points: Sequence[Point],
     rng: np.random.Generator,
-    vectors_per_point: int = 4,
 ) -> float:
-    """Max |g(horizontal, vertical)| over random pairs; zero by the kernel structure."""
+    """Max |g(horizontal, vertical)| over four random pairs per point; zero by
+    the kernel structure."""
     worst = 0.0
     for p in points:
-        for _ in range(vectors_per_point):
+        for _ in range(4):
             X = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
             Y = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
             xh, _ = split(omega, X)
@@ -170,12 +170,13 @@ class PartitionOfUnity:
     def value(self, chart: str, x: np.ndarray) -> float:
         return float(self.bumps[chart](np.asarray(x, dtype=float)))
 
-    def check_sum(self, atlas: Atlas, rng: np.random.Generator, samples_per_chart: int = 16, tol: float = 1e-12) -> float:
-        """Max |sum_i rho_i - 1| over sampled points, evaluating foreign bumps
-        through the atlas transitions."""
+    def check_sum(self, atlas: Atlas, rng: np.random.Generator) -> float:
+        """Max |sum_i rho_i - 1| over 16 sampled points per chart, evaluating
+        foreign bumps through the atlas transitions; above 1e-12 it raises."""
+        tol = 1e-12
         worst = 0.0
         for name, chart in atlas.charts.items():
-            for x in chart.sample(rng, samples_per_chart):
+            for x in chart.sample(rng, 16):
                 total = self.value(name, x)
                 if total < -tol:
                     raise ConstructionError("partition bump is negative")
@@ -229,10 +230,9 @@ def overlap_gauge_residual(
     atlas: Atlas,
     omega: ConnectionOneForm,
     rng: np.random.Generator,
-    samples_per_overlap: int = 8,
-    vectors_per_point: int = 3,
 ) -> float:
-    """Max |omega_i(v_i) - omega_j(v_j)| over overlap samples.
+    """Max |omega_i(v_i) - omega_j(v_j)| over three random tangent vectors at
+    each of eight samples per overlap.
 
     Evaluates the connection on the same geometric tangent vector expressed
     in both charts of every transition; agreement is the coordinate-free
@@ -240,9 +240,9 @@ def overlap_gauge_residual(
     """
     worst = 0.0
     for tr in atlas.transitions:
-        for x in tr.sample(rng, samples_per_overlap):
+        for x in tr.sample(rng, 8):
             p = Point(x, float(rng.uniform(0.5, 2.0)), tr.src)
-            for _ in range(vectors_per_point):
+            for _ in range(3):
                 v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
                 v_other = tr.map_tangent(v)
                 worst = max(worst, abs(omega(v) - omega(v_other)))

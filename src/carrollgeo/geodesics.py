@@ -69,17 +69,21 @@ class GeodesicState:
         return np.concatenate([self.x, [self.t], self.vx, [self.vt]])
 
 
+# adaptive stepping: first step, underflow floor, step budget
+INITIAL_STEP = 1e-3
+MIN_STEP = 1e-14
+MAX_STEPS = 500_000
+# the full flow stops once |t| falls below this fraction of its initial value
+T_GUARD_FACTOR = 1e-6
+
+
 @dataclass
 class IntegratorConfig:
     method: str = "rk45"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    initial_step: float = 1e-3
     max_step: float = 0.1
-    min_step: float = 1e-14
     lambda_max: float = 10.0
-    t_guard_factor: float = 1e-6
-    max_steps: int = 500_000
     christoffel: str = "numeric"  # or "closed"
     rk4_step: float = 0.01
 
@@ -368,8 +372,8 @@ def _drive(
 
     lam, y = 0.0, y0
     params, states, events = [lam], [y], []
-    h = min(cfg.initial_step, cfg.max_step, span) if adaptive else cfg.rk4_step
-    for _ in range(cfg.max_steps if adaptive else int(round(span / h))):
+    h = min(INITIAL_STEP, cfg.max_step, span) if adaptive else cfg.rk4_step
+    for _ in range(MAX_STEPS if adaptive else int(round(span / h))):
         if adaptive:
             if lam >= span:
                 break
@@ -393,7 +397,7 @@ def _drive(
         if adaptive:
             factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
             h = min(h * min(5.0, max(0.2, factor)), cfg.max_step)
-            if h < cfg.min_step:
+            if h < MIN_STEP:
                 events.append({"kind": "step_underflow", "lambda": lam})
                 break
     else:
@@ -430,7 +434,7 @@ def integrate(
     kk = scenario.kk(-1, scenario.connection(gauge))
     chart_obj = _initial_chart(scenario, chart, state0.x)
     n = state0.dim
-    t_guard = cfg.t_guard_factor * abs(state0.t)
+    t_guard = T_GUARD_FACTOR * abs(state0.t)
 
     def guard(y: np.ndarray) -> str | None:
         if abs(y[n]) < t_guard:

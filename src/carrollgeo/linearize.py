@@ -4,8 +4,7 @@ Given trivializations with (possibly nonlinear) transition maps
 ``psi_ij(m, r_j) -> r_i`` and a global section, shifting each trivialization
 by the section makes every transition fix the fiber origin; the first-order
 fiber derivative at the origin is then a line-bundle cocycle. Derivatives
-are extracted numerically (central difference with one Richardson pass);
-closed forms can be registered per overlap for tests.
+are extracted numerically (central difference with one Richardson pass).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class TransitionAtlas:
     sections: dict[str, Section]
     overlaps: list[OverlapRecord]
     triples: list[TripleRecord] = field(default_factory=list)
-    derivative_forms: dict[tuple[str, str], Callable[[float], float]] = field(default_factory=dict)
 
     def transition(self, i: str, j: str) -> Transition:
         try:
@@ -64,7 +62,7 @@ class TransitionAtlas:
             raise ConstructionError(f"atlas has no transition {i} <- {j}") from None
 
 
-def section_consistency(atlas: TransitionAtlas, tol: float = 1e-10) -> tuple[float, tuple | None]:
+def section_consistency(atlas: TransitionAtlas) -> tuple[float, tuple | None]:
     """Worst |s_i(m) - psi_ij(m, s_j(m))| over all overlap samples.
 
     Returns (worst, offender) where offender is (i, j, m) or None.
@@ -89,7 +87,7 @@ def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionA
     psi~_ij(m, r) = psi_ij(m, r + s_j(m)) - s_i(m), evaluated with the base
     point expressed in each chart's own coordinates where needed.
     """
-    worst, offender = section_consistency(atlas, tol)
+    worst, offender = section_consistency(atlas)
     if worst > tol:
         i, j, m = offender
         raise ConstructionError(
@@ -183,13 +181,9 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     Raises NumericError when a coefficient is numerically zero (the
     transition fails to be a fiber diffeomorphism at the section).
     """
-    coeffs: dict[tuple[str, str], Callable[[float], float]] = {}
-    for key, psi in shifted.psi.items():
-        form = shifted.derivative_forms.get(key)
-        if form is not None:
-            coeffs[key] = form
-        else:
-            coeffs[key] = functools.partial(_fiber_derivative, psi)
+    coeffs: dict[tuple[str, str], Callable[[float], float]] = {
+        key: functools.partial(_fiber_derivative, psi) for key, psi in shifted.psi.items()
+    }
 
     sampled: list[CocycleSample] = []
     pair_res = 0.0
@@ -360,10 +354,12 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
 
 
 def _chart_names(sec: configparser.SectionProxy, count: int, charts: list[str]) -> list[str]:
-    """The ``charts`` entry of an [overlap] or [triple]: ``count`` names from [charts]."""
+    """The ``charts`` entry of an [overlap] or [triple]: ``count`` distinct names from [charts]."""
     names = ini_value(sec, "charts", lambda text: [s.strip() for s in text.split(",")])
     if len(names) != count:
         raise ConstructionError(f"[{sec.name}] charts must list {count} names")
+    if len(set(names)) != count:
+        raise ConstructionError(f"[{sec.name}] charts must name {count} distinct charts, got {', '.join(names)}")
     for name in names:
         if name not in charts:
             raise ConstructionError(f"[{sec.name}] names chart {name!r}, which [charts] does not define")

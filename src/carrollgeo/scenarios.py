@@ -2,8 +2,8 @@
 
 A scenario bundles an atlas, a degenerate metric, a default gauge field,
 registered closed-form data (base Christoffel symbols, fiber derivative of
-the metric block) and the properties it is expected to satisfy. Declared
-expectations are re-verified at load time, never trusted.
+the metric block) and the properties it is expected to satisfy. Loading only
+builds the scenario; the check suites verify the declared expectations.
 
 Catalog: flat(n), lightcone, sphere_pullback, moebius, schwarzschild(GM),
 thakurta(GM, U). Sphere scenarios carry an angular chart (kept inside a
@@ -32,7 +32,6 @@ from .geometry import (
     ChartTransition,
     DegenerateMetric,
     Point,
-    euler_weight,
 )
 from .kaluza import KKMetric, build_kk
 
@@ -54,7 +53,6 @@ class Scenario:
     base_symbols: Callable[[np.ndarray, float, str], np.ndarray] | None = None
     metric_t_derivative: Callable[[np.ndarray, float, str], np.ndarray] | None = None
     description: str = ""
-    warnings: list[str] = field(default_factory=list)
 
     def point(self, x, t: float, chart: str | None = None) -> Point:
         return Point(np.asarray(x, dtype=float), t, chart or self.default_chart)
@@ -79,15 +77,15 @@ class Scenario:
         rng: np.random.Generator,
         count: int,
         chart: str | None = None,
-        t_range: tuple[float, float] = (0.5, 2.0),
         include_negative_t: bool = False,
     ) -> list[Point]:
+        """``count`` points of ``chart``, with fiber coordinate |t| drawn from [0.5, 2)."""
         if count < 0:
             raise ContractViolation(f"sample count must be >= 0, got {count}")
         name = chart or self.default_chart
         c = self.atlas.chart(name)
         xs = c.sample(rng, count)
-        ts = rng.uniform(t_range[0], t_range[1], size=count)
+        ts = rng.uniform(0.5, 2.0, size=count)
         if include_negative_t:
             ts *= rng.choice([-1.0, 1.0], size=count)
         return [Point(x, float(t), name) for x, t in zip(xs, ts)]
@@ -475,48 +473,6 @@ def catalog_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# load-time verification
-# ---------------------------------------------------------------------------
-
-def verify_scenario(scenario: Scenario, rng: np.random.Generator, samples: int = 12) -> list[str]:
-    """Re-check declared properties on random samples; returns warning strings."""
-    warnings: list[str] = []
-    for chart_name in scenario.atlas.chart_names():
-        points = scenario.sample_points(rng, samples, chart=chart_name)
-        for p in points:
-            gm = scenario.metric.at(p.x, p.t, p.chart)
-            asym = float(np.max(np.abs(gm - gm.T), initial=0.0))
-            if asym > 1e-12:
-                warnings.append(f"{chart_name}: base block asymmetry {asym:.3e}")
-                break
-        for p in points:
-            det = float(np.linalg.det(scenario.metric.at(p.x, p.t, p.chart)))
-            if abs(det) <= 1e-12:
-                warnings.append(f"{chart_name}: base block nearly singular (det {det:.3e})")
-                break
-
-    points = scenario.sample_points(rng, samples)
-    factors = []
-    for p in points:
-        report = euler_weight(scenario.metric, p)
-        factors.append(report.factor)
-        if not report.proportional:
-            warnings.append(f"Euler derivative not proportional to the metric (residual {report.residual:.3e})")
-            break
-    expects = scenario.expects
-    if not warnings and expects.get("euler_killing"):
-        worst = max(abs(f) for f in factors)
-        if worst > 1e-8:
-            warnings.append(f"declared Euler-Killing but weight factor reaches {worst:.3e}")
-    if not warnings and "weight" in expects and expects["weight"] is not None:
-        target = float(expects["weight"])
-        worst = max(abs(f - target) for f in factors)
-        if worst > 1e-6:
-            warnings.append(f"declared weight {target} but factors deviate by {worst:.3e}")
-    return warnings
-
-
-# ---------------------------------------------------------------------------
 # grid-sampled fields (CSV, multilinear interpolation)
 # ---------------------------------------------------------------------------
 
@@ -692,6 +648,10 @@ def load_scenario_file(path: str | Path) -> Scenario:
         for key, convert in (("euler_killing", parse_bool), ("weight", float), ("conformal", parse_bool)):
             if key in section:
                 expects[key] = ini_value(section, key, convert)
+        if expects.get("euler_killing") and expects.get("weight", 0.0) != 0.0:
+            raise ConstructionError(
+                f"[expects] euler_killing = true means weight 0, got weight = {expects['weight']:g}"
+            )
 
     return Scenario(
         name=name,
@@ -706,27 +666,18 @@ def load_scenario_file(path: str | Path) -> Scenario:
     )
 
 
-def load(
-    name_or_path: str,
-    rng: np.random.Generator | None = None,
-    verify: bool = True,
-    **params,
-) -> Scenario:
+def load(name_or_path: str, **params) -> Scenario:
     """Load a catalog scenario by name, or a scenario file by path.
 
-    The load-time verification pass runs unless disabled; failures are
-    recorded as warnings on the returned scenario rather than raised.
+    Loading only builds the scenario: its declared expectations are checked
+    by the suites (``suites.run_all``), not here.
     """
     key = name_or_path.strip()
     if key in _CATALOG:
-        scenario = _CATALOG[key](params)
-    else:
-        p = Path(key)
-        if not p.exists():
-            raise ContractViolation(
-                f"unknown scenario {name_or_path!r}; catalog: {', '.join(catalog_names())}"
-            )
-        scenario = load_scenario_file(p)
-    if verify:
-        scenario.warnings = verify_scenario(scenario, rng or np.random.default_rng(0))
-    return scenario
+        return _CATALOG[key](params)
+    p = Path(key)
+    if not p.exists():
+        raise ContractViolation(
+            f"unknown scenario {name_or_path!r}; catalog: {', '.join(catalog_names())}"
+        )
+    return load_scenario_file(p)

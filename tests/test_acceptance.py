@@ -62,7 +62,7 @@ def _orbit_keeps_pole_distance(x0, v0, min_axis_tilt=0.35):
 
 
 def test_criterion_01_equatorial_orbit():
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     state = shoot_null(NullShootSpec(x0=[math.pi / 2, 0.0], u=[0.0, 1.0], q=1.0, t0=1.0), s)
     started = time.perf_counter()
     traj = integrate(state, s, IntegratorConfig(lambda_max=5.0))
@@ -75,8 +75,8 @@ def test_criterion_01_equatorial_orbit():
 
 def test_criterion_02_trivial_connection_temporal_law():
     rng = np.random.default_rng(2024)
-    flat = cg.load("flat", n=2, verify=False)
-    sphere = cg.load("sphere_pullback", verify=False)
+    flat = cg.load("flat", n=2)
+    sphere = cg.load("sphere_pullback")
     worst = 0.0
     runs = 0
     while runs < 10:  # flat scenarios, default (finite-difference) symbols
@@ -106,23 +106,23 @@ def test_criterion_03_conservation_suite():
     worst_q = 0.0
     worst_null = 0.0
 
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     runs = [
         (s, shoot_null(NullShootSpec(x0=[math.pi / 2, 0.0], u=[0.0, 1.0], q=1.0, t0=1.0), s), None, None),
     ]
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], 0.0])})
     runs.append(
         (flat, shoot_null(NullShootSpec(x0=[0.1, 0.2], u=[1.0, 0.0], q=0.8, t0=1.0), flat, gauge=gauge), gauge, None)
     )
-    sphere = cg.load("sphere_pullback", verify=False)
+    sphere = cg.load("sphere_pullback")
     x0 = np.array([0.9, 0.0])
     u = unit_direction(sphere, x0, [0.0, 1.0], 1.0, "stereo_n")
     assert _orbit_keeps_pole_distance(x0, u)
     runs.append(
         (sphere, shoot_null(NullShootSpec(x0=x0, u=u, q=0.6, t0=1.0, chart="stereo_n"), sphere), None, "stereo_n")
     )
-    moebius = cg.load("moebius", verify=False)
+    moebius = cg.load("moebius")
     runs.append(
         (moebius, shoot_null(NullShootSpec(x0=[0.0], u=[1.0], q=0.5, t0=1.0, chart="east"), moebius), None, "east")
     )
@@ -140,16 +140,16 @@ def test_criterion_04_christoffel_oracle_equivalence():
     rng = np.random.default_rng(4)
     worst = 0.0
     for name in ("flat", "lightcone", "schwarzschild", "thakurta"):
-        s = cg.load(name, verify=False)
+        s = cg.load(name)
         kk = s.kk(+1)
         for p in s.sample_points(rng, 100, include_negative_t=True):
             delta = christoffel_closed(kk, p) - christoffel_numeric(kk, p)
             worst = max(worst, float(np.max(np.abs(delta))))
     # published example tables
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     g = christoffel_numeric(s.kk(+1), s.point([math.pi / 2, 0.3], 1.0))
     table_ok = abs(g[2, 2, 2] + 1.0) < 1e-6
-    th = cg.load("thakurta", GM=0.5, U="t", verify=False)
+    th = cg.load("thakurta", GM=0.5, U="t")
     t = 1.3
     p = th.point([1.1, 0.2], t)
     gt = christoffel_numeric(th.kk(+1), p)
@@ -167,7 +167,7 @@ def test_criterion_05_degeneracy_kernel_suite():
     worst_det = 0.0
     signature_ok = True
     for name in CATALOG:
-        s = cg.load(name, verify=False)
+        s = cg.load(name)
         kk_plus = s.kk(+1)
         kk_minus = s.kk(-1)
         for p in s.sample_points(rng, 10, include_negative_t=True):
@@ -187,7 +187,7 @@ def test_criterion_05_degeneracy_kernel_suite():
 
 def test_criterion_06_killing_suite():
     rng = np.random.default_rng(6)
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     points = s.sample_points(rng, 6)
     worst_euler = max(
         float(np.max(np.abs(lie_derivative_metric(VectorField(lambda p: euler(p)), s.metric, p))))
@@ -205,9 +205,9 @@ def test_criterion_06_killing_suite():
             worst_scaled,
             max(float(np.max(np.abs(lie_derivative_metric(X, s.metric, p)))) for p in points),
         )
-    lc = cg.load("lightcone", verify=False)
+    lc = cg.load("lightcone")
     weight = euler_weight(lc.metric, lc.point([1.0, 0.3], 1.7))
-    th = cg.load("thakurta", GM=0.5, U="t", verify=False)
+    th = cg.load("thakurta", GM=0.5, U="t")
     t = 1.4
     conf = euler_weight(th.metric, th.point([1.2, 0.4], t))
     ok = (
@@ -226,7 +226,7 @@ def test_criterion_06_killing_suite():
 
 
 def test_criterion_07_non_metricity_witness():
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], 0.0])})
     kk = flat.kk(+1, flat.connection(gauge))
     p = flat.point([0.4, 0.7], 1.2)
@@ -266,7 +266,7 @@ def test_criterion_08_linearization():
 
 
 def test_criterion_09_reduced_flow():
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     field = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])
     circle = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, curvature_fn=field, u_max=2.0 * math.pi)
     radii = np.linalg.norm(circle.x - np.array([0.0, -1.0]), axis=1)
@@ -276,7 +276,7 @@ def test_criterion_09_reduced_flow():
     line = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, u_max=3.0)
     line_err = float(np.max(np.abs(line.x[:, 1])))
 
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     monopole = lambda x: np.array([[0.0, math.sin(x[0])], [-math.sin(x[0]), 0.0]])
     v0 = unit_direction(s, [math.pi / 2, 0.0], [0.0, 1.0], 1.0)
     pushed = integrate_small_gauge([math.pi / 2, 0.0], v0, s, +1, curvature_fn=monopole, u_max=math.pi / 2)
@@ -295,7 +295,7 @@ def test_criterion_09_reduced_flow():
 def test_criterion_10_frozen_states():
     worst = 0.0
     for name in CATALOG:
-        s = cg.load(name, verify=False)
+        s = cg.load(name)
         charts = [s.default_chart]
         gauges = [None]
         if s.dim == 2:
@@ -317,7 +317,7 @@ def test_criterion_10_frozen_states():
 
 
 def test_criterion_11_integrator_order():
-    s = cg.load("schwarzschild", GM=0.5, verify=False)
+    s = cg.load("schwarzschild", GM=0.5)
     state = shoot_null(NullShootSpec(x0=[math.pi / 2, 0.0], u=[0.0, 1.0], q=1.0, t0=1.0), s)
     errs = []
     for h in (0.05, 0.025):

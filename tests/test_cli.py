@@ -302,10 +302,19 @@ to_b = exp(-sin(m)) * r
             "b = interval(0.5, 3)\nc = interval(1, 4)\n[triple abc]\ncharts = a, b, c\ninterval = 1, 1.5\n",
             "[triple abc]",
         ),
+        (
+            "linearize",
+            ATLAS_FILE,
+            "b = interval(0.5, 3)\n[overlap mid]\ncharts = a, b\n",
+            "[overlap mid]\ncharts = a, a\n",
+            "[overlap mid]",
+        ),
+        ("check", SCENARIO_FILE, "weight = 0", "euler_killing = true\nweight = 2", "[expects]"),
     ],
     ids=[
         "dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval",
         "reversed_box", "empty_charts", "overlap_unknown_chart", "triple_without_transitions",
+        "overlap_repeated_chart", "killing_with_nonzero_weight",
     ],
 )
 def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):
@@ -319,3 +328,15 @@ def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle,
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_field_failing_inside_a_chart_box_fails_check_not_load(tmp_path, capsys):
+    """sqrt(x1) cannot be evaluated on the half x1 < 0 of the chart box: the
+    suites that sample there report the error and the run continues."""
+    path = tmp_path / "sqrt.ini"
+    path.write_text(SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(sqrt(x1), 0; 0, 1)"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  kernel_suite" in out and "cannot evaluate expression" in out
+    argv = ["null-shoot", str(path), "--point", "0.5, 0", "--dir", "0, 1", "--q", "1", "--lambda-max", "0.1"]
+    assert main(argv) == 0

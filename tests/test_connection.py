@@ -68,7 +68,7 @@ def test_split_constant_gauge(flat2):
 @given(a=finite, b=finite, c=finite)
 @settings(max_examples=40, deadline=None)
 def test_split_reassembles_exactly(a, b, c):
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     p = flat.point([0.1, -0.2], 1.5)
     omega = ConnectionOneForm(_gauge(lambda x: np.array([math.sin(x[0]), x[1]])))
     X = TangentVector(np.array([a, b]), c, p)

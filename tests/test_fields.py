@@ -3,6 +3,7 @@ read only through ``DegenerateMetric.at`` and ``GaugeField.at``, which reject
 an unknown chart or a result of the wrong shape."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,21 @@ def test_finite_difference_steps_are_not_parameters():
     assert offenders == []
 
 
+def test_declared_expectations_are_read_only_by_the_suites():
+    """``suites`` is the one reader of ``Scenario.expects``, and ``load`` has
+    no verification knobs: loading only builds a scenario."""
+    readers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "expects"
+    }
+    assert readers == {"suites.py"}
+    assert not {"verify", "rng"} & set(inspect.signature(cg.load).parameters)
+
+
 def _flat2_with(metric=None, gauge=None):
-    s = cg.load("flat", n=2, verify=False)
+    s = cg.load("flat", n=2)
     s.metric = metric or s.metric
     s.gauge = gauge or s.gauge
     return s

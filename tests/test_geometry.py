@@ -88,7 +88,7 @@ def test_metric_eval_dimension_mismatch(flat2):
 @given(a=finite, b=finite, c=finite)
 @settings(max_examples=40, deadline=None)
 def test_metric_eval_bilinear_symmetric(a, b, c):
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     p = flat.point([0.1, 0.2], 1.0)
     v = TangentVector(np.array([a, b]), c, p)
     w = TangentVector(np.array([b, -a]), a, p)

@@ -43,7 +43,7 @@ def test_build_schwarzschild_adapted_block(schwarzschild):
 
 
 def test_build_1d_constant_gauge_lorentzian():
-    flat1 = cg.load("flat", n=1, verify=False)
+    flat1 = cg.load("flat", n=1)
     a = 0.6
     kk = flat1.kk(-1, flat1.connection(GaugeField(components={"cartesian": lambda x: np.array([a])})))
     p = flat1.point([0.0], 1.0)
@@ -62,7 +62,7 @@ def test_euler_norm_is_sign(schwarzschild, sign):
 @pytest.mark.parametrize("name", ALL_TRIVIAL)
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_determinant_identity(name, sign, rng):
-    s = cg.load(name, verify=False)
+    s = cg.load(name)
     kk = s.kk(sign)
     for p in s.sample_points(rng, 6, include_negative_t=True):
         assert kk.det_identity_residual(p) < 1e-8
@@ -70,7 +70,7 @@ def test_determinant_identity(name, sign, rng):
 
 @pytest.mark.parametrize("name", ALL_TRIVIAL)
 def test_lorentzian_signature(name, rng):
-    s = cg.load(name, verify=False)
+    s = cg.load(name)
     kk = s.kk(-1)
     for p in s.sample_points(rng, 6):
         assert kk.signature(p) == (s.dim, 1)
@@ -114,7 +114,7 @@ def test_thakurta_symbol_table(thakurta):
 @pytest.mark.parametrize("name", ALL_TRIVIAL)
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_closed_form_matches_oracle(name, sign, rng):
-    s = cg.load(name, verify=False)
+    s = cg.load(name)
     kk = s.kk(sign)
     for p in s.sample_points(rng, 8):
         delta = christoffel_closed(kk, p) - christoffel_numeric(kk, p)
@@ -157,7 +157,7 @@ def test_flat_trivial_connection_fully_compatible(flat2):
 
 @pytest.mark.parametrize("name", ALL_TRIVIAL)
 def test_levi_civita_self_compatibility(name, rng):
-    s = cg.load(name, verify=False)
+    s = cg.load(name)
     kk = s.kk(-1)
     for p in s.sample_points(rng, 3):
         gamma = christoffel_numeric(kk, p)

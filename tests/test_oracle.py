@@ -36,14 +36,14 @@ def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None):
 
 
 def _gauged_flat2():
-    flat = cg.load("flat", n=2, verify=False)
+    flat = cg.load("flat", n=2)
     gauge = GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
     return flat, gauge
 
 
 def _cases():
     for name in CATALOG:
-        scenario = cg.load(name, verify=False)
+        scenario = cg.load(name)
         for chart in scenario.atlas.charts:
             yield pytest.param(scenario, None, chart, id=f"{name}-{chart}")
     flat, gauge = _gauged_flat2()
@@ -121,7 +121,7 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     if use_gauge:
         scenario, gauge = _gauged_flat2()
     else:
-        scenario = cg.load(name, verify=False)
+        scenario = cg.load(name)
         gauge = scenario.gauge
     calls = {"block": 0, "gauge": 0}
 

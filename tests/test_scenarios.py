@@ -12,9 +12,8 @@ from carrollgeo.scenarios import (
     load_gauge_grid,
     load_metric_grid,
     load_scenario_file,
-    verify_scenario,
 )
-from carrollgeo.suites import run_all
+from carrollgeo.suites import killing_suite, run_all
 
 
 def test_catalog_names():
@@ -24,9 +23,9 @@ def test_catalog_names():
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_catalog_loads_clean(name):
-    scenario = load(name)
-    assert scenario.warnings == []
+def test_catalog_loads_clean(name, rng):
+    failed = [r.name for r in run_all(load(name), rng) if not r.passed]
+    assert failed == []
 
 
 def test_unknown_scenario_raises():
@@ -35,7 +34,7 @@ def test_unknown_scenario_raises():
 
 
 def test_schwarzschild_parameters():
-    s = load("schwarzschild", GM=0.5, verify=False)
+    s = load("schwarzschild", GM=0.5)
     p = s.point([math.pi / 2, 0.0], 1.0)
     gm = s.metric.at(p.x, p.t, p.chart)
     assert gm[1, 1] == pytest.approx(1.0)  # (2 GM)^2 sin^2 at the equator
@@ -43,14 +42,14 @@ def test_schwarzschild_parameters():
 
 
 def test_lightcone_declares_weight_two():
-    s = load("lightcone", verify=False)
+    s = load("lightcone")
     p = s.point([1.0, 0.2], 2.0)
     assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(4.0)
     assert euler_weight(s.metric, p).factor == pytest.approx(2.0, abs=1e-9)
 
 
 def test_thakurta_conformal_profile():
-    s = load("thakurta", GM=0.5, U="t^2", verify=False)
+    s = load("thakurta", GM=0.5, U="t^2")
     # factor is -t * Udot = -2 t^2
     p = s.point([1.1, 0.4], 1.3)
     report = euler_weight(s.metric, p)
@@ -67,7 +66,7 @@ def test_moebius_full_suite(rng):
 
 @pytest.mark.parametrize("name", ["schwarzschild", "sphere_pullback", "lightcone"])
 def test_sphere_chart_overlap_consistency(name, rng):
-    s = load(name, verify=False)
+    s = load(name)
     from carrollgeo.suites import overlap_metric_suite
 
     for result in overlap_metric_suite(s, rng):
@@ -75,14 +74,14 @@ def test_sphere_chart_overlap_consistency(name, rng):
 
 
 def test_sample_points_respect_chart(rng):
-    s = load("schwarzschild", verify=False)
+    s = load("schwarzschild")
     pts = s.sample_points(rng, 8, chart="stereo_n")
     assert all(p.chart == "stereo_n" for p in pts)
     assert all(abs(p.x[0]) <= 1.5 for p in pts)
 
 
 def test_negative_fiber_sampling(rng):
-    s = load("flat", verify=False)
+    s = load("flat")
     pts = s.sample_points(rng, 40, include_negative_t=True)
     assert any(p.t < 0 for p in pts) and any(p.t > 0 for p in pts)
 
@@ -124,9 +123,9 @@ main = matrix(1, x1; 0, 1)
 def test_scenario_file_round_trip(tmp_path, rng):
     path = tmp_path / "demo.ini"
     path.write_text(GOOD_FILE)
-    s = load(str(path), rng=rng)
+    s = load(str(path))
     assert s.name == "demo"
-    assert s.warnings == []
+    assert all(r.passed for r in run_all(s, rng))
     p = s.point([0.5, 0.0], 1.0)
     assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(1.25)
     assert s.gauge.is_zero
@@ -139,7 +138,7 @@ def test_scenario_file_round_trip(tmp_path, rng):
 def test_zero_gauge_is_decided_from_the_compiled_expression(tmp_path, rng, text, is_zero):
     path = tmp_path / "demo.ini"
     path.write_text(GOOD_FILE.replace("vector(0, 0)", text))
-    assert load(str(path), rng=rng).gauge.is_zero is is_zero
+    assert load(str(path)).gauge.is_zero is is_zero
 
 
 def test_demo_file_with_zero_gauge_spelled_0_00_runs_the_christoffel_check(tmp_path):
@@ -148,7 +147,7 @@ def test_demo_file_with_zero_gauge_spelled_0_00_runs_the_christoffel_check(tmp_p
     assert "vector(0, 0)" in demo
     path = tmp_path / "demo.ini"
     path.write_text(demo.replace("vector(0, 0)", "vector(0.00, 0)"))
-    scenario = load(str(path), rng=np.random.default_rng(1))
+    scenario = load(str(path))
     assert scenario.gauge.is_zero
     (check,) = [r for r in run_all(scenario, np.random.default_rng(1)) if r.name == "christoffel_oracle_agreement"]
     assert check.passed and check.value > 0.0
@@ -157,10 +156,9 @@ def test_demo_file_with_zero_gauge_spelled_0_00_runs_the_christoffel_check(tmp_p
 def test_defect_file_is_flagged(tmp_path, rng):
     path = tmp_path / "broken.ini"
     path.write_text(DEFECT_FILE)
-    s = load(str(path), rng=rng)
-    assert any("asymmetry" in w for w in s.warnings)
-    results = run_all(s, rng)
-    assert not all(r.passed for r in results)
+    s = load(str(path))
+    (symmetry,) = [r for r in run_all(s, rng) if r.name == "base_block_symmetry"]
+    assert not symmetry.passed
 
 
 def test_verify_reports_wrong_declaration(tmp_path, rng):
@@ -169,8 +167,9 @@ def test_verify_reports_wrong_declaration(tmp_path, rng):
     path.write_text(text)
     scenario = load_scenario_file(path)
     scenario.metric.time_dependent = True
-    warnings = verify_scenario(scenario, rng)
-    assert warnings  # declared Killing but the block depends on the fiber
+    # declared Killing but the block depends on the fiber
+    (killing,) = [r for r in killing_suite(scenario, rng) if r.name == "euler_killing"]
+    assert not killing.passed
 
 
 # -- grid-sampled fields ------------------------------------------------------------
@@ -217,7 +216,7 @@ def test_grid_scenario_file(tmp_path, rng):
     text = GOOD_FILE.replace("matrix(1 + x1^2, 0; 0, 1)", "grid(block.csv)")
     path = tmp_path / "griddemo.ini"
     path.write_text(text)
-    s = load(str(path), rng=rng)
-    assert s.warnings == []
+    s = load(str(path))
+    assert all(r.passed for r in run_all(s, rng))
     p = s.point([0.4, 0.1], 1.0)
     assert s.metric.at(p.x, p.t, p.chart)[0, 0] == pytest.approx(1.1, abs=1e-12)
