@@ -21,6 +21,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
     TangentVector,
+    _stacked,
     euler,
     metric_eval,
 )
@@ -30,8 +31,8 @@ from .geometry import (
 class GaugeField:
     """Per-chart gauge field x -> A(x), with optional registered curvature forms.
 
-    ``is_zero`` marks a field known to vanish identically; several closed-form
-    shortcuts are only valid in that case.
+    ``is_zero`` marks a field known to vanish identically: ``at`` then never
+    calls the components, and several closed-form shortcuts hold only then.
     """
 
     components: Mapping[str, Callable[[np.ndarray], np.ndarray]]
@@ -49,15 +50,23 @@ class GaugeField:
         )
 
     def at(self, x: np.ndarray, chart: str) -> np.ndarray:
-        """A(x) on ``chart`` as an (n,) float array; the only reader of ``components``."""
+        """A(x) on ``chart`` as an (n,) float array, or (K, n) at a stack x of
+        shape (K, n); the only reader of ``components``, which calls the
+        callable once per point, and never if ``is_zero``: the result is zeros."""
         try:
             fn = self.components[chart]
         except KeyError:
             raise ContractViolation(f"gauge field has no components for chart {chart!r}") from None
         x = np.asarray(x, dtype=float)
-        a = np.atleast_1d(np.asarray(fn(x), dtype=float))
-        if a.shape != (x.size,):
-            raise ContractViolation(f"gauge field has shape {a.shape}, expected {(x.size,)}")
+        if self.is_zero:
+            return np.zeros(x.shape)
+        if x.ndim == 2:
+            a = _stacked([fn(xi) for xi in x], "gauge field")
+            a = a[:, None] if a.ndim == 1 else a  # one scalar per point when n = 1
+        else:
+            a = np.atleast_1d(np.asarray(fn(x), dtype=float))
+        if a.shape != x.shape:
+            raise ContractViolation(f"gauge field has shape {a.shape}, expected {x.shape}")
         return a
 
     def jacobian(self, x: np.ndarray, chart: str) -> np.ndarray:

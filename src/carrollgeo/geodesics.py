@@ -31,7 +31,7 @@ import numpy as np
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import Chart, Point
-from .kaluza import KKMetric, base_symbols_at, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, _inverse, base_symbols_at, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -264,7 +264,7 @@ def printed_spatial_acceleration(
     if scenario.metric.time_dependent:
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
-    gminv = np.linalg.inv(scenario.metric.at(p.x, p.t, chart))
+    gminv = _inverse(scenario.metric.at(p.x, p.t, chart))
     kk = scenario.kk(-1, scenario.connection(gauge))
     base = base_symbols_at(kk, p)
     a = gauge.at(state.x, chart)
@@ -551,7 +551,7 @@ def integrate_small_gauge(
         x, v = y[:n], y[n:]
         p = Point(x, 1.0, chart)
         base = base_symbols_at(kk, p)
-        gminv = np.linalg.inv(scenario.metric.at(x, 1.0, chart))
+        gminv = _inverse(scenario.metric.at(x, 1.0, chart))
         f = np.asarray(curvature_fn(x), dtype=float)
         acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)
         return np.concatenate([v, acc])

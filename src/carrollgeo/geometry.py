@@ -240,6 +240,14 @@ class Atlas:
 # degenerate metric
 # ---------------------------------------------------------------------------
 
+def _stacked(values: list, what: str) -> np.ndarray:
+    """A field's values at the points of a stack as one float array."""
+    try:
+        return np.array(values, dtype=float)
+    except ValueError:
+        raise ContractViolation(f"{what} values at the points of a stack differ in shape") from None
+
+
 @dataclass
 class DegenerateMetric:
     """Velocity-quadratic form with block structure [[g_M(x, t), 0], [0, 0]].
@@ -252,20 +260,26 @@ class DegenerateMetric:
     blocks: Mapping[str, Callable[[np.ndarray, float], np.ndarray]]
     time_dependent: bool = False
 
-    def at(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        """The base block g_M(x, t) on ``chart`` as an (n, n) float array.
-
-        The callable is looked up on every call, so a caller may swap the
-        entries of ``blocks`` after construction.
-        """
+    def at(self, x: np.ndarray, t: float | np.ndarray, chart: str) -> np.ndarray:
+        """The base block g_M(x, t) on ``chart`` as an (n, n) float array, or
+        (K, n, n) at a stack of K points: x of shape (K, n), t of length K.
+        The callable is called once per point and looked up on every call,
+        so a caller may swap the entries of ``blocks`` after construction."""
         try:
             fn = self.blocks[chart]
         except KeyError:
             raise ContractViolation(f"metric has no block for chart {chart!r}") from None
-        g = np.asarray(fn(x, t), dtype=float)
-        n = len(x)
-        if g.shape != (n, n):
-            raise ContractViolation(f"metric block has shape {g.shape}, expected {(n, n)}")
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            t = np.asarray(t, dtype=float)
+            if t.shape != x.shape[:1]:
+                raise ContractViolation(f"{len(x)} base points but fiber values of shape {t.shape}")
+            g = _stacked([fn(xi, ti) for xi, ti in zip(x, t.tolist())], "metric block")
+        else:
+            g = np.asarray(fn(x, t), dtype=float)
+        expected = x.shape + x.shape[-1:]
+        if g.shape != expected:
+            raise ContractViolation(f"metric block has shape {g.shape}, expected {expected}")
         return g
 
     def t_derivative(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:

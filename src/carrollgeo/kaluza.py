@@ -58,12 +58,12 @@ class KKMetric:
 
     def components(self, raw: np.ndarray, chart: str, adapted: bool = False) -> np.ndarray:
         """Raw components (adapted ones: fiber frame vector t * d/dt) at the
-        K raw points (x..., t) of ``raw``, shape (K, n + 1, n + 1). Fields are
-        read point by point through ``metric.at`` and ``gauge.at``; the
+        K raw points (x..., t) of ``raw``, shape (K, n + 1, n + 1). Each field
+        is read with one stacked call to ``metric.at`` and ``gauge.at``; the
         blocks are filled for all points at once."""
-        x, t = raw[:, :-1], raw[:, -1].tolist()
-        gm = np.array([self.metric.at(xi, ti, chart) for xi, ti in zip(x, t)])
-        a = np.array([self.gauge.at(xi, chart) for xi in x])
+        x, t = raw[:, :-1], raw[:, -1]
+        gm = self.metric.at(x, t, chart)
+        a = self.gauge.at(x, chart)
         sa = self.sign * a
         n = x.shape[1]
         out = np.empty((len(t), n + 1, n + 1))
@@ -74,7 +74,7 @@ class KKMetric:
         else:
             out[:, :n, n] = out[:, n, :n] = sa / raw[:, -1:]
             # per point as Python floats: t**2 is libm pow, which an array power is not
-            out[:, n, n] = [self.sign / ti**2 for ti in t]
+            out[:, n, n] = [self.sign / ti**2 for ti in t.tolist()]
         return out
 
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -152,12 +152,16 @@ def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
         + np.transpose(dg, (1, 2, 0))  # [d, b, c] = d_c G_db
         - dg  # [d, b, c] = d_d G_bc
     )
+    gamma = 0.5 * np.einsum("ad,dbc->abc", _inverse(g), lowered)
+    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """The inverse of a metric block; a singular one is a NumericError."""
     try:
-        ginv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"metric is not invertible: {exc}") from None
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
 def base_symbols_at(kk: KKMetric, p: Point) -> np.ndarray:
@@ -195,7 +199,7 @@ def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
     t = p.t
     s = kk.sign
     gm = kk.metric.at(p.x, p.t, p.chart)
-    gminv = np.linalg.inv(gm)
+    gminv = _inverse(gm)
     a = kk.gauge.at(p.x, p.chart)
     base = base_symbols_at(kk, p)
     dgdt = _block_t_derivative(kk, p)

@@ -184,18 +184,20 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     coeffs: dict[tuple[str, str], Callable[[float], float]] = {
         key: functools.partial(_fiber_derivative, psi) for key, psi in shifted.psi.items()
     }
+    # a pair record's partner and the triples revisit (transition, m): evaluate each once per call
+    cached = {key: functools.cache(c) for key, c in coeffs.items()}
 
     sampled: list[CocycleSample] = []
     pair_res = 0.0
     for rec in shifted.overlaps:
         i, j = rec.charts
         mi, mj = rec.points(i), rec.points(j)
-        c_ij = np.array([coeffs[(i, j)](float(m)) for m in mj])
+        c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
         if np.any(np.abs(c_ij) < 1e-10):
             raise NumericError(f"transition {i} <- {j} degenerates at the section")
         sampled.append(CocycleSample(charts=(i, j), m=mj.copy(), c=c_ij))
         if (j, i) in coeffs:
-            c_ji = np.array([coeffs[(j, i)](float(m)) for m in mi])
+            c_ji = np.array([cached[(j, i)](float(m)) for m in mi])
             pair_res = max(pair_res, float(np.max(np.abs(c_ij * c_ji - 1.0))))
 
     triple_res = 0.0
@@ -203,9 +205,9 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
         i, j, k = rec.charts
         mj = np.asarray(rec.samples[j], dtype=float)
         mk = np.asarray(rec.samples[k], dtype=float)
-        c_ij = np.array([coeffs[(i, j)](float(m)) for m in mj])
-        c_jk = np.array([coeffs[(j, k)](float(m)) for m in mk])
-        c_ik = np.array([coeffs[(i, k)](float(m)) for m in mk])
+        c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
+        c_jk = np.array([cached[(j, k)](float(m)) for m in mk])
+        c_ik = np.array([cached[(i, k)](float(m)) for m in mk])
         triple_res = max(triple_res, float(np.max(np.abs(c_ij * c_jk - c_ik))))
 
     return LinearizedCocycle(

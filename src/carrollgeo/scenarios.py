@@ -98,7 +98,7 @@ class Scenario:
 def _angular_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     def gm(x: np.ndarray, t: float) -> np.ndarray:
         theta = x[0]
-        return radius2 * np.array([[1.0, 0.0], [0.0, math.sin(theta) ** 2]])
+        return np.array([[radius2, 0.0], [0.0, radius2 * math.sin(theta) ** 2]])
 
     return gm
 
@@ -116,7 +116,8 @@ def _angular_symbols(x: np.ndarray) -> np.ndarray:
 def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     def gm(x: np.ndarray, t: float) -> np.ndarray:
         rho2 = float(x @ x)
-        return (4.0 * radius2 / (1.0 + rho2) ** 2) * np.eye(2)
+        c = 4.0 * radius2 / (1.0 + rho2) ** 2
+        return np.array([[c, 0.0], [0.0, c]])
 
     return gm
 

@@ -340,3 +340,13 @@ def test_field_failing_inside_a_chart_box_fails_check_not_load(tmp_path, capsys)
     assert "FAIL  kernel_suite" in out and "cannot evaluate expression" in out
     argv = ["null-shoot", str(path), "--point", "0.5, 0", "--dir", "0, 1", "--q", "1", "--lambda-max", "0.1"]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("route", ["closed", "numeric"])
+def test_singular_base_block_is_numeric_failure_on_both_routes(route, tmp_path, capsys):
+    """g_M = diag(x1^2, 1) is singular on x1 = 0: each Christoffel route exits 3."""
+    path = tmp_path / "singular.ini"
+    path.write_text(SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(x1^2, 0; 0, 1)"))
+    argv = ["geodesic", str(path), "--christoffel", route, "--state", "0, 0, 1, 0.5, 0.5, -1", "--lambda-max", "0.1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numeric failure: metric is not invertible: Singular matrix\n"

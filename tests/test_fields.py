@@ -4,12 +4,14 @@ an unknown chart or a result of the wrong shape."""
 
 import ast
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import carrollgeo as cg
+from carrollgeo import scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import GeodesicState, integrate, unit_direction
@@ -105,3 +107,98 @@ def test_wrong_block_shape_fails_unit_direction():
     with pytest.raises(ContractViolation, match="shape"):
         unit_direction(s, [0.1, 0.2], [1.0, 0.0], 1.0)
 
+
+CATALOG = ["flat", "lightcone", "sphere_pullback", "moebius", "schwarzschild", "thakurta"]
+
+
+def _stack_cases():
+    for name in CATALOG:
+        scenario = cg.load(name)
+        for chart in scenario.atlas.charts:
+            yield pytest.param(scenario, chart, id=f"{name}-{chart}")
+    gauged = _flat2_with(gauge=GaugeField({"cartesian": lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])])}))
+    yield pytest.param(gauged, "cartesian", id="flat2-gauge")
+
+
+@pytest.mark.parametrize("scenario, chart", list(_stack_cases()))
+def test_stacked_read_is_the_per_point_callable(scenario, chart):
+    points = scenario.sample_points(np.random.default_rng(4), 13, chart=chart, include_negative_t=True)
+    x = np.array([p.x for p in points])
+    t = np.array([p.t for p in points])
+    block, comp = scenario.metric.blocks[chart], scenario.gauge.components[chart]
+    g, a = scenario.metric.at(x, t, chart), scenario.gauge.at(x, chart)
+    n = scenario.dim
+    assert g.shape == (13, n, n) and a.shape == (13, n)
+    for k, p in enumerate(points):
+        assert g[k].tobytes() == np.asarray(block(p.x, p.t), dtype=float).tobytes()
+        assert g[k].tobytes() == scenario.metric.at(p.x, p.t, chart).tobytes()
+        assert a[k].tobytes() == np.asarray(comp(p.x), dtype=float).tobytes()
+        assert a[k].tobytes() == scenario.gauge.at(p.x, chart).tobytes()
+
+
+def _odd_one_out(good, bad, k=5):
+    """A callable that returns ``bad`` at the k-th call and ``good`` otherwise."""
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return bad if len(calls) == k else good
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "bad_block, bad_gauge",
+    [(np.eye(3), np.zeros(3)), (np.ones(2), np.zeros((2, 2))), (1.0, 1.0)],
+    ids=["too_large", "wrong_rank", "scalar"],
+)
+def test_wrong_shape_at_one_point_of_a_stack_is_a_contract_violation(bad_block, bad_gauge):
+    x, t = np.random.default_rng(2).uniform(-1.0, 1.0, (13, 2)), np.full(13, 1.5)
+    assert DegenerateMetric({"main": _odd_one_out(np.eye(2), bad_block, k=14)}).at(x, t, "main").shape == (13, 2, 2)
+    assert GaugeField({"main": _odd_one_out(np.zeros(2), bad_gauge, k=14)}).at(x, "main").shape == (13, 2)
+    metric = DegenerateMetric({"main": _odd_one_out(np.eye(2), bad_block)})
+    with pytest.raises(ContractViolation, match="shape"):
+        metric.at(x, t, "main")
+    gauge = GaugeField({"main": _odd_one_out(np.zeros(2), bad_gauge)})
+    with pytest.raises(ContractViolation, match="shape"):
+        gauge.at(x, "main")
+
+
+def test_scalar_gauge_on_a_one_dimensional_base_stacks_like_single_points():
+    gauge = GaugeField({"main": lambda x: 0.5 * float(x[0])})
+    x = np.array([[0.2], [-0.4], [1.0]])
+    assert gauge.at(x, "main").tobytes() == np.array([gauge.at(xi, "main") for xi in x]).tobytes()
+
+
+def test_stack_needs_one_fiber_value_per_point():
+    metric = DegenerateMetric({"main": lambda x, t: np.eye(2)})
+    x = np.zeros((13, 2))
+    for t in (np.ones(12), np.ones(14), 1.0, np.ones((13, 1))):
+        with pytest.raises(ContractViolation, match="fiber values"):
+            metric.at(x, t, "main")
+
+
+def test_gauge_known_to_vanish_is_never_called():
+    def never(x):
+        raise AssertionError("a gauge with is_zero was called")
+
+    gauge = GaugeField({"main": never}, is_zero=True)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, (13, 2))
+    assert gauge.at(x[0], "main").tobytes() == np.zeros(2).tobytes()
+    assert gauge.at(x, "main").tobytes() == np.zeros((13, 2)).tobytes()
+    for arg in (x[0], x):
+        with pytest.raises(ContractViolation, match="chart"):
+            gauge.at(arg, "elsewhere")
+
+
+def test_sphere_blocks_equal_the_scaled_constant_matrices():
+    rng = np.random.default_rng(9)
+    for radius2 in (1.0, 0.37, 4.0 * 2.5**2):
+        angular, stereo = scenarios._angular_block(radius2), scenarios._stereo_block(radius2)
+        for theta, phi in rng.uniform((0.02, -3.0), (math.pi - 0.02, 3.0), (200, 2)):
+            x = np.array([theta, phi])
+            old = radius2 * np.array([[1.0, 0.0], [0.0, math.sin(theta) ** 2]])
+            assert angular(x, 1.0).tobytes() == old.tobytes()
+        for x in rng.uniform(-1.5, 1.5, (200, 2)):
+            old = (4.0 * radius2 / (1.0 + float(x @ x)) ** 2) * np.eye(2)
+            assert stereo(x, 1.0).tobytes() == old.tobytes()

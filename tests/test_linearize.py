@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -372,3 +373,18 @@ def test_cli_linearize_csv_matches_reference(argument, build, tmp_path, capsys):
     out = tmp_path / "cocycle.csv"
     assert main(["linearize", argument, "--out", str(out)]) == 0
     assert out.read_bytes() == _reference_csv(build())
+
+
+def test_each_coefficient_is_evaluated_once_per_call(monkeypatch):
+    """A pair record's partner and the triples revisit (transition, m) pairs:
+    on the synthetic atlas at 32 samples there are 480 lookups of 283
+    distinct pairs. Every sampled value still equals a fresh evaluation."""
+    module = sys.modules["carrollgeo.linearize"]
+    original, calls = module._fiber_derivative, []
+    monkeypatch.setattr(module, "_fiber_derivative", lambda psi, m: calls.append((psi, m)) or original(psi, m))
+    shifted = shift_transitions(synthetic_circle_atlas(32))
+    cocycle = linearize(shifted)
+    assert len(calls) == len(set(calls)) == 283
+    for sample in cocycle.sampled:
+        for m, c in zip(sample.m.tolist(), sample.c.tolist()):
+            assert c == original(shifted.psi[sample.charts], m)

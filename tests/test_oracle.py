@@ -117,7 +117,8 @@ def test_one_pass_oracle_is_bit_identical_to_per_axis_reference(scenario, gauge,
 @pytest.mark.parametrize("name, use_gauge", [("schwarzschild", False), ("flat", True)])
 def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     """Counted as the benchmark tracer counts: wrappers around the per-chart
-    callables. At n = 2 the stencil has 4 * 3 + 1 = 13 points."""
+    callables. At n = 2 the stencil has 4 * 3 + 1 = 13 points. Schwarzschild's
+    gauge is known to vanish (``is_zero``), so it is never read."""
     if use_gauge:
         scenario, gauge = _gauged_flat2()
     else:
@@ -137,7 +138,7 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     kk = scenario.kk(-1, scenario.connection(gauge))
     p = scenario.point([0.4, 0.3], 1.3)
     christoffel_numeric(kk, p)
-    assert calls == {"block": 13, "gauge": 13}
+    assert calls == {"block": 13, "gauge": 13 if use_gauge else 0}
 
 
 COMMANDS = {
