@@ -377,7 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except CarrollError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
+    except Exception as exc:  # a defect, but one line rather than a traceback; exit 1 is a failed check
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -197,18 +197,35 @@ class ChartTransition:
             raise ConstructionError("fiber transition factor vanishes")
         return Point(np.asarray(self.base_map(p.x), dtype=float), phi * p.t, self.dst)
 
-    def map_tangent(self, v: TangentVector) -> TangentVector:
-        """Push a tangent vector through the transition.
-
-        The adapted fiber velocity shifts by the logarithmic derivative of the
-        fiber factor: vtb' = vtb + vx . grad(log|phi|).
-        """
-        p = v.base
+    def tangent_map(self, p: Point) -> TangentMap:
+        """The transition's differential at ``p``: the base Jacobian, grad
+        log|phi| and the image point, computed once for every vector at ``p``."""
         jac = _fd.partials(lambda x: np.asarray(self.base_map(x), dtype=float), p.x, rel=_fd.TRANSITION_REL_STEP).T
         grad_log_phi = _fd.log_gradient(self.fiber_factor, p.x)
-        new_vx = jac @ v.vx
-        new_vtb = v.vtb + float(v.vx @ grad_log_phi)
-        return TangentVector(new_vx, new_vtb, self.map_point(p))
+        return TangentMap(p, self.map_point(p), jac, grad_log_phi)
+
+    def map_tangent(self, v: TangentVector) -> TangentVector:
+        """Push one tangent vector through the transition (see :class:`TangentMap`)."""
+        return self.tangent_map(v.base)(v)
+
+
+@dataclass(frozen=True)
+class TangentMap:
+    """A chart transition's differential at one base point.
+
+    The adapted fiber velocity shifts by the logarithmic derivative of the
+    fiber factor: vx' = jac @ vx and vtb' = vtb + vx . grad(log|phi|).
+    """
+
+    source: Point
+    image: Point
+    jac: np.ndarray
+    grad_log_phi: np.ndarray
+
+    def __call__(self, v: TangentVector) -> TangentVector:
+        if not v.base.same_place(self.source):
+            raise ContractViolation("vector is not based at the transition's base point")
+        return TangentVector(self.jac @ v.vx, v.vtb + float(v.vx @ self.grad_log_phi), self.image)
 
 
 class Atlas:
@@ -286,25 +303,26 @@ class DegenerateMetric:
         """dg_M/dt at (x, t) by central differences that keep the sign of t."""
         return _fd.partial(lambda arr: self.at(x, float(arr[0]), chart), np.array([t]), 0, keep_sign=(0,))
 
-    def _padded(self, x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        g = self.at(x, t, chart)
-        n = len(x)
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = g
-        return out
-
     def full(self, p: Point) -> np.ndarray:
         """Full (n+1) x (n+1) adapted-frame matrix (identical in raw coordinates)."""
-        return self._padded(p.x, p.t, p.chart)
+        return _padded(self.at(p.x, p.t, p.chart))
 
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
         """The padded metric as a function of raw (x..., t) coordinates."""
 
         def field_fn(raw: np.ndarray) -> np.ndarray:
             raw = np.asarray(raw, dtype=float)
-            return self._padded(raw[:-1], float(raw[-1]), chart)
+            return _padded(self.at(raw[:-1], float(raw[-1]), chart))
 
         return field_fn
+
+
+def _padded(g: np.ndarray) -> np.ndarray:
+    """The degenerate form [[g_M, 0], [0, 0]] from its base block."""
+    n = len(g)
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = g
+    return out
 
 
 def metric_eval(g: DegenerateMetric, p: Point, v: TangentVector, w: TangentVector) -> float:

@@ -91,14 +91,25 @@ class KKMetric:
 
     def det_identity_residual(self, p: Point) -> float:
         """Relative defect of det(raw) * t^2 = sign * det(g_M)."""
-        det_raw = float(np.linalg.det(self.raw(p)))
-        det_gm = float(np.linalg.det(self.metric.at(p.x, p.t, p.chart)))
-        return abs(det_raw * p.t**2 - self.sign * det_gm) / max(abs(det_gm), 1e-300)
+        return det_identity_defect(self.raw(p), self.metric.at(p.x, p.t, p.chart), p.t, self.sign)
 
     def signature(self, p: Point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts of the raw components."""
-        vals = np.linalg.eigvalsh(self.raw(p))
-        return int(np.sum(vals > 0)), int(np.sum(vals < 0))
+        return signature_counts(self.raw(p))
+
+
+def det_identity_defect(raw: np.ndarray, gm: np.ndarray, t: float, sign: int) -> float:
+    """Relative defect of det(raw) * t^2 = sign * det(g_M), from the raw
+    components and the base block at one point."""
+    det_raw = float(np.linalg.det(raw))
+    det_gm = float(np.linalg.det(gm))
+    return abs(det_raw * t**2 - sign * det_gm) / max(abs(det_gm), 1e-300)
+
+
+def signature_counts(g: np.ndarray) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of a symmetric matrix."""
+    vals = np.linalg.eigvalsh(g)
+    return int(np.sum(vals > 0)), int(np.sum(vals < 0))
 
 
 def build_kk(
@@ -129,30 +140,34 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: floa
 
     ``p`` is a Point, or raw coordinates (x..., t) on ``chart`` (no Point is
     built: the integrator calls this at every stage). One pass over the
-    stencil: the metric is assembled at all 4m + 1 points at once, gated on
-    the condition number at the centre, and differenced as stacked arrays.
+    stencil: the metric is assembled at all 4m + 1 points at once, inverted
+    once at the centre, gated on the 1-norm condition number
+    ||g||_1 ||g^-1||_1 from that inverse, and differenced as stacked arrays.
     Returns Gamma[A, B, C] with the upper index first, symmetrized in the
     lower pair.
     """
     raw_p, chart = (p.raw(), p.chart) if chart is None else (p, chart)
     points, h = _fd.stencil(raw_p, keep_sign=(raw_p.size - 1,))
     g = kk.components(points, chart)
+    ginv = _inverse(g[0])
     if cond_limit is not None:
-        cond = float(np.linalg.cond(g[0]))
+        # a matrix's 1-norm is its largest absolute column sum
+        cond = float(np.abs(g[0]).sum(axis=0).max() * np.abs(ginv).sum(axis=0).max())
         if not np.isfinite(cond) or cond > cond_limit:
-            raise NumericError(f"metric condition number {cond:.3e} exceeds {cond_limit:.0e}")
-    return _levi_civita(g[0], _fd.stacked_partials(g[1:], h))
+            raise NumericError(f"metric condition number (1-norm) {cond:.3e} exceeds {cond_limit:.0e}")
+    return _levi_civita(ginv, _fd.stacked_partials(g[1:], h))
 
 
-def _levi_civita(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[a, b, c] from a metric and its partials dg[c, a, b] = d_c g_ab,
-    symmetrized in the lower pair (the raw formula is symmetric up to roundoff)."""
+def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[a, b, c] from the inverse metric and the metric's partials
+    dg[c, a, b] = d_c g_ab, symmetrized in the lower pair (the raw formula
+    is symmetric up to roundoff)."""
     lowered = (
         np.transpose(dg, (1, 0, 2))  # [d, b, c] = d_b G_dc
         + np.transpose(dg, (1, 2, 0))  # [d, b, c] = d_c G_db
         - dg  # [d, b, c] = d_d G_bc
     )
-    gamma = 0.5 * np.einsum("ad,dbc->abc", _inverse(g), lowered)
+    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
@@ -170,7 +185,7 @@ def base_symbols_at(kk: KKMetric, p: Point) -> np.ndarray:
     if kk.base_symbols is not None:
         return np.asarray(kk.base_symbols(p.x, p.t, p.chart), dtype=float)
     gm_of_x = lambda y: kk.metric.at(y, p.t, p.chart)
-    return _levi_civita(gm_of_x(p.x), _fd.partials(gm_of_x, p.x))
+    return _levi_civita(_inverse(gm_of_x(p.x)), _fd.partials(gm_of_x, p.x))
 
 
 def _block_t_derivative(kk: KKMetric, p: Point) -> np.ndarray:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from carrollgeo import cli
 from carrollgeo.cli import main
+from carrollgeo.errors import CarrollError
 
 DEFECT_FILE = """
 [meta]
@@ -350,3 +352,38 @@ def test_singular_base_block_is_numeric_failure_on_both_routes(route, tmp_path, 
     argv = ["geodesic", str(path), "--christoffel", route, "--state", "0, 0, 1, 0.5, 0.5, -1", "--lambda-max", "0.1"]
     assert main(argv) == 3
     assert capsys.readouterr().err == "numeric failure: metric is not invertible: Singular matrix\n"
+
+
+def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsys):
+    """inf - inf raises no Python error, so the metric block holds a NaN; the
+    suite whose linear algebra rejects it is reported as a failed row."""
+    path = tmp_path / "nan.ini"
+    path.write_text(SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(1 + 0*(1e308*10 - 1e308*10), 0; 0, 1)"))
+    assert main(["check", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    rows = {row["name"]: row for row in report["checks"]}
+    assert not report["passed"]
+    assert not rows["kernel_suite"]["passed"] and rows["kernel_suite"]["detail"] == "SVD did not converge"
+
+
+@pytest.mark.parametrize("exc", [CarrollError("bare package error"), RuntimeError("a defect")])
+def test_errors_outside_the_contract_are_one_line_exit_3(exc, monkeypatch, capsys):
+    """Exit 1 means a failed check, so neither a bare CarrollError nor an
+    unexpected exception may produce it, or a traceback."""
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_scenarios", broken)
+    assert main(["scenarios", "list"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(exc) in err and len(err.strip().splitlines()) == 1
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_scenarios", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["scenarios", "list"])

@@ -114,11 +114,15 @@ def test_thakurta_symbol_table(thakurta):
 @pytest.mark.parametrize("name", ALL_TRIVIAL)
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_closed_form_matches_oracle(name, sign, rng):
+    """On every chart and for both signs of t, to the 1e-6 of
+    ``christoffel_suite``, which samples only the default chart at t > 0."""
     s = cg.load(name)
     kk = s.kk(sign)
-    for p in s.sample_points(rng, 8):
-        delta = christoffel_closed(kk, p) - christoffel_numeric(kk, p)
-        assert np.max(np.abs(delta)) < 1e-6
+    for chart in s.atlas.chart_names():
+        for p in s.sample_points(rng, 8, chart=chart):
+            for q in (p, s.point(p.x, -p.t, chart)):
+                delta = christoffel_closed(kk, q) - christoffel_numeric(kk, q)
+                assert np.max(np.abs(delta)) <= 1e-6, (chart, q)
 
 
 def test_symbols_symmetric_in_lower_indices(schwarzschild, rng):
@@ -249,3 +253,20 @@ def test_singular_metric_is_numeric_error(schwarzschild):
     p = schwarzschild.point([0.0, 0.3], 1.0)
     with pytest.raises(NumericError, match="not invertible"):
         christoffel_numeric(schwarzschild.kk(-1), p, cond_limit=None)
+    with pytest.raises(NumericError):
+        christoffel_numeric(schwarzschild.kk(-1), p)
+
+
+def test_oracle_gate_is_the_one_norm_condition_number():
+    """The gate reads ||g||_1 ||g^-1||_1 at the centre, from the inverse that
+    the symbols use."""
+    s = cg.load("flat", n=2)
+    s.metric.blocks["cartesian"] = lambda x, t: np.array([[1.0, 0.5], [0.5, 1e-7 + 0.25]])
+    kk = s.kk(+1)
+    p = s.point([0.1, 0.2], 1.5)
+    g = kk.raw(p)
+    cond = np.linalg.norm(g, 1) * np.linalg.norm(np.linalg.inv(g), 1)
+    assert cond != np.linalg.cond(g)
+    christoffel_numeric(kk, p, cond_limit=1.01 * cond)
+    with pytest.raises(NumericError, match="1-norm"):
+        christoffel_numeric(kk, p, cond_limit=0.99 * cond)

@@ -32,7 +32,7 @@ def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None):
         raise NumericError("metric condition number exceeds the limit")
     t_axis = raw.size - 1
     dg = np.stack([_fd.partial(field_fn, raw, a, keep_sign=(t_axis,)) for a in range(raw.size)])
-    return kaluza._levi_civita(g, dg)
+    return kaluza._levi_civita(kaluza._inverse(g), dg)
 
 
 def _gauged_flat2():
