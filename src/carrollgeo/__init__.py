@@ -42,7 +42,6 @@ from .connection import (
 )
 from .kaluza import (
     KKMetric,
-    build_kk,
     christoffel_closed,
     christoffel_numeric,
     closed_form_deviation,

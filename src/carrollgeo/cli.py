@@ -221,7 +221,7 @@ def cmd_christoffel(args) -> int:
         points.extend(scenario.sample_points(rng, args.count, chart=chart))
 
     rows = []
-    worst = 0.0
+    deviations = []
     for p in points:
         numeric = christoffel_numeric(kk, p)
         closed = christoffel_closed(kk, p) if kk.gauge.is_zero or kk.sign == +1 else None
@@ -233,7 +233,7 @@ def cmd_christoffel(args) -> int:
                     nv = float(numeric[a, b, c])
                     dev = abs(cv - nv) if closed is not None else float("nan")
                     if closed is not None:
-                        worst = max(worst, dev)
+                        deviations.append(dev)
                     if args.golden:
                         rows.append((*p.x, p.t, labels[a], labels[b], labels[c], nv))
                     else:
@@ -245,7 +245,7 @@ def cmd_christoffel(args) -> int:
         for row in rows:
             cells = [v if isinstance(v, str) else f"{v:.10g}" for v in row]
             print(", ".join(cells))
-    print(f"max closed-vs-numeric deviation: {worst:.3e}")
+    print(f"max closed-vs-numeric deviation: {np.max(deviations, initial=0.0):.3e}")
     return 0
 
 

@@ -120,7 +120,7 @@ def projector_idempotence_check(
     projector acts on adapted components, Phi(X) = (0 * w, 1.0 * w) with
     w = omega(X), as ``projector`` computes it.
     """
-    worst = 0.0
+    samples = []
     for p in points:
         a = omega.gauge.at(p.x, p.chart)
         zeros = np.zeros(p.dim)
@@ -131,10 +131,10 @@ def projector_idempotence_check(
             w2 = _omega(phi_vx, phi_vtb, a)
             # raw components of Phi(Phi(X)) - Phi(X): the fiber one is scaled by t
             defect = np.append(zeros * w2 - phi_vx, (1.0 * w2 - phi_vtb) * p.t)
-            worst = max(worst, float(np.max(np.abs(defect), initial=0.0)))
-            worst = max(worst, float(np.max(np.abs(phi_vx), initial=0.0)))  # image is vertical
-            worst = max(worst, abs(_omega(vx - phi_vx, vtb - phi_vtb, a)))  # horizontal part
-    return worst
+            samples.extend(np.abs(defect))
+            samples.extend(np.abs(phi_vx))  # image is vertical
+            samples.append(abs(_omega(vx - phi_vx, vtb - phi_vtb, a)))  # horizontal part
+    return float(np.max(samples, initial=0.0))
 
 
 def orthogonality_check(
@@ -146,7 +146,7 @@ def orthogonality_check(
     """Max |g(horizontal, vertical)| over four random pairs per point; zero by
     the kernel structure. A and g_M are read once per point, and the split
     acts on base components as in ``projector_idempotence_check``."""
-    worst = 0.0
+    samples = []
     for p in points:
         a = omega.gauge.at(p.x, p.chart)
         gm = g.at(p.x, p.t, p.chart)
@@ -156,8 +156,8 @@ def orthogonality_check(
             yvx, yvtb = rng.standard_normal(p.dim), float(rng.standard_normal())
             xh_vx = xvx - zeros * _omega(xvx, xvtb, a)
             yv_vx = zeros * _omega(yvx, yvtb, a)
-            worst = max(worst, abs(float(xh_vx @ gm @ yv_vx)))
-    return worst
+            samples.append(abs(float(xh_vx @ gm @ yv_vx)))
+    return float(np.max(samples, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,9 @@ class PartitionOfUnity:
 
     def check_sum(self, atlas: Atlas, rng: np.random.Generator) -> float:
         """Max |sum_i rho_i - 1| over 16 sampled points per chart, evaluating
-        foreign bumps through the atlas transitions; above 1e-12 it raises."""
+        foreign bumps through the atlas transitions; above 1e-12 or NaN it raises."""
         tol = 1e-12
-        worst = 0.0
+        gaps = []
         for name, chart in atlas.charts.items():
             for x in chart.sample(rng, 16):
                 total = self.value(name, x)
@@ -205,8 +205,9 @@ class PartitionOfUnity:
                 for tr in atlas.transitions_from(name):
                     if tr.contains(x):
                         total += self.value(tr.dst, np.asarray(tr.base_map(x), dtype=float))
-                worst = max(worst, abs(total - 1.0))
-        if worst > tol:
+                gaps.append(abs(total - 1.0))
+        worst = float(np.max(gaps, initial=0.0))
+        if not worst <= tol:
             raise ConstructionError(f"partition of unity sums to 1 +/- {worst:.3e} (tol {tol:.0e})")
         return worst
 
@@ -261,7 +262,7 @@ def overlap_gauge_residual(
     statement of the inhomogeneous gauge transformation rule. Each sample
     builds one transition map and reads A once in each chart.
     """
-    worst = 0.0
+    gaps = []
     for tr in atlas.transitions:
         for x in tr.sample(rng, 8):
             p = Point(x, float(rng.uniform(0.5, 2.0)), tr.src)
@@ -271,5 +272,5 @@ def overlap_gauge_residual(
             for _ in range(3):
                 v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
                 v_other = push(v)
-                worst = max(worst, abs(_omega(v.vx, v.vtb, a) - _omega(v_other.vx, v_other.vtb, a_image)))
-    return worst
+                gaps.append(abs(_omega(v.vx, v.vtb, a) - _omega(v_other.vx, v_other.vtb, a_image)))
+    return float(np.max(gaps, initial=0.0))

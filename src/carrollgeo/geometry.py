@@ -146,6 +146,12 @@ def euler_field() -> VectorField:
 # charts and atlases
 # ---------------------------------------------------------------------------
 
+def _sample_box(rng: np.random.Generator, box: Sequence[tuple[float, float]], count: int) -> np.ndarray:
+    """``count`` points drawn uniformly from a box of (lo, hi) pairs, one row each."""
+    lo, hi = np.array(box, dtype=float).T
+    return rng.uniform(lo, hi, size=(count, lo.size))
+
+
 @dataclass(frozen=True)
 class Chart:
     """Sampling box plus an optional hard domain predicate."""
@@ -160,9 +166,7 @@ class Chart:
         return len(self.coords)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return rng.uniform(lo, hi, size=(count, self.dim))
+        return _sample_box(rng, self.box, count)
 
     def inside(self, x: np.ndarray) -> bool:
         if self.domain is None:
@@ -182,9 +186,7 @@ class ChartTransition:
     label: str = ""
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lo = np.array([b[0] for b in self.overlap_box])
-        hi = np.array([b[1] for b in self.overlap_box])
-        return rng.uniform(lo, hi, size=(count, lo.size))
+        return _sample_box(rng, self.overlap_box, count)
 
     def contains(self, x: np.ndarray) -> bool:
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(np.atleast_1d(x), self.overlap_box))
@@ -432,11 +434,8 @@ def killing_residual(X: VectorField, metric, points: Sequence[Point]) -> Killing
     """
     if not points:
         raise ContractViolation("need at least one sample point")
-    res = 0.0
-    brk = 0.0
-    for p in points:
-        res = max(res, float(np.linalg.norm(lie_derivative_metric(X, metric, p))))
-        brk = max(brk, float(np.linalg.norm(euler_bracket(X, p))))
+    res = float(np.max([np.linalg.norm(lie_derivative_metric(X, metric, p)) for p in points]))
+    brk = float(np.max([np.linalg.norm(euler_bracket(X, p)) for p in points]))
     return KillingReport(residual=res, projectable=brk <= 1e-7, bracket_residual=brk)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _fd
-from .connection import ConnectionOneForm, GaugeField, curvature
+from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import DegenerateMetric, Point, TangentVector
 
@@ -110,24 +110,6 @@ def signature_counts(g: np.ndarray) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a symmetric matrix."""
     vals = np.linalg.eigvalsh(g)
     return int(np.sum(vals > 0)), int(np.sum(vals < 0))
-
-
-def build_kk(
-    metric: DegenerateMetric,
-    connection: ConnectionOneForm | GaugeField,
-    sign: int,
-    base_symbols: BaseSymbols | None = None,
-    metric_t_derivative: BlockDerivative | None = None,
-) -> KKMetric:
-    """Assemble the non-degenerate metric for a metric/connection pair."""
-    gauge = connection.gauge if isinstance(connection, ConnectionOneForm) else connection
-    return KKMetric(
-        sign=int(sign),
-        metric=metric,
-        gauge=gauge,
-        base_symbols=base_symbols,
-        metric_t_derivative=metric_t_derivative,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +246,8 @@ def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:
     """Max componentwise |closed - numeric| over the sample points."""
-    worst = 0.0
-    for p in points:
-        delta = christoffel_closed(kk, p) - christoffel_numeric(kk, p)
-        worst = max(worst, float(np.max(np.abs(delta))))
-    return worst
+    deltas = [christoffel_closed(kk, p) - christoffel_numeric(kk, p) for p in points]
+    return float(np.max(np.abs(deltas), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

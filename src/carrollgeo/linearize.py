@@ -65,20 +65,19 @@ class TransitionAtlas:
 def section_consistency(atlas: TransitionAtlas) -> tuple[float, tuple | None]:
     """Worst |s_i(m) - psi_ij(m, s_j(m))| over all overlap samples.
 
-    Returns (worst, offender) where offender is (i, j, m) or None.
+    Returns (worst, offender) where offender is (i, j, m) of the first
+    worst sample, or None when every gap is zero. A NaN gap is the worst.
     """
-    worst = 0.0
-    offender = None
+    gaps, where = [], []
     for rec in atlas.overlaps:
         i, j = rec.charts
-        mi, mj = rec.points(i), rec.points(j)
         psi = atlas.transition(i, j)
         s_i, s_j = atlas.sections[i], atlas.sections[j]
-        for a, b in zip(mi, mj):
-            gap = abs(s_i(float(a)) - psi(float(b), s_j(float(b))))
-            if gap > worst:
-                worst, offender = gap, (i, j, float(b))
-    return worst, offender
+        for a, b in zip(rec.points(i), rec.points(j)):
+            gaps.append(abs(s_i(float(a)) - psi(float(b), s_j(float(b)))))
+            where.append((i, j, float(b)))
+    worst = float(np.max(gaps, initial=0.0))
+    return worst, (where[int(np.argmax(gaps))] if worst != 0.0 else None)
 
 
 def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionAtlas:
@@ -88,11 +87,11 @@ def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionA
     point expressed in each chart's own coordinates where needed.
     """
     worst, offender = section_consistency(atlas)
-    if worst > tol:
+    if not worst <= tol:
         i, j, m = offender
-        raise ConstructionError(
-            f"section is inconsistent on overlap ({i}, {j}) at m = {m:.6g}: gap {worst:.3e}"
-        )
+        if worst > tol:
+            raise ConstructionError(f"section is inconsistent on overlap ({i}, {j}) at m = {m:.6g}: gap {worst:.3e}")
+        raise NumericError(f"transition {i} <- {j} or its sections are not finite at m = {m:.6g}")
 
     # The shifted map needs s_i at the image base point. Overlap records store
     # aligned coordinates, so m_j moves by the i - j offset of its nearest sample
@@ -137,13 +136,11 @@ def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionA
 
 def origin_residual(shifted: TransitionAtlas) -> float:
     """Max |psi~_ij(m, 0)| over all overlap samples; 0 after a valid shift."""
-    worst = 0.0
+    gaps = []
     for rec in shifted.overlaps:
-        i, j = rec.charts
-        psi = shifted.transition(i, j)
-        for m in rec.points(j):
-            worst = max(worst, abs(psi(float(m), 0.0)))
-    return worst
+        psi = shifted.transition(*rec.charts)
+        gaps.extend(abs(psi(float(m), 0.0)) for m in rec.points(rec.charts[1]))
+    return float(np.max(gaps, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,8 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     """Extract c_ij(m) = d/dr psi~_ij(m, 0) and check the cocycle closure.
 
     Raises NumericError when a coefficient is numerically zero (the
-    transition fails to be a fiber diffeomorphism at the section).
+    transition fails to be a fiber diffeomorphism at the section) or is not
+    finite.
     """
     coeffs: dict[tuple[str, str], Callable[[float], float]] = {
         key: functools.partial(_fiber_derivative, psi) for key, psi in shifted.psi.items()
@@ -188,19 +186,19 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     cached = {key: functools.cache(c) for key, c in coeffs.items()}
 
     sampled: list[CocycleSample] = []
-    pair_res = 0.0
+    pair_gaps = []
     for rec in shifted.overlaps:
         i, j = rec.charts
         mi, mj = rec.points(i), rec.points(j)
         c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
-        if np.any(np.abs(c_ij) < 1e-10):
-            raise NumericError(f"transition {i} <- {j} degenerates at the section")
+        if not np.all(np.isfinite(c_ij) & (np.abs(c_ij) >= 1e-10)):
+            raise NumericError(f"transition {i} <- {j} degenerates at the section: a coefficient is zero or not finite")
         sampled.append(CocycleSample(charts=(i, j), m=mj.copy(), c=c_ij))
         if (j, i) in coeffs:
             c_ji = np.array([cached[(j, i)](float(m)) for m in mi])
-            pair_res = max(pair_res, float(np.max(np.abs(c_ij * c_ji - 1.0))))
+            pair_gaps.extend(np.abs(c_ij * c_ji - 1.0))
 
-    triple_res = 0.0
+    triple_gaps = []
     for rec in shifted.triples:
         i, j, k = rec.charts
         mj = np.asarray(rec.samples[j], dtype=float)
@@ -208,12 +206,12 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
         c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
         c_jk = np.array([cached[(j, k)](float(m)) for m in mk])
         c_ik = np.array([cached[(i, k)](float(m)) for m in mk])
-        triple_res = max(triple_res, float(np.max(np.abs(c_ij * c_jk - c_ik))))
+        triple_gaps.extend(np.abs(c_ij * c_jk - c_ik))
 
     return LinearizedCocycle(
         coefficients=coeffs,
-        pair_residual=pair_res,
-        triple_residual=triple_res,
+        pair_residual=float(np.max(pair_gaps, initial=0.0)),
+        triple_residual=float(np.max(triple_gaps, initial=0.0)),
         sampled=sampled,
     )
 

@@ -33,7 +33,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import KKMetric, build_kk
+from .kaluza import KKMetric
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +62,13 @@ class Scenario:
             return ConnectionOneForm(self.gauge)
         return ConnectionOneForm(gauge)
 
-    def kk(self, sign: int, connection: ConnectionOneForm | GaugeField | None = None) -> KKMetric:
-        conn = connection if connection is not None else self.connection()
-        return build_kk(
-            self.metric,
-            conn,
-            sign,
+    def kk(self, sign: int, connection: ConnectionOneForm | None = None) -> KKMetric:
+        """The non-degenerate metric of sign ``sign``, with this scenario's
+        gauge or the one of ``connection``."""
+        return KKMetric(
+            sign=int(sign),
+            metric=self.metric,
+            gauge=self.gauge if connection is None else connection.gauge,
             base_symbols=self.base_symbols,
             metric_t_derivative=self.metric_t_derivative,
         )

@@ -5,6 +5,11 @@ every record does. The suites re-derive everything from the scenario data.
 They are the only reader of a scenario's declared expectations, which they
 verify, never trust.
 
+A check samples points and reduces the samples with numpy: its value is its
+largest sample (the smallest for ``base_block_invertible``), and a
+non-finite sample fails it, since numpy's reduction carries a NaN through
+where Python's ``max`` would drop it.
+
 A check reads each field once per sample point and pushes every vector
 drawn at a point through one transition map (``ChartTransition.tangent_map``);
 the vectors themselves are handled as plain arrays. Finite-difference
@@ -52,7 +57,15 @@ class CheckResult:
         }
 
 
-def _result(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
+def _worst(samples) -> float:
+    """A check's value: its largest sample, 0.0 for none, NaN if any sample is NaN."""
+    return float(np.max(samples, initial=0.0))
+
+
+def _result(name: str, value: float, tol: float) -> CheckResult:
+    """A NaN value fails ``value <= tol``; the detail says so, since the
+    report writes every non-finite value as 1e308."""
+    detail = "non-finite sample" if math.isnan(value) else ""
     return CheckResult(name=name, passed=bool(value <= tol), value=float(value), tol=tol, detail=detail)
 
 
@@ -60,34 +73,29 @@ def kernel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResu
     """Block structure: the Euler direction is annihilated exactly and the
     full degenerate form has zero determinant; the base block is symmetric
     and invertible. g_M is read once per point."""
-    results = []
-    worst_kernel = 0.0
-    worst_det = 0.0
-    worst_asym = 0.0
-    min_abs_det = float("inf")
-    worst_cond = 0.0
+    kernel, det, asym, abs_det, cond = [], [], [], [], []
     for chart in scenario.atlas.chart_names():
         for p in scenario.sample_points(rng, 10, chart=chart):
             vx, _ = rng.standard_normal(p.dim), rng.standard_normal()  # v = (vx, vtb); g never sees vtb
             gm = scenario.metric.at(p.x, p.t, p.chart)
-            worst_kernel = max(worst_kernel, abs(float(np.zeros(p.dim) @ gm @ vx)))  # g(Euler, v)
-            worst_det = max(worst_det, abs(float(np.linalg.det(_padded(gm)))))
-            worst_asym = max(worst_asym, float(np.max(np.abs(gm - gm.T), initial=0.0)))
-            min_abs_det = min(min_abs_det, abs(float(np.linalg.det(gm))))
-            worst_cond = max(worst_cond, float(np.linalg.cond(gm)))
-    results.append(_result("kernel_annihilation", worst_kernel, 0.0))
-    results.append(_result("degenerate_determinant", worst_det, 0.0))
-    results.append(_result("base_block_symmetry", worst_asym, 1e-12))
-    results.append(
+            kernel.append(abs(float(np.zeros(p.dim) @ gm @ vx)))  # g(Euler, v)
+            det.append(abs(float(np.linalg.det(_padded(gm)))))
+            asym.append(float(np.max(np.abs(gm - gm.T), initial=0.0)))
+            abs_det.append(abs(float(np.linalg.det(gm))))
+            cond.append(float(np.linalg.cond(gm)))
+    min_abs_det = float(np.min(abs_det, initial=math.inf))
+    return [
+        _result("kernel_annihilation", _worst(kernel), 0.0),
+        _result("degenerate_determinant", _worst(det), 0.0),
+        _result("base_block_symmetry", _worst(asym), 1e-12),
         CheckResult(
             name="base_block_invertible",
             passed=min_abs_det > 1e-12,
             value=min_abs_det,
             tol=1e-12,
-            detail=f"min |det g_M|; condition number up to {worst_cond:.3e}",
-        )
-    )
-    return results
+            detail=f"min |det g_M|; condition number up to {_worst(cond):.3e}",
+        ),
+    ]
 
 
 def killing_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
@@ -95,19 +103,17 @@ def killing_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckRes
     results = []
     points = scenario.sample_points(rng, 8)
     reports = [euler_weight(scenario.metric, p) for p in points]
-    worst_prop = max(r.residual for r in reports)
+    worst_prop = _worst([r.residual for r in reports])
     results.append(_result("euler_proportionality", worst_prop, 1e-6))
     expects = scenario.expects
     if expects.get("euler_killing"):
-        worst = max(abs(r.factor) for r in reports)
-        results.append(_result("euler_killing", worst, 1e-8))
+        results.append(_result("euler_killing", _worst([abs(r.factor) for r in reports]), 1e-8))
     elif "weight" in expects and expects["weight"] is not None:
         target = float(expects["weight"])
-        worst = max(abs(r.factor - target) for r in reports)
+        worst = _worst([abs(r.factor - target) for r in reports])
         results.append(_result(f"homogeneity_weight_{target:g}", worst, 1e-6))
     elif expects.get("conformal"):
-        factors = [r.factor for r in reports]
-        spread = max(factors) - min(factors)
+        spread = float(np.ptp([r.factor for r in reports]))
         results.append(
             CheckResult(
                 name="conformal_not_killing",
@@ -121,23 +127,17 @@ def killing_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckRes
 
 
 def connection_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
-    results = []
     omega = scenario.connection()
     points = []
     for chart in scenario.atlas.chart_names():
         points.extend(scenario.sample_points(rng, 6, chart=chart))
-    worst_euler = max(abs(omega.euler_value(p) - 1.0) for p in points)
-    results.append(_result("connection_dual_to_euler", worst_euler, 0.0))
-    results.append(
-        _result("projector_idempotence", projector_idempotence_check(omega, points, rng), 1e-14)
-    )
-    results.append(
-        _result("horizontal_vertical_orthogonality", orthogonality_check(scenario.metric, omega, points, rng), 0.0)
-    )
+    results = [
+        _result("connection_dual_to_euler", _worst([abs(omega.euler_value(p) - 1.0) for p in points]), 0.0),
+        _result("projector_idempotence", projector_idempotence_check(omega, points, rng), 1e-14),
+        _result("horizontal_vertical_orthogonality", orthogonality_check(scenario.metric, omega, points, rng), 0.0),
+    ]
     if scenario.atlas.transitions:
-        results.append(
-            _result("gauge_overlap_rule", overlap_gauge_residual(scenario.atlas, omega, rng), 1e-8)
-        )
+        results.append(_result("gauge_overlap_rule", overlap_gauge_residual(scenario.atlas, omega, rng), 1e-8))
     return results
 
 
@@ -145,41 +145,36 @@ def determinant_suite(scenario: Scenario, rng: np.random.Generator) -> list[Chec
     """Determinant identity and Lorentzian signature of the assembled metrics.
     The raw components are built once per point and serve both; g_M is read
     again as the independent side of the identity."""
-    results = []
-    worst_det = 0.0
+    defects = []
     signature_ok = True
     for sign in (+1, -1):
         kk = scenario.kk(sign)
         for p in scenario.sample_points(rng, 10):
             raw = kk.raw(p)
-            worst_det = max(worst_det, det_identity_defect(raw, kk.metric.at(p.x, p.t, p.chart), p.t, sign))
+            defects.append(det_identity_defect(raw, kk.metric.at(p.x, p.t, p.chart), p.t, sign))
             if sign == -1:
                 pos, neg = signature_counts(raw)
                 signature_ok = signature_ok and (pos, neg) == (scenario.dim, 1)
-    results.append(_result("kk_determinant_identity", worst_det, 1e-8))
-    results.append(
+    return [
+        _result("kk_determinant_identity", _worst(defects), 1e-8),
         CheckResult(
             name="lorentzian_signature",
             passed=signature_ok,
             value=0.0 if signature_ok else 1.0,
             tol=0.0,
             detail=f"eigenvalue signs ({scenario.dim}, 1) for sign -1",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def christoffel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
     """Closed-form vs finite-difference symbols on the default chart."""
-    results = []
-    worst = 0.0
+    deviations = []
     for sign in (+1, -1):
         kk = scenario.kk(sign)
-        if not kk.gauge.is_zero:
-            continue
-        worst = max(worst, closed_form_deviation(kk, scenario.sample_points(rng, 20)))
-    results.append(_result("christoffel_oracle_agreement", worst, 1e-6))
-    return results
+        if kk.gauge.is_zero:
+            deviations.append(closed_form_deviation(kk, scenario.sample_points(rng, 20)))
+    return [_result("christoffel_oracle_agreement", _worst(deviations), 1e-6)]
 
 
 def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
@@ -187,7 +182,7 @@ def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator) -> list[C
     agree when the same geometric data is expressed in either chart."""
     if not scenario.atlas.transitions:
         return []
-    worst = 0.0
+    gaps = []
     for tr in scenario.atlas.transitions:
         for x in tr.sample(rng, 8):
             p = scenario.point(x, float(rng.uniform(0.5, 2.0)), tr.src)
@@ -195,8 +190,8 @@ def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator) -> list[C
             v2 = tr.map_tangent(v)
             s1 = metric_eval(scenario.metric, p, v, v)
             s2 = metric_eval(scenario.metric, v2.base, v2, v2)
-            worst = max(worst, abs(s1 - s2) / max(1.0, abs(s1)))
-    return [_result("metric_overlap_consistency", worst, 1e-8)]
+            gaps.append(abs(s1 - s2) / max(1.0, abs(s1)))
+    return [_result("metric_overlap_consistency", _worst(gaps), 1e-8)]
 
 
 def run_all(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:

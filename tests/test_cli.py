@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from carrollgeo import cli
 from carrollgeo.cli import main
 from carrollgeo.errors import CarrollError
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 DEFECT_FILE = """
 [meta]
@@ -364,6 +367,31 @@ def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsy
     rows = {row["name"]: row for row in report["checks"]}
     assert not report["passed"]
     assert not rows["kernel_suite"]["passed"] and rows["kernel_suite"]["detail"] == "SVD did not converge"
+
+
+def test_nan_sample_fails_its_check(tmp_path, capsys):
+    """g_M is NaN where |x1| > 0.18 and finite elsewhere. Every sample of the
+    determinant identity and the orthogonality check at such a point is NaN,
+    and a NaN sample fails its check with a detail that says so."""
+    path = tmp_path / "nan.ini"
+    path.write_text(
+        SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(1 + 0*(1e308*(10*x1) - 1e308*(10*x1)), 0; 0, 1)")
+    )
+    assert main(["check", str(path), "--format", "json"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("kk_determinant_identity", "horizontal_vertical_orthogonality"):
+        assert not rows[name]["passed"] and rows[name]["detail"] == "non-finite sample", name
+
+
+def test_transition_evaluating_to_nan_is_numeric_failure(tmp_path, capsys):
+    """to_b is NaN on the whole overlap (and is not the inverse of to_a): the
+    run stops with exit 3 instead of printing a zero residual and OK."""
+    example = (EXAMPLES / "atlas_twochart.ini").read_text()
+    path = tmp_path / "nan_atlas.ini"
+    nan_to_b = "to_b = r * exp(0.5 * m) + 0*(1e308*(10*m) - 1e308*(10*m))"
+    path.write_text(example.replace("to_b = exp(-sin(m)) * r", nan_to_b))
+    assert main(["linearize", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
 
 
 @pytest.mark.parametrize("exc", [CarrollError("bare package error"), RuntimeError("a defect")])

@@ -180,6 +180,15 @@ def test_partition_failure_raises(rng):
         connection_from_partition(atlas, bad, rng)
 
 
+def test_partition_with_a_nan_bump_raises(rng):
+    """A NaN sum fails no ``>`` comparison, so it must fail ``<= tol``."""
+    atlas = circle_atlas(lambda th: 1.0, lambda th: 1.0)
+    east, west = circle_partition()
+    bad = PartitionOfUnity(bumps={"east": east, "west": lambda x: math.nan if x[0] > math.pi else west(x)})
+    with pytest.raises(ConstructionError, match="nan"):
+        bad.check_sum(atlas, rng)
+
+
 def test_single_chart_partition_gives_trivial_connection(flat2, rng):
     pou = PartitionOfUnity(bumps={"cartesian": lambda x: 1.0})
     omega = connection_from_partition(flat2.atlas, pou, rng)

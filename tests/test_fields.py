@@ -79,6 +79,33 @@ def test_declared_expectations_are_read_only_by_the_suites():
     assert not {"verify", "rng"} & set(inspect.signature(cg.load).parameters)
 
 
+def _builtin_reductions(source):
+    """Lines of ``name = max(name, ...)`` / ``min(name, ...)`` accumulators and
+    of builtin ``max`` / ``min`` calls over a generator in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.value if isinstance(node, ast.Assign) else node
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in {"max", "min"}):
+            continue
+        if isinstance(node, ast.Assign):
+            names = {target.id for target in node.targets if isinstance(target, ast.Name)}
+            if any(isinstance(arg, ast.Name) and arg.id in names for arg in call.args):
+                lines.append(node.lineno)
+        elif any(isinstance(arg, ast.GeneratorExp) for arg in call.args):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_sampled_checks_reduce_with_numpy():
+    """Python's ``max(0.0, nan)`` is 0.0, so a NaN sample would pass; the
+    sampled checks reduce with numpy, which carries the NaN. The step control
+    of ``geodesics`` is not a sampled check and is exempt."""
+    assert _builtin_reductions("w = max(w, x)\nv = min(a for a in b)\nu = max(1.0, x)\n") == [1, 2]
+    modules = ["suites", "connection", "kaluza", "geometry", "linearize", "cli"]
+    offenders = {name: _builtin_reductions((SRC / f"{name}.py").read_text()) for name in modules}
+    assert offenders == {name: [] for name in modules}
+
+
 def _flat2_with(metric=None, gauge=None):
     s = cg.load("flat", n=2)
     s.metric = metric or s.metric

@@ -8,7 +8,6 @@ from carrollgeo.connection import GaugeField
 from carrollgeo.errors import NumericError
 from carrollgeo.geometry import TangentVector, VectorField, euler, basis_vector
 from carrollgeo.kaluza import (
-    build_kk,
     christoffel_closed,
     christoffel_numeric,
     closed_form_deviation,

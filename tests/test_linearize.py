@@ -139,6 +139,17 @@ def test_degenerate_transition_raises():
         linearize(shift_transitions(atlas))
 
 
+def test_non_finite_transition_raises():
+    """abs(nan) < 1e-10 is False, and so is a NaN gap > tol: a transition that
+    evaluates to NaN must still be a numeric failure, in the section check
+    and in the coefficient guard."""
+    atlas = _two_chart(lambda m, r: r, lambda m, r: r * math.nan)
+    with pytest.raises(NumericError, match="not finite at m = -0.8"):
+        shift_transitions(atlas)
+    with pytest.raises(NumericError, match="not finite"):
+        linearize(atlas)
+
+
 def test_synthetic_three_chart_cocycle():
     cocycle = linearize(shift_transitions(synthetic_circle_atlas()))
     assert cocycle.pair_residual < 1e-8
