@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _fd
+from ._grid import MIN_NODES, GridSpline
 from .connection import ConnectionOneForm, GaugeField
 from .errors import ConstructionError, ContractViolation
 from .expressions import compile_expression, ini_value, parse_bool, parse_number, parse_pair
@@ -475,43 +476,71 @@ def catalog_names() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# grid-sampled fields (CSV, multilinear interpolation)
+# grid-sampled fields (CSV, not-a-knot cubic spline)
 # ---------------------------------------------------------------------------
 
-def _load_grid_table(path: Path, n_values: int):
-    from scipy.interpolate import RegularGridInterpolator
+def _read_grid_rows(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header and the data rows of a grid CSV; blank lines are skipped."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = [h.strip() for h in next(reader, [])]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConstructionError(
+                        f"grid file {path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ConstructionError(
+                        f"grid file {path}, line {reader.line_num}: a cell is not a number"
+                    ) from None
+    except OSError as exc:
+        raise ConstructionError(f"cannot read grid file {path}: {exc.strerror}") from None
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    if not np.isfinite(table).all():  # one bad node would reach every cell of the spline
+        raise ConstructionError(f"grid file {path}: every cell must be finite")
+    return header, table
 
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
-        rows = np.array([[float(v) for v in row] for row in reader if row])
+
+def _load_grid_table(path: Path, n_values: int) -> tuple[GridSpline, int]:
+    header, rows = _read_grid_rows(path)
     n_coords = len(header) - n_values
     if n_coords < 1:
         raise ConstructionError(f"grid file {path} has too few columns")
     coords = rows[:, :n_coords]
     values = rows[:, n_coords:]
     axes = [np.unique(coords[:, i]) for i in range(n_coords)]
+    for name, nodes in zip(header, axes):
+        if len(nodes) < MIN_NODES:
+            raise ConstructionError(
+                f"grid file {path}: axis {name} has {len(nodes)} nodes, a cubic spline needs at least {MIN_NODES}"
+            )
     expected = int(np.prod([len(a) for a in axes]))
-    if rows.shape[0] != expected:
+    distinct = len(np.unique(coords, axis=0))
+    if distinct != expected or rows.shape[0] != expected:
         raise ConstructionError(
-            f"grid file {path} is not a full tensor grid ({rows.shape[0]} rows, expected {expected})"
+            f"grid file {path} is not a full tensor grid ({rows.shape[0]} rows at {distinct} distinct points, "
+            f"expected {expected})"
         )
     order = np.lexsort(tuple(coords[:, i] for i in reversed(range(n_coords))))
     shaped = values[order].reshape(*(len(a) for a in axes), n_values)
-    interp = RegularGridInterpolator(axes, shaped, method="linear", bounds_error=False, fill_value=None)
-    return interp, n_coords
+    return GridSpline(axes, shaped), n_coords
 
 
 def load_metric_grid(path: str | Path, dim: int, time_dependent: bool) -> Callable[[np.ndarray, float], np.ndarray]:
     """Metric block from a CSV grid: coordinate columns, then row-major entries."""
-    interp, n_coords = _load_grid_table(Path(path), dim * dim)
+    spline, n_coords = _load_grid_table(Path(path), dim * dim)
     expect = dim + (1 if time_dependent else 0)
     if n_coords != expect:
         raise ConstructionError(f"grid has {n_coords} coordinate columns, expected {expect}")
 
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        q = np.append(x, t) if time_dependent else np.asarray(x, dtype=float)
-        flat = np.asarray(interp(q), dtype=float).reshape(dim, dim)
+        flat = spline(np.append(x, t) if time_dependent else x).reshape(dim, dim)
         return 0.5 * (flat + flat.T)
 
     return gm
@@ -519,12 +548,12 @@ def load_metric_grid(path: str | Path, dim: int, time_dependent: bool) -> Callab
 
 def load_gauge_grid(path: str | Path, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Gauge field from a CSV grid with the same column convention."""
-    interp, n_coords = _load_grid_table(Path(path), dim)
+    spline, n_coords = _load_grid_table(Path(path), dim)
     if n_coords != dim:
         raise ConstructionError(f"grid has {n_coords} coordinate columns, expected {dim}")
 
     def a_fn(x: np.ndarray) -> np.ndarray:
-        return np.asarray(interp(np.asarray(x, dtype=float)), dtype=float).reshape(dim)
+        return spline(x).reshape(dim)
 
     return a_fn
 

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,3 +42,13 @@ def moebius():
 @pytest.fixture(scope="session")
 def sphere():
     return cg.load("sphere_pullback")
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, for its generated input files."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -7,9 +7,7 @@ suites must return the same values bit for bit and leave the generator in
 the same state.
 """
 
-import importlib.util
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,13 +115,6 @@ def _ref_determinant_suite(scenario, rng):
     ]
 
 
-def _grid_scenario(directory):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    return cg.load(str(workloads.write_grid_scenario(directory, np.random.default_rng(1))))
-
-
 def _gauged_flat2():
     flat = cg.load("flat", n=2)
     flat.gauge = GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
@@ -131,10 +122,11 @@ def _gauged_flat2():
 
 
 @pytest.fixture(scope="module")
-def scenarios(tmp_path_factory):
+def scenarios(tmp_path_factory, workloads):
     loaded = {name: cg.load(name) for name in CATALOG}
     loaded["demo"] = cg.load(str(ROOT / "docs" / "examples" / "scenario_demo.ini"))
-    loaded["grid"] = _grid_scenario(tmp_path_factory.mktemp("grid"))
+    grid = workloads.write_grid_scenario(tmp_path_factory.mktemp("grid"), np.random.default_rng(1))
+    loaded["grid"] = cg.load(str(grid))
     loaded["flat2-gauge"] = _gauged_flat2()
     return loaded
 

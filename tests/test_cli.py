@@ -335,6 +335,44 @@ def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle,
     assert len(err.strip().splitlines()) == 1
 
 
+def _grid_csv(axis1, axis2):
+    rows = ["x1, x2, g11, g12, g21, g22"]
+    rows += [f"{a!r}, {b!r}, {1.0 + 0.2 * a * a!r}, 0.0, 0.0, 1.0" for a in axis1 for b in axis2]
+    return "\n".join(rows) + "\n"
+
+
+GRID_NODES = [-1.5, -0.5, 0.5, 1.5]
+GRID_CSV = _grid_csv(GRID_NODES, GRID_NODES)
+
+
+@pytest.mark.parametrize(
+    "csv_text, needle",
+    [
+        (GRID_CSV.replace("0.0, 1.0\n", "0.0, abc\n", 1), "line 2"),
+        (GRID_CSV.replace(", 1.0\n", "\n", 1), "line 2"),
+        (GRID_CSV.replace("0.0, 1.0\n", "0.0, nan\n", 1), "finite"),
+        (_grid_csv(GRID_NODES, GRID_NODES[:3]), "axis x2"),
+        (GRID_CSV.replace("-1.5, -1.5,", "-1.5, -0.5,", 1), "full tensor grid"),
+        ("", "too few columns"),
+        (None, "cannot read"),
+    ],
+    ids=["non_numeric_cell", "short_row", "non_finite_cell", "three_nodes", "repeated_point", "empty", "missing"],
+)
+def test_malformed_grid_file_is_one_line_usage_error(csv_text, needle, tmp_path, capsys):
+    grid_file = SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "grid(good.csv)")
+    (tmp_path / "good.csv").write_text(GRID_CSV)
+    (tmp_path / "good.ini").write_text(grid_file)
+    (tmp_path / "bad.ini").write_text(grid_file.replace("good.csv", "bad.csv"))
+    if csv_text is not None:
+        (tmp_path / "bad.csv").write_text(csv_text)
+    assert main(["check", str(tmp_path / "good.ini")]) == 0
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / "bad.ini")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.csv" in err and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_field_failing_inside_a_chart_box_fails_check_not_load(tmp_path, capsys):
     """sqrt(x1) cannot be evaluated on the half x1 < 0 of the chart box: the
     suites that sample there report the error and the run continues."""

@@ -5,6 +5,9 @@ an unknown chart or a result of the wrong shape."""
 import ast
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,37 @@ def test_sampled_checks_reduce_with_numpy():
     modules = ["suites", "connection", "kaluza", "geometry", "linearize", "cli"]
     offenders = {name: _builtin_reductions((SRC / f"{name}.py").read_text()) for name in modules}
     assert offenders == {name: [] for name in modules}
+
+
+def _imported_modules(source):
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_scipy():
+    """numpy is the one runtime dependency: grid fields use the package's own
+    spline (``_grid``), not scipy's interpolators."""
+    assert _imported_modules("import scipy.interpolate\nfrom scipy import linalg\n") == {"scipy"}
+    offenders = [path.name for path in sorted(SRC.glob("*.py")) if "scipy" in _imported_modules(path.read_text())]
+    assert offenders == []
+
+
+def test_grid_scenario_checks_without_importing_scipy(tmp_path, workloads):
+    path = workloads.write_grid_scenario(tmp_path, np.random.default_rng([3, 0]))
+    code = (
+        "import sys\nimport numpy as np\nimport carrollgeo as cg\nfrom carrollgeo.suites import run_all\n"
+        f"results = run_all(cg.load({str(path)!r}), np.random.default_rng(1))\n"
+        "print(all(r.passed for r in results), 'scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def _flat2_with(metric=None, gauge=None):

@@ -1,10 +1,13 @@
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carrollgeo._grid import GridSpline
 from carrollgeo.errors import ContractViolation
+from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, shoot_null, unit_direction
 from carrollgeo.geometry import euler_weight
 from carrollgeo.scenarios import (
     catalog_names,
@@ -175,19 +178,16 @@ def test_verify_reports_wrong_declaration(tmp_path, rng):
 # -- grid-sampled fields ------------------------------------------------------------
 
 def _write_metric_grid(path, fn, axes):
-    rows = ["x1, x2, g11, g12, g21, g22"]
-    for a in axes[0]:
-        for b in axes[1]:
-            g = fn(np.array([a, b]))
-            rows.append(
-                ", ".join(repr(float(v)) for v in (a, b, g[0, 0], g[0, 1], g[1, 0], g[1, 1]))
-            )
+    """A 2 x 2 block on the tensor grid of ``axes`` (x1, x2 and, if given, t)."""
+    rows = [", ".join(["x1", "x2", "t"][: len(axes)] + ["g11", "g12", "g21", "g22"])]
+    for coords in itertools.product(*axes):
+        rows.append(", ".join(repr(float(v)) for v in (*coords, *fn(np.array(coords)).ravel())))
     path.write_text("\n".join(rows) + "\n")
 
 
 def test_metric_grid_interpolation(tmp_path):
-    # a metric affine in the coordinates is reproduced exactly by
-    # multilinear interpolation
+    # a metric affine in the coordinates is reproduced exactly (to rounding)
+    # by the cubic spline
     fn = lambda x: np.array([[1.0 + 0.5 * x[0], 0.1 * x[1]], [0.1 * x[1], 2.0]])
     path = tmp_path / "grid.csv"
     axes = (np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
@@ -207,6 +207,60 @@ def test_gauge_grid_interpolation(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     a_fn = load_gauge_grid(path, dim=2)
     assert np.allclose(a_fn(np.array([0.25, -0.5])), [0.5, 0.5], atol=1e-12)
+
+
+def _cubic_block(c):
+    """A symmetric block whose entries are cubic in each of x1, x2, t."""
+    x1, x2, t = c
+    off = 0.3 * x1**3 * x2 - 0.2 * x2**3 * t**2 + x1 * x2 * t**3
+    return np.array([[1.0 + x1**3 - 0.5 * x1 * x2**2 + 0.25 * (x1 * x2 * t) ** 3, off],
+                     [off, 2.0 - x2**3 + x1**2 * t]])
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_metric_grid_reproduces_cubics(tmp_path, time_dependent):
+    """Not-a-knot is exact on data cubic in each coordinate: inside a
+    non-uniform grid and, from the end cell's cubic, just outside it."""
+    axes = [[-1.0, -0.7, -0.1, 0.2, 0.8, 1.0], [-1.0, -0.4, 0.5, 0.6, 1.0]]
+    if time_dependent:
+        axes.append([0.5, 0.8, 1.4, 2.0])
+    fn = _cubic_block if time_dependent else (lambda c: _cubic_block((*c, 0.5)))
+    path = tmp_path / "cubic.csv"
+    _write_metric_grid(path, fn, axes)
+    gm = load_metric_grid(path, dim=2, time_dependent=time_dependent)
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    inside = np.random.default_rng(3).uniform(lo, hi, (20, len(axes)))
+    corners = np.array(list(itertools.product(*zip(lo - 0.05, hi + 0.05))))
+    faces = np.array([np.where(np.arange(len(axes)) == k, edge, (lo + hi) / 2)
+                      for k in range(len(axes)) for edge in (lo[k] - 0.05, hi[k] + 0.05)])
+    for c in np.vstack([inside, corners, faces]):
+        x, t = c[:2], c[2] if time_dependent else 0.5
+        assert np.abs(gm(x, t) - fn(c)).max() <= 1e-12, c
+
+
+def test_grid_spline_reads_a_stack_as_single_points():
+    axes = [np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.3, 0.4, 1.0, 2.0])]
+    values = np.random.default_rng(5).normal(size=(5, 5, 3))
+    spline = GridSpline(axes, values)
+    points = np.random.default_rng(6).uniform(-1.5, 2.5, (13, 2))
+    assert np.array_equal(spline(points), np.array([spline(q) for q in points]))
+    assert np.allclose(spline(np.array([[0.5, 0.3]])), values[3, 1], atol=1e-14)  # a node
+
+
+def test_grid_null_orbit_keeps_its_first_integrals(tmp_path, workloads):
+    """A C^2 grid metric: the oracle's stencil never straddles a jump of the
+    Christoffel symbols, so the orbit's null residual and q stay at integrator
+    level. A bilinear (C^0) interpolant of the same grid drifts 4e-8 and 2e-9
+    on this orbit."""
+    s = load(str(workloads.write_grid_scenario(tmp_path, np.random.default_rng([3, 0]))))
+    rng = np.random.default_rng(7)
+    x0, angle = rng.uniform(-0.5, 0.5, 2), rng.uniform(0.0, 2.0 * math.pi)
+    u = unit_direction(s, x0, np.array([math.cos(angle), math.sin(angle)]), 1.0, "main")
+    state = shoot_null(NullShootSpec(x0=x0, u=u, q=0.7, t0=1.0, eps=1, chart="main"), s)
+    traj = integrate(state, s, IntegratorConfig(lambda_max=2.0), chart="main")
+    assert traj.events == [] and traj.lam[-1] == 2.0
+    assert traj.max_null_drift() <= 1e-8
+    assert traj.max_charge_drift() <= 1e-9
 
 
 def test_grid_scenario_file(tmp_path, rng):
