@@ -12,6 +12,7 @@ fiber transitions); callers do not choose a step.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,33 +49,41 @@ def offsets(h: float) -> tuple[float, float, float, float]:
 
 
 def stencil(p: np.ndarray, rel: float = DEFAULT_REL_STEP, keep_sign: Sequence[int] = ()):
-    """The Richardson stencil around ``p`` (m coordinates): the points, shape
-    (4m + 1, m), the centre first and then ``offsets`` on each axis in turn,
-    and the per-axis steps h, shape (m,)."""
+    """The Richardson stencils around the K points of ``p``, shape (K, m): the
+    points, shape (K, 4m + 1, m), each stencil's centre first and then
+    ``offsets`` on each axis in turn, and the per-axis steps h, shape (K, m)."""
     p = np.asarray(p, dtype=float)
-    m = p.size
-    h = [_guarded_step(p, a, rel, keep_sign) for a in range(m)]
-    points = np.empty((4 * m + 1, m))
-    points[:] = p
-    for a, step in enumerate(h):
-        points[1 + 4 * a : 5 + 4 * a, a] += offsets(step)
-    return points, np.array(h)
+    h = np.array([[_guarded_step(q, a, rel, keep_sign) for a in range(len(q))] for q in p.tolist()]).reshape(p.shape)
+    points = _unit_offsets(p.shape[1]) * h[:, None]
+    points += p[:, None]
+    return points, h
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_offsets(m: int) -> np.ndarray:
+    """``offsets(1.0)`` on each of m axes in turn after the centre, shape (4m + 1, m), read-only; every
+    other entry is -0.0, which keeps a coordinate exact under addition (0.0 turns -0.0 into 0.0)."""
+    pattern = np.full((4 * m + 1, m), -0.0)
+    for a in range(m):
+        pattern[1 + 4 * a : 5 + 4 * a, a] = offsets(1.0)
+    pattern.flags.writeable = False
+    return pattern
 
 
 def richardson(plus, minus, plus_half, minus_half, h):
     """(4 d(h/2) - d(h)) / 3, d(s) the central difference over the values at
     +s and -s. Elementwise: plain floats, the values of one axis, or of every
-    axis stacked along the leading axis with h shaped to broadcast."""
+    axis stacked along an axis with h shaped to broadcast."""
     d1 = (plus - minus) / (2.0 * h)
-    d2 = (plus_half - minus_half) / (2.0 * (h / 2.0))
+    d2 = (plus_half - minus_half) / h  # over 2 (h / 2), which is h exactly
     return (4.0 * d2 - d1) / 3.0
 
 
 def stacked_partials(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Partials from the values at the stencil points after the centre,
-    shape (4m, ...), stacked along the leading axis."""
-    h = np.reshape(h, (-1,) + (1,) * (values.ndim - 1))
-    return richardson(values[0::4], values[1::4], values[2::4], values[3::4], h)
+    """Partials at K points, shape (K, m, ...), from the values at their stencil points
+    after the centre, shape (K, 4m, ...), and their steps h, shape (K, m)."""
+    h = np.reshape(h, h.shape + (1,) * (values.ndim - 2))
+    return richardson(values[:, 0::4], values[:, 1::4], values[:, 2::4], values[:, 3::4], h)
 
 
 def partial(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, axis: int, rel: float = DEFAULT_REL_STEP,

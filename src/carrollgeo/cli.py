@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .geodesics import (
     shoot_null,
     unit_direction,
 )
+from .geometry import read_raw
 from .kaluza import christoffel_closed, christoffel_numeric
 from .linearize import (
     linearize,
@@ -222,8 +224,8 @@ def cmd_christoffel(args) -> int:
 
     rows = []
     deviations = []
-    for p in points:
-        numeric = christoffel_numeric(kk, p)
+    numerics = read_raw(partial(christoffel_numeric, kk), points)
+    for p, numeric in zip(points, numerics):
         closed = christoffel_closed(kk, p) if kk.gauge.is_zero or kk.sign == +1 else None
         n1 = scenario.dim + 1
         for a in range(n1):

@@ -23,6 +23,7 @@ from .geometry import (
     TangentVector,
     _stacked,
     euler,
+    read_stacked,
 )
 
 
@@ -82,13 +83,15 @@ class ConnectionOneForm:
     def __call__(self, v: TangentVector) -> float:
         return _omega(v.vx, v.vtb, self.gauge.at(v.base.x, v.base.chart))
 
-    def euler_value(self, p: Point) -> float:
-        return self(euler(p))
-
 
 def _omega(vx: np.ndarray, vtb: float, a: np.ndarray) -> float:
     """omega on the adapted components (vx, vtb) of a vector, A read at its base."""
     return float(vtb + vx @ a)
+
+
+def gauge_at(omega: ConnectionOneForm, points: Sequence[Point]) -> np.ndarray:
+    """A at each of ``points``, shape (K, n): one stacked read per chart."""
+    return read_stacked(lambda x, t, chart: omega.gauge.at(x, chart), points)
 
 
 def trivial_connection(dim: int, charts: Sequence[str]) -> ConnectionOneForm:
@@ -108,21 +111,20 @@ def split(omega: ConnectionOneForm, X: TangentVector) -> tuple[TangentVector, Ta
 
 
 def projector_idempotence_check(
-    omega: ConnectionOneForm,
+    gauge_values: np.ndarray,
     points: Sequence[Point],
     rng: np.random.Generator,
 ) -> float:
     """Max over four random tangent vectors per point of the idempotence and
-    splitting defects.
+    splitting defects of omega, given by A at ``points`` (``gauge_at``, one
+    row per point; a row too many or too few is a ValueError).
 
     Checks Phi(Phi(X)) = Phi(X), that the image is vertical, and that the
-    horizontal part lies in ker(omega). A is read once per point; the
-    projector acts on adapted components, Phi(X) = (0 * w, 1.0 * w) with
-    w = omega(X), as ``projector`` computes it.
+    horizontal part lies in ker(omega). The projector acts on adapted
+    components, Phi(X) = (0 * w, 1.0 * w) with w = omega(X), as ``projector``.
     """
     samples = []
-    for p in points:
-        a = omega.gauge.at(p.x, p.chart)
+    for p, a in zip(points, gauge_values, strict=True):
         zeros = np.zeros(p.dim)
         for _ in range(4):
             vx, vtb = rng.standard_normal(p.dim), float(rng.standard_normal())
@@ -139,17 +141,15 @@ def projector_idempotence_check(
 
 def orthogonality_check(
     g: DegenerateMetric,
-    omega: ConnectionOneForm,
+    gauge_values: np.ndarray,
     points: Sequence[Point],
     rng: np.random.Generator,
 ) -> float:
     """Max |g(horizontal, vertical)| over four random pairs per point; zero by
-    the kernel structure. A and g_M are read once per point, and the split
+    the kernel structure. A is given and g_M read once per chart; the split
     acts on base components as in ``projector_idempotence_check``."""
     samples = []
-    for p in points:
-        a = omega.gauge.at(p.x, p.chart)
-        gm = g.at(p.x, p.t, p.chart)
+    for p, a, gm in zip(points, gauge_values, read_stacked(g.at, points), strict=True):
         zeros = np.zeros(p.dim)
         for _ in range(4):
             xvx, xvtb = rng.standard_normal(p.dim), float(rng.standard_normal())

@@ -16,6 +16,7 @@ obtained from the adapted ones through the diagonal frame factor
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ class Point:
         return self.x.size
 
     def raw(self) -> np.ndarray:
-        return np.append(self.x, self.t)
+        return np.concatenate((self.x, (self.t,)))
 
     def same_place(self, other: "Point") -> bool:
         return (
@@ -92,7 +93,7 @@ class TangentVector:
         return self.vtb * self.base.t
 
     def raw(self) -> np.ndarray:
-        return np.append(self.vx, self.vt)
+        return np.concatenate((self.vx, (self.vt,)))
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         if not self.base.same_place(other.base):
@@ -320,11 +321,24 @@ class DegenerateMetric:
 
 
 def _padded(g: np.ndarray) -> np.ndarray:
-    """The degenerate form [[g_M, 0], [0, 0]] from its base block."""
-    n = len(g)
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = g
+    """The degenerate form [[g_M, 0], [0, 0]] from its base block, or from each of a stack."""
+    n = g.shape[-1]
+    out = np.zeros(g.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n] = g
     return out
+
+
+def read_stacked(read: Callable[[np.ndarray, np.ndarray, str], np.ndarray], points: Sequence[Point]) -> np.ndarray:
+    """``read(x, t, chart)`` at each of ``points`` in order, one call per run of
+    consecutive points on one chart, with x of shape (K, n) and t of shape (K,)."""
+    runs = [list(run) for _, run in itertools.groupby(points, lambda p: p.chart)]
+    values = [read(np.array([p.x for p in run]), np.array([p.t for p in run]), run[0].chart) for run in runs]
+    return np.concatenate(values) if values else np.empty(0)
+
+
+def read_raw(read: Callable[..., np.ndarray], points: Sequence[Point]) -> np.ndarray:
+    """``read(raw, chart=chart)`` on raw stacks (K, n + 1) of ``points``, grouped as in ``read_stacked``."""
+    return read_stacked(lambda x, t, chart: read(np.column_stack([x, t]), chart=chart), points)
 
 
 def metric_eval(g: DegenerateMetric, p: Point, v: TangentVector, w: TangentVector) -> float:

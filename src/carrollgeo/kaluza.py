@@ -21,6 +21,7 @@ with a nonzero gauge field its output is something to compare, not to trust
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import _fd
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import DegenerateMetric, Point, TangentVector
+from .geometry import DegenerateMetric, Point, TangentVector, read_raw
 
 BaseSymbols = Callable[[np.ndarray, float, str], np.ndarray]
 BlockDerivative = Callable[[np.ndarray, float, str], np.ndarray]
@@ -91,25 +92,25 @@ class KKMetric:
 
     def det_identity_residual(self, p: Point) -> float:
         """Relative defect of det(raw) * t^2 = sign * det(g_M)."""
-        return det_identity_defect(self.raw(p), self.metric.at(p.x, p.t, p.chart), p.t, self.sign)
+        return float(det_identity_defect(self.raw(p), self.metric.at(p.x, p.t, p.chart), p.t, self.sign))
 
     def signature(self, p: Point) -> tuple[int, int]:
         """(positive, negative) eigenvalue counts of the raw components."""
-        return signature_counts(self.raw(p))
+        return tuple(int(count) for count in signature_counts(self.raw(p)))
 
 
-def det_identity_defect(raw: np.ndarray, gm: np.ndarray, t: float, sign: int) -> float:
+def det_identity_defect(raw: np.ndarray, gm: np.ndarray, t: float | np.ndarray, sign: int) -> float | np.ndarray:
     """Relative defect of det(raw) * t^2 = sign * det(g_M), from the raw
-    components and the base block at one point."""
-    det_raw = float(np.linalg.det(raw))
-    det_gm = float(np.linalg.det(gm))
-    return abs(det_raw * t**2 - sign * det_gm) / max(abs(det_gm), 1e-300)
+    components and the base block at one point or a stack (t of shape (K,))."""
+    det_gm = np.linalg.det(gm)
+    t2 = np.reshape([ti**2 for ti in np.ravel(t).tolist()], np.shape(t))  # libm pow, as in ``components``
+    return np.abs(np.linalg.det(raw) * t2 - sign * det_gm) / np.maximum(np.abs(det_gm), 1e-300)
 
 
-def signature_counts(g: np.ndarray) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a symmetric matrix."""
+def signature_counts(g: np.ndarray) -> tuple:
+    """(positive, negative) eigenvalue counts of a symmetric matrix, or of each in a stack."""
     vals = np.linalg.eigvalsh(g)
-    return int(np.sum(vals > 0)), int(np.sum(vals < 0))
+    return np.sum(vals > 0, axis=-1), np.sum(vals < 0, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,41 +121,41 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: floa
                         chart: str | None = None) -> np.ndarray:
     """Levi-Civita symbols of the raw metric by central differences.
 
-    ``p`` is a Point, or raw coordinates (x..., t) on ``chart`` (no Point is
-    built: the integrator calls this at every stage). One pass over the
-    stencil: the metric is assembled at all 4m + 1 points at once, inverted
-    once at the centre, gated on the 1-norm condition number
-    ||g||_1 ||g^-1||_1 from that inverse, and differenced as stacked arrays.
-    Returns Gamma[A, B, C] with the upper index first, symmetrized in the
-    lower pair.
+    ``p`` is a Point, or raw coordinates (x..., t) on ``chart``, one point or
+    a stack of K, shape (K, n + 1); a single point is a stack of one. One pass
+    over the stack: the metric is assembled at all K (4m + 1) stencil points
+    with one read per field, inverted once at each centre, gated per point on
+    the 1-norm condition number ||g||_1 ||g^-1||_1 from that inverse, and
+    differenced as stacked arrays. Returns Gamma[..., A, B, C] with the upper
+    index first, symmetrized in the lower pair.
     """
-    raw_p, chart = (p.raw(), p.chart) if chart is None else (p, chart)
-    points, h = _fd.stencil(raw_p, keep_sign=(raw_p.size - 1,))
-    g = kk.components(points, chart)
-    ginv = _inverse(g[0])
+    raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
+    stack = raw.reshape(-1, raw.shape[-1])
+    points, h = _fd.stencil(stack, keep_sign=(stack.shape[1] - 1,))
+    g = kk.components(points.reshape(-1, stack.shape[1]), chart).reshape(points.shape + stack.shape[1:])
+    ginv = _inverse(g[:, 0])
     if cond_limit is not None:
         # a matrix's 1-norm is its largest absolute column sum
-        cond = float(np.abs(g[0]).sum(axis=0).max() * np.abs(ginv).sum(axis=0).max())
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise NumericError(f"metric condition number (1-norm) {cond:.3e} exceeds {cond_limit:.0e}")
-    return _levi_civita(ginv, _fd.stacked_partials(g[1:], h))
+        cond = np.abs(g[:, 0]).sum(axis=1).max(axis=1) * np.abs(ginv).sum(axis=1).max(axis=1)
+        if not cond.max() <= cond_limit:  # a NaN fails too
+            k = np.flatnonzero(~(cond <= cond_limit))[0]
+            raise NumericError(f"metric condition number (1-norm) {cond[k]:.3e} at point {k} exceeds {cond_limit:.0e}")
+    gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h))
+    return gamma.reshape(raw.shape[:-1] + gamma.shape[1:])
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[a, b, c] from the inverse metric and the metric's partials
-    dg[c, a, b] = d_c g_ab, symmetrized in the lower pair (the raw formula
-    is symmetric up to roundoff)."""
-    lowered = (
-        np.transpose(dg, (1, 0, 2))  # [d, b, c] = d_b G_dc
-        + np.transpose(dg, (1, 2, 0))  # [d, b, c] = d_c G_db
-        - dg  # [d, b, c] = d_d G_bc
-    )
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, lowered)
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+    """Gamma[..., a, b, c] from the inverse metric and the metric's partials
+    dg[..., c, a, b] = d_c g_ab, symmetrized in the lower pair (the raw
+    formula is symmetric up to roundoff); leading axes are a stack."""
+    swapped = np.swapaxes(dg, -3, -2)  # [d, b, c] = d_b G_dc
+    lowered = swapped + np.swapaxes(swapped, -2, -1) - dg  # + d_c G_db - d_d G_bc
+    gamma = np.einsum("...ad,...dbc->...abc", ginv, lowered)
+    return 0.25 * (gamma + np.swapaxes(gamma, -1, -2))  # the formula's 1/2 times the symmetrization's
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
-    """The inverse of a metric block; a singular one is a NumericError."""
+    """The inverse of a metric block or of each in a stack; a singular one is a NumericError."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
@@ -163,11 +164,12 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 def base_symbols_at(kk: KKMetric, p: Point) -> np.ndarray:
     """Levi-Civita symbols of the base block at frozen t: the registered
-    closed form, else by central differences."""
+    closed form, else by central differences over one stacked read of g_M."""
     if kk.base_symbols is not None:
         return np.asarray(kk.base_symbols(p.x, p.t, p.chart), dtype=float)
-    gm_of_x = lambda y: kk.metric.at(y, p.t, p.chart)
-    return _levi_civita(_inverse(gm_of_x(p.x)), _fd.partials(gm_of_x, p.x))
+    points, h = _fd.stencil(p.x[None])
+    gm = kk.metric.at(points[0], np.full(len(points[0]), p.t), p.chart)
+    return _levi_civita(_inverse(gm[0]), _fd.stacked_partials(gm[None, 1:], h)[0])
 
 
 def _block_t_derivative(kk: KKMetric, p: Point) -> np.ndarray:
@@ -245,9 +247,10 @@ def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
 
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:
-    """Max componentwise |closed - numeric| over the sample points."""
-    deltas = [christoffel_closed(kk, p) - christoffel_numeric(kk, p) for p in points]
-    return float(np.max(np.abs(deltas), initial=0.0))
+    """Max componentwise |closed - numeric| over the sample points, one oracle call per chart."""
+    closed = np.array([christoffel_closed(kk, p) for p in points])
+    numeric = read_raw(partial(christoffel_numeric, kk), points)
+    return float(np.max(np.abs(closed - numeric), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +355,15 @@ def regularity_probe(
     if t_values is None:
         t_values = np.logspace(-1, -6, 6)
     x0 = np.asarray(x0, dtype=float)
+    raws = np.array([Point(x0, float(t), chart).raw() for t in t_values])
+
+    def y_raw(raw: np.ndarray) -> np.ndarray:
+        return np.asarray(Y(raw[:-1], float(raw[-1])), dtype=float)
+
     rows = []
-    for t in t_values:
-        p = Point(x0, float(t), chart)
-        raw_p = p.raw()
-        t_axis = raw_p.size - 1
-
-        def y_raw(raw: np.ndarray) -> np.ndarray:
-            return np.asarray(Y(raw[:-1], float(raw[-1])), dtype=float)
-
-        dy = _fd.partials(y_raw, raw_p, keep_sign=(t_axis,))  # dy[B, A]
-        gamma = christoffel_numeric(kk, p, cond_limit=None)
-        xv = np.asarray(X(x0, float(t)), dtype=float)
+    for raw_p, gamma in zip(raws, christoffel_numeric(kk, raws, cond_limit=None, chart=chart)):
+        dy = _fd.partials(y_raw, raw_p, keep_sign=(raw_p.size - 1,))  # dy[B, A]
+        xv = np.asarray(X(x0, float(raw_p[-1])), dtype=float)
         yv = y_raw(raw_p)
         rows.append(xv @ dy + np.einsum("abc,b,c->a", gamma, xv, yv))
     components = np.array(rows)

@@ -590,7 +590,7 @@ def _parse_matrix(text: str, dim: int):
         entries.append([compile_expression(c, variables) for c in cols])
 
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        args = tuple(float(v) for v in x) + (float(t),)
+        args = (*np.asarray(x, dtype=float).tolist(), float(t))
         return np.array([[fn(*args) for fn in row] for row in entries])
 
     return gm, None
@@ -610,7 +610,7 @@ def _parse_vector(text: str, dim: int):
     is_zero = all(fn.constant and fn(*[0.0] * dim) == 0.0 for fn in comps)  # type: ignore[attr-defined]
 
     def a_fn(x: np.ndarray) -> np.ndarray:
-        args = tuple(float(v) for v in x)
+        args = np.asarray(x, dtype=float).tolist()
         return np.array([fn(*args) for fn in comps])
 
     return (a_fn, is_zero), None

@@ -1,4 +1,4 @@
-"""The check suites read each field once per sample point.
+"""The check suites read each field once per chart, not once per drawn vector.
 
 The reference functions below are the suites' vector loops as first written:
 one ``TangentVector`` per step, ``omega`` and ``metric_eval`` reading the
@@ -18,12 +18,14 @@ import carrollgeo as cg
 from carrollgeo import _fd, suites
 from carrollgeo.connection import (
     GaugeField,
+    gauge_at,
     orthogonality_check,
     overlap_gauge_residual,
     projector,
     projector_idempotence_check,
     split,
 )
+from carrollgeo.errors import ConstructionError
 from carrollgeo.geometry import Point, TangentVector, euler, metric_eval
 from carrollgeo.suites import CheckResult
 
@@ -115,6 +117,22 @@ def _ref_determinant_suite(scenario, rng):
     ]
 
 
+def _ref_connection_suite(scenario, rng):
+    omega = scenario.connection()
+    points = []
+    for chart in scenario.atlas.chart_names():
+        points.extend(scenario.sample_points(rng, 6, chart=chart))
+    results = [
+        suites._result("connection_dual_to_euler", max(abs(omega(euler(p)) - 1.0) for p in points), 0.0),
+        suites._result("projector_idempotence", _ref_projector(omega, points, rng), 1e-14),
+        suites._result("horizontal_vertical_orthogonality", _ref_orthogonality(scenario.metric, omega, points, rng),
+                       0.0),
+    ]
+    if scenario.atlas.transitions:
+        results.append(suites._result("gauge_overlap_rule", _ref_overlap_gauge(scenario.atlas, omega, rng), 1e-8))
+    return results
+
+
 def _gauged_flat2():
     flat = cg.load("flat", n=2)
     flat.gauge = GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
@@ -145,14 +163,16 @@ def test_suites_are_bit_identical_to_the_per_vector_loops(scenarios, name, seed)
     s = scenarios[name]
     omega = s.connection()
     for suite, reference in ((suites.kernel_suite, _ref_kernel_suite),
+                             (suites.connection_suite, _ref_connection_suite),
                              (suites.determinant_suite, _ref_determinant_suite)):
         got_rng, want_rng = _twins(seed)
         assert suite(s, got_rng) == reference(s, want_rng), suite.__name__
         assert _same_state(got_rng, want_rng), suite.__name__
     points = [p for chart in s.atlas.chart_names() for p in s.sample_points(np.random.default_rng(seed), 6, chart=chart)]
     checks = [
-        (lambda rng: projector_idempotence_check(omega, points, rng), lambda rng: _ref_projector(omega, points, rng)),
-        (lambda rng: orthogonality_check(s.metric, omega, points, rng),
+        (lambda rng: projector_idempotence_check(gauge_at(omega, points), points, rng),
+         lambda rng: _ref_projector(omega, points, rng)),
+        (lambda rng: orthogonality_check(s.metric, gauge_at(omega, points), points, rng),
          lambda rng: _ref_orthogonality(s.metric, omega, points, rng)),
         (lambda rng: overlap_gauge_residual(s.atlas, omega, rng), lambda rng: _ref_overlap_gauge(s.atlas, omega, rng)),
     ]
@@ -194,16 +214,18 @@ def test_overlap_gauge_rule_differences_each_transition_once_per_sample(name, rn
 
 
 def test_projector_and_orthogonality_checks_read_each_field_once_per_point(rng):
+    """A is read once, by ``gauge_at``, and both checks take its values."""
     s = _gauged_flat2()
     calls = {"gauge": 0, "block": 0}
     gauge = GaugeField(components=_count_calls(s.gauge.components, calls, "gauge"))
     s.metric.blocks.update(_count_calls(s.metric.blocks, calls, "block"))
-    omega = s.connection(gauge)
     points = s.sample_points(rng, 5)
-    projector_idempotence_check(omega, points, rng)
+    a = gauge_at(s.connection(gauge), points)
     assert calls == {"gauge": 5, "block": 0}
-    orthogonality_check(s.metric, omega, points, rng)
-    assert calls == {"gauge": 10, "block": 5}
+    projector_idempotence_check(a, points, rng)
+    assert calls == {"gauge": 5, "block": 0}
+    orthogonality_check(s.metric, a, points, rng)
+    assert calls == {"gauge": 5, "block": 5}
 
 
 def test_base_block_reads_per_point_in_kernel_and_determinant_suites(rng):
@@ -215,3 +237,68 @@ def test_base_block_reads_per_point_in_kernel_and_determinant_suites(rng):
     # per point: once to build the raw components, once for det g_M
     suites.determinant_suite(s, rng)
     assert calls["block"] == 10 * len(s.atlas.charts) + 2 * 10 * 2
+
+
+def test_christoffel_agreement_says_when_no_sample_was_compared(scenarios):
+    """The closed form is compared only where the gauge field is known to
+    vanish. On the grid scenario (nonzero gauge) the row still passes with
+    value 0.0, and its detail says that nothing was compared."""
+    [row] = suites.christoffel_suite(scenarios["grid"], np.random.default_rng(1))
+    assert (row.passed, row.value, row.detail) == (True, 0.0, "no sample compared: the gauge field is nonzero")
+    [row] = suites.christoffel_suite(scenarios["demo"], np.random.default_rng(1))
+    assert row.passed and 0.0 < row.value <= 1e-6 and row.detail == ""
+
+
+RAISING_METRIC = """\
+[meta]
+name = sqrt-metric
+dim = 2
+default_chart = main
+
+[charts]
+main = box(-1.5, 1.5; -1.5, 1.5)
+
+[metric]
+time_dependent = false
+main = matrix(1 + sqrt(x1 + 1.4), 0; 0, 2)
+
+[gauge]
+main = vector(0, 0)
+"""
+
+
+def test_a_field_that_raises_on_part_of_the_box_fails_after_all_draws_of_its_chart(tmp_path):
+    """g_M = 1 + sqrt(x1 + 1.4) raises for x1 < -1.4. ``kernel_suite`` draws
+    the vectors of all ten points of a chart before its one read of g_M, so a
+    read that raises leaves the generator after all ten draws, where the
+    per-point loop stopped after the draws of the failing point. ``run_all``
+    reports each raising suite as a failed row and samples the later suites
+    from there, so their values differ from the per-point loops' on such a
+    file (here ``kk_determinant_identity``); on fields that do not raise the
+    draws are the same."""
+    path = tmp_path / "sqrt.ini"
+    path.write_text(RAISING_METRIC)
+    s = cg.load(str(path))
+    stacked, per_point = _twins(6)
+    for suite, rng in ((suites.kernel_suite, stacked), (_ref_kernel_suite, per_point)):
+        with pytest.raises(ConstructionError, match="math domain error"):
+            suite(s, rng)
+    want = np.random.default_rng(6)
+    for p in s.sample_points(want, 10, chart="main"):
+        want.standard_normal(p.dim), want.standard_normal()
+    assert _same_state(stacked, want) and not _same_state(per_point, want)
+
+    rng = np.random.default_rng(6)
+    report = suites.run_all(s, rng)
+    error = "cannot evaluate expression '1 + sqrt(x1 + 1.4)': math domain error"
+    assert [(r.name, r.passed, r.detail) for r in report] == [
+        ("kernel_suite", False, error),
+        ("euler_proportionality", True, ""),
+        ("connection_dual_to_euler", True, ""),
+        ("projector_idempotence", True, ""),
+        ("horizontal_vertical_orthogonality", True, ""),
+        ("kk_determinant_identity", True, ""),
+        ("lorentzian_signature", True, "eigenvalue signs (2, 1) for sign -1"),
+        ("christoffel_suite", False, error),
+    ]
+    assert rng.bit_generator.state["state"]["state"] == 295043856228001817313901577346969773172

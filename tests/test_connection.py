@@ -13,6 +13,7 @@ from carrollgeo.connection import (
     connection_from_partition,
     curvature,
     curvature_numeric,
+    gauge_at,
     orthogonality_check,
     overlap_gauge_residual,
     projector,
@@ -34,7 +35,7 @@ def _gauge(fn, chart="cartesian"):
 def test_omega_dual_to_euler(flat2, rng):
     omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, 0.0])))
     for p in flat2.sample_points(rng, 5):
-        assert omega.euler_value(p) == 1.0
+        assert omega(euler(p)) == 1.0
 
 
 def test_split_euler_is_vertical(flat2):
@@ -80,7 +81,20 @@ def test_split_reassembles_exactly(a, b, c):
 def test_projector_idempotent(flat2, rng):
     omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, -x[1]])))
     points = flat2.sample_points(rng, 6)
-    assert projector_idempotence_check(omega, points, rng) < 1e-14
+    assert projector_idempotence_check(gauge_at(omega, points), points, rng) < 1e-14
+
+
+@pytest.mark.parametrize("rows", [slice(0, 5), slice(0, 6, 2), slice(0, 2)])
+def test_checks_reject_gauge_values_that_are_not_one_row_per_point(flat2, rng, rows):
+    """A stack of A with a row too few or too many must not check fewer points."""
+    omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, -x[1]])))
+    points = flat2.sample_points(rng, 6)
+    a = gauge_at(omega, points + points[:1])
+    for given in (a[rows], a):
+        with pytest.raises(ValueError, match="zip"):
+            projector_idempotence_check(given, points, rng)
+        with pytest.raises(ValueError, match="zip"):
+            orthogonality_check(flat2.metric, given, points, rng)
 
 
 def test_projector_kills_horizontal_trivial(flat2):
@@ -107,13 +121,13 @@ def test_moebius_projector_on_overlaps(moebius, rng):
 def test_orthogonality_schwarzschild_trivial(schwarzschild, rng):
     omega = schwarzschild.connection()
     pts = schwarzschild.sample_points(rng, 5)
-    assert orthogonality_check(schwarzschild.metric, omega, pts, rng) == 0.0
+    assert orthogonality_check(schwarzschild.metric, gauge_at(omega, pts), pts, rng) == 0.0
 
 
 def test_orthogonality_with_gauge_field(flat2, rng):
     omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, 0.0])))
     pts = flat2.sample_points(rng, 5)
-    assert orthogonality_check(flat2.metric, omega, pts, rng) == 0.0
+    assert orthogonality_check(flat2.metric, gauge_at(omega, pts), pts, rng) == 0.0
 
 
 def test_horizontal_pairings_generally_nonzero(flat2, rng):
@@ -194,7 +208,7 @@ def test_single_chart_partition_gives_trivial_connection(flat2, rng):
     omega = connection_from_partition(flat2.atlas, pou, rng)
     for p in flat2.sample_points(rng, 4):
         assert np.all(omega.gauge.at(p.x, "cartesian") == 0.0)
-        assert omega.euler_value(p) == 1.0
+        assert omega(euler(p)) == 1.0
 
 
 def test_moebius_partition_connection_is_flat(moebius, rng):
@@ -206,7 +220,7 @@ def test_moebius_partition_connection_is_flat(moebius, rng):
     for chart in ("east", "west"):
         for p in moebius.sample_points(rng, 5, chart=chart):
             assert abs(float(omega.gauge.at(p.x, chart)[0])) < 1e-12
-            assert omega.euler_value(p) == 1.0
+            assert omega(euler(p)) == 1.0
     assert overlap_gauge_residual(moebius.atlas, omega, rng) < 1e-8
 
 

@@ -1,9 +1,10 @@
 """The one-pass finite-difference oracle against a per-axis reference.
 
-``christoffel_numeric`` assembles the metric at all 4m + 1 stencil points at
-once and differences them as stacked arrays. The reference below is the same
-oracle written as a loop over axes; the two must agree bit for bit, in the
-symbols themselves and in every output of the CLI commands that use them.
+``christoffel_numeric`` assembles the metric at all K (4m + 1) stencil points
+of a stack of K points at once and differences them as stacked arrays. The
+reference below is the same oracle written as a loop over points and axes;
+the two must agree bit for bit, in the symbols themselves and in every output
+of the CLI commands that use them.
 """
 
 import math
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import _fd, kaluza
+from carrollgeo import _fd, kaluza, suites
 from carrollgeo.cli import main
 from carrollgeo.connection import GaugeField
-from carrollgeo.errors import NumericError
+from carrollgeo.errors import DomainError, NumericError
 from carrollgeo.kaluza import christoffel_numeric
 from carrollgeo.linearize import linearize, shift_transitions, synthetic_circle_atlas
 
@@ -24,8 +25,11 @@ CATALOG = ["flat", "lightcone", "sphere_pullback", "moebius", "schwarzschild", "
 
 
 def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None):
-    """The oracle one axis at a time: ``_fd.partial`` over ``kk.raw_field``."""
+    """The oracle one point and one axis at a time: ``_fd.partial`` over
+    ``kk.raw_field``, row by row for a stack of raw points."""
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
+    if raw.ndim == 2:
+        return np.array([reference_christoffel(kk, row, cond_limit=cond_limit, chart=chart) for row in raw])
     field_fn = kk.raw_field(chart)
     g = field_fn(raw)
     if cond_limit is not None and not np.linalg.cond(g) <= cond_limit:
@@ -139,6 +143,98 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     p = scenario.point([0.4, 0.3], 1.3)
     christoffel_numeric(kk, p)
     assert calls == {"block": 13, "gauge": 13 if use_gauge else 0}
+
+
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory, workloads):
+    """The benchmark's grid-CSV scenario: cubic-spline fields with a nonzero gauge."""
+    return cg.load(str(workloads.write_grid_scenario(tmp_path_factory.mktemp("grid"), np.random.default_rng(1))))
+
+
+STACK_CASES = [(name, chart) for name in CATALOG for chart in cg.load(name).atlas.charts]
+STACK_CASES += [("flat2-gauge", "cartesian"), ("grid", "main")]
+
+
+def _alternating_stack(scenario, chart, count):
+    """``count`` raw points of ``chart`` whose fiber coordinates alternate in sign."""
+    points = scenario.sample_points(np.random.default_rng(11), count, chart=chart)
+    raw = np.array([p.raw() for p in points])
+    raw[:, -1] *= np.resize([1.0, -1.0], count)
+    return raw
+
+
+@pytest.mark.parametrize("name, chart", STACK_CASES, ids=[f"{n}-{c}" for n, c in STACK_CASES])
+def test_stacked_oracle_is_bit_identical_to_the_reference_point_by_point(name, chart, grid):
+    if name == "flat2-gauge":
+        scenario, gauge = _gauged_flat2()
+    else:
+        scenario, gauge = (grid if name == "grid" else cg.load(name)), None
+    raw = _alternating_stack(scenario, chart, 5)
+    for sign in (+1, -1):
+        kk = scenario.kk(sign, scenario.connection(gauge))
+        stacked = christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
+        assert stacked.shape == (5,) + (scenario.dim + 1,) * 3
+        assert np.array_equal(stacked, reference_christoffel(kk, raw, cond_limit=None, chart=chart))
+        for k, row in enumerate(raw):
+            single = christoffel_numeric(kk, row, cond_limit=None, chart=chart)
+            assert np.array_equal(stacked[k], single)
+            assert np.array_equal(christoffel_numeric(kk, row[None], cond_limit=None, chart=chart), single[None])
+            assert np.array_equal(single, reference_christoffel(kk, row, cond_limit=None, chart=chart))
+
+
+def test_gate_names_the_point_of_a_stack_that_fails_it():
+    scenario = cg.load("schwarzschild")
+    kk = scenario.kk(-1)
+    raw = _alternating_stack(scenario, "angular", 4)
+    conds = [np.linalg.cond(kk.components(row[None], "angular")[0], 1) for row in raw]
+    worst = int(np.argmax(conds))
+    raw[[worst, 2]] = raw[[2, worst]]  # the worst-conditioned point goes to index 2
+    limit = math.sqrt(sorted(conds)[-1] * sorted(conds)[-2])
+    christoffel_numeric(kk, np.delete(raw, 2, axis=0), cond_limit=limit, chart="angular")
+    with pytest.raises(NumericError, match="at point 2 exceeds"):
+        christoffel_numeric(kk, raw, cond_limit=limit, chart="angular")
+
+
+def test_stack_with_a_point_near_the_zero_section_is_a_domain_error():
+    scenario = cg.load("flat")
+    kk = scenario.kk(-1)
+    raw = _alternating_stack(scenario, "cartesian", 4)
+    christoffel_numeric(kk, raw, chart="cartesian")
+    raw[3, -1] = 1e-12
+    with pytest.raises(DomainError, match="across zero on axis 2"):
+        christoffel_numeric(kk, raw, chart="cartesian")
+
+
+def _count_at(monkeypatch, owner, calls):
+    """Record the number of points of every ``at`` call on a metric or gauge field."""
+    at = owner.at
+    monkeypatch.setattr(owner, "at", lambda x, *rest: calls.append(len(np.atleast_2d(x))) or at(x, *rest))
+
+
+def test_suites_read_a_field_once_per_stack(monkeypatch):
+    """The oracle in ``christoffel_suite`` reads g_M once per sign, at all
+    20 x 13 stencil points; ``kernel_suite`` once per chart; the determinant
+    suite twice per sign (the assembly and the independent det g_M); and the
+    three connection checks share one read of A per chart."""
+    schwarzschild, sphere = cg.load("schwarzschild"), cg.load("sphere_pullback")
+    calls = []
+    _count_at(monkeypatch, schwarzschild.metric, calls)
+    monkeypatch.setattr(kaluza, "christoffel_closed", lambda kk, p: np.zeros((3, 3, 3)))
+    suites.christoffel_suite(schwarzschild, np.random.default_rng(1))
+    assert calls == [20 * 13, 20 * 13]
+    calls.clear()
+    _count_at(monkeypatch, sphere.metric, calls)
+    suites.kernel_suite(sphere, np.random.default_rng(1))
+    assert calls == [10] * len(sphere.atlas.charts)
+    calls.clear()
+    suites.determinant_suite(sphere, np.random.default_rng(1))
+    assert calls == [10] * 4
+    flat, gauge = _gauged_flat2()
+    flat.gauge = gauge
+    a_calls = []
+    _count_at(monkeypatch, gauge, a_calls)
+    suites.connection_suite(flat, np.random.default_rng(1))
+    assert a_calls == [6]
 
 
 COMMANDS = {
