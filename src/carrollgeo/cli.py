@@ -81,6 +81,13 @@ def _add_common(sub: argparse.ArgumentParser, scenario_positional: bool = True) 
                      help="output format")
 
 
+def _add_christoffel(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--christoffel", default=None, choices=["closed", "numeric"],
+                     help="Christoffel symbols: 'closed' (the default) uses the closed form where the gauge "
+                          "field vanishes and the finite-difference oracle elsewhere; 'numeric' uses the "
+                          "oracle everywhere")
+
+
 def _integrator_config(args) -> IntegratorConfig:
     cfg = IntegratorConfig()
     if args.tol is not None:
@@ -88,7 +95,8 @@ def _integrator_config(args) -> IntegratorConfig:
         cfg.abs_tol = args.tol
     cfg.lambda_max = args.lambda_max
     cfg.method = args.method
-    cfg.christoffel = args.christoffel
+    if args.christoffel is not None:
+        cfg.christoffel = args.christoffel
     if args.rk4_step is not None:
         cfg.rk4_step = args.rk4_step
     return cfg
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--lambda-max", type=float, default=10.0, dest="lambda_max")
     p_geo.add_argument("--method", default="rk45", choices=["rk45", "rk4"])
     p_geo.add_argument("--rk4-step", type=float, default=None, dest="rk4_step")
-    p_geo.add_argument("--christoffel", default="numeric", choices=["numeric", "closed"])
+    _add_christoffel(p_geo)
     p_geo.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
     p_geo.add_argument("--small-gauge", action="store_true", dest="small_gauge",
                        help="integrate the reduced base flow in log-time")
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shoot.add_argument("--lambda-max", type=float, default=5.0, dest="lambda_max")
     p_shoot.add_argument("--method", default="rk45", choices=["rk45", "rk4"])
     p_shoot.add_argument("--rk4-step", type=float, default=None, dest="rk4_step")
-    p_shoot.add_argument("--christoffel", default="numeric", choices=["numeric", "closed"])
+    _add_christoffel(p_shoot)
     p_shoot.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
     p_shoot.set_defaults(fn=cmd_null_shoot)
 

@@ -61,7 +61,7 @@ class GaugeField:
         if self.is_zero:
             return np.zeros(x.shape)
         if x.ndim == 2:
-            a = _stacked([fn(xi) for xi in x], "gauge field")
+            a = _stacked([fn(xi) for xi in x], "gauge field", x.shape)
             a = a[:, None] if a.ndim == 1 else a  # one scalar per point when n = 1
         else:
             a = np.atleast_1d(np.asarray(fn(x), dtype=float))

@@ -4,8 +4,11 @@ State: raw coordinates (x, t) and raw velocities (dx/dl, dt/dl) along an
 affine parameter. The second-order system x''^A + Gamma^A_BC x'^B x'^C = 0
 is integrated with an embedded Fehlberg 4(5) pair (adaptive, the default)
 or a fixed-step classical RK4 for convergence studies. The symbols come
-from the finite-difference oracle by default; the closed-form variant is
-selectable for scenarios with a vanishing gauge field.
+from the closed form where it is validated against the finite-difference
+oracle, that is where the gauge field is known to vanish
+(``GaugeField.is_zero``), and from the oracle everywhere else;
+``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
+``Trajectory.meta["christoffel"]`` names the route that ran.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -31,7 +34,7 @@ import numpy as np
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import Chart, Point
-from .kaluza import KKMetric, _inverse, base_symbols_at, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, base_data, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -84,7 +87,9 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = 0.1
     lambda_max: float = 10.0
-    christoffel: str = "numeric"  # or "closed"
+    # "closed": the closed form where the gauge field vanishes, the oracle
+    # elsewhere; "numeric": the oracle everywhere
+    christoffel: str = "closed"
     rk4_step: float = 0.01
 
 
@@ -210,23 +215,22 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Symbols as a function of the raw position (x..., t)."""
-    if cfg.christoffel == "closed":
-        if not kk.gauge.is_zero and kk.sign != +1:
-            raise NumericError("closed-form symbols need a vanishing gauge field for sign -1")
-        fn = lambda raw: christoffel_closed(kk, Point(raw[:-1], raw[-1], chart))
-    elif cfg.christoffel == "numeric":
-        # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
-        # the stencil's sign guard refuses a fiber coordinate near zero
-        fn = lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
-    else:
+def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+    """The symbol route that runs, "closed" or "numeric", and the symbols as
+    a function of the raw position (x..., t). The closed form runs where it
+    is validated against the oracle, a gauge field known to vanish, unless
+    ``cfg.christoffel`` is "numeric"; the oracle runs everywhere else."""
+    if cfg.christoffel not in ("closed", "numeric"):
         raise ContractViolation(f"unknown christoffel provider {cfg.christoffel!r}")
-    return fn
+    if cfg.christoffel == "closed" and kk.gauge.is_zero:
+        return "closed", lambda raw: christoffel_closed(kk, raw, chart=chart)
+    # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
+    # the stencil's sign guard refuses a fiber coordinate near zero
+    return "numeric", lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
 
 
-def geodesic_rhs(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> Callable[[np.ndarray], np.ndarray]:
-    gamma_at = _gamma_provider(kk, chart, cfg)
+def geodesic_rhs(gamma_at: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """y' for y = (x..., t, vx..., vt), given the symbols at the raw position."""
     n = None
 
     def rhs(y: np.ndarray) -> np.ndarray:
@@ -264,9 +268,8 @@ def printed_spatial_acceleration(
     if scenario.metric.time_dependent:
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
-    gminv = _inverse(scenario.metric.at(p.x, p.t, chart))
     kk = scenario.kk(-1, scenario.connection(gauge))
-    base = base_symbols_at(kk, p)
+    gminv, base, _ = base_data(kk, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
     vx = state.vx
@@ -354,14 +357,16 @@ def _drive(
     size, the last one not clamped to ``span``. ``guard(y)`` names the reason
     an accepted state ends the run (that state is kept), or returns None. A
     non-finite stage or step result ends the run as ``non_finite`` and is
-    not kept. The span must be finite and >= 0, and the step and the
-    tolerances finite and > 0, else the run is a ContractViolation.
+    not kept. The span must be finite and >= 0, and the fixed step, the step
+    cap ``max_step`` and the tolerances finite and > 0, else the run is a
+    ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
     if not (math.isfinite(span) and span >= 0.0):
         raise ContractViolation(f"integration span must be finite and >= 0, got {span}")
-    for name, value in (("rk4_step", cfg.rk4_step), ("rel_tol", cfg.rel_tol), ("abs_tol", cfg.abs_tol)):
+    for name, value in (("rk4_step", cfg.rk4_step), ("max_step", cfg.max_step), ("rel_tol", cfg.rel_tol),
+                        ("abs_tol", cfg.abs_tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ContractViolation(f"{name} must be finite and > 0, got {value}")
     adaptive = cfg.method == "rk45"
@@ -441,7 +446,8 @@ def integrate(
             return "t_guard"
         return None if chart_obj.inside(y[:n]) else "left_chart"
 
-    lams, ys, events = _drive(geodesic_rhs(kk, chart, cfg), state0.as_vector(), cfg.lambda_max, cfg, guard)
+    route, gamma_at = _gamma_provider(kk, chart, cfg)
+    lams, ys, events = _drive(geodesic_rhs(gamma_at), state0.as_vector(), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, ts, vxs, vts = arr[:, :n], arr[:, n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
 
@@ -459,7 +465,7 @@ def integrate(
         lam=np.array(lams), x=xs, t=ts, vx=vxs, vt=vts,
         charge=charges, null_residual=nulls, base_speed2=speeds, events=events,
         meta={"scenario": scenario.name, "chart": chart, "method": cfg.method,
-              "christoffel": cfg.christoffel, "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol},
+              "christoffel": route, "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol},
     )
 
 
@@ -549,9 +555,7 @@ def integrate_small_gauge(
 
     def rhs(y: np.ndarray) -> np.ndarray:
         x, v = y[:n], y[n:]
-        p = Point(x, 1.0, chart)
-        base = base_symbols_at(kk, p)
-        gminv = _inverse(scenario.metric.at(x, 1.0, chart))
+        gminv, base, _ = base_data(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
         acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)
         return np.concatenate([v, acc])

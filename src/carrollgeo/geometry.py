@@ -260,8 +260,11 @@ class Atlas:
 # degenerate metric
 # ---------------------------------------------------------------------------
 
-def _stacked(values: list, what: str) -> np.ndarray:
-    """A field's values at the points of a stack as one float array."""
+def _stacked(values: list, what: str, empty_shape: tuple[int, ...]) -> np.ndarray:
+    """A field's values at the points of a stack as one float array; an empty
+    stack has ``empty_shape``."""
+    if not values:
+        return np.empty(empty_shape)
     try:
         return np.array(values, dtype=float)
     except ValueError:
@@ -290,14 +293,14 @@ class DegenerateMetric:
         except KeyError:
             raise ContractViolation(f"metric has no block for chart {chart!r}") from None
         x = np.asarray(x, dtype=float)
+        expected = x.shape + x.shape[-1:]
         if x.ndim == 2:
             t = np.asarray(t, dtype=float)
             if t.shape != x.shape[:1]:
                 raise ContractViolation(f"{len(x)} base points but fiber values of shape {t.shape}")
-            g = _stacked([fn(xi, ti) for xi, ti in zip(x, t.tolist())], "metric block")
+            g = _stacked([fn(xi, ti) for xi, ti in zip(x, t.tolist())], "metric block", expected)
         else:
             g = np.asarray(fn(x, t), dtype=float)
-        expected = x.shape + x.shape[-1:]
         if g.shape != expected:
             raise ContractViolation(f"metric block has shape {g.shape}, expected {expected}")
         return g

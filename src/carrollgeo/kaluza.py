@@ -11,11 +11,12 @@ the mixed block is s A / t and the fiber entry s / t^2, so
 det(raw) * t^2 = s * det(g_M).
 
 Two Christoffel routes are provided. ``christoffel_numeric`` differentiates
-the raw metric components directly (the brute-force oracle and the default
-everywhere). ``christoffel_closed`` assembles the symbols from base data;
-it is validated against the oracle only when the gauge field vanishes, and
-with a nonzero gauge field its output is something to compare, not to trust
-(see ``closed_form_deviation``).
+the raw metric components directly (the brute-force oracle, and the
+reference for the other route). ``christoffel_closed`` assembles the symbols
+from base data; it is validated against the oracle only when the gauge field
+vanishes, which is where geodesics use it by default, and with a nonzero
+gauge field its output is something to compare, not to trust (see
+``closed_form_deviation``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import _fd
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import DegenerateMetric, Point, TangentVector, read_raw
+from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw
 
 BaseSymbols = Callable[[np.ndarray, float, str], np.ndarray]
 BlockDerivative = Callable[[np.ndarray, float, str], np.ndarray]
@@ -137,7 +138,7 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: floa
     if cond_limit is not None:
         # a matrix's 1-norm is its largest absolute column sum
         cond = np.abs(g[:, 0]).sum(axis=1).max(axis=1) * np.abs(ginv).sum(axis=1).max(axis=1)
-        if not cond.max() <= cond_limit:  # a NaN fails too
+        if not np.all(cond <= cond_limit):  # a NaN fails too; an empty stack passes
             k = np.flatnonzero(~(cond <= cond_limit))[0]
             raise NumericError(f"metric condition number (1-norm) {cond[k]:.3e} at point {k} exceeds {cond_limit:.0e}")
     gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h))
@@ -162,26 +163,40 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric is not invertible: {exc}") from None
 
 
-def base_symbols_at(kk: KKMetric, p: Point) -> np.ndarray:
-    """Levi-Civita symbols of the base block at frozen t: the registered
-    closed form, else by central differences over one stacked read of g_M."""
+def base_data(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse base block, the Levi-Civita symbols of the base block at
+    frozen t, and dg_M/dt, all at (x, t). Registered closed forms are used
+    where given, and dg_M/dt of a fiber-independent metric is zero. The rest
+    comes from central differences over one stacked read of g_M on the
+    stencil around x, or around (x, t) when dg_M/dt is differenced too; the
+    stencil's centre gives the inverse."""
+    n = x.size
+    t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
+    if kk.base_symbols is not None and not t_differenced:
+        gminv = _inverse(kk.metric.at(x, t, chart))
+    else:
+        points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
+        stencil = points[0]
+        gm = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
+        gminv = _inverse(gm[0])
+        partials = _fd.stacked_partials(gm[None, 1:], h)[0]  # [axis, a, b]
     if kk.base_symbols is not None:
-        return np.asarray(kk.base_symbols(p.x, p.t, p.chart), dtype=float)
-    points, h = _fd.stencil(p.x[None])
-    gm = kk.metric.at(points[0], np.full(len(points[0]), p.t), p.chart)
-    return _levi_civita(_inverse(gm[0]), _fd.stacked_partials(gm[None, 1:], h)[0])
-
-
-def _block_t_derivative(kk: KKMetric, p: Point) -> np.ndarray:
+        base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
+    else:
+        base = _levi_civita(gminv, partials[:n])
     if kk.metric_t_derivative is not None:
-        return np.asarray(kk.metric_t_derivative(p.x, p.t, p.chart), dtype=float)
-    if not kk.metric.time_dependent:
-        return np.zeros((p.dim, p.dim))
-    return kk.metric.t_derivative(p.x, p.t, p.chart)
+        dgdt = np.asarray(kk.metric_t_derivative(x, t, chart), dtype=float)
+    else:
+        dgdt = partials[n] if t_differenced else np.zeros((n, n))
+    return gminv, base, dgdt
 
 
-def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
+def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None = None) -> np.ndarray:
     """Closed-form symbols assembled from base data.
+
+    ``p`` is a Point, or raw coordinates (x..., t) of one point on ``chart``;
+    a raw fiber coordinate closer to zero than ``FIBER_CUTOFF`` is refused,
+    as a Point refuses it.
 
     For a vanishing gauge field (both signs) the output agrees with the
     finite-difference oracle and is the validated regime:
@@ -194,14 +209,18 @@ def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
     disagreement with the oracle is reported by ``closed_form_deviation``
     rather than asserted away.
     """
-    n = p.dim
-    t = p.t
+    if chart is None:
+        x, t, chart = p.x, p.t, p.chart
+    else:
+        raw = np.asarray(p, dtype=float)
+        if raw.ndim != 1:
+            raise ContractViolation(f"closed-form symbols take one raw point, got shape {raw.shape}")
+        x, t = raw[:-1], float(raw[-1])
+        if abs(t) < FIBER_CUTOFF:
+            raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
+    n = x.size
     s = kk.sign
-    gm = kk.metric.at(p.x, p.t, p.chart)
-    gminv = _inverse(gm)
-    a = kk.gauge.at(p.x, p.chart)
-    base = base_symbols_at(kk, p)
-    dgdt = _block_t_derivative(kk, p)
+    gminv, base, dgdt = base_data(kk, x, t, chart)
 
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
@@ -216,8 +235,9 @@ def christoffel_closed(kk: KKMetric, p: Point) -> np.ndarray:
                 "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
                 "use the finite-difference oracle"
             )
-        f = curvature(kk.gauge, p.x, p.chart)
-        jac_a = kk.gauge.jacobian(p.x, p.chart)  # jac[b, a] = d_a A_b
+        a = kk.gauge.at(x, chart)
+        f = curvature(kk.gauge, x, chart)
+        jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
         sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
         ag = gminv @ a  # (g_M)^{cd} A_d
 

@@ -114,6 +114,24 @@ def test_null_shoot_json(tmp_path):
     assert payload["meta"]["scenario"].startswith("schwarzschild")
 
 
+@pytest.mark.parametrize("gauge, flag, route", [
+    ("0, 0", [], "closed"),
+    ("0, 0", ["--christoffel", "numeric"], "numeric"),
+    ("0.2 * x2, 0", [], "numeric"),
+    ("0.2 * x2, 0", ["--christoffel", "closed"], "numeric"),
+])
+def test_null_shoot_json_names_the_symbol_route_that_ran(tmp_path, gauge, flag, route):
+    """Without the flag the default of ``IntegratorConfig`` applies: the closed
+    form where the gauge field vanishes, the oracle where it does not."""
+    path = tmp_path / "plane.ini"
+    path.write_text(SCENARIO_FILE.replace("[expects]", f"[gauge]\nmain = vector({gauge})\n[expects]"))
+    out = tmp_path / "orbit.json"
+    argv = ["null-shoot", str(path), "--point", "0.1, 0", "--dir", "0, 1", "--q", "1", "--lambda-max", "0.5",
+            *flag, "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["meta"]["christoffel"] == route
+
+
 def test_geodesic_svg(tmp_path):
     out = tmp_path / "orbit.svg"
     code = main([

@@ -231,6 +231,23 @@ def test_scalar_gauge_on_a_one_dimensional_base_stacks_like_single_points():
     assert gauge.at(x, "main").tobytes() == np.array([gauge.at(xi, "main") for xi in x]).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_stack_reads_empty_fields_and_symbols(n):
+    """A stack of no points calls no field and has the shape of a stack of
+    K points at K = 0, down to the oracle's symbols."""
+
+    def never(*args):
+        raise AssertionError("a field was called on an empty stack")
+
+    metric = DegenerateMetric({"main": never})
+    gauge = GaugeField({"main": never})
+    x, t = np.empty((0, n)), np.empty(0)
+    assert metric.at(x, t, "main").shape == (0, n, n)
+    assert gauge.at(x, "main").shape == (0, n)
+    kk = cg.KKMetric(-1, metric, gauge)
+    assert christoffel_numeric(kk, np.empty((0, n + 1)), chart="main").shape == (0, n + 1, n + 1, n + 1)
+
+
 def test_stack_needs_one_fiber_value_per_point():
     metric = DegenerateMetric({"main": lambda x, t: np.eye(2)})
     x = np.zeros((13, 2))

@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carrollgeo as cg
+from carrollgeo import scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import (
@@ -342,3 +345,81 @@ def test_printed_spatial_deviation_with_gauge_is_recorded(flat2):
     printed = printed_spatial_acceleration(state, flat2, gauge)
     deviation = np.max(np.abs(printed - generic))
     assert np.isfinite(deviation)
+
+
+# -- symbol routes ---------------------------------------------------------------
+
+DEMO = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini"
+
+
+def _route_cases():
+    for name in scenarios.catalog_names():
+        scenario = cg.load(name)
+        if scenario.gauge.is_zero:
+            for chart in scenario.atlas.charts:
+                for sign in (+1, -1):
+                    yield pytest.param(scenario, chart, sign, id=f"{name}-{chart}-t{sign:+d}")
+    yield pytest.param(cg.load(str(DEMO)), "main", +1, id="demo-main-t+1")
+
+
+def _seeded_null_state(scenario, chart, sign, seed):
+    """A null state in the middle half of the chart box, |q| in [0.2, 0.4],
+    |t0| in [0.5, 1.5] with the given sign."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(scenario.atlas.chart(chart).box).T
+    x0 = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+    t0 = sign * float(rng.uniform(0.5, 1.5))
+    u = unit_direction(scenario, x0, rng.standard_normal(scenario.dim), t0, chart)
+    q = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.4))
+    return shoot_null(NullShootSpec(x0=x0, u=u, q=q, t0=t0, chart=chart), scenario)
+
+
+@pytest.mark.parametrize("scenario, chart, sign", list(_route_cases()))
+def test_default_route_is_the_closed_form_and_agrees_with_the_oracle(scenario, chart, sign):
+    """Where the gauge field vanishes the default route runs the closed form;
+    its orbit ends where the oracle's does."""
+    _assert_routes_agree(scenario, chart, sign)
+
+
+def test_default_route_on_a_fiber_dependent_file_agrees_with_the_oracle(tmp_path):
+    """A file registers no base symbols and no dg_M/dt, so the closed form
+    differences both from one read of g_M around (x, t)."""
+    path = tmp_path / "cone.ini"
+    path.write_text(
+        "[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n"
+        "[metric]\ntime_dependent = true\nmain = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t; 0.1 * t, 2 + t^2)\n"
+    )
+    scenario = cg.load(str(path))
+    for sign in (+1, -1):
+        _assert_routes_agree(scenario, "main", sign)
+
+
+def _assert_routes_agree(scenario, chart, sign):
+    seed = [sum(map(ord, scenario.name + chart)), sign > 0]
+    state = _seeded_null_state(scenario, chart, sign, seed)
+    default = integrate(state, scenario, IntegratorConfig(lambda_max=2.0), chart=chart)
+    oracle = integrate(state, scenario, IntegratorConfig(lambda_max=2.0, christoffel="numeric"), chart=chart)
+    assert (default.meta["christoffel"], oracle.meta["christoffel"]) == ("closed", "numeric")
+    for traj in (default, oracle):
+        assert traj.events == [] and traj.lam[-1] == 2.0
+    assert np.max(np.abs(default.final.as_vector() - oracle.final.as_vector())) <= 1e-9
+
+
+def test_default_route_with_a_gauge_field_is_the_oracle(flat2):
+    gauge = _gauge(lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])]))
+    state = shoot_null(NullShootSpec(x0=[0.2, -0.1], u=[0.6, 0.8], q=0.5, t0=-1.2), flat2, gauge=gauge)
+    default = integrate(state, flat2, IntegratorConfig(lambda_max=2.0), gauge=gauge)
+    oracle = integrate(state, flat2, IntegratorConfig(lambda_max=2.0, christoffel="numeric"), gauge=gauge)
+    assert default.meta == oracle.meta and default.meta["christoffel"] == "numeric"
+    for name in ("lam", "x", "t", "vx", "vt", "charge", "null_residual", "base_speed2"):
+        assert getattr(default, name).tobytes() == getattr(oracle, name).tobytes()
+    assert default.events == oracle.events == []
+
+
+@pytest.mark.parametrize("max_step", [0.0, -0.1, math.nan, math.inf])
+def test_step_cap_must_be_finite_and_positive(flat2, max_step):
+    state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=1.0, t0=1.0), flat2)
+    with pytest.raises(ContractViolation, match="max_step"):
+        integrate(state, flat2, IntegratorConfig(lambda_max=1.0, max_step=max_step))
+    with pytest.raises(ContractViolation, match="max_step"):
+        integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(max_step=max_step), u_max=1.0)

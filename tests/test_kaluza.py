@@ -5,7 +5,7 @@ import pytest
 
 import carrollgeo as cg
 from carrollgeo.connection import GaugeField
-from carrollgeo.errors import NumericError
+from carrollgeo.errors import ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import TangentVector, VectorField, euler, basis_vector
 from carrollgeo.kaluza import (
     christoffel_closed,
@@ -120,8 +120,19 @@ def test_closed_form_matches_oracle(name, sign, rng):
     for chart in s.atlas.chart_names():
         for p in s.sample_points(rng, 8, chart=chart):
             for q in (p, s.point(p.x, -p.t, chart)):
-                delta = christoffel_closed(kk, q) - christoffel_numeric(kk, q)
-                assert np.max(np.abs(delta)) <= 1e-6, (chart, q)
+                closed = christoffel_closed(kk, q)
+                assert np.max(np.abs(closed - christoffel_numeric(kk, q))) <= 1e-6, (chart, q)
+                assert christoffel_closed(kk, q.raw(), chart=chart).tobytes() == closed.tobytes()
+
+
+def test_closed_form_on_raw_coordinates_takes_one_point_off_the_zero_section(flat2):
+    kk = flat2.kk(-1)
+    christoffel_closed(kk, np.array([0.1, 0.2, 1e-9]), chart="cartesian")
+    for t in (1e-12, -1e-12, 0.0):
+        with pytest.raises(DomainError, match="too close to zero"):
+            christoffel_closed(kk, np.array([0.1, 0.2, t]), chart="cartesian")
+    with pytest.raises(ContractViolation, match="one raw point"):
+        christoffel_closed(kk, np.array([[0.1, 0.2, 1.0], [0.2, 0.3, 1.0]]), chart="cartesian")
 
 
 def test_symbols_symmetric_in_lower_indices(schwarzschild, rng):
