@@ -33,7 +33,6 @@ from .connection import (
     PartitionOfUnity,
     connection_from_partition,
     curvature,
-    curvature_numeric,
     orthogonality_check,
     projector,
     projector_idempotence_check,

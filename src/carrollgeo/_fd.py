@@ -48,12 +48,14 @@ def offsets(h: float) -> tuple[float, float, float, float]:
     return h, -h, h / 2.0, -h / 2.0
 
 
-def stencil(p: np.ndarray, rel: float = DEFAULT_REL_STEP, keep_sign: Sequence[int] = ()):
-    """The Richardson stencils around the K points of ``p``, shape (K, m): the
-    points, shape (K, 4m + 1, m), each stencil's centre first and then
-    ``offsets`` on each axis in turn, and the per-axis steps h, shape (K, m)."""
+def stencil(p: np.ndarray, keep_sign: Sequence[int] = ()):
+    """The Richardson stencils around the K points of ``p``, shape (K, m), at
+    ``DEFAULT_REL_STEP``: the points, shape (K, 4m + 1, m), each stencil's
+    centre first and then ``offsets`` on each axis in turn, and the per-axis
+    steps h, shape (K, m)."""
     p = np.asarray(p, dtype=float)
-    h = np.array([[_guarded_step(q, a, rel, keep_sign) for a in range(len(q))] for q in p.tolist()]).reshape(p.shape)
+    h = [[_guarded_step(q, a, DEFAULT_REL_STEP, keep_sign) for a in range(len(q))] for q in p.tolist()]
+    h = np.array(h).reshape(p.shape)
     points = _unit_offsets(p.shape[1]) * h[:, None]
     points += p[:, None]
     return points, h

@@ -61,45 +61,47 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _load_scenario(args) -> scen.Scenario:
-    name = getattr(args, "scenario_pos", None) or args.scenario
-    if name is None:
-        raise ContractViolation("a scenario name or file is required (positional or --scenario)")
-    return scen.load(name, **_parse_params(args.param))
+    params = _parse_params(args.param)
+    accepted = scen.catalog_params(args.scenario)
+    for key in params:
+        if key not in accepted:
+            raise ContractViolation(
+                f"unknown --param key {key!r} for {args.scenario}; accepted: {', '.join(accepted) or 'none'}"
+            )
+    return scen.load(args.scenario, **params)
 
 
-def _add_common(sub: argparse.ArgumentParser, scenario_positional: bool = True) -> None:
-    if scenario_positional:
-        sub.add_argument("scenario_pos", nargs="?", default=None, metavar="scenario",
-                         help="catalog name or scenario file")
-    sub.add_argument("--scenario", default=None, help="catalog name or scenario file")
+def _add_scenario(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("scenario", help="catalog name or scenario file")
     sub.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="scenario parameter (repeatable), e.g. GM=0.5 or U=t")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random sampling")
-    sub.add_argument("--tol", type=float, default=None, help="override the command tolerance")
+                     help="catalog parameter (repeatable): n for flat, GM for schwarzschild, GM and U for thakurta")
+
+
+def _add_output(sub: argparse.ArgumentParser, formats: list[str]) -> None:
     sub.add_argument("--out", default=None, help="output path (default: stdout summary only)")
-    sub.add_argument("--format", default=None, choices=["csv", "json", "svg", "text"],
-                     help="output format")
+    sub.add_argument("--format", default=formats[0], choices=formats, help="output format")
 
 
-def _add_christoffel(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--christoffel", default=None, choices=["closed", "numeric"],
+def _add_flow(sub: argparse.ArgumentParser, lambda_max: float) -> None:
+    """The options of the two commands that integrate a geodesic."""
+    _add_scenario(sub)
+    _add_output(sub, ["csv", "json", "svg"])
+    sub.add_argument("--chart", default=None)
+    sub.add_argument("--lambda-max", type=float, default=lambda_max, dest="lambda_max")
+    sub.add_argument("--method", default=IntegratorConfig.method, choices=["rk45", "rk4"])
+    sub.add_argument("--rk4-step", type=float, default=IntegratorConfig.rk4_step, dest="rk4_step")
+    sub.add_argument("--tol", type=float, default=IntegratorConfig.tol,
+                     help="integrator tolerance, relative and absolute")
+    sub.add_argument("--christoffel", default=IntegratorConfig.christoffel, choices=["closed", "numeric"],
                      help="Christoffel symbols: 'closed' (the default) uses the closed form where the gauge "
                           "field vanishes and the finite-difference oracle elsewhere; 'numeric' uses the "
                           "oracle everywhere")
+    sub.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    cfg = IntegratorConfig()
-    if args.tol is not None:
-        cfg.rel_tol = args.tol
-        cfg.abs_tol = args.tol
-    cfg.lambda_max = args.lambda_max
-    cfg.method = args.method
-    if args.christoffel is not None:
-        cfg.christoffel = args.christoffel
-    if args.rk4_step is not None:
-        cfg.rk4_step = args.rk4_step
-    return cfg
+    return IntegratorConfig(method=args.method, tol=args.tol, lambda_max=args.lambda_max,
+                            christoffel=args.christoffel, rk4_step=args.rk4_step)
 
 
 def _report_events(events: list[dict]) -> int:
@@ -109,20 +111,17 @@ def _report_events(events: list[dict]) -> int:
     return 3 if any(e["kind"] == "non_finite" for e in events) else 0
 
 
-def _write_trajectory(traj, args, default_format: str = "csv") -> int:
-    fmt = args.format or default_format
+def _write_trajectory(traj, args) -> int:
     if args.out is None:
         print(f"samples: {len(traj)}")
     else:
         out = Path(args.out)
-        if fmt == "csv":
+        if args.format == "csv":
             write_trajectory_csv(traj, out)
-        elif fmt == "json":
+        elif args.format == "json":
             write_trajectory_json(traj, out)
-        elif fmt == "svg":
-            write_trajectory_svg(traj, out, mode=args.svg_mode)
         else:
-            raise ContractViolation(f"unsupported trajectory format {fmt!r}")
+            write_trajectory_svg(traj, out, mode=args.svg_mode)
         print(f"wrote {out}")
     print(f"max charge drift: {traj.max_charge_drift():.3e}")
     print(f"max null drift:   {traj.max_null_drift():.3e}")
@@ -159,6 +158,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    if not args.small_gauge and (args.field is not None or args.sign_q is not None):
+        raise ContractViolation("--field and --sign-q set the reduced flow and need --small-gauge")
     scenario = _load_scenario(args)
     chart = args.chart or scenario.default_chart
     cfg = _integrator_config(args)
@@ -176,8 +177,8 @@ def cmd_geodesic(args) -> int:
             b = args.field
             field_strength = lambda x: np.array([[0.0, b], [-b, 0.0]])
         base = integrate_small_gauge(
-            x0, v0, scenario, args.sign_q, cfg, curvature_fn=field_strength,
-            chart=chart, u_max=args.lambda_max,
+            x0, v0, scenario, +1 if args.sign_q is None else args.sign_q, cfg,
+            curvature_fn=field_strength, chart=chart,
         )
         if args.out is not None:
             Path(args.out).write_text(polyline_svg([base.x[:, :2]], labels=["reduced base path"]))
@@ -260,18 +261,13 @@ def cmd_christoffel(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    name = getattr(args, "scenario_pos", None) or args.scenario or args.atlas
-    if name is None:
-        raise ContractViolation("linearize needs an atlas: moebius, synthetic, or a file path")
-    if name == "moebius":
+    if args.atlas == "moebius":
         atlas = moebius_transition_atlas()
-    elif name == "synthetic":
+    elif args.atlas == "synthetic":
         atlas = synthetic_circle_atlas()
     else:
-        atlas = load_atlas_file(name)
-    shifted = shift_transitions(atlas)
-    cocycle = linearize(shifted)
-    tol = args.tol if args.tol is not None else 1e-8
+        atlas = load_atlas_file(args.atlas)
+    cocycle = linearize(shift_transitions(atlas))
     rows = []
     for sample in cocycle.sampled:
         i, j = sample.charts
@@ -283,7 +279,7 @@ def cmd_linearize(args) -> int:
         "cocycle": rows,
     }
     if args.out is not None:
-        if (args.format or "csv") == "json":
+        if args.format == "json":
             write_report_json(summary, args.out)
         else:
             lines = ["to, src, m, c"]
@@ -293,14 +289,12 @@ def cmd_linearize(args) -> int:
         print(f"wrote {args.out}")
     print(f"pair residual:   {cocycle.pair_residual:.3e}")
     print(f"triple residual: {cocycle.triple_residual:.3e}")
-    ok = cocycle.pair_residual <= tol and cocycle.triple_residual <= tol
+    ok = cocycle.pair_residual <= args.tol and cocycle.triple_residual <= args.tol
     print("OK" if ok else "FAILED")
     return 0 if ok else 1
 
 
 def cmd_scenarios(args) -> int:
-    if args.action != "list":
-        raise ContractViolation("supported action: list")
     for name in scen.catalog_names():
         built = scen.load(name)
         print(f"{name:16s} {built.description}")
@@ -319,52 +313,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run the invariant suites on a scenario")
-    _add_common(p_check)
+    _add_scenario(p_check)
+    p_check.add_argument("--seed", type=int, default=0, help="seed for random sampling")
+    _add_output(p_check, ["text", "json"])
     p_check.set_defaults(fn=cmd_check)
 
     p_geo = sub.add_parser("geodesic", help="integrate a geodesic from a raw initial state")
-    _add_common(p_geo)
+    _add_flow(p_geo, lambda_max=10.0)
     p_geo.add_argument("--state", required=True, help="comma list: x..., t, vx..., vt (pi allowed)")
-    p_geo.add_argument("--chart", default=None)
-    p_geo.add_argument("--lambda-max", type=float, default=10.0, dest="lambda_max")
-    p_geo.add_argument("--method", default="rk45", choices=["rk45", "rk4"])
-    p_geo.add_argument("--rk4-step", type=float, default=None, dest="rk4_step")
-    _add_christoffel(p_geo)
-    p_geo.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
     p_geo.add_argument("--small-gauge", action="store_true", dest="small_gauge",
-                       help="integrate the reduced base flow in log-time")
-    p_geo.add_argument("--sign-q", type=int, default=+1, dest="sign_q", choices=[-1, 1])
+                       help="integrate the reduced base flow in log-time; --state is then x..., v...")
+    p_geo.add_argument("--sign-q", type=int, default=None, dest="sign_q", choices=[-1, 1],
+                       help="sign of the charge for the reduced flow (default +1)")
     p_geo.add_argument("--field", type=float, default=None,
                        help="constant field strength F_12 for the reduced flow (2d)")
     p_geo.set_defaults(fn=cmd_geodesic)
 
     p_shoot = sub.add_parser("null-shoot", help="build a null initial state and integrate it")
-    _add_common(p_shoot)
+    _add_flow(p_shoot, lambda_max=5.0)
     p_shoot.add_argument("--point", required=True, help="base coordinates, e.g. 'pi/2, 0'")
     p_shoot.add_argument("--dir", required=True, help="base direction (normalized internally)")
     p_shoot.add_argument("--q", type=float, required=True, help="signed conserved charge")
     p_shoot.add_argument("--t0", type=float, default=1.0)
     p_shoot.add_argument("--eps", type=int, default=+1, choices=[-1, 1])
-    p_shoot.add_argument("--chart", default=None)
-    p_shoot.add_argument("--lambda-max", type=float, default=5.0, dest="lambda_max")
-    p_shoot.add_argument("--method", default="rk45", choices=["rk45", "rk4"])
-    p_shoot.add_argument("--rk4-step", type=float, default=None, dest="rk4_step")
-    _add_christoffel(p_shoot)
-    p_shoot.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
     p_shoot.set_defaults(fn=cmd_null_shoot)
 
     p_chr = sub.add_parser("christoffel", help="dump symbol tables (closed form vs oracle)")
-    _add_common(p_chr)
+    _add_scenario(p_chr)
+    p_chr.add_argument("--out", default=None, help="CSV output path (default: the rows on stdout)")
     p_chr.add_argument("--at", default=None, help="evaluation point: coords..., t")
     p_chr.add_argument("--count", type=int, default=5, help="random points when --at is absent")
+    p_chr.add_argument("--seed", type=int, default=0, help="seed for the random points")
     p_chr.add_argument("--chart", default=None)
     p_chr.add_argument("--sign", type=int, default=+1, choices=[-1, 1])
     p_chr.add_argument("--golden", action="store_true", help="single-value golden-file format")
     p_chr.set_defaults(fn=cmd_christoffel)
 
     p_lin = sub.add_parser("linearize", help="shift transitions by the section and extract the cocycle")
-    _add_common(p_lin)
-    p_lin.add_argument("--atlas", default=None, help="atlas file (or use a built-in name)")
+    p_lin.add_argument("atlas", help="moebius, synthetic, or an atlas file")
+    p_lin.add_argument("--tol", type=float, default=1e-8, help="largest cocycle residual that passes")
+    _add_output(p_lin, ["csv", "json"])
     p_lin.set_defaults(fn=cmd_linearize)
 
     p_scen = sub.add_parser("scenarios", help="catalog utilities")

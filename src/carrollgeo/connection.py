@@ -9,7 +9,7 @@ vector into horizontal and vertical parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,25 +29,20 @@ from .geometry import (
 
 @dataclass
 class GaugeField:
-    """Per-chart gauge field x -> A(x), with optional registered curvature forms.
+    """Per-chart gauge field x -> A(x).
 
-    ``is_zero`` marks a field known to vanish identically: ``at`` then never
-    calls the components, and several closed-form shortcuts hold only then.
+    ``is_zero`` marks a field known to vanish identically: ``at`` and
+    ``curvature`` then never call the components, and several closed-form
+    shortcuts hold only then.
     """
 
     components: Mapping[str, Callable[[np.ndarray], np.ndarray]]
-    curvature_forms: Mapping[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
     is_zero: bool = False
 
     @classmethod
     def trivial(cls, dim: int, charts: Sequence[str]) -> "GaugeField":
         zero = lambda x: np.zeros(dim)
-        flat = lambda x: np.zeros((dim, dim))
-        return cls(
-            components={name: zero for name in charts},
-            curvature_forms={name: flat for name in charts},
-            is_zero=True,
-        )
+        return cls(components={name: zero for name in charts}, is_zero=True)
 
     def at(self, x: np.ndarray, chart: str) -> np.ndarray:
         """A(x) on ``chart`` as an (n,) float array, or (K, n) at a stack x of
@@ -164,19 +159,14 @@ def orthogonality_check(
 # curvature
 # ---------------------------------------------------------------------------
 
-def curvature_numeric(gauge: GaugeField, x: np.ndarray, chart: str) -> np.ndarray:
-    """F_ab = d_a A_b - d_b A_a by central differences; antisymmetric exactly."""
+def curvature(gauge: GaugeField, x: np.ndarray, chart: str) -> np.ndarray:
+    """F_ab = d_a A_b - d_b A_a by central differences; antisymmetric exactly.
+    A field known to vanish (``is_zero``) gives zeros without differencing."""
+    if gauge.is_zero:
+        n = gauge.at(x, chart).size  # checks the chart; calls no component
+        return np.zeros((n, n))
     jac = gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
     return jac.T - jac
-
-
-def curvature(gauge: GaugeField, x: np.ndarray, chart: str) -> np.ndarray:
-    """Curvature of the gauge field, preferring a registered closed form."""
-    form = gauge.curvature_forms.get(chart)
-    if form is not None:
-        f = np.asarray(form(np.asarray(x, dtype=float)), dtype=float)
-        return 0.5 * (f - f.T)
-    return curvature_numeric(gauge, x, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +205,10 @@ class PartitionOfUnity:
 def connection_from_partition(
     atlas: Atlas,
     partition: PartitionOfUnity,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ConnectionOneForm:
-    """Glue the per-chart trivial forms with a partition of unity.
+    """Glue the per-chart trivial forms with a partition of unity, after
+    ``partition.check_sum(atlas, rng)`` has found that it sums to one.
 
     On chart j the result evaluates as vtb + vx . A_j with
     A_j(x) = sum_{i != j} rho_i(x) * grad(log|phi_ij|)(x), the sum running
@@ -225,8 +216,7 @@ def connection_from_partition(
     transition). Locally constant factors, like a pure sign flip, contribute
     nothing.
     """
-    if rng is not None:
-        partition.check_sum(atlas, rng)
+    partition.check_sum(atlas, rng)
 
     def make_component(chart_j: str):
         transitions = atlas.transitions_from(chart_j)

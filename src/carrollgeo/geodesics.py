@@ -82,9 +82,13 @@ T_GUARD_FACTOR = 1e-6
 
 @dataclass
 class IntegratorConfig:
+    """Stepping settings of both flows. ``tol`` is the RKF45 tolerance,
+    relative and absolute at once: a component's error scale is
+    tol + tol * max(|y|, |y_new|). ``lambda_max`` is the span: the affine
+    parameter of ``integrate``, the log-time u of ``integrate_small_gauge``."""
+
     method: str = "rk45"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
+    tol: float = 1e-10
     max_step: float = 0.1
     lambda_max: float = 10.0
     # "closed": the closed form where the gauge field vanishes, the oracle
@@ -358,15 +362,14 @@ def _drive(
     an accepted state ends the run (that state is kept), or returns None. A
     non-finite stage or step result ends the run as ``non_finite`` and is
     not kept. The span must be finite and >= 0, and the fixed step, the step
-    cap ``max_step`` and the tolerances finite and > 0, else the run is a
+    cap ``max_step`` and the tolerance ``tol`` finite and > 0, else the run is a
     ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
     if not (math.isfinite(span) and span >= 0.0):
         raise ContractViolation(f"integration span must be finite and >= 0, got {span}")
-    for name, value in (("rk4_step", cfg.rk4_step), ("max_step", cfg.max_step), ("rel_tol", cfg.rel_tol),
-                        ("abs_tol", cfg.abs_tol)):
+    for name, value in (("rk4_step", cfg.rk4_step), ("max_step", cfg.max_step), ("tol", cfg.tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ContractViolation(f"{name} must be finite and > 0, got {value}")
     adaptive = cfg.method == "rk45"
@@ -384,7 +387,7 @@ def _drive(
                 break
             h = min(h, span - lam)
             y_new, err = _rkf45_step(stage, y, h)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         else:
             y_new, err_norm = _rk4_step(stage, y, h), 0.0
@@ -465,7 +468,7 @@ def integrate(
         lam=np.array(lams), x=xs, t=ts, vx=vxs, vt=vts,
         charge=charges, null_residual=nulls, base_speed2=speeds, events=events,
         meta={"scenario": scenario.name, "chart": chart, "method": cfg.method,
-              "christoffel": route, "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol},
+              "christoffel": route, "tol": cfg.tol},
     )
 
 
@@ -516,19 +519,18 @@ def integrate_small_gauge(
     scenario: Scenario,
     sign_q: int,
     cfg: IntegratorConfig | None = None,
-    gauge: GaugeField | None = None,
     curvature_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     chart: str | None = None,
-    u_max: float = 2.0 * math.pi,
 ) -> BaseTrajectory:
     """Base-only reduction in log-time u for a weak gauge field:
 
         d2x/du2 + Gamma_base(dx/du, dx/du) = sign_q * g_M^{-1} F dx/du.
 
     ``v0`` must be unit in g_M (the constraint fixes the speed; in log-time
-    it is 1). The curvature enters directly; pass ``curvature_fn`` to bypass
-    the gauge field, e.g. for a constant synthetic field strength. Steps with
-    ``cfg.method``; the run ends early with an event record (its ``lambda``
+    it is 1). The curvature of the scenario's gauge field enters directly;
+    pass ``curvature_fn`` to bypass it, e.g. for a constant synthetic field
+    strength. Steps with ``cfg.method`` from u = 0 to u = ``cfg.lambda_max``,
+    the span in log-time; the run ends early with an event record (its ``lambda``
     is the log-time u) on ``left_chart``, ``non_finite``, ``step_underflow``
     or ``max_steps``.
     """
@@ -547,8 +549,7 @@ def integrate_small_gauge(
         raise ContractViolation("the reduction assumes a fiber-independent base metric")
 
     if curvature_fn is None:
-        g = gauge if gauge is not None else scenario.gauge
-        curvature_fn = lambda x: curvature(g, x, chart)
+        curvature_fn = lambda x: curvature(scenario.gauge, x, chart)
 
     kk = scenario.kk(-1)
     n = x0.size
@@ -561,7 +562,7 @@ def integrate_small_gauge(
         return np.concatenate([v, acc])
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
-    us, ys, events = _drive(rhs, np.concatenate([x0, v0]), u_max, cfg, guard)
+    us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
     speeds = np.empty(len(us))

@@ -25,6 +25,7 @@ Transition = Callable[[float, float], float]
 Section = Callable[[float], float]
 
 ZERO_SECTION_CUTOFF = 1e-12
+SECTION_TOL = 1e-10  # largest section gap on an overlap that shift_transitions accepts
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,17 @@ def section_consistency(atlas: TransitionAtlas) -> tuple[float, tuple | None]:
     return worst, (where[int(np.argmax(gaps))] if worst != 0.0 else None)
 
 
-def shift_transitions(atlas: TransitionAtlas, tol: float = 1e-10) -> TransitionAtlas:
+def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
     """Shift every transition by the section: the result fixes the fiber origin.
 
     psi~_ij(m, r) = psi_ij(m, r + s_j(m)) - s_i(m), evaluated with the base
-    point expressed in each chart's own coordinates where needed.
+    point expressed in each chart's own coordinates where needed. The
+    sections must agree to ``SECTION_TOL`` on every overlap.
     """
     worst, offender = section_consistency(atlas)
-    if not worst <= tol:
+    if not worst <= SECTION_TOL:
         i, j, m = offender
-        if worst > tol:
+        if worst > SECTION_TOL:
             raise ConstructionError(f"section is inconsistent on overlap ({i}, {j}) at m = {m:.6g}: gap {worst:.3e}")
         raise NumericError(f"transition {i} <- {j} or its sections are not finite at m = {m:.6g}")
 

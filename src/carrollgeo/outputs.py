@@ -87,14 +87,14 @@ def write_report_json(report: dict, path: str | Path) -> None:
 # SVG polylines (static, no interactivity)
 # ---------------------------------------------------------------------------
 
-def polyline_svg(
-    curves: Sequence[np.ndarray],
-    width: int = 640,
-    height: int = 640,
-    margin: float = 40.0,
-    labels: Sequence[str] = (),
-) -> str:
+SVG_SIZE = 640  # width and height of the square canvas, px
+SVG_MARGIN = 40.0
+
+
+def polyline_svg(curves: Sequence[np.ndarray], labels: Sequence[str] = ()) -> str:
     """Render 2d curves (arrays of shape (m, 2)) as plain SVG polylines."""
+    width = height = SVG_SIZE
+    margin = SVG_MARGIN
     pts = np.vstack([np.asarray(c, dtype=float) for c in curves])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -345,7 +345,6 @@ def _build_flat(params: Mapping) -> Scenario:
         params={"n": n},
         expects={"euler_killing": True, "weight": 0.0},
         base_symbols=lambda x, t, chart_name: np.zeros((n, n, n)),
-        metric_t_derivative=lambda x, t, chart_name: np.zeros((n, n)),
         description="Euclidean base metric on a trivial bundle",
     )
 
@@ -359,8 +358,6 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
 
     def metric_t_derivative(x, t, chart_name):
-        if dgdt_factor is None:
-            return np.zeros((2, 2))
         return dgdt_factor(t) * metric.at(x, t, chart_name)
 
     return Scenario(
@@ -373,7 +370,7 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
         params={},
         expects=expects,
         base_symbols=_sphere_base_symbols,
-        metric_t_derivative=metric_t_derivative,
+        metric_t_derivative=None if dgdt_factor is None else metric_t_derivative,
         description=description,
     )
 
@@ -456,23 +453,30 @@ def _build_moebius(params: Mapping) -> Scenario:
         params={},
         expects={"euler_killing": True, "weight": 0.0},
         base_symbols=lambda x, t, chart_name: np.zeros((1, 1, 1)),
-        metric_t_derivative=lambda x, t, chart_name: np.zeros((1, 1)),
         description="flat circle metric on the twisted two-chart bundle",
     )
 
 
-_CATALOG: dict[str, Callable[[Mapping], Scenario]] = {
-    "flat": _build_flat,
-    "lightcone": _build_lightcone,
-    "sphere_pullback": _build_sphere_pullback,
-    "moebius": _build_moebius,
-    "schwarzschild": _build_schwarzschild,
-    "thakurta": _build_thakurta,
+# name -> (builder, the parameter keys the builder reads)
+_CATALOG: dict[str, tuple[Callable[[Mapping], Scenario], tuple[str, ...]]] = {
+    "flat": (_build_flat, ("n",)),
+    "lightcone": (_build_lightcone, ()),
+    "sphere_pullback": (_build_sphere_pullback, ()),
+    "moebius": (_build_moebius, ()),
+    "schwarzschild": (_build_schwarzschild, ("GM",)),
+    "thakurta": (_build_thakurta, ("GM", "U")),
 }
 
 
 def catalog_names() -> list[str]:
     return sorted(_CATALOG)
+
+
+def catalog_params(name_or_path: str) -> tuple[str, ...]:
+    """The parameter keys ``load`` reads for this name: those of a catalog
+    scenario's builder, none for a scenario file."""
+    entry = _CATALOG.get(name_or_path.strip())
+    return () if entry is None else entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +705,13 @@ def load(name_or_path: str, **params) -> Scenario:
     """Load a catalog scenario by name, or a scenario file by path.
 
     Loading only builds the scenario: its declared expectations are checked
-    by the suites (``suites.run_all``), not here.
+    by the suites (``suites.run_all``), not here. A catalog builder reads the
+    ``params`` keys that ``catalog_params`` names and ignores any other; a
+    scenario file reads none.
     """
     key = name_or_path.strip()
     if key in _CATALOG:
-        return _CATALOG[key](params)
+        return _CATALOG[key][0](params)
     p = Path(key)
     if not p.exists():
         raise ContractViolation(

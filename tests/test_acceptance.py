@@ -102,7 +102,7 @@ def test_criterion_02_trivial_connection_temporal_law():
 
 
 def test_criterion_03_conservation_suite():
-    cfg = IntegratorConfig(lambda_max=10.0, rel_tol=1e-10, abs_tol=1e-10)
+    cfg = IntegratorConfig(lambda_max=10.0, tol=1e-10)
     worst_q = 0.0
     worst_null = 0.0
 
@@ -268,18 +268,20 @@ def test_criterion_08_linearization():
 def test_criterion_09_reduced_flow():
     flat = cg.load("flat", n=2)
     field = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    circle = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, curvature_fn=field, u_max=2.0 * math.pi)
+    circle = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, IntegratorConfig(lambda_max=2.0 * math.pi),
+                                    curvature_fn=field)
     radii = np.linalg.norm(circle.x - np.array([0.0, -1.0]), axis=1)
     radius_err = float(np.max(np.abs(radii - 1.0)))
     period_err = float(np.linalg.norm(circle.x[-1] - circle.x[0]))
 
-    line = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, u_max=3.0)
+    line = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat, +1, IntegratorConfig(lambda_max=3.0))
     line_err = float(np.max(np.abs(line.x[:, 1])))
 
     s = cg.load("schwarzschild", GM=0.5)
     monopole = lambda x: np.array([[0.0, math.sin(x[0])], [-math.sin(x[0]), 0.0]])
     v0 = unit_direction(s, [math.pi / 2, 0.0], [0.0, 1.0], 1.0)
-    pushed = integrate_small_gauge([math.pi / 2, 0.0], v0, s, +1, curvature_fn=monopole, u_max=math.pi / 2)
+    pushed = integrate_small_gauge([math.pi / 2, 0.0], v0, s, +1, IntegratorConfig(lambda_max=math.pi / 2),
+                                    curvature_fn=monopole)
     departure = np.abs(pushed.x[:, 0] - math.pi / 2)
     monotone = bool(np.all(np.diff(departure) > -1e-12)) and departure[-1] > 1e-2
 
@@ -334,7 +336,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     args = [
         "geodesic", "schwarzschild", "--param", "GM=0.5",
         "--state", "pi/2, 0, 1, 0, 1, -1", "--lambda-max", "2.0",
-        "--christoffel", "closed", "--seed", "123",
+        "--christoffel", "closed",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(a)]) == 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def test_geodesic_csv_and_determinism(tmp_path, capsys):
     args = [
         "geodesic", "schwarzschild", "--param", "GM=0.5",
         "--state", "pi/2, 0, 1, 0, 1, -1",
-        "--lambda-max", "2.0", "--christoffel", "closed", "--seed", "7",
+        "--lambda-max", "2.0", "--christoffel", "closed",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
@@ -269,12 +270,16 @@ SHOOT_FLAT = ["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1"
         (SHOOT_FLAT + ["--lambda-max", "-1"], "span"),
         (SHOOT_FLAT + ["--method", "rk4", "--rk4-step", "-0.1"], "rk4_step"),
         (SHOOT_FLAT + ["--method", "rk4", "--rk4-step", "0"], "rk4_step"),
-        (SHOOT_FLAT + ["--tol", "0"], "rel_tol"),
+        (SHOOT_FLAT + ["--tol", "0"], "tol"),
         (["christoffel", "flat", "--count", "-1"], "count"),
+        (["check", "flat", "--param", "GM=3"], "GM"),
+        (["check", str(EXAMPLES / "scenario_demo.ini"), "--param", "n=2"], "none"),
+        (["geodesic", "flat", "--field", "1", "--state", "0, 0, 1, 0.3, 0.1, -1"], "--small-gauge"),
+        (["geodesic", "flat", "--sign-q", "-1", "--state", "0, 0, 1, 0.3, 0.1, -1"], "--small-gauge"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
-         "tol_zero", "count_negative"],
+         "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, capsys):
     assert main(argv) == 2
@@ -471,3 +476,79 @@ def test_keyboard_interrupt_is_not_caught(monkeypatch):
     monkeypatch.setattr(cli, "cmd_scenarios", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["scenarios", "list"])
+
+
+GEODESIC_FLAT = ["geodesic", "flat", "--state", "0, 0, 1, 0.3, 0.1, -1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[command, "--scenario", "flat"] for command in ("check", "geodesic", "null-shoot", "christoffel", "linearize")],
+    ["linearize", "--atlas", "moebius"],
+    ["check", "flat", "--tol", "1e-300"],
+    ["christoffel", "flat", "--tol", "1e-3"],
+    ["christoffel", "flat", "--format", "json"],
+    ["linearize", "moebius", "--param", "GM=3"],
+    ["linearize", "moebius", "--seed", "9"],
+    GEODESIC_FLAT + ["--seed", "7"],
+    SHOOT_FLAT + ["--seed", "7"],
+    ["check", "flat", "--format", "csv"],
+    GEODESIC_FLAT + ["--format", "text"],
+    ["linearize", "moebius", "--format", "svg"],
+])
+def test_removed_option_is_argparse_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+# Between them, the argv lists of a command set every option it registers.
+EVERY_OPTION = {
+    "check": [["check", "schwarzschild", "--param", "GM=0.5", "--seed", "1", "--format", "json", "--out", "r.json"]],
+    "geodesic": [
+        GEODESIC_FLAT + ["--chart", "cartesian", "--lambda-max", "0.2", "--method", "rk4", "--rk4-step", "0.05",
+                         "--tol", "1e-9", "--christoffel", "numeric", "--format", "svg", "--svg-mode", "ulog",
+                         "--out", "g.svg"],
+        ["geodesic", "flat", "--small-gauge", "--field", "1", "--sign-q", "-1", "--state", "0, 0, 1, 0",
+         "--lambda-max", "0.5", "--out", "c.svg"],
+    ],
+    "null-shoot": [
+        ["null-shoot", "schwarzschild", "--param", "GM=0.5", "--point", "pi/2, 0", "--dir", "0, 1", "--q", "1",
+         "--t0", "1.5", "--eps", "-1", "--chart", "angular", "--lambda-max", "0.2", "--method", "rk4",
+         "--rk4-step", "0.05", "--tol", "1e-9", "--christoffel", "numeric", "--format", "svg",
+         "--svg-mode", "ulog", "--out", "o.svg"],
+    ],
+    "christoffel": [
+        ["christoffel", "flat", "--param", "n=2", "--count", "2", "--seed", "3", "--chart", "cartesian",
+         "--sign", "-1", "--golden", "--out", "s.csv"],
+        ["christoffel", "flat", "--at", "0.1, 0.2, 1"],
+    ],
+    "linearize": [["linearize", "moebius", "--tol", "1e-6", "--format", "json", "--out", "c.json"]],
+    "scenarios": [["scenarios", "list"]],
+}
+
+
+def test_every_registered_option_is_read_by_its_command(tmp_path, monkeypatch, capsys):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(EVERY_OPTION)
+    monkeypatch.chdir(tmp_path)
+    for command, argvs in EVERY_OPTION.items():
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args(argv, namespace=_ReadRecorder())
+            args._reads = set()  # parsing reads every dest; only the command's reads count
+            assert args.fn(args) == 0, argv
+            read |= args._reads
+        # a positional with a single choice, the `list` of `scenarios list`, carries no value
+        registered = {a.dest for a in commands[command]._actions
+                      if not isinstance(a, argparse._HelpAction) and not (a.choices and len(a.choices) == 1)}
+        assert registered <= read, (command, registered - read)

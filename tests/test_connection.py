@@ -12,7 +12,6 @@ from carrollgeo.connection import (
     PartitionOfUnity,
     connection_from_partition,
     curvature,
-    curvature_numeric,
     gauge_at,
     orthogonality_check,
     overlap_gauge_residual,
@@ -148,33 +147,24 @@ def test_curvature_trivial_gauge(flat2):
 @pytest.mark.parametrize("b", [1.0, -2.5])
 def test_curvature_constant_field_strength(b):
     gauge = GaugeField(components={"cartesian": lambda x: np.array([-x[1] * b / 2.0, x[0] * b / 2.0])})
-    f = curvature_numeric(gauge, np.array([0.7, -0.3]), "cartesian")
+    f = curvature(gauge, np.array([0.7, -0.3]), "cartesian")
     assert f[0, 1] == pytest.approx(b, abs=1e-9)
     assert np.allclose(f, -f.T)
 
 
 def test_curvature_pure_gauge_vanishes():
     grad = lambda x: np.array([math.cos(x[0]) * math.cos(x[1]), -math.sin(x[0]) * math.sin(x[1])])
-    f = curvature_numeric(GaugeField(components={"cartesian": grad}), np.array([0.5, 1.1]), "cartesian")
+    f = curvature(GaugeField(components={"cartesian": grad}), np.array([0.5, 1.1]), "cartesian")
     assert np.max(np.abs(f)) < 1e-8
 
 
 def test_curvature_gauge_invariance():
     a_fn = lambda x: np.array([x[1] ** 2, x[0]])
     grad = lambda x: np.array([math.cos(x[0]), 2.0 * x[1]])
-    f1 = curvature_numeric(GaugeField(components={"cartesian": a_fn}), np.array([0.4, 0.8]), "cartesian")
+    f1 = curvature(GaugeField(components={"cartesian": a_fn}), np.array([0.4, 0.8]), "cartesian")
     shifted = lambda x: a_fn(x) + grad(x)
-    f2 = curvature_numeric(GaugeField(components={"cartesian": shifted}), np.array([0.4, 0.8]), "cartesian")
+    f2 = curvature(GaugeField(components={"cartesian": shifted}), np.array([0.4, 0.8]), "cartesian")
     assert np.max(np.abs(f1 - f2)) < 1e-8
-
-
-def test_registered_curvature_form_is_used():
-    gauge = GaugeField(
-        components={"cartesian": lambda x: np.zeros(2)},
-        curvature_forms={"cartesian": lambda x: np.array([[0.0, 7.0], [-7.0, 0.0]])},
-    )
-    f = curvature(gauge, np.array([0.0, 0.0]), "cartesian")
-    assert f[0, 1] == 7.0
 
 
 # -- partitions of unity and glued connections --------------------------------

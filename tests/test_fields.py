@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import scenarios
-from carrollgeo.connection import GaugeField
+from carrollgeo import _fd, scenarios
+from carrollgeo.connection import GaugeField, curvature
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import GeodesicState, integrate, unit_direction
 from carrollgeo.geometry import DegenerateMetric
@@ -256,17 +256,21 @@ def test_stack_needs_one_fiber_value_per_point():
             metric.at(x, t, "main")
 
 
-def test_gauge_known_to_vanish_is_never_called():
-    def never(x):
-        raise AssertionError("a gauge with is_zero was called")
+def test_gauge_known_to_vanish_is_never_called(monkeypatch):
+    def never(*args):
+        raise AssertionError("a gauge with is_zero was called or differenced")
 
+    monkeypatch.setattr(_fd, "partials", never)
     gauge = GaugeField({"main": never}, is_zero=True)
     x = np.random.default_rng(1).uniform(-1.0, 1.0, (13, 2))
     assert gauge.at(x[0], "main").tobytes() == np.zeros(2).tobytes()
     assert gauge.at(x, "main").tobytes() == np.zeros((13, 2)).tobytes()
+    assert curvature(gauge, x[0], "main").tobytes() == np.zeros((2, 2)).tobytes()
     for arg in (x[0], x):
         with pytest.raises(ContractViolation, match="chart"):
             gauge.at(arg, "elsewhere")
+    with pytest.raises(ContractViolation, match="chart"):
+        curvature(gauge, x[0], "elsewhere")
 
 
 def test_sphere_blocks_equal_the_scaled_constant_matrices():

@@ -176,7 +176,7 @@ def _nan_past_half(value):
 @pytest.mark.parametrize("flow", ["rk45", "rk4", "small_gauge"])
 def test_non_finite_stage_stops_with_event(flat2, flow):
     if flow == "small_gauge":
-        run = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, u_max=2.0,
+        run = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=2.0),
                                     curvature_fn=_nan_past_half(np.array([[0.0, 1.0], [-1.0, 0.0]])))
     else:
         gauge = _gauge(lambda x: np.array([0.0, _nan_past_half(0.0)(x)]))
@@ -211,8 +211,8 @@ def test_log_time_rejects_constant_fiber(flat2):
 
 def test_reduced_flow_circular_orbit(flat2):
     field = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1,
-                                 curvature_fn=field, u_max=2.0 * math.pi)
+    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=2.0 * math.pi),
+                                 curvature_fn=field)
     center = np.array([0.0, -1.0])  # x0 + J v0 / B
     radii = np.linalg.norm(base.x - center, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-6
@@ -223,9 +223,8 @@ def test_reduced_flow_circular_orbit(flat2):
 
 def test_reduced_flow_honours_rk4(flat2):
     field = lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    cfg = IntegratorConfig(method="rk4", rk4_step=0.01)
-    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, cfg,
-                                 curvature_fn=field, u_max=2.0 * math.pi)
+    cfg = IntegratorConfig(method="rk4", rk4_step=0.01, lambda_max=2.0 * math.pi)
+    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, cfg, curvature_fn=field)
     assert len(base) == round(2.0 * math.pi / 0.01) + 1
     assert np.allclose(np.diff(base.u), 0.01)
     assert base.events == []
@@ -235,23 +234,29 @@ def test_reduced_flow_honours_rk4(flat2):
 
 def test_reduced_flow_left_chart_event(schwarzschild):
     # heading for the pole: the angle chart's guard band ends the run
-    base = integrate_small_gauge([math.pi / 2, 0.0], [1.0, 0.0], schwarzschild, +1, u_max=3.0)
+    base = integrate_small_gauge([math.pi / 2, 0.0], [1.0, 0.0], schwarzschild, +1, IntegratorConfig(lambda_max=3.0))
     assert [e["kind"] for e in base.events] == ["left_chart"]
     assert base.u[-1] == base.events[0]["lambda"] < 3.0
 
 
 def test_reduced_flow_straight_line_without_field(flat2):
-    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, u_max=3.0)
+    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=3.0))
     assert np.max(np.abs(base.x[:, 1])) < 1e-10
     assert np.max(np.abs(base.x[:, 0] - base.u)) < 1e-8
+
+
+def test_reduced_flow_spans_lambda_max(flat2):
+    """The log-time span is ``cfg.lambda_max``, as the full flow's affine one."""
+    base = integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=1.0))
+    assert base.u[-1] == 1.0 and base.events == []
 
 
 def test_reduced_flow_pushes_off_equator(schwarzschild):
     # monopole-like field strength: F_theta,phi = sin(theta)
     field = lambda x: np.array([[0.0, math.sin(x[0])], [-math.sin(x[0]), 0.0]])
     v0 = unit_direction(schwarzschild, [math.pi / 2, 0.0], [0.0, 1.0], 1.0)
-    base = integrate_small_gauge([math.pi / 2, 0.0], v0, schwarzschild, +1,
-                                 curvature_fn=field, u_max=math.pi / 2)
+    base = integrate_small_gauge([math.pi / 2, 0.0], v0, schwarzschild, +1, IntegratorConfig(lambda_max=math.pi / 2),
+                                 curvature_fn=field)
     departure = np.abs(base.x[:, 0] - math.pi / 2)
     assert departure[-1] > 0.1
     assert np.all(np.diff(departure) > -1e-12)
@@ -259,7 +264,7 @@ def test_reduced_flow_pushes_off_equator(schwarzschild):
 
 def test_reduced_flow_rejects_non_unit_speed(flat2):
     with pytest.raises(ContractViolation):
-        integrate_small_gauge([0.0, 0.0], [2.0, 0.0], flat2, +1, u_max=1.0)
+        integrate_small_gauge([0.0, 0.0], [2.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=1.0))
 
 
 # -- quadrature solution of the fiber equation -------------------------------------
@@ -422,4 +427,4 @@ def test_step_cap_must_be_finite_and_positive(flat2, max_step):
     with pytest.raises(ContractViolation, match="max_step"):
         integrate(state, flat2, IntegratorConfig(lambda_max=1.0, max_step=max_step))
     with pytest.raises(ContractViolation, match="max_step"):
-        integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(max_step=max_step), u_max=1.0)
+        integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(max_step=max_step, lambda_max=1.0))

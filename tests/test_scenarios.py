@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carrollgeo import scenarios
 from carrollgeo._grid import GridSpline
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, shoot_null, unit_direction
@@ -29,6 +30,22 @@ def test_catalog_names():
 def test_catalog_loads_clean(name, rng):
     failed = [r.name for r in run_all(load(name), rng) if not r.passed]
     assert failed == []
+
+
+def test_catalog_declares_the_parameter_keys_its_builder_reads():
+    read = set()
+
+    class Recorder(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    for name, (build, keys) in scenarios._CATALOG.items():
+        read.clear()
+        build(Recorder())
+        assert read == set(keys) and scenarios.catalog_params(f" {name} ") == keys, name
+    demo = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini"
+    assert scenarios.catalog_params(str(demo)) == ()
 
 
 def test_unknown_scenario_raises():
