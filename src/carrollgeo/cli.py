@@ -92,16 +92,18 @@ def _add_flow(sub: argparse.ArgumentParser, lambda_max: float) -> None:
     sub.add_argument("--rk4-step", type=float, default=IntegratorConfig.rk4_step, dest="rk4_step")
     sub.add_argument("--tol", type=float, default=IntegratorConfig.tol,
                      help="integrator tolerance, relative and absolute")
-    sub.add_argument("--christoffel", default=IntegratorConfig.christoffel, choices=["closed", "numeric"],
+    # --format, --svg-mode and --christoffel are None when not given: `geodesic --small-gauge` rejects them
+    sub.add_argument("--christoffel", choices=["closed", "numeric"],
                      help="Christoffel symbols: 'closed' (the default) uses the closed form where the gauge "
                           "field vanishes and the finite-difference oracle elsewhere; 'numeric' uses the "
                           "oracle everywhere")
-    sub.add_argument("--svg-mode", default="xy", choices=["xy", "ulog"], dest="svg_mode")
+    sub.add_argument("--svg-mode", choices=["xy", "ulog"], dest="svg_mode")
+    sub.set_defaults(format=None)
 
 
 def _integrator_config(args) -> IntegratorConfig:
     return IntegratorConfig(method=args.method, tol=args.tol, lambda_max=args.lambda_max,
-                            christoffel=args.christoffel, rk4_step=args.rk4_step)
+                            christoffel=args.christoffel or IntegratorConfig.christoffel, rk4_step=args.rk4_step)
 
 
 def _report_events(events: list[dict]) -> int:
@@ -116,12 +118,12 @@ def _write_trajectory(traj, args) -> int:
         print(f"samples: {len(traj)}")
     else:
         out = Path(args.out)
-        if args.format == "csv":
-            write_trajectory_csv(traj, out)
-        elif args.format == "json":
+        if args.format == "json":
             write_trajectory_json(traj, out)
+        elif args.format == "svg":
+            write_trajectory_svg(traj, out, mode=args.svg_mode or "xy")
         else:
-            write_trajectory_svg(traj, out, mode=args.svg_mode)
+            write_trajectory_csv(traj, out)
         print(f"wrote {out}")
     print(f"max charge drift: {traj.max_charge_drift():.3e}")
     print(f"max null drift:   {traj.max_null_drift():.3e}")
@@ -160,12 +162,13 @@ def cmd_check(args) -> int:
 def cmd_geodesic(args) -> int:
     if not args.small_gauge and (args.field is not None or args.sign_q is not None):
         raise ContractViolation("--field and --sign-q set the reduced flow and need --small-gauge")
+    if args.small_gauge and (args.format, args.svg_mode, args.christoffel) != (None, None, None):
+        raise ContractViolation("--small-gauge takes no --format, --svg-mode or --christoffel: its --out is an SVG")
     scenario = _load_scenario(args)
     chart = args.chart or scenario.default_chart
     cfg = _integrator_config(args)
+    values, n = parse_tuple(args.state), scenario.dim
     if args.small_gauge:
-        values = parse_tuple(args.state)
-        n = scenario.dim
         if len(values) != 2 * n:
             raise ContractViolation(f"--state for the reduced flow needs {2 * n} values: x..., v...")
         x0, v0 = np.array(values[:n]), np.array(values[n:])
@@ -185,8 +188,6 @@ def cmd_geodesic(args) -> int:
             print(f"wrote {args.out}")
         print(f"samples: {len(base)}; final speed^2 drift {abs(base.speed2[-1] - base.speed2[0]):.3e}")
         return _report_events(base.events)
-    values = parse_tuple(args.state)
-    n = scenario.dim
     if len(values) != 2 * n + 2:
         raise ContractViolation(f"--state needs {2 * n + 2} values: x..., t, vx..., vt")
     state = GeodesicState(np.array(values[:n]), values[n], np.array(values[n + 1 : 2 * n + 1]), values[2 * n + 1])

@@ -1,5 +1,5 @@
 """Tiny arithmetic expression grammar shared by scenario files, atlas files
-and CLI coordinate arguments, and the checked reading of INI file values.
+and CLI coordinate arguments, and the one reader of those files.
 
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
@@ -12,7 +12,9 @@ from __future__ import annotations
 import ast
 import configparser
 import math
-from typing import Callable, Mapping, Sequence
+from configparser import SectionProxy
+from pathlib import Path
+from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import ConstructionError
 
@@ -127,11 +129,22 @@ def parse_tuple(text: str) -> tuple[float, ...]:
 
 
 def parse_pair(text: str) -> tuple[float, ...]:
-    """Two comma-separated constant expressions ``lo, hi``."""
+    """Two comma-separated constant expressions ``lo, hi`` with lo < hi."""
     values = tuple(parse_number(chunk) for chunk in text.split(","))
     if len(values) != 2:
         raise ConstructionError(f"expected two values lo, hi, got {len(values)}")
+    if not values[0] < values[1]:
+        raise ConstructionError(f"a span lo, hi needs lo < hi, got {text.strip()!r}")
     return values
+
+
+def unwrap(text: str, *names: str) -> tuple[str, str]:
+    """The name, one of ``names``, and the body of a spec ``name(body)``
+    such as ``box(0, 1; 0, 1)`` or ``grid(file.csv)``."""
+    name, paren, body = text.strip().partition("(")
+    if name not in names or not paren or not body.endswith(")"):
+        raise ConstructionError(f"expected {' or '.join(f'{n}(...)' for n in names)}, got {text!r}")
+    return name, body[:-1]
 
 
 def parse_bool(text: str) -> bool:
@@ -145,7 +158,7 @@ def parse_bool(text: str) -> bool:
 _REQUIRED = object()
 
 
-def ini_value(section: configparser.SectionProxy, key: str, convert: Callable[[str], object], default=_REQUIRED):
+def ini_value(section: SectionProxy, key: str, convert: Callable[[str], object], default=_REQUIRED):
     """``convert(section[key])`` for a section of a scenario or atlas file, or
     ``default`` when the key is absent and a default is given. A missing key
     or a malformed value is a ConstructionError naming the key."""
@@ -157,3 +170,42 @@ def ini_value(section: configparser.SectionProxy, key: str, convert: Callable[[s
         return convert(section[key])
     except (ValueError, ConstructionError) as exc:
         raise ConstructionError(f"[{section.name}] {key} = {section[key]!r}: {exc}") from None
+
+
+def read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the input file ``path``, a ``what`` such as "grid file";
+    a file that cannot be read or decoded is a ConstructionError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConstructionError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConstructionError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def read_ini(path: Path, what: str, required: Sequence[str], optional: Sequence[str] = (),
+             named: Sequence[str] = ()) -> configparser.ConfigParser:
+    """The INI input file ``path`` with the sections ``required``, perhaps ``optional`` ones, and
+    ``[KIND NAME]`` ones of a KIND in ``named``. Keys keep their case (chart names are case-sensitive)
+    and values are not interpolated; a malformed file or an unknown section is a ConstructionError."""
+    # no header can name the empty default section, so [DEFAULT] is an ordinary one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.optionxform = str
+    try:
+        parser.read_string(read_text(path, what), source=str(path))
+    except configparser.Error as exc:
+        raise ConstructionError(f"{what} {path}: {' '.join(str(exc).split())}") from None
+    for name in parser.sections():
+        if name not in (*required, *optional) and name.split(" ")[0] not in named:
+            raise ConstructionError(f"{what} {path}: unknown section [{name}]")
+    missing = [f"[{name}]" for name in required if name not in parser]
+    if missing:
+        raise ConstructionError(f"{what} {path} needs {', '.join(missing)}")
+    return parser
+
+
+def ini_keys(section: SectionProxy | Mapping[str, str], allowed: Collection[str]) -> None:
+    """Reject a key of ``section`` (an absent section is ``{}``) that ``allowed`` does not name."""
+    for key in section:
+        if key not in allowed:
+            raise ConstructionError(f"[{section.name}] has an unknown key {key!r}; known: {', '.join(allowed)}")

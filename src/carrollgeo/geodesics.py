@@ -57,6 +57,8 @@ class GeodesicState:
         object.__setattr__(self, "vt", float(self.vt))
         if self.x.size != self.vx.size:
             raise ContractViolation("position and velocity dimensions differ")
+        if not np.all(np.isfinite(self.as_vector())):
+            raise DomainError(f"non-finite state (x..., t, vx..., vt) = {self.as_vector().tolist()}")
         if self.t == 0.0:
             raise DomainError("fiber coordinate must be nonzero")
 
@@ -132,6 +134,14 @@ class Trajectory:
 # monitors
 # ---------------------------------------------------------------------------
 
+def _along(vx: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """vx . g . vx for K samples of vx (K, n) and metric blocks g (K, n, n), vx . a for gauge values a (K, n):
+    batched matmul, which gives each sample's ``vx @ g @ vx`` bit for bit (einsum does not for n >= 2)."""
+    if field.ndim == 3:
+        return (vx[:, None, :] @ field @ vx[:, :, None])[:, 0, 0]
+    return (vx[:, None, :] @ field[:, :, None])[:, 0, 0]
+
+
 def carroll_charge(state: GeodesicState, gauge: GaugeField, chart: str) -> float:
     """Conserved charge -(vt/t + vx . A(x)); minus the connection one-form on
     the velocity."""
@@ -144,10 +154,9 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     """<vx, vx>_gM - (vt/t + vx . A)^2; vanishes exactly on null states."""
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
-    gm = scenario.metric.at(state.x, state.t, chart)
-    a = gauge.at(state.x, chart)
-    omega_v = state.vt / state.t + float(state.vx @ a)
-    return float(state.vx @ gm @ state.vx) - omega_v**2
+    x, vx = state.x[None], state.vx[None]
+    omega_v = state.vt / state.t + float(_along(vx, gauge.at(x, chart))[0])
+    return float(_along(vx, scenario.metric.at(x, [state.t], chart))[0]) - omega_v**2
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +186,19 @@ def unit_direction(scenario: Scenario, x: np.ndarray, u: np.ndarray, t: float,
                    chart: str | None = None) -> np.ndarray:
     """Normalize a base direction to unit length in g_M(x, t)."""
     chart = chart or scenario.default_chart
-    gm = scenario.metric.at(np.asarray(x, float), t, chart)
-    u = np.asarray(u, dtype=float)
-    norm = math.sqrt(float(u @ gm @ u))
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    _initial_chart(scenario, chart, x)
+    norm = _norm(scenario, x, u, t, chart)
     if norm == 0.0:
         raise ContractViolation("cannot normalize a zero direction")
     return u / norm
+
+
+def _norm(scenario: Scenario, x: np.ndarray, u: np.ndarray, t: float, chart: str) -> float:
+    """The length of the base direction u in g_M(x, t)."""
+    if u.size != x.size:
+        raise ContractViolation(f"direction {u.tolist()} has {u.size} components, the base point has {x.size}")
+    return math.sqrt(float(u @ scenario.metric.at(x, t, chart) @ u))
 
 
 def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None = None) -> GeodesicState:
@@ -194,19 +210,17 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
     chart = spec.chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
     x0 = np.asarray(spec.x0, dtype=float)
-    t0 = float(spec.t0)
-    if t0 == 0.0:
-        raise DomainError("t0 must be nonzero")
+    t0, q = float(spec.t0), float(spec.q)
+    if not (math.isfinite(t0) and t0 != 0.0 and math.isfinite(q)):
+        raise DomainError(f"t0 must be finite and nonzero, and q finite, got t0 = {t0}, q = {q}")
     if spec.eps not in (+1, -1):
         raise ContractViolation("eps must be +1 or -1")
-    q = float(spec.q)
     if spec.delta is not None and q != 0.0 and spec.delta != -int(math.copysign(1.0, q)):
         raise ContractViolation("delta contradicts the sign of q (delta = -sign(q))")
     if q == 0.0:
         return GeodesicState(x0, t0, np.zeros(x0.size), 0.0)
-    gm = scenario.metric.at(x0, t0, chart)
     u = np.asarray(spec.u, dtype=float)
-    norm = math.sqrt(float(u @ gm @ u))
+    norm = _norm(scenario, x0, u, t0, chart)
     if abs(norm - 1.0) > 1e-10:
         raise ContractViolation(f"direction is not unit in g_M (|u| = {norm:.12f})")
     vx = spec.eps * abs(q) * u
@@ -361,9 +375,9 @@ def _drive(
     size, the last one not clamped to ``span``. ``guard(y)`` names the reason
     an accepted state ends the run (that state is kept), or returns None. A
     non-finite stage or step result ends the run as ``non_finite`` and is
-    not kept. The span must be finite and >= 0, and the fixed step, the step
-    cap ``max_step`` and the tolerance ``tol`` finite and > 0, else the run is a
-    ContractViolation.
+    not kept. The span must be finite and >= 0, the fixed step, the step cap
+    ``max_step`` and the tolerance ``tol`` finite and > 0, and span / rk4_step
+    at most ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
@@ -373,6 +387,8 @@ def _drive(
         if not (math.isfinite(value) and value > 0.0):
             raise ContractViolation(f"{name} must be finite and > 0, got {value}")
     adaptive = cfg.method == "rk45"
+    if not adaptive and span / cfg.rk4_step > MAX_STEPS:
+        raise ContractViolation(f"rk4_step = {cfg.rk4_step} takes more than {MAX_STEPS} steps over the span {span}")
 
     def stage(y: np.ndarray) -> np.ndarray:
         # a non-finite stage point has no symbols; its slope is non-finite too
@@ -416,8 +432,10 @@ def _drive(
 
 
 def _initial_chart(scenario: Scenario, chart: str, x0: np.ndarray) -> Chart:
-    """The chart a flow runs on; its hard domain must hold the initial base point."""
+    """The chart a flow runs on; it must have the initial base point's dimension and hold it in its hard domain."""
     chart_obj = scenario.atlas.chart(chart)
+    if np.size(x0) != chart_obj.dim:
+        raise ContractViolation(f"initial base point {np.asarray(x0).tolist()} is not {chart_obj.dim}-dimensional")
     if not chart_obj.inside(x0):
         raise ContractViolation(f"initial base point {np.asarray(x0).tolist()} is outside chart {chart!r}")
     return chart_obj
@@ -454,19 +472,15 @@ def integrate(
     arr = np.array(ys)
     xs, ts, vxs, vts = arr[:, :n], arr[:, n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
 
-    # one metric block and one gauge evaluation per sample feed all three monitors
-    charges, nulls, speeds = np.empty(len(ys)), np.empty(len(ys)), np.empty(len(ys))
-    for i in range(len(ys)):
-        x, t, vx = xs[i], float(ts[i]), vxs[i]
-        gm = scenario.metric.at(x, t, chart)
-        omega_v = float(vts[i]) / t + float(vx @ gauge.at(x, chart))
-        speeds[i] = float(vx @ gm @ vx)
-        charges[i] = -omega_v
-        nulls[i] = speeds[i] - omega_v**2
+    # one stacked read of g_M and one of A feed all three monitors; the
+    # square is Python's, whose libm pow can differ from numpy's x * x
+    speeds = _along(vxs, scenario.metric.at(xs, ts, chart))
+    omega = vts / ts + _along(vxs, gauge.at(xs, chart))
+    nulls = speeds - np.array([w**2 for w in omega.tolist()])
 
     return Trajectory(
         lam=np.array(lams), x=xs, t=ts, vx=vxs, vt=vts,
-        charge=charges, null_residual=nulls, base_speed2=speeds, events=events,
+        charge=-omega, null_residual=nulls, base_speed2=speeds, events=events,
         meta={"scenario": scenario.name, "chart": chart, "method": cfg.method,
               "christoffel": route, "tol": cfg.tol},
     )
@@ -565,12 +579,8 @@ def integrate_small_gauge(
     us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
-    speeds = np.empty(len(us))
-    for i in range(len(us)):
-        gm = scenario.metric.at(xs[i], 1.0, chart)
-        speeds[i] = float(vs[i] @ gm @ vs[i])
     return BaseTrajectory(
-        u=np.array(us), x=xs, vx=vs, speed2=speeds, events=events,
+        u=np.array(us), x=xs, vx=vs, speed2=_along(vs, scenario.metric.at(xs, np.ones(len(xs)), chart)), events=events,
         meta={"scenario": scenario.name, "chart": chart, "sign_q": sign_q},
     )
 
@@ -589,9 +599,7 @@ def formal_temporal_solution(
     by the trapezoid rule along the sampled base path. Returns the series
     and its max deviation from the integrated fiber channel.
     """
-    integrand = np.array(
-        [float(traj.vx[i] @ gauge.at(traj.x[i], chart)) for i in range(len(traj))]
-    )
+    integrand = _along(traj.vx, gauge.at(traj.x, chart))
     accumulated = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(traj.lam))]
     )

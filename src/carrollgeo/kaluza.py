@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _fd
-from .connection import GaugeField, curvature
+from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw
 
@@ -236,8 +236,8 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
                 "use the finite-difference oracle"
             )
         a = kk.gauge.at(x, chart)
-        f = curvature(kk.gauge, x, chart)
         jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
+        f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a
         sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
         ag = gminv @ a  # (g_M)^{cd} A_d
 

@@ -9,7 +9,6 @@ are extracted numerically (central difference with one Richardson pass).
 
 from __future__ import annotations
 
-import configparser
 import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import _fd
 from .errors import ConstructionError, NumericError
-from .expressions import compile_expression, ini_value, parse_pair
+from .expressions import SectionProxy, compile_expression, ini_keys, ini_value, parse_pair, read_ini, unwrap
 
 Transition = Callable[[float, float], float]
 Section = Callable[[float], float]
@@ -355,17 +354,18 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
     )
 
 
-def _chart_names(sec: configparser.SectionProxy, count: int, charts: list[str]) -> list[str]:
-    """The ``charts`` entry of an [overlap] or [triple]: ``count`` distinct names from [charts]."""
+def _charts_and_samples(sec: SectionProxy, count: int, charts: list[str], samples: int) -> tuple[list[str], np.ndarray]:
+    """The ``charts`` entry of an [overlap] or [triple], ``count`` distinct
+    names from [charts], and ``samples`` points on its ``interval``. An
+    overlap may also give the transition ``to_<chart>`` into each chart."""
     names = ini_value(sec, "charts", lambda text: [s.strip() for s in text.split(",")])
-    if len(names) != count:
-        raise ConstructionError(f"[{sec.name}] charts must list {count} names")
-    if len(set(names)) != count:
+    if len(names) != count or len(set(names)) != count:
         raise ConstructionError(f"[{sec.name}] charts must name {count} distinct charts, got {', '.join(names)}")
     for name in names:
         if name not in charts:
             raise ConstructionError(f"[{sec.name}] names chart {name!r}, which [charts] does not define")
-    return names
+    ini_keys(sec, ("charts", "interval", *(f"to_{name}" for name in names if count == 2)))
+    return names, np.linspace(*ini_value(sec, "interval", parse_pair), samples)
 
 
 def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> TransitionAtlas:
@@ -376,52 +376,35 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
     atlases are provided as built-ins.
     """
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    if not parser.read(path):
-        raise ConstructionError(f"cannot read atlas file {path}")
-    if "charts" not in parser:
-        raise ConstructionError("atlas file needs a [charts] section")
-
-    charts = []
-    for name, spec in parser["charts"].items():
-        spec = spec.strip()
-        if not (spec.startswith("interval(") and spec.endswith(")")):
-            raise ConstructionError(f"chart {name}: expected interval(lo, hi)")
-        charts.append(name)
+    parser = read_ini(path, "atlas file", ("charts",), ("sections",), named=("overlap", "triple"))
+    charts = list(parser["charts"])
+    for name in charts:
+        ini_value(parser["charts"], name, lambda spec: parse_pair(unwrap(spec, "interval")[1]))
 
     psi: dict[tuple[str, str], Transition] = {}
     overlaps: list[OverlapRecord] = []
     triples: list[TripleRecord] = []
-    sections: dict[str, Section] = {}
 
     # triples last: each checks the transitions that the overlaps define
-    for section_name in sorted(parser.sections(), key=lambda name: name.startswith("triple")):
-        if section_name.startswith("overlap"):
-            sec = parser[section_name]
-            i, j = _chart_names(sec, 2, charts)
-            lo, hi = ini_value(sec, "interval", parse_pair)
-            ms = np.linspace(lo, hi, samples_per_overlap)
+    for section_name in sorted(parser.sections(), key=lambda name: name.split(" ")[0] == "triple"):
+        kind, sec = section_name.split(" ")[0], parser[section_name]
+        if kind == "overlap":
+            (i, j), ms = _charts_and_samples(sec, 2, charts, samples_per_overlap)
             overlaps.append(OverlapRecord(charts=(i, j), samples={i: ms, j: ms}))
             overlaps.append(OverlapRecord(charts=(j, i), samples={i: ms, j: ms}))
             for key, target in ((f"to_{i}", (i, j)), (f"to_{j}", (j, i))):
                 if key in sec:
                     psi[target] = compile_expression(sec[key], ("m", "r"))
-        elif section_name.startswith("triple"):
-            sec = parser[section_name]
-            i, j, k = trio = _chart_names(sec, 3, charts)
+        elif kind == "triple":
+            (i, j, k), ms = _charts_and_samples(sec, 3, charts, samples_per_overlap)
             for a, b in ((i, j), (j, k), (i, k)):
                 if (a, b) not in psi:
                     raise ConstructionError(f"[{section_name}] needs a transition {a} <- {b} from an [overlap]")
-            lo, hi = ini_value(sec, "interval", parse_pair)
-            ms = np.linspace(lo, hi, samples_per_overlap)
-            triples.append(TripleRecord(charts=tuple(trio), samples={c: ms for c in trio}))
+            triples.append(TripleRecord(charts=(i, j, k), samples={c: ms for c in (i, j, k)}))
 
-    if "sections" in parser:
-        for name in charts:
-            sections[name] = compile_expression(parser["sections"].get(name, "0"), ("m",))
-    else:
-        sections = {name: (lambda m: 0.0) for name in charts}
+    given = parser["sections"] if "sections" in parser else {}
+    ini_keys(given, charts)
+    sections = {name: compile_expression(given.get(name, "0"), ("m",)) for name in charts}
 
     if not psi:
         raise ConstructionError("atlas file defines no transitions")

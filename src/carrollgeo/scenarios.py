@@ -13,10 +13,11 @@ two stereographic charts that cover the poles.
 
 from __future__ import annotations
 
-import configparser
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -26,7 +27,8 @@ from . import _fd
 from ._grid import MIN_NODES, GridSpline
 from .connection import ConnectionOneForm, GaugeField
 from .errors import ConstructionError, ContractViolation
-from .expressions import compile_expression, ini_value, parse_bool, parse_number, parse_pair
+from .expressions import (compile_expression, ini_keys, ini_value, parse_bool, parse_number, parse_pair, read_ini,
+                          read_text, unwrap)
 from .geometry import (
     Atlas,
     Chart,
@@ -485,37 +487,33 @@ def catalog_params(name_or_path: str) -> tuple[str, ...]:
 
 def _read_grid_rows(path: Path) -> tuple[list[str], np.ndarray]:
     """The header and the data rows of a grid CSV; blank lines are skipped."""
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = [h.strip() for h in next(reader, [])]
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ConstructionError(
-                        f"grid file {path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise ConstructionError(
-                        f"grid file {path}, line {reader.line_num}: a cell is not a number"
-                    ) from None
-    except OSError as exc:
-        raise ConstructionError(f"cannot read grid file {path}: {exc.strerror}") from None
+    reader = csv.reader(io.StringIO(read_text(path, "grid file")))
+    header = [h.strip() for h in next(reader, [])]
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConstructionError(
+                f"grid file {path}, line {reader.line_num}: {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ConstructionError(f"grid file {path}, line {reader.line_num}: a cell is not a number") from None
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     if not np.isfinite(table).all():  # one bad node would reach every cell of the spline
         raise ConstructionError(f"grid file {path}: every cell must be finite")
     return header, table
 
 
-def _load_grid_table(path: Path, n_values: int) -> tuple[GridSpline, int]:
+def _load_grid_table(path: Path, n_values: int, n_coords: int) -> GridSpline:
+    """The spline through a grid CSV of ``n_coords`` coordinate and ``n_values`` value columns."""
     header, rows = _read_grid_rows(path)
-    n_coords = len(header) - n_values
-    if n_coords < 1:
-        raise ConstructionError(f"grid file {path} has too few columns")
+    found = len(header) - n_values
+    if found != n_coords:
+        detail = "too few columns" if found < 1 else f"{found} coordinate columns"
+        raise ConstructionError(f"grid file {path} has {detail}, expected {n_coords} coordinate columns")
     coords = rows[:, :n_coords]
     values = rows[:, n_coords:]
     axes = [np.unique(coords[:, i]) for i in range(n_coords)]
@@ -533,15 +531,12 @@ def _load_grid_table(path: Path, n_values: int) -> tuple[GridSpline, int]:
         )
     order = np.lexsort(tuple(coords[:, i] for i in reversed(range(n_coords))))
     shaped = values[order].reshape(*(len(a) for a in axes), n_values)
-    return GridSpline(axes, shaped), n_coords
+    return GridSpline(axes, shaped)
 
 
 def load_metric_grid(path: str | Path, dim: int, time_dependent: bool) -> Callable[[np.ndarray, float], np.ndarray]:
     """Metric block from a CSV grid: coordinate columns, then row-major entries."""
-    spline, n_coords = _load_grid_table(Path(path), dim * dim)
-    expect = dim + (1 if time_dependent else 0)
-    if n_coords != expect:
-        raise ConstructionError(f"grid has {n_coords} coordinate columns, expected {expect}")
+    spline = _load_grid_table(Path(path), dim * dim, dim + (1 if time_dependent else 0))
 
     def gm(x: np.ndarray, t: float) -> np.ndarray:
         flat = spline(np.append(x, t) if time_dependent else x).reshape(dim, dim)
@@ -552,9 +547,7 @@ def load_metric_grid(path: str | Path, dim: int, time_dependent: bool) -> Callab
 
 def load_gauge_grid(path: str | Path, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Gauge field from a CSV grid with the same column convention."""
-    spline, n_coords = _load_grid_table(Path(path), dim)
-    if n_coords != dim:
-        raise ConstructionError(f"grid has {n_coords} coordinate columns, expected {dim}")
+    spline = _load_grid_table(Path(path), dim, dim)
 
     def a_fn(x: np.ndarray) -> np.ndarray:
         return spline(x).reshape(dim)
@@ -567,22 +560,15 @@ def load_gauge_grid(path: str | Path, dim: int) -> Callable[[np.ndarray], np.nda
 # ---------------------------------------------------------------------------
 
 def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
-    inner = text.strip()
-    if not (inner.startswith("box(") and inner.endswith(")")):
-        raise ConstructionError(f"expected box(lo, hi; ...), got {text!r}")
-    box = tuple(parse_pair(span) for span in inner[4:-1].split(";"))
-    if any(not lo < hi for lo, hi in box):
-        raise ConstructionError("every span lo, hi needs lo < hi")
-    return box
+    return tuple(parse_pair(span) for span in unwrap(text, "box")[1].split(";"))
 
 
-def _parse_matrix(text: str, dim: int):
-    body = text.strip()
-    if body.startswith("grid(") and body.endswith(")"):
-        return None, body[5:-1].strip()
-    if not (body.startswith("matrix(") and body.endswith(")")):
-        raise ConstructionError(f"expected matrix(...) or grid(...), got {text!r}")
-    rows = body[7:-1].split(";")
+def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The base block of a [metric] entry: expressions in x1..xn, t or a grid file beside the scenario file."""
+    kind, body = unwrap(text, "matrix", "grid")
+    if kind == "grid":
+        return load_metric_grid(folder / body.strip(), dim, time_dependent)
+    rows = body.split(";")
     if len(rows) != dim:
         raise ConstructionError(f"matrix has {len(rows)} rows, expected {dim}")
     variables = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
@@ -597,40 +583,33 @@ def _parse_matrix(text: str, dim: int):
         args = (*np.asarray(x, dtype=float).tolist(), float(t))
         return np.array([[fn(*args) for fn in row] for row in entries])
 
-    return gm, None
+    return gm
 
 
-def _parse_vector(text: str, dim: int):
-    body = text.strip()
-    if body.startswith("grid(") and body.endswith(")"):
-        return None, body[5:-1].strip()
-    if not (body.startswith("vector(") and body.endswith(")")):
-        raise ConstructionError(f"expected vector(...) or grid(...), got {text!r}")
+def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
+    """The gauge field of a [gauge] entry, expressions in x1..xn or a grid file, and whether it is known to vanish."""
+    kind, body = unwrap(text, "vector", "grid")
+    if kind == "grid":
+        return load_gauge_grid(folder / body.strip(), dim), False
     variables = tuple(f"x{i + 1}" for i in range(dim))
-    comps = [compile_expression(c, variables) for c in body[7:-1].split(",")]
+    comps = [compile_expression(c, variables) for c in body.split(",")]
     if len(comps) != dim:
         raise ConstructionError(f"vector has {len(comps)} entries, expected {dim}")
-    # zero only when every component is a constant expression equal to 0
-    is_zero = all(fn.constant and fn(*[0.0] * dim) == 0.0 for fn in comps)  # type: ignore[attr-defined]
 
     def a_fn(x: np.ndarray) -> np.ndarray:
         args = np.asarray(x, dtype=float).tolist()
         return np.array([fn(*args) for fn in comps])
 
-    return (a_fn, is_zero), None
+    # zero only when every component is a constant expression equal to 0
+    return a_fn, all(fn.constant and fn(*[0.0] * dim) == 0.0 for fn in comps)  # type: ignore[attr-defined]
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep chart names case-sensitive
-    read = parser.read(path)
-    if not read:
-        raise ConstructionError(f"cannot read scenario file {path}")
-    if "meta" not in parser or "charts" not in parser or "metric" not in parser:
-        raise ConstructionError("scenario file needs [meta], [charts] and [metric] sections")
+    parser = read_ini(path, "scenario file", ("meta", "charts", "metric"), ("gauge", "expects"))
 
     meta = parser["meta"]
+    ini_keys(meta, ("name", "dim", "default_chart"))
     dim = ini_value(meta, "dim", int, default=0)
     if dim < 1:
         raise ConstructionError("[meta] dim must be a positive integer")
@@ -645,48 +624,33 @@ def load_scenario_file(path: str | Path) -> Scenario:
     if not charts:
         raise ConstructionError(f"scenario file {path}: [charts] defines no chart")
     atlas = Atlas(charts)
-    default_chart = meta.get("default_chart", charts[0].name)
+    names = [c.name for c in charts]
+    default_chart = meta.get("default_chart", names[0])
+    if default_chart not in names:
+        raise ConstructionError(f"[meta] default_chart = {default_chart!r} is not a chart of [charts]")
 
     metric_section = parser["metric"]
+    ini_keys(metric_section, ("time_dependent", *names))
     time_dependent = ini_value(metric_section, "time_dependent", parse_bool, default=False)
-    blocks = {}
-    for chart in charts:
-        if chart.name not in metric_section:
-            raise ConstructionError(f"[metric] is missing chart {chart.name}")
-        gm, grid_path = _parse_matrix(metric_section[chart.name], dim)
-        if grid_path is not None:
-            gm = load_metric_grid(path.parent / grid_path, dim, time_dependent)
-        blocks[chart.name] = gm
+    read_block = partial(_parse_matrix, dim=dim, time_dependent=time_dependent, folder=path.parent)
+    blocks = {c: ini_value(metric_section, c, read_block) for c in names}
     metric = DegenerateMetric(blocks=blocks, time_dependent=time_dependent)
 
-    gauge_comps = {}
-    all_zero = True
     if "gauge" in parser:
-        for chart in charts:
-            if chart.name not in parser["gauge"]:
-                raise ConstructionError(f"[gauge] is missing chart {chart.name}")
-            parsed, grid_path = _parse_vector(parser["gauge"][chart.name], dim)
-            if grid_path is not None:
-                gauge_comps[chart.name] = load_gauge_grid(path.parent / grid_path, dim)
-                all_zero = False
-            else:
-                a_fn, is_zero = parsed
-                gauge_comps[chart.name] = a_fn
-                all_zero = all_zero and is_zero
-        gauge = GaugeField(components=gauge_comps, is_zero=all_zero)
+        ini_keys(parser["gauge"], names)
+        read_field = partial(_parse_vector, dim=dim, folder=path.parent)
+        fields = {c: ini_value(parser["gauge"], c, read_field) for c in names}
+        gauge = GaugeField(components={c: fn for c, (fn, _) in fields.items()},
+                           is_zero=all(zero for _, zero in fields.values()))
     else:
-        gauge = GaugeField.trivial(dim, [c.name for c in charts])
+        gauge = GaugeField.trivial(dim, names)
 
-    expects: dict = {}
-    if "expects" in parser:
-        section = parser["expects"]
-        for key, convert in (("euler_killing", parse_bool), ("weight", float), ("conformal", parse_bool)):
-            if key in section:
-                expects[key] = ini_value(section, key, convert)
-        if expects.get("euler_killing") and expects.get("weight", 0.0) != 0.0:
-            raise ConstructionError(
-                f"[expects] euler_killing = true means weight 0, got weight = {expects['weight']:g}"
-            )
+    section = parser["expects"] if "expects" in parser else {}
+    converters = {"euler_killing": parse_bool, "weight": float, "conformal": parse_bool}
+    ini_keys(section, converters)
+    expects = {key: ini_value(section, key, convert) for key, convert in converters.items() if key in section}
+    if expects.get("euler_killing") and expects.get("weight", 0.0) != 0.0:
+        raise ConstructionError(f"[expects] euler_killing = true means weight 0, got weight = {expects['weight']:g}")
 
     return Scenario(
         name=name,

@@ -249,6 +249,7 @@ def test_small_gauge_prints_stop_events(capsys):
 
 
 SHOOT_FLAT = ["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1"]
+SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--state", "0, 0, 1, 0"]
 
 
 @pytest.mark.parametrize(
@@ -276,12 +277,24 @@ SHOOT_FLAT = ["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1"
         (["check", str(EXAMPLES / "scenario_demo.ini"), "--param", "n=2"], "none"),
         (["geodesic", "flat", "--field", "1", "--state", "0, 0, 1, 0.3, 0.1, -1"], "--small-gauge"),
         (["geodesic", "flat", "--sign-q", "-1", "--state", "0, 0, 1, 0.3, 0.1, -1"], "--small-gauge"),
+        (SMALL_GAUGE_FLAT + ["--format", "json", "--out", "sg.json"], "--format"),
+        (SMALL_GAUGE_FLAT + ["--svg-mode", "ulog"], "--svg-mode"),
+        (SMALL_GAUGE_FLAT + ["--christoffel", "numeric"], "--christoffel"),
+        (["null-shoot", "schwarzschild", "--point", "pi/2, 0", "--dir", "0, 1, 3", "--q", "1"], "direction"),
+        (["null-shoot", "schwarzschild", "--point", "pi/2, 0", "--dir", "0, 1", "--q", "nan"], "q = nan"),
+        (["null-shoot", "schwarzschild", "--point", "pi/2, 0", "--dir", "0, 1", "--q", "1", "--t0", "nan"], "t0 = nan"),
+        (["null-shoot", "sphere_pullback", "--point", "pi/2", "--dir", "1", "--q", "1"], "2-dimensional"),
+        (["geodesic", "flat", "--state", "1e308*10, 0, 1, 0.3, 0.1, -1"], "non-finite state"),
+        (["geodesic", "flat", "--method", "rk4", "--rk4-step", "5e-324", "--state", "0, 0, 1, 0.3, 0.1, -1"], "rk4_step"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
-         "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow"],
+         "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow",
+         "small_gauge_format", "small_gauge_svg_mode", "small_gauge_christoffel", "direction_size", "q_nan", "t0_nan",
+         "point_size", "state_nan", "rk4_step_too_small"],
 )
-def test_bad_input_is_one_line_usage_error(argv, needle, capsys):
+def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
@@ -338,18 +351,50 @@ to_b = exp(-sin(m)) * r
             "[overlap mid]",
         ),
         ("check", SCENARIO_FILE, "weight = 0", "euler_killing = true\nweight = 2", "[expects]"),
+        ("check", SCENARIO_FILE, "[meta]\n", "", "no section headers"),
+        ("check", SCENARIO_FILE, "[expects]", "[charts]", "already exists"),
+        ("check", SCENARIO_FILE, "dim = 2", "dim = 2\ndim = 3", "already exists"),
+        ("check", SCENARIO_FILE, "weight = 0", "weight = 0 ; caf\udce9", "not UTF-8"),
+        ("check", SCENARIO_FILE, "[expects]", "[gague]\nmain = vector(1, 0)\n[expects]", "[gague]"),
+        ("check", SCENARIO_FILE, "[expects]", "[DEFAULT]\nmain = matrix(2, 0; 0, 2)\n[expects]", "[DEFAULT]"),
+        ("check", SCENARIO_FILE, "dim = 2", "dim = 2\nnmae = plane", "nmae"),
+        ("check", SCENARIO_FILE, "time_dependent = false", "time_dependant = false", "time_dependant"),
+        ("check", SCENARIO_FILE, "weight = 0", "weigth = 0", "weigth"),
+        ("check", SCENARIO_FILE, "weight = 0", "euler_kiling = true", "euler_kiling"),
+        ("check", SCENARIO_FILE, "[expects]", "[gauge]\nmain = vector(0, 0)\nmian = vector(0, 0)\n[expects]", "mian"),
+        ("check", SCENARIO_FILE, "dim = 2", "dim = 2\ndefault_chart = nope", "nope"),
+        ("linearize", ATLAS_FILE, "[charts]\n", "", "no section headers"),
+        ("linearize", ATLAS_FILE, "to_a = exp", "; caf\udce9\nto_a = exp", "not UTF-8"),
+        ("linearize", ATLAS_FILE, "[overlap mid]", "[sectoins]\na = 0\n[overlap mid]", "[sectoins]"),
+        ("linearize", ATLAS_FILE, "[overlap mid]", "[sections]\nzz = 0\n[overlap mid]", "zz"),
+        ("linearize", ATLAS_FILE, "to_b = exp(-sin(m)) * r", "to_b = exp(-sin(m)) * r\nto_c = r", "to_c"),
+        ("linearize", ATLAS_FILE, "a = interval(-2, 2)", "a = interval(garbage)", "garbage"),
+        ("linearize", ATLAS_FILE, "a = interval(-2, 2)", "a = interval(3, 1)", "lo < hi"),
+        ("linearize", ATLAS_FILE, "interval = 0.6, 1.9", "interval = 1.9, 0.6", "lo < hi"),
+        (
+            "linearize",
+            ATLAS_FILE,
+            "b = interval(0.5, 3)\n",
+            "b = interval(0.5, 3)\nc = interval(1, 4)\n[triple abc]\ncharts = a, b, c\ninterval = 1.5, 1\n",
+            "lo < hi",
+        ),
     ],
     ids=[
         "dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval",
         "reversed_box", "empty_charts", "overlap_unknown_chart", "triple_without_transitions",
-        "overlap_repeated_chart", "killing_with_nonzero_weight",
+        "overlap_repeated_chart", "killing_with_nonzero_weight", "no_section_header", "repeated_section",
+        "repeated_key", "not_utf8", "unknown_section", "default_section", "unknown_meta_key", "unknown_metric_key",
+        "unknown_expects_key", "misspelled_euler_killing", "unknown_gauge_chart", "unknown_default_chart",
+        "atlas_no_section_header", "atlas_not_utf8", "atlas_unknown_section", "atlas_unknown_sections_key",
+        "overlap_unknown_key", "chart_interval_garbage", "chart_interval_reversed", "overlap_interval_reversed",
+        "triple_interval_reversed",
     ],
 )
 def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):
     assert old in text
     good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
     good.write_text(text)
-    bad.write_text(text.replace(old, new))
+    bad.write_bytes(text.replace(old, new).encode("utf-8", "surrogateescape"))  # \udce9 writes the byte 0xe9
     assert main([command, str(good)]) == 0
     capsys.readouterr()
     assert main([command, str(bad)]) == 2
@@ -378,8 +423,10 @@ GRID_CSV = _grid_csv(GRID_NODES, GRID_NODES)
         (GRID_CSV.replace("-1.5, -1.5,", "-1.5, -0.5,", 1), "full tensor grid"),
         ("", "too few columns"),
         (None, "cannot read"),
+        (GRID_CSV.replace("g11", "g\udce911"), "not UTF-8"),
     ],
-    ids=["non_numeric_cell", "short_row", "non_finite_cell", "three_nodes", "repeated_point", "empty", "missing"],
+    ids=["non_numeric_cell", "short_row", "non_finite_cell", "three_nodes", "repeated_point", "empty", "missing",
+         "not_utf8"],
 )
 def test_malformed_grid_file_is_one_line_usage_error(csv_text, needle, tmp_path, capsys):
     grid_file = SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "grid(good.csv)")
@@ -387,7 +434,7 @@ def test_malformed_grid_file_is_one_line_usage_error(csv_text, needle, tmp_path,
     (tmp_path / "good.ini").write_text(grid_file)
     (tmp_path / "bad.ini").write_text(grid_file.replace("good.csv", "bad.csv"))
     if csv_text is not None:
-        (tmp_path / "bad.csv").write_text(csv_text)
+        (tmp_path / "bad.csv").write_bytes(csv_text.encode("utf-8", "surrogateescape"))
     assert main(["check", str(tmp_path / "good.ini")]) == 0
     capsys.readouterr()
     assert main(["check", str(tmp_path / "bad.ini")]) == 2

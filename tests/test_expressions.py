@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,52 @@ def test_arithmetic_errors_name_the_expression(text, cause):
         parse_number(text)
     assert isinstance(info.value.__cause__, cause)
 
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "carrollgeo"
+
+
+def _reader_offenses(source, reader):
+    """(line, what) of each place in ``source`` that reads an input file or
+    checks a ``name(...)`` spec by hand: an import of configparser, a call of
+    ``open`` or of an ``open`` / ``read_text`` / ``read_bytes`` method (unless ``reader``),
+    and a ``startswith`` / ``endswith`` with a parenthesis in its argument
+    outside a function named ``unwrap``."""
+    offenses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and not reader:
+                modules = [alias.name for alias in child.names] if isinstance(child, ast.Import) else [child.module]
+                offenses.extend((child.lineno, "configparser") for m in modules if m and m.split(".")[0] == "configparser")
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                called = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+                opens = {"open", "read_text", "read_bytes"} if isinstance(fn, ast.Attribute) else {"open"}
+                if called in opens and not reader:
+                    offenses.append((child.lineno, called))
+                spec = [a for a in child.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+                if called in {"startswith", "endswith"} and function != "unwrap" and any(
+                    "(" in a.value or ")" in a.value for a in spec
+                ):
+                    offenses.append((child.lineno, called))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return offenses
+
+
+def test_only_expressions_reads_input_files():
+    """``expressions`` is the one reader of input files: it alone imports
+    configparser and opens a file, and ``unwrap`` alone splits a spec such as
+    ``box(...)`` into its name and body."""
+    sample = "import configparser\nopen(p)\np.read_text()\ns.startswith('box(')\ndef unwrap(s): s.endswith(')')\nread_text(p, 'f')\n"
+    assert _reader_offenses(sample, reader=False) == [(1, "configparser"), (2, "open"), (3, "read_text"), (4, "startswith")]
+    assert _reader_offenses(sample, reader=True) == [(4, "startswith")]
+    offenders = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _reader_offenses(path.read_text(), reader=path.name == "expressions.py"))
+    }
+    assert offenders == {}
