@@ -33,9 +33,7 @@ from .connection import (
     PartitionOfUnity,
     connection_from_partition,
     curvature,
-    orthogonality_check,
     projector,
-    projector_idempotence_check,
     split,
     trivial_connection,
 )

@@ -78,8 +78,17 @@ def _add_scenario(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_output(sub: argparse.ArgumentParser, formats: list[str]) -> None:
+    # --format is None when not given: a command that writes only to --out rejects it without one
     sub.add_argument("--out", default=None, help="output path (default: stdout summary only)")
-    sub.add_argument("--format", default=formats[0], choices=formats, help="output format")
+    sub.add_argument("--format", choices=formats, help="output format")
+
+
+def _reject_idle_output_options(args) -> None:
+    """--format (and --svg-mode) shape the file --out writes; without one they do nothing."""
+    if args.format is not None and args.out is None:
+        raise ContractViolation("--format sets the format of --out, which is not given")
+    if getattr(args, "svg_mode", None) is not None and args.format != "svg":
+        raise ContractViolation("--svg-mode needs --format svg")
 
 
 def _add_flow(sub: argparse.ArgumentParser, lambda_max: float) -> None:
@@ -92,13 +101,12 @@ def _add_flow(sub: argparse.ArgumentParser, lambda_max: float) -> None:
     sub.add_argument("--rk4-step", type=float, default=IntegratorConfig.rk4_step, dest="rk4_step")
     sub.add_argument("--tol", type=float, default=IntegratorConfig.tol,
                      help="integrator tolerance, relative and absolute")
-    # --format, --svg-mode and --christoffel are None when not given: `geodesic --small-gauge` rejects them
+    # --svg-mode and --christoffel are None when not given, like --format: `geodesic --small-gauge` rejects them
     sub.add_argument("--christoffel", choices=["closed", "numeric"],
                      help="Christoffel symbols: 'closed' (the default) uses the closed form where the gauge "
                           "field vanishes and the finite-difference oracle elsewhere; 'numeric' uses the "
                           "oracle everywhere")
     sub.add_argument("--svg-mode", choices=["xy", "ulog"], dest="svg_mode")
-    sub.set_defaults(format=None)
 
 
 def _integrator_config(args) -> IntegratorConfig:
@@ -164,6 +172,7 @@ def cmd_geodesic(args) -> int:
         raise ContractViolation("--field and --sign-q set the reduced flow and need --small-gauge")
     if args.small_gauge and (args.format, args.svg_mode, args.christoffel) != (None, None, None):
         raise ContractViolation("--small-gauge takes no --format, --svg-mode or --christoffel: its --out is an SVG")
+    _reject_idle_output_options(args)
     scenario = _load_scenario(args)
     chart = args.chart or scenario.default_chart
     cfg = _integrator_config(args)
@@ -196,6 +205,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_null_shoot(args) -> int:
+    _reject_idle_output_options(args)
     scenario = _load_scenario(args)
     chart = args.chart or scenario.default_chart
     x0 = np.array(parse_tuple(args.point))
@@ -262,6 +272,7 @@ def cmd_christoffel(args) -> int:
 
 
 def cmd_linearize(args) -> int:
+    _reject_idle_output_options(args)
     if args.atlas == "moebius":
         atlas = moebius_transition_atlas()
     elif args.atlas == "synthetic":

@@ -18,12 +18,10 @@ from . import _fd
 from .errors import ConstructionError, ContractViolation
 from .geometry import (
     Atlas,
-    DegenerateMetric,
     Point,
     TangentVector,
     _stacked,
     euler,
-    read_stacked,
 )
 
 
@@ -84,11 +82,6 @@ def _omega(vx: np.ndarray, vtb: float, a: np.ndarray) -> float:
     return float(vtb + vx @ a)
 
 
-def gauge_at(omega: ConnectionOneForm, points: Sequence[Point]) -> np.ndarray:
-    """A at each of ``points``, shape (K, n): one stacked read per chart."""
-    return read_stacked(lambda x, t, chart: omega.gauge.at(x, chart), points)
-
-
 def trivial_connection(dim: int, charts: Sequence[str]) -> ConnectionOneForm:
     return ConnectionOneForm(GaugeField.trivial(dim, charts))
 
@@ -103,56 +96,6 @@ def split(omega: ConnectionOneForm, X: TangentVector) -> tuple[TangentVector, Ta
     vertical = projector(omega, X)
     horizontal = X - vertical
     return horizontal, vertical
-
-
-def projector_idempotence_check(
-    gauge_values: np.ndarray,
-    points: Sequence[Point],
-    rng: np.random.Generator,
-) -> float:
-    """Max over four random tangent vectors per point of the idempotence and
-    splitting defects of omega, given by A at ``points`` (``gauge_at``, one
-    row per point; a row too many or too few is a ValueError).
-
-    Checks Phi(Phi(X)) = Phi(X), that the image is vertical, and that the
-    horizontal part lies in ker(omega). The projector acts on adapted
-    components, Phi(X) = (0 * w, 1.0 * w) with w = omega(X), as ``projector``.
-    """
-    samples = []
-    for p, a in zip(points, gauge_values, strict=True):
-        zeros = np.zeros(p.dim)
-        for _ in range(4):
-            vx, vtb = rng.standard_normal(p.dim), float(rng.standard_normal())
-            w = _omega(vx, vtb, a)
-            phi_vx, phi_vtb = zeros * w, 1.0 * w
-            w2 = _omega(phi_vx, phi_vtb, a)
-            # raw components of Phi(Phi(X)) - Phi(X): the fiber one is scaled by t
-            defect = np.append(zeros * w2 - phi_vx, (1.0 * w2 - phi_vtb) * p.t)
-            samples.extend(np.abs(defect))
-            samples.extend(np.abs(phi_vx))  # image is vertical
-            samples.append(abs(_omega(vx - phi_vx, vtb - phi_vtb, a)))  # horizontal part
-    return float(np.max(samples, initial=0.0))
-
-
-def orthogonality_check(
-    g: DegenerateMetric,
-    gauge_values: np.ndarray,
-    points: Sequence[Point],
-    rng: np.random.Generator,
-) -> float:
-    """Max |g(horizontal, vertical)| over four random pairs per point; zero by
-    the kernel structure. A is given and g_M read once per chart; the split
-    acts on base components as in ``projector_idempotence_check``."""
-    samples = []
-    for p, a, gm in zip(points, gauge_values, read_stacked(g.at, points), strict=True):
-        zeros = np.zeros(p.dim)
-        for _ in range(4):
-            xvx, xvtb = rng.standard_normal(p.dim), float(rng.standard_normal())
-            yvx, yvtb = rng.standard_normal(p.dim), float(rng.standard_normal())
-            xh_vx = xvx - zeros * _omega(xvx, xvtb, a)
-            yv_vx = zeros * _omega(yvx, yvtb, a)
-            samples.append(abs(float(xh_vx @ gm @ yv_vx)))
-    return float(np.max(samples, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -324,10 +324,10 @@ class DegenerateMetric:
 
 
 def _padded(g: np.ndarray) -> np.ndarray:
-    """The degenerate form [[g_M, 0], [0, 0]] from its base block, or from each of a stack."""
+    """The degenerate form [[g_M, 0], [0, 0]] from its base block."""
     n = g.shape[-1]
-    out = np.zeros(g.shape[:-2] + (n + 1, n + 1))
-    out[..., :n, :n] = g
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = g
     return out
 
 

@@ -15,8 +15,12 @@ A check reads each field once per chart for all its sample points
 every draw made before that read. Checks batch ``det``, ``cond`` and
 ``eigvalsh`` and push every vector drawn at a point through one transition map
 (``ChartTransition.tangent_map``). ``christoffel_suite`` makes one oracle call
-per sign; the connection checks share one read of A; the determinant identity
-reads g_M again for its side that does not go through the assembly.
+per chart and sign; the determinant identity reads g_M again for its side
+that does not go through the assembly.
+
+The kernel of the degenerate form (the Euler direction, (0, 1) in adapted
+components) and the duality omega(Euler) = 1 hold by how the data is stored,
+so no row restates them: every row here can fail on a finite field.
 """
 
 from __future__ import annotations
@@ -26,15 +30,9 @@ import math
 
 import numpy as np
 
-from .connection import (
-    _omega,
-    gauge_at,
-    orthogonality_check,
-    overlap_gauge_residual,
-    projector_idempotence_check,
-)
+from .connection import overlap_gauge_residual
 from .errors import CarrollError
-from .geometry import TangentVector, _padded, euler_weight, metric_eval, read_raw, read_stacked
+from .geometry import TangentVector, euler_weight, metric_eval, read_raw, read_stacked
 from .kaluza import closed_form_deviation, det_identity_defect, signature_counts
 from .scenarios import Scenario
 
@@ -73,21 +71,14 @@ def _result(name: str, value: float, tol: float, detail: str = "") -> CheckResul
 
 
 def kernel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
-    """Block structure: the Euler direction is annihilated exactly and the
-    full degenerate form has zero determinant; the base block is symmetric
-    and invertible. g_M is read once per chart, at all its points."""
-    gm, vx = [], []
-    for chart in scenario.atlas.chart_names():
-        points = scenario.sample_points(rng, 10, chart=chart)
-        # v = (vx, vtb) per point; g never sees vtb, which is drawn after vx
-        vx.extend((rng.standard_normal(p.dim), rng.standard_normal())[0] for p in points)
-        gm.append(read_stacked(scenario.metric.at, points))
-    gm = np.concatenate(gm)
-    kernel = np.abs(np.einsum("a,kab,kb->k", np.zeros(scenario.dim), gm, np.array(vx)))  # g(Euler, v)
+    """Block structure: the base block is symmetric and invertible. g_M is
+    read once per chart, at all its points."""
+    gm = np.concatenate([
+        read_stacked(scenario.metric.at, scenario.sample_points(rng, 10, chart=chart))
+        for chart in scenario.atlas.chart_names()
+    ])
     min_abs_det = float(np.min(np.abs(np.linalg.det(gm)), initial=math.inf))
     return [
-        _result("kernel_annihilation", _worst(kernel), 0.0),
-        _result("degenerate_determinant", _worst(np.abs(np.linalg.det(_padded(gm)))), 0.0),
         _result("base_block_symmetry", _worst(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)), axis=(1, 2))), 1e-12),
         CheckResult(
             name="base_block_invertible",
@@ -128,20 +119,10 @@ def killing_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckRes
 
 
 def connection_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
-    omega = scenario.connection()
-    points = []
-    for chart in scenario.atlas.chart_names():
-        points.extend(scenario.sample_points(rng, 6, chart=chart))
-    a = gauge_at(omega, points)
-    zeros = np.zeros(scenario.dim)  # Euler = (0, 1) in adapted components
-    results = [
-        _result("connection_dual_to_euler", _worst([abs(_omega(zeros, 1.0, row) - 1.0) for row in a]), 0.0),
-        _result("projector_idempotence", projector_idempotence_check(a, points, rng), 1e-14),
-        _result("horizontal_vertical_orthogonality", orthogonality_check(scenario.metric, a, points, rng), 0.0),
-    ]
-    if scenario.atlas.transitions:
-        results.append(_result("gauge_overlap_rule", overlap_gauge_residual(scenario.atlas, omega, rng), 1e-8))
-    return results
+    """The inhomogeneous gauge rule on every overlap; no row without transitions."""
+    if not scenario.atlas.transitions:
+        return []
+    return [_result("gauge_overlap_rule", overlap_gauge_residual(scenario.atlas, scenario.connection(), rng), 1e-8)]
 
 
 def determinant_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
@@ -172,12 +153,19 @@ def determinant_suite(scenario: Scenario, rng: np.random.Generator) -> list[Chec
 
 
 def christoffel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
-    """Closed-form vs oracle symbols on the default chart, where the gauge field is known to vanish."""
+    """Closed-form vs oracle symbols where the gauge field is known to vanish:
+    per sign, ceil(20 / charts) points on each chart, t of either sign."""
+    per_chart = math.ceil(20 / len(scenario.atlas.charts))
     deviations = []
     for sign in (+1, -1):
         kk = scenario.kk(sign)
         if kk.gauge.is_zero:
-            deviations.append(closed_form_deviation(kk, scenario.sample_points(rng, 20)))
+            points = [
+                p
+                for chart in scenario.atlas.chart_names()
+                for p in scenario.sample_points(rng, per_chart, chart=chart, include_negative_t=True)
+            ]
+            deviations.append(closed_form_deviation(kk, points))
     detail = "" if deviations else "no sample compared: the gauge field is nonzero"
     return [_result("christoffel_oracle_agreement", _worst(deviations), 1e-6, detail)]
 

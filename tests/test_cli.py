@@ -57,7 +57,7 @@ def test_check_json_report(tmp_path):
     assert main(["check", "flat", "--out", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
     assert report["passed"] is True
-    assert {c["name"] for c in report["checks"]} >= {"kernel_annihilation", "kk_determinant_identity"}
+    assert {c["name"] for c in report["checks"]} >= {"base_block_symmetry", "kk_determinant_identity"}
 
 
 def test_check_json_report_validates_against_schema(tmp_path):
@@ -286,12 +286,19 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["null-shoot", "sphere_pullback", "--point", "pi/2", "--dir", "1", "--q", "1"], "2-dimensional"),
         (["geodesic", "flat", "--state", "1e308*10, 0, 1, 0.3, 0.1, -1"], "non-finite state"),
         (["geodesic", "flat", "--method", "rk4", "--rk4-step", "5e-324", "--state", "0, 0, 1, 0.3, 0.1, -1"], "rk4_step"),
+        (["geodesic", "flat", "--state", "0, 0, 1, 0.3, 0.1, -1", "--svg-mode", "ulog", "--out", "x.csv"], "--svg-mode"),
+        (["geodesic", "flat", "--state", "0, 0, 1, 0.3, 0.1, -1", "--format", "svg"], "--format"),
+        (["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1", "--format", "json"], "--format"),
+        (["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1", "--format", "json", "--svg-mode", "xy",
+          "--out", "o.json"], "--svg-mode"),
+        (["linearize", "moebius", "--format", "json"], "--format"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
          "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow",
          "small_gauge_format", "small_gauge_svg_mode", "small_gauge_christoffel", "direction_size", "q_nan", "t0_nan",
-         "point_size", "state_nan", "rk4_step_too_small"],
+         "point_size", "state_nan", "rk4_step_too_small", "svg_mode_csv", "geodesic_format_no_out",
+         "shoot_format_no_out", "svg_mode_json", "linearize_format_no_out"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -479,16 +486,20 @@ def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsy
 
 def test_nan_sample_fails_its_check(tmp_path, capsys):
     """g_M is NaN where |x1| > 0.18 and finite elsewhere. Every sample of the
-    determinant identity and the orthogonality check at such a point is NaN,
-    and a NaN sample fails its check with a detail that says so."""
+    determinant identity and of the Euler proportionality at such a point is
+    NaN, and a NaN sample fails its check with a detail that says so. The
+    base-block rows do not get that far: the condition number in their
+    detail is an SVD that rejects a NaN block, so ``kernel_suite`` fails as
+    a whole."""
     path = tmp_path / "nan.ini"
     path.write_text(
         SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(1 + 0*(1e308*(10*x1) - 1e308*(10*x1)), 0; 0, 1)")
     )
     assert main(["check", str(path), "--format", "json"]) == 1
     rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
-    for name in ("kk_determinant_identity", "horizontal_vertical_orthogonality"):
+    for name in ("kk_determinant_identity", "euler_proportionality"):
         assert not rows[name]["passed"] and rows[name]["detail"] == "non-finite sample", name
+    assert not rows["kernel_suite"]["passed"] and rows["kernel_suite"]["detail"] == "SVD did not converge"
 
 
 def test_transition_evaluating_to_nan_is_numeric_failure(tmp_path, capsys):

@@ -12,11 +12,8 @@ from carrollgeo.connection import (
     PartitionOfUnity,
     connection_from_partition,
     curvature,
-    gauge_at,
-    orthogonality_check,
     overlap_gauge_residual,
     projector,
-    projector_idempotence_check,
     split,
     trivial_connection,
 )
@@ -77,25 +74,6 @@ def test_split_reassembles_exactly(a, b, c):
     assert omega(h) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_projector_idempotent(flat2, rng):
-    omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, -x[1]])))
-    points = flat2.sample_points(rng, 6)
-    assert projector_idempotence_check(gauge_at(omega, points), points, rng) < 1e-14
-
-
-@pytest.mark.parametrize("rows", [slice(0, 5), slice(0, 6, 2), slice(0, 2)])
-def test_checks_reject_gauge_values_that_are_not_one_row_per_point(flat2, rng, rows):
-    """A stack of A with a row too few or too many must not check fewer points."""
-    omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, -x[1]])))
-    points = flat2.sample_points(rng, 6)
-    a = gauge_at(omega, points + points[:1])
-    for given in (a[rows], a):
-        with pytest.raises(ValueError, match="zip"):
-            projector_idempotence_check(given, points, rng)
-        with pytest.raises(ValueError, match="zip"):
-            orthogonality_check(flat2.metric, given, points, rng)
-
-
 def test_projector_kills_horizontal_trivial(flat2):
     p = flat2.point([0.1, 0.1], 2.0)
     omega = trivial_connection(2, ["cartesian"])
@@ -115,18 +93,6 @@ def test_moebius_projector_on_overlaps(moebius, rng):
             # idempotence in both charts
             assert np.max(np.abs((projector(omega, phi_v) - phi_v).raw())) < 1e-12
             assert np.max(np.abs((projector(omega, phi_v2) - phi_v2).raw())) < 1e-12
-
-
-def test_orthogonality_schwarzschild_trivial(schwarzschild, rng):
-    omega = schwarzschild.connection()
-    pts = schwarzschild.sample_points(rng, 5)
-    assert orthogonality_check(schwarzschild.metric, gauge_at(omega, pts), pts, rng) == 0.0
-
-
-def test_orthogonality_with_gauge_field(flat2, rng):
-    omega = ConnectionOneForm(_gauge(lambda x: np.array([x[0] ** 2, 0.0])))
-    pts = flat2.sample_points(rng, 5)
-    assert orthogonality_check(flat2.metric, gauge_at(omega, pts), pts, rng) == 0.0
 
 
 def test_horizontal_pairings_generally_nonzero(flat2, rng):

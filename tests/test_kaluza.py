@@ -114,7 +114,7 @@ def test_thakurta_symbol_table(thakurta):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_closed_form_matches_oracle(name, sign, rng):
     """On every chart and for both signs of t, to the 1e-6 of
-    ``christoffel_suite``, which samples only the default chart at t > 0."""
+    ``christoffel_suite``, which samples the same: every chart, t of either sign."""
     s = cg.load(name)
     kk = s.kk(sign)
     for chart in s.atlas.chart_names():
