@@ -8,7 +8,10 @@ from the closed form where it is validated against the finite-difference
 oracle, that is where the gauge field is known to vanish
 (``GaugeField.is_zero``), and from the oracle everywhere else;
 ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
-``Trajectory.meta["christoffel"]`` names the route that ran.
+``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
+Python floats, a state of 2n + 2 entries being too small for numpy to pay:
+its stage points and solutions are summed term by term in the order of the
+method's tableau, which gives every float that the same sums over arrays give.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -233,7 +236,7 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[str, Callable[[list[float]], np.ndarray]]:
     """The symbol route that runs, "closed" or "numeric", and the symbols as
     a function of the raw position (x..., t). The closed form runs where it
     is validated against the oracle, a gauge field known to vanish, unless
@@ -247,21 +250,20 @@ def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[st
     return "numeric", lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
 
 
-def geodesic_rhs(gamma_at: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """y' for y = (x..., t, vx..., vt), given the symbols at the raw position."""
+def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray]) -> Callable[[list[float]], list[float]]:
+    """y' for y = [x..., t, vx..., vt] as Python floats, given the symbols at the raw position."""
     n = None
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(y: list[float]) -> list[float]:
         nonlocal n
         if n is None:
-            n = (y.size - 2) // 2
+            n = (len(y) - 2) // 2
         vel = y[n + 1 :]
-        if not np.any(vel):
+        if not any(vel):
             # frozen states are exact fixed points; skip the symbol evaluation
-            return np.concatenate([vel, np.zeros(n + 1)])
-        gamma = gamma_at(y[: n + 1])
-        acc = -np.einsum("abc,b,c->a", gamma, vel, vel)
-        return np.concatenate([vel, acc])
+            return vel + [0.0] * (n + 1)
+        v = np.array(vel)
+        return vel + (-np.einsum("abc,b,c->a", gamma_at(y[: n + 1]), v, v)).tolist()
 
     return rhs
 
@@ -324,36 +326,63 @@ def printed_temporal_acceleration(
 # steppers
 # ---------------------------------------------------------------------------
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated.
-_FB_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_FB_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+@dataclass(frozen=True)
+class _Tableau:
+    """An explicit Runge-Kutta method as the arithmetic of its steps, per
+    component: y + (h / div) * (start + w_0 k_0 + w_1 k_1 + ...), added left
+    to right, for each (div, weights) row. A start of 0.0 is Python's ``sum``,
+    which turns a -0.0 sum into 0.0; -0.0 starts from the first term as it is.
+    A zero weight is skipped; after a start of 0.0 its term adds nothing, and
+    a non-finite slope it would turn into NaN spoils the step anyway."""
+
+    stages: tuple  # the rows of stages 1, 2, ...; stage 0 is at y
+    solution: tuple  # the propagated solution
+    embedded: tuple | None  # the solution it is compared with, if any
+    start: float
+
+
+# Fehlberg 4(5); the fifth-order solution is propagated
+_FEHLBERG45 = _Tableau(
+    stages=((1.0, (1 / 4,)), (1.0, (3 / 32, 9 / 32)), (1.0, (1932 / 2197, -7200 / 2197, 7296 / 2197)),
+            (1.0, (439 / 216, -8.0, 3680 / 513, -845 / 4104)),
+            (1.0, (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))),
+    solution=(1.0, (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)),
+    embedded=(1.0, (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)),
+    start=0.0,
 )
-_FB_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_FB_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+# classical RK4: y + (h / 2) k1, y + (h / 2) k2, y + h k3, then y + (h / 6) (k1 + 2 k2 + 2 k3 + k4)
+_RK4 = _Tableau(stages=((2.0, (1.0,)), (2.0, (0.0, 1.0)), (1.0, (0.0, 0.0, 1.0))),
+                solution=(6.0, (1.0, 2.0, 2.0, 1.0)), embedded=None, start=-0.0)
 
 
-def _rkf45_step(rhs, y: np.ndarray, h: float):
-    k = [rhs(y)]
-    for i in range(1, 6):
-        yi = y + h * sum(a * ki for a, ki in zip(_FB_A[i], k))
-        k.append(rhs(yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_FB_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_FB_B4, k))
-    return y5, y5 - y4
+def _combine(y: list[float], h: float, row: tuple[float, tuple[float, ...]], ks: list[list[float]],
+             start: float) -> list[float]:
+    div, weights = row
+    terms = [(w, k) for w, k in zip(weights, ks) if w]
+    step = h / div
+    out = []
+    for j, yj in enumerate(y):
+        acc = start
+        for w, k in terms:
+            acc += w * k[j]
+        out.append(yj + step * acc)
+    return out
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk_step(tableau: _Tableau, rhs, y: list[float], h: float, tol: float) -> tuple[list[float], float]:
+    """One step of ``tableau`` from y: the propagated state and the RMS of the
+    difference from the embedded one, each component over
+    tol + tol * max(|y|, |y_new|); 0.0 without an embedded solution."""
+    ks = [rhs(y)]
+    for row in tableau.stages:
+        ks.append(rhs(_combine(y, h, row, ks, tableau.start)))
+    y_new = _combine(y, h, tableau.solution, ks, tableau.start)
+    if tableau.embedded is None:
+        return y_new, 0.0
+    y_low = _combine(y, h, tableau.embedded, ks, tableau.start)
+    ratios = [(a - b) / (tol + tol * max(abs(y0), abs(a))) for y0, a, b in zip(y, y_new, y_low)]
+    # numpy's sum, whose pairwise order a plain loop does not follow
+    return y_new, math.sqrt(np.add.reduce([r * r for r in ratios]) / len(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +390,26 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _drive(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    rhs: Callable[[list[float]], list[float]],
     y0: np.ndarray,
     span: float,
     cfg: IntegratorConfig,
-    guard: Callable[[np.ndarray], str | None],
-) -> tuple[list[float], list[np.ndarray], list[dict]]:
+    guard: Callable[[list[float]], str | None],
+) -> tuple[list[float], list[list[float]], list[dict]]:
     """Step y' = rhs(y) from parameter 0 towards ``span``; returns the sample
     parameters, the sampled states and the event records.
 
     ``cfg.method`` "rk45" takes Fehlberg 4(5) steps under error control;
     "rk4" is the same loop without it: round(span / rk4_step) steps of fixed
-    size, the last one not clamped to ``span``. ``guard(y)`` names the reason
-    an accepted state ends the run (that state is kept), or returns None. A
-    non-finite stage or step result ends the run as ``non_finite`` and is
-    not kept. The span must be finite and >= 0, the fixed step, the step cap
-    ``max_step`` and the tolerance ``tol`` finite and > 0, and span / rk4_step
-    at most ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
+    size, the last one not clamped to ``span``. States are lists of Python
+    floats: each step takes its stage points and its solutions term by term
+    in the order of its ``_Tableau``, which gives every float that the same
+    sums over numpy arrays give. ``guard(y)`` names the reason an accepted
+    state ends the run (that state is kept), or returns None. A non-finite
+    stage or step result ends the run as ``non_finite`` and is not kept. The
+    span must be finite and >= 0, the fixed step, the step cap ``max_step``
+    and the tolerance ``tol`` finite and > 0, and span / rk4_step at most
+    ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
@@ -389,12 +421,13 @@ def _drive(
     adaptive = cfg.method == "rk45"
     if not adaptive and span / cfg.rk4_step > MAX_STEPS:
         raise ContractViolation(f"rk4_step = {cfg.rk4_step} takes more than {MAX_STEPS} steps over the span {span}")
+    tableau = _FEHLBERG45 if adaptive else _RK4
 
-    def stage(y: np.ndarray) -> np.ndarray:
+    def stage(y: list[float]) -> list[float]:
         # a non-finite stage point has no symbols; its slope is non-finite too
-        return rhs(y) if np.all(np.isfinite(y)) else np.full(y.size, np.nan)
+        return rhs(y) if all(map(math.isfinite, y)) else [math.nan] * len(y)
 
-    lam, y = 0.0, y0
+    lam, y = 0.0, y0.tolist()
     params, states, events = [lam], [y], []
     h = min(INITIAL_STEP, cfg.max_step, span) if adaptive else cfg.rk4_step
     for _ in range(MAX_STEPS if adaptive else int(round(span / h))):
@@ -402,12 +435,8 @@ def _drive(
             if lam >= span:
                 break
             h = min(h, span - lam)
-            y_new, err = _rkf45_step(stage, y, h)
-            scale = cfg.tol + cfg.tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        else:
-            y_new, err_norm = _rk4_step(stage, y, h), 0.0
-        if not (math.isfinite(err_norm) and np.all(np.isfinite(y_new))):
+        y_new, err_norm = _rk_step(tableau, stage, y, h, cfg.tol)
+        if not (math.isfinite(err_norm) and all(map(math.isfinite, y_new))):
             events.append({"kind": "non_finite", "lambda": lam + h})
             break
         if err_norm <= 1.0:
@@ -462,7 +491,7 @@ def integrate(
     n = state0.dim
     t_guard = T_GUARD_FACTOR * abs(state0.t)
 
-    def guard(y: np.ndarray) -> str | None:
+    def guard(y: list[float]) -> str | None:
         if abs(y[n]) < t_guard:
             return "t_guard"
         return None if chart_obj.inside(y[:n]) else "left_chart"
@@ -568,12 +597,12 @@ def integrate_small_gauge(
     kk = scenario.kk(-1)
     n = x0.size
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        x, v = y[:n], y[n:]
+    def rhs(y: list[float]) -> list[float]:
+        x, v = np.array(y[:n]), y[n:]
         gminv, base, _ = base_data(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
-        acc = -np.einsum("abc,b,c->a", base, v, v) + sign_q * (gminv @ f @ v)
-        return np.concatenate([v, acc])
+        va = np.array(v)
+        return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
     us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)

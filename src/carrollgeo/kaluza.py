@@ -32,8 +32,10 @@ from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw
 
+# registered base symbols at (x, t) on a chart, symmetric in the lower pair
 BaseSymbols = Callable[[np.ndarray, float, str], np.ndarray]
-BlockDerivative = Callable[[np.ndarray, float, str], np.ndarray]
+# registered dg_M/dt at (x, t) on a chart, given g_M(x, t)
+BlockDerivative = Callable[[np.ndarray, float, str, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -163,31 +165,33 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric is not invertible: {exc}") from None
 
 
-def base_data(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def base_data(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The inverse base block, the Levi-Civita symbols of the base block at
-    frozen t, and dg_M/dt, all at (x, t). Registered closed forms are used
-    where given, and dg_M/dt of a fiber-independent metric is zero. The rest
-    comes from central differences over one stacked read of g_M on the
-    stencil around x, or around (x, t) when dg_M/dt is differenced too; the
-    stencil's centre gives the inverse."""
+    frozen t, and dg_M/dt, all at (x, t); dg_M/dt is None where it vanishes
+    identically: a fiber-independent metric with no registered derivative.
+    Registered closed forms are used where given; a registered dg_M/dt gets
+    the block read here. The rest comes from central differences over one
+    stacked read of g_M on the stencil around x, or around (x, t) when
+    dg_M/dt is differenced too; the stencil's centre gives the inverse."""
     n = x.size
     t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
     if kk.base_symbols is not None and not t_differenced:
-        gminv = _inverse(kk.metric.at(x, t, chart))
+        gm = kk.metric.at(x, t, chart)
     else:
         points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
         stencil = points[0]
-        gm = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
-        gminv = _inverse(gm[0])
-        partials = _fd.stacked_partials(gm[None, 1:], h)[0]  # [axis, a, b]
+        gms = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
+        gm = gms[0]
+        partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
+    gminv = _inverse(gm)
     if kk.base_symbols is not None:
         base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
     else:
         base = _levi_civita(gminv, partials[:n])
     if kk.metric_t_derivative is not None:
-        dgdt = np.asarray(kk.metric_t_derivative(x, t, chart), dtype=float)
+        dgdt = np.asarray(kk.metric_t_derivative(x, t, chart, gm), dtype=float)
     else:
-        dgdt = partials[n] if t_differenced else np.zeros((n, n))
+        dgdt = partials[n] if t_differenced else None
     return gminv, base, dgdt
 
 
@@ -224,10 +228,15 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
 
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
-    gamma[:n, :n, n] = 0.5 * np.einsum("cd,ad->ca", gminv, dgdt)
-    gamma[:n, n, :n] = gamma[:n, :n, n]
-    gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
     gamma[n, n, n] = -1.0 / t
+    if dgdt is None:
+        # the dg_M/dt blocks vanish: the mixed one stays 0 and the fiber one
+        # is -s (t^2/2) times 0, a zero with the sign of -s
+        gamma[n, :n, :n] = -s * 0.0
+    else:
+        gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * np.einsum("cd,ad->ca", gminv, dgdt)
+        fiber = -s * (t**2 / 2.0) * dgdt
+        gamma[n, :n, :n] = 0.5 * (fiber + fiber.T) if kk.gauge.is_zero else fiber
 
     if not kk.gauge.is_zero:
         if s != +1:
@@ -235,6 +244,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
                 "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
                 "use the finite-difference oracle"
             )
+        dgdt = np.zeros((n, n)) if dgdt is None else dgdt
         a = kk.gauge.at(x, chart)
         jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
         f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a
@@ -262,8 +272,11 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
         mixed_f = -0.5 * np.einsum("cd,d,ca->a", gminv, a, f)
         gamma[n, :n, n] = mixed_f + scalar
         gamma[n, n, :n] = gamma[n, :n, n]
+        return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+    # without a gauge field every block is symmetric in the lower pair already
+    # (registered base symbols are; the fiber block is symmetrized above)
+    return gamma
 
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:

@@ -36,7 +36,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import KKMetric
+from .kaluza import BaseSymbols, BlockDerivative, KKMetric
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,8 @@ class Scenario:
     default_chart: str
     params: dict = field(default_factory=dict)
     expects: dict = field(default_factory=dict)
-    base_symbols: Callable[[np.ndarray, float, str], np.ndarray] | None = None
-    metric_t_derivative: Callable[[np.ndarray, float, str], np.ndarray] | None = None
+    base_symbols: BaseSymbols | None = None
+    metric_t_derivative: BlockDerivative | None = None
     description: str = ""
 
     def point(self, x, t: float, chart: str | None = None) -> Point:
@@ -127,23 +127,13 @@ def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
 
 
 def _stereo_symbols(x: np.ndarray) -> np.ndarray:
-    # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2)
+    # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2):
+    # delta_ab df_c + delta_ac df_b - delta_bc df_a, each entry summed from 0 in that order
     rho2 = float(x @ x)
-    grad_f = -2.0 * x / (1.0 + rho2)
-    n = x.size
-    out = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                val = 0.0
-                if a == b:
-                    val += grad_f[c]
-                if a == c:
-                    val += grad_f[b]
-                if b == c:
-                    val -= grad_f[a]
-                out[a, b, c] = val
-    return out
+    df = [-2.0 * v / (1.0 + rho2) for v in x.tolist()]
+    axes = range(x.size)
+    return np.array([0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
+                     for a in axes for b in axes for c in axes]).reshape((x.size,) * 3)
 
 
 def _angular_to_stereo(x: np.ndarray) -> np.ndarray:
@@ -359,8 +349,8 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     """
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
 
-    def metric_t_derivative(x, t, chart_name):
-        return dgdt_factor(t) * metric.at(x, t, chart_name)
+    def metric_t_derivative(x, t, chart_name, gm):
+        return dgdt_factor(t) * gm
 
     return Scenario(
         name=name,
@@ -425,7 +415,8 @@ def _build_thakurta(params: Mapping) -> Scenario:
         return math.exp(-u_fn(t))
 
     def dgdt_factor(t: float) -> float:
-        return -float(_fd.partial(lambda arr: u_fn(float(arr[0])), np.array([t]), 0))
+        h = _fd.step_size(t)
+        return -_fd.richardson(*(u_fn(t + dt) for dt in _fd.offsets(h)), h)
 
     sc = _build_sphere_like(
         f"thakurta(GM={gm_param:g}, U={u_text})",

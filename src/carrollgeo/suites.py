@@ -78,6 +78,7 @@ def kernel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResu
         for chart in scenario.atlas.chart_names()
     ])
     min_abs_det = float(np.min(np.abs(np.linalg.det(gm)), initial=math.inf))
+    finite = gm[np.isfinite(gm).all(axis=(1, 2))]  # the SVD behind ``cond`` rejects a non-finite block
     return [
         _result("base_block_symmetry", _worst(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)), axis=(1, 2))), 1e-12),
         CheckResult(
@@ -85,7 +86,8 @@ def kernel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResu
             passed=min_abs_det > 1e-12,
             value=min_abs_det,
             tol=1e-12,
-            detail=f"min |det g_M|; condition number up to {_worst(np.linalg.cond(gm)):.3e}",
+            detail="non-finite sample" if math.isnan(min_abs_det)
+            else f"min |det g_M|; condition number up to {_worst(np.linalg.cond(finite)):.3e}",
         ),
     ]
 

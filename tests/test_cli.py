@@ -473,33 +473,37 @@ def test_singular_base_block_is_numeric_failure_on_both_routes(route, tmp_path, 
 
 
 def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsys):
-    """inf - inf raises no Python error, so the metric block holds a NaN; the
-    suite whose linear algebra rejects it is reported as a failed row."""
+    """inf - inf raises no Python error, so the metric block holds a NaN: the
+    base-block rows fail on their NaN samples, and the suite whose linear
+    algebra rejects it, the oracle's conditioning gate, is reported as a
+    failed row."""
     path = tmp_path / "nan.ini"
     path.write_text(SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(1 + 0*(1e308*10 - 1e308*10), 0; 0, 1)"))
     assert main(["check", str(path), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     rows = {row["name"]: row for row in report["checks"]}
     assert not report["passed"]
-    assert not rows["kernel_suite"]["passed"] and rows["kernel_suite"]["detail"] == "SVD did not converge"
+    for name in ("base_block_symmetry", "base_block_invertible"):
+        assert not rows[name]["passed"] and rows[name]["detail"] == "non-finite sample", name
+    assert not rows["christoffel_suite"]["passed"] and rows["christoffel_suite"]["detail"].startswith(
+        "metric condition number (1-norm) nan")
 
 
 def test_nan_sample_fails_its_check(tmp_path, capsys):
     """g_M is NaN where |x1| > 0.18 and finite elsewhere. Every sample of the
-    determinant identity and of the Euler proportionality at such a point is
-    NaN, and a NaN sample fails its check with a detail that says so. The
-    base-block rows do not get that far: the condition number in their
-    detail is an SVD that rejects a NaN block, so ``kernel_suite`` fails as
-    a whole."""
+    determinant identity, of the Euler proportionality and of the base-block
+    rows at such a point is NaN, and a NaN sample fails its check with a
+    detail that says so; the condition number in ``base_block_invertible``'s
+    detail is taken over the finite blocks only."""
     path = tmp_path / "nan.ini"
     path.write_text(
         SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(1 + 0*(1e308*(10*x1) - 1e308*(10*x1)), 0; 0, 1)")
     )
     assert main(["check", str(path), "--format", "json"]) == 1
     rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
-    for name in ("kk_determinant_identity", "euler_proportionality"):
+    for name in ("kk_determinant_identity", "euler_proportionality", "base_block_symmetry", "base_block_invertible"):
         assert not rows[name]["passed"] and rows[name]["detail"] == "non-finite sample", name
-    assert not rows["kernel_suite"]["passed"] and rows["kernel_suite"]["detail"] == "SVD did not converge"
+    assert "kernel_suite" not in rows
 
 
 def test_transition_evaluating_to_nan_is_numeric_failure(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import scenarios
+from carrollgeo import geodesics, scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import (
@@ -428,3 +428,53 @@ def test_step_cap_must_be_finite_and_positive(flat2, max_step):
         integrate(state, flat2, IntegratorConfig(lambda_max=1.0, max_step=max_step))
     with pytest.raises(ContractViolation, match="max_step"):
         integrate_small_gauge([0.0, 0.0], [1.0, 0.0], flat2, +1, IntegratorConfig(max_step=max_step, lambda_max=1.0))
+
+
+# -- right-hand side calls per step ----------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of the module attribute ``geodesics.<name>``, looked up at call time."""
+    calls = []
+    original = getattr(geodesics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, name, counted)
+    return calls
+
+
+# a first adaptive step of the whole span is rejected, and so is the next
+_REJECTING = dict(lambda_max=1.0, max_step=1.0, rk4_step=0.05)
+
+
+@pytest.mark.parametrize("method, stages", [("rk45", 6), ("rk4", 4)])
+@pytest.mark.parametrize("route", ["closed", "numeric"])
+def test_every_attempted_step_evaluates_the_symbols_once_per_stage(schwarzschild, flat2, monkeypatch, route, method,
+                                                                   stages):
+    monkeypatch.setattr(geodesics, "INITIAL_STEP", 1.0)
+    attempts = _count_calls(monkeypatch, "_rk_step")
+    symbols = {name: _count_calls(monkeypatch, f"christoffel_{name}") for name in ("closed", "numeric")}
+    cfg = IntegratorConfig(method=method, **_REJECTING)
+    if route == "closed":
+        traj = integrate(_seeded_null_state(schwarzschild, "angular", +1, 21), schwarzschild, cfg)
+    else:
+        gauge = _gauge(lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])]))
+        state = shoot_null(NullShootSpec(x0=[0.2, -0.1], u=[0.6, 0.8], q=0.5, t0=-1.2), flat2, gauge=gauge)
+        traj = integrate(state, flat2, cfg, gauge=gauge)
+    assert traj.events == [] and traj.meta["christoffel"] == route
+    assert len(symbols[route]) == stages * len(attempts) and sum(map(len, symbols.values())) == len(symbols[route])
+    assert len(attempts) > len(traj) - 1 if method == "rk45" else len(attempts) == len(traj) - 1 == 20
+
+
+@pytest.mark.parametrize("method, stages", [("rk45", 6), ("rk4", 4)])
+def test_every_attempted_step_of_the_reduced_flow_reads_the_field_once_per_stage(flat2, monkeypatch, method, stages):
+    monkeypatch.setattr(geodesics, "INITIAL_STEP", 1.0)
+    attempts = _count_calls(monkeypatch, "_rk_step")
+    reads = []
+    field = lambda x: reads.append(x) or np.array([[0.0, 0.5], [-0.5, 0.0]])
+    cfg = IntegratorConfig(method=method, **_REJECTING)
+    base = integrate_small_gauge([0.1, 0.0], [0.6, 0.8], flat2, +1, cfg, curvature_fn=field)
+    assert base.events == [] and len(reads) == stages * len(attempts)
+    assert len(attempts) > len(base) - 1 if method == "rk45" else len(attempts) == len(base) - 1 == 20
