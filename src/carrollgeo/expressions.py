@@ -4,7 +4,8 @@ and CLI coordinate arguments, and the one reader of those files.
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
 Expressions are parsed with :mod:`ast` and compiled in one validating walk
-into a tree of closures; nothing outside the whitelist can execute.
+into a tree of closures and its forward-mode twin, which gives the gradient
+in the variables with the value; nothing outside the whitelist can execute.
 """
 
 from __future__ import annotations
@@ -12,77 +13,120 @@ from __future__ import annotations
 import ast
 import configparser
 import math
+import operator
 from configparser import SectionProxy
 from pathlib import Path
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import ConstructionError
 
-_FUNCTIONS: Mapping[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sqrt": math.sqrt,
-    "log": math.log,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "asinh": math.asinh,
-    "atan": math.atan,
-    "abs": abs,
+# name -> (function, its derivative at the argument a, given the value v
+# there); abs has slope 0 at its kink, as a central difference gives
+_FUNCTIONS: Mapping[str, tuple[Callable[[float], float], Callable[[float, float], float]]] = {
+    "exp": (math.exp, lambda a, v: v),
+    "sin": (math.sin, lambda a, v: math.cos(a)),
+    "cos": (math.cos, lambda a, v: -math.sin(a)),
+    "tan": (math.tan, lambda a, v: 1.0 + v * v),
+    "sqrt": (math.sqrt, lambda a, v: 0.5 / v),
+    "log": (math.log, lambda a, v: 1.0 / a),
+    "sinh": (math.sinh, lambda a, v: math.cosh(a)),
+    "cosh": (math.cosh, lambda a, v: math.sinh(a)),
+    "tanh": (math.tanh, lambda a, v: 1.0 - v * v),
+    "asinh": (math.asinh, lambda a, v: 1.0 / math.sqrt(1.0 + a * a)),
+    "atan": (math.atan, lambda a, v: 1.0 / (1.0 + a * a)),
+    "abs": (abs, lambda a, v: math.copysign(1.0, a) if a else 0.0),
 }
+_NEGATION = (operator.neg, lambda a, v: -1.0)
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# (operation, its partials in the left and the right operand at (a, b), given the value v);
+# a partial is taken only where its side varies, so a constant exponent takes no log
 _BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
+    ast.Add: (operator.add, lambda a, b, v: 1.0, lambda a, b, v: 1.0),
+    ast.Sub: (operator.sub, lambda a, b, v: 1.0, lambda a, b, v: -1.0),
+    ast.Mult: (operator.mul, lambda a, b, v: b, lambda a, b, v: a),
+    ast.Div: (operator.truediv, lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b),
     # libm pow, as for floats' **, but a negative base with a fractional
     # exponent is a ValueError instead of a complex result
-    ast.Pow: math.pow,
+    ast.Pow: (math.pow, lambda a, b, v: b * math.pow(a, b - 1.0) if b else 0.0, lambda a, b, v: v * math.log(a)),
 }
 
 
 Evaluator = Callable[[Sequence[float]], float]
+# the value and the gradient in the declared variables, at the positional arguments
+Dual = Callable[[Sequence[float]], tuple[float, Sequence[float]]]
 
 
-def _compile(node: ast.AST, slots: Mapping[str, int], used: set[str]) -> Evaluator:
+def _scaled(w: float, grad: Sequence[float]) -> Sequence[float]:
+    return grad if w == 1.0 else [w * g for g in grad]
+
+
+def _unary(rule, arg: Evaluator, dual_arg: Dual | None) -> tuple[Evaluator, Dual | None]:
+    fn, slope = rule
+    if dual_arg is None:
+        return (lambda args: fn(arg(args))), None
+
+    def dual(args):
+        a, grad = dual_arg(args)
+        v = fn(a)
+        return v, _scaled(slope(a, v), grad)
+
+    return (lambda args: fn(arg(args))), dual
+
+
+def _binary(rule, left: Evaluator, dual_l: Dual | None, right: Evaluator, dual_r: Dual | None):
+    op, d_left, d_right = rule
+    if dual_l is None and dual_r is None:
+        return (lambda args: op(left(args), right(args))), None
+    dual_l = dual_l or (lambda args: (left(args), None))
+    dual_r = dual_r or (lambda args: (right(args), None))
+
+    def dual(args):
+        (a, ga), (b, gb) = dual_l(args), dual_r(args)
+        v = op(a, b)
+        if gb is None:
+            return v, _scaled(d_left(a, b, v), ga)
+        if ga is None:
+            return v, _scaled(d_right(a, b, v), gb)
+        wa, wb = d_left(a, b, v), d_right(a, b, v)
+        return v, [wa * p + wb * q for p, q in zip(ga, gb)]
+
+    return (lambda args: op(left(args), right(args))), dual
+
+
+def _compile(node: ast.AST, slots: Mapping[str, int]) -> tuple[Evaluator, Dual | None]:
     """Validate ``node`` and return its evaluator, a closure over the
-    positional arguments; ``slots`` maps variable names to positions, and
-    every variable the expression reads is added to ``used``."""
+    positional arguments, and its forward-mode twin, whose value takes the
+    same float operations; ``slots`` maps variable names to positions. The
+    twin is None for a subtree that reads no variable: it has no gradient."""
     if isinstance(node, ast.Expression):
-        return _compile(node.body, slots, used)
+        return _compile(node.body, slots)
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConstructionError(f"non-numeric literal {node.value!r}")
         value = float(node.value)
-        return lambda args: value
+        return (lambda args: value), None
     if isinstance(node, ast.Name):
         if node.id in slots:
-            used.add(node.id)
             i = slots[node.id]
-            return lambda args: float(args[i])
+            unit = tuple(float(j == i) for j in range(len(slots)))
+            return (lambda args: float(args[i])), lambda args: (float(args[i]), unit)
         if node.id in _CONSTANTS:
             value = _CONSTANTS[node.id]
-            return lambda args: value
+            return (lambda args: value), None
         raise ConstructionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        op = _BINOPS[type(node.op)]
-        left, right = _compile(node.left, slots, used), _compile(node.right, slots, used)
-        return lambda args: op(left(args), right(args))
+        return _binary(_BINOPS[type(node.op)], *_compile(node.left, slots), *_compile(node.right, slots))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        operand = _compile(node.operand, slots, used)
-        return operand if isinstance(node.op, ast.UAdd) else lambda args: -operand(args)
+        operand = _compile(node.operand, slots)
+        return operand if isinstance(node.op, ast.UAdd) else _unary(_NEGATION, *operand)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ConstructionError("only whitelisted functions are allowed")
         if node.keywords or len(node.args) != 1:
             raise ConstructionError("functions take exactly one positional argument")
-        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], slots, used)
-        return lambda args: fn(arg(args))
+        return _unary(_FUNCTIONS[node.func.id], *_compile(node.args[0], slots))
     raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
 
 
@@ -92,7 +136,10 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., flo
     Arithmetic failures at call time (division by zero, a domain error such
     as ``sqrt(-1)``, overflow) raise :class:`ConstructionError` naming the
     expression. The function's ``constant`` attribute is True when the
-    expression reads none of its variables.
+    expression reads none of its variables. Its ``value_and_grad`` evaluates
+    it in forward mode: the same value, bit for bit, and the gradient in the
+    variables, exact up to rounding; a failure of the gradient alone (such
+    as ``sqrt(x)`` at 0) raises the same ConstructionError.
     """
     source = text.strip()
     try:
@@ -100,20 +147,24 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., flo
     except SyntaxError as exc:
         raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
     names = tuple(variables)
-    used: set[str] = set()
-    body = _compile(tree, {name: i for i, name in enumerate(names)}, used)
 
-    def fn(*args: float) -> float:
-        if len(args) != len(names):
-            raise ConstructionError(f"expression expects {len(names)} arguments, got {len(args)}")
-        try:
-            return body(args)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
+    def checked(evaluate: Callable) -> Callable[..., object]:
+        def run(*args: float):
+            if len(args) != len(names):
+                raise ConstructionError(f"expression expects {len(names)} arguments, got {len(args)}")
+            try:
+                return evaluate(args)
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
 
+        return run
+
+    body, dual = _compile(tree, {name: i for i, name in enumerate(names)})
+    fn = checked(body)
     fn.__name__ = "expr"
     fn.source = source  # type: ignore[attr-defined]
-    fn.constant = not used  # type: ignore[attr-defined]
+    fn.constant = dual is None  # type: ignore[attr-defined]
+    fn.value_and_grad = checked(dual or (lambda args: (body(args), (0.0,) * len(names))))  # type: ignore[attr-defined]
     return fn
 
 

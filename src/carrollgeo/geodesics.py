@@ -37,7 +37,7 @@ import numpy as np
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .geometry import Chart, Point
-from .kaluza import KKMetric, base_data, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -290,6 +290,7 @@ def printed_spatial_acceleration(
     p = Point(state.x, state.t, chart)
     kk = scenario.kk(-1, scenario.connection(gauge))
     gminv, base, _ = base_data(kk, p.x, p.t, chart)
+    gminv = base_inverse(kk, gminv, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
     vx = state.vx
@@ -600,6 +601,7 @@ def integrate_small_gauge(
     def rhs(y: list[float]) -> list[float]:
         x, v = np.array(y[:n]), y[n:]
         gminv, base, _ = base_data(kk, x, 1.0, chart)
+        gminv = base_inverse(kk, gminv, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
         va = np.array(v)
         return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()

@@ -165,25 +165,28 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric is not invertible: {exc}") from None
 
 
-def base_data(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def base_data(kk: KKMetric, x: np.ndarray, t: float,
+              chart: str) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """The inverse base block, the Levi-Civita symbols of the base block at
     frozen t, and dg_M/dt, all at (x, t); dg_M/dt is None where it vanishes
     identically: a fiber-independent metric with no registered derivative.
     Registered closed forms are used where given; a registered dg_M/dt gets
     the block read here. The rest comes from central differences over one
     stacked read of g_M on the stencil around x, or around (x, t) when
-    dg_M/dt is differenced too; the stencil's centre gives the inverse."""
+    dg_M/dt is differenced too; the stencil's centre gives the inverse. With
+    registered base symbols and no dg_M/dt no term reads g_M: it is not read,
+    and the inverse is None (see ``base_inverse``)."""
     n = x.size
     t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
-    if kk.base_symbols is not None and not t_differenced:
-        gm = kk.metric.at(x, t, chart)
-    else:
+    if kk.base_symbols is None or t_differenced:
         points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
         stencil = points[0]
         gms = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
         gm = gms[0]
         partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    gminv = _inverse(gm)
+    else:
+        gm = None if kk.metric_t_derivative is None else kk.metric.at(x, t, chart)
+    gminv = None if gm is None else _inverse(gm)
     if kk.base_symbols is not None:
         base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
     else:
@@ -193,6 +196,11 @@ def base_data(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> tuple[np.nda
     else:
         dgdt = partials[n] if t_differenced else None
     return gminv, base, dgdt
+
+
+def base_inverse(kk: KKMetric, gminv: np.ndarray | None, x: np.ndarray, t: float, chart: str) -> np.ndarray:
+    """The inverse base block at (x, t): ``gminv`` of ``base_data`` there, read and inverted where it is None."""
+    return _inverse(kk.metric.at(x, t, chart)) if gminv is None else gminv
 
 
 def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None = None) -> np.ndarray:
@@ -245,6 +253,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
                 "use the finite-difference oracle"
             )
         dgdt = np.zeros((n, n)) if dgdt is None else dgdt
+        gminv = base_inverse(kk, gminv, x, t, chart)
         a = kk.gauge.at(x, chart)
         jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
         f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a

@@ -23,7 +23,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import _fd
 from ._grid import MIN_NODES, GridSpline
 from .connection import ConnectionOneForm, GaugeField
 from .errors import ConstructionError, ContractViolation
@@ -36,7 +35,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import BaseSymbols, BlockDerivative, KKMetric
+from .kaluza import BaseSymbols, BlockDerivative, KKMetric, _inverse, _levi_civita
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,10 @@ def _build_flat(params: Mapping) -> Scenario:
     n = int(n)
     chart = Chart(name="cartesian", coords=tuple(f"x{i + 1}" for i in range(n)), box=((-2.0, 2.0),) * n)
     atlas = Atlas([chart])
-    metric = DegenerateMetric(blocks={"cartesian": lambda x, t: np.eye(n)}, time_dependent=False)
+    # built once and read-only, so that no caller can change the shared arrays
+    eye, zeros = np.eye(n), np.zeros((n, n, n))
+    eye.flags.writeable = zeros.flags.writeable = False
+    metric = DegenerateMetric(blocks={"cartesian": lambda x, t: eye}, time_dependent=False)
     return Scenario(
         name=f"flat({n})",
         dim=n,
@@ -336,7 +338,7 @@ def _build_flat(params: Mapping) -> Scenario:
         default_chart="cartesian",
         params={"n": n},
         expects={"euler_killing": True, "weight": 0.0},
-        base_symbols=lambda x, t, chart_name: np.zeros((n, n, n)),
+        base_symbols=lambda x, t, chart_name: zeros,
         description="Euclidean base metric on a trivial bundle",
     )
 
@@ -415,8 +417,7 @@ def _build_thakurta(params: Mapping) -> Scenario:
         return math.exp(-u_fn(t))
 
     def dgdt_factor(t: float) -> float:
-        h = _fd.step_size(t)
-        return -_fd.richardson(*(u_fn(t + dt) for dt in _fd.offsets(h)), h)
+        return -u_fn.value_and_grad(t)[1][0]
 
     sc = _build_sphere_like(
         f"thakurta(GM={gm_param:g}, U={u_text})",
@@ -554,11 +555,12 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_pair(span) for span in unwrap(text, "box")[1].split(";"))
 
 
-def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> Callable[[np.ndarray, float], np.ndarray]:
-    """The base block of a [metric] entry: expressions in x1..xn, t or a grid file beside the scenario file."""
+def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tuple[Callable, Callable | None]:
+    """The base block of a [metric] entry, expressions in x1..xn, t or a grid file beside the scenario file,
+    and for expressions the block with its partials, (g, dg[axis, a, b]) on the axes x1..xn, t, else None."""
     kind, body = unwrap(text, "matrix", "grid")
     if kind == "grid":
-        return load_metric_grid(folder / body.strip(), dim, time_dependent)
+        return load_metric_grid(folder / body.strip(), dim, time_dependent), None
     rows = body.split(";")
     if len(rows) != dim:
         raise ConstructionError(f"matrix has {len(rows)} rows, expected {dim}")
@@ -574,7 +576,12 @@ def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> Ca
         args = (*np.asarray(x, dtype=float).tolist(), float(t))
         return np.array([[fn(*args) for fn in row] for row in entries])
 
-    return gm
+    def jet(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        args = (*np.asarray(x, dtype=float).tolist(), float(t))
+        values, grads = zip(*[fn.value_and_grad(*args) for row in entries for fn in row])
+        return np.array(values).reshape(dim, dim), np.array(grads).T.reshape(dim + 1, dim, dim)
+
+    return gm, jet
 
 
 def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
@@ -625,7 +632,14 @@ def load_scenario_file(path: str | Path) -> Scenario:
     time_dependent = ini_value(metric_section, "time_dependent", parse_bool, default=False)
     read_block = partial(_parse_matrix, dim=dim, time_dependent=time_dependent, folder=path.parent)
     blocks = {c: ini_value(metric_section, c, read_block) for c in names}
-    metric = DegenerateMetric(blocks=blocks, time_dependent=time_dependent)
+    metric = DegenerateMetric(blocks={c: gm for c, (gm, _) in blocks.items()}, time_dependent=time_dependent)
+    # exact partials where every block is an expression, taken here: the entries of metric.blocks may be replaced
+    jets = {c: jet for c, (_, jet) in blocks.items()}
+    exact = all(jet is not None for jet in jets.values())
+
+    def base_symbols(x: np.ndarray, t: float, chart: str) -> np.ndarray:
+        g, dg = jets[chart](x, t)
+        return _levi_civita(_inverse(g), dg[:dim])
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
@@ -652,6 +666,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
         default_chart=default_chart,
         params={},
         expects=expects,
+        base_symbols=base_symbols if exact else None,
+        metric_t_derivative=(lambda x, t, c, gm: jets[c](x, t)[1][dim]) if exact and time_dependent else None,
         description=f"scenario file {path.name}",
     )
 

@@ -10,6 +10,7 @@ run once as they are and once with the references patched in, and every
 array of the two trajectories must be equal byte for byte.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import pytest
 import carrollgeo as cg
 from carrollgeo import _fd, geodesics, kaluza, scenarios, suites
 from carrollgeo.connection import GaugeField
-from carrollgeo.expressions import compile_expression
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, integrate_small_gauge, shoot_null
 
 DEMO = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini"
@@ -266,7 +266,10 @@ def _check_scenarios(tmp_path):
         "[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
         "main = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t + x1 * t / 3; (0.3 + x1) * t / 3, 2 + t^2)\n"
     )
-    yield cg.load(str(path))
+    cone = cg.load(str(path))
+    yield cone
+    # without registered base data the closed form differences the symbols and dg_M/dt around (x, t)
+    yield dataclasses.replace(cone, base_symbols=None, metric_t_derivative=None)
 
 
 def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, monkeypatch):
@@ -277,7 +280,7 @@ def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, m
     for scenario in _check_scenarios(tmp_path):
         for seed in range(3):
             suites.run_all(scenario, np.random.default_rng(seed))
-    assert len(recorded) == 2 * 3 * (len(scenarios.catalog_names()) + 2)
+    assert len(recorded) == 2 * 3 * (len(scenarios.catalog_names()) + 3)
     for kk, points in recorded:
         for p in points:
             assert kaluza.christoffel_closed(kk, p).tobytes() == _ref_christoffel_closed(kk, p).tobytes(), p
@@ -289,10 +292,9 @@ def test_stereographic_symbols_equal_the_loop():
         assert scenarios._stereo_symbols(x).tobytes() == _ref_stereo_symbols(x).tobytes(), x
 
 
-def test_thakurta_fiber_derivative_equals_the_array_partial(thakurta):
-    u = compile_expression("t", ("t",))
+def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
+    """dg_M/dt = -U'(t) g_M with U' from the exact derivative of U, which is 1.0 for U = t."""
     x = np.array([1.1, 0.4])
     for t in (0.3, -0.8, 1.7, -2.5):
         gm = thakurta.metric.at(x, t, "angular")
-        expected = -float(_fd.partial(lambda arr: u(float(arr[0])), np.array([t]), 0)) * gm
-        assert thakurta.metric_t_derivative(x, t, "angular", gm).tobytes() == expected.tobytes()
+        assert thakurta.metric_t_derivative(x, t, "angular", gm).tobytes() == (-gm).tobytes()

@@ -3,8 +3,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from carrollgeo import _fd
 from carrollgeo.errors import ConstructionError
 from carrollgeo.expressions import compile_expression, parse_number, parse_tuple
 
@@ -72,6 +74,48 @@ def test_arithmetic_errors_name_the_expression(text, cause):
         parse_number(text)
     assert isinstance(info.value.__cause__, cause)
 
+
+
+# -- forward mode ------------------------------------------------------------------
+
+# every whitelisted function, the five operators, unary minus, pi and e, on
+# arguments that stay inside their domains for x, y in [0.3, 1.3]
+DERIVATIVE_CASES = [
+    "exp(x - 2*y)", "sin(x*y)", "cos(x/y)", "tan(0.5*x + 0.2*y)", "sqrt(x + y^2)", "log(x*y)",
+    "sinh(x - y)", "cosh(x*y)", "tanh(2*x - y)", "asinh(x - 3*y)", "atan(x/y - 1)", "abs(x - 0.8*y)",
+    "x + y", "x - y", "x * y", "x / y", "x ^ y", "x^3 - 2^y + y^0.5", "-x * y", "-(x - y)^3", "+x",
+    "pi * x + e^y", "x * (2 + pi) / e", "sin(2) * y + 1",
+]
+
+
+@pytest.mark.parametrize("text", DERIVATIVE_CASES)
+def test_forward_mode_gives_the_value_bit_for_bit_and_the_differenced_gradient(text):
+    fn = compile_expression(text, ("x", "y"))
+    for p in np.random.default_rng([11, len(text)]).uniform(0.3, 1.3, (5, 2)):
+        value, grad = fn.value_and_grad(*p)
+        assert value.hex() == fn(*p).hex()
+        for axis in (0, 1):
+            difference = float(_fd.partial(lambda q: fn(*q), p, axis))
+            assert abs(grad[axis] - difference) <= 1e-8 * max(1.0, abs(difference)), (text, p, axis)
+
+
+def test_a_constant_expression_has_no_gradient():
+    fn = compile_expression("2 * pi + e", ("x", "y"))
+    assert fn.constant and fn.value_and_grad(0.5, 0.7) == (2 * math.pi + math.e, (0.0, 0.0))
+
+
+def test_abs_has_slope_zero_at_its_kink():
+    value, grad = compile_expression("abs(x)", ("x",)).value_and_grad(0.0)
+    assert (value, list(grad)) == (0.0, [0.0])
+    assert list(compile_expression("abs(x - y)", ("x", "y")).value_and_grad(0.4, 0.4)[1]) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("text", ["sqrt(x1)", "x1^0.5"])
+def test_a_failure_of_the_derivative_alone_names_the_expression(text):
+    fn = compile_expression(text, ("x1",))
+    assert fn(0.0) == 0.0
+    with pytest.raises(ConstructionError, match=re.escape(repr(text))):
+        fn.value_and_grad(0.0)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carrollgeo"

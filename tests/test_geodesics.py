@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,30 @@ def test_printed_spatial_deviation_with_gauge_is_recorded(flat2):
 DEMO = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini"
 
 
+# a fiber-dependent file whose off-diagonal entries and t-dependence take
+# sin, cos and exp, so that the closed form runs every derivative rule they need
+WAVE = (
+    "[meta]\nname = wave\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
+    "main = matrix(2 + sin(x1) * exp(-0.3 * t), 0.3 * cos(x2 + t); 0.3 * cos(x2 + t), 1.5 + 0.5 * exp(0.2 * x1 * t))\n"
+)
+
+
+def _load_text(text):
+    """The scenario file ``text``, loaded from a temporary folder that is gone
+    afterwards; expression blocks keep nothing of the file."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "scenario.ini"
+        path.write_text(text)
+        return cg.load(str(path))
+
+
+def _differenced(scenario):
+    """``scenario`` without its registered base data, so that the closed form
+    differences the base symbols and dg_M/dt from one read of g_M around (x, t),
+    as it does for grid blocks and Python callables."""
+    return dataclasses.replace(scenario, base_symbols=None, metric_t_derivative=None)
+
+
 def _route_cases():
     for name in scenarios.catalog_names():
         scenario = cg.load(name)
@@ -365,6 +391,10 @@ def _route_cases():
                 for sign in (+1, -1):
                     yield pytest.param(scenario, chart, sign, id=f"{name}-{chart}-t{sign:+d}")
     yield pytest.param(cg.load(str(DEMO)), "main", +1, id="demo-main-t+1")
+    wave = _load_text(WAVE)
+    for route, scenario in (("exact", wave), ("differenced", _differenced(wave))):
+        for sign in (+1, -1):
+            yield pytest.param(scenario, "main", sign, id=f"wave-{route}-main-t{sign:+d}")
 
 
 def _seeded_null_state(scenario, chart, sign, seed):
@@ -387,16 +417,33 @@ def test_default_route_is_the_closed_form_and_agrees_with_the_oracle(scenario, c
 
 
 def test_default_route_on_a_fiber_dependent_file_agrees_with_the_oracle(tmp_path):
-    """A file registers no base symbols and no dg_M/dt, so the closed form
-    differences both from one read of g_M around (x, t)."""
+    """A file of expression blocks registers its base symbols and dg_M/dt,
+    both from the exact partials of its entries; without them the closed form
+    differences both, and either way it agrees with the oracle."""
     path = tmp_path / "cone.ini"
     path.write_text(
         "[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n"
         "[metric]\ntime_dependent = true\nmain = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t; 0.1 * t, 2 + t^2)\n"
     )
     scenario = cg.load(str(path))
+    assert scenario.base_symbols is not None and scenario.metric_t_derivative is not None
+    for case in (scenario, _differenced(scenario)):
+        for sign in (+1, -1):
+            _assert_routes_agree(case, "main", sign)
+
+
+@pytest.mark.parametrize("text", [WAVE, DEMO.read_text()], ids=["wave", "demo"])
+def test_the_oracle_reads_no_registered_base_data(text):
+    """The oracle differences the metric itself: a file scenario's registered
+    base symbols and dg_M/dt, from exact partials, do not change one bit of it."""
+    scenario = _load_text(text)
+    assert scenario.base_symbols is not None
+    bare = _differenced(scenario)
+    rng = np.random.default_rng(29)
+    raw = np.column_stack([rng.uniform(-1.5, 1.5, (8, 2)), rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 2.0, 8)])
     for sign in (+1, -1):
-        _assert_routes_agree(scenario, "main", sign)
+        expected = christoffel_numeric(bare.kk(sign), raw, chart="main").tobytes()
+        assert christoffel_numeric(scenario.kk(sign), raw, chart="main").tobytes() == expected
 
 
 def _assert_routes_agree(scenario, chart, sign):

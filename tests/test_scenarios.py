@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carrollgeo import scenarios
+from carrollgeo import _fd, scenarios
 from carrollgeo._grid import GridSpline
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, shoot_null, unit_direction
@@ -75,6 +75,16 @@ def test_thakurta_conformal_profile():
     report = euler_weight(s.metric, p)
     assert report.proportional
     assert report.factor == pytest.approx(-2.0 * 1.3**2, rel=1e-6)
+
+
+def test_thakurta_fiber_derivative_agrees_with_the_difference_of_the_block():
+    """dg_M/dt = -U'(t) g_M, with U' from the exact derivative of U."""
+    s = load("thakurta", GM=0.5, U="0.3*sin(t) + t^2")
+    x = np.array([1.1, 0.4])
+    for t in (0.3, -0.8, 1.7, -2.5):
+        exact = s.metric_t_derivative(x, t, "angular", s.metric.at(x, t, "angular"))
+        difference = _fd.partial(lambda arr: s.metric.at(x, float(arr[0]), "angular"), np.array([t]), 0, keep_sign=(0,))
+        assert np.max(np.abs(exact - difference)) <= 1e-8 * np.max(np.abs(exact)), t
 
 
 def test_moebius_full_suite(rng):
