@@ -53,8 +53,17 @@ def stencil(p: np.ndarray, keep_sign: Sequence[int] = ()):
     ``DEFAULT_REL_STEP``: the points, shape (K, 4m + 1, m), each stencil's
     centre first and then ``offsets`` on each axis in turn, and the per-axis
     steps h, shape (K, m)."""
+    return _stencil(p, DEFAULT_REL_STEP, keep_sign)
+
+
+def transition_stencil(x: np.ndarray):
+    """``stencil`` around the K points of ``x`` at ``TRANSITION_REL_STEP``, for chart transitions."""
+    return _stencil(x, TRANSITION_REL_STEP, ())
+
+
+def _stencil(p: np.ndarray, rel: float, keep_sign: Sequence[int]):
     p = np.asarray(p, dtype=float)
-    h = [[_guarded_step(q, a, DEFAULT_REL_STEP, keep_sign) for a in range(len(q))] for q in p.tolist()]
+    h = [[_guarded_step(q, a, rel, keep_sign) for a in range(len(q))] for q in p.tolist()]
     h = np.array(h).reshape(p.shape)
     points = _unit_offsets(p.shape[1]) * h[:, None]
     points += p[:, None]
@@ -112,6 +121,14 @@ def partials(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, rel: float = 
     of its callers this is cheaper than filling a ``stencil`` array."""
     p = np.asarray(p, dtype=float)
     return np.array([partial(f, p, a, rel, keep_sign) for a in range(p.size)])
+
+
+def fiber_derivatives(psi: Callable[[float, float], float], ms: Sequence[float]) -> np.ndarray:
+    """d/dr psi(m, r) at r = 0 for each m of ``ms``, at ``TRANSITION_REL_STEP``: psi is
+    called at the ``offsets`` of each m in turn, and one Richardson pass takes them all."""
+    rs = offsets(TRANSITION_REL_STEP)
+    values = np.array([[psi(m, r) for r in rs] for m in ms], dtype=float).reshape(len(ms), 4)
+    return richardson(*values.T, TRANSITION_REL_STEP)
 
 
 def log_gradient(phi: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

@@ -200,16 +200,22 @@ class ChartTransition:
             raise ConstructionError("fiber transition factor vanishes")
         return Point(np.asarray(self.base_map(p.x), dtype=float), phi * p.t, self.dst)
 
-    def tangent_map(self, p: Point) -> TangentMap:
-        """The transition's differential at ``p``: the base Jacobian, grad
-        log|phi| and the image point, computed once for every vector at ``p``."""
-        jac = _fd.partials(lambda x: np.asarray(self.base_map(x), dtype=float), p.x, rel=_fd.TRANSITION_REL_STEP).T
-        grad_log_phi = _fd.log_gradient(self.fiber_factor, p.x)
-        return TangentMap(p, self.map_point(p), jac, grad_log_phi)
+    def tangent_maps(self, points: Sequence[Point]) -> list[TangentMap]:
+        """The differential (base Jacobian, grad log|phi|, image) at each of ``points``: the callables
+        run point by point, so the first point whose image fails raises; one pass differences them all."""
+        stencils, h = _fd.transition_stencil(np.array([p.x for p in points]))
+        maps, factors, images = [], [], []
+        for p, around in zip(points, stencils):
+            maps.append([self.base_map(x) for x in around[1:]])
+            factors.append([self.fiber_factor(x) for x in around[1:]])
+            images.append(self.map_point(p))
+        jac = _fd.stacked_partials(np.array(maps, dtype=float), h)  # [point, axis, component]
+        grad_log_phi = _fd.stacked_partials(np.log(np.abs(np.array(factors, dtype=float))), h)
+        return [TangentMap(*args) for args in zip(points, images, np.swapaxes(jac, 1, 2), grad_log_phi)]
 
-    def map_tangent(self, v: TangentVector) -> TangentVector:
-        """Push one tangent vector through the transition (see :class:`TangentMap`)."""
-        return self.tangent_map(v.base)(v)
+    def tangent_map(self, p: Point) -> TangentMap:
+        """The differential at one point (see ``tangent_maps``)."""
+        return self.tangent_maps([p])[0]
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,11 @@ class TangentMap:
     def __call__(self, v: TangentVector) -> TangentVector:
         if not v.base.same_place(self.source):
             raise ContractViolation("vector is not based at the transition's base point")
-        return TangentVector(self.jac @ v.vx, v.vtb + float(v.vx @ self.grad_log_phi), self.image)
+        return TangentVector(*self.components(v.vx, v.vtb), self.image)
+
+    def components(self, vx: np.ndarray, vtb: float) -> tuple[np.ndarray, float]:
+        """The image's adapted components of the vector (vx, vtb) at the source point."""
+        return self.jac @ vx, vtb + float(vx @ self.grad_log_phi)
 
 
 class Atlas:

@@ -9,7 +9,6 @@ are extracted numerically (central difference with one Richardson pass).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -166,13 +165,6 @@ class LinearizedCocycle:
         return self.coefficients[(i, j)](m)
 
 
-def _fiber_derivative(psi: Transition, m: float) -> float:
-    """d/dr psi(m, r) at r = 0, on plain floats (a numpy stencil costs more
-    here than the transition itself)."""
-    h = _fd.TRANSITION_REL_STEP
-    return _fd.richardson(*(psi(m, r) for r in _fd.offsets(h)), h)
-
-
 def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     """Extract c_ij(m) = d/dr psi~_ij(m, 0) and check the cocycle closure.
 
@@ -180,34 +172,34 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     transition fails to be a fiber diffeomorphism at the section) or is not
     finite.
     """
-    coeffs: dict[tuple[str, str], Callable[[float], float]] = {
-        key: functools.partial(_fiber_derivative, psi) for key, psi in shifted.psi.items()
-    }
-    # a pair record's partner and the triples revisit (transition, m): evaluate each once per call
-    cached = {key: functools.cache(c) for key, c in coeffs.items()}
+    coeffs = {key: lambda m, psi=psi: float(_fd.fiber_derivatives(psi, [m])[0]) for key, psi in shifted.psi.items()}
+    # a pair record's partner and the triples revisit (transition, m): difference each once per call
+    known: dict[tuple[str, str], dict[float, float]] = {key: {} for key in shifted.psi}
+
+    def sampled_c(key: tuple[str, str], ms: np.ndarray) -> np.ndarray:
+        ms, memo = ms.tolist(), known[key]
+        new = [m for m in dict.fromkeys(ms) if m not in memo]
+        memo.update(zip(new, _fd.fiber_derivatives(shifted.psi[key], new).tolist()))
+        return np.array([memo[m] for m in ms])
 
     sampled: list[CocycleSample] = []
     pair_gaps = []
     for rec in shifted.overlaps:
         i, j = rec.charts
         mi, mj = rec.points(i), rec.points(j)
-        c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
+        c_ij = sampled_c((i, j), mj)
         if not np.all(np.isfinite(c_ij) & (np.abs(c_ij) >= 1e-10)):
             raise NumericError(f"transition {i} <- {j} degenerates at the section: a coefficient is zero or not finite")
         sampled.append(CocycleSample(charts=(i, j), m=mj.copy(), c=c_ij))
         if (j, i) in coeffs:
-            c_ji = np.array([cached[(j, i)](float(m)) for m in mi])
-            pair_gaps.extend(np.abs(c_ij * c_ji - 1.0))
+            pair_gaps.extend(np.abs(c_ij * sampled_c((j, i), mi) - 1.0))
 
     triple_gaps = []
     for rec in shifted.triples:
         i, j, k = rec.charts
         mj = np.asarray(rec.samples[j], dtype=float)
         mk = np.asarray(rec.samples[k], dtype=float)
-        c_ij = np.array([cached[(i, j)](float(m)) for m in mj])
-        c_jk = np.array([cached[(j, k)](float(m)) for m in mk])
-        c_ik = np.array([cached[(i, k)](float(m)) for m in mk])
-        triple_gaps.extend(np.abs(c_ij * c_jk - c_ik))
+        triple_gaps.extend(np.abs(sampled_c((i, j), mj) * sampled_c((j, k), mk) - sampled_c((i, k), mk)))
 
     return LinearizedCocycle(
         coefficients=coeffs,

@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -433,10 +433,10 @@ def _build_thakurta(params: Mapping) -> Scenario:
 
 def _build_moebius(params: Mapping) -> Scenario:
     atlas = circle_atlas(fiber_upper=lambda th: 1.0, fiber_lower=lambda th: -1.0)
-    metric = DegenerateMetric(
-        blocks={"east": lambda x, t: np.eye(1), "west": lambda x, t: np.eye(1)},
-        time_dependent=False,
-    )
+    # built once and read-only, as in ``_build_flat``
+    eye, zeros = np.eye(1), np.zeros((1, 1, 1))
+    eye.flags.writeable = zeros.flags.writeable = False
+    metric = DegenerateMetric(blocks={"east": lambda x, t: eye, "west": lambda x, t: eye}, time_dependent=False)
     return Scenario(
         name="moebius",
         dim=1,
@@ -446,7 +446,7 @@ def _build_moebius(params: Mapping) -> Scenario:
         default_chart="east",
         params={},
         expects={"euler_killing": True, "weight": 0.0},
-        base_symbols=lambda x, t, chart_name: np.zeros((1, 1, 1)),
+        base_symbols=lambda x, t, chart_name: zeros,
         description="flat circle metric on the twisted two-chart bundle",
     )
 
@@ -637,9 +637,18 @@ def load_scenario_file(path: str | Path) -> Scenario:
     jets = {c: jet for c, (_, jet) in blocks.items()}
     exact = all(jet is not None for jet in jets.values())
 
+    @lru_cache(maxsize=1)  # the base symbols and dg_M/dt of one closed-form call share one jet
+    def shared_jet(chart: str, x: bytes, t: float) -> tuple[np.ndarray, np.ndarray]:
+        g, dg = jets[chart](np.frombuffer(x), t)
+        g.flags.writeable = dg.flags.writeable = False
+        return g, dg
+
     def base_symbols(x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        g, dg = jets[chart](x, t)
+        g, dg = shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t) if time_dependent else jets[chart](x, t)
         return _levi_civita(_inverse(g), dg[:dim])
+
+    def metric_t_derivative(x: np.ndarray, t: float, chart: str, gm: np.ndarray) -> np.ndarray:
+        return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[1][dim]
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
@@ -667,7 +676,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
         params={},
         expects=expects,
         base_symbols=base_symbols if exact else None,
-        metric_t_derivative=(lambda x, t, c, gm: jets[c](x, t)[1][dim]) if exact and time_dependent else None,
+        metric_t_derivative=metric_t_derivative if exact and time_dependent else None,
         description=f"scenario file {path.name}",
     )
 

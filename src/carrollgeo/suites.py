@@ -12,10 +12,11 @@ where Python's ``max`` would drop it.
 
 A check reads each field once per chart for all its sample points
 (``geometry.read_stacked``), so a field that raises fails its suite after
-every draw made before that read. Checks batch ``det``, ``cond`` and
-``eigvalsh`` and push every vector drawn at a point through one transition map
-(``ChartTransition.tangent_map``). ``christoffel_suite`` makes one oracle call
-per chart and sign; the determinant identity reads g_M again for its side
+every draw made before that read. An overlap check draws every sample of a
+transition, then differences it in one pass (``ChartTransition.tangent_maps``)
+that fails at the first failing sample in draw order. Checks batch ``det``,
+``cond`` and ``eigvalsh``; ``christoffel_suite`` makes one oracle call per
+chart and sign, and the determinant identity reads g_M again for its side
 that does not go through the assembly.
 
 The kernel of the degenerate form (the Euler direction, (0, 1) in adapted
@@ -32,7 +33,7 @@ import numpy as np
 
 from .connection import overlap_gauge_residual
 from .errors import CarrollError
-from .geometry import TangentVector, euler_weight, metric_eval, read_raw, read_stacked
+from .geometry import euler_weight, read_raw, read_stacked
 from .kaluza import closed_form_deviation, det_identity_defect, signature_counts
 from .scenarios import Scenario
 
@@ -179,13 +180,16 @@ def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator) -> list[C
         return []
     gaps = []
     for tr in scenario.atlas.transitions:
+        points, vectors = [], []
         for x in tr.sample(rng, 8):
-            p = scenario.point(x, float(rng.uniform(0.5, 2.0)), tr.src)
-            v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
-            v2 = tr.map_tangent(v)
-            s1 = metric_eval(scenario.metric, p, v, v)
-            s2 = metric_eval(scenario.metric, v2.base, v2, v2)
-            gaps.append(abs(s1 - s2) / max(1.0, abs(s1)))
+            points.append(scenario.point(x, float(rng.uniform(0.5, 2.0)), tr.src))
+            vectors.append((rng.standard_normal(x.size), float(rng.standard_normal())))
+        pushes = tr.tangent_maps(points)
+        g = read_stacked(scenario.metric.at, points)
+        g_image = read_stacked(scenario.metric.at, [push.image for push in pushes])
+        for (vx, vtb), push, g_p, g_q in zip(vectors, pushes, g, g_image):
+            vx_image, s1 = push.components(vx, vtb)[0], float(vx @ g_p @ vx)
+            gaps.append(abs(s1 - float(vx_image @ g_q @ vx_image)) / max(1.0, abs(s1)))
     return [_result("metric_overlap_consistency", _worst(gaps), 1e-8)]
 
 

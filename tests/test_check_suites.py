@@ -2,7 +2,8 @@
 
 The reference functions below are the suites' loops as first written: one
 ``TangentVector`` per step, ``omega`` reading the gauge field at every call,
-one read of g_M per point and one ``map_tangent`` per drawn vector. The
+one read of g_M per point and one transition map per drawn vector
+(``_ref_map_tangent``), which differences the transition axis by axis. The
 shipped suites must return the same values bit for bit and leave the
 generator in the same state.
 """
@@ -17,7 +18,7 @@ import pytest
 import carrollgeo as cg
 from carrollgeo import _fd, suites
 from carrollgeo.connection import GaugeField, overlap_gauge_residual
-from carrollgeo.errors import ConstructionError
+from carrollgeo.errors import CarrollError, ConstructionError
 from carrollgeo.geometry import DegenerateMetric, Point, TangentVector
 from carrollgeo.suites import CheckResult
 
@@ -33,14 +34,14 @@ def _ref_map_tangent(tr, v):
 
 
 def _ref_overlap_gauge(atlas, omega, rng):
-    worst = 0.0
+    gaps = []
     for tr in atlas.transitions:
         for x in tr.sample(rng, 8):
             p = Point(x, float(rng.uniform(0.5, 2.0)), tr.src)
             for _ in range(3):
                 v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
-                worst = max(worst, abs(omega(v) - omega(_ref_map_tangent(tr, v))))
-    return worst
+                gaps.append(abs(omega(v) - omega(_ref_map_tangent(tr, v))))
+    return suites._worst(gaps)  # carries a NaN gap, as the suite's reduction does
 
 
 def _ref_kernel_suite(scenario, rng):
@@ -82,6 +83,21 @@ def _ref_connection_suite(scenario, rng):
     if not scenario.atlas.transitions:
         return []
     return [suites._result("gauge_overlap_rule", _ref_overlap_gauge(scenario.atlas, scenario.connection(), rng), 1e-8)]
+
+
+def _ref_overlap_metric(scenario, rng):
+    if not scenario.atlas.transitions:
+        return []
+    gaps = []
+    for tr in scenario.atlas.transitions:
+        for x in tr.sample(rng, 8):
+            p = scenario.point(x, float(rng.uniform(0.5, 2.0)), tr.src)
+            v = TangentVector(rng.standard_normal(p.dim), float(rng.standard_normal()), p)
+            v2 = _ref_map_tangent(tr, v)
+            s1 = float(v.vx @ scenario.metric.at(p.x, p.t, p.chart) @ v.vx)
+            s2 = float(v2.vx @ scenario.metric.at(v2.base.x, v2.base.t, v2.base.chart) @ v2.vx)
+            gaps.append(abs(s1 - s2) / max(1.0, abs(s1)))
+    return [suites._result("metric_overlap_consistency", suites._worst(gaps), 1e-8)]
 
 
 def _gauged_flat2():
@@ -171,10 +187,97 @@ def test_suites_are_bit_identical_to_the_per_vector_loops(scenarios, name, seed)
     s = scenarios[name]
     for suite, reference in ((suites.kernel_suite, _ref_kernel_suite),
                              (suites.connection_suite, _ref_connection_suite),
-                             (suites.determinant_suite, _ref_determinant_suite)):
+                             (suites.determinant_suite, _ref_determinant_suite),
+                             (suites.overlap_metric_suite, _ref_overlap_metric)):
         got_rng, want_rng = _twins(seed)
         assert suite(s, got_rng) == reference(s, want_rng), suite.__name__
         assert _same_state(got_rng, want_rng), suite.__name__
+
+
+OVERLAP_SUITES = ((suites.connection_suite, _ref_connection_suite),
+                  (suites.overlap_metric_suite, _ref_overlap_metric))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("scale_west, fiber_tilt", [(1.1, 0.0), (1.0, 0.1), (0.7, -0.3), (1e-9, 2.0)])
+def test_overlap_suites_are_bit_identical_on_moebius_mutations(scale_west, fiber_tilt, seed):
+    """The mutations make the overlap rows fail; the failing values must
+    still be the per-vector loops' values."""
+    s = _moebius(scale_west=scale_west, fiber_tilt=fiber_tilt)
+    for suite, reference in OVERLAP_SUITES:
+        got_rng, want_rng = _twins(seed)
+        assert suite(s, got_rng) == reference(s, want_rng), suite.__name__
+        assert _same_state(got_rng, want_rng), suite.__name__
+
+
+@pytest.mark.parametrize("name", ["sphere_pullback", "moebius", "schwarzschild", "thakurta", "lightcone"])
+def test_stacked_tangent_maps_are_the_per_axis_differentials(name, rng):
+    """``tangent_maps`` at K points gives each point the Jacobian and grad
+    log|phi| of the per-axis reference, bit for bit and in the same memory
+    layout, and ``tangent_map`` is its K = 1 case."""
+    for tr in cg.load(name).atlas.transitions:
+        points = [Point(x, t, tr.src) for x, t in zip(tr.sample(rng, 5), rng.uniform(0.5, 2.0, 5).tolist())]
+        for p, push in zip(points, tr.tangent_maps(points)):
+            jac = _fd.partials(lambda x: np.asarray(tr.base_map(x), dtype=float), p.x, rel=_fd.TRANSITION_REL_STEP).T
+            grad_log_phi = _fd.log_gradient(tr.fiber_factor, p.x)
+            single = tr.tangent_map(p)
+            for got in (push, single):
+                assert got.source is p and got.image.same_place(tr.map_point(p))
+                assert got.jac.tobytes() == jac.tobytes() and got.jac.strides == jac.strides
+                assert got.grad_log_phi.tobytes() == grad_log_phi.tobytes()
+
+
+def _cells(x):
+    """An index that changes every 1e-3 along x1: a sampled point falls in
+    any residue class mod 3 about equally often."""
+    return int(math.floor(x[0] / 1e-3)) % 3
+
+
+def _broken(name, vanish=lambda x: False, nan_image=lambda x: False, wiggle=0.0):
+    """``name`` with every fiber factor 0 where ``vanish(x)``, every base map
+    NaN where ``nan_image(x)``, and ``wiggle * sin(1e8 x)`` added to every
+    base map, which leaves the image finite but overflows its Jacobian."""
+    s = cg.load(name)
+
+    def base_map(x, f):
+        y = np.asarray(f(x), dtype=float) + wiggle * np.sin(1e8 * x)
+        return np.full(y.shape, np.nan) if nan_image(x) else y
+
+    s.atlas.transitions = [
+        replace(tr, base_map=lambda x, f=tr.base_map: base_map(x, f),
+                fiber_factor=lambda x, f=tr.fiber_factor: 0.0 if vanish(x) else f(x))
+        for tr in s.atlas.transitions
+    ]
+    return s
+
+
+BROKEN = {
+    "vanishing-factor": dict(vanish=lambda x: _cells(x) == 0),
+    "nan-image": dict(nan_image=lambda x: _cells(x) == 1),
+    "both": dict(vanish=lambda x: _cells(x) == 0, nan_image=lambda x: _cells(x) == 1),
+    "infinite-jacobian": dict(wiggle=1e305),
+}
+
+
+def _outcome(suite, s, seed):
+    """A suite's rows with each value's bits, or the error it raises."""
+    try:
+        rows = suite(s, np.random.default_rng(seed))
+    except CarrollError as exc:
+        return type(exc).__name__, str(exc)
+    return [(r.name, r.passed, np.float64(r.value).tobytes(), r.tol, r.detail) for r in rows]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["moebius", "sphere_pullback"])
+@pytest.mark.parametrize("broken", BROKEN)
+def test_a_broken_transition_fails_at_its_first_bad_sample_in_draw_order(name, broken, seed):
+    """A vanishing fiber factor or a non-finite image raises at the first such
+    sample in draw order, with the per-vector loops' error; a non-finite
+    Jacobian gives their non-finite value."""
+    s = _broken(name, **BROKEN[broken])
+    for suite, reference in OVERLAP_SUITES:
+        assert _outcome(suite, s, seed) == _outcome(reference, s, seed), suite.__name__
 
 
 def _counted(calls, kind, fn):
@@ -192,7 +295,8 @@ def _count_calls(mapping, calls, kind):
 def test_overlap_gauge_rule_differences_each_transition_once_per_sample(name, rng):
     """Each sample point: 4n stencil calls for the Jacobian and for
     grad log|phi|, one call of each for the image point, and one gauge read
-    in each chart; the three vectors drawn there reuse them."""
+    in each chart; the three vectors drawn there reuse them. The metric
+    check makes the same calls and reads g_M once in each chart instead."""
     s = cg.load(name)
     calls = {"base_map": 0, "fiber_factor": 0, "gauge": 0}
     s.atlas.transitions = [
@@ -205,6 +309,13 @@ def test_overlap_gauge_rule_differences_each_transition_once_per_sample(name, rn
     samples = 8 * len(s.atlas.transitions)
     per_sample = 4 * s.dim + 1
     assert calls == {"base_map": samples * per_sample, "fiber_factor": samples * per_sample, "gauge": 2 * samples}
+
+    # the metric check: the same per sample, and g_M read once in each chart
+    calls.update(base_map=0, fiber_factor=0, gauge=0, block=0)
+    s.metric.blocks.update(_count_calls(s.metric.blocks, calls, "block"))
+    suites.overlap_metric_suite(s, rng)
+    assert calls == {"base_map": samples * per_sample, "fiber_factor": samples * per_sample, "gauge": 0,
+                     "block": 2 * samples}
 
 
 def test_base_block_reads_per_point_in_kernel_and_determinant_suites(rng):

@@ -88,7 +88,7 @@ def test_moebius_projector_on_overlaps(moebius, rng):
             p = moebius.point(x, 1.3, tr.src)
             v = TangentVector(rng.standard_normal(1), float(rng.standard_normal()), p)
             phi_v = projector(omega, v)
-            v2 = tr.map_tangent(v)
+            v2 = tr.tangent_map(v.base)(v)
             phi_v2 = projector(omega, v2)
             # idempotence in both charts
             assert np.max(np.abs((projector(omega, phi_v) - phi_v).raw())) < 1e-12

@@ -25,7 +25,7 @@ from carrollgeo.geodesics import (
     shoot_null,
     unit_direction,
 )
-from carrollgeo.kaluza import christoffel_numeric
+from carrollgeo.kaluza import christoffel_closed, christoffel_numeric
 
 
 def _gauge(fn):
@@ -444,6 +444,29 @@ def test_the_oracle_reads_no_registered_base_data(text):
     for sign in (+1, -1):
         expected = christoffel_numeric(bare.kk(sign), raw, chart="main").tobytes()
         assert christoffel_numeric(scenario.kk(sign), raw, chart="main").tobytes() == expected
+
+
+def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatch):
+    """On a time-dependent expression file the registered base symbols and
+    dg_M/dt both come from the forward-mode jet of the block at (x, t): one
+    closed-form call evaluates it once, and the next point evaluates it anew."""
+    calls = []
+    parse = scenarios._parse_matrix
+
+    def counted(*args, **kwargs):
+        gm, jet = parse(*args, **kwargs)
+        return gm, lambda x, t: calls.append((tuple(x), t)) or jet(x, t)
+
+    monkeypatch.setattr(scenarios, "_parse_matrix", counted)
+    wave = _load_text(WAVE)
+    assert wave.metric_t_derivative is not None
+    rng = np.random.default_rng(3)
+    for sign in (+1, -1):
+        kk = wave.kk(sign)
+        for p in wave.sample_points(rng, 4, include_negative_t=True):
+            calls.clear()
+            christoffel_closed(kk, p)
+            assert calls == [(tuple(p.x), p.t)]
 
 
 def _assert_routes_agree(scenario, chart, sign):

@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carrollgeo import _fd
 from carrollgeo.cli import main
 from carrollgeo.errors import ConstructionError, NumericError
 from carrollgeo.linearize import (
@@ -386,16 +386,26 @@ def test_cli_linearize_csv_matches_reference(argument, build, tmp_path, capsys):
     assert out.read_bytes() == _reference_csv(build())
 
 
-def test_each_coefficient_is_evaluated_once_per_call(monkeypatch):
+def _per_m_coefficient(psi, m):
+    """d/dr psi(m, r) at r = 0 as first written: one Richardson call per m on floats."""
+    h = _fd.TRANSITION_REL_STEP
+    return _fd.richardson(*(psi(m, r) for r in _fd.offsets(h)), h)
+
+
+def test_each_coefficient_is_evaluated_once_per_call():
     """A pair record's partner and the triples revisit (transition, m) pairs:
     on the synthetic atlas at 32 samples there are 480 lookups of 283
-    distinct pairs. Every sampled value still equals a fresh evaluation."""
-    module = sys.modules["carrollgeo.linearize"]
-    original, calls = module._fiber_derivative, []
-    monkeypatch.setattr(module, "_fiber_derivative", lambda psi, m: calls.append((psi, m)) or original(psi, m))
+    distinct pairs, each differenced once, so the transitions are called
+    4 * 283 times. Every sampled value equals a fresh evaluation, through
+    ``value`` and through the per-m formula."""
     shifted = shift_transitions(synthetic_circle_atlas(32))
-    cocycle = linearize(shifted)
-    assert len(calls) == len(set(calls)) == 283
+    calls = []
+
+    def counted(key, psi):
+        return lambda m, r: calls.append((key, m)) or psi(m, r)
+
+    cocycle = linearize(replace(shifted, psi={key: counted(key, psi) for key, psi in shifted.psi.items()}))
+    assert len(calls) == 4 * 283 and len(set(calls)) == 283
     for sample in cocycle.sampled:
         for m, c in zip(sample.m.tolist(), sample.c.tolist()):
-            assert c == original(shifted.psi[sample.charts], m)
+            assert c == cocycle.value(*sample.charts, m) == _per_m_coefficient(shifted.psi[sample.charts], m)

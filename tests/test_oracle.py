@@ -7,8 +7,10 @@ the two must agree bit for bit, in the symbols themselves and in every output
 of the CLI commands that use them.
 """
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +270,45 @@ def test_cli_outputs_are_byte_identical_with_the_reference_oracle(argv, tmp_path
         reference = _run(argv, tmp_path / "reference", capsys, monkeypatch)
     assert shipped[0] == 0 and shipped[3]
     assert shipped == reference
+
+
+STEP_NAMES = {"DEFAULT_REL_STEP", "TRANSITION_REL_STEP"}
+STENCIL_CALLS = {"richardson", "offsets"}
+
+
+def _step_offenses(source):
+    """(line, what) of each place in ``source`` that chooses a finite-difference
+    step or combines stencil values itself: a name or attribute
+    ``DEFAULT_REL_STEP`` / ``TRANSITION_REL_STEP`` (imported or read), or a call
+    of ``richardson`` or ``offsets``."""
+    offenses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            offenses.extend((node.lineno, a.name) for a in node.names if a.name in STEP_NAMES | STENCIL_CALLS)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in STEP_NAMES:
+                offenses.append((node.lineno, name))
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+            if called in STENCIL_CALLS:
+                offenses.append((node.lineno, called))
+    return sorted(offenses)
+
+
+def test_only_fd_chooses_a_step():
+    """``_fd`` alone picks the step and the stencil of every difference, as its
+    docstring says: no other module names a step constant or calls
+    ``richardson`` or ``offsets``."""
+    sample = ("from ._fd import TRANSITION_REL_STEP\nh = _fd.DEFAULT_REL_STEP\n_fd.richardson(a, b, c, d, h)\n"
+              "offsets(h)\noffsets = {}\noffsets.setdefault(1.0, 0.0)\n_fd.stencil(p)\n")
+    assert _step_offenses(sample) == [(1, "TRANSITION_REL_STEP"), (2, "DEFAULT_REL_STEP"), (3, "richardson"),
+                                      (4, "offsets")]
+    src = Path(_fd.__file__).parent
+    offenders = {
+        path.name: found
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_fd.py" and (found := _step_offenses(path.read_text()))
+    }
+    assert offenders == {}

@@ -116,6 +116,21 @@ def test_negative_fiber_sampling(rng):
     assert any(p.t < 0 for p in pts) and any(p.t > 0 for p in pts)
 
 
+@pytest.mark.parametrize("name", ["flat", "moebius"])
+def test_constant_blocks_and_symbols_are_built_once_and_read_only(name, rng):
+    """Every read of a constant base block or of zero base symbols returns
+    the one array built at load, which no caller can change."""
+    s = load(name)
+    blocks, symbols = set(), set()
+    for chart in s.atlas.chart_names():
+        for p in s.sample_points(rng, 2, chart=chart):
+            g, gamma = s.metric.blocks[chart](p.x, p.t), s.base_symbols(p.x, p.t, chart)
+            assert not (g.flags.writeable or gamma.flags.writeable)
+            blocks.add(id(g))
+            symbols.add(id(gamma))
+    assert len(blocks) == len(symbols) == 1
+
+
 # -- scenario files ---------------------------------------------------------------
 
 GOOD_FILE = """
