@@ -60,8 +60,9 @@ class GeodesicState:
         object.__setattr__(self, "vt", float(self.vt))
         if self.x.size != self.vx.size:
             raise ContractViolation("position and velocity dimensions differ")
-        if not np.all(np.isfinite(self.as_vector())):
-            raise DomainError(f"non-finite state (x..., t, vx..., vt) = {self.as_vector().tolist()}")
+        state = self.as_vector().tolist()
+        if not all(map(math.isfinite, state)):
+            raise DomainError(f"non-finite state (x..., t, vx..., vt) = {state}")
         if self.t == 0.0:
             raise DomainError("fiber coordinate must be nonzero")
 

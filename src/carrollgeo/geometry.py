@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ class Point:
         object.__setattr__(self, "t", float(self.t))
         if x.ndim != 1 or x.size < 1:
             raise ContractViolation("base coordinates must be a 1d array with n >= 1")
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.t):
+        if not (math.isfinite(self.t) and all(map(math.isfinite, x.tolist()))):
             raise DomainError("non-finite coordinates")
         if abs(self.t) < FIBER_CUTOFF:
             raise DomainError(f"fiber coordinate too close to zero: t = {self.t:.3e}")

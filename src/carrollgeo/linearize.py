@@ -86,6 +86,7 @@ def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
     point expressed in each chart's own coordinates where needed. The
     sections must agree to ``SECTION_TOL`` on every overlap.
     """
+    atlas = replace(atlas, sections={c: _OncePerM(s).__getitem__ for c, s in atlas.sections.items()})
     worst, offender = section_consistency(atlas)
     if not worst <= SECTION_TOL:
         i, j, m = offender
@@ -95,17 +96,16 @@ def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
 
     # The shifted map needs s_i at the image base point. Overlap records store
     # aligned coordinates, so m_j moves by the i - j offset of its nearest sample
-    # (first record, then first index, as argmin picks): exact samples through a
-    # dict, any other point by a scan. The section terms depend only on m, so the
-    # next stencil point reuses the last m's (never a zero's: -0.0 == 0.0).
+    # (first record, then first index, as argmin picks): every m that a record
+    # lists is resolved here, any other point by a scan. The section terms depend
+    # only on m, so the next stencil point reuses the last m's (never a zero's:
+    # -0.0 == 0.0).
     def make_shifted(i: str, j: str) -> Transition:
         psi = atlas.transition(i, j)
         s_i, s_j = atlas.sections[i], atlas.sections[j]
         pairs = [(rec.points(j), rec.points(i)) for rec in atlas.overlaps if set(rec.charts) == {i, j}]
-        offsets: dict[float, float] = {}
-        for mj, mi in pairs:
-            for v, offset in zip(mj.tolist(), mi - mj):
-                offsets.setdefault(v, offset)
+        listed = [np.asarray(rec.samples[j], dtype=float) for rec in (*atlas.overlaps, *atlas.triples) if j in rec.samples]
+        offsets = _nearest_offsets(pairs, np.concatenate([np.empty(0), *listed]))
         memo = (None, 0.0, 0.0)
 
         def to_i(m_j: float) -> float:
@@ -132,6 +132,55 @@ def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
     new_psi = {key: make_shifted(*key) for key in atlas.psi}
     zero = lambda m: 0.0
     return replace(atlas, psi=new_psi, sections={c: zero for c in atlas.charts})
+
+
+class _OncePerM(dict):
+    """A section's values by m, each computed on its first lookup; a zero's
+    (-0.0 == 0.0, but a section may tell them apart) and a NaN's on every one."""
+
+    def __init__(self, section: Section):
+        super().__init__()
+        self.section = section
+
+    def __missing__(self, m: float) -> float:
+        value = self.section(m)
+        if m != 0.0 and m == m:
+            self[m] = value
+        return value
+
+
+def _nearest_offsets(pairs: list[tuple[np.ndarray, np.ndarray]], ms: np.ndarray) -> dict[float, float]:
+    """m_i - m_j at the sample m_j nearest to each m of ``ms``, as the shift's scan
+    picks it: the first index of the smallest |m_j - m| in each record, then the
+    first record with the smallest gap, which is the first of the records'
+    samples laid end to end.
+
+    Their distinct values are bisected; when the two neighbours of m tie, the
+    first of either wins. An m whose gap rounds to the same value at a second
+    distinct sample on one side, or a non-finite m, is left to the scan. When
+    a record is empty or not finite, only the exact samples are resolved, by
+    the first record and index that hold them.
+    """
+    offsets: dict[float, float] = {}
+    samples = np.concatenate([np.empty(0), *(mj for mj, _ in pairs)])
+    if not (all(mj.size for mj, _ in pairs) and np.isfinite(samples).all()):
+        for mj, mi in pairs:
+            for v, offset in zip(mj.tolist(), (mi - mj).tolist()):
+                offsets.setdefault(v, offset)
+        return offsets
+    shifts = np.concatenate([np.empty(0), *(mi - mj for mj, mi in pairs)])
+    values, first = np.unique(samples, return_index=True)
+    # two infinite sentinels at each end, so every m has two neighbours on either side
+    values = np.concatenate(([-np.inf, -np.inf], values, [np.inf, np.inf]))
+    first = np.concatenate(([0, 0], first, [0, 0]))
+    ms = np.unique(ms[np.isfinite(ms)])
+    right = np.searchsorted(values, ms)
+    gap_left, gap_right = np.abs(values[right - 1] - ms), np.abs(values[right] - ms)
+    gap = np.minimum(gap_left, gap_right)
+    k = np.minimum(np.where(gap_left == gap, first[right - 1], samples.size), np.where(gap_right == gap, first[right], samples.size))
+    tied = (np.abs(values[right - 2] - ms) == gap) | (np.abs(values[right + 1] - ms) == gap)
+    keep = (gap < np.inf) & ~tied
+    return dict(zip(ms[keep].tolist(), shifts[k[keep]].tolist()))
 
 
 def origin_residual(shifted: TransitionAtlas) -> float:

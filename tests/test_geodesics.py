@@ -9,7 +9,7 @@ import pytest
 import carrollgeo as cg
 from carrollgeo import geodesics, scenarios
 from carrollgeo.connection import GaugeField
-from carrollgeo.errors import ContractViolation
+from carrollgeo.errors import CarrollError, ContractViolation, DomainError
 from carrollgeo.geodesics import (
     GeodesicState,
     IntegratorConfig,
@@ -46,6 +46,24 @@ def test_charge_trivial_connection(flat2):
 def test_charge_stationary_state(flat2):
     s = GeodesicState([0.1, 0.2], 1.5, [0.0, 0.0], 0.0)
     assert carroll_charge(s, flat2.gauge, "cartesian") == 0.0
+
+
+@pytest.mark.parametrize(
+    "x, t, vx, vt, error, message",
+    [
+        ([0.0, math.nan], 1.0, [1.0, 0.0], 0.0, DomainError, "non-finite state (x..., t, vx..., vt) = [0.0, nan, 1.0, 1.0, 0.0, 0.0]"),
+        ([0.5], math.inf, [1.0], 2.0, DomainError, "non-finite state (x..., t, vx..., vt) = [0.5, inf, 1.0, 2.0]"),
+        ([0.5], -1.0, [-math.inf], 0.0, DomainError, "non-finite state (x..., t, vx..., vt) = [0.5, -1.0, -inf, 0.0]"),
+        ([0.5], 2.0, [0.0], math.nan, DomainError, "non-finite state (x..., t, vx..., vt) = [0.5, 2.0, 0.0, nan]"),
+        ([0.5], math.nan, [0.0], 0.0, DomainError, "non-finite state (x..., t, vx..., vt) = [0.5, nan, 0.0, 0.0]"),
+        ([0.5], 0.0, [0.0], 0.0, DomainError, "fiber coordinate must be nonzero"),
+        ([0.5, 1.0], 1.0, [0.0], math.nan, ContractViolation, "position and velocity dimensions differ"),
+    ],
+)
+def test_state_rejects_bad_input_with_its_error_and_message(x, t, vx, vt, error, message):
+    with pytest.raises(CarrollError) as caught:
+        GeodesicState(x, t, vx, vt)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_charge_angular_momentum_relation(schwarzschild):

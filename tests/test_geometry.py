@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carrollgeo as cg
-from carrollgeo.errors import ContractViolation, DomainError
+from carrollgeo.errors import CarrollError, ContractViolation, DomainError
 from carrollgeo.geometry import (
     FiberRescaling,
     Point,
@@ -31,6 +31,37 @@ def test_point_rejects_zero_fiber():
         Point(np.array([0.0]), 0.0)
     with pytest.raises(DomainError):
         Point(np.array([0.0]), 1e-12)
+
+
+_BAD_POINTS = [
+    ([0.0, math.nan], 1.0, DomainError, "non-finite coordinates"),
+    ([math.inf, 0.0], 1.0, DomainError, "non-finite coordinates"),
+    ([-math.inf], -2.0, DomainError, "non-finite coordinates"),
+    ([0.0, 1.0], math.inf, DomainError, "non-finite coordinates"),
+    ([0.0, 1.0], -math.inf, DomainError, "non-finite coordinates"),
+    ([0.0], math.nan, DomainError, "non-finite coordinates"),
+    ([math.nan], 1e-12, DomainError, "non-finite coordinates"),
+    ([0.0], 1e-12, DomainError, "fiber coordinate too close to zero: t = 1.000e-12"),
+    ([0.0], -0.0, DomainError, "fiber coordinate too close to zero: t = -0.000e+00"),
+    (2.0, 5e-10, DomainError, "fiber coordinate too close to zero: t = 5.000e-10"),
+    ([[0.0, 1.0]], 1.0, ContractViolation, "base coordinates must be a 1d array with n >= 1"),
+    ([[math.nan]], 1.0, ContractViolation, "base coordinates must be a 1d array with n >= 1"),
+    ([], 1.0, ContractViolation, "base coordinates must be a 1d array with n >= 1"),
+    (np.empty(0), math.nan, ContractViolation, "base coordinates must be a 1d array with n >= 1"),
+]
+
+
+@pytest.mark.parametrize("x, t, error, message", _BAD_POINTS)
+def test_point_rejects_bad_input_with_its_error_and_message(x, t, error, message):
+    with pytest.raises(CarrollError) as caught:
+        Point(x, t)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_point_stores_float_coordinates():
+    p = Point([1, 2], 3)
+    assert p.x.dtype == float and p.x.tolist() == [1.0, 2.0] and type(p.t) is float and p.t == 3.0
+    assert Point(2.5, -1e-9).x.shape == (1,)
 
 
 def test_adapted_raw_round_trip():

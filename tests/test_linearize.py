@@ -13,6 +13,8 @@ from carrollgeo.errors import ConstructionError, NumericError
 from carrollgeo.linearize import (
     OverlapRecord,
     TransitionAtlas,
+    TripleRecord,
+    _nearest_offsets,
     embed_section_diffeo,
     embed_section_diffeo_inverse,
     linearize,
@@ -284,22 +286,28 @@ def _reference_shift(atlas: TransitionAtlas) -> TransitionAtlas:
     def make_shifted(i, j):
         psi = atlas.transition(i, j)
         s_i, s_j = atlas.sections[i], atlas.sections[j]
-        pairs = [(rec.points(j), rec.points(i)) for rec in atlas.overlaps if set(rec.charts) == {i, j}]
-
-        def to_i(m_j):
-            best = m_j
-            gap = float("inf")
-            for mj, mi in pairs:
-                k = int(np.argmin(np.abs(mj - m_j)))
-                if abs(mj[k] - m_j) < gap:
-                    gap = abs(mj[k] - m_j)
-                    best = m_j + (mi[k] - mj[k])
-            return best
-
-        return lambda m, r: psi(m, r + s_j(m)) - s_i(to_i(m))
+        pairs = _pairs(atlas, i, j)
+        return lambda m, r: psi(m, r + s_j(m)) - s_i(_scan_image(pairs, m))
 
     zero = lambda m: 0.0
     return replace(atlas, psi={key: make_shifted(*key) for key in atlas.psi}, sections={c: zero for c in atlas.charts})
+
+
+def _pairs(atlas: TransitionAtlas, i: str, j: str) -> list:
+    return [(rec.points(j), rec.points(i)) for rec in atlas.overlaps if set(rec.charts) == {i, j}]
+
+
+def _scan_image(pairs, m_j):
+    """m_j moved by the i - j offset of its nearest sample, found by argmin in
+    each record (first index), keeping the first record with the smallest gap."""
+    best = m_j
+    gap = float("inf")
+    for mj, mi in pairs:
+        k = int(np.argmin(np.abs(mj - m_j)))
+        if abs(mj[k] - m_j) < gap:
+            gap = abs(mj[k] - m_j)
+            best = m_j + (mi[k] - mj[k])
+    return best
 
 
 def _dyadic_atlas() -> TransitionAtlas:
@@ -409,3 +417,120 @@ def test_each_coefficient_is_evaluated_once_per_call():
     for sample in cocycle.sampled:
         for m, c in zip(sample.m.tolist(), sample.c.tolist()):
             assert c == cocycle.value(*sample.charts, m) == _per_m_coefficient(shifted.psi[sample.charts], m)
+
+
+# -- offsets resolved at construction, sections evaluated once ---------------------
+
+def _random_dyadic_atlas(rng: np.random.Generator) -> TransitionAtlas:
+    """Charts a = 2 b, b and c = b on random multiples of 1/16 in [0, 4],
+    repeated within and across records, each partner a few random ulps off
+    so that any other nearest sample changes the bits. The triple lists
+    multiples of 1/32: points of b and c between two samples, many of them
+    exact ties."""
+    identity = lambda m, r: r
+    overlaps = []
+    for _ in range(int(rng.integers(1, 4))):
+        for first, scale in (("a", 2.0), ("c", 1.0)):
+            mb = rng.integers(0, 65, size=int(rng.integers(1, 10))) / 16.0
+            partner = scale * mb + rng.integers(-4, 5, size=mb.size) * 2.0**-44
+            charts = (first, "b") if rng.random() < 0.5 else ("b", first)
+            overlaps.append(OverlapRecord(charts=charts, samples={first: partner, "b": mb}))
+    tb = rng.integers(0, 129, size=12) / 32.0
+    return TransitionAtlas(
+        charts=["a", "b", "c"],
+        psi={key: identity for key in [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]},
+        sections={"a": lambda m: 0.5 * m, "b": lambda m: m, "c": lambda m: m},
+        overlaps=overlaps,
+        triples=[TripleRecord(charts=("a", "b", "c"), samples={"a": 2.0 * tb, "b": tb, "c": tb})],
+    )
+
+
+def _listed(atlas: TransitionAtlas, chart: str) -> list[float]:
+    records = [*atlas.overlaps, *atlas.triples]
+    return [float(m) for rec in records if chart in rec.samples for m in np.asarray(rec.samples[chart], dtype=float)]
+
+
+def test_listed_offsets_equal_the_scan_on_random_atlases():
+    rng = np.random.default_rng(20)
+    for trial in range(60):
+        atlas = _random_dyadic_atlas(rng)
+        fast, slow = shift_transitions(atlas), _reference_shift(atlas)
+        for i, j in atlas.psi:
+            pairs, listed = _pairs(atlas, i, j), _listed(atlas, j)
+            offsets = _nearest_offsets(pairs, np.array(listed))
+            # every listed m is resolved, each as the scan resolves it
+            assert set(offsets) == set(listed), trial
+            for m in listed:
+                assert m + offsets[m] == _scan_image(pairs, m), (trial, i, j, m)
+            unlisted = rng.uniform(-1.0, 5.0, 6).tolist() + [m + 2.0**-9 for m in listed[:6]]
+            for m in listed + unlisted + listed[::-1]:
+                for r in (0.0, 0.3):
+                    assert fast.psi[(i, j)](m, r) == slow.psi[(i, j)](m, r), (trial, i, j, m, r)
+
+
+def test_a_gap_that_ties_at_two_distinct_samples_is_left_to_the_scan():
+    """|1e-20 - 1| and |2e-20 - 1| both round to 1: argmin takes the first
+    sample, not the neighbour that bisection finds, so the scan decides."""
+    mb = np.array([1e-20, 2e-20, 5.0])
+    ma = 2.0 * mb + np.array([1.0, -1.0, 0.0]) * 2.0**-44
+    identity = lambda m, r: r
+    atlas = TransitionAtlas(
+        charts=["a", "b"],
+        psi={("a", "b"): identity, ("b", "a"): identity},
+        sections={"a": lambda m: 0.5 * m, "b": lambda m: m},
+        overlaps=[OverlapRecord(charts=("a", "b"), samples={"a": ma, "b": mb})],
+        triples=[TripleRecord(charts=("a", "b", "a"), samples={"a": np.array([2.0]), "b": np.array([1.0])})],
+    )
+    offsets = _nearest_offsets(_pairs(atlas, "a", "b"), np.array(_listed(atlas, "b")))
+    assert 1.0 not in offsets and set(offsets) == set(mb.tolist())
+    fast, slow = shift_transitions(atlas), _reference_shift(atlas)
+    assert fast.psi[("a", "b")](1.0, 0.0) == slow.psi[("a", "b")](1.0, 0.0) == 1.0 - 0.5 * (1.0 + ma[0] - mb[0])
+
+
+def test_records_that_are_empty_or_not_finite_resolve_only_their_exact_samples():
+    """argmin reads a NaN as the nearest sample and an empty record has none,
+    so such atlases leave every other m to the scan, as before."""
+    listed = np.array([0.5, 0.25, 0.375, 7.0])
+    nan_record = (np.array([0.5, math.nan, 0.5]), np.array([1.0, 0.0, 2.0]))
+    finite = (np.array([0.25, 0.5]), np.array([3.0, 4.0]))
+    for pairs, at_half in (([nan_record, finite], 0.5), ([finite, (np.empty(0), np.empty(0))], 3.5)):
+        offsets = {m: off for m, off in _nearest_offsets(pairs, listed).items() if m == m}
+        assert offsets == {0.5: at_half, 0.25: 2.75}
+
+
+def _counted_sections(atlas: TransitionAtlas, calls: list) -> TransitionAtlas:
+    def counted(chart, section):
+        return lambda m: calls.append((chart, m)) or section(m)
+
+    return replace(atlas, sections={c: counted(c, s) for c, s in atlas.sections.items()})
+
+
+@pytest.mark.parametrize("n, distinct", [(32, 278), (256, 2212)])
+def test_each_section_is_evaluated_once_per_chart_and_m(n, distinct):
+    """The section check and the shifted maps share one value per (chart, m):
+    on the synthetic atlas the shift and the linearization read sections at
+    these many distinct (chart, m), and nothing after them reads one again."""
+    calls = []
+    shifted = shift_transitions(_counted_sections(synthetic_circle_atlas(n), calls))
+    linearize(shifted)
+    assert len(calls) == len(set(calls)) == distinct
+    origin_residual(shifted)
+    assert len(calls) == distinct
+
+
+def test_a_zero_base_point_evaluates_its_sections_on_every_call():
+    """-0.0 == 0.0, so no value at a zero is reused: a section that tells
+    them apart gives the shifted map the value of the zero it is called at."""
+    ms = np.array([-0.5, -0.0, 0.0, 0.5])
+    tilt = lambda m: 1e-3 * math.copysign(1.0, m)
+    atlas = _two_chart(lambda m, r: r, lambda m, r: r, sections={"a": tilt, "b": tilt}, ms=ms)
+    calls = []
+    fast = shift_transitions(_counted_sections(atlas, calls))
+    slow = _reference_shift(atlas)
+    calls.clear()
+    for m in (0.0, 0.0, -0.0, 0.25, 0.0, -0.0, -0.0, 0.25, 0.5):
+        assert fast.psi[("a", "b")](m, 0.25) == slow.psi[("a", "b")](m, 0.25), m
+    zeros = [(chart, m) for chart, m in calls if m == 0.0]
+    assert len(zeros) == 2 * 6 and [math.copysign(1.0, m) for _, m in zeros[::2]] == [1, 1, -1, 1, -1, -1]
+    # 0.25 reads each section once; 0.5 is a sample, read by the section check
+    assert sorted(set(calls) - set(zeros)) == [("a", 0.25), ("b", 0.25)] and len(calls) == len(zeros) + 2
