@@ -8,6 +8,15 @@ coordinate). ``DEFAULT_REL_STEP`` applies to the bundle's fields (metric
 blocks, gauge fields, vector fields, assembled metrics) and
 ``TRANSITION_REL_STEP`` to chart-transition data (base maps, fiber factors,
 fiber transitions); callers do not choose a step.
+
+The Richardson difference has a truncation error of order h^4 and a roundoff
+error of order eps / h, so its accuracy peaks at a step between the two.
+``DEFAULT_REL_STEP`` sits there for the bundle's fields. Against the closed
+Christoffel symbols on every chart of the catalog, the demo file and a grid
+file, the worst relative gap per chart is 3-6e-11 at 1e-5 and 3-5e-12 at
+1e-4 (roundoff), 0.5-1.7e-12 from 3e-4 to 1e-3, and 6e-11 at 3e-3
+(truncation). Of the steps on that floor it takes the smallest, which
+leaves the most room for a field that varies faster than the catalog's.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_REL_STEP = 1e-5
+DEFAULT_REL_STEP = 3e-4
 TRANSITION_REL_STEP = 1e-6
 SIGN_GUARD_CUTOFF = 1e-9
 
