@@ -161,9 +161,9 @@ def _nearest_offsets(pairs: list[tuple[np.ndarray, np.ndarray]], ms: np.ndarray)
     a record is empty or not finite, only the exact samples are resolved, by
     the first record and index that hold them.
     """
-    offsets: dict[float, float] = {}
     samples = np.concatenate([np.empty(0), *(mj for mj, _ in pairs)])
     if not (all(mj.size for mj, _ in pairs) and np.isfinite(samples).all()):
+        offsets: dict[float, float] = {}
         for mj, mi in pairs:
             for v, offset in zip(mj.tolist(), (mi - mj).tolist()):
                 offsets.setdefault(v, offset)
