@@ -180,10 +180,12 @@ def parse_tuple(text: str) -> tuple[float, ...]:
 
 
 def parse_pair(text: str) -> tuple[float, ...]:
-    """Two comma-separated constant expressions ``lo, hi`` with lo < hi."""
+    """Two comma-separated constant expressions ``lo, hi``, finite, with lo < hi."""
     values = tuple(parse_number(chunk) for chunk in text.split(","))
     if len(values) != 2:
         raise ConstructionError(f"expected two values lo, hi, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ConstructionError(f"a span lo, hi needs finite ends, got {text.strip()!r}")
     if not values[0] < values[1]:
         raise ConstructionError(f"a span lo, hi needs lo < hi, got {text.strip()!r}")
     return values

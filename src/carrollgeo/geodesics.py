@@ -290,8 +290,8 @@ def printed_spatial_acceleration(
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
     kk = scenario.kk(-1, scenario.connection(gauge))
-    gminv, base, _ = base_data(kk, p.x, p.t, chart)
-    gminv = base_inverse(kk, gminv, p.x, p.t, chart)
+    base, _, _ = base_data(kk, p.x, p.t, chart)
+    gminv = base_inverse(kk, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
     vx = state.vx
@@ -601,8 +601,8 @@ def integrate_small_gauge(
 
     def rhs(y: list[float]) -> list[float]:
         x, v = np.array(y[:n]), y[n:]
-        gminv, base, _ = base_data(kk, x, 1.0, chart)
-        gminv = base_inverse(kk, gminv, x, 1.0, chart)
+        base, _, _ = base_data(kk, x, 1.0, chart)
+        gminv = base_inverse(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
         va = np.array(v)
         return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()

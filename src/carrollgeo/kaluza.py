@@ -13,10 +13,11 @@ det(raw) * t^2 = s * det(g_M).
 Two Christoffel routes are provided. ``christoffel_numeric`` differentiates
 the raw metric components directly (the brute-force oracle, and the
 reference for the other route). ``christoffel_closed`` assembles the symbols
-from base data; it is validated against the oracle only when the gauge field
-vanishes, which is where geodesics use it by default, and with a nonzero
-gauge field its output is something to compare, not to trust (see
-``closed_form_deviation``).
+from base data: the base symbols, dg_M/dt and the rate g_M^-1 dg_M/dt, which
+a block conformal in t registers as (Omega'/Omega) I, with no inverse. It is
+validated against the oracle only when the gauge field vanishes, which is
+where geodesics use it by default, and with a nonzero gauge field its output
+is something to compare, not to trust (see ``closed_form_deviation``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read
 
 # registered base symbols at (x, t) on a chart, symmetric in the lower pair
 BaseSymbols = Callable[[np.ndarray, float, str], np.ndarray]
-# registered dg_M/dt at (x, t) on a chart, given g_M(x, t)
-BlockDerivative = Callable[[np.ndarray, float, str, np.ndarray], np.ndarray]
+# registered (dg_M/dt, g_M^-1 dg_M/dt) at (x, t) on a chart
+BlockDerivative = Callable[[np.ndarray, float, str], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -166,41 +167,41 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 
 def base_data(kk: KKMetric, x: np.ndarray, t: float,
-              chart: str) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """The inverse base block, the Levi-Civita symbols of the base block at
-    frozen t, and dg_M/dt, all at (x, t); dg_M/dt is None where it vanishes
-    identically: a fiber-independent metric with no registered derivative.
-    Registered closed forms are used where given; a registered dg_M/dt gets
-    the block read here. The rest comes from central differences over one
-    stacked read of g_M on the stencil around x, or around (x, t) when
-    dg_M/dt is differenced too; the stencil's centre gives the inverse. With
-    registered base symbols and no dg_M/dt no term reads g_M: it is not read,
-    and the inverse is None (see ``base_inverse``)."""
+              chart: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The Levi-Civita symbols of the base block at frozen t, dg_M/dt and the
+    rate g_M^-1 dg_M/dt (rate[c, a] = g^{cd} dg_ad/dt), all at (x, t); dg_M/dt
+    and the rate are None where dg_M/dt vanishes identically: a
+    fiber-independent metric with no registered derivative. Registered
+    closed forms are used where given, and a registered time derivative
+    gives dg_M/dt and the rate together. The rest comes from central
+    differences over one stacked read of g_M on the stencil around x, or
+    around (x, t) when dg_M/dt is differenced too; the stencil's centre gives
+    the inverse for the symbols and the rate. Registered data alone read no
+    g_M here (see ``base_inverse``)."""
     n = x.size
     t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
     if kk.base_symbols is None or t_differenced:
         points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
         stencil = points[0]
         gms = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
-        gm = gms[0]
+        gminv = _inverse(gms[0])
         partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    else:
-        gm = None if kk.metric_t_derivative is None else kk.metric.at(x, t, chart)
-    gminv = None if gm is None else _inverse(gm)
     if kk.base_symbols is not None:
         base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
     else:
         base = _levi_civita(gminv, partials[:n])
     if kk.metric_t_derivative is not None:
-        dgdt = np.asarray(kk.metric_t_derivative(x, t, chart, gm), dtype=float)
+        dgdt, rate = kk.metric_t_derivative(x, t, chart)
+    elif t_differenced:
+        dgdt, rate = partials[n], np.einsum("cd,ad->ca", gminv, partials[n])
     else:
-        dgdt = partials[n] if t_differenced else None
-    return gminv, base, dgdt
+        dgdt = rate = None
+    return base, dgdt, rate
 
 
-def base_inverse(kk: KKMetric, gminv: np.ndarray | None, x: np.ndarray, t: float, chart: str) -> np.ndarray:
-    """The inverse base block at (x, t): ``gminv`` of ``base_data`` there, read and inverted where it is None."""
-    return _inverse(kk.metric.at(x, t, chart)) if gminv is None else gminv
+def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
+    """The inverse base block at (x, t), read and inverted."""
+    return _inverse(kk.metric.at(x, t, chart))
 
 
 def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None = None) -> np.ndarray:
@@ -232,7 +233,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
             raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
     n = x.size
     s = kk.sign
-    gminv, base, dgdt = base_data(kk, x, t, chart)
+    base, dgdt, rate = base_data(kk, x, t, chart)
 
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
@@ -242,7 +243,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
         # is -s (t^2/2) times 0, a zero with the sign of -s
         gamma[n, :n, :n] = -s * 0.0
     else:
-        gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * np.einsum("cd,ad->ca", gminv, dgdt)
+        gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
         fiber = -s * (t**2 / 2.0) * dgdt
         gamma[n, :n, :n] = 0.5 * (fiber + fiber.T) if kk.gauge.is_zero else fiber
 
@@ -253,7 +254,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
                 "use the finite-difference oracle"
             )
         dgdt = np.zeros((n, n)) if dgdt is None else dgdt
-        gminv = base_inverse(kk, gminv, x, t, chart)
+        gminv = base_inverse(kk, x, t, chart)
         a = kk.gauge.at(x, chart)
         jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
         f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a

@@ -347,12 +347,15 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     """Common assembly for the sphere-based scenarios.
 
     ``scale(t)`` multiplies the round block; ``dgdt_factor(t)`` is its exact
-    t-derivative divided by scale, i.e. d(scale)/dt = dgdt_factor * scale.
+    t-derivative divided by scale, i.e. d(scale)/dt = dgdt_factor * scale, so
+    the registered (dg_M/dt, g_M^-1 dg_M/dt) is (dgdt_factor g_M, dgdt_factor I).
     """
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
+    eye = np.eye(2)
 
-    def metric_t_derivative(x, t, chart_name, gm):
-        return dgdt_factor(t) * gm
+    def metric_t_derivative(x, t, chart_name):
+        factor = dgdt_factor(t)
+        return factor * metric.at(x, t, chart_name), factor * eye
 
     return Scenario(
         name=name,
@@ -637,18 +640,22 @@ def load_scenario_file(path: str | Path) -> Scenario:
     jets = {c: jet for c, (_, jet) in blocks.items()}
     exact = all(jet is not None for jet in jets.values())
 
-    @lru_cache(maxsize=1)  # the base symbols and dg_M/dt of one closed-form call share one jet
-    def shared_jet(chart: str, x: bytes, t: float) -> tuple[np.ndarray, np.ndarray]:
+    @lru_cache(maxsize=1)  # one jet and its inverse give the base symbols, dg_M/dt and rate of a closed-form call
+    def shared_jet(chart: str, x: bytes, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g, dg = jets[chart](np.frombuffer(x), t)
-        g.flags.writeable = dg.flags.writeable = False
-        return g, dg
+        ginv = _inverse(g)
+        base, rate = _levi_civita(ginv, dg[:dim]), np.einsum("cd,ad->ca", ginv, dg[dim])
+        base.flags.writeable = dg.flags.writeable = rate.flags.writeable = False
+        return base, dg[dim], rate
 
     def base_symbols(x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        g, dg = shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t) if time_dependent else jets[chart](x, t)
+        if time_dependent:
+            return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[0]
+        g, dg = jets[chart](x, t)
         return _levi_civita(_inverse(g), dg[:dim])
 
-    def metric_t_derivative(x: np.ndarray, t: float, chart: str, gm: np.ndarray) -> np.ndarray:
-        return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[1][dim]
+    def metric_t_derivative(x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray]:
+        return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[1:]
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)

@@ -5,7 +5,8 @@ order of a tableau, and the zero-gauge closed form skips the terms that
 vanish. Both must give every float that the straightforward numpy code
 gives. That code is kept here as the reference: the Fehlberg and RK4 steps
 over arrays, the array right-hand side, and the zero-gauge closed-form
-assembly with a second read of g_M for a registered dg_M/dt. Seeded orbits
+assembly, whose mixed block is a registered rate g_M^-1 dg_M/dt where one
+is given and the inverse times dg_M/dt otherwise. Seeded orbits
 run once as they are and once with the references patched in, and every
 array of the two trajectories must be equal byte for byte.
 """
@@ -101,10 +102,11 @@ def _ref_base_data(kk, x, t, chart):
     else:
         base = kaluza._levi_civita(gminv, partials[:n])
     if kk.metric_t_derivative is not None:
-        dgdt = np.asarray(kk.metric_t_derivative(x, t, chart, kk.metric.at(x, t, chart)), dtype=float)
+        dgdt, rate = kk.metric_t_derivative(x, t, chart)
     else:
         dgdt = partials[n] if t_differenced else np.zeros((n, n))
-    return gminv, base, dgdt
+        rate = np.einsum("cd,ad->ca", gminv, dgdt)
+    return gminv, base, dgdt, rate
 
 
 def _ref_christoffel_closed(kk, p, *, chart=None):
@@ -116,10 +118,10 @@ def _ref_christoffel_closed(kk, p, *, chart=None):
         x, t = raw[:-1], float(raw[-1])
     n = x.size
     s = kk.sign
-    gminv, base, dgdt = _ref_base_data(kk, x, t, chart)
+    _, base, dgdt, rate = _ref_base_data(kk, x, t, chart)
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
-    gamma[:n, :n, n] = 0.5 * np.einsum("cd,ad->ca", gminv, dgdt)
+    gamma[:n, :n, n] = 0.5 * rate
     gamma[:n, n, :n] = gamma[:n, :n, n]
     gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
     gamma[n, n, n] = -1.0 / t
@@ -244,7 +246,7 @@ def test_small_gauge_orbit_equals_the_reference(schwarzschild, method, reference
     def rhs(y):
         y = np.array(y)
         x, v = y[:2], y[2:]
-        gminv, symbols, _ = _ref_base_data(kk, x, 1.0, "angular")
+        gminv, symbols, _, _ = _ref_base_data(kk, x, 1.0, "angular")
         acc = -np.einsum("abc,b,c->a", symbols, v, v) + sign_q * (gminv @ field(x) @ v)
         return np.concatenate([v, acc]).tolist()
 
@@ -293,8 +295,11 @@ def test_stereographic_symbols_equal_the_loop():
 
 
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
-    """dg_M/dt = -U'(t) g_M with U' from the exact derivative of U, which is 1.0 for U = t."""
+    """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the
+    exact derivative of U, which is 1.0 for U = t."""
     x = np.array([1.1, 0.4])
     for t in (0.3, -0.8, 1.7, -2.5):
         gm = thakurta.metric.at(x, t, "angular")
-        assert thakurta.metric_t_derivative(x, t, "angular", gm).tobytes() == (-gm).tobytes()
+        dgdt, rate = thakurta.metric_t_derivative(x, t, "angular")
+        assert dgdt.tobytes() == (-gm).tobytes()
+        assert rate.tobytes() == (-np.eye(2)).tobytes()

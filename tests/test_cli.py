@@ -385,6 +385,9 @@ to_b = exp(-sin(m)) * r
             "b = interval(0.5, 3)\nc = interval(1, 4)\n[triple abc]\ncharts = a, b, c\ninterval = 1.5, 1\n",
             "lo < hi",
         ),
+        ("check", SCENARIO_FILE, "box(-1, 1; -1, 1)", "box(-1, 1; 0, 1e400)", "finite ends"),
+        ("linearize", ATLAS_FILE, "interval = 0.6, 1.9", "interval = 1.0, 1e400", "finite ends"),
+        ("linearize", ATLAS_FILE, "a = interval(-2, 2)", "a = interval(-1e400, 2)", "finite ends"),
     ],
     ids=[
         "dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval",
@@ -394,7 +397,7 @@ to_b = exp(-sin(m)) * r
         "unknown_expects_key", "misspelled_euler_killing", "unknown_gauge_chart", "unknown_default_chart",
         "atlas_no_section_header", "atlas_not_utf8", "atlas_unknown_section", "atlas_unknown_sections_key",
         "overlap_unknown_key", "chart_interval_garbage", "chart_interval_reversed", "overlap_interval_reversed",
-        "triple_interval_reversed",
+        "triple_interval_reversed", "box_infinite_end", "overlap_interval_infinite_end", "chart_interval_infinite_end",
     ],
 )
 def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):

@@ -10,6 +10,7 @@ import carrollgeo as cg
 from carrollgeo import geodesics, scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import CarrollError, ContractViolation, DomainError
+from carrollgeo.geometry import DegenerateMetric
 from carrollgeo.geodesics import (
     GeodesicState,
     IntegratorConfig,
@@ -465,26 +466,30 @@ def test_the_oracle_reads_no_registered_base_data(text):
 
 
 def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatch):
-    """On a time-dependent expression file the registered base symbols and
-    dg_M/dt both come from the forward-mode jet of the block at (x, t): one
-    closed-form call evaluates it once, and the next point evaluates it anew."""
-    calls = []
-    parse = scenarios._parse_matrix
+    """On a time-dependent expression file the registered base symbols,
+    dg_M/dt and g_M^-1 dg_M/dt all come from the forward-mode jet of the block
+    at (x, t) and its one inverse: one closed-form call evaluates the jet once,
+    inverts once and reads no block, and the next point evaluates it anew."""
+    calls, reads, inverses = [], [], []
+    parse, at, inverse = scenarios._parse_matrix, DegenerateMetric.at, np.linalg.inv
 
     def counted(*args, **kwargs):
         gm, jet = parse(*args, **kwargs)
         return gm, lambda x, t: calls.append((tuple(x), t)) or jet(x, t)
 
     monkeypatch.setattr(scenarios, "_parse_matrix", counted)
+    monkeypatch.setattr(DegenerateMetric, "at", lambda self, *args: reads.append(args) or at(self, *args))
+    monkeypatch.setattr(np.linalg, "inv", lambda g: inverses.append(g) or inverse(g))
     wave = _load_text(WAVE)
     assert wave.metric_t_derivative is not None
     rng = np.random.default_rng(3)
     for sign in (+1, -1):
         kk = wave.kk(sign)
         for p in wave.sample_points(rng, 4, include_negative_t=True):
-            calls.clear()
+            for log in (calls, reads, inverses):
+                log.clear()
             christoffel_closed(kk, p)
-            assert calls == [(tuple(p.x), p.t)]
+            assert calls == [(tuple(p.x), p.t)] and reads == [] and len(inverses) == 1
 
 
 def _assert_routes_agree(scenario, chart, sign):

@@ -20,6 +20,7 @@ from carrollgeo import _fd, kaluza, scenarios, suites
 from carrollgeo.cli import main
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import DomainError, NumericError
+from carrollgeo.geometry import DegenerateMetric
 from carrollgeo.kaluza import christoffel_numeric
 from carrollgeo.linearize import linearize, shift_transitions, synthetic_circle_atlas
 
@@ -314,9 +315,14 @@ def test_only_fd_chooses_a_step():
     assert offenders == {}
 
 
+NONLINEAR_THAKURTA = {"GM": 0.5, "U": "0.3*sin(t) + t^2"}
+
+
 def _zero_gauge_charts():
-    for name in scenarios.catalog_names():
-        scenario = cg.load(name)
+    """Every zero-gauge catalog chart, and thakurta's with a non-linear U."""
+    cases = [(name, cg.load(name)) for name in scenarios.catalog_names()]
+    cases.append(("thakurta_nonlinear_u", cg.load("thakurta", **NONLINEAR_THAKURTA)))
+    for name, scenario in cases:
         if scenario.gauge.is_zero:
             for chart in scenario.atlas.charts:
                 yield pytest.param(scenario, chart, id=f"{name}-{chart}")
@@ -339,3 +345,23 @@ def test_the_oracle_step_keeps_it_within_1e_11_of_the_closed_form(scenario, char
             for row, numeric in zip(raw, oracle):
                 closed = kaluza.christoffel_closed(kk, row, chart=chart)
                 assert np.max(np.abs(numeric - closed)) <= 1e-11 * np.max(np.abs(closed)), (t_sign, sign, row)
+
+
+@pytest.mark.parametrize("chart", ["angular", "stereo_n", "stereo_s"])
+@pytest.mark.parametrize("name, params", [("lightcone", {}), ("thakurta", {"U": "t"}), ("thakurta", NONLINEAR_THAKURTA)],
+                         ids=["lightcone", "thakurta_u_t", "thakurta_nonlinear_u"])
+def test_a_conformal_closed_form_call_reads_the_block_once_and_inverts_nothing(name, params, chart, monkeypatch):
+    """lightcone and thakurta register dg_M/dt = (Omega'/Omega) g_M of their
+    block g_M = Omega(t) h(x) with its rate g_M^-1 dg_M/dt = (Omega'/Omega) I:
+    one closed-form call reads the block once and inverts no matrix."""
+    scenario = cg.load(name, **params)
+    reads, inverses = [], []
+    at, inverse = DegenerateMetric.at, np.linalg.inv
+    monkeypatch.setattr(DegenerateMetric, "at", lambda self, *args: reads.append(args) or at(self, *args))
+    monkeypatch.setattr(kaluza, "_inverse", lambda g: inverses.append(g) or inverse(g))
+    monkeypatch.setattr(np.linalg, "inv", lambda g: inverses.append(g) or inverse(g))
+    for p in scenario.sample_points(np.random.default_rng(7), 6, chart=chart, include_negative_t=True):
+        for sign in (+1, -1):
+            reads.clear()
+            kaluza.christoffel_closed(scenario.kk(sign), p)
+            assert len(reads) == 1 and inverses == []

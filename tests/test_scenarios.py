@@ -78,13 +78,15 @@ def test_thakurta_conformal_profile():
 
 
 def test_thakurta_fiber_derivative_agrees_with_the_difference_of_the_block():
-    """dg_M/dt = -U'(t) g_M, with U' from the exact derivative of U."""
+    """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the exact derivative of U."""
     s = load("thakurta", GM=0.5, U="0.3*sin(t) + t^2")
     x = np.array([1.1, 0.4])
     for t in (0.3, -0.8, 1.7, -2.5):
-        exact = s.metric_t_derivative(x, t, "angular", s.metric.at(x, t, "angular"))
+        exact, rate = s.metric_t_derivative(x, t, "angular")
         difference = _fd.partial(lambda arr: s.metric.at(x, float(arr[0]), "angular"), np.array([t]), 0, keep_sign=(0,))
         assert np.max(np.abs(exact - difference)) <= 1e-8 * np.max(np.abs(exact)), t
+        differenced_rate = np.linalg.solve(s.metric.at(x, t, "angular"), difference)
+        assert np.max(np.abs(rate - differenced_rate)) <= 1e-8 * np.max(np.abs(rate)), t
 
 
 def test_moebius_full_suite(rng):
