@@ -2,10 +2,10 @@
 
 State: raw coordinates (x, t) and raw velocities (dx/dl, dt/dl) along an
 affine parameter. The second-order system x''^A + Gamma^A_BC x'^B x'^C = 0
-is integrated with an embedded Fehlberg 4(5) pair (adaptive, the default)
-or a fixed-step classical RK4 for convergence studies. The symbols come
-from the closed form where it is validated against the finite-difference
-oracle, that is where the gauge field is known to vanish
+is integrated with the embedded Tsitouras 5(4) pair (adaptive, the default,
+named "rk45") or a fixed-step classical RK4 for convergence studies. The
+symbols come from the closed form where it is validated against the
+finite-difference oracle, that is where the gauge field is known to vanish
 (``GaugeField.is_zero``), and from the oracle everywhere else;
 ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
@@ -78,8 +78,7 @@ class GeodesicState:
         return np.concatenate([self.x, [self.t], self.vx, [self.vt]])
 
 
-# adaptive stepping: first step, underflow floor, step budget
-INITIAL_STEP = 1e-3
+# adaptive stepping: underflow floor, step budget
 MIN_STEP = 1e-14
 MAX_STEPS = 500_000
 # the full flow stops once |t| falls below this fraction of its initial value
@@ -88,10 +87,11 @@ T_GUARD_FACTOR = 1e-6
 
 @dataclass
 class IntegratorConfig:
-    """Stepping settings of both flows. ``tol`` is the RKF45 tolerance,
-    relative and absolute at once: a component's error scale is
-    tol + tol * max(|y|, |y_new|). ``lambda_max`` is the span: the affine
-    parameter of ``integrate``, the log-time u of ``integrate_small_gauge``."""
+    """Stepping settings of both flows. ``tol`` is the tolerance of the
+    adaptive method "rk45" (Tsitouras 5(4)), relative and absolute at once: a
+    component's error scale is tol + tol * max(|y|, |y_new|). ``lambda_max``
+    is the span: the affine parameter of ``integrate``, the log-time u of
+    ``integrate_small_gauge``."""
 
     method: str = "rk45"
     tol: float = 1e-10
@@ -335,26 +335,36 @@ class _Tableau:
     to right, for each (div, weights) row. A start of 0.0 is Python's ``sum``,
     which turns a -0.0 sum into 0.0; -0.0 starts from the first term as it is.
     A zero weight is skipped; after a start of 0.0 its term adds nothing, and
-    a non-finite slope it would turn into NaN spoils the step anyway."""
+    a non-finite slope it would turn into NaN spoils the step anyway.
+
+    A method with an error row is first same as last: its solution is its
+    last stage point, whose slope the error row weighs last and the next step
+    takes as its first."""
 
     stages: tuple  # the rows of stages 1, 2, ...; stage 0 is at y
     solution: tuple  # the propagated solution
-    embedded: tuple | None  # the solution it is compared with, if any
+    error: tuple | None  # the error estimate h * (e_0 k_0 + ...), if any
     start: float
 
 
-# Fehlberg 4(5); the fifth-order solution is propagated
-_FEHLBERG45 = _Tableau(
-    stages=((1.0, (1 / 4,)), (1.0, (3 / 32, 9 / 32)), (1.0, (1932 / 2197, -7200 / 2197, 7296 / 2197)),
-            (1.0, (439 / 216, -8.0, 3680 / 513, -845 / 4104)),
-            (1.0, (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40))),
-    solution=(1.0, (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)),
-    embedded=(1.0, (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)),
+# Tsitouras 5(4), Comput. Math. Appl. 62 (2011) 770-775: the fifth-order
+# solution is propagated and is the seventh stage point; the error row is b - b^
+_TSITOURAS54 = _Tableau(
+    stages=((1.0, (0.161,)),
+            (1.0, (-0.008480655492356989, 0.335480655492357)),
+            (1.0, (2.897153057105493, -6.359448489975075, 4.3622954328695815)),
+            (1.0, (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525)),
+            (1.0, (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401,
+                   -0.028269050394068383))),
+    solution=(1.0, (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081,
+                    2.324710524099774)),
+    error=(1.0, (0.001780011052226, 0.000816434459657, -0.007880878010262, 0.144711007173263,
+                 -0.582357165452555, 0.458082105929187, -1 / 66)),
     start=0.0,
 )
 # classical RK4: y + (h / 2) k1, y + (h / 2) k2, y + h k3, then y + (h / 6) (k1 + 2 k2 + 2 k3 + k4)
 _RK4 = _Tableau(stages=((2.0, (1.0,)), (2.0, (0.0, 1.0)), (1.0, (0.0, 0.0, 1.0))),
-                solution=(6.0, (1.0, 2.0, 2.0, 1.0)), embedded=None, start=-0.0)
+                solution=(6.0, (1.0, 2.0, 2.0, 1.0)), error=None, start=-0.0)
 
 
 def _combine(y: list[float], h: float, row: tuple[float, tuple[float, ...]], ks: list[list[float]],
@@ -371,20 +381,45 @@ def _combine(y: list[float], h: float, row: tuple[float, tuple[float, ...]], ks:
     return out
 
 
-def _rk_step(tableau: _Tableau, rhs, y: list[float], h: float, tol: float) -> tuple[list[float], float]:
-    """One step of ``tableau`` from y: the propagated state and the RMS of the
-    difference from the embedded one, each component over
-    tol + tol * max(|y|, |y_new|); 0.0 without an embedded solution."""
-    ks = [rhs(y)]
+def _rms(values: list[float]) -> float:
+    # numpy's sum, whose pairwise order a plain loop does not follow
+    return math.sqrt(np.add.reduce([v * v for v in values]) / len(values))
+
+
+def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
+             tol: float) -> tuple[list[float], list[float] | None, float]:
+    """One step of ``tableau`` from y, whose slope is k0: the propagated
+    state, its slope (None without an error row) and the RMS of the error
+    estimate, each component over tol + tol * max(|y|, |y_new|) (0.0 without
+    an error row)."""
+    ks = [k0]
     for row in tableau.stages:
         ks.append(rhs(_combine(y, h, row, ks, tableau.start)))
     y_new = _combine(y, h, tableau.solution, ks, tableau.start)
-    if tableau.embedded is None:
-        return y_new, 0.0
-    y_low = _combine(y, h, tableau.embedded, ks, tableau.start)
-    ratios = [(a - b) / (tol + tol * max(abs(y0), abs(a))) for y0, a, b in zip(y, y_new, y_low)]
-    # numpy's sum, whose pairwise order a plain loop does not follow
-    return y_new, math.sqrt(np.add.reduce([r * r for r in ratios]) / len(ratios))
+    if tableau.error is None:
+        return y_new, None, 0.0
+    ks.append(rhs(y_new))
+    errs = _combine([0.0] * len(y), h, tableau.error, ks, tableau.start)
+    return y_new, ks[-1], _rms([e / (tol + tol * max(abs(y0), abs(a))) for y0, a, e in zip(y, y_new, errs)])
+
+
+def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: float) -> float:
+    """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, 2nd
+    ed., 1993, II.4) for an error estimate of order 4, capped at
+    ``max_step``: one probe slope at y + h0 k0 gauges the second derivative.
+    The error scale is tol + tol * |y|. Whatever the slopes are, the step is
+    finite and at least min(``MIN_STEP``, ``max_step``), so that a
+    non-finite slope ends the first step as ``non_finite``."""
+    scale = [tol + tol * abs(v) for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([f / s for f, s in zip(k0, scale)])
+    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6
+    probe = rhs([v + h0 * f for v, f in zip(y, k0)])
+    d2 = _rms([(g - f) / s for g, f, s in zip(probe, k0, scale)]) / h0
+    # a NaN compares false: it falls back to the small step
+    d = max(d1, d2)
+    h1 = (0.01 / d) ** 0.2 if 1e-15 < d < math.inf else max(1e-6, 1e-3 * h0)
+    return min(max(min(100.0 * h0, h1), MIN_STEP), max_step)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +436,13 @@ def _drive(
     """Step y' = rhs(y) from parameter 0 towards ``span``; returns the sample
     parameters, the sampled states and the event records.
 
-    ``cfg.method`` "rk45" takes Fehlberg 4(5) steps under error control;
-    "rk4" is the same loop without it: round(span / rk4_step) steps of fixed
-    size, the last one not clamped to ``span``. States are lists of Python
+    ``cfg.method`` "rk45" takes Tsitouras 5(4) steps under error control,
+    six right-hand side calls an attempt: the slope at an accepted state
+    starts the next step, and a rejected step keeps the slope at y. Its first
+    step is ``_first_step``'s, at the cost of one probe call; a zero span
+    calls nothing. "rk4" is the same loop without error control:
+    round(span / rk4_step) steps of fixed size and four calls each, the last
+    step not clamped to ``span``. States are lists of Python
     floats: each step takes its stage points and its solutions term by term
     in the order of its ``_Tableau``, which gives every float that the same
     sums over numpy arrays give. ``guard(y)`` names the reason an accepted
@@ -423,26 +462,31 @@ def _drive(
     adaptive = cfg.method == "rk45"
     if not adaptive and span / cfg.rk4_step > MAX_STEPS:
         raise ContractViolation(f"rk4_step = {cfg.rk4_step} takes more than {MAX_STEPS} steps over the span {span}")
-    tableau = _FEHLBERG45 if adaptive else _RK4
+    tableau = _TSITOURAS54 if adaptive else _RK4
 
     def stage(y: list[float]) -> list[float]:
         # a non-finite stage point has no symbols; its slope is non-finite too
         return rhs(y) if all(map(math.isfinite, y)) else [math.nan] * len(y)
 
-    lam, y = 0.0, y0.tolist()
+    lam, y, k = 0.0, y0.tolist(), None
     params, states, events = [lam], [y], []
-    h = min(INITIAL_STEP, cfg.max_step, span) if adaptive else cfg.rk4_step
+    h = cfg.rk4_step
+    if adaptive and span > 0.0:
+        k = stage(y)
+        h = _first_step(stage, y, k, cfg.tol, cfg.max_step)
     for _ in range(MAX_STEPS if adaptive else int(round(span / h))):
         if adaptive:
             if lam >= span:
                 break
             h = min(h, span - lam)
-        y_new, err_norm = _rk_step(tableau, stage, y, h, cfg.tol)
+        if k is None:
+            k = stage(y)
+        y_new, k_new, err_norm = _rk_step(tableau, stage, y, k, h, cfg.tol)
         if not (math.isfinite(err_norm) and all(map(math.isfinite, y_new))):
             events.append({"kind": "non_finite", "lambda": lam + h})
             break
         if err_norm <= 1.0:
-            lam, y = lam + h, y_new
+            lam, y, k = lam + h, y_new, k_new
             params.append(lam)
             states.append(y)
             reason = guard(y)

@@ -3,12 +3,13 @@
 The steppers take their stage points and solutions on Python floats, in the
 order of a tableau, and the zero-gauge closed form skips the terms that
 vanish. Both must give every float that the straightforward numpy code
-gives. That code is kept here as the reference: the Fehlberg and RK4 steps
-over arrays, the array right-hand side, and the zero-gauge closed-form
-assembly, whose mixed block is a registered rate g_M^-1 dg_M/dt where one
-is given and the inverse times dg_M/dt otherwise. Seeded orbits
-run once as they are and once with the references patched in, and every
-array of the two trajectories must be equal byte for byte.
+gives. That code is kept here as the reference: the Tsitouras and RK4 steps
+over arrays, each evaluating every stage afresh, the array right-hand side,
+and the zero-gauge closed-form assembly, whose mixed block is a registered
+rate g_M^-1 dg_M/dt where one is given and the inverse times dg_M/dt
+otherwise. Seeded orbits run once as they are and once with the references
+patched in, and every array of the two trajectories must be equal byte for
+byte.
 """
 
 import dataclasses
@@ -28,26 +29,35 @@ ARRAYS = ("lam", "x", "t", "vx", "vt", "charge", "null_residual", "base_speed2")
 
 # -- the references ---------------------------------------------------------------
 
-_FB_A = (
+# Tsitouras 5(4): the rows of stages 2-7, the last of which is b, and b - b^
+_TS_A = (
     (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+    (0.161,),
+    (-0.008480655492356989, 0.335480655492357),
+    (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+    (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+    (5.86145544294642, -12.92096931784711, 8.159367898576159, -0.071584973281401, -0.028269050394068383),
+    (0.09646076681806523, 0.01, 0.4798896504144996, 1.379008574103742, -3.290069515436081, 2.324710524099774),
 )
-_FB_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_FB_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_TS_E = (0.001780011052226, 0.000816434459657, -0.007880878010262, 0.144711007173263, -0.582357165452555,
+         0.458082105929187, -1 / 66)
 
 
-def _ref_rkf45_step(rhs, y, h):
-    k = [rhs(y)]
-    for i in range(1, 6):
-        yi = y + h * sum(a * ki for a, ki in zip(_FB_A[i], k))
-        k.append(rhs(yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_FB_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_FB_B4, k))
-    return y5, y5 - y4
+def _ref_tsit5_step(rhs, y, h):
+    """Every stage afresh; the seventh stage point is the solution."""
+    k, point = [rhs(y)], y
+    for row in _TS_A[1:]:
+        point = y + h * sum(a * ki for a, ki in zip(row, k))
+        k.append(rhs(point))
+    return point, k[-1], h * sum(e * ki for e, ki in zip(_TS_E, k))
+
+
+def test_reference_tableau_is_the_steppers():
+    """Every coefficient bit for bit, so that a change of any digit of one
+    that the order conditions cannot resolve still fails."""
+    tableau = geodesics._TSITOURAS54
+    assert tuple(weights for _, weights in tableau.stages + (tableau.solution,)) == _TS_A[1:]
+    assert tableau.error[1] == _TS_E
 
 
 def _ref_rk4_step(rhs, y, h):
@@ -58,15 +68,17 @@ def _ref_rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _ref_step(tableau, rhs, y, h, tol):
-    """The stepping kernel's contract, (state, error norm), computed on arrays."""
+def _ref_step(tableau, rhs, y, k0, h, tol):
+    """The stepping kernel's contract, (state, its slope, error norm), computed
+    on arrays; the slope handed in must be the one at y, bit for bit."""
     f = lambda v: np.array(rhs(v.tolist()))
     y = np.array(y)
+    assert np.array(k0).tobytes() == f(y).tobytes()
     if tableau is geodesics._RK4:
-        return _ref_rk4_step(f, y, h).tolist(), 0.0
-    y_new, err = _ref_rkf45_step(f, y, h)
+        return _ref_rk4_step(f, y, h).tolist(), None, 0.0
+    y_new, k_new, err = _ref_tsit5_step(f, y, h)
     scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-    return y_new.tolist(), float(np.sqrt(np.mean((err / scale) ** 2)))
+    return y_new.tolist(), k_new.tolist(), float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
 def _ref_geodesic_rhs(gamma_at):
@@ -223,7 +235,7 @@ def test_rk4_orbit_equals_the_reference(lightcone, references):
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_signed_zeros_equal_the_reference(flat2, method, references):
-    """eps = -1 on an axis direction gives vx = (-q, -0.0): the Fehlberg sums
+    """eps = -1 on an axis direction gives vx = (-q, -0.0): the Tsitouras sums
     start from 0 and turn -0.0 into 0.0, the RK4 ones keep it."""
     state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=1.0, t0=1.0, eps=-1), flat2)
     cfg = IntegratorConfig(method=method, lambda_max=0.5)

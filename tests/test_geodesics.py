@@ -538,16 +538,51 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-# a first adaptive step of the whole span is rejected, and so is the next
+def _record_steps(monkeypatch):
+    """Record (rhs, y, k0, h) of every attempted step, ``_rk_step`` being looked up at call time."""
+    seen = []
+    rk_step = geodesics._rk_step
+
+    def recorded(tableau, rhs, y, k0, h, tol):
+        seen.append((rhs, y, k0, h))
+        return rk_step(tableau, rhs, y, k0, h, tol)
+
+    monkeypatch.setattr(geodesics, "_rk_step", recorded)
+    return seen
+
+
+def _assert_first_slopes_are_fresh(attempts):
+    # the first slope an attempt is handed, reused or not, is the right-hand side at its state
+    for rhs, y, k0, _ in attempts:
+        assert np.array(rhs(y)).tobytes() == np.array(k0).tobytes()
+
+
+def _first_step_of_the_whole_span(monkeypatch):
+    """The first adaptive step is the whole span, which is rejected, and so is
+    the next; the starting-step rule still runs, and its probe call counts."""
+    first_step = geodesics._first_step
+
+    def whole_span(rhs, y, k0, tol, max_step):
+        first_step(rhs, y, k0, tol, max_step)
+        return max_step
+
+    monkeypatch.setattr(geodesics, "_first_step", whole_span)
+
+
 _REJECTING = dict(lambda_max=1.0, max_step=1.0, rk4_step=0.05)
 
 
-@pytest.mark.parametrize("method, stages", [("rk45", 6), ("rk4", 4)])
+def _expected_calls(method, attempts):
+    # rk45: the slope at y0, the starting-step probe, then six calls an attempt; rk4: four a step
+    return 1 + 1 + 6 * attempts if method == "rk45" else 4 * attempts
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
 @pytest.mark.parametrize("route", ["closed", "numeric"])
-def test_every_attempted_step_evaluates_the_symbols_once_per_stage(schwarzschild, flat2, monkeypatch, route, method,
-                                                                   stages):
-    monkeypatch.setattr(geodesics, "INITIAL_STEP", 1.0)
-    attempts = _count_calls(monkeypatch, "_rk_step")
+def test_every_attempted_step_evaluates_the_symbols_six_times_or_four(schwarzschild, flat2, monkeypatch, route,
+                                                                       method):
+    _first_step_of_the_whole_span(monkeypatch)
+    attempts = _record_steps(monkeypatch)
     symbols = {name: _count_calls(monkeypatch, f"christoffel_{name}") for name in ("closed", "numeric")}
     cfg = IntegratorConfig(method=method, **_REJECTING)
     if route == "closed":
@@ -557,17 +592,114 @@ def test_every_attempted_step_evaluates_the_symbols_once_per_stage(schwarzschild
         state = shoot_null(NullShootSpec(x0=[0.2, -0.1], u=[0.6, 0.8], q=0.5, t0=-1.2), flat2, gauge=gauge)
         traj = integrate(state, flat2, cfg, gauge=gauge)
     assert traj.events == [] and traj.meta["christoffel"] == route
-    assert len(symbols[route]) == stages * len(attempts) and sum(map(len, symbols.values())) == len(symbols[route])
-    assert len(attempts) > len(traj) - 1 if method == "rk45" else len(attempts) == len(traj) - 1 == 20
+    assert len(symbols[route]) == _expected_calls(method, len(attempts))
+    assert sum(map(len, symbols.values())) == len(symbols[route])
+    if method == "rk45":
+        assert attempts[0][3] == 1.0 and len(attempts) > len(traj) - 1
+    else:
+        assert len(attempts) == len(traj) - 1 == 20
+    _assert_first_slopes_are_fresh(attempts)
 
 
-@pytest.mark.parametrize("method, stages", [("rk45", 6), ("rk4", 4)])
-def test_every_attempted_step_of_the_reduced_flow_reads_the_field_once_per_stage(flat2, monkeypatch, method, stages):
-    monkeypatch.setattr(geodesics, "INITIAL_STEP", 1.0)
-    attempts = _count_calls(monkeypatch, "_rk_step")
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_every_attempted_step_of_the_reduced_flow_reads_the_field_six_times_or_four(flat2, monkeypatch, method):
+    _first_step_of_the_whole_span(monkeypatch)
+    attempts = _record_steps(monkeypatch)
     reads = []
     field = lambda x: reads.append(x) or np.array([[0.0, 0.5], [-0.5, 0.0]])
     cfg = IntegratorConfig(method=method, **_REJECTING)
     base = integrate_small_gauge([0.1, 0.0], [0.6, 0.8], flat2, +1, cfg, curvature_fn=field)
-    assert base.events == [] and len(reads) == stages * len(attempts)
+    assert base.events == [] and len(reads) == _expected_calls(method, len(attempts))
     assert len(attempts) > len(base) - 1 if method == "rk45" else len(attempts) == len(base) - 1 == 20
+    _assert_first_slopes_are_fresh(attempts)
+
+
+# -- the adaptive method and its first step -----------------------------------------
+
+_C = (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0)
+
+
+def _order_conditions(A, b, c, order):
+    """sum(b Phi(t)) - 1 / gamma(t) for the rooted trees t of up to ``order`` nodes: 8 up to 4, 17 up to 5."""
+    Ac = A @ c
+    conditions = [(b.sum(), 1), (b @ c, 2), (b @ c**2, 3), (b @ Ac, 6),
+                  (b @ c**3, 4), (b @ (c * Ac), 8), (b @ A @ c**2, 12), (b @ A @ Ac, 24)]
+    if order == 5:
+        conditions += [(b @ c**4, 5), (b @ (c**2 * Ac), 10), (b @ (c * (A @ c**2)), 15), (b @ (c * (A @ Ac)), 30),
+                       (b @ Ac**2, 20), (b @ A @ c**3, 20), (b @ A @ (c * Ac), 40), (b @ A @ A @ c**2, 60),
+                       (b @ A @ A @ Ac, 120)]
+    return np.array([value - 1.0 / gamma for value, gamma in conditions])
+
+
+def test_tsitouras_tableau_satisfies_the_order_conditions():
+    """Fifth order for b, fourth for b^ = b - e, c as the row sums, and first
+    same as last: the seventh stage row is b, and b weighs the seventh slope 0.
+    The conditions resolve about twelve significant digits; the bit-identity
+    reference pins each coefficient to the last bit."""
+    tableau = geodesics._TSITOURAS54
+    rows = [()] + [weights for _, weights in tableau.stages] + [tableau.solution[1]]
+    assert all(div == 1.0 for div, _ in tableau.stages + (tableau.solution, tableau.error))
+    assert [len(row) for row in rows] == list(range(7)) and len(tableau.error[1]) == 7
+    A = np.array([list(row) + [0.0] * (7 - len(row)) for row in rows])
+    b = A[6]
+    assert b[6] == 0.0
+    b_hat = b - np.array(tableau.error[1])
+    c = np.array(_C)
+    assert np.max(np.abs(_order_conditions(A, b, c, 5))) <= 2e-15
+    assert np.max(np.abs(_order_conditions(A, b_hat, c, 4))) <= 2e-15
+    assert np.max(np.abs(A.sum(axis=1) - c)) <= 2e-15
+    # the embedded solution is of order four only: a fifth-order condition fails
+    assert np.max(np.abs(_order_conditions(A, b_hat, c, 5))) > 1e-4
+
+
+def test_first_step_follows_the_starting_rule():
+    """From y = 1 at tol 1e-10, where d0 = 1 / (2 tol): y' = -y has d1 = d0,
+    h0 = 0.01 and d2 = 0.01 / h0 / (2 tol) = 5e9, so the step is
+    (0.01 / 5e9) ** 0.2 unless capped; y' = 1e8 has h0 = 0.01 d0 / d1 =
+    1e-10, d2 = 0 and (0.01 / d1) ** 0.2 > 100 h0 = 1e-8; y' = 0 falls back to 1e-6."""
+    rule = lambda slope, max_step: geodesics._first_step(lambda y: [slope(y[0])], [1.0], [slope(1.0)], 1e-10,
+                                                         max_step)
+    assert rule(lambda v: -v, 0.1) == pytest.approx((0.01 / 5e9) ** 0.2, rel=1e-12)
+    assert rule(lambda v: -v, 1e-3) == 1e-3
+    assert rule(lambda v: 1e8, 0.1) == pytest.approx(1e-8, rel=1e-12)
+    assert rule(lambda v: 0.0, 0.1) == 1e-6
+
+
+@pytest.mark.parametrize("span", [1.0, 1e-9, 0.0])
+def test_first_step_of_a_frozen_state_is_finite_and_within_the_span(schwarzschild, monkeypatch, span):
+    """The frozen state's slope vanishes, so the rule falls back to its small
+    step. A zero span, where (0, min(max_step, span)] is empty, attempts no
+    step and evaluates nothing."""
+    attempts = _record_steps(monkeypatch)
+    calls = _count_calls(monkeypatch, "christoffel_closed")
+    frozen = shoot_null(NullShootSpec(x0=[1.0, 0.5], u=[0.0, 1.0], q=0.0, t0=1.0), schwarzschild)
+    cfg = IntegratorConfig(lambda_max=span, max_step=0.1)
+    traj = integrate(frozen, schwarzschild, cfg)
+    assert traj.events == [] and calls == [] and traj.lam[-1] == span
+    if span == 0.0:
+        assert attempts == [] and len(traj) == 1
+    else:
+        h = attempts[0][3]
+        assert math.isfinite(h) and 0.0 < h <= min(cfg.max_step, span)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_slope_at_the_initial_state_ends_the_run_at_a_finite_lambda(flat2, bad):
+    y0 = np.array([0.1, 0.2, 0.3, 0.4])
+    lams, ys, events = geodesics._drive(lambda y: [bad] * len(y), y0, 1.0, IntegratorConfig(), lambda y: None)
+    assert lams == [0.0] and ys == [y0.tolist()]
+    assert [e["kind"] for e in events] == ["non_finite"] and 0.0 < events[0]["lambda"] <= 0.1
+    field = lambda x: np.full((2, 2), bad)
+    base = integrate_small_gauge([0.1, 0.0], [0.6, 0.8], flat2, +1, IntegratorConfig(lambda_max=1.0),
+                                 curvature_fn=field)
+    assert len(base) == 1 and [e["kind"] for e in base.events] == ["non_finite"]
+    assert math.isfinite(base.events[0]["lambda"])
+
+
+@pytest.mark.parametrize("rk4_step", [0.05, 0.03, 0.07])
+def test_rk4_takes_round_span_over_step_fixed_steps(schwarzschild, monkeypatch, rk4_step):
+    attempts = _record_steps(monkeypatch)
+    cfg = IntegratorConfig(method="rk4", rk4_step=rk4_step, lambda_max=1.0)
+    traj = integrate(_equatorial_state(schwarzschild), schwarzschild, cfg)
+    assert len(attempts) == len(traj) - 1 == round(1.0 / rk4_step)
+    assert {h for *_, h in attempts} == {rk4_step}
