@@ -79,7 +79,7 @@ def _stencil(p: np.ndarray, rel: float, keep_sign: Sequence[int]):
     return points, h
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _unit_offsets(m: int) -> np.ndarray:
     """``offsets(1.0)`` on each of m axes in turn after the centre, shape (4m + 1, m), read-only; every
     other entry is -0.0, which keeps a coordinate exact under addition (0.0 turns -0.0 into 0.0)."""

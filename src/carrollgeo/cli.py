@@ -273,6 +273,8 @@ def cmd_christoffel(args) -> int:
 
 def cmd_linearize(args) -> int:
     _reject_idle_output_options(args)
+    if not 0.0 <= args.tol < np.inf:  # a NaN compares false
+        raise ContractViolation(f"--tol must be finite and >= 0, got {args.tol}")
     if args.atlas == "moebius":
         atlas = moebius_transition_atlas()
     elif args.atlas == "synthetic":

@@ -36,7 +36,7 @@ import numpy as np
 
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import Chart, Point
+from .geometry import Chart, Point, square
 from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
@@ -160,7 +160,7 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     gauge = gauge if gauge is not None else scenario.gauge
     x, vx = state.x[None], state.vx[None]
     omega_v = state.vt / state.t + float(_along(vx, gauge.at(x, chart))[0])
-    return float(_along(vx, scenario.metric.at(x, [state.t], chart))[0]) - omega_v**2
+    return float(_along(vx, scenario.metric.at(x, [state.t], chart))[0]) - square(omega_v, "vt / t + vx . A")
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +549,14 @@ def integrate(
 
     # one stacked read of g_M and one of A feed all three monitors; the
     # square is Python's, whose libm pow can differ from numpy's x * x
-    speeds = _along(vxs, scenario.metric.at(xs, ts, chart))
-    omega = vts / ts + _along(vxs, gauge.at(xs, chart))
-    nulls = speeds - np.array([w**2 for w in omega.tolist()])
+    g, a = scenario.metric.at(xs, ts, chart), gauge.at(xs, chart)
+    with np.errstate(over="raise"):
+        try:
+            speeds = _along(vxs, g)
+            omega = vts / ts + _along(vxs, a)
+        except FloatingPointError:
+            raise NumericError("the base speed or the charge of a sample overflows the float range") from None
+    nulls = speeds - np.array([square(w, "vt / t + vx . A") for w in omega.tolist()])
 
     return Trajectory(
         lam=np.array(lams), x=xs, t=ts, vx=vxs, vt=vts,

@@ -23,9 +23,19 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import _fd
-from .errors import ConstructionError, ContractViolation, DomainError
+from .errors import ConstructionError, ContractViolation, DomainError, NumericError
 
 FIBER_CUTOFF = 1e-9
+
+
+def square(v: float, what: str) -> float:
+    """v**2 by libm pow, as Python computes it and an array power does not;
+    a square beyond the float range, which Python raises as OverflowError
+    where numpy would return inf, is a NumericError naming ``what`` v is."""
+    try:
+        return v**2
+    except OverflowError:
+        raise NumericError(f"the square of {what} = {v:.3e} overflows the float range") from None
 
 
 # ---------------------------------------------------------------------------

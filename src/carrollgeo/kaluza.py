@@ -14,7 +14,8 @@ Two Christoffel routes are provided. ``christoffel_numeric`` differentiates
 the raw metric components directly (the brute-force oracle, and the
 reference for the other route). ``christoffel_closed`` assembles the symbols
 from base data: the base symbols, dg_M/dt and the rate g_M^-1 dg_M/dt, which
-a block conformal in t registers as (Omega'/Omega) I, with no inverse. It is
+a scenario registers exactly as its ``base_jet`` where it can (a block
+conformal in t gives the rate as (Omega'/Omega) I, with no inverse). It is
 validated against the oracle only when the gauge field vanishes, which is
 where geodesics use it by default, and with a nonzero gauge field its output
 is something to compare, not to trust (see ``closed_form_deviation``).
@@ -31,23 +32,17 @@ import numpy as np
 from . import _fd
 from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw
-
-# registered base symbols at (x, t) on a chart, symmetric in the lower pair
-BaseSymbols = Callable[[np.ndarray, float, str], np.ndarray]
-# registered (dg_M/dt, g_M^-1 dg_M/dt) at (x, t) on a chart
-BlockDerivative = Callable[[np.ndarray, float, str], tuple[np.ndarray, np.ndarray]]
+from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw, square
 
 
 @dataclass
 class KKMetric:
-    """Assembled non-degenerate metric with optional registered base data."""
+    """Assembled non-degenerate metric; ``base_jet`` is optional registered base data (see ``base_data``)."""
 
     sign: int
     metric: DegenerateMetric
     gauge: GaugeField
-    base_symbols: BaseSymbols | None = None
-    metric_t_derivative: BlockDerivative | None = None
+    base_jet: Callable[[np.ndarray, float, str], tuple] | None = None
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
@@ -78,8 +73,7 @@ class KKMetric:
             out[:, n, n] = self.sign
         else:
             out[:, :n, n] = out[:, n, :n] = sa / raw[:, -1:]
-            # per point as Python floats: t**2 is libm pow, which an array power is not
-            out[:, n, n] = [self.sign / ti**2 for ti in t.tolist()]
+            out[:, n, n] = [self.sign / square(ti, "the fiber coordinate t") for ti in t.tolist()]
         return out
 
     def raw_field(self, chart: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -107,7 +101,7 @@ def det_identity_defect(raw: np.ndarray, gm: np.ndarray, t: float | np.ndarray, 
     """Relative defect of det(raw) * t^2 = sign * det(g_M), from the raw
     components and the base block at one point or a stack (t of shape (K,))."""
     det_gm = np.linalg.det(gm)
-    t2 = np.reshape([ti**2 for ti in np.ravel(t).tolist()], np.shape(t))  # libm pow, as in ``components``
+    t2 = np.reshape([square(ti, "the fiber coordinate t") for ti in np.ravel(t).tolist()], np.shape(t))
     return np.abs(np.linalg.det(raw) * t2 - sign * det_gm) / np.maximum(np.abs(det_gm), 1e-300)
 
 
@@ -168,35 +162,32 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 def base_data(kk: KKMetric, x: np.ndarray, t: float,
               chart: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The Levi-Civita symbols of the base block at frozen t, dg_M/dt and the
-    rate g_M^-1 dg_M/dt (rate[c, a] = g^{cd} dg_ad/dt), all at (x, t); dg_M/dt
-    and the rate are None where dg_M/dt vanishes identically: a
-    fiber-independent metric with no registered derivative. Registered
-    closed forms are used where given, and a registered time derivative
-    gives dg_M/dt and the rate together. The rest comes from central
-    differences over one stacked read of g_M on the stencil around x, or
-    around (x, t) when dg_M/dt is differenced too; the stencil's centre gives
-    the inverse for the symbols and the rate. Registered data alone read no
-    g_M here (see ``base_inverse``)."""
+    """The Levi-Civita symbols of the base block at frozen t (symmetric in
+    the lower pair), dg_M/dt and the rate g_M^-1 dg_M/dt (rate[c, a] =
+    g^{cd} dg_ad/dt), all at (x, t); dg_M/dt and the rate are None for a
+    fiber-independent block. They are the registered ``kk.base_jet`` where
+    there is one, which reads no g_M here (see ``base_inverse``); one that
+    gives no dg_M/dt for a fiber-dependent block is a ContractViolation.
+    Otherwise they are central differences over one stacked read of g_M on
+    the stencil around x, or around (x, t) for a fiber-dependent block, whose
+    centre gives the inverse."""
+    if kk.base_jet is not None:
+        base, dgdt, rate = kk.base_jet(x, t, chart)
+        if dgdt is None and kk.metric.time_dependent:
+            raise ContractViolation(f"the registered base jet on chart {chart!r} gives no dg_M/dt for a "
+                                    "fiber-dependent block")
+        return base, dgdt, rate
     n = x.size
-    t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
-    if kk.base_symbols is None or t_differenced:
-        points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
-        stencil = points[0]
-        gms = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
-        gminv = _inverse(gms[0])
-        partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    if kk.base_symbols is not None:
-        base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
-    else:
-        base = _levi_civita(gminv, partials[:n])
-    if kk.metric_t_derivative is not None:
-        dgdt, rate = kk.metric_t_derivative(x, t, chart)
-    elif t_differenced:
-        dgdt, rate = partials[n], np.einsum("cd,ad->ca", gminv, partials[n])
-    else:
-        dgdt = rate = None
-    return base, dgdt, rate
+    fiber = kk.metric.time_dependent
+    points, h = _fd.stencil((np.append(x, t) if fiber else x)[None], keep_sign=(n,))
+    stencil = points[0]
+    gms = kk.metric.at(stencil[:, :n], stencil[:, n] if fiber else np.full(len(stencil), t), chart)
+    gminv = _inverse(gms[0])
+    partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
+    base = _levi_civita(gminv, partials[:n])
+    if not fiber:
+        return base, None, None
+    return base, partials[n], np.einsum("cd,ad->ca", gminv, partials[n])
 
 
 def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
@@ -285,7 +276,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
         return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
     # without a gauge field every block is symmetric in the lower pair already
-    # (registered base symbols are; the fiber block is symmetrized above)
+    # (the base symbols are; the fiber block is symmetrized above)
     return gamma
 
 

@@ -1,9 +1,10 @@
 """Built-in scenario catalog and scenario-file ingestion.
 
 A scenario bundles an atlas, a degenerate metric, a default gauge field,
-registered closed-form data (base Christoffel symbols, fiber derivative of
-the metric block) and the properties it is expected to satisfy. Loading only
-builds the scenario; the check suites verify the declared expectations.
+its registered closed-form base data (``base_jet``: the base Christoffel
+symbols, dg_M/dt and g_M^-1 dg_M/dt, as ``kaluza.base_data`` returns them)
+and the properties it is expected to satisfy. Loading only builds the
+scenario; the check suites verify the declared expectations.
 
 Catalog: flat(n), lightcone, sphere_pullback, moebius, schwarzschild(GM),
 thakurta(GM, U). Sphere scenarios carry an angular chart (kept inside a
@@ -17,7 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -35,7 +36,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import BaseSymbols, BlockDerivative, KKMetric, _inverse, _levi_civita
+from .kaluza import KKMetric, _inverse, _levi_civita
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,7 @@ class Scenario:
     default_chart: str
     params: dict = field(default_factory=dict)
     expects: dict = field(default_factory=dict)
-    base_symbols: BaseSymbols | None = None
-    metric_t_derivative: BlockDerivative | None = None
+    base_jet: Callable[[np.ndarray, float, str], tuple] | None = None  # see ``kaluza.base_data``
     description: str = ""
 
     def point(self, x, t: float, chart: str | None = None) -> Point:
@@ -71,8 +71,7 @@ class Scenario:
             sign=int(sign),
             metric=self.metric,
             gauge=self.gauge if connection is None else connection.gauge,
-            base_symbols=self.base_symbols,
-            metric_t_derivative=self.metric_t_derivative,
+            base_jet=self.base_jet,
         )
 
     def sample_points(
@@ -199,13 +198,6 @@ def _sphere_charts_metric(radius2: float, scale: Callable[[float], float] | None
         "stereo_n": lambda x, t: scale(t) * stereo(x, t),
         "stereo_s": lambda x, t: scale(t) * stereo(x, t),
     }
-
-
-def _sphere_base_symbols(x: np.ndarray, t: float, chart: str) -> np.ndarray:
-    # symbols of a round metric are unchanged by any t-dependent overall factor
-    if chart == "angular":
-        return _angular_symbols(x)
-    return _stereo_symbols(x)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +330,7 @@ def _build_flat(params: Mapping) -> Scenario:
         default_chart="cartesian",
         params={"n": n},
         expects={"euler_killing": True, "weight": 0.0},
-        base_symbols=lambda x, t, chart_name: zeros,
+        base_jet=lambda x, t, chart_name: (zeros, None, None),
         description="Euclidean base metric on a trivial bundle",
     )
 
@@ -349,13 +341,17 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     ``scale(t)`` multiplies the round block; ``dgdt_factor(t)`` is its exact
     t-derivative divided by scale, i.e. d(scale)/dt = dgdt_factor * scale, so
     the registered (dg_M/dt, g_M^-1 dg_M/dt) is (dgdt_factor g_M, dgdt_factor I).
+    The base symbols of a round metric are unchanged by any such factor.
     """
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
     eye = np.eye(2)
 
-    def metric_t_derivative(x, t, chart_name):
+    def base_jet(x, t, chart_name):
+        table = _angular_symbols(x) if chart_name == "angular" else _stereo_symbols(x)
+        if dgdt_factor is None:
+            return table, None, None
         factor = dgdt_factor(t)
-        return factor * metric.at(x, t, chart_name), factor * eye
+        return table, factor * metric.at(x, t, chart_name), factor * eye
 
     return Scenario(
         name=name,
@@ -366,8 +362,7 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
         default_chart="angular",
         params={},
         expects=expects,
-        base_symbols=_sphere_base_symbols,
-        metric_t_derivative=None if dgdt_factor is None else metric_t_derivative,
+        base_jet=base_jet,
         description=description,
     )
 
@@ -449,7 +444,7 @@ def _build_moebius(params: Mapping) -> Scenario:
         default_chart="east",
         params={},
         expects={"euler_killing": True, "weight": 0.0},
-        base_symbols=lambda x, t, chart_name: zeros,
+        base_jet=lambda x, t, chart_name: (zeros, None, None),
         description="flat circle metric on the twisted two-chart bundle",
     )
 
@@ -640,22 +635,14 @@ def load_scenario_file(path: str | Path) -> Scenario:
     jets = {c: jet for c, (_, jet) in blocks.items()}
     exact = all(jet is not None for jet in jets.values())
 
-    @lru_cache(maxsize=1)  # one jet and its inverse give the base symbols, dg_M/dt and rate of a closed-form call
-    def shared_jet(chart: str, x: bytes, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g, dg = jets[chart](np.frombuffer(x), t)
-        ginv = _inverse(g)
-        base, rate = _levi_civita(ginv, dg[:dim]), np.einsum("cd,ad->ca", ginv, dg[dim])
-        base.flags.writeable = dg.flags.writeable = rate.flags.writeable = False
-        return base, dg[dim], rate
-
-    def base_symbols(x: np.ndarray, t: float, chart: str) -> np.ndarray:
-        if time_dependent:
-            return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[0]
+    def base_jet(x: np.ndarray, t: float, chart: str) -> tuple:
+        # one jet and its one inverse give the base symbols, dg_M/dt and the rate
         g, dg = jets[chart](x, t)
-        return _levi_civita(_inverse(g), dg[:dim])
-
-    def metric_t_derivative(x: np.ndarray, t: float, chart: str) -> tuple[np.ndarray, np.ndarray]:
-        return shared_jet(chart, np.asarray(x, dtype=float).tobytes(), t)[1:]
+        ginv = _inverse(g)
+        base = _levi_civita(ginv, dg[:dim])
+        if not time_dependent:
+            return base, None, None
+        return base, dg[dim], np.einsum("cd,ad->ca", ginv, dg[dim])
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
@@ -682,8 +669,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
         default_chart=default_chart,
         params={},
         expects=expects,
-        base_symbols=base_symbols if exact else None,
-        metric_t_derivative=metric_t_derivative if exact and time_dependent else None,
+        base_jet=base_jet if exact else None,
         description=f"scenario file {path.name}",
     )
 

@@ -100,8 +100,8 @@ def _ref_geodesic_rhs(gamma_at):
 
 def _ref_base_data(kk, x, t, chart):
     n = x.size
-    t_differenced = kk.metric_t_derivative is None and kk.metric.time_dependent
-    if kk.base_symbols is not None and not t_differenced:
+    t_differenced = kk.base_jet is None and kk.metric.time_dependent
+    if kk.base_jet is not None:
         gminv = np.linalg.inv(kk.metric.at(x, t, chart))
     else:
         points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
@@ -109,13 +109,12 @@ def _ref_base_data(kk, x, t, chart):
         gm = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
         gminv = np.linalg.inv(gm[0])
         partials = _fd.stacked_partials(gm[None, 1:], h)[0]
-    if kk.base_symbols is not None:
-        base = np.asarray(kk.base_symbols(x, t, chart), dtype=float)
+    if kk.base_jet is not None:
+        base, dgdt, rate = kk.base_jet(x, t, chart)
+        base = np.asarray(base, dtype=float)
     else:
-        base = kaluza._levi_civita(gminv, partials[:n])
-    if kk.metric_t_derivative is not None:
-        dgdt, rate = kk.metric_t_derivative(x, t, chart)
-    else:
+        base, dgdt, rate = kaluza._levi_civita(gminv, partials[:n]), None, None
+    if dgdt is None:
         dgdt = partials[n] if t_differenced else np.zeros((n, n))
         rate = np.einsum("cd,ad->ca", gminv, dgdt)
     return gminv, base, dgdt, rate
@@ -283,7 +282,7 @@ def _check_scenarios(tmp_path):
     cone = cg.load(str(path))
     yield cone
     # without registered base data the closed form differences the symbols and dg_M/dt around (x, t)
-    yield dataclasses.replace(cone, base_symbols=None, metric_t_derivative=None)
+    yield dataclasses.replace(cone, base_jet=None)
 
 
 def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, monkeypatch):
@@ -312,6 +311,6 @@ def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
     x = np.array([1.1, 0.4])
     for t in (0.3, -0.8, 1.7, -2.5):
         gm = thakurta.metric.at(x, t, "angular")
-        dgdt, rate = thakurta.metric_t_derivative(x, t, "angular")
+        _, dgdt, rate = thakurta.base_jet(x, t, "angular")
         assert dgdt.tobytes() == (-gm).tobytes()
         assert rate.tobytes() == (-np.eye(2)).tobytes()

@@ -152,7 +152,7 @@ MUTATIONS = {
         gauge=GaugeField(components={"cartesian": lambda x: 1e6 * np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
     ),
     "lorentzian_signature": lambda: _flat2(metric=_block(lambda x, t: np.diag([-1.0, 1.0]))),
-    "christoffel_oracle_agreement": lambda: _flat2(base_symbols=lambda x, t, chart: np.full((2, 2, 2), 0.1)),
+    "christoffel_oracle_agreement": lambda: _flat2(base_jet=lambda x, t, chart: (np.full((2, 2, 2), 0.1), None, None)),
     "metric_overlap_consistency": lambda: _moebius(scale_west=1.1),
 }
 

@@ -292,19 +292,38 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["null-shoot", "flat", "--point", "0,0", "--dir", "1,0", "--q", "1", "--format", "json", "--svg-mode", "xy",
           "--out", "o.json"], "--svg-mode"),
         (["linearize", "moebius", "--format", "json"], "--format"),
+        (["linearize", "moebius", "--tol", "nan"], "--tol"),
+        (["linearize", "moebius", "--tol", "-1"], "--tol"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
          "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow",
          "small_gauge_format", "small_gauge_svg_mode", "small_gauge_christoffel", "direction_size", "q_nan", "t0_nan",
          "point_size", "state_nan", "rk4_step_too_small", "svg_mode_csv", "geodesic_format_no_out",
-         "shoot_format_no_out", "svg_mode_json", "linearize_format_no_out"],
+         "shoot_format_no_out", "svg_mode_json", "linearize_format_no_out", "linearize_tol_nan",
+         "linearize_tol_negative"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["christoffel", "flat", "--at", "0,0,1e200"], "fiber coordinate t = 1.000e+200"),
+        (["geodesic", "flat", "--state", "0,0,1,0,0,1e200"], "vt / t + vx . A = 1.000e+200"),
+        (["null-shoot", "schwarzschild", "--point", "pi/2,0", "--dir", "0,1", "--q", "1e200"], "overflows"),
+    ],
+    ids=["christoffel_fiber", "geodesic_fiber_velocity", "shoot_charge"],
+)
+def test_finite_input_whose_square_overflows_is_one_line_numeric_failure(argv, needle, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and needle in err and "unexpected" not in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -9,7 +9,7 @@ import pytest
 import carrollgeo as cg
 from carrollgeo import geodesics, scenarios
 from carrollgeo.connection import GaugeField
-from carrollgeo.errors import CarrollError, ContractViolation, DomainError
+from carrollgeo.errors import CarrollError, ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import DegenerateMetric
 from carrollgeo.geodesics import (
     GeodesicState,
@@ -208,6 +208,18 @@ def test_non_finite_stage_stops_with_event(flat2, flow):
     assert np.all(np.isfinite(run.x)) and 0.4 < run.x[-1, 0] < 0.5
 
 
+def test_monitors_beyond_the_float_range_are_a_numeric_error(schwarzschild):
+    """A finite state whose base speed or squared charge overflows has no
+    monitor value: each is a NumericError, not an OverflowError or an inf."""
+    charged = GeodesicState([math.pi / 2, 0.0], 1.0, [0.0, 0.0], 1e200)
+    with pytest.raises(NumericError, match="vt / t \\+ vx . A = 1.000e\\+200"):
+        null_residual(charged, schwarzschild)
+    fast = GeodesicState([math.pi / 2, 0.0], 1.0, [0.0, 1e200], -1.0)
+    for state, needle in ((charged, "vt / t"), (fast, "base speed")):
+        with pytest.raises(NumericError, match=needle):
+            integrate(state, schwarzschild, IntegratorConfig(lambda_max=0.0))
+
+
 # -- log time -------------------------------------------------------------------
 
 def test_log_time_slope(schwarzschild):
@@ -399,7 +411,7 @@ def _differenced(scenario):
     """``scenario`` without its registered base data, so that the closed form
     differences the base symbols and dg_M/dt from one read of g_M around (x, t),
     as it does for grid blocks and Python callables."""
-    return dataclasses.replace(scenario, base_symbols=None, metric_t_derivative=None)
+    return dataclasses.replace(scenario, base_jet=None)
 
 
 def _route_cases():
@@ -445,7 +457,7 @@ def test_default_route_on_a_fiber_dependent_file_agrees_with_the_oracle(tmp_path
         "[metric]\ntime_dependent = true\nmain = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t; 0.1 * t, 2 + t^2)\n"
     )
     scenario = cg.load(str(path))
-    assert scenario.base_symbols is not None and scenario.metric_t_derivative is not None
+    assert scenario.base_jet is not None
     for case in (scenario, _differenced(scenario)):
         for sign in (+1, -1):
             _assert_routes_agree(case, "main", sign)
@@ -456,7 +468,7 @@ def test_the_oracle_reads_no_registered_base_data(text):
     """The oracle differences the metric itself: a file scenario's registered
     base symbols and dg_M/dt, from exact partials, do not change one bit of it."""
     scenario = _load_text(text)
-    assert scenario.base_symbols is not None
+    assert scenario.base_jet is not None
     bare = _differenced(scenario)
     rng = np.random.default_rng(29)
     raw = np.column_stack([rng.uniform(-1.5, 1.5, (8, 2)), rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 2.0, 8)])
@@ -481,7 +493,7 @@ def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatc
     monkeypatch.setattr(DegenerateMetric, "at", lambda self, *args: reads.append(args) or at(self, *args))
     monkeypatch.setattr(np.linalg, "inv", lambda g: inverses.append(g) or inverse(g))
     wave = _load_text(WAVE)
-    assert wave.metric_t_derivative is not None
+    assert wave.base_jet is not None and wave.metric.time_dependent
     rng = np.random.default_rng(3)
     for sign in (+1, -1):
         kk = wave.kk(sign)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from carrollgeo.connection import GaugeField
 from carrollgeo.errors import ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import TangentVector, VectorField, euler, basis_vector
 from carrollgeo.kaluza import (
+    base_data,
     christoffel_closed,
     christoffel_numeric,
     closed_form_deviation,
     covariant_metric_derivative,
+    det_identity_defect,
     divergence,
     divergence_expanded,
     regularity_probe,
@@ -157,6 +160,30 @@ def test_closed_form_rejects_lorentzian_gauge(flat2):
     kk = flat2.kk(-1, flat2.connection(gauge))
     with pytest.raises(NumericError):
         christoffel_closed(kk, flat2.point([0.1, 0.2], 1.0))
+
+
+@pytest.mark.parametrize("name", ["lightcone", "thakurta"])
+def test_a_registered_jet_without_dgdt_on_a_fiber_dependent_block_is_a_contract_violation(name):
+    """``base_jet`` gives dg_M/dt and the rate wherever the block depends on
+    t; leaving them out there would silently drop the mixed and fiber blocks."""
+    s = cg.load(name)
+    symbols = s.base_jet(np.array([1.1, 0.4]), 1.3, "angular")[0]
+    bare = dataclasses.replace(s, base_jet=lambda x, t, chart: (symbols, None, None))
+    p = s.point([1.1, 0.4], 1.3)
+    for call in (lambda: base_data(bare.kk(-1), p.x, p.t, p.chart), lambda: christoffel_closed(bare.kk(+1), p)):
+        with pytest.raises(ContractViolation, match="dg_M/dt"):
+            call()
+
+
+def test_a_fiber_coordinate_whose_square_overflows_is_a_numeric_error(flat2):
+    """t^2 is Python's libm square, which raises on overflow where numpy gives inf."""
+    kk = flat2.kk(-1)
+    raw = np.array([[0.0, 0.0, 1e200]])
+    with pytest.raises(NumericError, match="fiber coordinate t = 1.000e\\+200"):
+        kk.components(raw, "cartesian")
+    with pytest.raises(NumericError, match="fiber coordinate t"):
+        det_identity_defect(np.eye(3), np.eye(2), 1e200, -1)
+    assert kk.components(np.array([[0.0, 0.0, 1e150]]), "cartesian")[0, 2, 2] == -1.0 / 1e150**2
 
 
 # -- metric compatibility ---------------------------------------------------------
