@@ -1,13 +1,15 @@
 """Geodesic flow of the Lorentzian (sign -1) assembled metric.
 
-State: raw coordinates (x, t) and raw velocities (dx/dl, dt/dl) along an
-affine parameter. The second-order system x''^A + Gamma^A_BC x'^B x'^C = 0
-is integrated with the embedded Tsitouras 5(4) pair (adaptive, the default,
-named "rk45") or a fixed-step classical RK4 for convergence studies. The
-symbols come from the closed form where it is validated against the
-finite-difference oracle, that is where the gauge field is known to vanish
-(``GaugeField.is_zero``), and from the oracle everywhere else;
-``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
+A state is given and sampled as raw coordinates (x, t) and velocities (dx/dl,
+dt/dl) along an affine parameter, and stepped as y = (x, u, vx, w), u = log|t|
+and w = u' = vt / t: the frame of the Euler field t d/dt, in which the fiber
+motion t0 e^(-q l) of a fiber-independent orbit is linear. The geodesic
+equation (``geodesic_rhs``) is integrated with the embedded Tsitouras 5(4)
+pair (adaptive, the default, named "rk45") or a fixed-step classical RK4 for
+convergence studies. The symbols come from the closed form where it is
+validated against the finite-difference oracle, that is where the gauge field
+is known to vanish (``GaugeField.is_zero``), and from the oracle everywhere
+else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
 Python floats, a state of 2n + 2 entries being too small for numpy to pay:
 its stage points and solutions are summed term by term in the order of the
@@ -16,14 +18,15 @@ method's tableau, which gives every float that the same sums over arrays give.
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
 ``_drive``, which ends a run early with an event record: ``non_finite`` (a
-stage or step result is not finite), ``step_underflow``, ``max_steps``, or
-the flow's guard on an accepted state: ``t_guard`` (the fiber coordinate
-approaches zero, which the bundle excludes; full flow only) and
+stage or step result is not finite, or its |t| = e^u is past the float range),
+``step_underflow``, ``max_steps``, or the flow's guard on an accepted state:
+``t_guard`` (the fiber coordinate approaches zero, which the bundle excludes:
+u falls below log|t0| + log(T_GUARD_FACTOR); full flow only) and
 ``left_chart`` (the state leaves a hard chart domain).
 
-Monitors recorded at every sample of the full flow: the conserved fiber
-charge q = -(vt/t + vx . A), the null residual
-<vx, vx>_gM - (vt/t + vx . A)^2, and the squared base speed.
+Monitors recorded at every sample of the full flow, from omega = w + vx . A:
+the conserved fiber charge q = -omega, the null residual
+<vx, vx>_gM - omega^2, and the squared base speed.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ MIN_STEP = 1e-14
 MAX_STEPS = 500_000
 # the full flow stops once |t| falls below this fraction of its initial value
 T_GUARD_FACTOR = 1e-6
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest u = log|t| whose e^u is a float
 
 
 @dataclass
@@ -149,8 +153,7 @@ def _along(vx: np.ndarray, field: np.ndarray) -> np.ndarray:
 def carroll_charge(state: GeodesicState, gauge: GaugeField, chart: str) -> float:
     """Conserved charge -(vt/t + vx . A(x)); minus the connection one-form on
     the velocity."""
-    a = gauge.at(state.x, chart)
-    return -(state.vt / state.t + float(state.vx @ a))
+    return -(state.vtb + float(state.vx @ gauge.at(state.x, chart)))
 
 
 def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | None = None,
@@ -251,8 +254,9 @@ def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[st
     return "numeric", lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
 
 
-def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray]) -> Callable[[list[float]], list[float]]:
-    """y' for y = [x..., t, vx..., vt] as Python floats, given the symbols at the raw position."""
+def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray], sign: float) -> Callable[[list[float]], list[float]]:
+    """y' for y = [x..., u, vx..., w] as Python floats, t = sign e^u, given the symbols at the raw position
+    (x..., t): with V = (vx, t w), vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2."""
     n = None
 
     def rhs(y: list[float]) -> list[float]:
@@ -263,8 +267,10 @@ def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray]) -> Callable[[lis
         if not any(vel):
             # frozen states are exact fixed points; skip the symbol evaluation
             return vel + [0.0] * (n + 1)
-        v = np.array(vel)
-        return vel + (-np.einsum("abc,b,c->a", gamma_at(y[: n + 1]), v, v)).tolist()
+        t, w = sign * math.exp(y[n]), vel[n]
+        v = np.array(vel[:n] + [t * w])
+        acc = (-np.einsum("abc,b,c->a", gamma_at(y[:n] + [t]), v, v)).tolist()
+        return vel + acc[:n] + [acc[n] / t - w * w]
 
     return rhs
 
@@ -432,6 +438,7 @@ def _drive(
     span: float,
     cfg: IntegratorConfig,
     guard: Callable[[list[float]], str | None],
+    finite: Callable[[list[float]], bool] = lambda y: all(map(math.isfinite, y)),
 ) -> tuple[list[float], list[list[float]], list[dict]]:
     """Step y' = rhs(y) from parameter 0 towards ``span``; returns the sample
     parameters, the sampled states and the event records.
@@ -446,11 +453,12 @@ def _drive(
     floats: each step takes its stage points and its solutions term by term
     in the order of its ``_Tableau``, which gives every float that the same
     sums over numpy arrays give. ``guard(y)`` names the reason an accepted
-    state ends the run (that state is kept), or returns None. A non-finite
-    stage or step result ends the run as ``non_finite`` and is not kept. The
-    span must be finite and >= 0, the fixed step, the step cap ``max_step``
-    and the tolerance ``tol`` finite and > 0, and span / rk4_step at most
-    ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
+    state ends the run (that state is kept), or returns None. A stage or step
+    result that ``finite`` refuses (by default, one with a non-finite entry)
+    ends the run as ``non_finite`` and is not kept. The span must be finite
+    and >= 0, the fixed step, the step cap ``max_step`` and the tolerance
+    ``tol`` finite and > 0, and span / rk4_step at most ``MAX_STEPS`` for
+    "rk4", else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
@@ -466,7 +474,7 @@ def _drive(
 
     def stage(y: list[float]) -> list[float]:
         # a non-finite stage point has no symbols; its slope is non-finite too
-        return rhs(y) if all(map(math.isfinite, y)) else [math.nan] * len(y)
+        return rhs(y) if finite(y) else [math.nan] * len(y)
 
     lam, y, k = 0.0, y0.tolist(), None
     params, states, events = [lam], [y], []
@@ -482,7 +490,7 @@ def _drive(
         if k is None:
             k = stage(y)
         y_new, k_new, err_norm = _rk_step(tableau, stage, y, k, h, cfg.tol)
-        if not (math.isfinite(err_norm) and all(map(math.isfinite, y_new))):
+        if not (math.isfinite(err_norm) and finite(y_new)):
             events.append({"kind": "non_finite", "lambda": lam + h})
             break
         if err_norm <= 1.0:
@@ -535,27 +543,31 @@ def integrate(
     kk = scenario.kk(-1, scenario.connection(gauge))
     chart_obj = _initial_chart(scenario, chart, state0.x)
     n = state0.dim
-    t_guard = T_GUARD_FACTOR * abs(state0.t)
+    sign, u0 = math.copysign(1.0, state0.t), math.log(abs(state0.t))
 
     def guard(y: list[float]) -> str | None:
-        if abs(y[n]) < t_guard:
+        if y[n] < u0 + math.log(T_GUARD_FACTOR):
             return "t_guard"
         return None if chart_obj.inside(y[:n]) else "left_chart"
 
     route, gamma_at = _gamma_provider(kk, chart, cfg)
-    lams, ys, events = _drive(geodesic_rhs(gamma_at), state0.as_vector(), cfg.lambda_max, cfg, guard)
+    y0 = np.concatenate([state0.x, [u0], state0.vx, [state0.vtb]])
+    finite = lambda y: y[n] <= _LOG_MAX and all(map(math.isfinite, y))  # and |t| = e^u is a float
+    lams, ys, events = _drive(geodesic_rhs(gamma_at, sign), y0, cfg.lambda_max, cfg, guard, finite)
     arr = np.array(ys)
-    xs, ts, vxs, vts = arr[:, :n], arr[:, n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
+    xs, vxs, ws = arr[:, :n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
+    ts = np.array([state0.t] + [sign * math.exp(u) for u in arr[1:, n].tolist()])  # e^log|t0| may not be t0
 
     # one stacked read of g_M and one of A feed all three monitors; the
     # square is Python's, whose libm pow can differ from numpy's x * x
     g, a = scenario.metric.at(xs, ts, chart), gauge.at(xs, chart)
     with np.errstate(over="raise"):
         try:
+            vts = np.concatenate([[state0.vt], ts[1:] * ws[1:]])
             speeds = _along(vxs, g)
-            omega = vts / ts + _along(vxs, a)
+            omega = ws + _along(vxs, a)
         except FloatingPointError:
-            raise NumericError("the base speed or the charge of a sample overflows the float range") from None
+            raise NumericError("the fiber velocity, base speed or charge of a sample overflows the float range") from None
     nulls = speeds - np.array([square(w, "vt / t + vx . A") for w in omega.tolist()])
 
     return Trajectory(

@@ -121,6 +121,7 @@ def killing_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckRes
     return results
 
 
+@np.errstate(all="ignore")  # an overflowing or non-finite sample fails the row, with no numpy warning
 def connection_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
     """The inhomogeneous gauge rule on every overlap; no row without transitions."""
     if not scenario.atlas.transitions:
@@ -173,6 +174,7 @@ def christoffel_suite(scenario: Scenario, rng: np.random.Generator) -> list[Chec
     return [_result("christoffel_oracle_agreement", _worst(deviations), 1e-6, detail)]
 
 
+@np.errstate(all="ignore")  # an overflowing or non-finite sample fails the row, with no numpy warning
 def overlap_metric_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
     """Metric consistency across chart transitions: the scalar g(v, v) must
     agree when the same geometric data is expressed in either chart."""

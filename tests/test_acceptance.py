@@ -319,15 +319,15 @@ def test_criterion_10_frozen_states():
 
 
 def test_criterion_11_integrator_order():
-    s = cg.load("schwarzschild", GM=0.5)
-    state = shoot_null(NullShootSpec(x0=[math.pi / 2, 0.0], u=[0.0, 1.0], q=1.0, t0=1.0), s)
+    # the q = -1 equatorial lightcone orbit: t = 1 + lambda, phi = lambda / (1 + lambda)
+    s = cg.load("lightcone")
+    state = shoot_null(NullShootSpec(x0=[math.pi / 2, 0.0], u=[0.0, 1.0], q=-1.0, t0=1.0), s)
     errs = []
     for h in (0.05, 0.025):
         cfg = IntegratorConfig(method="rk4", rk4_step=h, lambda_max=5.0, christoffel="closed")
         traj = integrate(state, s, cfg)
-        errs.append(
-            abs(traj.t[-1] - math.exp(-traj.lam[-1])) + abs(traj.x[-1, 1] - traj.lam[-1])
-        )
+        lam = traj.lam[-1]
+        errs.append(abs(traj.t[-1] - (1.0 + lam)) + abs(traj.x[-1, 1] - lam / (1.0 + lam)))
     ratio = errs[0] / errs[1]
     _report(11, ratio >= 14.0, f"halving the step shrinks the endpoint error by {ratio:.1f}x")
 

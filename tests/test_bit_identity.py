@@ -81,7 +81,8 @@ def _ref_step(tableau, rhs, y, k0, h, tol):
     return y_new.tolist(), k_new.tolist(), float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _ref_geodesic_rhs(gamma_at):
+def _ref_geodesic_rhs(gamma_at, sign):
+    """The right-hand side for y = (x, u, vx, w), u = log|t|, w = vt / t, over arrays."""
     n = None
 
     def rhs(y):
@@ -91,9 +92,10 @@ def _ref_geodesic_rhs(gamma_at):
         vel = y[n + 1 :]
         if not np.any(vel):
             return np.concatenate([vel, np.zeros(n + 1)])
-        gamma = gamma_at(y[: n + 1])
-        acc = -np.einsum("abc,b,c->a", gamma, vel, vel)
-        return np.concatenate([vel, acc])
+        t, w = sign * math.exp(y[n]), vel[n]
+        v = np.append(vel[:n], t * w)
+        acc = -np.einsum("abc,b,c->a", gamma_at(np.append(y[:n], t)), v, v)
+        return np.concatenate([vel, acc[:n], [acc[n] / t - w * w]])
 
     return lambda y: rhs(np.array(y)).tolist()
 

@@ -271,13 +271,17 @@ def _outcome(suite, s, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["moebius", "sphere_pullback"])
 @pytest.mark.parametrize("broken", BROKEN)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_broken_transition_fails_at_its_first_bad_sample_in_draw_order(name, broken, seed):
     """A vanishing fiber factor or a non-finite image raises at the first such
     sample in draw order, with the per-vector loops' error; a non-finite
-    Jacobian gives their non-finite value."""
+    Jacobian gives their non-finite value. The suites print no numpy warning
+    on the way; the per-vector loops difference the broken data as it is."""
     s = _broken(name, **BROKEN[broken])
     for suite, reference in OVERLAP_SUITES:
-        assert _outcome(suite, s, seed) == _outcome(reference, s, seed), suite.__name__
+        got = _outcome(suite, s, seed)
+        with np.errstate(all="ignore"):
+            assert got == _outcome(reference, s, seed), suite.__name__
 
 
 def _counted(calls, kind, fn):

@@ -260,6 +260,8 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["check", "thakurta", "--param", "GM=0"], "GM"),
         (["check", "flat", "--param", "n=abc"], "abc"),
         (["check", "flat", "--param", "n=2.5"], "integer"),
+        (["check", "flat", "--param", "n=200"], "1 <= n <= 32, got 200"),
+        (["check", "flat", "--param", "n=1e9"], "1 <= n <= 32, got 1e+09"),
         (["geodesic", "schwarzschild", "--state", "0, 0, 1, 0, 1, -1", "--chart", "angular"], "angular"),
         (["christoffel", "flat", "--at", "0, 0, 1e-12"], "fiber coordinate"),
         (["null-shoot", "schwarzschild", "--point", "1,0", "--dir", "0,1", "--q", "1", "--chart", "nope"], "nope"),
@@ -295,7 +297,8 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["linearize", "moebius", "--tol", "nan"], "--tol"),
         (["linearize", "moebius", "--tol", "-1"], "--tol"),
     ],
-    ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "off_chart", "zero_section", "shoot_chart", "small_gauge_chart",
+    ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
+         "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
          "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow",
          "small_gauge_format", "small_gauge_svg_mode", "small_gauge_christoffel", "direction_size", "q_nan", "t0_nan",
@@ -325,6 +328,16 @@ def test_finite_input_whose_square_overflows_is_one_line_numeric_failure(argv, n
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and needle in err and "unexpected" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_a_fiber_coordinate_growing_past_the_float_range_ends_as_non_finite(method, capsys):
+    """t = 1e308 e^l passes the float range at l = 0.59 while u = log|t| stays
+    finite: the stage or step there is non-finite, and the run stops with that
+    event and exit 3, not with an error."""
+    assert main(["geodesic", "flat", "--method", method, "--state", "0,0,1e308,0,0,1e308"]) == 3
+    out, err = capsys.readouterr()
+    assert "event: {'kind': 'non_finite'" in out and err == ""
 
 
 SCENARIO_FILE = """[meta]

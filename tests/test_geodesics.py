@@ -149,6 +149,19 @@ def test_frozen_state_is_fixed_point(schwarzschild):
     assert np.max(np.abs(traj.t - traj.t[0])) == 0.0
 
 
+@pytest.mark.parametrize("t0", [1e300, -3e300, 1.7e308])
+def test_the_first_sample_is_the_initial_state_bit_for_bit(flat2, t0):
+    """The flow steps u = log|t|, and e^log|t0| is not t0 for these t0."""
+    assert math.exp(math.log(abs(t0))) != abs(t0)
+    state = GeodesicState([0.1, -0.2], t0, [0.6, 0.8], -0.7 * t0)  # |t| shrinks
+    traj = integrate(state, flat2, IntegratorConfig(lambda_max=0.5))
+    assert traj.events == [] and traj.lam[-1] == 0.5
+    first = traj.state(0)
+    for name in ("x", "t", "vx", "vt"):
+        assert np.asarray(getattr(first, name)).tobytes() == np.asarray(getattr(state, name)).tobytes(), name
+    assert traj.charge[0] == -state.vtb
+
+
 def test_charge_and_null_conservation(schwarzschild):
     state = _equatorial_state(schwarzschild)
     traj = integrate(state, schwarzschild, IntegratorConfig(lambda_max=10.0))
@@ -179,14 +192,26 @@ def test_rk4_fixed_step(schwarzschild):
     assert np.max(np.abs(traj.t - np.exp(-traj.lam))) < 1e-8
 
 
-def test_rk4_fourth_order_convergence(schwarzschild):
-    state = _equatorial_state(schwarzschild)
+def test_rk4_fourth_order_convergence(lightcone):
+    """The q = -1 equatorial lightcone orbit, t = 1 + l and phi = l / (1 + l):
+    u = log|t| is not linear in l there, so the step error shows."""
+    state = _equatorial_state(lightcone, q=-1.0)
     errs = []
     for h in (0.05, 0.025):
         cfg = IntegratorConfig(method="rk4", rk4_step=h, lambda_max=5.0, christoffel="closed")
-        traj = integrate(state, schwarzschild, cfg)
-        errs.append(abs(traj.t[-1] - math.exp(-traj.lam[-1])) + abs(traj.x[-1, 1] - traj.lam[-1]))
+        traj = integrate(state, lightcone, cfg)
+        lam = traj.lam[-1]
+        errs.append(abs(traj.t[-1] - (1.0 + lam)) + abs(traj.x[-1, 1] - lam / (1.0 + lam)))
     assert errs[0] / errs[1] >= 14.0
+
+
+@pytest.mark.parametrize("q, t0", [(1.0, 1.0), (0.3, -1.7), (-0.4, 2.5)])
+def test_rk4_steps_the_fiber_exponential_exactly(schwarzschild, q, t0):
+    """On a fiber-independent block with zero gauge field u = log|t| is linear
+    in l, which RK4 integrates exactly: t = t0 e^(-q l) up to rounding."""
+    cfg = IntegratorConfig(method="rk4", rk4_step=0.05, lambda_max=5.0)
+    traj = integrate(_equatorial_state(schwarzschild, q=q, t0=t0), schwarzschild, cfg)
+    assert abs(traj.t[-1] - t0 * math.exp(-q * traj.lam[-1])) <= 1e-12
 
 
 def _nan_past_half(value):
