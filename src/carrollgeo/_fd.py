@@ -7,7 +7,7 @@ shrinks it so a stencil never crosses zero on protected axes (the fiber
 coordinate). ``DEFAULT_REL_STEP`` applies to the bundle's fields (metric
 blocks, gauge fields, vector fields, assembled metrics) and
 ``TRANSITION_REL_STEP`` to chart-transition data (base maps, fiber factors,
-fiber transitions); callers do not choose a step.
+fiber transitions with no usable registered slope); callers do not choose a step.
 
 The Richardson difference has a truncation error of order h^4 and a roundoff
 error of order eps / h, so its accuracy peaks at a step between the two.

@@ -669,7 +669,8 @@ def integrate_small_gauge(
         return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
-    us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
+    with np.errstate(all="ignore"):  # a non-finite slope ends the run as an event, with no numpy warning
+        us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
     return BaseTrajectory(

@@ -3,12 +3,15 @@
 Given trivializations with (possibly nonlinear) transition maps
 ``psi_ij(m, r_j) -> r_i`` and a global section, shifting each trivialization
 by the section makes every transition fix the fiber origin; the first-order
-fiber derivative at the origin is then a line-bundle cocycle. Derivatives
-are extracted numerically (central difference with one Richardson pass).
+fiber derivative at the origin is then a line-bundle cocycle. It is taken
+exactly where the atlas registers the transition's slope in the fiber (the
+built-in synthetic atlas and atlas files do) and by a central difference with
+one Richardson pass everywhere else; the difference stays the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -16,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _fd
-from .errors import ConstructionError, NumericError
+from .errors import CarrollError, ConstructionError, NumericError
 from .expressions import SectionProxy, compile_expression, ini_keys, ini_value, parse_pair, read_ini, unwrap
 
 Transition = Callable[[float, float], float]
@@ -24,6 +27,7 @@ Section = Callable[[float], float]
 
 ZERO_SECTION_CUTOFF = 1e-12
 SECTION_TOL = 1e-10  # largest section gap on an overlap that shift_transitions accepts
+COEFFICIENT_CUTOFF = 1e-10  # smallest |c_ij| that linearize takes for a fiber diffeomorphism
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,15 @@ class TripleRecord:
 
 @dataclass
 class TransitionAtlas:
-    """Charts, ordered transitions psi[(i, j)](m_j, r_j) -> r_i, and sections."""
+    """Charts, ordered transitions psi[(i, j)](m_j, r_j) -> r_i, and sections;
+    ``slopes``, keyed like psi and optional, give d psi_ij / dr at (m_j, r_j)."""
 
     charts: list[str]
     psi: dict[tuple[str, str], Transition]
     sections: dict[str, Section]
     overlaps: list[OverlapRecord]
     triples: list[TripleRecord] = field(default_factory=list)
+    slopes: dict[tuple[str, str], Transition] = field(default_factory=dict)
 
     def transition(self, i: str, j: str) -> Transition:
         try:
@@ -83,8 +89,9 @@ def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
     """Shift every transition by the section: the result fixes the fiber origin.
 
     psi~_ij(m, r) = psi_ij(m, r + s_j(m)) - s_i(m), evaluated with the base
-    point expressed in each chart's own coordinates where needed. The
-    sections must agree to ``SECTION_TOL`` on every overlap.
+    point expressed in each chart's own coordinates where needed; a slope
+    moves with it, to (m, r) -> slope(m, r + s_j(m)). The sections must agree
+    to ``SECTION_TOL`` on every overlap.
     """
     atlas = replace(atlas, sections={c: _OncePerM(s).__getitem__ for c, s in atlas.sections.items()})
     worst, offender = section_consistency(atlas)
@@ -130,8 +137,10 @@ def shift_transitions(atlas: TransitionAtlas) -> TransitionAtlas:
         return shifted
 
     new_psi = {key: make_shifted(*key) for key in atlas.psi}
+    new_slopes = {(i, j): lambda m, r, slope=slope, s_j=atlas.sections[j]: slope(m, r + s_j(m))
+                  for (i, j), slope in atlas.slopes.items()}
     zero = lambda m: 0.0
-    return replace(atlas, psi=new_psi, sections={c: zero for c in atlas.charts})
+    return replace(atlas, psi=new_psi, slopes=new_slopes, sections={c: zero for c in atlas.charts})
 
 
 class _OncePerM(dict):
@@ -217,18 +226,27 @@ class LinearizedCocycle:
 def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
     """Extract c_ij(m) = d/dr psi~_ij(m, 0) and check the cocycle closure.
 
-    Raises NumericError when a coefficient is numerically zero (the
-    transition fails to be a fiber diffeomorphism at the section) or is not
-    finite.
+    Each coefficient is the registered slope at r = 0, or the difference of the
+    transition (``_fd.fiber_derivatives``) where there is no slope or where it
+    fails, is zero or is not finite, so that it ends as the difference ends.
+    Raises NumericError when a coefficient is numerically zero (the transition
+    fails to be a fiber diffeomorphism at the section) or is not finite.
     """
-    coeffs = {key: lambda m, psi=psi: float(_fd.fiber_derivatives(psi, [m])[0]) for key, psi in shifted.psi.items()}
-    # a pair record's partner and the triples revisit (transition, m): difference each once per call
+
+    def derivatives(key: tuple[str, str], ms: list[float]) -> list[float]:
+        slope = shifted.slopes.get(key)
+        exact = [_slope_at_section(slope, m) for m in ms] if slope else [None] * len(ms)
+        differenced = iter(_fd.fiber_derivatives(shifted.psi[key], [m for m, c in zip(ms, exact) if c is None]).tolist())
+        return [next(differenced) if c is None else c for c in exact]
+
+    coeffs = {key: lambda m, key=key: derivatives(key, [m])[0] for key in shifted.psi}
+    # a pair record's partner and the triples revisit (transition, m): take each once per call
     known: dict[tuple[str, str], dict[float, float]] = {key: {} for key in shifted.psi}
 
     def sampled_c(key: tuple[str, str], ms: np.ndarray) -> np.ndarray:
         ms, memo = ms.tolist(), known[key]
         new = [m for m in dict.fromkeys(ms) if m not in memo]
-        memo.update(zip(new, _fd.fiber_derivatives(shifted.psi[key], new).tolist()))
+        memo.update(zip(new, derivatives(key, new)))
         return np.array([memo[m] for m in ms])
 
     sampled: list[CocycleSample] = []
@@ -237,7 +255,7 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
         i, j = rec.charts
         mi, mj = rec.points(i), rec.points(j)
         c_ij = sampled_c((i, j), mj)
-        if not np.all(np.isfinite(c_ij) & (np.abs(c_ij) >= 1e-10)):
+        if not np.all(np.isfinite(c_ij) & (np.abs(c_ij) >= COEFFICIENT_CUTOFF)):
             raise NumericError(f"transition {i} <- {j} degenerates at the section: a coefficient is zero or not finite")
         sampled.append(CocycleSample(charts=(i, j), m=mj.copy(), c=c_ij))
         if (j, i) in coeffs:
@@ -256,6 +274,15 @@ def linearize(shifted: TransitionAtlas) -> LinearizedCocycle:
         triple_residual=float(np.max(triple_gaps, initial=0.0)),
         sampled=sampled,
     )
+
+
+def _slope_at_section(slope: Transition, m: float) -> float | None:
+    """slope(m, 0), or None where it fails or the coefficient guard would reject it."""
+    try:
+        c = float(slope(m, 0.0))
+    except (ArithmeticError, ValueError, CarrollError):
+        return None
+    return c if COEFFICIENT_CUTOFF <= abs(c) < math.inf else None
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +323,6 @@ def moebius_transition_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
     East angles run in (-2.2, 2.2), west in (pi - 2.2, pi + 2.2); the upper
     overlap is identity, the lower one flips the fiber sign.
     """
-    import math
-
     a = 2.2
     upper_e = np.linspace(math.pi - a + 0.01, a - 0.01, samples_per_overlap)
     lower_e = np.linspace(-a + 0.01, -(math.pi - a) - 0.01, samples_per_overlap)
@@ -328,10 +353,9 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
 
     Per-chart fiber diffeomorphisms chi_i(m, .) generate the transitions
     psi_ij = chi_i o chi_j^{-1}, so the nonlinear cocycle closes by
-    construction while each psi_ij is genuinely nonlinear in the fiber.
+    construction while each psi_ij is genuinely nonlinear in the fiber; their
+    slopes in the fiber are registered in closed form.
     """
-    import math
-
     width = 2.2
     centers = {"a": 0.0, "b": 2.0 * math.pi / 3.0, "c": 4.0 * math.pi / 3.0}
 
@@ -354,21 +378,30 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
             k = stiff(m)
             return math.asinh(k * r / amp(m)) / k
 
-        return forward, inverse
+        def forward_slope(m: float, rho: float) -> float:
+            return amp(m) * math.cosh(stiff(m) * rho)
+
+        def inverse_slope(m: float, r: float) -> float:
+            return 1.0 / math.sqrt(amp(m) ** 2 + (stiff(m) * r) ** 2)
+
+        return forward, inverse, forward_slope, inverse_slope
 
     maps = {name: chi(name) for name in centers}
 
     def make_psi(i: str, j: str) -> Transition:
-        fwd_i, _ = maps[i]
-        _, inv_j = maps[j]
+        fwd_i, inv_j = maps[i][0], maps[j][1]
         return lambda m, r: fwd_i(m, inv_j(m, r))
+
+    def make_slope(i: str, j: str) -> Transition:
+        inv_j, fwd_slope_i, inv_slope_j = maps[j][1], maps[i][2], maps[j][3]
+        return lambda m, r: fwd_slope_i(m, inv_j(m, r)) * inv_slope_j(m, r)
 
     names = list(centers)
     psi = {(i, j): make_psi(i, j) for i in names for j in names if i != j}
 
     # the section rho = 0.1 sin(m) in the shared fiber coordinate
     def make_section(i: str) -> Section:
-        fwd_i, _ = maps[i]
+        fwd_i = maps[i][0]
         return lambda m: fwd_i(m, 0.1 * math.sin(m))
 
     sections = {name: make_section(name) for name in names}
@@ -392,6 +425,7 @@ def synthetic_circle_atlas(samples_per_overlap: int = 32) -> TransitionAtlas:
         sections=sections,
         overlaps=overlaps,
         triples=triples,
+        slopes={key: make_slope(*key) for key in psi},
     )
 
 
@@ -414,7 +448,8 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
 
     Transitions are expressions in the base variable m and fiber variable r.
     Base coordinates are shared across charts (no wrap-around); wrapped
-    atlases are provided as built-ins.
+    atlases are provided as built-ins. Each transition's slope in r is the
+    r-component of its forward-mode gradient.
     """
     path = Path(path)
     parser = read_ini(path, "atlas file", ("charts",), ("sections",), named=("overlap", "triple"))
@@ -449,4 +484,5 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
 
     if not psi:
         raise ConstructionError("atlas file defines no transitions")
-    return TransitionAtlas(charts=charts, psi=psi, sections=sections, overlaps=overlaps, triples=triples)
+    slopes = {key: (lambda m, r, dual=fn.value_and_grad: dual(m, r)[1][1]) for key, fn in psi.items()}
+    return TransitionAtlas(charts=charts, psi=psi, sections=sections, overlaps=overlaps, triples=triples, slopes=slopes)

@@ -71,6 +71,7 @@ def _result(name: str, value: float, tol: float, detail: str = "") -> CheckResul
     return CheckResult(name=name, passed=bool(value <= tol), value=float(value), tol=tol, detail=detail)
 
 
+@np.errstate(all="ignore")  # an overflowing or non-finite sample fails the row, with no numpy warning
 def kernel_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
     """Block structure: the base block is symmetric and invertible. g_M is
     read once per chart, at all its points."""
@@ -129,6 +130,7 @@ def connection_suite(scenario: Scenario, rng: np.random.Generator) -> list[Check
     return [_result("gauge_overlap_rule", overlap_gauge_residual(scenario.atlas, scenario.connection(), rng), 1e-8)]
 
 
+@np.errstate(all="ignore")  # an overflowing or non-finite sample fails the row, with no numpy warning
 def determinant_suite(scenario: Scenario, rng: np.random.Generator) -> list[CheckResult]:
     """Determinant identity and Lorentzian signature of the assembled metrics.
     Per sign, the raw components are built in one stacked read and serve

@@ -507,6 +507,7 @@ def test_singular_base_block_is_numeric_failure_on_both_routes(route, tmp_path, 
     assert capsys.readouterr().err == "numeric failure: metric is not invertible: Singular matrix\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsys):
     """inf - inf raises no Python error, so the metric block holds a NaN: the
     base-block rows fail on their NaN samples, and the suite whose linear
@@ -524,6 +525,7 @@ def test_field_evaluating_to_nan_fails_check_without_a_traceback(tmp_path, capsy
         "metric condition number (1-norm) nan")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_sample_fails_its_check(tmp_path, capsys):
     """g_M is NaN where |x1| > 0.18 and finite elsewhere. Every sample of the
     determinant identity, of the Euler proportionality and of the base-block

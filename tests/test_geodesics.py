@@ -720,6 +720,7 @@ def test_first_step_of_a_frozen_state_is_finite_and_within_the_span(schwarzschil
         assert math.isfinite(h) and 0.0 < h <= min(cfg.max_step, span)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_slope_at_the_initial_state_ends_the_run_at_a_finite_lambda(flat2, bad):
     y0 = np.array([0.1, 0.2, 0.3, 0.4])

@@ -281,7 +281,7 @@ EXAMPLE_ATLAS = Path(__file__).resolve().parents[1] / "docs" / "examples" / "atl
 
 def _reference_shift(atlas: TransitionAtlas) -> TransitionAtlas:
     """The shift as first written: nearest sample by argmin and both section
-    terms recomputed on every call."""
+    terms recomputed on every call; a slope is read at r + s_j(m)."""
 
     def make_shifted(i, j):
         psi = atlas.transition(i, j)
@@ -289,8 +289,13 @@ def _reference_shift(atlas: TransitionAtlas) -> TransitionAtlas:
         pairs = _pairs(atlas, i, j)
         return lambda m, r: psi(m, r + s_j(m)) - s_i(_scan_image(pairs, m))
 
+    def make_slope(i, j):
+        slope, s_j = atlas.slopes[(i, j)], atlas.sections[j]
+        return lambda m, r: slope(m, r + s_j(m))
+
     zero = lambda m: 0.0
-    return replace(atlas, psi={key: make_shifted(*key) for key in atlas.psi}, sections={c: zero for c in atlas.charts})
+    return replace(atlas, psi={key: make_shifted(*key) for key in atlas.psi},
+                   slopes={key: make_slope(*key) for key in atlas.slopes}, sections={c: zero for c in atlas.charts})
 
 
 def _pairs(atlas: TransitionAtlas, i: str, j: str) -> list:
@@ -400,23 +405,166 @@ def _per_m_coefficient(psi, m):
     return _fd.richardson(*(psi(m, r) for r in _fd.offsets(h)), h)
 
 
+def _counted(calls: list, fns: dict) -> dict:
+    return {key: (lambda m, r, key=key, fn=fn: calls.append((key, m)) or fn(m, r)) for key, fn in fns.items()}
+
+
 def test_each_coefficient_is_evaluated_once_per_call():
     """A pair record's partner and the triples revisit (transition, m) pairs:
     on the synthetic atlas at 32 samples there are 480 lookups of 283
-    distinct pairs, each differenced once, so the transitions are called
-    4 * 283 times. Every sampled value equals a fresh evaluation, through
-    ``value`` and through the per-m formula."""
-    shifted = shift_transitions(synthetic_circle_atlas(32))
+    distinct pairs. Without its slopes each is differenced once, so the
+    transitions are called 4 * 283 times. Every sampled value equals a fresh
+    evaluation, through ``value`` and through the per-m formula."""
+    shifted = replace(shift_transitions(synthetic_circle_atlas(32)), slopes={})
     calls = []
-
-    def counted(key, psi):
-        return lambda m, r: calls.append((key, m)) or psi(m, r)
-
-    cocycle = linearize(replace(shifted, psi={key: counted(key, psi) for key, psi in shifted.psi.items()}))
+    cocycle = linearize(replace(shifted, psi=_counted(calls, shifted.psi)))
     assert len(calls) == 4 * 283 and len(set(calls)) == 283
     for sample in cocycle.sampled:
         for m, c in zip(sample.m.tolist(), sample.c.tolist()):
             assert c == cocycle.value(*sample.charts, m) == _per_m_coefficient(shifted.psi[sample.charts], m)
+
+
+def test_each_registered_slope_is_called_once_per_transition_and_m():
+    """With its slopes the synthetic atlas takes the same 283 distinct
+    coefficients from one slope call each, at r = 0, and never calls a
+    transition; ``value`` is the same call."""
+    shifted = shift_transitions(synthetic_circle_atlas(32))
+    transition_calls, slope_calls = [], []
+    cocycle = linearize(replace(shifted, psi=_counted(transition_calls, shifted.psi),
+                                slopes=_counted(slope_calls, shifted.slopes)))
+    assert len(slope_calls) == len(set(slope_calls)) == 283
+    for sample in cocycle.sampled:
+        for m, c in zip(sample.m.tolist(), sample.c.tolist()):
+            assert c == cocycle.value(*sample.charts, m) == shifted.slopes[sample.charts](m, 0.0)
+    assert transition_calls == []
+
+
+SECTIONS_FILE = """
+[charts]
+a = interval(-3, 3)
+b = interval(-3, 3)
+
+[overlap ab]
+charts = a, b
+interval = -0.5, 1.5
+to_a = exp(m) * sinh(r)
+to_b = asinh(exp(-m) * r)
+
+[sections]
+a = exp(m) * sinh(0.2 * cos(m))
+b = 0.2 * cos(m)
+"""
+
+
+def _file_with_sections(tmp_path: Path) -> TransitionAtlas:
+    path = tmp_path / "sections.ini"
+    path.write_text(SECTIONS_FILE)
+    return load_atlas_file(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: synthetic_circle_atlas(32),
+    lambda tmp: synthetic_circle_atlas(256),
+    lambda tmp: load_atlas_file(EXAMPLE_ATLAS),
+    _file_with_sections,
+], ids=["synthetic-32", "synthetic-256", "atlas_file", "file-with-sections"])
+def test_exact_slopes_agree_with_the_difference(build, tmp_path):
+    """Every coefficient that a registered slope gives, on the overlaps and
+    the triples, is within 1e-9 of the difference of the same shifted map,
+    and the cocycle closes to rounding."""
+    atlas = build(tmp_path)
+    assert set(atlas.slopes) == set(atlas.psi)
+    shifted = shift_transitions(atlas)
+    cocycle = linearize(shifted)
+    records = [(rec.charts, rec.points(rec.charts[1])) for rec in shifted.overlaps]
+    records += [(pair, np.asarray(rec.samples[pair[1]], dtype=float))
+                for rec in shifted.triples for pair in ((rec.charts[0], rec.charts[1]), rec.charts[1:], rec.charts[::2])]
+    for key, ms in records:
+        exact = np.array([cocycle.value(*key, m) for m in ms.tolist()])
+        assert np.max(np.abs(exact / _fd.fiber_derivatives(shifted.psi[key], ms.tolist()) - 1.0)) <= 1e-9, key
+    assert max(cocycle.pair_residual, cocycle.triple_residual) <= 1e-14
+
+
+def test_the_file_with_sections_has_its_closed_form_coefficient(tmp_path):
+    cocycle = linearize(shift_transitions(_file_with_sections(tmp_path)))
+    sample = next(s for s in cocycle.sampled if s.charts == ("a", "b"))
+    assert np.max(np.abs(sample.c / (np.exp(sample.m) * np.cosh(0.2 * np.cos(sample.m))) - 1.0)) <= 1e-15
+
+
+def test_atlases_without_slopes_keep_the_difference_bit_for_bit():
+    """moebius and a user-built atlas register no slope: every coefficient is
+    the per-m difference of the shifted map, as before slopes existed."""
+    user_built = _two_chart(lambda m, r: math.exp(m) * r + r**3, lambda m, r: math.exp(-m) * r)
+    for atlas in (moebius_transition_atlas(32), moebius_transition_atlas(256), user_built):
+        assert atlas.slopes == {}
+        shifted = shift_transitions(atlas)
+        cocycle = linearize(shifted)
+        for sample in cocycle.sampled:
+            for m, c in zip(sample.m.tolist(), sample.c.tolist()):
+                assert c == cocycle.value(*sample.charts, m) == _per_m_coefficient(shifted.psi[sample.charts], m)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1e-11, math.nan, math.inf, ZeroDivisionError])
+def test_a_slope_the_coefficient_guard_rejects_is_replaced_by_the_difference(bad):
+    """Where a registered slope fails, is zero or is not finite at the
+    section, the coefficient is the per-m difference, bit for bit."""
+
+    def slope(m, r):
+        if m <= 0.0:
+            return math.exp(m)
+        if bad is ZeroDivisionError:
+            raise ZeroDivisionError("float division by zero")
+        return bad
+
+    atlas = _two_chart(lambda m, r: math.exp(m) * r, lambda m, r: math.exp(-m) * r)
+    shifted = shift_transitions(replace(atlas, slopes={("a", "b"): slope}))
+    cocycle = linearize(shifted)
+    sample = next(s for s in cocycle.sampled if s.charts == ("a", "b"))
+    for m, c in zip(sample.m.tolist(), sample.c.tolist()):
+        assert c == (math.exp(m) if m <= 0.0 else _per_m_coefficient(shifted.psi[("a", "b")], m)), m
+
+
+def test_a_slope_whose_base_partial_fails_ends_as_the_difference(tmp_path):
+    """The twin's gradient takes d/dm too: sqrt(m - 1) has no slope at m = 1,
+    where the transition and its difference in r are fine."""
+    path = tmp_path / "edge.ini"
+    path.write_text("[charts]\na = interval(0, 3)\nb = interval(0, 3)\n"
+                    "[overlap o]\ncharts = a, b\ninterval = 1, 2\nto_a = r + 0 * sqrt(m - 1)\nto_b = r\n")
+    shifted = shift_transitions(load_atlas_file(path))
+    with pytest.raises(ConstructionError, match="cannot evaluate"):
+        shifted.slopes[("a", "b")](1.0, 0.0)
+    cocycle = linearize(shifted)
+    assert cocycle.value("a", "b", 1.0) == _per_m_coefficient(shifted.psi[("a", "b")], 1.0) == pytest.approx(1.0)
+    assert cocycle.pair_residual <= 1e-9
+
+
+KINKED_FILE = """
+[charts]
+a = interval(-2, 2)
+b = interval(-2, 2)
+
+[overlap o]
+charts = a, b
+interval = 0, 1
+to_a = sqrt(r^2) + 0*m
+to_b = r
+"""
+
+
+def test_a_slope_that_fails_at_the_section_ends_as_the_difference(tmp_path, capsys):
+    """d/dr sqrt(r^2) divides by zero at r = 0; the difference reads the kink
+    as a zero coefficient, and so linearize still reports a degenerate
+    transition (exit 3), not an expression it cannot evaluate (exit 2)."""
+    path = tmp_path / "kinked.ini"
+    path.write_text(KINKED_FILE)
+    shifted = shift_transitions(load_atlas_file(path))
+    with pytest.raises(ConstructionError, match="cannot evaluate"):
+        shifted.slopes[("a", "b")](0.5, 0.0)
+    with pytest.raises(NumericError, match="degenerates"):
+        linearize(shifted)
+    assert main(["linearize", str(path)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numeric failure: transition a <- b degenerates at the section: a coefficient is zero or not finite")
 
 
 # -- offsets resolved at construction, sections evaluated once ---------------------
@@ -505,11 +653,13 @@ def _counted_sections(atlas: TransitionAtlas, calls: list) -> TransitionAtlas:
     return replace(atlas, sections={c: counted(c, s) for c, s in atlas.sections.items()})
 
 
-@pytest.mark.parametrize("n, distinct", [(32, 278), (256, 2212)])
+@pytest.mark.parametrize("n, distinct", [(32, 251), (256, 2002)])
 def test_each_section_is_evaluated_once_per_chart_and_m(n, distinct):
-    """The section check and the shifted maps share one value per (chart, m):
-    on the synthetic atlas the shift and the linearization read sections at
-    these many distinct (chart, m), and nothing after them reads one again."""
+    """The section check, the shifted maps and their slopes share one value
+    per (chart, m): on the synthetic atlas the shift and the linearization
+    read sections at these many distinct (chart, m), and nothing after them
+    reads one again. A slope reads only s_j, so no s_i is read at a triple's
+    image point (with differenced coefficients: 278 and 2212)."""
     calls = []
     shifted = shift_transitions(_counted_sections(synthetic_circle_atlas(n), calls))
     linearize(shifted)
