@@ -24,8 +24,6 @@ from .geometry import (
     killing_residual,
     lie_derivative_metric,
     metric_eval,
-    tangent_lift,
-    vertical_lift,
 )
 from .connection import (
     ConnectionOneForm,
@@ -44,7 +42,6 @@ from .kaluza import (
     closed_form_deviation,
     covariant_metric_derivative,
     divergence,
-    divergence_expanded,
     regularity_probe,
     volume_density,
 )
@@ -54,10 +51,8 @@ from .geodesics import (
     NullShootSpec,
     Trajectory,
     carroll_charge,
-    formal_temporal_solution,
     integrate,
     integrate_small_gauge,
-    log_time,
     null_residual,
     printed_spatial_acceleration,
     printed_temporal_acceleration,
@@ -67,8 +62,6 @@ from .geodesics import (
 from .linearize import (
     LinearizedCocycle,
     TransitionAtlas,
-    embed_section_diffeo,
-    embed_section_diffeo_inverse,
     linearize,
     moebius_transition_atlas,
     shift_transitions,

@@ -40,6 +40,7 @@ from .outputs import (
     polyline_svg,
     write_christoffel_csv,
     write_report_json,
+    write_text,
     write_trajectory_csv,
     write_trajectory_json,
     write_trajectory_svg,
@@ -114,6 +115,12 @@ def _integrator_config(args) -> IntegratorConfig:
                             christoffel=args.christoffel or IntegratorConfig.christoffel, rk4_step=args.rk4_step)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ContractViolation(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _report_events(events: list[dict]) -> int:
     """Print the stop events of a run; the exit code is 3 if it went non-finite."""
     for event in events:
@@ -144,7 +151,7 @@ def _write_trajectory(traj, args) -> int:
 
 def cmd_check(args) -> int:
     scenario = _load_scenario(args)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     results = run_all(scenario, rng)
     passed = all(r.passed for r in results)
     report = {
@@ -186,6 +193,8 @@ def cmd_geodesic(args) -> int:
         if args.field is not None:
             if n != 2:
                 raise ContractViolation(f"--field sets F_12 and needs a 2-d base, got dimension {n}")
+            if not np.isfinite(args.field):
+                raise ContractViolation(f"--field must be finite, got {args.field}")
             b = args.field
             field_strength = lambda x: np.array([[0.0, b], [-b, 0.0]])
         base = integrate_small_gauge(
@@ -193,7 +202,7 @@ def cmd_geodesic(args) -> int:
             curvature_fn=field_strength, chart=chart,
         )
         if args.out is not None:
-            Path(args.out).write_text(polyline_svg([base.x[:, :2]], labels=["reduced base path"]))
+            write_text(args.out, polyline_svg([base.x[:, :2]], labels=["reduced base path"]))
             print(f"wrote {args.out}")
         print(f"samples: {len(base)}; final speed^2 drift {abs(base.speed2[-1] - base.speed2[0]):.3e}")
         return _report_events(base.events)
@@ -239,7 +248,7 @@ def cmd_christoffel(args) -> int:
             raise ContractViolation(f"--at needs {scenario.dim + 1} values: coords..., t")
         points.append(scenario.point(values[:-1], values[-1], chart))
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = _rng(args.seed)
         points.extend(scenario.sample_points(rng, args.count, chart=chart))
 
     rows = []
@@ -299,7 +308,7 @@ def cmd_linearize(args) -> int:
             lines = ["to, src, m, c"]
             for row in rows:
                 lines.append(f"{row['to']}, {row['src']}, {row['m']!r}, {row['c']!r}")
-            Path(args.out).write_text("\n".join(lines) + "\n")
+            write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     print(f"pair residual:   {cocycle.pair_residual:.3e}")
     print(f"triple residual: {cocycle.triple_residual:.3e}")

@@ -579,32 +579,8 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# reparametrizations and reductions
+# the weak-gauge-field reduction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogTimeSeries:
-    u: np.ndarray
-    x: np.ndarray
-    lam: np.ndarray
-
-    def slope(self, column: int) -> float:
-        """Least-squares d x[column] / d u over the whole series."""
-        du = self.u - self.u.mean()
-        denom = float(du @ du)
-        if denom == 0.0:
-            raise NumericError("log-time series has no spread")
-        return float(du @ (self.x[:, column] - self.x[:, column].mean())) / denom
-
-
-def log_time(traj: Trajectory) -> LogTimeSeries:
-    """Reparametrize by u = log|t|; requires strictly monotone u."""
-    u = np.log(np.abs(traj.t))
-    du = np.diff(u)
-    if u.size < 2 or not (np.all(du > 0.0) or np.all(du < 0.0)):
-        raise ContractViolation("fiber coordinate is not strictly monotone; log-time undefined")
-    return LogTimeSeries(u=u, x=traj.x.copy(), lam=traj.lam.copy())
-
 
 @dataclass
 class BaseTrajectory:
@@ -678,25 +654,3 @@ def integrate_small_gauge(
         meta={"scenario": scenario.name, "chart": chart, "sign_q": sign_q},
     )
 
-
-def formal_temporal_solution(
-    traj: Trajectory,
-    gauge: GaugeField,
-    q: float,
-    t0: float,
-    chart: str,
-) -> tuple[np.ndarray, float]:
-    """Quadrature solution of the first-order fiber equation,
-
-        t(l) = t0 * exp(-q l) * exp(-integral of x' . A dl),
-
-    by the trapezoid rule along the sampled base path. Returns the series
-    and its max deviation from the integrated fiber channel.
-    """
-    integrand = _along(traj.vx, gauge.at(traj.x, chart))
-    accumulated = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(traj.lam))]
-    )
-    series = t0 * np.exp(-q * traj.lam - accumulated)
-    deviation = float(np.max(np.abs(series - traj.t)))
-    return series, deviation

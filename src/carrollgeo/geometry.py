@@ -376,19 +376,6 @@ def metric_eval(g: DegenerateMetric, p: Point, v: TangentVector, w: TangentVecto
     return float(v.vx @ g.at(p.x, p.t, p.chart) @ w.vx)
 
 
-# ---------------------------------------------------------------------------
-# lifts
-# ---------------------------------------------------------------------------
-
-def vertical_lift(X: VectorField, g: DegenerateMetric, p: Point) -> Callable[[TangentVector], float]:
-    """Interior product of ``g`` with X at ``p``: the one-form w -> g(X(p), w).
-
-    Contracting it with a second vector recovers the metric pairing.
-    """
-    v = X.at(p)
-    return lambda w: metric_eval(g, p, v, w)
-
-
 def lie_derivative_metric(X: VectorField, metric, p: Point) -> np.ndarray:
     """(L_X G)_AB in raw (x, t) coordinates by central differences.
 
@@ -408,10 +395,6 @@ def lie_derivative_metric(X: VectorField, metric, p: Point) -> np.ndarray:
     transport = np.einsum("c,cab->ab", xc, dg)
     frame = np.einsum("ac,cb->ab", dx, g) + np.einsum("bc,ac->ab", dx, g)
     return transport + frame
-
-
-# the tangent lift of X acts on metric functions as the Lie derivative
-tangent_lift = lie_derivative_metric
 
 
 # ---------------------------------------------------------------------------

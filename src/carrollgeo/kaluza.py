@@ -337,18 +337,6 @@ def divergence(X, metric: DegenerateMetric, p: Point) -> float:
     return float(np.trace(d)) / rho(raw_p)
 
 
-def divergence_expanded(X, metric: DegenerateMetric, p: Point) -> float:
-    """Product-rule route rho^{-1}(d_A rho) X^A + d_A X^A, kept as an
-    independent cross-check of :func:`divergence`."""
-    rho = _density_field(metric, p.chart)
-    raw_p = p.raw()
-    t_axis = raw_p.size - 1
-    grad_rho = _fd.partials(lambda raw: np.array(rho(raw)), raw_p, keep_sign=(t_axis,))
-    x_fn = X.raw_field(p.chart)
-    dx = _fd.partials(x_fn, raw_p, keep_sign=(t_axis,))
-    return float(grad_rho.ravel() @ x_fn(raw_p)) / rho(raw_p) + float(np.trace(dx))
-
-
 # ---------------------------------------------------------------------------
 # regularity probe near the zero section
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .expressions import SectionProxy, compile_expression, ini_keys, ini_value, 
 Transition = Callable[[float, float], float]
 Section = Callable[[float], float]
 
-ZERO_SECTION_CUTOFF = 1e-12
 SECTION_TOL = 1e-10  # largest section gap on an overlap that shift_transitions accepts
 COEFFICIENT_CUTOFF = 1e-10  # smallest |c_ij| that linearize takes for a fiber diffeomorphism
 
@@ -283,34 +282,6 @@ def _slope_at_section(slope: Transition, m: float) -> float | None:
     except (ArithmeticError, ValueError, CarrollError):
         return None
     return c if COEFFICIENT_CUTOFF <= abs(c) < math.inf else None
-
-
-# ---------------------------------------------------------------------------
-# the fiber-preserving diffeomorphism induced by the section
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    chart: str
-    m: float
-    r: float
-    on_zero_section: bool
-
-
-def embed_section_diffeo(atlas: TransitionAtlas, chart: str, m: float, r: float) -> EmbeddedPoint:
-    """Map a linearized-bundle point to the original bundle: r -> r + s_i(m)."""
-    if chart not in atlas.sections:
-        raise ConstructionError(f"unknown chart {chart!r}")
-    return EmbeddedPoint(chart, m, r + atlas.sections[chart](m), on_zero_section=abs(r) < ZERO_SECTION_CUTOFF)
-
-
-def embed_section_diffeo_inverse(atlas: TransitionAtlas, chart: str, m: float, r: float) -> EmbeddedPoint:
-    """Inverse shift; flags points that land on the zero section (not in the
-    punctured bundle)."""
-    if chart not in atlas.sections:
-        raise ConstructionError(f"unknown chart {chart!r}")
-    shifted = r - atlas.sections[chart](m)
-    return EmbeddedPoint(chart, m, shifted, on_zero_section=abs(shifted) < ZERO_SECTION_CUTOFF)
 
 
 # ---------------------------------------------------------------------------

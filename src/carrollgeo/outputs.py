@@ -13,7 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ContractViolation
 from .geodesics import Trajectory
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write the output file ``path``; one that cannot be written is a ContractViolation naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ContractViolation(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _fmt(value: float) -> str:
@@ -43,7 +52,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     lines = [", ".join(trajectory_header(dim))]
     for row in trajectory_rows(traj):
         lines.append(", ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
@@ -54,7 +63,7 @@ def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
         "events": traj.events,
         "meta": traj.meta,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_christoffel_csv(
@@ -76,11 +85,11 @@ def write_christoffel_csv(
         for v in row:
             parts.append(v if isinstance(v, str) else _fmt(v))
         lines.append(", ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report_json(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -137,4 +146,4 @@ def write_trajectory_svg(traj: Trajectory, path: str | Path, mode: str = "xy") -
         else:
             curve = np.column_stack([traj.lam, traj.x[:, 0]])
             label = "x1 vs lambda"
-    Path(path).write_text(polyline_svg([curve], labels=[label]))
+    write_text(path, polyline_svg([curve], labels=[label]))

@@ -207,43 +207,6 @@ def _sphere_charts_metric(radius2: float, scale: Callable[[float], float] | None
 _ARC_HALF_WIDTH = 2.2
 
 
-def wrap_angle(theta: float) -> float:
-    """Map an angle into (-pi, pi]."""
-    w = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
-def smoothstep(u: float) -> float:
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / u)
-    b = math.exp(-1.0 / (1.0 - u))
-    return a / (a + b)
-
-
-def circle_partition(a: float = _ARC_HALF_WIDTH):
-    """Bumps for the two-arc circle cover (east around 0, west around pi)."""
-    core = math.pi - a
-
-    def rho_east(x: np.ndarray) -> float:
-        th = abs(wrap_angle(float(np.atleast_1d(x)[0])))
-        if th <= core:
-            return 1.0
-        if th >= a:
-            return 0.0
-        return smoothstep((a - th) / (a - core))
-
-    def rho_west(x: np.ndarray) -> float:
-        return 1.0 - rho_east(x)
-
-    return rho_east, rho_west
-
-
 def circle_atlas(fiber_upper: Callable[[float], float], fiber_lower: Callable[[float], float]) -> Atlas:
     """Two-arc cover of the circle with prescribed fiber transition factors.
 

@@ -296,6 +296,15 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["linearize", "moebius", "--format", "json"], "--format"),
         (["linearize", "moebius", "--tol", "nan"], "--tol"),
         (["linearize", "moebius", "--tol", "-1"], "--tol"),
+        (["check", "flat", "--out", "missing/r.json"], "cannot write missing/r.json"),
+        (["geodesic", "flat", "--state", "0, 0, 1, 0.3, 0.1, -1", "--out", "missing/o.csv"], "cannot write missing/o.csv"),
+        (SMALL_GAUGE_FLAT + ["--out", "missing/c.svg"], "cannot write missing/c.svg"),
+        (["christoffel", "flat", "--count", "2", "--out", "missing/c.csv"], "cannot write missing/c.csv"),
+        (["linearize", "moebius", "--out", "missing/l.csv"], "cannot write missing/l.csv"),
+        (["check", "flat", "--seed", "-1"], "--seed must be >= 0"),
+        (["christoffel", "flat", "--count", "3", "--seed", "-5"], "--seed must be >= 0"),
+        (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--field", "nan"], "--field"),
+        (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--field", "inf"], "--field"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
          "zero_section", "shoot_chart", "small_gauge_chart",
@@ -304,13 +313,15 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
          "small_gauge_format", "small_gauge_svg_mode", "small_gauge_christoffel", "direction_size", "q_nan", "t0_nan",
          "point_size", "state_nan", "rk4_step_too_small", "svg_mode_csv", "geodesic_format_no_out",
          "shoot_format_no_out", "svg_mode_json", "linearize_format_no_out", "linearize_tol_nan",
-         "linearize_tol_negative"],
+         "linearize_tol_negative", "check_out_unwritable", "geodesic_out_unwritable", "small_gauge_out_unwritable",
+         "christoffel_out_unwritable", "linearize_out_unwritable", "check_seed_negative", "christoffel_seed_negative",
+         "field_nan", "field_inf"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
+    assert err.startswith("error:") and needle in err and "unexpected" not in err
     assert len(err.strip().splitlines()) == 1
 
 

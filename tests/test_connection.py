@@ -19,7 +19,7 @@ from carrollgeo.connection import (
 )
 from carrollgeo.errors import ConstructionError
 from carrollgeo.geometry import TangentVector, euler, metric_eval
-from carrollgeo.scenarios import circle_atlas, circle_partition
+from carrollgeo.scenarios import _ARC_HALF_WIDTH, circle_atlas
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -134,6 +134,43 @@ def test_curvature_gauge_invariance():
 
 
 # -- partitions of unity and glued connections --------------------------------
+
+def wrap_angle(theta: float) -> float:
+    """Map an angle into (-pi, pi]."""
+    w = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if w <= 0.0:
+        w += 2.0 * math.pi
+    return w - math.pi
+
+
+def smoothstep(u: float) -> float:
+    """C-infinity step: 0 for u <= 0, 1 for u >= 1."""
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    a = math.exp(-1.0 / u)
+    b = math.exp(-1.0 / (1.0 - u))
+    return a / (a + b)
+
+
+def circle_partition(a: float = _ARC_HALF_WIDTH):
+    """Bumps for the two-arc cover of ``circle_atlas`` (east around 0, west around pi)."""
+    core = math.pi - a
+
+    def rho_east(x: np.ndarray) -> float:
+        th = abs(wrap_angle(float(np.atleast_1d(x)[0])))
+        if th <= core:
+            return 1.0
+        if th >= a:
+            return 0.0
+        return smoothstep((a - th) / (a - core))
+
+    def rho_west(x: np.ndarray) -> float:
+        return 1.0 - rho_east(x)
+
+    return rho_east, rho_west
+
 
 def test_partition_sums_to_one(rng):
     atlas = circle_atlas(lambda th: 1.0, lambda th: 1.0)

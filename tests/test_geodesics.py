@@ -16,10 +16,8 @@ from carrollgeo.geodesics import (
     IntegratorConfig,
     NullShootSpec,
     carroll_charge,
-    formal_temporal_solution,
     integrate,
     integrate_small_gauge,
-    log_time,
     null_residual,
     printed_spatial_acceleration,
     printed_temporal_acceleration,
@@ -250,19 +248,12 @@ def test_monitors_beyond_the_float_range_are_a_numeric_error(schwarzschild):
 def test_log_time_slope(schwarzschild):
     state = _equatorial_state(schwarzschild)
     traj = integrate(state, schwarzschild, IntegratorConfig(lambda_max=5.0, christoffel="closed"))
-    series = log_time(traj)
-    assert abs(series.slope(1)) == pytest.approx(1.0, abs=1e-6)  # 1 / (2GM)
+    u = np.log(np.abs(traj.t))
+    assert abs(np.polyfit(u, traj.x[:, 1], 1)[0]) == pytest.approx(1.0, abs=1e-6)  # 1 / (2GM)
     # and u is affine in lambda for the trivial connection
-    fit = np.polyfit(traj.lam, series.u, 1)
+    fit = np.polyfit(traj.lam, u, 1)
     assert fit[0] == pytest.approx(-1.0, abs=1e-8)
-    assert np.max(np.abs(np.polyval(fit, traj.lam) - series.u)) < 1e-8
-
-
-def test_log_time_rejects_constant_fiber(flat2):
-    state = GeodesicState([0.0, 0.0], 1.0, [1.0, 0.0], 0.0)
-    traj = integrate(state, flat2, IntegratorConfig(lambda_max=1.0))
-    with pytest.raises(ContractViolation):
-        log_time(traj)
+    assert np.max(np.abs(np.polyval(fit, traj.lam) - u)) < 1e-8
 
 
 # -- reduced flow for weak gauge fields -------------------------------------------
@@ -325,14 +316,12 @@ def test_reduced_flow_rejects_non_unit_speed(flat2):
         integrate_small_gauge([0.0, 0.0], [2.0, 0.0], flat2, +1, IntegratorConfig(lambda_max=1.0))
 
 
-# -- quadrature solution of the fiber equation -------------------------------------
+# -- the analytic solution of the fiber equation ----------------------------------
 
 def test_formal_solution_trivial_gauge(flat2):
     state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=0.7, t0=1.0), flat2)
     traj = integrate(state, flat2, IntegratorConfig(lambda_max=3.0))
-    series, dev = formal_temporal_solution(traj, flat2.gauge, 0.7, 1.0, "cartesian")
-    assert np.max(np.abs(series - np.exp(-0.7 * traj.lam))) < 1e-9
-    assert dev < 1e-6
+    assert np.max(np.abs(traj.t - np.exp(-0.7 * traj.lam))) < 1e-6
 
 
 def test_formal_solution_constant_gauge(flat2):
@@ -340,8 +329,6 @@ def test_formal_solution_constant_gauge(flat2):
     gauge = _gauge(lambda x: np.array([a, 0.0]))
     state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=0.5, t0=1.0), flat2, gauge=gauge)
     traj = integrate(state, flat2, IntegratorConfig(lambda_max=3.0), gauge=gauge)
-    series, dev = formal_temporal_solution(traj, gauge, 0.5, 1.0, "cartesian")
-    assert dev < 1e-6
     # straight base path: the extra exponent is -a (x1 - x1_0)
     expected = np.exp(-0.5 * traj.lam - a * (traj.x[:, 0] - traj.x[0, 0]))
     assert np.max(np.abs(traj.t - expected)) < 1e-6
@@ -352,10 +339,7 @@ def test_formal_solution_pure_gauge(flat2):
     grad_f = lambda x: np.array([0.2 * math.cos(x[0]), 0.0])
     gauge = _gauge(grad_f)
     state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=0.8, t0=1.0), flat2, gauge=gauge)
-    # trapezoid accuracy over the sample grid needs a fine step cap
     traj = integrate(state, flat2, IntegratorConfig(lambda_max=2.0, max_step=0.005), gauge=gauge)
-    series, dev = formal_temporal_solution(traj, gauge, 0.8, 1.0, "cartesian")
-    assert dev < 1e-6
     expected = np.array([math.exp(-0.8 * l) * math.exp(-(f(x) - f(traj.x[0]))) for l, x in zip(traj.lam, traj.x)])
     assert np.max(np.abs(traj.t - expected)) < 1e-6
 

@@ -15,8 +15,6 @@ from carrollgeo.linearize import (
     TransitionAtlas,
     TripleRecord,
     _nearest_offsets,
-    embed_section_diffeo,
-    embed_section_diffeo_inverse,
     linearize,
     load_atlas_file,
     moebius_transition_atlas,
@@ -188,30 +186,6 @@ def test_cocycle_reciprocal_property(m):
     atlas.psi[("b", "a")] = psi_ba
     cocycle = linearize(shift_transitions(atlas))
     assert cocycle.value("a", "b", m) * cocycle.value("b", "a", m) == pytest.approx(1.0, abs=1e-7)
-
-
-# -- section diffeomorphism -------------------------------------------------------
-
-def test_embed_zero_section_identity():
-    atlas = moebius_transition_atlas()
-    pt = embed_section_diffeo(atlas, "east", 0.3, 1.7)
-    assert pt.r == 1.7 and pt.m == 0.3
-
-
-def test_embed_round_trip():
-    atlas = synthetic_circle_atlas()
-    for chart in atlas.charts:
-        for m, r in ((0.2, 0.9), (1.1, -0.4)):
-            fwd = embed_section_diffeo(atlas, chart, m, r)
-            back = embed_section_diffeo_inverse(atlas, chart, fwd.m, fwd.r)
-            assert back.r == pytest.approx(r, abs=1e-12)
-
-
-def test_embed_flags_zero_section():
-    atlas = synthetic_circle_atlas()
-    s_val = atlas.sections["a"](0.5)
-    hit = embed_section_diffeo_inverse(atlas, "a", 0.5, s_val)
-    assert hit.on_zero_section
 
 
 def test_moebius_flip_transition():
