@@ -37,6 +37,7 @@ from .linearize import (
     synthetic_circle_atlas,
 )
 from .outputs import (
+    check_writable,
     polyline_svg,
     write_christoffel_csv,
     write_report_json,
@@ -389,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            check_writable(args.out)  # before any work, so that a run never ends on an unwritable path
         return args.fn(args)
     except (ContractViolation, ConstructionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,174 +3,253 @@ and CLI coordinate arguments, and the one reader of those files.
 
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
-Expressions are parsed with :mod:`ast` and compiled in one validating walk
-into a tree of closures and its forward-mode twin, which gives the gradient
-in the variables with the value; nothing outside the whitelist can execute.
+Expressions are parsed with :mod:`ast` and checked in one validating walk
+into a small tree. A constant expression is evaluated from that tree. The
+others are emitted as straight-line Python source, one function per
+request, that computes the values and only the partials its reader asks
+for, and compiled once: no text of the input reaches that source, and it
+runs with nothing but the whitelisted functions in scope.
 """
 
 from __future__ import annotations
 
 import ast
+import bisect
 import configparser
 import math
 import operator
 from configparser import SectionProxy
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .errors import ConstructionError
 
-# name -> (function, its derivative at the argument a, given the value v
-# there); abs has slope 0 at its kink, as a central difference gives
-_FUNCTIONS: Mapping[str, tuple[Callable[[float], float], Callable[[float, float], float]]] = {
-    "exp": (math.exp, lambda a, v: v),
-    "sin": (math.sin, lambda a, v: math.cos(a)),
-    "cos": (math.cos, lambda a, v: -math.sin(a)),
-    "tan": (math.tan, lambda a, v: 1.0 + v * v),
-    "sqrt": (math.sqrt, lambda a, v: 0.5 / v),
-    "log": (math.log, lambda a, v: 1.0 / a),
-    "sinh": (math.sinh, lambda a, v: math.cosh(a)),
-    "cosh": (math.cosh, lambda a, v: math.sinh(a)),
-    "tanh": (math.tanh, lambda a, v: 1.0 - v * v),
-    "asinh": (math.asinh, lambda a, v: 1.0 / math.sqrt(1.0 + a * a)),
-    "atan": (math.atan, lambda a, v: 1.0 / (1.0 + a * a)),
-    "abs": (abs, lambda a, v: math.copysign(1.0, a) if a else 0.0),
+# the deepest nesting of operations an expression may have; the walks below
+# recurse once per level, and ast.parse fails far deeper
+MAX_DEPTH = 200
+
+# name -> (function, source of its value at the argument {a} and of its
+# derivative there, given the value {v}); abs has slope 0 at its kink, as a
+# central difference gives
+_UNARY: Mapping[str, tuple[Callable[[float], float], str, str]] = {
+    "exp": (math.exp, "exp({a})", "{v}"),
+    "sin": (math.sin, "sin({a})", "cos({a})"),
+    "cos": (math.cos, "cos({a})", "-sin({a})"),
+    "tan": (math.tan, "tan({a})", "1.0 + {v} * {v}"),
+    "sqrt": (math.sqrt, "sqrt({a})", "0.5 / {v}"),
+    "log": (math.log, "log({a})", "1.0 / {a}"),
+    "sinh": (math.sinh, "sinh({a})", "cosh({a})"),
+    "cosh": (math.cosh, "cosh({a})", "sinh({a})"),
+    "tanh": (math.tanh, "tanh({a})", "1.0 - {v} * {v}"),
+    "asinh": (math.asinh, "asinh({a})", "1.0 / sqrt(1.0 + {a} * {a})"),
+    "atan": (math.atan, "atan({a})", "1.0 / (1.0 + {a} * {a})"),
+    "abs": (abs, "abs({a})", "copysign(1.0, {a}) if {a} else 0.0"),
+    "neg": (operator.neg, "-{a}", "-1.0"),
 }
-_NEGATION = (operator.neg, lambda a, v: -1.0)
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# (operation, its partials in the left and the right operand at (a, b), given the value v);
-# a partial is taken only where its side varies, so a constant exponent takes no log
-_BINOPS = {
-    ast.Add: (operator.add, lambda a, b, v: 1.0, lambda a, b, v: 1.0),
-    ast.Sub: (operator.sub, lambda a, b, v: 1.0, lambda a, b, v: -1.0),
-    ast.Mult: (operator.mul, lambda a, b, v: b, lambda a, b, v: a),
-    ast.Div: (operator.truediv, lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b),
+# operator -> (operation, source of its value at the operands {a}, {b} and of
+# its partials in the left and the right operand, given the value {v}); a
+# partial is taken only where its side varies, so a constant exponent takes no log
+_BINARY: Mapping[type, tuple[Callable[[float, float], float], str, str, str]] = {
+    ast.Add: (operator.add, "{a} + {b}", "1.0", "1.0"),
+    ast.Sub: (operator.sub, "{a} - {b}", "1.0", "-1.0"),
+    ast.Mult: (operator.mul, "{a} * {b}", "{b}", "{a}"),
+    ast.Div: (operator.truediv, "{a} / {b}", "1.0 / {b}", "-{v} / {b}"),
     # libm pow, as for floats' **, but a negative base with a fractional
     # exponent is a ValueError instead of a complex result
-    ast.Pow: (math.pow, lambda a, b, v: b * math.pow(a, b - 1.0) if b else 0.0, lambda a, b, v: v * math.log(a)),
+    ast.Pow: (math.pow, "pow({a}, {b})", "{b} * pow({a}, {b} - 1.0) if {b} else 0.0", "{v} * log({a})"),
 }
 
+# all that generated code can name: the whitelisted functions, two helpers,
+# and inf, which is how repr spells the one literal that has no digits (1e400)
+_NAMESPACE = {name: fn for name, (fn, _, _) in _UNARY.items() if name != "neg"} | {
+    "pow": math.pow, "copysign": math.copysign, "inf": math.inf}
 
-Evaluator = Callable[[Sequence[float]], float]
-# the value and the gradient in the declared variables, at the positional arguments
-Dual = Callable[[Sequence[float]], tuple[float, Sequence[float]]]
-
-
-def _scaled(w: float, grad: Sequence[float]) -> Sequence[float]:
-    return grad if w == 1.0 else [w * g for g in grad]
-
-
-def _unary(rule, arg: Evaluator, dual_arg: Dual | None) -> tuple[Evaluator, Dual | None]:
-    fn, slope = rule
-    if dual_arg is None:
-        return (lambda args: fn(arg(args))), None
-
-    def dual(args):
-        a, grad = dual_arg(args)
-        v = fn(a)
-        return v, _scaled(slope(a, v), grad)
-
-    return (lambda args: fn(arg(args))), dual
+# what evaluating an expression can raise; each becomes a ConstructionError naming it
+_ARITHMETIC = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _binary(rule, left: Evaluator, dual_l: Dual | None, right: Evaluator, dual_r: Dual | None):
-    op, d_left, d_right = rule
-    if dual_l is None and dual_r is None:
-        return (lambda args: op(left(args), right(args))), None
-    dual_l = dual_l or (lambda args: (left(args), None))
-    dual_r = dual_r or (lambda args: (right(args), None))
+class Expression(NamedTuple):
+    """An expression validated by ``compile_expression``: its text, its
+    positional variables, its tree (see ``_tree``) and whether it reads none of them."""
 
-    def dual(args):
-        (a, ga), (b, gb) = dual_l(args), dual_r(args)
-        v = op(a, b)
-        if gb is None:
-            return v, _scaled(d_left(a, b, v), ga)
-        if ga is None:
-            return v, _scaled(d_right(a, b, v), gb)
-        wa, wb = d_left(a, b, v), d_right(a, b, v)
-        return v, [wa * p + wb * q for p, q in zip(ga, gb)]
-
-    return (lambda args: op(left(args), right(args))), dual
+    source: str
+    variables: tuple[str, ...]
+    tree: tuple
+    constant: bool
 
 
-def _compile(node: ast.AST, slots: Mapping[str, int]) -> tuple[Evaluator, Dual | None]:
-    """Validate ``node`` and return its evaluator, a closure over the
-    positional arguments, and its forward-mode twin, whose value takes the
-    same float operations; ``slots`` maps variable names to positions. The
-    twin is None for a subtree that reads no variable: it has no gradient."""
-    if isinstance(node, ast.Expression):
-        return _compile(node.body, slots)
+def compile_expression(text: str, variables: Sequence[str]) -> Expression:
+    """Parse ``text`` and validate it as an expression in the given positional variables."""
+    source = text.strip()
+    try:
+        parsed = ast.parse(source.replace("^", "**"), mode="eval").body
+        tree = _tree(parsed, {name: i for i, name in enumerate(variables)})
+    except SyntaxError as exc:
+        raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
+    except RecursionError:  # ast.parse recurses far deeper than MAX_DEPTH before it gives up
+        raise ConstructionError(f"expression nests deeper than {MAX_DEPTH} operations") from None
+    return Expression(source, tuple(variables), tree, not _reads(tree))
+
+
+def _tree(node: ast.AST, slots: Mapping[str, int], depth: int = 0) -> tuple:
+    """Validate ``node`` and return its tree: ("num", value), ("var", position),
+    (function name or "neg", argument) or (ast operator, left, right);
+    ``slots`` maps variable names to positions."""
+    if depth > MAX_DEPTH:
+        raise ConstructionError(f"expression nests deeper than {MAX_DEPTH} operations")
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConstructionError(f"non-numeric literal {node.value!r}")
-        value = float(node.value)
-        return (lambda args: value), None
+        try:
+            return ("num", float(node.value))
+        except OverflowError:
+            raise ConstructionError("integer literal too large for a float") from None
     if isinstance(node, ast.Name):
         if node.id in slots:
-            i = slots[node.id]
-            unit = tuple(float(j == i) for j in range(len(slots)))
-            return (lambda args: float(args[i])), lambda args: (float(args[i]), unit)
+            return ("var", slots[node.id])
         if node.id in _CONSTANTS:
-            value = _CONSTANTS[node.id]
-            return (lambda args: value), None
+            return ("num", _CONSTANTS[node.id])
         raise ConstructionError(f"unknown name {node.id!r}")
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _binary(_BINOPS[type(node.op)], *_compile(node.left, slots), *_compile(node.right, slots))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (type(node.op), _tree(node.left, slots, depth + 1), _tree(node.right, slots, depth + 1))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        operand = _compile(node.operand, slots)
-        return operand if isinstance(node.op, ast.UAdd) else _unary(_NEGATION, *operand)
+        operand = _tree(node.operand, slots, depth + 1)
+        return operand if isinstance(node.op, ast.UAdd) else ("neg", operand)
     if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+        if not isinstance(node.func, ast.Name) or node.func.id not in _UNARY or node.func.id == "neg":
             raise ConstructionError("only whitelisted functions are allowed")
         if node.keywords or len(node.args) != 1:
             raise ConstructionError("functions take exactly one positional argument")
-        return _unary(_FUNCTIONS[node.func.id], *_compile(node.args[0], slots))
+        return (node.func.id, _tree(node.args[0], slots, depth + 1))
     raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def compile_expression(text: str, variables: Sequence[str]) -> Callable[..., float]:
-    """Compile ``text`` into a function of the given positional variables.
+def _reads(tree: tuple) -> bool:
+    return tree[0] == "var" or (tree[0] != "num" and any(map(_reads, tree[1:])))
 
-    Arithmetic failures at call time (division by zero, a domain error such
-    as ``sqrt(-1)``, overflow) raise :class:`ConstructionError` naming the
-    expression. The function's ``constant`` attribute is True when the
-    expression reads none of its variables. Its ``value_and_grad`` evaluates
-    it in forward mode: the same value, bit for bit, and the gradient in the
-    variables, exact up to rounding; a failure of the gradient alone (such
-    as ``sqrt(x)`` at 0) raises the same ConstructionError.
-    """
-    source = text.strip()
-    try:
-        tree = ast.parse(source.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
-    names = tuple(variables)
 
-    def checked(evaluate: Callable) -> Callable[..., object]:
-        def run(*args: float):
-            if len(args) != len(names):
-                raise ConstructionError(f"expression expects {len(names)} arguments, got {len(args)}")
+def _value(tree: tuple) -> float:
+    """The value of a tree that reads no variable, with the generated code's float operations."""
+    if tree[0] == "num":
+        return tree[1]
+    rule = _BINARY.get(tree[0]) or _UNARY[tree[0]]
+    return rule[0](*map(_value, tree[1:]))
+
+
+class _Emitter:
+    """Straight-line source for the body of one generated function: each
+    operation's value and, where ``wanted`` lists variable positions, its
+    partials in them as forward mode takes them. Every node that reads a
+    variable takes its slopes, used or not, so that the same inputs fail;
+    a repeated subtree is emitted once."""
+
+    def __init__(self, lines: list[str], wanted: tuple[int, ...] | None):
+        self.lines, self.wanted, self.done = lines, wanted, {}
+
+    def ref(self, source: str, temporary: bool = False) -> str:
+        """``source`` as an operand: a name or a literal as it is, else a new temporary."""
+        if not temporary and " " not in source and "(" not in source:
+            return source
+        self.lines.append(f"    v{len(self.lines)} = {source}")
+        return f"v{len(self.lines) - 1}"
+
+    def emit(self, tree: tuple) -> tuple[str, tuple[str, ...] | None]:
+        """The operands that hold the value of ``tree`` and its wanted partials,
+        None where it reads no variable or no partial is wanted."""
+        if tree in self.done:
+            return self.done[tree]
+        if tree[0] == "num":  # repr round-trips a float
+            out = repr(tree[1]), None
+        elif tree[0] == "var":
+            unit = None if self.wanted is None else tuple("1.0" if k == tree[1] else "0.0" for k in self.wanted)
+            out = f"p{tree[1]}", unit
+        else:
+            args = [self.emit(child) for child in tree[1:]]  # each operand in turn, with its partials
+            _, value, *slopes = _BINARY.get(tree[0]) or _UNARY[tree[0]]
+            refs = dict(zip("ab", (ref for ref, _ in args)))
+            refs["v"] = self.ref(value.format(**refs), temporary=True)
+            # the slope in each operand that varies, in turn: a constant exponent takes no log
+            terms = [(self.ref(slope.format(**refs)), grad) for slope, (_, grad) in zip(slopes, args) if grad]
+            out = refs["v"], None if not terms else tuple(
+                self.ref(" + ".join(_times(w, grad[k]) for w, grad in terms)) for k in range(len(self.wanted)))
+        self.done[tree] = out
+        return out
+
+
+def _times(w: str, g: str) -> str:
+    # 1.0 * g is g bit for bit, NaN and -0.0 included
+    return g if w == "1.0" else w if g == "1.0" else f"{w} * {g}"
+
+
+def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> list[Callable[..., list[float]]]:
+    """One function per request, of the positional variables that its
+    expressions share, that returns the list of the request's outputs in
+    order: for (expression, None) its value, for (expression, name) its
+    partial in the variable ``name``, exact up to rounding (0.0 for a
+    constant expression). A value takes the float operations of the
+    expression alone, whatever else is asked for. The requests that read a
+    variable are emitted as one source and compiled once; the others are
+    evaluated here. A function raises the ConstructionError naming the first
+    output expression whose value or any of whose partials fails."""
+    lines: list[str] = []
+    owners: list[tuple[int, str]] = []  # (first line, source) of each output's code
+    functions: list = []
+    for k, request in enumerate(requests):
+        if all(expression.constant for expression, _ in request):
+            functions.append(_constant(request))
+            continue
+        variables = request[0][0].variables
+        names = {name for _, name in request if name is not None}
+        wanted = tuple(i for i, name in enumerate(variables) if name in names) if names else None
+        emitter, outputs = _Emitter(lines, wanted), []
+        lines.append(f"def f{k}({', '.join(f'p{i}' for i in range(len(variables)))}):")
+        for expression, name in request:
+            owners.append((len(lines) + 1, expression.source))
+            value, grad = emitter.emit(expression.tree)
+            outputs.append(value if name is None else grad[wanted.index(variables.index(name))] if grad else "0.0")
+        lines.append(f"    return [{', '.join(outputs)}]")
+        functions.append(k)
+    namespace = {"__builtins__": {}, **_NAMESPACE}
+    if lines:
+        exec(compile("\n".join(lines), "<expressions>", "exec"), namespace)
+
+    def checked(fn: Callable[..., list[float]]) -> Callable[..., list[float]]:
+        def run(*args: float) -> list[float]:
             try:
-                return evaluate(args)
-            except (ZeroDivisionError, ValueError, OverflowError) as exc:
-                raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
+                return fn(*args)
+            except _ARITHMETIC as exc:
+                tb = exc.__traceback__
+                while tb.tb_next is not None:  # the generated frame: its line tells the output that failed
+                    tb = tb.tb_next
+                line = bisect.bisect_right([first for first, _ in owners], tb.tb_lineno) - 1
+                raise ConstructionError(f"cannot evaluate expression {owners[line][1]!r}: {exc}") from exc
 
         return run
 
-    body, dual = _compile(tree, {name: i for i, name in enumerate(names)})
-    fn = checked(body)
-    fn.__name__ = "expr"
-    fn.source = source  # type: ignore[attr-defined]
-    fn.constant = dual is None  # type: ignore[attr-defined]
-    fn.value_and_grad = checked(dual or (lambda args: (body(args), (0.0,) * len(names))))  # type: ignore[attr-defined]
-    return fn
+    return [checked(namespace[f"f{fn}"]) if isinstance(fn, int) else fn for fn in functions]
+
+
+def _constant(request: Sequence[tuple[Expression, str | None]]) -> Callable[..., list[float]]:
+    """The function of a request whose expressions read no variable: evaluated once, with no source."""
+    values = []
+    for expression, name in request:
+        try:
+            value = _value(expression.tree)
+        except _ARITHMETIC as exc:
+            def failing(*args: float, source=expression.source, exc=exc) -> list[float]:
+                raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
+
+            return failing
+        values.append(value if name is None else 0.0)
+    return lambda *args: list(values)
 
 
 def parse_number(text: str) -> float:
     """Evaluate a constant expression such as ``pi/2`` or ``-1.5e-3``."""
-    return compile_expression(text, ())()
+    return generate([[(compile_expression(text, ()), None)]])[0]()[0]
 
 
 def parse_tuple(text: str) -> tuple[float, ...]:

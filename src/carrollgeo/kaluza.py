@@ -24,7 +24,7 @@ is something to compare, not to trust (see ``closed_form_deviation``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,6 +150,31 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     lowered = swapped + np.swapaxes(swapped, -2, -1) - dg  # + d_c G_db - d_d G_bc
     gamma = np.einsum("...ad,...dbc->...abc", ginv, lowered)
     return 0.25 * (gamma + np.swapaxes(gamma, -1, -2))  # the formula's 1/2 times the symmetrization's
+
+
+@cache
+def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[float]], list[float]]:
+    """``_levi_civita`` of one n x n block on Python floats, generated once per
+    (n, fiber). It takes the inverse, ginv[a * n + d], and a block's jet, its
+    entries and then its partials dg[(c * n + a) * n + b] on the axes x1..xn
+    (and t, for a fiber-dependent block), and gives the symbols
+    Gamma[(a * n + b) * n + c] and then, for a fiber-dependent block, the rate
+    g^{cd} dg_ad/dt at [c * n + a]. Each sum starts at 0.0 and runs over d in
+    index order, as numpy's einsum sums these small contractions, so the
+    symbols are ``_levi_civita``'s bit for bit."""
+    dg = lambda c, a, b: f"jet[{(c * n + a) * n + b + n * n}]"
+    lines = [f"    l{d}_{b}_{c} = {dg(b, d, c)} + {dg(c, d, b)} - {dg(d, b, c)}"
+             for d in range(n) for b in range(n) for c in range(n)]
+    lines += [f"    s{a}_{b}_{c} = 0.0" + "".join(f" + g[{a * n + d}] * l{d}_{b}_{c}" for d in range(n))
+              for a in range(n) for b in range(n) for c in range(n)]
+    out = [f"0.25 * (s{a}_{b}_{c} + s{a}_{c}_{b})" for a in range(n) for b in range(n) for c in range(n)]
+    if fiber:
+        out += ["0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
+                for c in range(n) for a in range(n)]
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"]), "<levi-civita>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _fd
 from .errors import CarrollError, ConstructionError, NumericError
-from .expressions import SectionProxy, compile_expression, ini_keys, ini_value, parse_pair, read_ini, unwrap
+from .expressions import (Expression, SectionProxy, compile_expression, generate, ini_keys, ini_value, parse_pair,
+                          read_ini, unwrap)
 
 Transition = Callable[[float, float], float]
 Section = Callable[[float], float]
@@ -419,8 +420,8 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
 
     Transitions are expressions in the base variable m and fiber variable r.
     Base coordinates are shared across charts (no wrap-around); wrapped
-    atlases are provided as built-ins. Each transition's slope in r is the
-    r-component of its forward-mode gradient.
+    atlases are provided as built-ins. Each transition's slope in r is its
+    exact partial in r, generated with the transitions.
     """
     path = Path(path)
     parser = read_ini(path, "atlas file", ("charts",), ("sections",), named=("overlap", "triple"))
@@ -428,7 +429,7 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
     for name in charts:
         ini_value(parser["charts"], name, lambda spec: parse_pair(unwrap(spec, "interval")[1]))
 
-    psi: dict[tuple[str, str], Transition] = {}
+    transitions: dict[tuple[str, str], Expression] = {}
     overlaps: list[OverlapRecord] = []
     triples: list[TripleRecord] = []
 
@@ -441,19 +442,26 @@ def load_atlas_file(path: str | Path, samples_per_overlap: int = 32) -> Transiti
             overlaps.append(OverlapRecord(charts=(j, i), samples={i: ms, j: ms}))
             for key, target in ((f"to_{i}", (i, j)), (f"to_{j}", (j, i))):
                 if key in sec:
-                    psi[target] = compile_expression(sec[key], ("m", "r"))
+                    transitions[target] = compile_expression(sec[key], ("m", "r"))
         elif kind == "triple":
             (i, j, k), ms = _charts_and_samples(sec, 3, charts, samples_per_overlap)
             for a, b in ((i, j), (j, k), (i, k)):
-                if (a, b) not in psi:
+                if (a, b) not in transitions:
                     raise ConstructionError(f"[{section_name}] needs a transition {a} <- {b} from an [overlap]")
             triples.append(TripleRecord(charts=(i, j, k), samples={c: ms for c in (i, j, k)}))
 
     given = parser["sections"] if "sections" in parser else {}
     ini_keys(given, charts)
-    sections = {name: compile_expression(given.get(name, "0"), ("m",)) for name in charts}
+    sections = [compile_expression(given.get(name, "0"), ("m",)) for name in charts]
 
-    if not psi:
+    if not transitions:
         raise ConstructionError("atlas file defines no transitions")
-    slopes = {key: (lambda m, r, dual=fn.value_and_grad: dual(m, r)[1][1]) for key, fn in psi.items()}
-    return TransitionAtlas(charts=charts, psi=psi, sections=sections, overlaps=overlaps, triples=triples, slopes=slopes)
+    # one source for every transition, its slope in r and every section that reads m
+    functions = iter(generate([[(fn, name)] for fn in transitions.values() for name in (None, "r")]
+                              + [[(section, None)] for section in sections]))
+    psi, slopes = {}, {}
+    for key in transitions:
+        psi[key] = lambda m, r, fn=next(functions): fn(float(m), float(r))[0]
+        slopes[key] = lambda m, r, fn=next(functions): fn(float(m), float(r))[0]
+    return TransitionAtlas(charts=charts, psi=psi, overlaps=overlaps, triples=triples, slopes=slopes,
+                           sections={name: lambda m, fn=next(functions): fn(float(m))[0] for name in charts})

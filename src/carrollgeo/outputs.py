@@ -7,7 +7,9 @@ anywhere in the outputs.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -15,6 +17,22 @@ import numpy as np
 
 from .errors import ContractViolation
 from .geodesics import Trajectory
+
+
+def check_writable(path: str | Path) -> None:
+    """Refuse, before any work, an output path that ``write_text`` would refuse: a directory, one whose
+    directory is missing, or one that cannot be written. It creates and truncates nothing."""
+    target = Path(path)
+    folder = target.parent
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not folder.is_dir():
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK) or (target.exists() and not os.access(target, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise ContractViolation(f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -27,8 +27,8 @@ import numpy as np
 from ._grid import MIN_NODES, GridSpline
 from .connection import ConnectionOneForm, GaugeField
 from .errors import ConstructionError, ContractViolation
-from .expressions import (compile_expression, ini_keys, ini_value, parse_bool, parse_number, parse_pair, read_ini,
-                          read_text, unwrap)
+from .expressions import (compile_expression, generate, ini_keys, ini_value, parse_bool, parse_number, parse_pair,
+                          read_ini, read_text, unwrap)
 from .geometry import (
     Atlas,
     Chart,
@@ -36,7 +36,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import KKMetric, _inverse, _levi_civita
+from .kaluza import KKMetric, _inverse, _levi_civita_floats
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +373,14 @@ def _build_thakurta(params: Mapping) -> Scenario:
     gm_param = _mass_param(params)
     radius = 2.0 * gm_param
     u_text = str(params.get("U", "t"))
-    u_fn = compile_expression(u_text, ("t",))
+    u = compile_expression(u_text, ("t",))
+    u_value, u_slope = generate([[(u, None)], [(u, "t")]])
 
     def scale(t: float) -> float:
-        return math.exp(-u_fn(t))
+        return math.exp(-u_value(float(t))[0])
 
     def dgdt_factor(t: float) -> float:
-        return -u_fn.value_and_grad(t)[1][0]
+        return -u_slope(float(t))[0]
 
     sc = _build_sphere_like(
         f"thakurta(GM={gm_param:g}, U={u_text})",
@@ -519,7 +520,9 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
 
 def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tuple[Callable, Callable | None]:
     """The base block of a [metric] entry, expressions in x1..xn, t or a grid file beside the scenario file,
-    and for expressions the block with its partials, (g, dg[axis, a, b]) on the axes x1..xn, t, else None."""
+    and for expressions its jet, the block's entries and then their partials on the axes x1..xn (and t for a
+    fiber-dependent block) as one flat float list, [(axis * n + a) * n + b] with the entries at axis -1;
+    for a grid, None."""
     kind, body = unwrap(text, "matrix", "grid")
     if kind == "grid":
         return load_metric_grid(folder / body.strip(), dim, time_dependent), None
@@ -532,18 +535,14 @@ def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tu
         cols = row.split(",")
         if len(cols) != dim:
             raise ConstructionError(f"matrix row has {len(cols)} entries, expected {dim}")
-        entries.append([compile_expression(c, variables) for c in cols])
+        entries.extend(compile_expression(c, variables) for c in cols)
+    axes = variables if time_dependent else variables[:dim]
+    values, jet = generate([[(e, None) for e in entries], [(e, name) for name in (None, *axes) for e in entries]])
 
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        args = (*np.asarray(x, dtype=float).tolist(), float(t))
-        return np.array([[fn(*args) for fn in row] for row in entries])
+        return np.array(values(*np.asarray(x, dtype=float).tolist(), float(t))).reshape(dim, dim)
 
-    def jet(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        args = (*np.asarray(x, dtype=float).tolist(), float(t))
-        values, grads = zip(*[fn.value_and_grad(*args) for row in entries for fn in row])
-        return np.array(values).reshape(dim, dim), np.array(grads).T.reshape(dim + 1, dim, dim)
-
-    return gm, jet
+    return gm, lambda x, t: jet(*np.asarray(x, dtype=float).tolist(), float(t))
 
 
 def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
@@ -555,13 +554,13 @@ def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarr
     comps = [compile_expression(c, variables) for c in body.split(",")]
     if len(comps) != dim:
         raise ConstructionError(f"vector has {len(comps)} entries, expected {dim}")
+    values = generate([[(c, None) for c in comps]])[0]
 
     def a_fn(x: np.ndarray) -> np.ndarray:
-        args = np.asarray(x, dtype=float).tolist()
-        return np.array([fn(*args) for fn in comps])
+        return np.array(values(*np.asarray(x, dtype=float).tolist()))
 
     # zero only when every component is a constant expression equal to 0
-    return a_fn, all(fn.constant and fn(*[0.0] * dim) == 0.0 for fn in comps)  # type: ignore[attr-defined]
+    return a_fn, all(c.constant for c in comps) and values(*[0.0] * dim) == [0.0] * dim
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
@@ -599,14 +598,16 @@ def load_scenario_file(path: str | Path) -> Scenario:
     jets = {c: jet for c, (_, jet) in blocks.items()}
     exact = all(jet is not None for jet in jets.values())
 
+    kernel, square, cube = _levi_civita_floats(dim, time_dependent), dim * dim, dim**3
+
     def base_jet(x: np.ndarray, t: float, chart: str) -> tuple:
         # one jet and its one inverse give the base symbols, dg_M/dt and the rate
-        g, dg = jets[chart](x, t)
-        ginv = _inverse(g)
-        base = _levi_civita(ginv, dg[:dim])
+        jet = jets[chart](x, t)
+        out = kernel(_inverse(np.array(jet[:square]).reshape(dim, dim)).ravel().tolist(), jet)
+        base = np.array(out[:cube]).reshape(dim, dim, dim)
         if not time_dependent:
             return base, None, None
-        return base, dg[dim], np.einsum("cd,ad->ca", ginv, dg[dim])
+        return base, np.array(jet[square + cube:]).reshape(dim, dim), np.array(out[cube:]).reshape(dim, dim)
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)

@@ -316,3 +316,30 @@ def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
         _, dgdt, rate = thakurta.base_jet(x, t, "angular")
         assert dgdt.tobytes() == (-gm).tobytes()
         assert rate.tobytes() == (-np.eye(2)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_levi_civita_sum_and_rate_equal_the_stacked_assembly(n):
+    """A scenario file's base symbols and rate are summed on floats: they
+    equal ``_levi_civita`` of the LAPACK inverse byte for byte, signed zeros
+    included, and the rate equals the same contraction with the partials laid
+    out as ``_levi_civita`` reads them ([d, a]; up to n = 2 the pairwise
+    sums of the dot-product layout [a, d] give the same bytes)."""
+    rng = np.random.default_rng([41, n])
+    kernel = kaluza._levi_civita_floats(n, True)
+    for k in range(300):
+        a = rng.normal(size=(n, n))
+        ginv = np.linalg.inv(a @ a.T + n * np.eye(n))
+        dg = rng.normal(size=(n + 1, n, n))
+        if k % 2:
+            dg[rng.random(dg.shape) < 0.5] = 0.0
+            dg[rng.random(dg.shape) < 0.3] = -0.0
+        jet = [math.nan] * n * n + dg.ravel().tolist()  # the kernel reads no entry of the block
+        out = kernel(ginv.ravel().tolist(), jet)
+        assert np.array(out[:n**3]).tobytes() == kaluza._levi_civita(ginv, dg[:n]).tobytes()
+        rate = np.array(out[n**3:])
+        assert rate.tobytes() == np.einsum("cd,da->ca", ginv, np.ascontiguousarray(dg[n].T)).tobytes()
+        if n <= 2:
+            assert rate.tobytes() == np.einsum("cd,ad->ca", ginv, dg[n]).tobytes()
+    assert np.array(kaluza._levi_civita_floats(n, False)(ginv.ravel().tolist(), jet)).tobytes() == \
+        np.array(out[:n**3]).tobytes()

@@ -431,6 +431,16 @@ to_b = exp(-sin(m)) * r
         ("check", SCENARIO_FILE, "box(-1, 1; -1, 1)", "box(-1, 1; 0, 1e400)", "finite ends"),
         ("linearize", ATLAS_FILE, "interval = 0.6, 1.9", "interval = 1.0, 1e400", "finite ends"),
         ("linearize", ATLAS_FILE, "a = interval(-2, 2)", "a = interval(-1e400, 2)", "finite ends"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", f"matrix(1 + 0*({' + '.join(['x1'] * 3000)}), 0", "deeper than 200"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", f"matrix(1{'0' * 400}, 0", "too large for a float"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix(__import__('os'), 0", "whitelisted"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix((lambda: 1)(), 0", "whitelisted"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix(x1.real, 0", "unsupported syntax"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix(x1[0], 0", "unsupported syntax"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix([x1], 0", "unsupported syntax"),
+        ("check", SCENARIO_FILE, "matrix(1, 0", "matrix(x1 if x1 else 1, 0", "unsupported syntax"),
+        ("linearize", ATLAS_FILE, "to_a = exp(sin(m)) * r", "to_a = r.real", "unsupported syntax"),
+        ("check", SCENARIO_FILE, "[expects]", "[gauge]\nmain = vector(1, 1/0)\n[expects]", "'1/0'"),
     ],
     ids=[
         "dim", "box", "weight", "time_dependent", "euler_killing", "conformal", "overlap_charts", "overlap_interval",
@@ -441,6 +451,8 @@ to_b = exp(-sin(m)) * r
         "atlas_no_section_header", "atlas_not_utf8", "atlas_unknown_section", "atlas_unknown_sections_key",
         "overlap_unknown_key", "chart_interval_garbage", "chart_interval_reversed", "overlap_interval_reversed",
         "triple_interval_reversed", "box_infinite_end", "overlap_interval_infinite_end", "chart_interval_infinite_end",
+        "expression_too_deep", "literal_too_large", "import_call", "lambda_call", "attribute", "subscript", "list",
+        "conditional", "transition_attribute", "constant_gauge_fails",
     ],
 )
 def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle, tmp_path, capsys):
@@ -452,8 +464,40 @@ def test_malformed_file_is_one_line_usage_error(command, text, old, new, needle,
     capsys.readouterr()
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
+    assert err.startswith("error:") and needle in err and "unexpected" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "flat"],
+        ["geodesic", "flat", "--state", "0, 0, 1, 0.3, 0.1, -1"],
+        ["null-shoot", "schwarzschild", "--point", "pi/2, 0", "--dir", "0, 1", "--q", "1"],
+        ["christoffel", "flat", "--count", "2"],
+        ["linearize", "moebius"],
+    ],
+    ids=["check", "geodesic", "null_shoot", "christoffel", "linearize"],
+)
+def test_an_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    """Each command with --out refuses a path it could not write before it
+    loads or runs anything: exit 2, one line on stderr, nothing on stdout."""
+    for name in ("_load_scenario", "moebius_transition_atlas"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("loaded before checking --out"))
+    for out in (tmp_path / "missing" / "o.txt", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_checking_out_neither_creates_nor_truncates_it(tmp_path, capsys):
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("old\n")
+    for out in (kept, absent):
+        assert main(["geodesic", "flat", "--state", "1, 2", "--out", str(out)]) == 2
+        assert "--state needs 6 values" in capsys.readouterr().err
+    assert kept.read_text() == "old\n" and not absent.exists()
 
 
 def _grid_csv(axis1, axis2):

@@ -1,28 +1,35 @@
 import ast
+import inspect
 import math
+import operator
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from carrollgeo import _fd
+from carrollgeo import _fd, expressions
 from carrollgeo.errors import ConstructionError
-from carrollgeo.expressions import compile_expression, parse_number, parse_tuple
+from carrollgeo.expressions import compile_expression, generate, parse_number, parse_tuple
+
+
+def _evaluate(text, variables, *args):
+    return generate([[(compile_expression(text, variables), None)]])[0](*args)[0]
 
 
 def test_basic_arithmetic():
-    fn = compile_expression("2 * m + r^2", ("m", "r"))
-    assert fn(1.5, 2.0) == 7.0
+    assert _evaluate("2 * m + r^2", ("m", "r"), 1.5, 2.0) == 7.0
 
 
 def test_functions_and_constants():
-    fn = compile_expression("exp(sin(m)) / pi", ("m",))
-    assert fn(0.3) == pytest.approx(math.exp(math.sin(0.3)) / math.pi)
+    assert _evaluate("exp(sin(m)) / pi", ("m",), 0.3) == pytest.approx(math.exp(math.sin(0.3)) / math.pi)
 
 
 def test_unary_minus():
-    assert compile_expression("-t^2", ("t",))(3.0) == -9.0
+    assert _evaluate("-t^2", ("t",), 3.0) == -9.0
 
 
 def test_parse_number_pi_expression():
@@ -52,8 +59,8 @@ def test_rejects_attribute_access():
 
 
 def test_domain_errors_surface_at_call_time():
-    fn = compile_expression("sqrt(m - 2)", ("m",))
-    assert fn(6.0) == 2.0
+    fn = generate([[(compile_expression("sqrt(m - 2)", ("m",)), None)]])[0]
+    assert fn(6.0) == [2.0]
     with pytest.raises(ConstructionError, match="sqrt"):
         fn(0.0)
 
@@ -76,7 +83,128 @@ def test_arithmetic_errors_name_the_expression(text, cause):
 
 
 
-# -- forward mode ------------------------------------------------------------------
+# -- the reference: the closure tree and its forward-mode twin ----------------------
+#
+# The evaluator that generated code replaced, kept to hold it to every float:
+# a tree of closures over the positional arguments, and a twin that carries
+# the gradient in every variable, a list at every node.
+
+_REF_FUNCTIONS = {
+    "exp": (math.exp, lambda a, v: v),
+    "sin": (math.sin, lambda a, v: math.cos(a)),
+    "cos": (math.cos, lambda a, v: -math.sin(a)),
+    "tan": (math.tan, lambda a, v: 1.0 + v * v),
+    "sqrt": (math.sqrt, lambda a, v: 0.5 / v),
+    "log": (math.log, lambda a, v: 1.0 / a),
+    "sinh": (math.sinh, lambda a, v: math.cosh(a)),
+    "cosh": (math.cosh, lambda a, v: math.sinh(a)),
+    "tanh": (math.tanh, lambda a, v: 1.0 - v * v),
+    "asinh": (math.asinh, lambda a, v: 1.0 / math.sqrt(1.0 + a * a)),
+    "atan": (math.atan, lambda a, v: 1.0 / (1.0 + a * a)),
+    "abs": (abs, lambda a, v: math.copysign(1.0, a) if a else 0.0),
+}
+_REF_NEGATION = (operator.neg, lambda a, v: -1.0)
+_REF_BINOPS = {
+    ast.Add: (operator.add, lambda a, b, v: 1.0, lambda a, b, v: 1.0),
+    ast.Sub: (operator.sub, lambda a, b, v: 1.0, lambda a, b, v: -1.0),
+    ast.Mult: (operator.mul, lambda a, b, v: b, lambda a, b, v: a),
+    ast.Div: (operator.truediv, lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b),
+    ast.Pow: (math.pow, lambda a, b, v: b * math.pow(a, b - 1.0) if b else 0.0, lambda a, b, v: v * math.log(a)),
+}
+
+
+def _ref_scaled(w, grad):
+    return grad if w == 1.0 else [w * g for g in grad]
+
+
+def _ref_unary(rule, arg, dual_arg):
+    fn, slope = rule
+    if dual_arg is None:
+        return (lambda args: fn(arg(args))), None
+
+    def dual(args):
+        a, grad = dual_arg(args)
+        v = fn(a)
+        return v, _ref_scaled(slope(a, v), grad)
+
+    return (lambda args: fn(arg(args))), dual
+
+
+def _ref_binary(rule, left, dual_l, right, dual_r):
+    op, d_left, d_right = rule
+    if dual_l is None and dual_r is None:
+        return (lambda args: op(left(args), right(args))), None
+    dual_l = dual_l or (lambda args: (left(args), None))
+    dual_r = dual_r or (lambda args: (right(args), None))
+
+    def dual(args):
+        (a, ga), (b, gb) = dual_l(args), dual_r(args)
+        v = op(a, b)
+        if gb is None:
+            return v, _ref_scaled(d_left(a, b, v), ga)
+        if ga is None:
+            return v, _ref_scaled(d_right(a, b, v), gb)
+        wa, wb = d_left(a, b, v), d_right(a, b, v)
+        return v, [wa * p + wb * q for p, q in zip(ga, gb)]
+
+    return (lambda args: op(left(args), right(args))), dual
+
+
+def _ref_compile(node, slots):
+    if isinstance(node, ast.Expression):
+        return _ref_compile(node.body, slots)
+    if isinstance(node, ast.Constant):
+        value = float(node.value)
+        return (lambda args: value), None
+    if isinstance(node, ast.Name):
+        if node.id in slots:
+            i = slots[node.id]
+            unit = tuple(float(j == i) for j in range(len(slots)))
+            return (lambda args: float(args[i])), lambda args: (float(args[i]), unit)
+        value = {"pi": math.pi, "e": math.e}[node.id]
+        return (lambda args: value), None
+    if isinstance(node, ast.BinOp):
+        left, right = _ref_compile(node.left, slots), _ref_compile(node.right, slots)
+        return _ref_binary(_REF_BINOPS[type(node.op)], *left, *right)
+    if isinstance(node, ast.UnaryOp):
+        operand = _ref_compile(node.operand, slots)
+        return operand if isinstance(node.op, ast.UAdd) else _ref_unary(_REF_NEGATION, *operand)
+    return _ref_unary(_REF_FUNCTIONS[node.func.id], *_ref_compile(node.args[0], slots))
+
+
+def _reference(text, variables):
+    """(value, value_and_grad) of a valid expression, as the closures and the twin gave them."""
+    tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+    body, dual = _ref_compile(tree, {v: i for i, v in enumerate(variables)})
+    return (lambda *args: body(args)), (lambda *args: dual(args) if dual else (body(args), (0.0,) * len(variables)))
+
+
+def _outcome(fn, *args):
+    """The floats ``fn`` returns, as hex, or the type and text of the arithmetic error it raises."""
+    try:
+        out = fn(*args)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    except ConstructionError as exc:
+        return type(exc.__cause__), str(exc.__cause__)
+    return [float(v).hex() for v in out]
+
+
+def _assert_generated_equals_the_reference(text, points):
+    """Each kind of request a reader makes, as four functions of one source
+    (the value alone, the value with both partials, each partial alone),
+    gives the reference's floats or its error at every point."""
+    variables = ("x", "y")
+    value, value_and_grad = _reference(text, variables)
+    fn = compile_expression(text, variables)
+    alone, jet, dx, dy = generate([[(fn, None)], [(fn, None), (fn, "x"), (fn, "y")], [(fn, "x")], [(fn, "y")]])
+    for p in points:
+        assert _outcome(alone, *p) == _outcome(lambda *q: [value(*q)], *p), (text, p)
+        full = _outcome(lambda *q: (lambda v, g: [v, *g])(*value_and_grad(*q)), *p)
+        assert _outcome(jet, *p) == full, (text, p)
+        for k, single in ((1, dx), (2, dy)):
+            assert _outcome(single, *p) == (full if isinstance(full, tuple) else [full[k]]), (text, p, k)
+
 
 # every whitelisted function, the five operators, unary minus, pi and e, on
 # arguments that stay inside their domains for x, y in [0.3, 1.3]
@@ -86,36 +214,136 @@ DERIVATIVE_CASES = [
     "x + y", "x - y", "x * y", "x / y", "x ^ y", "x^3 - 2^y + y^0.5", "-x * y", "-(x - y)^3", "+x",
     "pi * x + e^y", "x * (2 + pi) / e", "sin(2) * y + 1",
 ]
+# where a slope alone fails, or a zero partial keeps a sign, at SPECIAL_POINTS
+EDGE_CASES = ["x ^ 0", "sqrt(x) * y", "(x - x) * y ^ 0.5", "abs(x) * y", "-(x * 0) / y", "log(y) ^ x"]
+# points where values, slopes or both fail, are signed zeros or are not finite
+SPECIAL_POINTS = [(0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (0.0, 1.0), (-1.5, 0.5), (0.5, -2.0), (800.0, 1.0),
+                  (1e308, -1e308), (math.inf, 1.0), (1.0, -math.inf), (math.nan, 0.5)]
+
+
+@pytest.mark.parametrize("text", DERIVATIVE_CASES + EDGE_CASES)
+def test_generated_code_gives_the_references_floats_and_errors(text):
+    points = np.random.default_rng([11, len(text)]).uniform(0.3, 1.3, (5, 2)).tolist()
+    _assert_generated_equals_the_reference(text, points + SPECIAL_POINTS)
 
 
 @pytest.mark.parametrize("text", DERIVATIVE_CASES)
-def test_forward_mode_gives_the_value_bit_for_bit_and_the_differenced_gradient(text):
-    fn = compile_expression(text, ("x", "y"))
+def test_generated_partials_are_the_differenced_gradient(text):
+    jet = generate([[(compile_expression(text, ("x", "y")), name) for name in (None, "x", "y")]])[0]
     for p in np.random.default_rng([11, len(text)]).uniform(0.3, 1.3, (5, 2)):
-        value, grad = fn.value_and_grad(*p)
-        assert value.hex() == fn(*p).hex()
+        value, *grad = jet(*p)
         for axis in (0, 1):
-            difference = float(_fd.partial(lambda q: fn(*q), p, axis))
+            difference = float(_fd.partial(lambda q: jet(*q)[0], p, axis))
             assert abs(grad[axis] - difference) <= 1e-8 * max(1.0, abs(difference)), (text, p, axis)
 
 
-def test_a_constant_expression_has_no_gradient():
+_LEAVES = st.sampled_from(["x", "y", "x", "y", "0", "1", "2", "0.5", "3.25", "pi", "e", "1e400", "1e-320", "7"])
+
+
+def _grow(children):
+    unary = st.tuples(st.sampled_from(["exp", "sin", "cos", "tan", "sqrt", "log", "sinh", "cosh", "tanh", "asinh",
+                                       "atan", "abs", "-", "+"]), children)
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/", "^"]), children)
+    return st.one_of(
+        unary.map(lambda u: f"{u[0]}{u[1]}" if u[0] in "+-" else f"{u[0]}({u[1]})"),
+        binary.map(lambda b: f"({b[0]} {b[1]} {b[2]})"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=12)
+_ARGUMENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan, 1e300]),
+                       st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_EXPRESSIONS, st.lists(st.tuples(_ARGUMENTS, _ARGUMENTS), min_size=1, max_size=6))
+def test_generated_code_gives_the_references_floats_and_errors_over_the_grammar(text, points):
+    _assert_generated_equals_the_reference(text, points)
+
+
+def test_a_constant_expression_has_zero_partials_and_no_compile(monkeypatch):
+    monkeypatch.setattr(expressions, "compile", lambda *args: pytest.fail("compiled a constant"), raising=False)
     fn = compile_expression("2 * pi + e", ("x", "y"))
-    assert fn.constant and fn.value_and_grad(0.5, 0.7) == (2 * math.pi + math.e, (0.0, 0.0))
+    assert fn.constant
+    assert generate([[(fn, None), (fn, "x"), (fn, "y")]])[0](0.5, 0.7) == [2 * math.pi + math.e, 0.0, 0.0]
+    assert parse_number("sin(pi/2) + 1e400") == math.inf
 
 
 def test_abs_has_slope_zero_at_its_kink():
-    value, grad = compile_expression("abs(x)", ("x",)).value_and_grad(0.0)
-    assert (value, list(grad)) == (0.0, [0.0])
-    assert list(compile_expression("abs(x - y)", ("x", "y")).value_and_grad(0.4, 0.4)[1]) == [0.0, 0.0]
+    fn = compile_expression("abs(x)", ("x",))
+    assert generate([[(fn, None), (fn, "x")]])[0](0.0) == [0.0, 0.0]
+    fn = compile_expression("abs(x - y)", ("x", "y"))
+    assert generate([[(fn, "x"), (fn, "y")]])[0](0.4, 0.4) == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("text", ["sqrt(x1)", "x1^0.5"])
 def test_a_failure_of_the_derivative_alone_names_the_expression(text):
     fn = compile_expression(text, ("x1",))
-    assert fn(0.0) == 0.0
+    value, jet = generate([[(fn, None)], [(fn, None), (fn, "x1")]])
+    assert value(0.0) == [0.0]
     with pytest.raises(ConstructionError, match=re.escape(repr(text))):
-        fn.value_and_grad(0.0)
+        jet(0.0)
+
+
+def test_a_failure_names_the_first_entry_that_fails():
+    """A block is one function: its error names the entry that failed first,
+    in entry order, values and partials together, shared subexpressions or not."""
+    variables = ("x", "y")
+    entries = [compile_expression(t, variables) for t in ("sqrt(x) + y", "log(y)", "sqrt(x)", "1/x")]
+    values, jet = generate([[(e, None) for e in entries], [(e, n) for n in (None, *variables) for e in entries]])
+    with pytest.raises(ConstructionError, match=re.escape("'log(y)'")):
+        values(1.0, 0.0)
+    with pytest.raises(ConstructionError, match=re.escape("'1/x'")):
+        values(0.0, 1.0)
+    with pytest.raises(ConstructionError, match=re.escape("'sqrt(x) + y'")):
+        jet(0.0, 1.0)
+
+
+# -- what generated code can reach ------------------------------------------------
+
+def _generated_code(monkeypatch, requests):
+    """The code object of each function ``generate`` compiles for ``requests``."""
+    compiled = []
+
+    def spy(*args):
+        compiled.append(compile(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(expressions, "compile", spy, raising=False)
+    functions = generate(requests)
+    (module,) = compiled
+    return functions, [c for c in module.co_consts if isinstance(c, types.CodeType)]
+
+
+def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temporaries(monkeypatch):
+    texts = ["exp(sin(x) * y^2) / (1 + abs(x - y))", "sqrt(x) + log(y) - tan(x) + cosh(y)",
+             "-asinh(x) * atan(y) + 1e400", "sinh(x) ^ tanh(y) + cos(pi) * e"]
+    fns = [compile_expression(t, ("x", "y")) for t in texts]
+    functions, codes = _generated_code(monkeypatch, [[(fn, name) for name in (None, "x", "y") for fn in fns],
+                                                     [(fn, None) for fn in fns]])
+    assert len(codes) == 2
+    allowed = set(expressions._UNARY) - {"neg"} | {"pow", "copysign", "inf"}
+    for code in codes:
+        assert set(code.co_names) <= allowed and {"pow", "inf"} <= set(code.co_names)
+        assert all(re.fullmatch(r"p\d+|v\d+", name) for name in code.co_varnames)
+        assert code.co_varnames[:code.co_argcount] == ("p0", "p1")
+    for run in functions:
+        generated = inspect.getclosurevars(run).nonlocals["fn"]
+        assert generated.__code__ in codes and generated.__globals__["__builtins__"] == {}
+
+
+@pytest.mark.parametrize("depth", [expressions.MAX_DEPTH, expressions.MAX_DEPTH + 1])
+def test_expressions_nest_at_most_max_depth_operations(depth):
+    chain = " + ".join(["x1"] * (depth + 1))  # depth additions nest to the left
+    signs = "-" * depth + "x1"
+    if depth <= expressions.MAX_DEPTH:
+        assert _evaluate(chain, ("x1",), 0.5) == 0.5 * (depth + 1)
+        assert _evaluate(signs, ("x1",), 0.5) == 0.5
+    else:
+        for text in (chain, signs):
+            with pytest.raises(ConstructionError, match=f"deeper than {expressions.MAX_DEPTH}"):
+                compile_expression(text, ("x1",))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "carrollgeo"

@@ -488,7 +488,7 @@ def test_the_oracle_reads_no_registered_base_data(text):
 
 def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatch):
     """On a time-dependent expression file the registered base symbols,
-    dg_M/dt and g_M^-1 dg_M/dt all come from the forward-mode jet of the block
+    dg_M/dt and g_M^-1 dg_M/dt all come from the generated jet of the block
     at (x, t) and its one inverse: one closed-form call evaluates the jet once,
     inverts once and reads no block, and the next point evaluates it anew."""
     calls, reads, inverses = [], [], []

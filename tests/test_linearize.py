@@ -499,8 +499,9 @@ def test_a_slope_the_coefficient_guard_rejects_is_replaced_by_the_difference(bad
 
 
 def test_a_slope_whose_base_partial_fails_ends_as_the_difference(tmp_path):
-    """The twin's gradient takes d/dm too: sqrt(m - 1) has no slope at m = 1,
-    where the transition and its difference in r are fine."""
+    """The generated slope takes the slope of every node that reads m or r, as
+    the full gradient does: sqrt(m - 1) has none at m = 1, where the
+    transition and its difference in r are fine."""
     path = tmp_path / "edge.ini"
     path.write_text("[charts]\na = interval(0, 3)\nb = interval(0, 3)\n"
                     "[overlap o]\ncharts = a, b\ninterval = 1, 2\nto_a = r + 0 * sqrt(m - 1)\nto_b = r\n")
