@@ -11,9 +11,11 @@ validated against the finite-difference oracle, that is where the gauge field
 is known to vanish (``GaugeField.is_zero``), and from the oracle everywhere
 else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
-Python floats, a state of 2n + 2 entries being too small for numpy to pay:
-its stage points and solutions are summed term by term in the order of the
-method's tableau, which gives every float that the same sums over arrays give.
+Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
+code generated once per method and state length that unrolls the method's
+tableau term by term in its order; the right-hand side contracts the symbols
+with the velocity in code generated once per n that sums as numpy's einsum
+does. Either gives every float that the same sums over arrays give.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -33,14 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
-from .geometry import Chart, Point, square
-from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
+from .geometry import FIBER_CUTOFF, Chart, Point, square
+from .kaluza import KKMetric, _kernel, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -257,22 +260,36 @@ def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[st
 def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray], sign: float) -> Callable[[list[float]], list[float]]:
     """y' for y = [x..., u, vx..., w] as Python floats, t = sign e^u, given the symbols at the raw position
     (x..., t): with V = (vx, t w), vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2."""
-    n = None
+    n = contract = None
 
     def rhs(y: list[float]) -> list[float]:
-        nonlocal n
+        nonlocal n, contract
         if n is None:
             n = (len(y) - 2) // 2
+            contract = _contraction(n)
         vel = y[n + 1 :]
         if not any(vel):
             # frozen states are exact fixed points; skip the symbol evaluation
             return vel + [0.0] * (n + 1)
         t, w = sign * math.exp(y[n]), vel[n]
-        v = np.array(vel[:n] + [t * w])
-        acc = (-np.einsum("abc,b,c->a", gamma_at(y[:n] + [t]), v, v)).tolist()
+        acc = contract(gamma_at(y[:n] + [t]).ravel().tolist(), vel[:n] + [t * w])
         return vel + acc[:n] + [acc[n] / t - w * w]
 
     return rhs
+
+
+@cache
+def _contraction(n: int) -> Callable[[list[float], list[float]], list[float]]:
+    """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1,
+    and v on Python floats, generated once per n: each sum starts at 0.0 and
+    adds (Gamma[a, b, c] v_b) v_c over (b, c) in C order, which is how
+    np.einsum("abc,b,c->a") sums it. No zero symbol is skipped: 0 * inf stays
+    NaN."""
+    m = n + 1
+    sums = ["-(0.0" + "".join(f" + g[{(a * m + b) * m + c}] * v{b} * v{c}" for b in range(m) for c in range(m)) + ")"
+            for a in range(m)]
+    return _kernel(["def kernel(g, v):", f"    {', '.join(f'v{b}' for b in range(m))}, = v",
+                    f"    return [{', '.join(sums)}]"], "contraction")
 
 
 def printed_spatial_acceleration(
@@ -334,14 +351,15 @@ def printed_temporal_acceleration(
 # steppers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: ``_step_kernel`` caches per tableau
 class _Tableau:
     """An explicit Runge-Kutta method as the arithmetic of its steps, per
     component: y + (h / div) * (start + w_0 k_0 + w_1 k_1 + ...), added left
-    to right, for each (div, weights) row. A start of 0.0 is Python's ``sum``,
-    which turns a -0.0 sum into 0.0; -0.0 starts from the first term as it is.
-    A zero weight is skipped; after a start of 0.0 its term adds nothing, and
-    a non-finite slope it would turn into NaN spoils the step anyway.
+    to right, for each (div, weights) row; ``_step_kernel`` unrolls it into
+    one generated step per state length. A start of 0.0 turns a -0.0 sum into
+    0.0; -0.0 starts from the first term as it is. A zero weight is skipped;
+    after a start of 0.0 its term adds nothing, and a non-finite slope it
+    would turn into NaN spoils the step anyway.
 
     A method with an error row is first same as last: its solution is its
     last stage point, whose slope the error row weighs last and the next step
@@ -373,20 +391,6 @@ _RK4 = _Tableau(stages=((2.0, (1.0,)), (2.0, (0.0, 1.0)), (1.0, (0.0, 0.0, 1.0))
                 solution=(6.0, (1.0, 2.0, 2.0, 1.0)), error=None, start=-0.0)
 
 
-def _combine(y: list[float], h: float, row: tuple[float, tuple[float, ...]], ks: list[list[float]],
-             start: float) -> list[float]:
-    div, weights = row
-    terms = [(w, k) for w, k in zip(weights, ks) if w]
-    step = h / div
-    out = []
-    for j, yj in enumerate(y):
-        acc = start
-        for w, k in terms:
-            acc += w * k[j]
-        out.append(yj + step * acc)
-    return out
-
-
 def _rms(values: list[float]) -> float:
     # numpy's sum, whose pairwise order a plain loop does not follow
     return math.sqrt(np.add.reduce([v * v for v in values]) / len(values))
@@ -398,15 +402,37 @@ def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
     state, its slope (None without an error row) and the RMS of the error
     estimate, each component over tol + tol * max(|y|, |y_new|) (0.0 without
     an error row)."""
-    ks = [k0]
-    for row in tableau.stages:
-        ks.append(rhs(_combine(y, h, row, ks, tableau.start)))
-    y_new = _combine(y, h, tableau.solution, ks, tableau.start)
+    return _step_kernel(tableau, len(y))(rhs, y, k0, h, tol)
+
+
+@cache
+def _step_kernel(tableau: _Tableau, m: int) -> Callable:
+    """``_rk_step`` for ``tableau`` on states of m floats, generated once:
+    every row unrolled per component as y_j + h_r * (start + w_0 k0_j + ...),
+    h_r = h / div once per row, with the tableau's weights written by
+    ``repr``; the error row is taken over a zero state."""
+    comps = lambda name: ", ".join(f"{name}{j}" for j in range(m))
+    lines = ["def kernel(rhs, y, k0, h, tol):", f"    {comps('y')}, = y", f"    {comps('k0_')}, = k0"]
+
+    def combine(r: int, row: tuple, base: str) -> list[str]:
+        # emits h_r = h / div; returns row r's sum for each component j of base.format(j)
+        lines.append(f"    h{r} = h / {row[0]!r}")
+        terms = [(i, w) for i, w in enumerate(row[1]) if w]
+        return [f"{base.format(j)} + h{r} * ({tableau.start!r}" + "".join(f" + {w!r} * k{i}_{j}" for i, w in terms)
+                + ")" for j in range(m)]
+
+    for r, row in enumerate(tableau.stages, 1):
+        point = combine(r, row, "y{}")
+        lines += [f"    k{r} = rhs([{', '.join(point)}])", f"    {comps(f'k{r}_')}, = k{r}"]
+    r = len(tableau.stages) + 1
+    lines += [f"    n{j} = {value}" for j, value in enumerate(combine(r, tableau.solution, "y{}"))]
+    lines.append(f"    n = [{comps('n')}]")
     if tableau.error is None:
-        return y_new, None, 0.0
-    ks.append(rhs(y_new))
-    errs = _combine([0.0] * len(y), h, tableau.error, ks, tableau.start)
-    return y_new, ks[-1], _rms([e / (tol + tol * max(abs(y0), abs(a))) for y0, a, e in zip(y, y_new, errs)])
+        return _kernel(lines + ["    return n, None, 0.0"], "step")
+    lines += [f"    k{r} = rhs(n)", f"    {comps(f'k{r}_')}, = k{r}"]
+    errors = [f"({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
+              for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
+    return _kernel(lines + [f"    return n, k{r}, rms([{', '.join(errors)}])"], "step", rms=_rms, abs=abs, max=max)
 
 
 def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: float) -> float:
@@ -450,9 +476,10 @@ def _drive(
     calls nothing. "rk4" is the same loop without error control:
     round(span / rk4_step) steps of fixed size and four calls each, the last
     step not clamped to ``span``. States are lists of Python
-    floats: each step takes its stage points and its solutions term by term
-    in the order of its ``_Tableau``, which gives every float that the same
-    sums over numpy arrays give. ``guard(y)`` names the reason an accepted
+    floats, and a step is the code that ``_step_kernel`` generates for the
+    tableau and the state length: it takes the stage points and solutions
+    term by term in the order of the ``_Tableau``, which gives every float
+    that the same sums over numpy arrays give. ``guard(y)`` names the reason an accepted
     state ends the run (that state is kept), or returns None. A stage or step
     result that ``finite`` refuses (by default, one with a non-finite entry)
     ends the run as ``non_finite`` and is not kept. The span must be finite
@@ -535,7 +562,9 @@ def integrate(
 
     Returns the sampled trajectory with per-sample monitors and the events
     that stopped it early (``t_guard``, ``left_chart`` or a stepping event),
-    if any; the partial trajectory is returned in every case.
+    if any; the partial trajectory is returned in every case. An initial
+    fiber coordinate closer to zero than ``FIBER_CUTOFF``, or one that makes
+    vt / t overflow, is a DomainError.
     """
     cfg = cfg or IntegratorConfig()
     chart = chart or scenario.default_chart
@@ -543,6 +572,10 @@ def integrate(
     kk = scenario.kk(-1, scenario.connection(gauge))
     chart_obj = _initial_chart(scenario, chart, state0.x)
     n = state0.dim
+    if abs(state0.t) < FIBER_CUTOFF:
+        raise DomainError(f"fiber coordinate too close to zero: t = {state0.t:.3e}")
+    if not math.isfinite(state0.vtb):
+        raise DomainError(f"the fiber rate vt / t = {state0.vt:.3e} / {state0.t:.3e} overflows")
     sign, u0 = math.copysign(1.0, state0.t), math.log(abs(state0.t))
 
     def guard(y: list[float]) -> str | None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,9 +172,14 @@ def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[floa
     if fiber:
         out += ["0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
                 for c in range(n) for a in range(n)]
-    namespace = {"__builtins__": {}}
-    exec(compile("\n".join(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"]), "<levi-civita>", "exec"),
-         namespace)
+    return _kernel(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"], "levi-civita")
+
+
+def _kernel(lines: list[str], name: str, **names) -> Callable:
+    """The function ``kernel`` that the generated source ``lines`` defines,
+    compiled in a namespace that holds ``names`` and no builtins."""
+    namespace = {"__builtins__": {}, **names}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -212,7 +218,8 @@ def base_data(kk: KKMetric, x: np.ndarray, t: float,
     base = _levi_civita(gminv, partials[:n])
     if not fiber:
         return base, None, None
-    return base, partials[n], np.einsum("cd,ad->ca", gminv, partials[n])
+    # summed over d in index order, as a file's registered rate is; numpy picks the order of the layout [a, d]
+    return base, partials[n], np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
 
 
 def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
@@ -250,59 +257,78 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
     n = x.size
     s = kk.sign
     base, dgdt, rate = base_data(kk, x, t, chart)
+    if kk.gauge.is_zero:
+        blocks = () if dgdt is None else (np.ravel(dgdt).tolist(), np.ravel(rate).tolist())
+        return np.array(_closed_floats(n, dgdt is not None)(t, s, np.ravel(base).tolist(), *blocks)).reshape(
+            n + 1, n + 1, n + 1)
+    if s != +1:
+        raise NumericError(
+            "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
+            "use the finite-difference oracle"
+        )
 
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
     gamma[n, n, n] = -1.0 / t
     if dgdt is None:
-        # the dg_M/dt blocks vanish: the mixed one stays 0 and the fiber one
-        # is -s (t^2/2) times 0, a zero with the sign of -s
         gamma[n, :n, :n] = -s * 0.0
+        dgdt = np.zeros((n, n))
     else:
         gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
-        fiber = -s * (t**2 / 2.0) * dgdt
-        gamma[n, :n, :n] = 0.5 * (fiber + fiber.T) if kk.gauge.is_zero else fiber
+        gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
+    gminv = base_inverse(kk, x, t, chart)
+    a = kk.gauge.at(x, chart)
+    jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
+    f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a
+    sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
+    ag = gminv @ a  # (g_M)^{cd} A_d
 
-    if not kk.gauge.is_zero:
-        if s != +1:
-            raise NumericError(
-                "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
-                "use the finite-difference oracle"
-            )
-        dgdt = np.zeros((n, n)) if dgdt is None else dgdt
-        gminv = base_inverse(kk, x, t, chart)
-        a = kk.gauge.at(x, chart)
-        jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
-        f = jac_a.T - jac_a  # the curvature F_ab = d_a A_b - d_b A_a
-        sym_da = jac_a + jac_a.T  # d_a A_b + d_b A_a
-        ag = gminv @ a  # (g_M)^{cd} A_d
+    # spatial block: (1/2) g^{cd} (A_b F_ad + A_a F_bd) + (1/2) g^{cd} A_d t dg_ab/dt
+    gamma[:n, :n, :n] += 0.5 * (
+        np.einsum("cd,b,ad->cab", gminv, a, f) + np.einsum("cd,a,bd->cab", gminv, a, f)
+    )
+    gamma[:n, :n, :n] += 0.5 * t * np.einsum("c,ab->cab", ag, dgdt)
+    # mixed block gains the published (1/t) F term
+    gamma[:n, :n, n] += 0.5 / t * np.einsum("cd,da->ca", gminv, f)
+    gamma[:n, n, :n] = gamma[:n, :n, n]
+    # fiber-spatial-spatial
+    gamma[n, :n, :n] += -t * np.einsum("c,cab->ab", a, base)
+    gamma[n, :n, :n] += -(t / 2.0) * (
+        np.einsum("c,b,ac->ab", ag, a, f) + np.einsum("c,a,bc->ab", ag, a, f)
+    )
+    gamma[n, :n, :n] += (t / 2.0) * sym_da
+    gamma[n, :n, :n] += -(t**2 / 2.0) * float(a @ gminv @ a) * dgdt
+    # fiber-spatial-fiber, as published; the trailing contraction carries
+    # no free base index, so the same value is added for every a
+    scalar = -(t / 2.0) * float(np.einsum("cd,d,cd->", gminv, a, dgdt))
+    mixed_f = -0.5 * np.einsum("cd,d,ca->a", gminv, a, f)
+    gamma[n, :n, n] = mixed_f + scalar
+    gamma[n, n, :n] = gamma[n, :n, n]
+    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
-        # spatial block: (1/2) g^{cd} (A_b F_ad + A_a F_bd) + (1/2) g^{cd} A_d t dg_ab/dt
-        gamma[:n, :n, :n] += 0.5 * (
-            np.einsum("cd,b,ad->cab", gminv, a, f) + np.einsum("cd,a,bd->cab", gminv, a, f)
-        )
-        gamma[:n, :n, :n] += 0.5 * t * np.einsum("c,ab->cab", ag, dgdt)
-        # mixed block gains the published (1/t) F term
-        gamma[:n, :n, n] += 0.5 / t * np.einsum("cd,da->ca", gminv, f)
-        gamma[:n, n, :n] = gamma[:n, :n, n]
-        # fiber-spatial-spatial
-        gamma[n, :n, :n] += -t * np.einsum("c,cab->ab", a, base)
-        gamma[n, :n, :n] += -(t / 2.0) * (
-            np.einsum("c,b,ac->ab", ag, a, f) + np.einsum("c,a,bc->ab", ag, a, f)
-        )
-        gamma[n, :n, :n] += (t / 2.0) * sym_da
-        gamma[n, :n, :n] += -(t**2 / 2.0) * float(a @ gminv @ a) * dgdt
-        # fiber-spatial-fiber, as published; the trailing contraction carries
-        # no free base index, so the same value is added for every a
-        scalar = -(t / 2.0) * float(np.einsum("cd,d,cd->", gminv, a, dgdt))
-        mixed_f = -0.5 * np.einsum("cd,d,ca->a", gminv, a, f)
-        gamma[n, :n, n] = mixed_f + scalar
-        gamma[n, n, :n] = gamma[n, :n, n]
-        return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
-    # without a gauge field every block is symmetric in the lower pair already
-    # (the base symbols are; the fiber block is symmetrized above)
-    return gamma
+@cache
+def _closed_floats(n: int, fiber: bool) -> Callable[..., list[float]]:
+    """The zero-gauge closed form on Python floats, generated once per (n,
+    fiber): from t, the sign s, the base symbols base[(a * n + b) * n + c]
+    and, for a fiber-dependent block, dg_M/dt and the rate (each [a * n + b]),
+    the (n + 1)^3 symbols in C order. Every block is symmetric in the lower
+    pair without a gauge field: the base symbols are, and the fiber block is
+    symmetrized, 0.5 (f_bc + f_cb) with f = -s (t^2/2) dg_M/dt. Without
+    dg_M/dt the mixed blocks are 0 and the fiber one is -s (t^2/2) times 0,
+    a zero with the sign of -s."""
+    m = n + 1
+    entries = ["0.0"] * m**3
+    for a, b, c in product(range(n), repeat=3):
+        entries[(a * m + b) * m + c] = f"base[{(a * n + b) * n + c}]"
+    for a, b in product(range(n), repeat=2):
+        entries[(a * m + b) * m + n] = entries[(a * m + n) * m + b] = f"0.5 * rate[{a * n + b}]" if fiber else "0.0"
+        entries[(n * m + a) * m + b] = f"0.5 * (f{a}_{b} + f{b}_{a})" if fiber else "z"
+    entries[-1] = "-1.0 / t"
+    head = [f"    f{a}_{b} = z * dgdt[{a * n + b}]" for a, b in product(range(n), repeat=2)] if fiber else []
+    return _kernel([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}):",
+                    f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}", *head,
+                    f"    return [{', '.join(entries)}]"], "closed-form")
 
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:

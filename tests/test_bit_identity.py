@@ -1,15 +1,16 @@
-"""Bit identity of the float stepping kernel and the closed form.
+"""Bit identity of the generated float kernels and the closed form.
 
-The steppers take their stage points and solutions on Python floats, in the
-order of a tableau, and the zero-gauge closed form skips the terms that
-vanish. Both must give every float that the straightforward numpy code
-gives. That code is kept here as the reference: the Tsitouras and RK4 steps
-over arrays, each evaluating every stage afresh, the array right-hand side,
-and the zero-gauge closed-form assembly, whose mixed block is a registered
-rate g_M^-1 dg_M/dt where one is given and the inverse times dg_M/dt
-otherwise. Seeded orbits run once as they are and once with the references
-patched in, and every array of the two trajectories must be equal byte for
-byte.
+A step, the geodesic right-hand side's contraction and the zero-gauge
+closed form run as code generated once per shape on Python floats: a step
+unrolls its tableau's sums, the contraction sums as numpy's einsum does, and
+the closed form writes each entry once. None may change a bit against the
+straightforward code, which is kept here as the reference: the tableau loop
+that the generated step unrolls, the Tsitouras and RK4 steps over arrays,
+each evaluating every stage afresh, the array right-hand side, and the
+zero-gauge closed-form assembly, whose mixed block is a registered rate
+g_M^-1 dg_M/dt where one is given and the inverse times dg_M/dt otherwise.
+Seeded orbits run once as they are and once with the references patched
+in, and every array of the two trajectories must be equal byte for byte.
 """
 
 import dataclasses
@@ -81,6 +82,33 @@ def _ref_step(tableau, rhs, y, k0, h, tol):
     return y_new.tolist(), k_new.tolist(), float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
+def _ref_combine(y, h, row, ks, start):
+    """y + (h / div) * (start + w_0 k_0 + ...) per component, zero weights skipped."""
+    div, weights = row
+    terms = [(w, k) for w, k in zip(weights, ks) if w]
+    step = h / div
+    out = []
+    for j, yj in enumerate(y):
+        acc = start
+        for w, k in terms:
+            acc += w * k[j]
+        out.append(yj + step * acc)
+    return out
+
+
+def _ref_loop_step(tableau, rhs, y, k0, h, tol):
+    """The step as a loop over the tableau's rows, which the generated step unrolls."""
+    ks = [k0]
+    for row in tableau.stages:
+        ks.append(rhs(_ref_combine(y, h, row, ks, tableau.start)))
+    y_new = _ref_combine(y, h, tableau.solution, ks, tableau.start)
+    if tableau.error is None:
+        return y_new, None, 0.0
+    ks.append(rhs(y_new))
+    errs = _ref_combine([0.0] * len(y), h, tableau.error, ks, tableau.start)
+    return y_new, ks[-1], geodesics._rms([e / (tol + tol * max(abs(y0), abs(a))) for y0, a, e in zip(y, y_new, errs)])
+
+
 def _ref_geodesic_rhs(gamma_at, sign):
     """The right-hand side for y = (x, u, vx, w), u = log|t|, w = vt / t, over arrays."""
     n = None
@@ -118,7 +146,7 @@ def _ref_base_data(kk, x, t, chart):
         base, dgdt, rate = kaluza._levi_civita(gminv, partials[:n]), None, None
     if dgdt is None:
         dgdt = partials[n] if t_differenced else np.zeros((n, n))
-        rate = np.einsum("cd,ad->ca", gminv, dgdt)
+        rate = np.einsum("cd,da->ca", gminv, np.ascontiguousarray(dgdt.T))
     return gminv, base, dgdt, rate
 
 
@@ -343,3 +371,84 @@ def test_float_levi_civita_sum_and_rate_equal_the_stacked_assembly(n):
             assert rate.tobytes() == np.einsum("cd,ad->ca", ginv, dg[n]).tobytes()
     assert np.array(kaluza._levi_civita_floats(n, False)(ginv.ravel().tolist(), jet)).tobytes() == \
         np.array(out[:n**3]).tobytes()
+
+
+# -- generated kernels --------------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, math.inf, -math.inf, math.nan)
+
+
+def _draws(rng, size, special):
+    """Floats of mixed magnitude; with ``special``, about a third of them are
+    signed zeros, subnormals, infinities or NaN."""
+    out = (rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)).tolist()
+    if special:
+        for i in np.flatnonzero(rng.random(size) < 1 / 3).tolist():
+            out[i] = _SPECIAL[rng.integers(len(_SPECIAL))]
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("tableau", [geodesics._TSITOURAS54, geodesics._RK4], ids=["tsitouras", "rk4"])
+def test_generated_step_equals_the_tableau_loop(tableau, m):
+    """The slopes are drawn, not computed, so that every special value reaches
+    every sum: each stage point, the state, its slope and the error norm
+    equal the loop's byte for byte."""
+    rng = np.random.default_rng([29, m])
+    for k in range(400):
+        slopes = [_draws(rng, m, k % 2) for _ in range(len(tableau.stages) + 2)]
+        y, h = _draws(rng, m, k % 2), float(rng.uniform(1e-4, 0.1))
+        runs = []
+        for step in (geodesics._rk_step, _ref_loop_step):
+            points, rest = [], iter(slopes[1:])
+            y_new, k_new, err = step(tableau, lambda point: points.append(point) or next(rest), y, slopes[0], h, 1e-10)
+            runs.append((_bits(sum(points, [])), _bits(y_new), k_new and _bits(k_new), _bits([err])))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generated_contraction_equals_einsum(n):
+    """No zero symbol is skipped: 0 * inf is NaN, as in the einsum. A NaN
+    counts as a NaN: its sign bit follows the operand order of each add, which
+    numpy's kernels need not share with Python's (one draw in 3,000 at n = 3),
+    and a NaN slope ends a run whatever its sign."""
+    rng = np.random.default_rng([31, n])
+    kernel, m = geodesics._contraction(n), n + 1
+    for k in range(1000):
+        g, v = _draws(rng, m**3, k % 2), _draws(rng, m, k % 2)
+        with np.errstate(all="ignore"):
+            ref = -np.einsum("abc,b,c->a", np.reshape(g, (m, m, m)), np.array(v), np.array(v))
+        assert _bits([math.nan if a != a else a for a in kernel(g, v)]) == np.where(np.isnan(ref), math.nan, ref).tobytes()
+
+
+def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
+    """A 3-d fiber-dependent file without registered base data: the rate
+    g^{cd} dg_ad/dt sums over d in index order from 0.0, whatever order
+    numpy's dot-product kernels take, and the closed form equals the reference."""
+    path = tmp_path / "three.ini"
+    path.write_text(
+        "[meta]\ndim = 3\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
+        "main = matrix(2 + sin(x1) * exp(-0.3 * t), 0.3 * cos(x2 + t), 0.1 * x3 * t; "
+        "0.3 * cos(x2 + t), 1.5 + 0.5 * exp(0.2 * x1 * t), 0.2 * sin(t); "
+        "0.1 * x3 * t, 0.2 * sin(t), 1 + t^2 * (1 + 0.1 * x2^2))\n"
+    )
+    kk = dataclasses.replace(cg.load(str(path)), base_jet=None).kk(-1)
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        x, t = rng.uniform(-1.0, 1.0, 3), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        gminv, _, dgdt, _ = _ref_base_data(kk, x, t, "main")
+        loop = np.zeros((3, 3))
+        for c in range(3):
+            for a in range(3):
+                acc = 0.0
+                for d in range(3):
+                    acc += gminv[c, d] * dgdt[a, d]
+                loop[c, a] = acc
+        assert kaluza.base_data(kk, x, t, "main")[2].tobytes() == loop.tobytes()
+        raw = np.append(x, t)
+        assert kaluza.christoffel_closed(kk, raw, chart="main").tobytes() == \
+            _ref_christoffel_closed(kk, raw, chart="main").tobytes()

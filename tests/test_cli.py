@@ -305,6 +305,11 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["christoffel", "flat", "--count", "3", "--seed", "-5"], "--seed must be >= 0"),
         (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--field", "nan"], "--field"),
         (["geodesic", "flat", "--small-gauge", "--state", "0,0,1,0", "--field", "inf"], "--field"),
+        (["geodesic", "flat", "--state", "0,0,1e-320,0.1,0,-1"], "too close to zero: t = 1.000e-320"),
+        (["geodesic", "flat", "--state", "0,0,-1e-320,0.1,0,-1"], "too close to zero: t = -1.000e-320"),
+        (["geodesic", "flat", "--christoffel", "numeric", "--state", "0,0,1e-320,0.1,0,-1"], "too close to zero"),
+        (["geodesic", "flat", "--christoffel", "numeric", "--state", "0,0,-1e-320,0.1,0,-1"], "too close to zero"),
+        (["geodesic", "flat", "--state", "0,0,1e-8,0.1,0,1e305"], "vt / t = 1.000e+305 / 1.000e-08 overflows"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
          "zero_section", "shoot_chart", "small_gauge_chart",
@@ -315,7 +320,8 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
          "shoot_format_no_out", "svg_mode_json", "linearize_format_no_out", "linearize_tol_nan",
          "linearize_tol_negative", "check_out_unwritable", "geodesic_out_unwritable", "small_gauge_out_unwritable",
          "christoffel_out_unwritable", "linearize_out_unwritable", "check_seed_negative", "christoffel_seed_negative",
-         "field_nan", "field_inf"],
+         "field_nan", "field_inf", "fiber_subnormal", "fiber_subnormal_negative", "fiber_subnormal_oracle",
+         "fiber_subnormal_negative_oracle", "fiber_rate_overflow"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

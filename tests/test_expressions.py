@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carrollgeo import _fd, expressions
+from carrollgeo import _fd, expressions, geodesics, kaluza
 from carrollgeo.errors import ConstructionError
 from carrollgeo.expressions import compile_expression, generate, parse_number, parse_tuple
 
@@ -331,6 +331,33 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
     for run in functions:
         generated = inspect.getclosurevars(run).nonlocals["fn"]
         assert generated.__code__ in codes and generated.__globals__["__builtins__"] == {}
+
+
+@pytest.mark.parametrize("factory, key", [
+    (geodesics._step_kernel, (geodesics._TSITOURAS54, 6)),
+    (geodesics._step_kernel, (geodesics._RK4, 8)),
+    (geodesics._contraction, (2,)),
+    (kaluza._closed_floats, (2, True)),
+    (kaluza._closed_floats, (3, False)),
+    (kaluza._levi_civita_floats, (2, True)),
+], ids=["tsitouras_step", "rk4_step", "contraction", "closed_fiber", "closed", "levi_civita"])
+def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_key(factory, key, monkeypatch):
+    """The stepping and symbol kernels: no builtins, a namespace of exactly
+    the names the code reads, and one compile per key."""
+    compiled = []
+
+    def spy(*args):
+        compiled.append(compile(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(kaluza, "compile", spy, raising=False)
+    factory.cache_clear()
+    kernel = factory(*key)
+    assert factory(*key) is kernel and len(compiled) == 1
+    assert kernel.__code__ in compiled[0].co_consts
+    namespace = kernel.__globals__
+    assert namespace["__builtins__"] == {}
+    assert set(namespace) - {"__builtins__", "kernel"} == set(kernel.__code__.co_names)
 
 
 @pytest.mark.parametrize("depth", [expressions.MAX_DEPTH, expressions.MAX_DEPTH + 1])
