@@ -313,7 +313,7 @@ def printed_spatial_acceleration(
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
     kk = scenario.kk(-1, scenario.connection(gauge))
-    base, _, _ = base_data(kk, p.x, p.t, chart)
+    base = np.reshape(base_data(kk, p.x.tolist(), p.t, chart)[0], (p.dim,) * 3)
     gminv = base_inverse(kk, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
@@ -670,11 +670,10 @@ def integrate_small_gauge(
     n = x0.size
 
     def rhs(y: list[float]) -> list[float]:
-        x, v = np.array(y[:n]), y[n:]
-        base, _, _ = base_data(kk, x, 1.0, chart)
+        base, _, _ = base_data(kk, y[:n], 1.0, chart)
+        x, base, v, va = np.array(y[:n]), np.reshape(base, (n, n, n)), y[n:], np.array(y[n:])
         gminv = base_inverse(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
-        va = np.array(v)
         return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"

@@ -13,12 +13,13 @@ det(raw) * t^2 = s * det(g_M).
 Two Christoffel routes are provided. ``christoffel_numeric`` differentiates
 the raw metric components directly (the brute-force oracle, and the
 reference for the other route). ``christoffel_closed`` assembles the symbols
-from base data: the base symbols, dg_M/dt and the rate g_M^-1 dg_M/dt, which
-a scenario registers exactly as its ``base_jet`` where it can (a block
-conformal in t gives the rate as (Omega'/Omega) I, with no inverse). It is
-validated against the oracle only when the gauge field vanishes, which is
-where geodesics use it by default, and with a nonzero gauge field its output
-is something to compare, not to trust (see ``closed_form_deviation``).
+from base data: the base symbols, dg_M/dt and the rate g_M^-1 dg_M/dt as flat
+float lists, which a scenario registers exactly as its ``base_jet`` where it
+can (a block conformal in t gives the rate as (Omega'/Omega) I, with no
+inverse). It is validated against the oracle only when the gauge field
+vanishes, which is where geodesics use it by default, and with a nonzero
+gauge field its output is something to compare, not to trust (see
+``closed_form_deviation``).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read
 
 @dataclass
 class KKMetric:
-    """Assembled non-degenerate metric; ``base_jet`` is optional registered base data (see ``base_data``)."""
+    """Assembled non-degenerate metric; ``base_jet``, if any, gives base data as float lists (see ``base_data``)."""
 
     sign: int
     metric: DegenerateMetric
     gauge: GaugeField
-    base_jet: Callable[[np.ndarray, float, str], tuple] | None = None
+    base_jet: Callable[[Sequence[float], float, str], tuple] | None = None
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
@@ -191,23 +192,23 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric is not invertible: {exc}") from None
 
 
-def base_data(kk: KKMetric, x: np.ndarray, t: float,
-              chart: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The Levi-Civita symbols of the base block at frozen t (symmetric in
-    the lower pair), dg_M/dt and the rate g_M^-1 dg_M/dt (rate[c, a] =
-    g^{cd} dg_ad/dt), all at (x, t); dg_M/dt and the rate are None for a
-    fiber-independent block. They are the registered ``kk.base_jet`` where
-    there is one, which reads no g_M here (see ``base_inverse``); one that
-    gives no dg_M/dt for a fiber-dependent block is a ContractViolation.
-    Otherwise they are central differences over one stacked read of g_M on
-    the stencil around x, or around (x, t) for a fiber-dependent block, whose
-    centre gives the inverse."""
+def base_data(kk: KKMetric, x: Sequence[float], t: float,
+              chart: str) -> tuple[Sequence[float], Sequence[float] | None, Sequence[float] | None]:
+    """The Levi-Civita symbols of the base block at frozen t, dg_M/dt and the rate g_M^-1 dg_M/dt at (x, t),
+    x a flat sequence of floats, as flat lists of Python floats in C order: base[(a * n + b) * n + c] =
+    Gamma^a_bc, dgdt[a * n + b] and rate[c * n + a] = g^{cd} dg_ad/dt; dg_M/dt and the rate are None for a
+    fiber-independent block. They are the registered ``kk.base_jet`` where there is one, which gives them
+    so and reads no g_M here (see ``base_inverse``); one that gives no dg_M/dt for a fiber-dependent block
+    is a ContractViolation. Otherwise they are central differences over one stacked read of g_M on the
+    stencil around x, or around (x, t) for a fiber-dependent block, whose centre gives the inverse, made
+    lists once at the end."""
     if kk.base_jet is not None:
         base, dgdt, rate = kk.base_jet(x, t, chart)
         if dgdt is None and kk.metric.time_dependent:
             raise ContractViolation(f"the registered base jet on chart {chart!r} gives no dg_M/dt for a "
                                     "fiber-dependent block")
         return base, dgdt, rate
+    x = np.asarray(x, dtype=float)
     n = x.size
     fiber = kk.metric.time_dependent
     points, h = _fd.stencil((np.append(x, t) if fiber else x)[None], keep_sign=(n,))
@@ -215,11 +216,12 @@ def base_data(kk: KKMetric, x: np.ndarray, t: float,
     gms = kk.metric.at(stencil[:, :n], stencil[:, n] if fiber else np.full(len(stencil), t), chart)
     gminv = _inverse(gms[0])
     partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    base = _levi_civita(gminv, partials[:n])
+    base = _levi_civita(gminv, partials[:n]).ravel().tolist()
     if not fiber:
         return base, None, None
     # summed over d in index order, as a file's registered rate is; numpy picks the order of the layout [a, d]
-    return base, partials[n], np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
+    rate = np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
+    return base, partials[n].ravel().tolist(), rate.ravel().tolist()
 
 
 def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
@@ -227,12 +229,12 @@ def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarra
     return _inverse(kk.metric.at(x, t, chart))
 
 
-def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None = None) -> np.ndarray:
+def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, chart: str | None = None) -> np.ndarray:
     """Closed-form symbols assembled from base data.
 
-    ``p`` is a Point, or raw coordinates (x..., t) of one point on ``chart``;
-    a raw fiber coordinate closer to zero than ``FIBER_CUTOFF`` is refused,
-    as a Point refuses it.
+    ``p`` is a Point, or raw coordinates (x..., t) of one point on ``chart``,
+    a list of floats (read as it is) or a 1-d array; a raw fiber coordinate
+    closer to zero than ``FIBER_CUTOFF`` is refused, as a Point refuses it.
 
     For a vanishing gauge field (both signs) the output agrees with the
     finite-difference oracle and is the validated regime:
@@ -246,27 +248,28 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
     rather than asserted away.
     """
     if chart is None:
-        x, t, chart = p.x, p.t, p.chart
+        x, t, chart = p.x.tolist(), p.t, p.chart
     else:
-        raw = np.asarray(p, dtype=float)
-        if raw.ndim != 1:
-            raise ContractViolation(f"closed-form symbols take one raw point, got shape {raw.shape}")
-        x, t = raw[:-1], float(raw[-1])
+        if isinstance(p, np.ndarray):
+            if p.ndim != 1:
+                raise ContractViolation(f"closed-form symbols take one raw point, got shape {p.shape}")
+            p = p.tolist()
+        x, t = p[:-1], p[-1]
         if abs(t) < FIBER_CUTOFF:
             raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
-    n = x.size
+    n = len(x)
     s = kk.sign
     base, dgdt, rate = base_data(kk, x, t, chart)
     if kk.gauge.is_zero:
-        blocks = () if dgdt is None else (np.ravel(dgdt).tolist(), np.ravel(rate).tolist())
-        return np.array(_closed_floats(n, dgdt is not None)(t, s, np.ravel(base).tolist(), *blocks)).reshape(
-            n + 1, n + 1, n + 1)
+        blocks = () if dgdt is None else (dgdt, rate)
+        return np.array(_closed_floats(n, dgdt is not None)(t, s, base, *blocks)).reshape(n + 1, n + 1, n + 1)
     if s != +1:
         raise NumericError(
             "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
             "use the finite-difference oracle"
         )
 
+    x, base = np.array(x), np.reshape(base, (n, n, n))
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
     gamma[n, n, n] = -1.0 / t
@@ -274,6 +277,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray, *, chart: str | None
         gamma[n, :n, :n] = -s * 0.0
         dgdt = np.zeros((n, n))
     else:
+        dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
         gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
         gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
     gminv = base_inverse(kk, x, t, chart)

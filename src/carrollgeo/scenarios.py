@@ -2,9 +2,10 @@
 
 A scenario bundles an atlas, a degenerate metric, a default gauge field,
 its registered closed-form base data (``base_jet``: the base Christoffel
-symbols, dg_M/dt and g_M^-1 dg_M/dt, as ``kaluza.base_data`` returns them)
-and the properties it is expected to satisfy. Loading only builds the
-scenario; the check suites verify the declared expectations.
+symbols, dg_M/dt and g_M^-1 dg_M/dt as flat float lists, as
+``kaluza.base_data`` returns them) and the properties it is expected to
+satisfy. Loading only builds the scenario; the check suites verify the
+declared expectations.
 
 Catalog: flat(n), lightcone, sphere_pullback, moebius, schwarzschild(GM),
 thakurta(GM, U). Sphere scenarios carry an angular chart (kept inside a
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class Scenario:
     default_chart: str
     params: dict = field(default_factory=dict)
     expects: dict = field(default_factory=dict)
-    base_jet: Callable[[np.ndarray, float, str], tuple] | None = None  # see ``kaluza.base_data``
+    base_jet: Callable[[Sequence[float], float, str], tuple] | None = None  # float lists; see ``kaluza.base_data``
     description: str = ""
 
     def point(self, x, t: float, chart: str | None = None) -> Point:
@@ -105,14 +106,10 @@ def _angular_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     return gm
 
 
-def _angular_symbols(x: np.ndarray) -> np.ndarray:
+def _angular_symbols(x: Sequence[float]) -> list[float]:
     theta = x[0]
-    out = np.zeros((2, 2, 2))
-    out[0, 1, 1] = -math.sin(theta) * math.cos(theta)
     cot = math.cos(theta) / math.sin(theta)
-    out[1, 0, 1] = cot
-    out[1, 1, 0] = cot
-    return out
+    return [0.0, 0.0, 0.0, -math.sin(theta) * math.cos(theta), 0.0, cot, cot, 0.0]
 
 
 def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -124,14 +121,14 @@ def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     return gm
 
 
-def _stereo_symbols(x: np.ndarray) -> np.ndarray:
+def _stereo_symbols(x: Sequence[float]) -> list[float]:
     # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2):
     # delta_ab df_c + delta_ac df_b - delta_bc df_a, each entry summed from 0 in that order
-    rho2 = float(x @ x)
-    df = [-2.0 * v / (1.0 + rho2) for v in x.tolist()]
-    axes = range(x.size)
-    return np.array([0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
-                     for a in axes for b in axes for c in axes]).reshape((x.size,) * 3)
+    rho2 = float(np.dot(x, x))
+    df = [-2.0 * v / (1.0 + rho2) for v in x]
+    axes = range(len(x))
+    return [0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
+            for a in axes for b in axes for c in axes]
 
 
 def _angular_to_stereo(x: np.ndarray) -> np.ndarray:
@@ -281,9 +278,9 @@ def _build_flat(params: Mapping) -> Scenario:
     n = int(n)
     chart = Chart(name="cartesian", coords=tuple(f"x{i + 1}" for i in range(n)), box=((-2.0, 2.0),) * n)
     atlas = Atlas([chart])
-    # built once and read-only, so that no caller can change the shared arrays
-    eye, zeros = np.eye(n), np.zeros((n, n, n))
-    eye.flags.writeable = zeros.flags.writeable = False
+    # built once: a read-only block and a tuple of zero symbols, which no caller can change
+    eye, zero = np.eye(n), ((0.0,) * n**3, None, None)
+    eye.flags.writeable = False
     metric = DegenerateMetric(blocks={"cartesian": lambda x, t: eye}, time_dependent=False)
     return Scenario(
         name=f"flat({n})",
@@ -294,7 +291,7 @@ def _build_flat(params: Mapping) -> Scenario:
         default_chart="cartesian",
         params={"n": n},
         expects={"euler_killing": True, "weight": 0.0},
-        base_jet=lambda x, t, chart_name: (zeros, None, None),
+        base_jet=lambda x, t, chart_name: zero,
         description="Euclidean base metric on a trivial bundle",
     )
 
@@ -308,14 +305,14 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     The base symbols of a round metric are unchanged by any such factor.
     """
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
-    eye = np.eye(2)
 
     def base_jet(x, t, chart_name):
         table = _angular_symbols(x) if chart_name == "angular" else _stereo_symbols(x)
         if dgdt_factor is None:
             return table, None, None
         factor = dgdt_factor(t)
-        return table, factor * metric.at(x, t, chart_name), factor * eye
+        return (table, [factor * v for v in metric.at(x, t, chart_name).ravel().tolist()],
+                [factor * e for e in (1.0, 0.0, 0.0, 1.0)])
 
     return Scenario(
         name=name,
@@ -396,9 +393,9 @@ def _build_thakurta(params: Mapping) -> Scenario:
 
 def _build_moebius(params: Mapping) -> Scenario:
     atlas = circle_atlas(fiber_upper=lambda th: 1.0, fiber_lower=lambda th: -1.0)
-    # built once and read-only, as in ``_build_flat``
-    eye, zeros = np.eye(1), np.zeros((1, 1, 1))
-    eye.flags.writeable = zeros.flags.writeable = False
+    # built once, as in ``_build_flat``
+    eye, zero = np.eye(1), ((0.0,), None, None)
+    eye.flags.writeable = False
     metric = DegenerateMetric(blocks={"east": lambda x, t: eye, "west": lambda x, t: eye}, time_dependent=False)
     return Scenario(
         name="moebius",
@@ -409,7 +406,7 @@ def _build_moebius(params: Mapping) -> Scenario:
         default_chart="east",
         params={},
         expects={"euler_killing": True, "weight": 0.0},
-        base_jet=lambda x, t, chart_name: (zeros, None, None),
+        base_jet=lambda x, t, chart_name: zero,
         description="flat circle metric on the twisted two-chart bundle",
     )
 
@@ -520,9 +517,9 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
 
 def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tuple[Callable, Callable | None]:
     """The base block of a [metric] entry, expressions in x1..xn, t or a grid file beside the scenario file,
-    and for expressions its jet, the block's entries and then their partials on the axes x1..xn (and t for a
-    fiber-dependent block) as one flat float list, [(axis * n + a) * n + b] with the entries at axis -1;
-    for a grid, None."""
+    and for expressions its jet, a function of the floats x1..xn, t that gives the block's entries and then
+    their partials on the axes x1..xn (and t for a fiber-dependent block) as one flat float list,
+    [(axis * n + a) * n + b] with the entries at axis -1; for a grid, None."""
     kind, body = unwrap(text, "matrix", "grid")
     if kind == "grid":
         return load_metric_grid(folder / body.strip(), dim, time_dependent), None
@@ -542,7 +539,7 @@ def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tu
     def gm(x: np.ndarray, t: float) -> np.ndarray:
         return np.array(values(*np.asarray(x, dtype=float).tolist(), float(t))).reshape(dim, dim)
 
-    return gm, lambda x, t: jet(*np.asarray(x, dtype=float).tolist(), float(t))
+    return gm, jet
 
 
 def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
@@ -600,14 +597,13 @@ def load_scenario_file(path: str | Path) -> Scenario:
 
     kernel, square, cube = _levi_civita_floats(dim, time_dependent), dim * dim, dim**3
 
-    def base_jet(x: np.ndarray, t: float, chart: str) -> tuple:
+    def base_jet(x: Sequence[float], t: float, chart: str) -> tuple:
         # one jet and its one inverse give the base symbols, dg_M/dt and the rate
-        jet = jets[chart](x, t)
+        jet = jets[chart](*x, t)
         out = kernel(_inverse(np.array(jet[:square]).reshape(dim, dim)).ravel().tolist(), jet)
-        base = np.array(out[:cube]).reshape(dim, dim, dim)
         if not time_dependent:
-            return base, None, None
-        return base, np.array(jet[square + cube:]).reshape(dim, dim), np.array(out[cube:]).reshape(dim, dim)
+            return out, None, None
+        return out[:cube], jet[square + cube:], out[cube:]
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)

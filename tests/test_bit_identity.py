@@ -21,11 +21,18 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import _fd, geodesics, kaluza, scenarios, suites
+from carrollgeo import _fd, expressions, geodesics, kaluza, scenarios, suites
 from carrollgeo.connection import GaugeField
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, integrate_small_gauge, shoot_null
 
 DEMO = Path(__file__).resolve().parents[1] / "docs" / "examples" / "scenario_demo.ini"
+# the off-diagonal entries agree only up to rounding, so dg_M/dt is symmetric only up to rounding too
+CONE = ("[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
+        "main = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t + x1 * t / 3; (0.3 + x1) * t / 3, 2 + t^2)\n")
+THREE = ("[meta]\ndim = 3\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
+         "main = matrix(2 + sin(x1) * exp(-0.3 * t), 0.3 * cos(x2 + t), 0.1 * x3 * t; "
+         "0.3 * cos(x2 + t), 1.5 + 0.5 * exp(0.2 * x1 * t), 0.2 * sin(t); "
+         "0.1 * x3 * t, 0.2 * sin(t), 1 + t^2 * (1 + 0.1 * x2^2))\n")
 ARRAYS = ("lam", "x", "t", "vx", "vt", "charge", "null_residual", "base_speed2")
 
 # -- the references ---------------------------------------------------------------
@@ -129,6 +136,9 @@ def _ref_geodesic_rhs(gamma_at, sign):
 
 
 def _ref_base_data(kk, x, t, chart):
+    """The inverse base block, the base symbols, dg_M/dt and the rate as
+    arrays: a registered jet's flat lists shaped, or the differences."""
+    x = np.asarray(x, dtype=float)
     n = x.size
     t_differenced = kk.base_jet is None and kk.metric.time_dependent
     if kk.base_jet is not None:
@@ -140,8 +150,10 @@ def _ref_base_data(kk, x, t, chart):
         gminv = np.linalg.inv(gm[0])
         partials = _fd.stacked_partials(gm[None, 1:], h)[0]
     if kk.base_jet is not None:
-        base, dgdt, rate = kk.base_jet(x, t, chart)
-        base = np.asarray(base, dtype=float)
+        base, dgdt, rate = kk.base_jet(x.tolist(), t, chart)
+        base = np.reshape(base, (n, n, n))
+        if dgdt is not None:
+            dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
     else:
         base, dgdt, rate = kaluza._levi_civita(gminv, partials[:n]), None, None
     if dgdt is None:
@@ -303,26 +315,34 @@ def test_small_gauge_orbit_equals_the_reference(schwarzschild, method, reference
 def _check_scenarios(tmp_path):
     yield from (cg.load(name) for name in scenarios.catalog_names())
     yield cg.load(str(DEMO))
-    # the off-diagonal entries agree only up to rounding, so dg_M/dt is symmetric only up to rounding too
-    path = tmp_path / "cone.ini"
-    path.write_text(
-        "[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
-        "main = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t + x1 * t / 3; (0.3 + x1) * t / 3, 2 + t^2)\n"
-    )
-    cone = cg.load(str(path))
+    cone = cg.load(str(_write(tmp_path, "cone.ini", CONE)))
     yield cone
     # without registered base data the closed form differences the symbols and dg_M/dt around (x, t)
     yield dataclasses.replace(cone, base_jet=None)
 
 
+def _write(folder, name, text):
+    path = folder / name
+    path.write_text(text)
+    return path
+
+
+def _check_sample_points(monkeypatch, scenario_list):
+    """(kk, points) of every closed-form comparison that ``check`` makes at
+    seeds 0-2, recorded from ``christoffel_suite``: both signs, each chart."""
+    recorded = []
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "closed_form_deviation", lambda kk, points: recorded.append((kk, points)) or 0.0)
+        for scenario in scenario_list:
+            for seed in range(3):
+                suites.run_all(scenario, np.random.default_rng(seed))
+    return recorded
+
+
 def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, monkeypatch):
     """The points ``check`` compares with the oracle at seeds 0-2, recorded
     from ``christoffel_suite``, and both signs."""
-    recorded = []
-    monkeypatch.setattr(suites, "closed_form_deviation", lambda kk, points: recorded.append((kk, points)) or 0.0)
-    for scenario in _check_scenarios(tmp_path):
-        for seed in range(3):
-            suites.run_all(scenario, np.random.default_rng(seed))
+    recorded = _check_sample_points(monkeypatch, _check_scenarios(tmp_path))
     assert len(recorded) == 2 * 3 * (len(scenarios.catalog_names()) + 3)
     for kk, points in recorded:
         for p in points:
@@ -332,18 +352,18 @@ def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, m
 def test_stereographic_symbols_equal_the_loop():
     on_axes = [np.array(x) for x in ([0.0, 0.0], [0.0, -0.7], [1.2, 0.0], [-0.0, 0.3])]  # df = -0.0 there
     for x in on_axes + list(np.random.default_rng(5).uniform(-2, 2, (50, 2))):
-        assert scenarios._stereo_symbols(x).tobytes() == _ref_stereo_symbols(x).tobytes(), x
+        assert np.array(scenarios._stereo_symbols(x.tolist())).tobytes() == _ref_stereo_symbols(x).tobytes(), x
 
 
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
     """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the
     exact derivative of U, which is 1.0 for U = t."""
-    x = np.array([1.1, 0.4])
+    x = [1.1, 0.4]
     for t in (0.3, -0.8, 1.7, -2.5):
         gm = thakurta.metric.at(x, t, "angular")
         _, dgdt, rate = thakurta.base_jet(x, t, "angular")
-        assert dgdt.tobytes() == (-gm).tobytes()
-        assert rate.tobytes() == (-np.eye(2)).tobytes()
+        assert np.array(dgdt).tobytes() == (-gm).tobytes()
+        assert np.array(rate).tobytes() == (-np.eye(2)).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -429,14 +449,7 @@ def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
     """A 3-d fiber-dependent file without registered base data: the rate
     g^{cd} dg_ad/dt sums over d in index order from 0.0, whatever order
     numpy's dot-product kernels take, and the closed form equals the reference."""
-    path = tmp_path / "three.ini"
-    path.write_text(
-        "[meta]\ndim = 3\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5; -1.5, 1.5)\n[metric]\ntime_dependent = true\n"
-        "main = matrix(2 + sin(x1) * exp(-0.3 * t), 0.3 * cos(x2 + t), 0.1 * x3 * t; "
-        "0.3 * cos(x2 + t), 1.5 + 0.5 * exp(0.2 * x1 * t), 0.2 * sin(t); "
-        "0.1 * x3 * t, 0.2 * sin(t), 1 + t^2 * (1 + 0.1 * x2^2))\n"
-    )
-    kk = dataclasses.replace(cg.load(str(path)), base_jet=None).kk(-1)
+    kk = dataclasses.replace(cg.load(str(_write(tmp_path, "three.ini", THREE))), base_jet=None).kk(-1)
     rng = np.random.default_rng(43)
     for _ in range(200):
         x, t = rng.uniform(-1.0, 1.0, 3), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
@@ -448,7 +461,110 @@ def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
                 for d in range(3):
                     acc += gminv[c, d] * dgdt[a, d]
                 loop[c, a] = acc
-        assert kaluza.base_data(kk, x, t, "main")[2].tobytes() == loop.tobytes()
+        assert np.array(kaluza.base_data(kk, x, t, "main")[2]).tobytes() == loop.tobytes()
         raw = np.append(x, t)
         assert kaluza.christoffel_closed(kk, raw, chart="main").tobytes() == \
             _ref_christoffel_closed(kk, raw, chart="main").tobytes()
+
+
+# -- the float-list base data contract ------------------------------------------------
+
+def _ref_angular_symbols(x):
+    theta = x[0]
+    out = np.zeros((2, 2, 2))
+    out[0, 1, 1] = -math.sin(theta) * math.cos(theta)
+    out[1, 0, 1] = out[1, 1, 0] = math.cos(theta) / math.sin(theta)
+    return out
+
+
+def _ref_base_jet(scenario, jets, x, t, chart):
+    """A registered jet's base symbols, dg_M/dt and rate as arrays: zeros for
+    a flat block; the round symbols for a sphere, with (f g_M, f I) for a
+    block scaled by exp(s(t)), f = s'(t); for an expression file,
+    ``_levi_civita`` and the rate of the LAPACK inverse of its generated jet."""
+    n = x.size
+    if jets:
+        values = np.array(jets[chart](*x.tolist(), t))
+        gminv, partials = np.linalg.inv(values[: n * n].reshape(n, n)), values[n * n :].reshape(-1, n, n)
+        base = kaluza._levi_civita(gminv, partials[:n])
+        if not scenario.metric.time_dependent:
+            return base, None, None
+        return base, partials[n], np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
+    if scenario.name.startswith(("flat", "moebius")):
+        return np.zeros((n, n, n)), None, None
+    symbols = _ref_angular_symbols(x) if chart == "angular" else _ref_stereo_symbols(x)
+    if scenario.name == "lightcone":
+        factor = 2.0 / t
+    elif scenario.name.startswith("thakurta"):
+        slope = expressions.generate([[(expressions.compile_expression(scenario.params["U"], ("t",)), "t")]])
+        factor = -slope[0](t)[0]
+    else:
+        return symbols, None, None
+    return symbols, factor * scenario.metric.at(x, t, chart), factor * np.eye(2)
+
+
+def _load_with_jets(monkeypatch, path):
+    """A scenario file and the generated jet of each chart's block."""
+    jets, parse = [], scenarios._parse_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "_parse_matrix", lambda *args, **kw: (lambda out: jets.append(out[1]) or out)(
+            parse(*args, **kw)))
+        scenario = cg.load(str(path))
+    return scenario, dict(zip(scenario.atlas.chart_names(), jets))
+
+
+_JETS = [*(pytest.param("flat", {"n": n}, id=f"flat{n}") for n in (1, 2, 3)),
+         *(pytest.param(name, {}, id=name) for name in ("moebius", "sphere_pullback", "schwarzschild", "lightcone")),
+         pytest.param("thakurta", {"U": "t"}, id="thakurta-t"), pytest.param("thakurta", {"U": "t^2/3"}, id="thakurta-t2"),
+         pytest.param("demo", {}, id="demo-file"), pytest.param("three", {}, id="three-d-file")]
+
+
+@pytest.mark.parametrize("name, params", _JETS)
+def test_registered_jet_equals_the_array_reference(name, params, tmp_path, monkeypatch):
+    """At the check sample points, each also with t negated, a registered jet
+    gives flat lists of Python floats in C order, float for float the arrays
+    of the reference; every chart of the sphere scenarios is sampled."""
+    if name in ("demo", "three"):
+        scenario, jets = _load_with_jets(monkeypatch, DEMO if name == "demo" else _write(tmp_path, "three.ini", THREE))
+    else:
+        scenario, jets = cg.load(name, **params), {}
+    checked = set()
+    for _, points in _check_sample_points(monkeypatch, [scenario]):
+        for p, t in ((p, t) for p in points for t in (p.t, -p.t)):
+            got = scenario.base_jet(p.x.tolist(), t, p.chart)
+            ref = _ref_base_jet(scenario, jets, p.x, t, p.chart)
+            assert [block is None for block in got] == [block is None for block in ref]
+            for block, ref_block in zip(got, ref):
+                if block is not None:
+                    assert all(type(v) is float for v in block) and _bits(block) == ref_block.tobytes(), (p, t)
+            checked.add(p.chart)
+    assert checked == set(scenario.atlas.chart_names())
+
+
+@pytest.mark.parametrize("text", [None, CONE, THREE], ids=["demo-file", "cone-file", "three-d-file"])
+def test_differenced_base_data_equals_the_array_reference(text, tmp_path, monkeypatch):
+    """Without a registered jet, ``base_data`` gives the differences as flat
+    float lists, float for float the arrays of ``_ref_base_data``."""
+    path = DEMO if text is None else _write(tmp_path, "file.ini", text)
+    scenario = dataclasses.replace(cg.load(str(path)), base_jet=None)
+    for kk, points in _check_sample_points(monkeypatch, [scenario]):
+        for p, t in ((p, t) for p in points for t in (p.t, -p.t)):
+            got = kaluza.base_data(kk, p.x.tolist(), t, p.chart)
+            _, base, dgdt, rate = _ref_base_data(kk, p.x, t, p.chart)
+            assert _bits(got[0]) == base.tobytes()
+            if scenario.metric.time_dependent:
+                assert _bits(got[1]) == dgdt.tobytes() and _bits(got[2]) == rate.tobytes()
+            else:
+                assert got[1:] == (None, None)
+
+
+def test_closed_form_gives_the_same_bytes_for_a_point_an_array_and_a_list(tmp_path):
+    rng = np.random.default_rng(47)
+    for scenario in _check_scenarios(tmp_path):
+        for sign in (+1, -1):
+            kk = scenario.kk(sign)
+            for chart in scenario.atlas.chart_names():
+                for p in scenario.sample_points(rng, 3, chart=chart, include_negative_t=True):
+                    closed = kaluza.christoffel_closed(kk, p).tobytes()
+                    assert kaluza.christoffel_closed(kk, p.raw(), chart=chart).tobytes() == closed
+                    assert kaluza.christoffel_closed(kk, p.raw().tolist(), chart=chart).tobytes() == closed

@@ -168,7 +168,7 @@ def test_a_registered_jet_without_dgdt_on_a_fiber_dependent_block_is_a_contract_
     """``base_jet`` gives dg_M/dt and the rate wherever the block depends on
     t; leaving them out there would silently drop the mixed and fiber blocks."""
     s = cg.load(name)
-    symbols = s.base_jet(np.array([1.1, 0.4]), 1.3, "angular")[0]
+    symbols = s.base_jet([1.1, 0.4], 1.3, "angular")[0]
     bare = dataclasses.replace(s, base_jet=lambda x, t, chart: (symbols, None, None))
     p = s.point([1.1, 0.4], 1.3)
     for call in (lambda: base_data(bare.kk(-1), p.x, p.t, p.chart), lambda: christoffel_closed(bare.kk(+1), p)):
