@@ -7,8 +7,9 @@ Expressions are parsed with :mod:`ast` and checked in one validating walk
 into a small tree. A constant expression is evaluated from that tree. The
 others are emitted as straight-line Python source, one function per
 request, that computes the values and only the partials its reader asks
-for, and compiled once: no text of the input reaches that source, and it
-runs with nothing but the whitelisted functions in scope.
+for, and compiled once per source text, which a bounded cache keeps across
+loads: no text of the input reaches that source, and it runs in a fresh
+namespace with nothing but the whitelisted functions in scope.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import configparser
 import math
 import operator
 from configparser import SectionProxy
+from functools import lru_cache
 from pathlib import Path
+from types import CodeType
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .errors import ConstructionError
@@ -191,8 +194,8 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
     partial in the variable ``name``, exact up to rounding (0.0 for a
     constant expression). A value takes the float operations of the
     expression alone, whatever else is asked for. The requests that read a
-    variable are emitted as one source and compiled once; the others are
-    evaluated here. A function raises the ConstructionError naming the first
+    variable are emitted as one source, compiled once per text (see
+    ``_compiled``) and run in a fresh namespace; the others are evaluated here. A function raises the ConstructionError naming the first
     output expression whose value or any of whose partials fails."""
     lines: list[str] = []
     owners: list[tuple[int, str]] = []  # (first line, source) of each output's code
@@ -214,7 +217,7 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
         functions.append(k)
     namespace = {"__builtins__": {}, **_NAMESPACE}
     if lines:
-        exec(compile("\n".join(lines), "<expressions>", "exec"), namespace)
+        exec(_compiled("\n".join(lines)), namespace)
 
     def checked(fn: Callable[..., list[float]]) -> Callable[..., list[float]]:
         def run(*args: float) -> list[float]:
@@ -230,6 +233,12 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
         return run
 
     return [checked(namespace[f"f{fn}"]) if isinstance(fn, int) else fn for fn in functions]
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str) -> CodeType:
+    """The code of a generated source, compiled once per text: a reload of the same file compiles nothing."""
+    return compile(source, "<expressions>", "exec")
 
 
 def _constant(request: Sequence[tuple[Expression, str | None]]) -> Callable[..., list[float]]:

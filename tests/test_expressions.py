@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carrollgeo import _fd, expressions, geodesics, kaluza
+from carrollgeo import _fd, expressions, geodesics, kaluza, scenarios
 from carrollgeo.errors import ConstructionError
 from carrollgeo.expressions import compile_expression, generate, parse_number, parse_tuple
 
@@ -268,6 +268,27 @@ def test_a_constant_expression_has_zero_partials_and_no_compile(monkeypatch):
     assert fn.constant
     assert generate([[(fn, None), (fn, "x"), (fn, "y")]])[0](0.5, 0.7) == [2 * math.pi + math.e, 0.0, 0.0]
     assert parse_number("sin(pi/2) + 1e400") == math.inf
+
+
+def test_a_second_load_of_the_same_text_compiles_nothing(tmp_path, monkeypatch):
+    """Generated code is cached by its source text across loads. Each load
+    still runs it in a namespace of its own, and a failing entry is still
+    named by each."""
+    compiled = []
+    monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
+    path = tmp_path / "cached.ini"
+    path.write_text("[meta]\ndim = 2\n[charts]\nmain = box(-1, 1; -1, 1)\n[metric]\n"
+                    "main = matrix(1 + 0.4375 * x1^2, 0; 0, sqrt(x2 + 1.8125))\n")
+    loads = []
+    for count in (1, 0):
+        compiled.clear()
+        loads.append(scenarios.load(str(path)))
+        assert len(compiled) == count
+    assert loads[0].metric.at([0.5, 0.5], 1.0, "main").tobytes() == loads[1].metric.at([0.5, 0.5], 1.0, "main").tobytes()
+    assert loads[0].base_jet is not loads[1].base_jet
+    for scenario in loads:
+        with pytest.raises(ConstructionError, match=re.escape("'sqrt(x2 + 1.8125)'")):
+            scenario.metric.at([0.5, -1.9], 1.0, "main")
 
 
 def test_abs_has_slope_zero_at_its_kink():
