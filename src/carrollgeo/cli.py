@@ -248,6 +248,8 @@ def cmd_christoffel(args) -> int:
         if len(values) != scenario.dim + 1:
             raise ContractViolation(f"--at needs {scenario.dim + 1} values: coords..., t")
         points.append(scenario.point(values[:-1], values[-1], chart))
+        if not scenario.atlas.chart(chart).inside(points[0].x):
+            raise ContractViolation(f"--at base point {points[0].x.tolist()} is outside chart {chart!r}")
     else:
         rng = _rng(args.seed)
         points.extend(scenario.sample_points(rng, args.count, chart=chart))

@@ -34,6 +34,7 @@ the conserved fiber charge q = -omega, the null residual
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -484,8 +485,9 @@ def _drive(
     result that ``finite`` refuses (by default, one with a non-finite entry)
     ends the run as ``non_finite`` and is not kept. The span must be finite
     and >= 0, the fixed step, the step cap ``max_step`` and the tolerance
-    ``tol`` finite and > 0, and span / rk4_step at most ``MAX_STEPS`` for
-    "rk4", else the run is a ContractViolation.
+    ``tol`` finite and > 0, ``tol`` at least the float resolution (below it
+    the error norm's squares can overflow), and span / rk4_step at most
+    ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
         raise ContractViolation(f"unknown integrator method {cfg.method!r}")
@@ -494,6 +496,8 @@ def _drive(
     for name, value in (("rk4_step", cfg.rk4_step), ("max_step", cfg.max_step), ("tol", cfg.tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ContractViolation(f"{name} must be finite and > 0, got {value}")
+    if cfg.tol < sys.float_info.epsilon:
+        raise ContractViolation(f"tol must be at least the float resolution {sys.float_info.epsilon:.3g}, got {cfg.tol}")
     adaptive = cfg.method == "rk45"
     if not adaptive and span / cfg.rk4_step > MAX_STEPS:
         raise ContractViolation(f"rk4_step = {cfg.rk4_step} takes more than {MAX_STEPS} steps over the span {span}")

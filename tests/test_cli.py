@@ -310,6 +310,13 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["geodesic", "flat", "--christoffel", "numeric", "--state", "0,0,1e-320,0.1,0,-1"], "too close to zero"),
         (["geodesic", "flat", "--christoffel", "numeric", "--state", "0,0,-1e-320,0.1,0,-1"], "too close to zero"),
         (["geodesic", "flat", "--state", "0,0,1e-8,0.1,0,1e305"], "vt / t = 1.000e+305 / 1.000e-08 overflows"),
+        (["christoffel", "schwarzschild", "--at", "0, 0, 1"], "[0.0, 0.0] is outside chart 'angular'"),
+        (["christoffel", "schwarzschild", "--at", "5, 0, 1"], "[5.0, 0.0] is outside chart 'angular'"),
+        (["christoffel", "lightcone", "--chart", "angular", "--at", "pi, 0.3, -1"], "outside chart 'angular'"),
+        (["geodesic", "flat", "--state", "0,0,1,0.1,0,-1", "--tol", "1e-300"], "tol must be at least the float"),
+        (["geodesic", "flat", "--state", "0,0,1,0.1,0,-1", "--tol", "1e-16"], "got 1e-16"),
+        (SMALL_GAUGE_FLAT + ["--tol", "1e-300"], "tol must be at least the float"),
+        (SHOOT_FLAT + ["--method", "rk4", "--tol", "5e-324"], "tol must be at least the float"),
     ],
     ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
          "zero_section", "shoot_chart", "small_gauge_chart",
@@ -321,7 +328,9 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
          "linearize_tol_negative", "check_out_unwritable", "geodesic_out_unwritable", "small_gauge_out_unwritable",
          "christoffel_out_unwritable", "linearize_out_unwritable", "check_seed_negative", "christoffel_seed_negative",
          "field_nan", "field_inf", "fiber_subnormal", "fiber_subnormal_negative", "fiber_subnormal_oracle",
-         "fiber_subnormal_negative_oracle", "fiber_rate_overflow"],
+         "fiber_subnormal_negative_oracle", "fiber_rate_overflow", "christoffel_at_pole", "christoffel_at_off_domain",
+         "christoffel_at_pole_fiber_dependent", "tol_below_resolution", "tol_just_below_resolution",
+         "small_gauge_tol_below_resolution", "rk4_tol_below_resolution"],
 )
 def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
