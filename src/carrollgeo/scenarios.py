@@ -112,10 +112,14 @@ def _angular_symbols(x: Sequence[float]) -> list[float]:
     return [0.0, 0.0, 0.0, -math.sin(theta) * math.cos(theta), 0.0, cot, cot, 0.0]
 
 
+def _square_norm(x: Sequence[float]) -> float:
+    """|x|^2 summed in index order; numpy's dot may fuse the multiply-adds, as the BLAS build decides."""
+    return sum(v * v for v in x)
+
+
 def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        rho2 = float(x @ x)
-        c = 4.0 * radius2 / (1.0 + rho2) ** 2
+        c = 4.0 * radius2 / (1.0 + _square_norm(x.tolist())) ** 2
         return np.array([[c, 0.0], [0.0, c]])
 
     return gm
@@ -124,7 +128,7 @@ def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
 def _stereo_symbols(x: Sequence[float]) -> list[float]:
     # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2):
     # delta_ab df_c + delta_ac df_b - delta_bc df_a, each entry summed from 0 in that order
-    rho2 = float(np.dot(x, x))
+    rho2 = _square_norm(x)
     df = [-2.0 * v / (1.0 + rho2) for v in x]
     axes = range(len(x))
     return [0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
@@ -138,8 +142,7 @@ def _angular_to_stereo(x: np.ndarray) -> np.ndarray:
 
 
 def _stereo_inversion(x: np.ndarray) -> np.ndarray:
-    rho2 = float(x @ x)
-    return np.array([x[0], -x[1]]) / rho2
+    return np.array([x[0], -x[1]]) / _square_norm(x.tolist())
 
 
 _POLE_GUARD = 0.02

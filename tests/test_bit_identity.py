@@ -15,6 +15,7 @@ in, and every array of the two trajectories must be equal byte for byte.
 
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,7 @@ def _ref_christoffel_closed(kk, p, *, chart=None):
 
 
 def _ref_stereo_symbols(x):
-    rho2 = float(x @ x)
+    rho2 = sum(v * v for v in x.tolist())  # in index order
     grad_f = -2.0 * x / (1.0 + rho2)
     n = x.size
     out = np.zeros((n, n, n))
@@ -353,6 +354,27 @@ def test_stereographic_symbols_equal_the_loop():
     on_axes = [np.array(x) for x in ([0.0, 0.0], [0.0, -0.7], [1.2, 0.0], [-0.0, 0.3])]  # df = -0.0 there
     for x in on_axes + list(np.random.default_rng(5).uniform(-2, 2, (50, 2))):
         assert np.array(scenarios._stereo_symbols(x.tolist())).tobytes() == _ref_stereo_symbols(x).tobytes(), x
+
+
+# points of the stereographic box where x1^2 + x2^2 summed in index order, pinned here,
+# differs from both fused roundings fma(x1, x1, x2^2) and fma(x2, x2, x1^2)
+_RHO2_PINS = [("0x1.06143ff60cb98p-1", "0x1.c42a8abe4eb28p-2", "0x1.d3f704c6265b2p-2"),
+              ("0x1.2123cfc860044p+0", "-0x1.53050e49c3192p+0", "0x1.83c4220ae64dep+1"),
+              ("-0x1.27bb532872308p+0", "0x1.5fc46884cb4e0p-1", "0x1.ce784e0ce626cp+0")]
+
+
+@pytest.mark.parametrize("pin", _RHO2_PINS, ids=["first", "second", "third"])
+def test_stereographic_square_norm_sums_in_index_order(pin):
+    """The stereographic block, symbols and inversion read rho^2 summed in
+    index order, whatever rounding numpy's dot product takes on the host."""
+    x0, x1, rho2 = (float.fromhex(v) for v in pin)
+    exact = lambda a, b: Fraction(a) * Fraction(a) + Fraction(b * b)
+    assert x0 * x0 + x1 * x1 == rho2 and rho2 not in (float(exact(x0, x1)), float(exact(x1, x0)))
+    x = np.array([x0, x1])
+    assert scenarios._stereo_block(0.25)(x, 1.0).tobytes() == np.diag([1.0 / (1.0 + rho2) ** 2] * 2).tobytes()
+    df = [-2.0 * v / (1.0 + rho2) for v in (x0, x1)]
+    assert scenarios._stereo_symbols([x0, x1]) == [df[0], df[1], df[1], -df[0], -df[1], df[0], df[0], df[1]]
+    assert scenarios._stereo_inversion(x).tobytes() == (np.array([x0, -x1]) / rho2).tobytes()
 
 
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):

@@ -282,5 +282,5 @@ def test_sphere_blocks_equal_the_scaled_constant_matrices():
             old = radius2 * np.array([[1.0, 0.0], [0.0, math.sin(theta) ** 2]])
             assert angular(x, 1.0).tobytes() == old.tobytes()
         for x in rng.uniform(-1.5, 1.5, (200, 2)):
-            old = (4.0 * radius2 / (1.0 + float(x @ x)) ** 2) * np.eye(2)
+            old = (4.0 * radius2 / (1.0 + (x[0] * x[0] + x[1] * x[1])) ** 2) * np.eye(2)
             assert stereo(x, 1.0).tobytes() == old.tobytes()
