@@ -195,8 +195,9 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
     constant expression). A value takes the float operations of the
     expression alone, whatever else is asked for. The requests that read a
     variable are emitted as one source, compiled once per text (see
-    ``_compiled``) and run in a fresh namespace; the others are evaluated here. A function raises the ConstructionError naming the first
-    output expression whose value or any of whose partials fails."""
+    ``_compiled``) and run in a fresh namespace; the others are evaluated
+    here. A function raises the ConstructionError naming the first output
+    expression whose value or any of whose partials fails."""
     lines: list[str] = []
     owners: list[tuple[int, str]] = []  # (first line, source) of each output's code
     functions: list = []

@@ -674,10 +674,11 @@ def integrate_small_gauge(
     n = x0.size
 
     def rhs(y: list[float]) -> list[float]:
-        base, _, _ = base_data(kk, y[:n], 1.0, chart)
-        x, base, v, va = np.array(y[:n]), np.reshape(base, (n, n, n)), y[n:], np.array(y[n:])
+        x, v = np.array(y[:n]), y[n:]
+        base = np.reshape(base_data(kk, y[:n], 1.0, chart)[0], (n, n, n))
         gminv = base_inverse(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
+        va = np.array(v)
         return v + (-np.einsum("abc,b,c->a", base, va, va) + sign_q * (gminv @ f @ va)).tolist()
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
