@@ -11,6 +11,9 @@ zero-gauge closed-form assembly, whose mixed block is a registered rate
 g_M^-1 dg_M/dt where one is given and the inverse times dg_M/dt otherwise.
 Seeded orbits run once as they are and once with the references patched
 in, and every array of the two trajectories must be equal byte for byte.
+The registered base data are flat lists of Python floats; every registered
+jet, and the differenced base data, must equal array references float for
+float.
 """
 
 import dataclasses
