@@ -4,12 +4,13 @@ and CLI coordinate arguments, and the one reader of those files.
 Supported: + - * / ^ (also **), unary minus, numeric literals, `pi` and `e`,
 a whitelist of elementary functions, and caller-declared variable names.
 Expressions are parsed with :mod:`ast` and checked in one validating walk
-into a small tree. A constant expression is evaluated from that tree. The
-others are emitted as straight-line Python source, one function per
-request, that computes the values and only the partials its reader asks
-for, and compiled once per source text, which a bounded cache keeps across
-loads: no text of the input reaches that source, and it runs in a fresh
-namespace with nothing but the whitelisted functions in scope.
+into a small tree, which is emitted as straight-line Python source, one
+function per request, constant or not, that computes the values and only
+the partials its reader asks for. ``run_generated`` compiles that source
+once per text, which a bounded cache keeps across loads, and runs it: no
+text of the input reaches the source, and it runs in a fresh namespace
+with nothing but the whitelisted functions in scope. The package's other
+generated kernels run through it too.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import ast
 import bisect
 import configparser
 import math
-import operator
 from configparser import SectionProxy
-from functools import lru_cache
 from pathlib import Path
 from types import CodeType
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
@@ -31,44 +30,44 @@ from .errors import ConstructionError
 # recurse once per level, and ast.parse fails far deeper
 MAX_DEPTH = 200
 
-# name -> (function, source of its value at the argument {a} and of its
-# derivative there, given the value {v}); abs has slope 0 at its kink, as a
-# central difference gives
-_UNARY: Mapping[str, tuple[Callable[[float], float], str, str]] = {
-    "exp": (math.exp, "exp({a})", "{v}"),
-    "sin": (math.sin, "sin({a})", "cos({a})"),
-    "cos": (math.cos, "cos({a})", "-sin({a})"),
-    "tan": (math.tan, "tan({a})", "1.0 + {v} * {v}"),
-    "sqrt": (math.sqrt, "sqrt({a})", "0.5 / {v}"),
-    "log": (math.log, "log({a})", "1.0 / {a}"),
-    "sinh": (math.sinh, "sinh({a})", "cosh({a})"),
-    "cosh": (math.cosh, "cosh({a})", "sinh({a})"),
-    "tanh": (math.tanh, "tanh({a})", "1.0 - {v} * {v}"),
-    "asinh": (math.asinh, "asinh({a})", "1.0 / sqrt(1.0 + {a} * {a})"),
-    "atan": (math.atan, "atan({a})", "1.0 / (1.0 + {a} * {a})"),
-    "abs": (abs, "abs({a})", "copysign(1.0, {a}) if {a} else 0.0"),
-    "neg": (operator.neg, "-{a}", "-1.0"),
+# name -> (source of its value at the argument {a} and of its derivative
+# there, given the value {v}); abs has slope 0 at its kink, as a central
+# difference gives
+_UNARY: Mapping[str, tuple[str, str]] = {
+    "exp": ("exp({a})", "{v}"),
+    "sin": ("sin({a})", "cos({a})"),
+    "cos": ("cos({a})", "-sin({a})"),
+    "tan": ("tan({a})", "1.0 + {v} * {v}"),
+    "sqrt": ("sqrt({a})", "0.5 / {v}"),
+    "log": ("log({a})", "1.0 / {a}"),
+    "sinh": ("sinh({a})", "cosh({a})"),
+    "cosh": ("cosh({a})", "sinh({a})"),
+    "tanh": ("tanh({a})", "1.0 - {v} * {v}"),
+    "asinh": ("asinh({a})", "1.0 / sqrt(1.0 + {a} * {a})"),
+    "atan": ("atan({a})", "1.0 / (1.0 + {a} * {a})"),
+    "abs": ("abs({a})", "copysign(1.0, {a}) if {a} else 0.0"),
+    "neg": ("-{a}", "-1.0"),
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# operator -> (operation, source of its value at the operands {a}, {b} and of
-# its partials in the left and the right operand, given the value {v}); a
-# partial is taken only where its side varies, so a constant exponent takes no log
-_BINARY: Mapping[type, tuple[Callable[[float, float], float], str, str, str]] = {
-    ast.Add: (operator.add, "{a} + {b}", "1.0", "1.0"),
-    ast.Sub: (operator.sub, "{a} - {b}", "1.0", "-1.0"),
-    ast.Mult: (operator.mul, "{a} * {b}", "{b}", "{a}"),
-    ast.Div: (operator.truediv, "{a} / {b}", "1.0 / {b}", "-{v} / {b}"),
+# operator -> (source of its value at the operands {a}, {b} and of its
+# partials in the left and the right operand, given the value {v}); a partial
+# is taken only where its side varies, so a constant exponent takes no log
+_BINARY: Mapping[type, tuple[str, str, str]] = {
+    ast.Add: ("{a} + {b}", "1.0", "1.0"),
+    ast.Sub: ("{a} - {b}", "1.0", "-1.0"),
+    ast.Mult: ("{a} * {b}", "{b}", "{a}"),
+    ast.Div: ("{a} / {b}", "1.0 / {b}", "-{v} / {b}"),
     # libm pow, as for floats' **, but a negative base with a fractional
     # exponent is a ValueError instead of a complex result
-    ast.Pow: (math.pow, "pow({a}, {b})", "{b} * pow({a}, {b} - 1.0) if {b} else 0.0", "{v} * log({a})"),
+    ast.Pow: ("pow({a}, {b})", "{b} * pow({a}, {b} - 1.0) if {b} else 0.0", "{v} * log({a})"),
 }
 
 # all that generated code can name: the whitelisted functions, two helpers,
 # and inf, which is how repr spells the one literal that has no digits (1e400)
-_NAMESPACE = {name: fn for name, (fn, _, _) in _UNARY.items() if name != "neg"} | {
-    "pow": math.pow, "copysign": math.copysign, "inf": math.inf}
+_NAMESPACE = {name: getattr(math, name) for name in _UNARY if name not in ("abs", "neg")} | {
+    "abs": abs, "pow": math.pow, "copysign": math.copysign, "inf": math.inf}
 
 # what evaluating an expression can raise; each becomes a ConstructionError naming it
 _ARITHMETIC = (ZeroDivisionError, ValueError, OverflowError)
@@ -134,14 +133,6 @@ def _reads(tree: tuple) -> bool:
     return tree[0] == "var" or (tree[0] != "num" and any(map(_reads, tree[1:])))
 
 
-def _value(tree: tuple) -> float:
-    """The value of a tree that reads no variable, with the generated code's float operations."""
-    if tree[0] == "num":
-        return tree[1]
-    rule = _BINARY.get(tree[0]) or _UNARY[tree[0]]
-    return rule[0](*map(_value, tree[1:]))
-
-
 class _Emitter:
     """Straight-line source for the body of one generated function: each
     operation's value and, where ``wanted`` lists variable positions, its
@@ -171,7 +162,7 @@ class _Emitter:
             out = f"p{tree[1]}", unit
         else:
             args = [self.emit(child) for child in tree[1:]]  # each operand in turn, with its partials
-            _, value, *slopes = _BINARY.get(tree[0]) or _UNARY[tree[0]]
+            value, *slopes = _BINARY.get(tree[0]) or _UNARY[tree[0]]
             refs = dict(zip("ab", (ref for ref, _ in args)))
             refs["v"] = self.ref(value.format(**refs), temporary=True)
             # the slope in each operand that varies, in turn: a constant exponent takes no log
@@ -193,18 +184,13 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
     order: for (expression, None) its value, for (expression, name) its
     partial in the variable ``name``, exact up to rounding (0.0 for a
     constant expression). A value takes the float operations of the
-    expression alone, whatever else is asked for. The requests that read a
-    variable are emitted as one source, compiled once per text (see
-    ``_compiled``) and run in a fresh namespace; the others are evaluated
-    here. A function raises the ConstructionError naming the first output
-    expression whose value or any of whose partials fails."""
+    expression alone, whatever else is asked for. The requests are emitted
+    as one source and run by ``run_generated``. A function raises the
+    ConstructionError naming the first output expression whose value or any
+    of whose partials fails."""
     lines: list[str] = []
     owners: list[tuple[int, str]] = []  # (first line, source) of each output's code
-    functions: list = []
     for k, request in enumerate(requests):
-        if all(expression.constant for expression, _ in request):
-            functions.append(_constant(request))
-            continue
         variables = request[0][0].variables
         names = {name for _, name in request if name is not None}
         wanted = tuple(i for i, name in enumerate(variables) if name in names) if names else None
@@ -215,10 +201,7 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
             value, grad = emitter.emit(expression.tree)
             outputs.append(value if name is None else grad[wanted.index(variables.index(name))] if grad else "0.0")
         lines.append(f"    return [{', '.join(outputs)}]")
-        functions.append(k)
-    namespace = {"__builtins__": {}, **_NAMESPACE}
-    if lines:
-        exec(_compiled("\n".join(lines)), namespace)
+    namespace = run_generated(lines, **_NAMESPACE)
 
     def checked(fn: Callable[..., list[float]]) -> Callable[..., list[float]]:
         def run(*args: float) -> list[float]:
@@ -233,28 +216,27 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
 
         return run
 
-    return [checked(namespace[f"f{fn}"]) if isinstance(fn, int) else fn for fn in functions]
+    return [checked(namespace[f"f{k}"]) for k in range(len(requests))]
 
 
-@lru_cache(maxsize=256)
-def _compiled(source: str) -> CodeType:
-    """The code of a generated source, compiled once per text: a reload of the same file compiles nothing."""
-    return compile(source, "<expressions>", "exec")
+# the code of the last _CODE_LIMIT generated sources, by text, least recently used first
+_CODE: dict[str, CodeType] = {}
+_CODE_LIMIT = 256
 
 
-def _constant(request: Sequence[tuple[Expression, str | None]]) -> Callable[..., list[float]]:
-    """The function of a request whose expressions read no variable: evaluated once, with no source."""
-    values = []
-    for expression, name in request:
-        try:
-            value = _value(expression.tree)
-        except _ARITHMETIC as exc:
-            def failing(*args: float, source=expression.source, exc=exc) -> list[float]:
-                raise ConstructionError(f"cannot evaluate expression {source!r}: {exc}") from exc
-
-            return failing
-        values.append(value if name is None else 0.0)
-    return lambda *args: list(values)
+def run_generated(lines: Sequence[str], **names: object) -> dict:
+    """The namespace in which the generated source ``lines`` ran: a fresh one
+    that holds ``names`` and no builtins. This is the one place that compiles
+    and runs code. A source is compiled once per text and its code kept
+    across loads, so a reload of the same file compiles nothing."""
+    source = "\n".join(lines)
+    code = _CODE.pop(source, None) or compile(source, "<generated>", "exec")
+    _CODE[source] = code
+    if len(_CODE) > _CODE_LIMIT:
+        del _CODE[next(iter(_CODE))]
+    namespace = {"__builtins__": {}, **names}
+    exec(code, namespace)
+    return namespace
 
 
 def parse_number(text: str) -> float:

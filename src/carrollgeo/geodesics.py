@@ -43,8 +43,9 @@ import numpy as np
 
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
+from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, Chart, Point, square
-from .kaluza import KKMetric, _kernel, base_data, base_inverse, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -289,8 +290,8 @@ def _contraction(n: int) -> Callable[[list[float], list[float]], list[float]]:
     m = n + 1
     sums = ["-(0.0" + "".join(f" + g[{(a * m + b) * m + c}] * v{b} * v{c}" for b in range(m) for c in range(m)) + ")"
             for a in range(m)]
-    return _kernel(["def kernel(g, v):", f"    {', '.join(f'v{b}' for b in range(m))}, = v",
-                    f"    return [{', '.join(sums)}]"], "contraction")
+    return run_generated(["def kernel(g, v):", f"    {', '.join(f'v{b}' for b in range(m))}, = v",
+                          f"    return [{', '.join(sums)}]"])["kernel"]
 
 
 def printed_spatial_acceleration(
@@ -429,11 +430,12 @@ def _step_kernel(tableau: _Tableau, m: int) -> Callable:
     lines += [f"    n{j} = {value}" for j, value in enumerate(combine(r, tableau.solution, "y{}"))]
     lines.append(f"    n = [{comps('n')}]")
     if tableau.error is None:
-        return _kernel(lines + ["    return n, None, 0.0"], "step")
+        return run_generated(lines + ["    return n, None, 0.0"])["kernel"]
     lines += [f"    k{r} = rhs(n)", f"    {comps(f'k{r}_')}, = k{r}"]
     errors = [f"({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
               for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
-    return _kernel(lines + [f"    return n, k{r}, rms([{', '.join(errors)}])"], "step", rms=_rms, abs=abs, max=max)
+    return run_generated(lines + [f"    return n, k{r}, rms([{', '.join(errors)}])"], rms=_rms, abs=abs,
+                         max=max)["kernel"]
 
 
 def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: float) -> float:

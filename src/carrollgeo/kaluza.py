@@ -34,6 +34,7 @@ import numpy as np
 from . import _fd
 from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
+from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw, square
 
 
@@ -173,15 +174,25 @@ def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[floa
     if fiber:
         out += ["0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
                 for c in range(n) for a in range(n)]
-    return _kernel(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"], "levi-civita")
+    return run_generated(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"])["kernel"]
 
 
-def _kernel(lines: list[str], name: str, **names) -> Callable:
-    """The function ``kernel`` that the generated source ``lines`` defines,
-    compiled in a namespace that holds ``names`` and no builtins."""
-    namespace = {"__builtins__": {}, **names}
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
-    return namespace["kernel"]
+@cache
+def jet_base_data(n: int, fiber: bool) -> Callable[[list[float]], tuple]:
+    """Base data from the jet of one n x n block, bound once per (n, fiber): a function of the jet, the
+    block's entries and then their partials on the axes x1..xn (and t, for a fiber-dependent block) as one
+    flat float list in C order, [(axis * n + a) * n + b] with the entries at axis -1, that returns
+    ``base_data``'s (base, dgdt, rate). One inverse of the block feeds ``_levi_civita_floats``; dg_M/dt is
+    the jet's t partials as they are, and dg_M/dt and the rate are None for a fiber-independent block."""
+    kernel, square, cube = _levi_civita_floats(n, fiber), n * n, n**3
+
+    def from_jet(jet: list[float]) -> tuple:
+        out = kernel(_inverse(np.array(jet[:square]).reshape(n, n)).ravel().tolist(), jet)
+        if not fiber:
+            return out, None, None
+        return out[:cube], jet[square + cube:], out[cube:]
+
+    return from_jet
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
@@ -199,9 +210,9 @@ def base_data(kk: KKMetric, x: Sequence[float], t: float,
     Gamma^a_bc, dgdt[a * n + b] and rate[c * n + a] = g^{cd} dg_ad/dt; dg_M/dt and the rate are None for a
     fiber-independent block. They are the registered ``kk.base_jet`` where there is one, which gives them
     so and reads no g_M here (see ``base_inverse``); one that gives no dg_M/dt for a fiber-dependent block
-    is a ContractViolation. Otherwise they are central differences over one stacked read of g_M on the
-    stencil around x, or around (x, t) for a fiber-dependent block, whose centre gives the inverse, made
-    lists once at the end."""
+    is a ContractViolation. Otherwise g_M is read once, stacked, on the stencil around x, or around (x, t)
+    for a fiber-dependent block, and its centre and central differences are the jet that ``jet_base_data``
+    turns into base data, as it does a scenario file's generated jet."""
     if kk.base_jet is not None:
         base, dgdt, rate = kk.base_jet(x, t, chart)
         if dgdt is None and kk.metric.time_dependent:
@@ -214,14 +225,8 @@ def base_data(kk: KKMetric, x: Sequence[float], t: float,
     points, h = _fd.stencil((np.append(x, t) if fiber else x)[None], keep_sign=(n,))
     stencil = points[0]
     gms = kk.metric.at(stencil[:, :n], stencil[:, n] if fiber else np.full(len(stencil), t), chart)
-    gminv = _inverse(gms[0])
     partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    base = _levi_civita(gminv, partials[:n]).ravel().tolist()
-    if not fiber:
-        return base, None, None
-    # summed over d in index order, as a file's registered rate is; numpy picks the order of the layout [a, d]
-    rate = np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
-    return base, partials[n].ravel().tolist(), rate.ravel().tolist()
+    return jet_base_data(n, fiber)(gms[0].ravel().tolist() + partials.ravel().tolist())
 
 
 def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
@@ -330,9 +335,9 @@ def _closed_floats(n: int, fiber: bool) -> Callable[..., list[float]]:
         entries[(n * m + a) * m + b] = f"0.5 * (f{a}_{b} + f{b}_{a})" if fiber else "z"
     entries[-1] = "-1.0 / t"
     head = [f"    f{a}_{b} = z * dgdt[{a * n + b}]" for a, b in product(range(n), repeat=2)] if fiber else []
-    return _kernel([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}):",
-                    f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}", *head,
-                    f"    return [{', '.join(entries)}]"], "closed-form")
+    return run_generated([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}):",
+                          f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}", *head,
+                          f"    return [{', '.join(entries)}]"])["kernel"]
 
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:

@@ -37,7 +37,7 @@ from .geometry import (
     DegenerateMetric,
     Point,
 )
-from .kaluza import KKMetric, _inverse, _levi_civita_floats
+from .kaluza import KKMetric, jet_base_data
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +598,10 @@ def load_scenario_file(path: str | Path) -> Scenario:
     jets = {c: jet for c, (_, jet) in blocks.items()}
     exact = all(jet is not None for jet in jets.values())
 
-    kernel, square, cube = _levi_civita_floats(dim, time_dependent), dim * dim, dim**3
+    from_jet = jet_base_data(dim, time_dependent)
 
     def base_jet(x: Sequence[float], t: float, chart: str) -> tuple:
-        # one jet and its one inverse give the base symbols, dg_M/dt and the rate
-        jet = jets[chart](*x, t)
-        out = kernel(_inverse(np.array(jet[:square]).reshape(dim, dim)).ravel().tolist(), jet)
-        if not time_dependent:
-            return out, None, None
-        return out[:cube], jet[square + cube:], out[cube:]
+        return from_jet(jets[chart](*x, t))
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
