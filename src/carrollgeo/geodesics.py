@@ -314,7 +314,7 @@ def printed_spatial_acceleration(
     if scenario.metric.time_dependent:
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
-    kk = scenario.kk(-1, scenario.connection(gauge))
+    kk = scenario.kk(-1, gauge)
     base = np.reshape(base_data(kk, p.x.tolist(), p.t, chart)[0], (p.dim,) * 3)
     gminv = base_inverse(kk, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
@@ -575,7 +575,7 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
-    kk = scenario.kk(-1, scenario.connection(gauge))
+    kk = scenario.kk(-1, gauge)
     chart_obj = _initial_chart(scenario, chart, state0.x)
     n = state0.dim
     if abs(state0.t) < FIBER_CUTOFF:

@@ -65,13 +65,13 @@ class Scenario:
             return ConnectionOneForm(self.gauge)
         return ConnectionOneForm(gauge)
 
-    def kk(self, sign: int, connection: ConnectionOneForm | None = None) -> KKMetric:
+    def kk(self, sign: int, gauge: GaugeField | None = None) -> KKMetric:
         """The non-degenerate metric of sign ``sign``, with this scenario's
-        gauge or the one of ``connection``."""
+        gauge field or ``gauge``."""
         return KKMetric(
             sign=int(sign),
             metric=self.metric,
-            gauge=self.gauge if connection is None else connection.gauge,
+            gauge=self.gauge if gauge is None else gauge,
             base_jet=self.base_jet,
         )
 

@@ -228,7 +228,7 @@ def test_criterion_06_killing_suite():
 def test_criterion_07_non_metricity_witness():
     flat = cg.load("flat", n=2)
     gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], 0.0])})
-    kk = flat.kk(+1, flat.connection(gauge))
+    kk = flat.kk(+1, gauge)
     p = flat.point([0.4, 0.7], 1.2)
     gamma = christoffel_numeric(kk, p)
     witness = float(np.max(np.abs(covariant_metric_derivative(gamma, flat.metric, p))))

@@ -262,6 +262,31 @@ def test_generated_code_gives_the_references_floats_and_errors_over_the_grammar(
     _assert_generated_equals_the_reference(text, points)
 
 
+# requests that read no variable: signed zeros, infinite and subnormal values,
+# and failures, which must name their expression
+CONSTANT_CASES = ["0", "-0", "0 * -1", "-(2 - 2)", "-0 + 0", "-0 - 0", "sqrt(-0)", "abs(-0)", "atan(-0) * 3",
+                  "1e400", "-1e400", "1e400 - 1e400", "1e400 * 0", "atan(1e400)", "2^-1070", "pi * e - sin(pi)",
+                  "0^0", "1/0", "-(1/0)", "2^1024", "0^-1", "log(0)", "(-8)^(1/3)", "exp(1000)"]
+
+
+@pytest.mark.parametrize("text", CONSTANT_CASES)
+def test_constant_requests_give_the_references_floats_and_errors(text):
+    """A request that reads no variable runs as generated code like any
+    other: its values, its zero partials and its errors are the reference's,
+    alone, in a request of the variables x and y and through parse_number,
+    and a failure names its expression, also after an entry that succeeds."""
+    fn = compile_expression(text, ())
+    assert fn.constant and compile_expression(text, ("x", "y")).constant
+    _assert_generated_equals_the_reference(text, [(0.5, -0.0), (math.nan, math.inf)])
+    value = _reference(text, ())[0]
+    expected = _outcome(lambda: [value()])
+    assert _outcome(generate([[(fn, None)]])[0]) == _outcome(lambda: [parse_number(text)]) == expected
+    if isinstance(expected, tuple):
+        first, last = compile_expression("2 * pi", ()), compile_expression("sqrt(-1)", ())
+        with pytest.raises(ConstructionError, match=re.escape(repr(text))):
+            generate([[(first, None), (fn, None), (last, None)]])[0]()
+
+
 def test_a_constant_expression_has_zero_partials():
     fn = compile_expression("2 * pi + e", ("x", "y"))
     assert fn.constant
@@ -270,16 +295,21 @@ def test_a_constant_expression_has_zero_partials():
 
 
 def test_a_second_load_of_the_same_text_compiles_nothing(tmp_path, monkeypatch):
-    """Generated code is cached by its source text across loads. Each load
-    still runs it in a namespace of its own, and a failing entry is still
-    named by each."""
+    """Generated code is cached by its source text across loads. From a cold
+    cache the first load compiles four sources: the box's constants -1 and 1,
+    the block, and its Levi-Civita kernel; the second compiles nothing. Each
+    load still runs its code in a namespace of its own, and a failing entry
+    is still named by each."""
     compiled = []
     monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
+    monkeypatch.setattr(expressions, "_CODE", {})
+    kaluza.jet_base_data.cache_clear()
+    kaluza._levi_civita_floats.cache_clear()
     path = tmp_path / "cached.ini"
     path.write_text("[meta]\ndim = 2\n[charts]\nmain = box(-1, 1; -1, 1)\n[metric]\n"
                     "main = matrix(1 + 0.4375 * x1^2, 0; 0, sqrt(x2 + 1.8125))\n")
     loads = []
-    for count in (1, 0):
+    for count in (4, 0):
         compiled.clear()
         loads.append(scenarios.load(str(path)))
         assert len(compiled) == count
@@ -379,6 +409,41 @@ def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_ke
     namespace = kernel.__globals__
     assert namespace["__builtins__"] == {}
     assert set(namespace) - {"__builtins__", "kernel"} == set(kernel.__code__.co_names)
+
+
+RUNNERS = {"compile", "exec"}
+
+
+def _runner_uses(source):
+    """(line, name, function) of each use of ``compile`` or ``exec`` in
+    ``source``, called or passed on, or read as an attribute of ``builtins``,
+    with the name of the innermost function it is in (None at module level)."""
+    uses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Name) and child.id in RUNNERS:
+                uses.append((child.lineno, child.id, function))
+            elif isinstance(child, ast.Attribute) and child.attr in RUNNERS and isinstance(child.value, ast.Name) \
+                    and child.value.id in ("builtins", "__builtins__"):
+                uses.append((child.lineno, child.attr, function))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return uses
+
+
+def test_one_helper_compiles_and_runs_every_generated_source():
+    """``expressions.run_generated`` is the one function in the package that
+    compiles or runs code: no other function, and no module body, names
+    ``compile`` or ``exec``, and it names both."""
+    sample = ("import builtins\nc = compile(s, 'x', 'exec')\ndef f(s):\n    exec(s)\n    return re.compile(s)\n"
+              "def run_generated(s):\n    return builtins.exec(compile(s, 'x', 'exec'))\nrun = exec\n")
+    assert _runner_uses(sample) == [(2, "compile", None), (4, "exec", "f"), (7, "exec", "run_generated"),
+                                    (7, "compile", "run_generated"), (8, "exec", None)]
+    uses = {(path.name, name, function) for path in sorted(SRC.glob("*.py")) for _, name, function in _runner_uses(path.read_text())}
+    assert uses == {("expressions.py", "compile", "run_generated"), ("expressions.py", "exec", "run_generated")}
 
 
 @pytest.mark.parametrize("depth", [expressions.MAX_DEPTH, expressions.MAX_DEPTH + 1])

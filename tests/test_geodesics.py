@@ -368,7 +368,7 @@ def test_temporal_consistency_along_gauge_trajectory(flat2):
     worst = 0.0
     for k in range(1, len(traj) - 1, 7):
         s = traj.state(k)
-        kk = flat2.kk(-1, flat2.connection(gauge))
+        kk = flat2.kk(-1, gauge)
         gamma = christoffel_numeric(kk, flat2.point(s.x, s.t))
         vel = np.append(s.vx, s.vt)
         acc = -np.einsum("abc,b,c->a", gamma, vel, vel)
@@ -385,7 +385,7 @@ def test_printed_spatial_deviation_with_gauge_is_recorded(flat2):
     # flow by (A . v) * (g^{-1} F v); record it rather than asserting zero
     gauge = _gauge(lambda x: np.array([x[1], 0.0]))
     state = shoot_null(NullShootSpec(x0=[0.2, 0.1], u=[1.0, 0.0], q=1.0, t0=1.0), flat2, gauge=gauge)
-    kk = flat2.kk(-1, flat2.connection(gauge))
+    kk = flat2.kk(-1, gauge)
     gamma = christoffel_numeric(kk, flat2.point(state.x, state.t))
     vel = np.append(state.vx, state.vt)
     generic = -np.einsum("abc,b,c->a", gamma, vel, vel)[:-1]

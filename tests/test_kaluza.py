@@ -48,7 +48,7 @@ def test_build_schwarzschild_adapted_block(schwarzschild):
 def test_build_1d_constant_gauge_lorentzian():
     flat1 = cg.load("flat", n=1)
     a = 0.6
-    kk = flat1.kk(-1, flat1.connection(GaugeField(components={"cartesian": lambda x: np.array([a])})))
+    kk = flat1.kk(-1, GaugeField(components={"cartesian": lambda x: np.array([a])}))
     p = flat1.point([0.0], 1.0)
     expected = np.array([[1.0 - a**2, -a], [-a, -1.0]])
     assert np.allclose(kk.adapted(p), expected)
@@ -150,7 +150,7 @@ def test_gauge_field_deviation_reported_not_asserted(flat2, rng):
     # published gauge-dependent terms disagree with the oracle; the deviation
     # is recorded and must be stable, nonzero and finite
     gauge = _gauge(lambda x: np.array([x[1], 0.0]))
-    kk = flat2.kk(+1, flat2.connection(gauge))
+    kk = flat2.kk(+1, gauge)
     dev = closed_form_deviation(kk, flat2.sample_points(rng, 5))
     assert np.isfinite(dev)
     assert dev > 1e-3
@@ -158,7 +158,7 @@ def test_gauge_field_deviation_reported_not_asserted(flat2, rng):
 
 def test_closed_form_rejects_lorentzian_gauge(flat2):
     gauge = _gauge(lambda x: np.array([x[1], 0.0]))
-    kk = flat2.kk(-1, flat2.connection(gauge))
+    kk = flat2.kk(-1, gauge)
     with pytest.raises(NumericError):
         christoffel_closed(kk, flat2.point([0.1, 0.2], 1.0))
 
@@ -208,7 +208,7 @@ def test_levi_civita_self_compatibility(name, rng):
 
 def test_non_metricity_witness(flat2):
     gauge = _gauge(lambda x: np.array([x[1], 0.0]))
-    kk = flat2.kk(+1, flat2.connection(gauge))
+    kk = flat2.kk(+1, gauge)
     p = flat2.point([0.4, 0.7], 1.2)
     gamma = christoffel_numeric(kk, p)
     assert np.max(np.abs(covariant_metric_derivative(gamma, flat2.metric, p))) > 1e-3
@@ -292,7 +292,7 @@ def test_fiber_translation_diverges(thakurta):
 def test_gauge_field_mixed_symbol_diverges(flat2):
     # with curvature on, the mixed base-fiber symbol scales like 1/t
     gauge = _gauge(lambda x: np.array([x[1], 0.0]))
-    kk = flat2.kk(+1, flat2.connection(gauge))
+    kk = flat2.kk(+1, gauge)
     X = lambda x, t: np.array([1.0, 0.0, 0.0])
     Y = lambda x, t: np.array([0.0, 0.0, 1.0])
     assert not regularity_probe(kk, X, Y, [0.2, 0.3], "cartesian").all_bounded

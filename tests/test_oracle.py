@@ -96,7 +96,7 @@ def test_stacked_assembly_is_the_per_point_formula():
     ts = np.concatenate([ts[:200], ts[ts**2 != np.array([t**2 for t in ts.tolist()])][:20]])
     raw = np.column_stack([rng.uniform(-2.0, 2.0, (ts.size, 2)), ts * rng.choice([-1, 1], ts.size)])
     for sign in (+1, -1):
-        kk = scenario.kk(sign, scenario.connection(gauge))
+        kk = scenario.kk(sign, gauge)
         stacked = kk.components(raw, "cartesian")
         for g, q in zip(stacked, raw):
             x, t = q[:2], float(q[2])
@@ -113,7 +113,7 @@ def test_one_pass_oracle_is_bit_identical_to_per_axis_reference(scenario, gauge,
     points = scenario.sample_points(rng, 6, chart=chart, include_negative_t=True)
     assert {math.copysign(1.0, p.t) for p in points} == {1.0, -1.0}
     for sign in (+1, -1):
-        kk = scenario.kk(sign, scenario.connection(gauge))
+        kk = scenario.kk(sign, gauge)
         for p in points:
             expected = reference_christoffel(kk, p, cond_limit=None)
             assert np.array_equal(christoffel_numeric(kk, p, cond_limit=None), expected)
@@ -142,7 +142,7 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     blocks = scenario.metric.blocks
     blocks.update({chart: counted("block", fn) for chart, fn in blocks.items()})
     gauge.components = {chart: counted("gauge", fn) for chart, fn in gauge.components.items()}
-    kk = scenario.kk(-1, scenario.connection(gauge))
+    kk = scenario.kk(-1, gauge)
     p = scenario.point([0.4, 0.3], 1.3)
     christoffel_numeric(kk, p)
     assert calls == {"block": 13, "gauge": 13 if use_gauge else 0}
@@ -174,7 +174,7 @@ def test_stacked_oracle_is_bit_identical_to_the_reference_point_by_point(name, c
         scenario, gauge = (grid if name == "grid" else cg.load(name)), None
     raw = _alternating_stack(scenario, chart, 5)
     for sign in (+1, -1):
-        kk = scenario.kk(sign, scenario.connection(gauge))
+        kk = scenario.kk(sign, gauge)
         stacked = christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
         assert stacked.shape == (5,) + (scenario.dim + 1,) * 3
         assert np.array_equal(stacked, reference_christoffel(kk, raw, cond_limit=None, chart=chart))
