@@ -522,7 +522,8 @@ def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tu
     """The base block of a [metric] entry, expressions in x1..xn, t or a grid file beside the scenario file,
     and for expressions its jet, a function of the floats x1..xn, t that gives the block's entries and then
     their partials on the axes x1..xn (and t for a fiber-dependent block) as one flat float list,
-    [(axis * n + a) * n + b] with the entries at axis -1; for a grid, None."""
+    [(axis * n + a) * n + b] with the entries at axis -1, which ``kaluza.jet_base_data`` turns into base
+    data; for a grid, None."""
     kind, body = unwrap(text, "matrix", "grid")
     if kind == "grid":
         return load_metric_grid(folder / body.strip(), dim, time_dependent), None
