@@ -219,23 +219,19 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
     return [checked(namespace[f"f{k}"]) for k in range(len(requests))]
 
 
-# the code of the last _CODE_LIMIT generated sources, by text, least recently used first
-_CODE: dict[str, CodeType] = {}
-_CODE_LIMIT = 256
+_CODE: dict[str, CodeType] = {}  # compiled code by source text, the 256 most recently run, last run last
 
 
 def run_generated(lines: Sequence[str], **names: object) -> dict:
-    """The namespace in which the generated source ``lines`` ran: a fresh one
-    that holds ``names`` and no builtins. This is the one place that compiles
-    and runs code. A source is compiled once per text and its code kept
-    across loads, so a reload of the same file compiles nothing."""
+    """The namespace in which the generated source ``lines`` ran: a fresh one that holds ``names`` and no
+    builtins. This is the one place that compiles and runs code; a source is compiled once per text and its
+    code kept across loads, so a reload of the same file compiles nothing."""
     source = "\n".join(lines)
-    code = _CODE.pop(source, None) or compile(source, "<generated>", "exec")
-    _CODE[source] = code
-    if len(_CODE) > _CODE_LIMIT:
+    _CODE[source] = _CODE.pop(source, None) or compile(source, "<generated>", "exec")
+    if len(_CODE) > 256:
         del _CODE[next(iter(_CODE))]
     namespace = {"__builtins__": {}, **names}
-    exec(code, namespace)
+    exec(_CODE[source], namespace)
     return namespace
 
 

@@ -156,43 +156,35 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[float]], list[float]]:
+def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[float]], tuple]:
     """``_levi_civita`` of one n x n block on Python floats, generated once per
     (n, fiber). It takes the inverse, ginv[a * n + d], and a block's jet, its
     entries and then its partials dg[(c * n + a) * n + b] on the axes x1..xn
-    (and t, for a fiber-dependent block), and gives the symbols
-    Gamma[(a * n + b) * n + c] and then, for a fiber-dependent block, the rate
-    g^{cd} dg_ad/dt at [c * n + a]. Each sum starts at 0.0 and runs over d in
-    index order, as numpy's einsum sums these small contractions, so the
-    symbols are ``_levi_civita``'s bit for bit."""
+    (and t, for a fiber-dependent block), and gives ``base_data``'s (base,
+    dgdt, rate): the symbols Gamma[(a * n + b) * n + c] and, for a
+    fiber-dependent block, the jet's t partials as they are and the rate
+    g^{cd} dg_ad/dt at [c * n + a] (else None, None). Each sum starts at 0.0
+    and runs over d in index order, as numpy's einsum sums these small
+    contractions, so the symbols are ``_levi_civita``'s bit for bit."""
     dg = lambda c, a, b: f"jet[{(c * n + a) * n + b + n * n}]"
     lines = [f"    l{d}_{b}_{c} = {dg(b, d, c)} + {dg(c, d, b)} - {dg(d, b, c)}"
              for d in range(n) for b in range(n) for c in range(n)]
     lines += [f"    s{a}_{b}_{c} = 0.0" + "".join(f" + g[{a * n + d}] * l{d}_{b}_{c}" for d in range(n))
               for a in range(n) for b in range(n) for c in range(n)]
-    out = [f"0.25 * (s{a}_{b}_{c} + s{a}_{c}_{b})" for a in range(n) for b in range(n) for c in range(n)]
-    if fiber:
-        out += ["0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
-                for c in range(n) for a in range(n)]
-    return run_generated(["def kernel(g, jet):", *lines, f"    return [{', '.join(out)}]"])["kernel"]
+    base = ", ".join(f"0.25 * (s{a}_{b}_{c} + s{a}_{c}_{b})" for a in range(n) for b in range(n) for c in range(n))
+    rate = ", ".join("0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
+                     for c in range(n) for a in range(n))
+    rest = f"jet[{n * n + n**3}:], [{rate}]" if fiber else "None, None"
+    return run_generated(["def kernel(g, jet):", *lines, f"    return [{base}], {rest}"])["kernel"]
 
 
 @cache
 def jet_base_data(n: int, fiber: bool) -> Callable[[list[float]], tuple]:
-    """Base data from the jet of one n x n block, bound once per (n, fiber): a function of the jet, the
-    block's entries and then their partials on the axes x1..xn (and t, for a fiber-dependent block) as one
-    flat float list in C order, [(axis * n + a) * n + b] with the entries at axis -1, that returns
-    ``base_data``'s (base, dgdt, rate). One inverse of the block feeds ``_levi_civita_floats``; dg_M/dt is
-    the jet's t partials as they are, and dg_M/dt and the rate are None for a fiber-independent block."""
-    kernel, square, cube = _levi_civita_floats(n, fiber), n * n, n**3
-
-    def from_jet(jet: list[float]) -> tuple:
-        out = kernel(_inverse(np.array(jet[:square]).reshape(n, n)).ravel().tolist(), jet)
-        if not fiber:
-            return out, None, None
-        return out[:cube], jet[square + cube:], out[cube:]
-
-    return from_jet
+    """``base_data``'s (base, dgdt, rate) as a function of one n x n block's jet, bound once per (n, fiber):
+    its entries, then their partials on x1..xn (and t, for a fiber-dependent block) in C order. One inverse
+    of the block feeds ``_levi_civita_floats``."""
+    kernel = _levi_civita_floats(n, fiber)
+    return lambda jet: kernel(_inverse(np.array(jet[:n * n]).reshape(n, n)).ravel().tolist(), jet)
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:

@@ -60,10 +60,8 @@ class Scenario:
     def point(self, x, t: float, chart: str | None = None) -> Point:
         return Point(np.asarray(x, dtype=float), t, chart or self.default_chart)
 
-    def connection(self, gauge: GaugeField | None = None) -> ConnectionOneForm:
-        if gauge is None:
-            return ConnectionOneForm(self.gauge)
-        return ConnectionOneForm(gauge)
+    def connection(self) -> ConnectionOneForm:
+        return ConnectionOneForm(self.gauge)
 
     def kk(self, sign: int, gauge: GaugeField | None = None) -> KKMetric:
         """The non-degenerate metric of sign ``sign``, with this scenario's
@@ -601,9 +599,6 @@ def load_scenario_file(path: str | Path) -> Scenario:
 
     from_jet = jet_base_data(dim, time_dependent)
 
-    def base_jet(x: Sequence[float], t: float, chart: str) -> tuple:
-        return from_jet(jets[chart](*x, t))
-
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
         read_field = partial(_parse_vector, dim=dim, folder=path.parent)
@@ -629,7 +624,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
         default_chart=default_chart,
         params={},
         expects=expects,
-        base_jet=base_jet if exact else None,
+        base_jet=(lambda x, t, chart: from_jet(jets[chart](*x, t))) if exact else None,
         description=f"scenario file {path.name}",
     )
 

@@ -17,7 +17,7 @@ import pytest
 
 import carrollgeo as cg
 from carrollgeo import _fd, suites
-from carrollgeo.connection import GaugeField, overlap_gauge_residual
+from carrollgeo.connection import ConnectionOneForm, GaugeField, overlap_gauge_residual
 from carrollgeo.errors import CarrollError, ConstructionError
 from carrollgeo.geometry import DegenerateMetric, Point, TangentVector
 from carrollgeo.suites import CheckResult
@@ -309,7 +309,7 @@ def test_overlap_gauge_rule_differences_each_transition_once_per_sample(name, rn
         for tr in s.atlas.transitions
     ]
     gauge = GaugeField(components=_count_calls(s.gauge.components, calls, "gauge"))
-    overlap_gauge_residual(s.atlas, s.connection(gauge), rng)
+    overlap_gauge_residual(s.atlas, ConnectionOneForm(gauge), rng)
     samples = 8 * len(s.atlas.transitions)
     per_sample = 4 * s.dim + 1
     assert calls == {"base_map": samples * per_sample, "fiber_factor": samples * per_sample, "gauge": 2 * samples}
