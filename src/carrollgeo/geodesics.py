@@ -44,7 +44,7 @@ import numpy as np
 from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
-from .geometry import FIBER_CUTOFF, Chart, Point, square
+from .geometry import FIBER_CUTOFF, Chart, Point, dot, square
 from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
@@ -158,7 +158,7 @@ def _along(vx: np.ndarray, field: np.ndarray) -> np.ndarray:
 def carroll_charge(state: GeodesicState, gauge: GaugeField, chart: str) -> float:
     """Conserved charge -(vt/t + vx . A(x)); minus the connection one-form on
     the velocity."""
-    return -(state.vtb + float(state.vx @ gauge.at(state.x, chart)))
+    return -(state.vtb + dot(state.vx.tolist(), gauge.at(state.x, chart).tolist()))
 
 
 def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | None = None,
@@ -210,7 +210,8 @@ def _norm(scenario: Scenario, x: np.ndarray, u: np.ndarray, t: float, chart: str
     """The length of the base direction u in g_M(x, t)."""
     if u.size != x.size:
         raise ContractViolation(f"direction {u.tolist()} has {u.size} components, the base point has {x.size}")
-    return math.sqrt(float(u @ scenario.metric.at(x, t, chart) @ u))
+    us = u.tolist()
+    return math.sqrt(dot([dot(us, column) for column in scenario.metric.at(x, t, chart).T.tolist()], us))
 
 
 def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None = None) -> GeodesicState:
@@ -237,7 +238,7 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
         raise ContractViolation(f"direction is not unit in g_M (|u| = {norm:.12f})")
     vx = spec.eps * abs(q) * u
     a = gauge.at(x0, chart)
-    vt = -t0 * (q + float(vx @ a))
+    vt = -t0 * (q + dot(vx.tolist(), a.tolist()))
     return GeodesicState(x0, t0, vx, vt)
 
 
@@ -320,13 +321,14 @@ def printed_spatial_acceleration(
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
     vx = state.vx
-    omega_v = state.vt / state.t + float(vx @ a)
+    a_v = dot(a.tolist(), vx.tolist())
+    omega_v = state.vt / state.t + a_v
     gf_v = gminv @ f @ vx  # g^{ab} F_bc x'^c
 
     d2x = -np.einsum("abc,b,c->a", base, vx, vx)
     d2x -= omega_v * gf_v
     # published quadratic force; the F_cd x'^c x'^d piece vanishes identically
-    d2x -= float(a @ vx) * gf_v
+    d2x -= a_v * gf_v
     return d2x
 
 
@@ -662,8 +664,7 @@ def integrate_small_gauge(
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     chart_obj = _initial_chart(scenario, chart, x0)
-    gm0 = scenario.metric.at(x0, 1.0, chart)
-    speed = math.sqrt(float(v0 @ gm0 @ v0))
+    speed = _norm(scenario, x0, v0, 1.0, chart)
     if abs(speed - 1.0) > 1e-10:
         raise ContractViolation(f"initial base speed must be 1 in g_M (got {speed:.12f})")
     if scenario.metric.time_dependent:

@@ -38,6 +38,14 @@ def square(v: float, what: str) -> float:
         raise NumericError(f"the square of {what} = {v:.3e} overflows the float range") from None
 
 
+def dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """a . b summed from 0.0 in index order; numpy's dot may fuse multiply-adds, as the BLAS build decides."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
 # ---------------------------------------------------------------------------
 # points and tangent vectors
 # ---------------------------------------------------------------------------

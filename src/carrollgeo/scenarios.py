@@ -36,6 +36,7 @@ from .geometry import (
     ChartTransition,
     DegenerateMetric,
     Point,
+    dot,
 )
 from .kaluza import KKMetric, jet_base_data
 
@@ -110,14 +111,10 @@ def _angular_symbols(x: Sequence[float]) -> list[float]:
     return [0.0, 0.0, 0.0, -math.sin(theta) * math.cos(theta), 0.0, cot, cot, 0.0]
 
 
-def _square_norm(x: Sequence[float]) -> float:
-    """|x|^2 summed in index order; numpy's dot may fuse the multiply-adds, as the BLAS build decides."""
-    return sum(v * v for v in x)
-
-
 def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        c = 4.0 * radius2 / (1.0 + _square_norm(x.tolist())) ** 2
+        xs = x.tolist()
+        c = 4.0 * radius2 / (1.0 + dot(xs, xs)) ** 2
         return np.array([[c, 0.0], [0.0, c]])
 
     return gm
@@ -126,7 +123,7 @@ def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
 def _stereo_symbols(x: Sequence[float]) -> list[float]:
     # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2):
     # delta_ab df_c + delta_ac df_b - delta_bc df_a, each entry summed from 0 in that order
-    rho2 = _square_norm(x)
+    rho2 = dot(x, x)
     df = [-2.0 * v / (1.0 + rho2) for v in x]
     axes = range(len(x))
     return [0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
@@ -140,7 +137,8 @@ def _angular_to_stereo(x: np.ndarray) -> np.ndarray:
 
 
 def _stereo_inversion(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], -x[1]]) / _square_norm(x.tolist())
+    xs = x.tolist()
+    return np.array([x[0], -x[1]]) / dot(xs, xs)
 
 
 _POLE_GUARD = 0.02

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import _fd, expressions, geodesics, kaluza, scenarios, suites
+from carrollgeo import _fd, expressions, geodesics, geometry, kaluza, scenarios, suites
 from carrollgeo.connection import GaugeField
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, integrate_small_gauge, shoot_null
 
@@ -378,6 +378,71 @@ def test_stereographic_square_norm_sums_in_index_order(pin):
     df = [-2.0 * v / (1.0 + rho2) for v in (x0, x1)]
     assert scenarios._stereo_symbols([x0, x1]) == [df[0], df[1], df[1], -df[0], -df[1], df[0], df[0], df[1]]
     assert scenarios._stereo_inversion(x).tobytes() == (np.array([x0, -x1]) / rho2).tobytes()
+
+
+def _fused(a, b):
+    """a . b of two 2-vectors with each fused multiply-add that numpy's dot may take, rounded once."""
+    return float(Fraction(a[0]) * Fraction(b[0]) + Fraction(a[1] * b[1])), \
+        float(Fraction(a[1]) * Fraction(b[1]) + Fraction(a[0] * b[0]))
+
+
+# a unit vector a, a vector b with a . b in (-2, -0.5) summed in index order, pinned here, which
+# differs from both fused roundings; 1 + a . b is then exact, so vt keeps the difference
+_DOT_PINS = [("-0x1.c72cf9a75df38p-2", "-0x1.caa3099846017p-1", "0x1.7007fe6805a19p+0", "0x1.e58cca6675e8dp-1",
+              "-0x1.7d107e997c12cp+0"),
+             ("0x1.72087b45408eep-2", "-0x1.dd66f742d1679p-1", "0x1.5655d9385544ap-4", "0x1.c87fb31f96d7dp+0",
+              "-0x1.a1eb7898e3280p+0"),
+             ("0x1.ed6ed2f8d4335p-1", "0x1.1142f3f2cd835p-2", "-0x1.9cbe489c140f4p+0", "-0x1.04de4522cd0a1p-1",
+              "-0x1.b095381250b58p+0")]
+
+
+@pytest.mark.parametrize("pin", _DOT_PINS, ids=["first", "second", "third"])
+def test_small_dots_sum_in_index_order(pin, flat2):
+    """``geometry.dot`` sums in index order, and so do the dots that reach an
+    output: shoot_null's vx . A, the charge and the printed spatial
+    acceleration. On flat(2) with A(x) = (x2, -x1), whose value at
+    x = (-b2, b1) is b, a state of velocity a reads a . b."""
+    a0, a1, b0, b1, d = (float.fromhex(v) for v in pin)
+    a, b = [a0, a1], [b0, b1]
+    assert a0 * b0 + a1 * b1 == d and d not in _fused(a, b) and -0.5 > d > -2.0
+    assert geometry.dot(a, b) == geometry.dot(b, a) == d
+    gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], -x[0]])})
+    x = np.array([-b1, b0])
+    state = shoot_null(NullShootSpec(x0=x, u=np.array(a), q=1.0, t0=1.0), flat2, gauge=gauge)
+    assert state.vx.tolist() == a and state.vt == -1.0 * (1.0 + d)
+    state = cg.GeodesicState(x, 1.0, np.array(a), 0.0)
+    assert geodesics.carroll_charge(state, gauge, "cartesian") == -(0.0 + d)
+    gf_v = np.eye(2) @ cg.curvature(gauge, x, "cartesian") @ np.array(a)
+    expected = -np.einsum("abc,b,c->a", np.zeros((2, 2, 2)), np.array(a), np.array(a))
+    expected -= (0.0 + d) * gf_v
+    expected -= d * gf_v
+    assert geodesics.printed_spatial_acceleration(state, flat2, gauge).tobytes() == expected.tobytes()
+
+
+# demo-file points x and directions u whose squared length w . u, w = u g_M(x) (exact for the
+# diagonal block), summed in index order, pinned here, differs from both fused roundings, and so does u / |u|
+_NORM_PINS = [("-0x1.56937665151e4p-1", "-0x1.c543dad1ba960p-5", "-0x1.819db5055ea59p-1", "0x1.2d6490f6194acp+0",
+               "0x1.bbb1c9aee1e38p+1"),
+              ("-0x1.61e4861ab8b01p+0", "0x1.26141eb506086p+0", "-0x1.3a7108f213396p+0", "-0x1.2990748ca8cb3p-1",
+               "0x1.d019f2a6d50c2p+1"),
+              ("0x1.0502507239f1cp-1", "0x1.19a5c9f7e5956p+0", "-0x1.08014144135e8p+0", "0x1.08bf51177b950p+0",
+               "0x1.ab9cbe462b324p+1")]
+
+
+@pytest.mark.parametrize("pin", _NORM_PINS, ids=["first", "second", "third"])
+def test_unit_direction_sums_the_quadratic_form_in_index_order(pin):
+    """The length of a direction, u g_M u, is (u g_M) . u with each dot
+    summed in index order, whatever rounding numpy's dot takes on the host."""
+    x0, x1, u0, u1, square = (float.fromhex(v) for v in pin)
+    demo = cg.load(str(DEMO))
+    g = demo.metric.at([x0, x1], 1.0, "main")
+    w = [u0 * g[0, 0], u1 * g[1, 1]]
+    assert g[0, 1] == g[1, 0] == 0.0 and w[0] * u0 + w[1] * u1 == square
+    fused = _fused(w, [u0, u1])
+    assert all((np.array([u0, u1]) / math.sqrt(v)).tobytes() != (np.array([u0, u1]) / math.sqrt(square)).tobytes()
+               for v in fused)
+    out = cg.unit_direction(demo, [x0, x1], [u0, u1], 1.0, "main")
+    assert out.tobytes() == (np.array([u0, u1]) / math.sqrt(square)).tobytes()
 
 
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
