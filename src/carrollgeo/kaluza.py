@@ -173,7 +173,7 @@ def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[floa
               for a in range(n) for b in range(n) for c in range(n)]
     base = ", ".join(f"0.25 * (s{a}_{b}_{c} + s{a}_{c}_{b})" for a in range(n) for b in range(n) for c in range(n))
     rate = ", ".join("0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
-                     for c in range(n) for a in range(n))
+                     for c in range(n) for a in range(n) if fiber)
     rest = f"jet[{n * n + n**3}:], [{rate}]" if fiber else "None, None"
     return run_generated(["def kernel(g, jet):", *lines, f"    return [{base}], {rest}"])["kernel"]
 
