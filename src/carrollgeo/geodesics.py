@@ -148,11 +148,12 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _along(vx: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """vx . g . vx for K samples of vx (K, n) and metric blocks g (K, n, n), vx . a for gauge values a (K, n):
-    batched matmul, which gives each sample's ``vx @ g @ vx`` bit for bit (einsum does not for n >= 2)."""
+    """vx . g . vx for K samples of vx (K, n) and metric blocks g (K, n, n), vx . a for gauge values a (K, n),
+    summed over the stack with elementwise operations as ``_norm`` sums one sample with ``dot``: from 0.0 in
+    index order, (vx g)_b = sum_a vx_a g_ab and then sum_b (vx g)_b vx_b. A sample's value is its own."""
     if field.ndim == 3:
-        return (vx[:, None, :] @ field @ vx[:, :, None])[:, 0, 0]
-    return (vx[:, None, :] @ field[:, :, None])[:, 0, 0]
+        field = np.stack([_along(vx, field[:, :, b]) for b in range(field.shape[2])], axis=1)
+    return sum((vx[:, a] * field[:, a] for a in range(vx.shape[1])), np.zeros(len(vx)))
 
 
 def carroll_charge(state: GeodesicState, gauge: GaugeField, chart: str) -> float:
@@ -342,13 +343,10 @@ def printed_temporal_acceleration(
 
         t'' = -t ( (1/2) x' . (dA + dA^T) . x' + A . x'' ) + t'^2 / t
     """
-    jac_a = gauge.jacobian(state.x, chart)
-    sym = jac_a + jac_a.T
-    a = gauge.at(state.x, chart)
-    return float(
-        -state.t * (0.5 * float(state.vx @ sym @ state.vx) + float(a @ np.asarray(acc_x)))
-        + state.vt**2 / state.t
-    )
+    jac_a, vx = gauge.jacobian(state.x, chart), state.vx.tolist()
+    sym_v = dot([dot(vx, row) for row in (jac_a + jac_a.T).tolist()], vx)  # (x' S) . x' as ``_norm`` sums, S = S^T
+    force = 0.5 * sym_v + dot(gauge.at(state.x, chart).tolist(), np.asarray(acc_x, dtype=float).tolist())
+    return -state.t * force + state.vt**2 / state.t
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +393,30 @@ _RK4 = _Tableau(stages=((2.0, (1.0,)), (2.0, (0.0, 1.0)), (1.0, (0.0, 0.0, 1.0))
                 solution=(6.0, (1.0, 2.0, 2.0, 1.0)), error=None, start=-0.0)
 
 
+def _pairwise_sum(terms: list[str]) -> str:
+    """The sum of the float expressions ``terms``, none -0.0, in the order np.add.reduce takes over a
+    contiguous array (numpy's pairwise sum, numpy 2.4), which a plain loop does not: below 8 terms from 0.0
+    in index order; up to 128, eight running sums over blocks of 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in index order; above, the sums of two halves split at a multiple of 8."""
+    m = len(terms)
+    if m < 8:
+        return "(0.0" + "".join(f" + {t}" for t in terms) + ")"
+    if m > 128:
+        return f"({_pairwise_sum(terms[:m // 2 - m // 2 % 8])} + {_pairwise_sum(terms[m // 2 - m // 2 % 8 :])})"
+    r = [f"({' + '.join(terms[j : m - m % 8 : 8])})" for j in range(8)]
+    rest = "".join(f" + {t}" for t in terms[m - m % 8 :])
+    return f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})){rest})"
+
+
 def _rms(values: list[float]) -> float:
-    # numpy's sum, whose pairwise order a plain loop does not follow
-    return math.sqrt(np.add.reduce([v * v for v in values]) / len(values))
+    """The root mean square of ``values``, their squares summed by ``_pairwise_sum``."""
+    return _rms_kernel(len(values))(values)
+
+
+@cache
+def _rms_kernel(m: int) -> Callable[[list[float]], float]:
+    squares = _pairwise_sum([f"v[{j}] * v[{j}]" for j in range(m)])
+    return run_generated(["def kernel(v):", f"    return sqrt({squares} / {m}.0)"], sqrt=math.sqrt)["kernel"]
 
 
 def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
@@ -411,10 +430,10 @@ def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
 
 @cache
 def _step_kernel(tableau: _Tableau, m: int) -> Callable:
-    """``_rk_step`` for ``tableau`` on states of m floats, generated once:
-    every row unrolled per component as y_j + h_r * (start + w_0 k0_j + ...),
-    h_r = h / div once per row, with the tableau's weights written by
-    ``repr``; the error row is taken over a zero state."""
+    """``_rk_step`` for ``tableau`` on states of m floats, generated once: every row unrolled per
+    component as y_j + h_r * (start + w_0 k0_j + ...), h_r = h / div once per row, with the tableau's
+    weights written by ``repr``; the error row is taken over a zero state, and the squares of its
+    scaled components are summed by ``_pairwise_sum``, as ``_rms`` sums them."""
     comps = lambda name: ", ".join(f"{name}{j}" for j in range(m))
     lines = ["def kernel(rhs, y, k0, h, tol):", f"    {comps('y')}, = y", f"    {comps('k0_')}, = k0"]
 
@@ -434,9 +453,10 @@ def _step_kernel(tableau: _Tableau, m: int) -> Callable:
     if tableau.error is None:
         return run_generated(lines + ["    return n, None, 0.0"])["kernel"]
     lines += [f"    k{r} = rhs(n)", f"    {comps(f'k{r}_')}, = k{r}"]
-    errors = [f"({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
+    lines += [f"    e{j} = ({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
               for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
-    return run_generated(lines + [f"    return n, k{r}, rms([{', '.join(errors)}])"], rms=_rms, abs=abs,
+    squares = _pairwise_sum([f"e{j} * e{j}" for j in range(m)])
+    return run_generated(lines + [f"    return n, k{r}, sqrt({squares} / {m}.0)"], sqrt=math.sqrt, abs=abs,
                          max=max)["kernel"]
 
 

@@ -35,7 +35,7 @@ from . import _fd
 from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
-from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, read_raw, square
+from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, dot, read_raw, square
 
 
 @dataclass
@@ -85,9 +85,8 @@ class KKMetric:
     def eval(self, p: Point, v: TangentVector, w: TangentVector) -> float:
         if not (v.base.same_place(p) and w.base.same_place(p)):
             raise ContractViolation("vectors must be based at the evaluation point")
-        vv = np.append(v.vx, v.vtb)
-        ww = np.append(w.vx, w.vtb)
-        return float(vv @ self.adapted(p) @ ww)
+        vv, ww = [*v.vx.tolist(), v.vtb], [*w.vx.tolist(), w.vtb]
+        return dot([dot(vv, column) for column in self.adapted(p).T.tolist()], ww)  # (v G) . w, as ``_norm`` sums
 
     # -- invariant helpers ----------------------------------------------------
 
@@ -182,9 +181,30 @@ def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[floa
 def jet_base_data(n: int, fiber: bool) -> Callable[[list[float]], tuple]:
     """``base_data``'s (base, dgdt, rate) as a function of one n x n block's jet, bound once per (n, fiber):
     its entries, then their partials on x1..xn (and t, for a fiber-dependent block) in C order. One inverse
-    of the block feeds ``_levi_civita_floats``."""
-    kernel = _levi_civita_floats(n, fiber)
-    return lambda jet: kernel(_inverse(np.array(jet[:n * n]).reshape(n, n)).ravel().tolist(), jet)
+    of the block, ``_block_inverse``'s, feeds ``_levi_civita_floats``."""
+    kernel, inverse = _levi_civita_floats(n, fiber), _block_inverse(n)
+    return lambda jet: kernel(inverse(jet), jet)
+
+
+@cache
+def _block_inverse(n: int) -> Callable[[Sequence[float]], list[float]]:
+    """The inverse of one n x n block as a flat C-order list of Python floats from its entries g[a * n + b]
+    (the first n * n of its jet), bound once per n. Up to n = 3, generated adj(g) / det(g), det(g) expanded
+    along the first row: within a few ulps times the condition number of LAPACK's LU inverse (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14). LAPACK's (``_inverse``) above n = 3 and for
+    a zero, subnormal or non-finite det(g), so a singular block is the NumericError that LAPACK raises."""
+    lapack = lambda g: _inverse(np.array(g[:n * n]).reshape(n, n)).ravel().tolist()
+    if n > 3:
+        return lapack
+    g = lambda a, b: f"g[{a % n * n + b % n}]"
+    cofactors = (["1.0"] if n == 1 else [g(1, 1), f"-{g(1, 0)}", f"-{g(0, 1)}", g(0, 0)] if n == 2
+                 else [f"{g(a + 1, b + 1)} * {g(a + 2, b + 2)} - {g(a + 1, b + 2)} * {g(a + 2, b + 1)}"
+                       for a in range(3) for b in range(3)])  # at n = 3 the cyclic form carries the signs
+    return run_generated(["def kernel(g):", *(f"    c{k} = {c}" for k, c in enumerate(cofactors)),
+                          "    det = " + " + ".join(f"{g(0, b)} * c{b}" for b in range(n)),
+                          "    if not tiny <= abs(det) < inf:", "        return lapack(g)",
+                          f"    return [{', '.join(f'c{b * n + a} / det' for a in range(n) for b in range(n))}]"],
+                         lapack=lapack, abs=abs, tiny=float(np.finfo(float).tiny), inf=np.inf)["kernel"]
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:

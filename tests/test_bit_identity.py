@@ -16,8 +16,12 @@ jet, and the differenced base data, must equal array references float for
 float.
 """
 
+import ast
 import dataclasses
+import functools
 import math
+import operator
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,9 +143,29 @@ def _ref_geodesic_rhs(gamma_at, sign):
     return lambda y: rhs(np.array(y)).tolist()
 
 
+def _ref_cofactor_inverse(g):
+    """adj(g) / det(g) of an n x n block, n <= 3, over arrays: each cofactor
+    (at n = 3 in the cyclic form, which carries its sign) divided by the
+    determinant expanded along the first row from its first term."""
+    n = len(g)
+    if n == 1:
+        cofactors = np.ones((1, 1))
+    elif n == 2:
+        cofactors = np.array([[g[1, 1], -g[1, 0]], [-g[0, 1], g[0, 0]]])
+    else:
+        cofactors = np.array([[g[(a + 1) % 3, (b + 1) % 3] * g[(a + 2) % 3, (b + 2) % 3]
+                               - g[(a + 1) % 3, (b + 2) % 3] * g[(a + 2) % 3, (b + 1) % 3] for b in range(3)]
+                              for a in range(3)])
+    det = g[0, 0] * cofactors[0, 0]
+    for b in range(1, n):
+        det += g[0, b] * cofactors[0, b]
+    return cofactors.T / det
+
+
 def _ref_base_data(kk, x, t, chart):
     """The inverse base block, the base symbols, dg_M/dt and the rate as
-    arrays: a registered jet's flat lists shaped, or the differences."""
+    arrays: a registered jet's flat lists shaped, with LAPACK's inverse (as
+    ``base_inverse`` reads it), or the differences, with the cofactor one."""
     x = np.asarray(x, dtype=float)
     n = x.size
     t_differenced = kk.base_jet is None and kk.metric.time_dependent
@@ -151,7 +175,7 @@ def _ref_base_data(kk, x, t, chart):
         points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
         stencil = points[0]
         gm = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
-        gminv = np.linalg.inv(gm[0])
+        gminv = _ref_cofactor_inverse(gm[0])
         partials = _fd.stacked_partials(gm[None, 1:], h)[0]
     if kk.base_jet is not None:
         base, dgdt, rate = kk.base_jet(x.tolist(), t, chart)
@@ -445,6 +469,30 @@ def test_unit_direction_sums_the_quadratic_form_in_index_order(pin):
     assert out.tobytes() == (np.array([u0, u1]) / math.sqrt(square)).tobytes()
 
 
+@pytest.mark.parametrize("dot_pin, norm_pin", list(zip(_DOT_PINS, _NORM_PINS)), ids=["first", "second", "third"])
+def test_monitors_sum_in_index_order(dot_pin, norm_pin, flat2):
+    """A trajectory's charge reads vx . A and its base speed (vx g_M) . vx as
+    ``geometry.dot`` sums them, whatever rounding numpy's matmul takes
+    on the host: the pinned a . b at a velocity a where A = b, and the pinned
+    u g_M u on the demo file at a velocity u; a sample reads the same alone
+    and in a stack."""
+    a0, a1, b0, b1, d = (float.fromhex(v) for v in dot_pin)
+    gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], -x[0]])})
+    only = IntegratorConfig(lambda_max=0.0)  # the initial sample alone
+    traj = integrate(cg.GeodesicState([-b1, b0], 1.0, [a0, a1], 0.0), flat2, only, gauge=gauge)
+    assert traj.charge.tolist() == [-(0.0 + d)] and traj.base_speed2.tolist() == [geometry.dot([a0, a1], [a0, a1])]
+    x0, x1, u0, u1, square = (float.fromhex(v) for v in norm_pin)
+    demo = cg.load(str(DEMO))
+    traj = integrate(cg.GeodesicState([x0, x1], 1.0, [u0, u1], 0.0), demo, only)
+    assert traj.base_speed2.tolist() == [square] and traj.null_residual.tolist() == [square]
+    vx = np.array([[a0, a1], [u0, u1], [u1, a0]])
+    g = demo.metric.at(np.array([[b0, b1], [x0, x1], [a1, u0]]), np.ones(3), "main")
+    assert geodesics._along(vx, g).tolist() == [geometry.dot([geometry.dot(v, c) for c in m.T.tolist()], v)
+                                                 for v, m in zip(vx.tolist(), g)]
+    assert geodesics._along(vx, g[:, 0]).tolist() == [geometry.dot(v, a) for v, a in zip(vx.tolist(), g[:, 0].tolist())]
+    assert geodesics._along(vx[1:2], g[1:2]).tolist() == [square]
+
+
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
     """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the
     exact derivative of U, which is 1.0 for U = t."""
@@ -521,6 +569,46 @@ def test_generated_step_equals_the_tableau_loop(tableau, m):
         assert runs[0] == runs[1]
 
 
+# values whose RMS, with the squares summed as np.add.reduce sums them (numpy's pairwise sum: in index order
+# below 8 terms, else over eight running sums and then the rest), is pinned here; it differs from the RMS of
+# the correctly rounded sum, of the sum in reverse order and, from m = 8, of the sum in index order
+_RMS_PINS = {
+    4: (["-0x1.9415c6c00e554p-1", "0x1.0d3c00a7cd698p-3", "-0x1.fb425de53fefep-1", "-0x1.1dbe573984590p-4"],
+        "0x1.467f66ed23287p-1"),
+    6: (["0x1.bad9bba0012e8p-2", "-0x1.60a30d3463e40p-4", "0x1.6cd9ebaad5660p-3", "-0x1.6a1794d548dcep-1",
+         "0x1.3534bda30f1e8p-1", "-0x1.ee60125725af8p-3"], "0x1.c02be2042ec12p-2"),
+    8: (["-0x1.ec7794da8f3bcp-2", "0x1.b198bb28aa110p-1", "0x1.f4fe2d42b7c38p-3", "0x1.9bacc4fa355b0p-1",
+         "0x1.41640cd1e3d56p-1", "-0x1.5e9007d02d320p-3", "0x1.948e33400a264p-1", "0x1.eee16d2e390bap-1"],
+        "0x1.593517c2a6517p-1"),
+    10: (["-0x1.5b624da104548p-2", "0x1.1f1900dd2b910p-1", "0x1.8ea6f94aa54c6p-1", "-0x1.108df691006d2p-1",
+          "-0x1.3b4bf76625426p-1", "-0x1.af4f236d56ce0p-2", "0x1.d4cee1b39d320p-1", "-0x1.f5606ff4c4ef8p-1",
+          "0x1.ed75099ba1cc8p-2", "0x1.c7fe493f20714p-1"], "0x1.5ef438f23c89ap-1"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_RMS_PINS))
+def test_rms_sums_the_squares_in_numpy_order(m):
+    """The error norm of a step (and of the first-step probes) is the RMS of
+    m values with their squares summed in np.add.reduce's order on Python
+    floats: the pin, numpy's own sum and the generated step's norm agree."""
+    values, rms = [float.fromhex(v) for v in _RMS_PINS[m][0]], float.fromhex(_RMS_PINS[m][1])
+    squares = [v * v for v in values]
+    in_order = lambda terms: functools.reduce(operator.add, terms, 0.0)  # Python's sum() may compensate
+    sums = [math.fsum(squares), in_order(reversed(squares))] + [in_order(squares)] * (m >= 8)
+    assert rms not in [math.sqrt(s / m) for s in sums]
+    assert math.sqrt(np.add.reduce(squares) / m) == rms
+    assert geodesics._rms(values) == rms
+    rng = np.random.default_rng([53, m])
+    for _ in range(200):
+        slopes = [_draws(rng, m, False) for _ in range(len(geodesics._TSITOURAS54.stages) + 2)]
+        y, h = _draws(rng, m, False), float(rng.uniform(1e-4, 0.1))
+        runs = [step(geodesics._TSITOURAS54, lambda point, rest=iter(slopes[1:]): next(rest), y, slopes[0], h, 1e-10)
+                for step in (geodesics._rk_step, _ref_loop_step)]
+        assert _bits([runs[0][2]]) == _bits([runs[1][2]])
+        values = _draws(rng, m, False)
+        assert geodesics._rms(values) == math.sqrt(np.add.reduce([v * v for v in values]) / m)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generated_contraction_equals_einsum(n):
     """No zero symbol is skipped: 0 * inf is NaN, as in the einsum. A NaN
@@ -572,11 +660,11 @@ def _ref_base_jet(scenario, jets, x, t, chart):
     """A registered jet's base symbols, dg_M/dt and rate as arrays: zeros for
     a flat block; the round symbols for a sphere, with (f g_M, f I) for a
     block scaled by exp(s(t)), f = s'(t); for an expression file,
-    ``_levi_civita`` and the rate of the LAPACK inverse of its generated jet."""
+    ``_levi_civita`` and the rate of the cofactor inverse of its generated jet."""
     n = x.size
     if jets:
         values = np.array(jets[chart](*x.tolist(), t))
-        gminv, partials = np.linalg.inv(values[: n * n].reshape(n, n)), values[n * n :].reshape(-1, n, n)
+        gminv, partials = _ref_cofactor_inverse(values[: n * n].reshape(n, n)), values[n * n :].reshape(-1, n, n)
         base = kaluza._levi_civita(gminv, partials[:n])
         if not scenario.metric.time_dependent:
             return base, None, None
@@ -659,3 +747,109 @@ def test_closed_form_gives_the_same_bytes_for_a_point_an_array_and_a_list(tmp_pa
                     closed = kaluza.christoffel_closed(kk, p).tobytes()
                     assert kaluza.christoffel_closed(kk, p.raw(), chart=chart).tobytes() == closed
                     assert kaluza.christoffel_closed(kk, p.raw().tolist(), chart=chart).tobytes() == closed
+
+
+# -- the closed orbit path reaches no BLAS or LAPACK --------------------------------
+
+def _rounding_numpy_calls(run):
+    """(what, caller) of each call that ``run()`` makes, recorded with
+    sys.setprofile, of numpy code whose result rounds as the BLAS or LAPACK
+    build or numpy's summation order decides: a numpy.linalg function, numpy's
+    dot, vdot or inner, einsum's c_einsum, ndarray.dot, or a method such as
+    ``reduce`` of a ufunc other than maximum and minimum (exact in any order).
+    A matmul, called or written as @, raises no profile event; see
+    ``test_orbit_path_functions_write_no_matmul``."""
+    calls = []
+
+    def caller(frame):
+        while frame.f_globals.get("__name__", "").startswith("numpy"):
+            frame = frame.f_back
+        return f"{frame.f_code.co_name}:{frame.f_lineno}"
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            if isinstance(owner, np.ufunc):
+                if owner.__name__ not in ("maximum", "minimum"):
+                    calls.append((f"{owner.__name__}.{arg.__name__}", caller(frame)))
+            elif arg.__name__ in ("c_einsum", "dot"):
+                calls.append((arg.__qualname__, caller(frame)))
+        elif event == "call":
+            module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+            if module.startswith("numpy.linalg") or (module == "numpy._core.multiarray"
+                                                     and name in ("dot", "vdot", "inner")):
+                calls.append((f"{module}.{name}", caller(frame.f_back)))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _short_orbit(scenario, chart):
+    rng = np.random.default_rng(sum(map(ord, scenario.name + chart)))
+    lo, hi = np.array(scenario.atlas.chart(chart).box).T
+    x0, d = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi), rng.standard_normal(scenario.dim)
+    t0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))
+
+    def run():
+        u = geodesics.unit_direction(scenario, x0, d, t0, chart)
+        state = shoot_null(NullShootSpec(x0=x0, u=u, q=0.3, t0=t0, chart=chart), scenario)
+        assert integrate(state, scenario, IntegratorConfig(lambda_max=0.2), chart=chart).meta["christoffel"] == "closed"
+
+    return run
+
+
+def test_the_closed_orbit_path_reaches_no_blas_or_lapack(tmp_path):
+    """Shooting, stepping and the monitors of a closed-route orbit run on
+    Python floats and elementwise numpy operations only, so an orbit's bytes
+    depend on IEEE arithmetic and libm alone: on every catalog scenario and
+    chart, the demo file, time-dependent files at n = 2 and 3, and the
+    in-process ``null-shoot`` command. Grid files are not covered: their
+    spline evaluates with a batched matmul."""
+    from carrollgeo.cli import main
+
+    for scenario in [cg.load(name) for name in scenarios.catalog_names()] + [cg.load(str(DEMO))]:
+        for chart in scenario.atlas.chart_names():
+            assert _rounding_numpy_calls(_short_orbit(scenario, chart)) == [], (scenario.name, chart)
+    for name, text in (("cone.ini", CONE), ("three.ini", THREE)):
+        assert _rounding_numpy_calls(_short_orbit(cg.load(str(_write(tmp_path, name, text))), "main")) == [], name
+    argv = ["null-shoot", "schwarzschild", "--point", "1.2, 0.3", "--dir", "0.2, 1", "--q", "0.4",
+            "--lambda-max", "0.2", "--out", str(tmp_path / "orbit.csv")]
+    assert _rounding_numpy_calls(lambda: main(argv)) == []
+    # the guard sees what it looks for
+    ginv = kaluza._inverse(np.eye(2))
+    seen = _rounding_numpy_calls(lambda: (np.add.reduce(ginv[0]), np.einsum("ab,b->a", ginv, ginv[0]),
+                                          ginv.dot(ginv[0]), np.dot(ginv[0], ginv[1]), np.max(ginv)))
+    assert [what for what, _ in seen] == ["add.reduce", "c_einsum", "ndarray.dot", "numpy._core.multiarray.dot"]
+    lapack = dict(_rounding_numpy_calls(lambda: kaluza._inverse(np.eye(2))))
+    assert lapack["numpy.linalg._linalg.inv"].startswith("_inverse:")
+
+
+# the functions that shoot, step and monitor a closed-route orbit; the reduced flow
+# (``integrate_small_gauge``) and the published transcriptions stay on numpy's linear algebra
+_ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carroll_charge", "null_residual",
+                                "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
+                                "_contraction", "_pairwise_sum", "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
+                                "_first_step", "_drive", "_initial_chart", "integrate"),
+               "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats"),
+               "geometry.py": ("dot",)}
+
+
+def test_orbit_path_functions_write_no_matmul():
+    """No function on the closed orbit path writes a matrix product, as @ or
+    as a call of matmul: neither raises a profile event that
+    ``_rounding_numpy_calls`` could record."""
+    src = Path(cg.__file__).resolve().parent
+    for filename, names in _ORBIT_PATH.items():
+        tree = ast.parse((src / filename).read_text())
+        found = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert set(names) <= set(found), filename
+        for name in names:
+            for node in ast.walk(found[name]):
+                assert not isinstance(node, ast.MatMult), (filename, name, node.lineno)
+                assert not (isinstance(node, ast.Attribute) and node.attr == "matmul"), (filename, name, node.lineno)
+    sample = ast.parse("def f(a, b):\n    return a @ b\n")
+    assert any(isinstance(node, ast.MatMult) for node in ast.walk(sample))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import geodesics, scenarios
+from carrollgeo import geodesics, kaluza, scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import CarrollError, ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import DegenerateMetric
@@ -490,9 +490,10 @@ def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatc
     """On a time-dependent expression file the registered base symbols,
     dg_M/dt and g_M^-1 dg_M/dt all come from the generated jet of the block
     at (x, t) and its one inverse: one closed-form call evaluates the jet once,
-    inverts once and reads no block, and the next point evaluates it anew."""
-    calls, reads, inverses = [], [], []
-    parse, at, inverse = scenarios._parse_matrix, DegenerateMetric.at, np.linalg.inv
+    inverts once with the generated cofactor inverse and never with LAPACK,
+    reads no block, and the next point evaluates it anew."""
+    calls, reads, inverses, lapack = [], [], [], []
+    parse, at, cofactor, inverse = scenarios._parse_matrix, DegenerateMetric.at, kaluza._block_inverse, np.linalg.inv
 
     def counted(*args, **kwargs):
         gm, jet = parse(*args, **kwargs)
@@ -500,17 +501,40 @@ def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatc
 
     monkeypatch.setattr(scenarios, "_parse_matrix", counted)
     monkeypatch.setattr(DegenerateMetric, "at", lambda self, *args: reads.append(args) or at(self, *args))
-    monkeypatch.setattr(np.linalg, "inv", lambda g: inverses.append(g) or inverse(g))
+    monkeypatch.setattr(kaluza, "_block_inverse", lambda n: lambda g: inverses.append(g) or cofactor(n)(g))
+    monkeypatch.setattr(scenarios, "jet_base_data", kaluza.jet_base_data.__wrapped__)  # bound anew at load
+    monkeypatch.setattr(np.linalg, "inv", lambda g: lapack.append(g) or inverse(g))
     wave = _load_text(WAVE)
     assert wave.base_jet is not None and wave.metric.time_dependent
     rng = np.random.default_rng(3)
     for sign in (+1, -1):
         kk = wave.kk(sign)
         for p in wave.sample_points(rng, 4, include_negative_t=True):
-            for log in (calls, reads, inverses):
+            for log in (calls, reads, inverses, lapack):
                 log.clear()
             christoffel_closed(kk, p)
-            assert calls == [(*p.x.tolist(), p.t)] and reads == [] and len(inverses) == 1
+            assert calls == [(*p.x.tolist(), p.t)] and reads == [] and len(inverses) == 1 and lapack == []
+
+
+FOUR = (
+    "[meta]\nname = four\ndim = 4\n[charts]\nmain = box(-1, 1; -1, 1; -1, 1; -1, 1)\n[metric]\ntime_dependent = true\n"
+    "main = matrix(2 + 0.3 * sin(x1 * t), 0.1 * t, 0, 0.05 * x4; 0.1 * t, 1.5, 0.2 * x3, 0; "
+    "0, 0.2 * x3, 1 + 0.1 * t^2, 0; 0.05 * x4, 0, 0, 1 + 0.1 * x2^2)\n"
+)
+
+
+def test_a_four_dimensional_file_integrates_on_the_closed_route(monkeypatch):
+    """Above n = 3 a file jet's block is inverted by LAPACK, and its orbits
+    still take the closed form, which agrees with the oracle."""
+    four = _load_text(FOUR)
+    assert four.base_jet is not None
+    lapack, inverse = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda g: lapack.append(g) or inverse(g))
+    for sign in (+1, -1):
+        _assert_routes_agree(four, "main", sign)
+        lapack.clear()
+        christoffel_closed(four.kk(sign), [0.1, -0.2, 0.3, 0.4, 0.8], chart="main")
+        assert len(lapack) == 1
 
 
 def _assert_routes_agree(scenario, chart, sign):
