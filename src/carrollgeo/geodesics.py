@@ -13,9 +13,12 @@ else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
 Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
 code generated once per method and state length that unrolls the method's
-tableau term by term in its order; the right-hand side contracts the symbols
-with the velocity in code generated once per n that sums as numpy's einsum
-does. Either gives every float that the same sums over arrays give.
+tableau term by term in its order. The right-hand side takes the
+acceleration -Gamma(v, v): on the closed route from base data in one kernel
+generated once per n (``christoffel_closed`` with ``along``), on the oracle
+route by contracting the symbols in code generated once per n; both sum as
+numpy's einsum does. Either gives every float that the same sums over
+arrays give.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -45,7 +49,7 @@ from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, Chart, Point, dot, square
-from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric, contracted
 from .scenarios import Scenario
 
 
@@ -168,8 +172,21 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     chart = chart or scenario.default_chart
     gauge = gauge if gauge is not None else scenario.gauge
     x, vx = state.x[None], state.vx[None]
-    omega_v = state.vt / state.t + float(_along(vx, gauge.at(x, chart))[0])
-    return float(_along(vx, scenario.metric.at(x, [state.t], chart))[0]) - square(omega_v, "vt / t + vx . A")
+    a, g = gauge.at(x, chart), scenario.metric.at(x, [state.t], chart)
+    with _monitor_overflow():
+        omega_v = state.vt / state.t + float(_along(vx, a)[0])
+        speed = float(_along(vx, g)[0])
+    return speed - square(omega_v, "vt / t + vx . A")
+
+
+@contextmanager
+def _monitor_overflow():
+    """Numpy overflow in the monitors' sums, raised as a NumericError."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise NumericError("the fiber velocity, base speed or charge of a sample overflows the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +264,36 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _gamma_provider(kk: KKMetric, chart: str, cfg: IntegratorConfig) -> tuple[str, Callable[[list[float]], np.ndarray]]:
-    """The symbol route that runs, "closed" or "numeric", and the symbols as
-    a function of the raw position (x..., t). The closed form runs where it
-    is validated against the oracle, a gauge field known to vanish, unless
-    ``cfg.christoffel`` is "numeric"; the oracle runs everywhere else."""
+def _gamma_provider(kk: KKMetric, chart: str,
+                    cfg: IntegratorConfig) -> tuple[str, Callable[[list[float], list[float]], list[float]]]:
+    """The symbol route that runs, "closed" or "numeric", and -Gamma^a(v, v)
+    as a function of the raw position (x..., t) and a velocity v, float lists.
+    The closed form runs where it is validated against the oracle, a gauge
+    field known to vanish, unless ``cfg.christoffel`` is "numeric"; the
+    oracle runs everywhere else, its symbols contracted by ``_contraction``."""
     if cfg.christoffel not in ("closed", "numeric"):
         raise ContractViolation(f"unknown christoffel provider {cfg.christoffel!r}")
     if cfg.christoffel == "closed" and kk.gauge.is_zero:
-        return "closed", lambda raw: christoffel_closed(kk, raw, chart=chart)
+        return "closed", lambda raw, v: christoffel_closed(kk, raw, chart=chart, along=v)
     # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
     # the stencil's sign guard refuses a fiber coordinate near zero
-    return "numeric", lambda raw: christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
+    return "numeric", lambda raw, v: _contraction(len(v) - 1)(
+        christoffel_numeric(kk, raw, cond_limit=None, chart=chart).ravel().tolist(), v)
 
 
-def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray], sign: float) -> Callable[[list[float]], list[float]]:
-    """y' for y = [x..., u, vx..., w] as Python floats, t = sign e^u, given the symbols at the raw position
-    (x..., t): with V = (vx, t w), vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2."""
-    n = contract = None
+def geodesic_rhs(accel: Callable[[list[float], list[float]], list[float]],
+                 sign: float) -> Callable[[list[float]], list[float]]:
+    """y' for y = [x..., u, vx..., w] as Python floats, t = sign e^u, given the acceleration -Gamma(V, V) at the
+    raw position (x..., t) and V = (vx, t w): vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2."""
 
     def rhs(y: list[float]) -> list[float]:
-        nonlocal n, contract
-        if n is None:
-            n = (len(y) - 2) // 2
-            contract = _contraction(n)
+        n = (len(y) - 2) // 2
         vel = y[n + 1 :]
         if not any(vel):
             # frozen states are exact fixed points; skip the symbol evaluation
             return vel + [0.0] * (n + 1)
         t, w = sign * math.exp(y[n]), vel[n]
-        acc = contract(gamma_at(y[:n] + [t]).ravel().tolist(), vel[:n] + [t * w])
+        acc = accel(y[:n] + [t], vel[:n] + [t * w])
         return vel + acc[:n] + [acc[n] / t - w * w]
 
     return rhs
@@ -284,16 +301,9 @@ def geodesic_rhs(gamma_at: Callable[[list[float]], np.ndarray], sign: float) -> 
 
 @cache
 def _contraction(n: int) -> Callable[[list[float], list[float]], list[float]]:
-    """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1,
-    and v on Python floats, generated once per n: each sum starts at 0.0 and
-    adds (Gamma[a, b, c] v_b) v_c over (b, c) in C order, which is how
-    np.einsum("abc,b,c->a") sums it. No zero symbol is skipped: 0 * inf stays
-    NaN."""
-    m = n + 1
-    sums = ["-(0.0" + "".join(f" + g[{(a * m + b) * m + c}] * v{b} * v{c}" for b in range(m) for c in range(m)) + ")"
-            for a in range(m)]
-    return run_generated(["def kernel(g, v):", f"    {', '.join(f'v{b}' for b in range(m))}, = v",
-                          f"    return [{', '.join(sums)}]"])["kernel"]
+    """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1, and v on Python floats, generated
+    once per n as ``contracted`` sums it."""
+    return run_generated(["def kernel(g, v):", *contracted([f"g[{k}]" for k in range((n + 1) ** 3)], n + 1)])["kernel"]
 
 
 def printed_spatial_acceleration(
@@ -622,13 +632,10 @@ def integrate(
     # one stacked read of g_M and one of A feed all three monitors; the
     # square is Python's, whose libm pow can differ from numpy's x * x
     g, a = scenario.metric.at(xs, ts, chart), gauge.at(xs, chart)
-    with np.errstate(over="raise"):
-        try:
-            vts = np.concatenate([[state0.vt], ts[1:] * ws[1:]])
-            speeds = _along(vxs, g)
-            omega = ws + _along(vxs, a)
-        except FloatingPointError:
-            raise NumericError("the fiber velocity, base speed or charge of a sample overflows the float range") from None
+    with _monitor_overflow():
+        vts = np.concatenate([[state0.vt], ts[1:] * ws[1:]])
+        speeds = _along(vxs, g)
+        omega = ws + _along(vxs, a)
     nulls = speeds - np.array([square(w, "vt / t + vx . A") for w in omega.tolist()])
 
     return Trajectory(

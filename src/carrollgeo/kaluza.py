@@ -246,12 +246,16 @@ def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarra
     return _inverse(kk.metric.at(x, t, chart))
 
 
-def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, chart: str | None = None) -> np.ndarray:
+def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, chart: str | None = None,
+                       along: list[float] | None = None) -> np.ndarray | list[float]:
     """Closed-form symbols assembled from base data.
 
     ``p`` is a Point, or raw coordinates (x..., t) of one point on ``chart``,
     a list of floats (read as it is) or a 1-d array; a raw fiber coordinate
     closer to zero than ``FIBER_CUTOFF`` is refused, as a Point refuses it.
+    Given ``along``, a velocity v of n + 1 floats, the call returns the
+    acceleration -Gamma^a(v, v) instead, a float list from one generated
+    kernel; with a nonzero gauge field that is a ContractViolation.
 
     For a vanishing gauge field (both signs) the output agrees with the
     finite-difference oracle and is the validated regime:
@@ -274,11 +278,15 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
         x, t = p[:-1], p[-1]
         if abs(t) < FIBER_CUTOFF:
             raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
+    if along is not None and not kk.gauge.is_zero:
+        raise ContractViolation("the closed-form acceleration along a velocity needs a vanishing gauge field")
     n = len(x)
     s = kk.sign
     base, dgdt, rate = base_data(kk, x, t, chart)
     if kk.gauge.is_zero:
         blocks = () if dgdt is None else (dgdt, rate)
+        if along is not None:
+            return _closed_floats(n, dgdt is not None, True)(t, s, base, *blocks, along)
         return np.array(_closed_floats(n, dgdt is not None)(t, s, base, *blocks)).reshape(n + 1, n + 1, n + 1)
     if s != +1:
         raise NumericError(
@@ -329,15 +337,17 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
 
 
 @cache
-def _closed_floats(n: int, fiber: bool) -> Callable[..., list[float]]:
+def _closed_floats(n: int, fiber: bool, along: bool = False) -> Callable[..., list[float]]:
     """The zero-gauge closed form on Python floats, generated once per (n,
-    fiber): from t, the sign s, the base symbols base[(a * n + b) * n + c]
+    fiber, along): from t, the sign s, the base symbols base[(a * n + b) * n + c]
     and, for a fiber-dependent block, dg_M/dt and the rate (each [a * n + b]),
-    the (n + 1)^3 symbols in C order. Every block is symmetric in the lower
-    pair without a gauge field: the base symbols are, and the fiber block is
-    symmetrized, 0.5 (f_bc + f_cb) with f = -s (t^2/2) dg_M/dt. Without
-    dg_M/dt the mixed blocks are 0 and the fiber one is -s (t^2/2) times 0,
-    a zero with the sign of -s."""
+    the (n + 1)^3 symbols in C order, or with ``along`` -Gamma^a(v, v) for
+    a velocity v, summed by ``contracted`` with each symbol's expression in
+    place of its value. Every block is symmetric in the lower pair without
+    a gauge field: the base symbols are, and the fiber block is symmetrized,
+    0.5 (f_bc + f_cb) with f = -s (t^2/2) dg_M/dt. Without dg_M/dt the
+    mixed blocks are 0 and the fiber one is -s (t^2/2) times 0, a zero with
+    the sign of -s."""
     m = n + 1
     entries = ["0.0"] * m**3
     for a, b, c in product(range(n), repeat=3):
@@ -347,9 +357,18 @@ def _closed_floats(n: int, fiber: bool) -> Callable[..., list[float]]:
         entries[(n * m + a) * m + b] = f"0.5 * (f{a}_{b} + f{b}_{a})" if fiber else "z"
     entries[-1] = "-1.0 / t"
     head = [f"    f{a}_{b} = z * dgdt[{a * n + b}]" for a, b in product(range(n), repeat=2)] if fiber else []
-    return run_generated([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}):",
+    return run_generated([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}{', v' if along else ''}):",
                           f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}", *head,
-                          f"    return [{', '.join(entries)}]"])["kernel"]
+                          *(contracted(entries, m) if along else [f"    return [{', '.join(entries)}]"])])["kernel"]
+
+
+def contracted(symbols: list[str], m: int) -> list[str]:
+    """The lines of a generated kernel that return -Gamma^a(v, v) from a velocity v of m floats, given the m^3
+    symbols Gamma[(a * m + b) * m + c] as float expressions: each sum starts at 0.0 and adds (Gamma[a, b, c] v_b)
+    v_c over (b, c) in C order, as np.einsum("abc,b,c->a") sums it. No zero symbol is skipped: 0 * inf stays NaN."""
+    sums = ("-(0.0" + "".join(f" + ({symbols[(a * m + b) * m + c]}) * v{b} * v{c}" for b in range(m) for c in range(m))
+            + ")" for a in range(m))
+    return [f"    {', '.join(f'v{b}' for b in range(m))}, = v", f"    return [{', '.join(sums)}]"]
 
 
 def closed_form_deviation(kk: KKMetric, points: Sequence[Point]) -> float:

@@ -97,12 +97,13 @@ class Scenario:
 # round-sphere building blocks
 # ---------------------------------------------------------------------------
 
-def _angular_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    def gm(x: np.ndarray, t: float) -> np.ndarray:
-        theta = x[0]
-        return np.array([[radius2, 0.0], [0.0, radius2 * math.sin(theta) ** 2]])
+def _angular_entries(radius2: float, x: Sequence[float]) -> list[float]:
+    """The entries [a * 2 + b] of the round block radius^2 (dtheta^2 + sin^2 theta dphi^2) at x = (theta, phi)."""
+    return [radius2, 0.0, 0.0, radius2 * math.sin(x[0]) ** 2]
 
-    return gm
+
+def _angular_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
+    return lambda x, t: np.array(_angular_entries(radius2, x.tolist())).reshape(2, 2)
 
 
 def _angular_symbols(x: Sequence[float]) -> list[float]:
@@ -111,13 +112,14 @@ def _angular_symbols(x: Sequence[float]) -> list[float]:
     return [0.0, 0.0, 0.0, -math.sin(theta) * math.cos(theta), 0.0, cot, cot, 0.0]
 
 
-def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    def gm(x: np.ndarray, t: float) -> np.ndarray:
-        xs = x.tolist()
-        c = 4.0 * radius2 / (1.0 + dot(xs, xs)) ** 2
-        return np.array([[c, 0.0], [0.0, c]])
+def _stereo_entries(radius2: float, x: Sequence[float]) -> list[float]:
+    """The entries [a * 2 + b] of the round block in a stereographic chart, 4 radius^2 / (1 + |x|^2)^2 times delta."""
+    c = 4.0 * radius2 / (1.0 + dot(x, x)) ** 2
+    return [c, 0.0, 0.0, c]
 
-    return gm
+
+def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
+    return lambda x, t: np.array(_stereo_entries(radius2, x.tolist())).reshape(2, 2)
 
 
 def _stereo_symbols(x: Sequence[float]) -> list[float]:
@@ -306,12 +308,14 @@ def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
     metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
 
     def base_jet(x, t, chart_name):
-        table = _angular_symbols(x) if chart_name == "angular" else _stereo_symbols(x)
+        angular = chart_name == "angular"
+        table = _angular_symbols(x) if angular else _stereo_symbols(x)
         if dgdt_factor is None:
             return table, None, None
-        factor = dgdt_factor(t)
-        return (table, [factor * v for v in metric.at(x, t, chart_name).ravel().tolist()],
-                [factor * e for e in (1.0, 0.0, 0.0, 1.0)])
+        factor, scaled = dgdt_factor(t), scale(t)
+        entries = _angular_entries(radius2, x) if angular else _stereo_entries(radius2, x)
+        # the block's entries as ``metric.at`` gives them, scale(t) times the round ones, then times the factor
+        return table, [factor * (scaled * e) for e in entries], [factor * e for e in (1.0, 0.0, 0.0, 1.0)]
 
     return Scenario(
         name=name,

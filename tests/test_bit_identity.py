@@ -3,7 +3,9 @@
 A step, the geodesic right-hand side's contraction and the zero-gauge
 closed form run as code generated once per shape on Python floats: a step
 unrolls its tableau's sums, the contraction sums as numpy's einsum does, and
-the closed form writes each entry once. None may change a bit against the
+the closed form writes each entry once, or sums each entry with the
+velocity where the contraction sums the symbol list, which is how the
+closed route's right-hand side takes it. None may change a bit against the
 straightforward code, which is kept here as the reference: the tableau loop
 that the generated step unrolls, the Tsitouras and RK4 steps over arrays,
 each evaluating every stage afresh, the array right-hand side, and the
@@ -143,6 +145,15 @@ def _ref_geodesic_rhs(gamma_at, sign):
     return lambda y: rhs(np.array(y)).tolist()
 
 
+def _ref_gamma_provider(kk, chart, cfg, provider=geodesics._gamma_provider):
+    """The route the package picks, with its symbols as arrays, for ``_ref_geodesic_rhs`` to contract: the
+    zero-gauge closed-form reference, or the oracle."""
+    route, _ = provider(kk, chart, cfg)
+    if route == "closed":
+        return route, lambda raw: _ref_christoffel_closed(kk, raw, chart=chart)
+    return route, lambda raw: kaluza.christoffel_numeric(kk, raw, cond_limit=None, chart=chart)
+
+
 def _ref_cofactor_inverse(g):
     """adj(g) / det(g) of an n x n block, n <= 3, over arrays: each cofactor
     (at n = 3 in the cyclic form, which carries its sign) divided by the
@@ -235,7 +246,7 @@ def references(monkeypatch):
     def patch():
         monkeypatch.setattr(geodesics, "_rk_step", _ref_step)
         monkeypatch.setattr(geodesics, "geodesic_rhs", _ref_geodesic_rhs)
-        monkeypatch.setattr(geodesics, "christoffel_closed", _ref_christoffel_closed)
+        monkeypatch.setattr(geodesics, "_gamma_provider", _ref_gamma_provider)
 
     return patch
 
@@ -624,6 +635,38 @@ def test_generated_contraction_equals_einsum(n):
         assert _bits([math.nan if a != a else a for a in kernel(g, v)]) == np.where(np.isnan(ref), math.nan, ref).tobytes()
 
 
+@pytest.mark.parametrize("fiber", [False, True], ids=["fixed", "fiber"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_acceleration_equals_the_contracted_symbols(n, fiber):
+    """The acceleration kernel sums each symbol's expression where
+    ``_contraction`` sums the symbol list, every structural zero kept: the
+    same bytes as ``_contraction`` of the symbol kernel, signed zeros, inf
+    and the place of every NaN included, for any base data, velocity and
+    nonzero t. A NaN counts as a NaN: where two meet, CPython keeps one or
+    the other as its float operation is specialized or not, so its sign
+    bit changes as the interpreter warms up, even within one kernel."""
+    rng = np.random.default_rng([59, n, fiber])
+    symbols, accel, contract = kaluza._closed_floats(n, fiber), kaluza._closed_floats(n, fiber, along=True), \
+        geodesics._contraction(n)
+    nan_bits = lambda values: _bits([math.nan if a != a else a for a in values])
+    for k in range(1000):
+        t, s = _draws(rng, 1, k % 2)[0] or 0.5, float(rng.choice([-1.0, 1.0]))  # the closed form divides by t
+        data = [_draws(rng, n**3, k % 2)] + [_draws(rng, n * n, k % 2) for _ in range(2 * fiber)]
+        v = _draws(rng, n + 1, k % 2)
+        assert nan_bits(accel(t, s, *data, v)) == nan_bits(contract(symbols(t, s, *data), v))
+
+
+def test_the_acceleration_along_a_velocity_needs_a_vanishing_gauge_field(flat2):
+    """``along`` gives the contraction of the symbols that the same call gives without it, and only then."""
+    raw, v = [0.1, 0.2, -1.3], [0.4, -0.0, 0.7]
+    symbols = kaluza.christoffel_closed(flat2.kk(-1), raw, chart="cartesian")
+    assert kaluza.christoffel_closed(flat2.kk(-1), raw, chart="cartesian", along=v) == \
+        geodesics._contraction(2)(symbols.ravel().tolist(), v)
+    gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], -x[0]])})
+    with pytest.raises(cg.ContractViolation, match="vanishing gauge field"):
+        kaluza.christoffel_closed(flat2.kk(+1, gauge), raw, chart="cartesian", along=v)
+
+
 def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
     """A 3-d fiber-dependent file without registered base data: the rate
     g^{cd} dg_ad/dt sums over d in index order from 0.0, whatever order
@@ -751,14 +794,16 @@ def test_closed_form_gives_the_same_bytes_for_a_point_an_array_and_a_list(tmp_pa
 
 # -- the closed orbit path reaches no BLAS or LAPACK --------------------------------
 
-def _rounding_numpy_calls(run):
+def _rounding_numpy_calls(run, every=False):
     """(what, caller) of each call that ``run()`` makes, recorded with
     sys.setprofile, of numpy code whose result rounds as the BLAS or LAPACK
     build or numpy's summation order decides: a numpy.linalg function, numpy's
     dot, vdot or inner, einsum's c_einsum, ndarray.dot, or a method such as
-    ``reduce`` of a ufunc other than maximum and minimum (exact in any order).
-    A matmul, called or written as @, raises no profile event; see
-    ``test_orbit_path_functions_write_no_matmul``."""
+    ``reduce`` of a ufunc other than maximum and minimum (exact in any order);
+    with ``every``, of any numpy code: a C function of numpy, a method of a
+    numpy object or a Python function of a numpy module. A matmul, called or
+    written as @, raises no profile event, nor does arithmetic on arrays
+    made before ``run``; see ``test_orbit_path_functions_write_no_matmul``."""
     calls = []
 
     def caller(frame):
@@ -769,7 +814,10 @@ def _rounding_numpy_calls(run):
     def profile(frame, event, arg):
         if event == "c_call":
             owner = getattr(arg, "__self__", None)
-            if isinstance(owner, np.ufunc):
+            if every and (str(getattr(arg, "__module__", "")).startswith("numpy")
+                          or type(owner).__module__.startswith("numpy")):
+                calls.append((arg.__qualname__, caller(frame)))
+            elif isinstance(owner, np.ufunc):
                 if owner.__name__ not in ("maximum", "minimum"):
                     calls.append((f"{owner.__name__}.{arg.__name__}", caller(frame)))
             elif arg.__name__ in ("c_einsum", "dot"):
@@ -777,7 +825,8 @@ def _rounding_numpy_calls(run):
         elif event == "call":
             module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
             if module.startswith("numpy.linalg") or (module == "numpy._core.multiarray"
-                                                     and name in ("dot", "vdot", "inner")):
+                                                     and name in ("dot", "vdot", "inner")) \
+                    or every and module.startswith("numpy"):
                 calls.append((f"{module}.{name}", caller(frame.f_back)))
 
     sys.setprofile(profile)
@@ -828,13 +877,43 @@ def test_the_closed_orbit_path_reaches_no_blas_or_lapack(tmp_path):
     assert lapack["numpy.linalg._linalg.inv"].startswith("_inverse:")
 
 
+def _closed_stage(scenario, chart):
+    """One call of the right-hand side that ``integrate`` builds on the closed route, at a seeded moving
+    state inside the chart's box; called once here, so that its kernels are generated."""
+    rng = np.random.default_rng(sum(map(ord, scenario.name + chart)))
+    lo, hi = np.array(scenario.atlas.chart(chart).box).T
+    x0, sign = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi), float(rng.choice([-1.0, 1.0]))
+    route, accel = geodesics._gamma_provider(scenario.kk(-1), chart, IntegratorConfig())
+    assert route == "closed"
+    rhs, y = geodesics.geodesic_rhs(accel, sign), [*x0.tolist(), 0.3, *rng.uniform(-1.0, 1.0, scenario.dim + 1).tolist()]
+    rhs(y)
+    return lambda: rhs(y)
+
+
+def test_a_closed_route_stage_calls_no_numpy(tmp_path):
+    """From the raw position and velocity to the slope, a stage of a
+    closed-route orbit runs on Python floats alone, base data included: on
+    every catalog scenario and chart, the demo file, and time-dependent
+    files at n = 2 and 3."""
+    cases = [cg.load(name) for name in scenarios.catalog_names()] + [cg.load(str(DEMO))]
+    cases += [cg.load(str(_write(tmp_path, name, text))) for name, text in (("cone.ini", CONE), ("three.ini", THREE))]
+    for scenario in cases:
+        for chart in scenario.atlas.chart_names():
+            assert _rounding_numpy_calls(_closed_stage(scenario, chart), every=True) == [], (scenario.name, chart)
+    # the guard sees what it looks for: a numpy C function, an array method and a numpy Python function
+    seen = _rounding_numpy_calls(lambda: np.reshape(np.array([1.0, 2.0]).tolist(), (2, 1)), every=True)
+    what = [what for what, _ in seen]
+    assert what[:2] == ["array", "ndarray.tolist"] and what[2].startswith("numpy._core.fromnumeric.")
+
+
 # the functions that shoot, step and monitor a closed-route orbit; the reduced flow
 # (``integrate_small_gauge``) and the published transcriptions stay on numpy's linear algebra
 _ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carroll_charge", "null_residual",
                                 "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
                                 "_contraction", "_pairwise_sum", "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
                                 "_first_step", "_drive", "_initial_chart", "integrate"),
-               "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats"),
+               "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats",
+                             "contracted"),
                "geometry.py": ("dot",)}
 
 

@@ -243,6 +243,16 @@ def test_monitors_beyond_the_float_range_are_a_numeric_error(schwarzschild):
             integrate(state, schwarzschild, IntegratorConfig(lambda_max=0.0))
 
 
+def test_a_null_residual_whose_base_speed_overflows_is_the_monitors_numeric_error(flat2):
+    """The base speed of vx = (1e200, 1e200) overflows in numpy's sum: the
+    null residual raises the NumericError that ``integrate``'s monitors raise,
+    with no numpy RuntimeWarning."""
+    fast = GeodesicState([0.1, 0.2], 1.0, [1e200, 1e200], -1.0)
+    for monitors in (lambda: null_residual(fast, flat2), lambda: integrate(fast, flat2, IntegratorConfig(lambda_max=0.0))):
+        with pytest.raises(NumericError, match="^the fiber velocity, base speed or charge of a sample overflows"):
+            monitors()
+
+
 # -- log time -------------------------------------------------------------------
 
 def test_log_time_slope(schwarzschild):
