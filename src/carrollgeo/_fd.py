@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .expressions import run_generated
 
 DEFAULT_REL_STEP = 3e-4
 TRANSITION_REL_STEP = 1e-6
@@ -79,6 +80,26 @@ def _stencil(p: np.ndarray, rel: float, keep_sign: Sequence[int]):
     return points, h
 
 
+def float_stencil(p: list[float], keep_sign: Sequence[int] = ()) -> tuple[list[float], list[float]]:
+    """``stencil`` around one point p of m Python floats, as float lists: the coordinates of its 4m + 1
+    points one after the other, each p + offset * h as ``stencil`` rounds it, and the steps h."""
+    h = [_guarded_step(p, a, DEFAULT_REL_STEP, keep_sign) for a in range(len(p))]
+    return _stencil_floats(len(p))(p, h), h
+
+
+@functools.cache
+def _stencil_floats(m: int) -> Callable[[list[float], list[float]], list[float]]:
+    """``float_stencil``'s coordinates from p and h, generated once per m; one that no offset moves,
+    p + -0.0 * h, is computed once."""
+    names: dict[str, str] = {}
+    points = [names.setdefault(f"p{a} + {u!r} * h{a}", f"c{len(names)}")
+              for row in _unit_offsets(m).tolist() for a, u in enumerate(row)]
+    return run_generated(["def kernel(p, h):", f"    {''.join(f'p{a}, ' for a in range(m))}= p",
+                          f"    {''.join(f'h{a}, ' for a in range(m))}= h",
+                          *(f"    {name} = {text}" for text, name in names.items()),
+                          f"    return [{', '.join(points)}]"])["kernel"]
+
+
 @functools.cache
 def _unit_offsets(m: int) -> np.ndarray:
     """``offsets(1.0)`` on each of m axes in turn after the centre, shape (4m + 1, m), read-only; every
@@ -97,6 +118,14 @@ def richardson(plus, minus, plus_half, minus_half, h):
     d1 = (plus - minus) / (2.0 * h)
     d2 = (plus_half - minus_half) / h  # over 2 (h / 2), which is h exactly
     return (4.0 * d2 - d1) / 3.0
+
+
+def partial_text(value: Callable[[int], str], axis: int, h: str, h2: str) -> str:
+    """``stacked_partials`` of one value on ``axis`` as the text of a Python float expression, for generated
+    code: ``value(k)`` is the text of the value at the k-th point of ``stencil`` (the centre is k = 0), and
+    ``h`` and ``h2`` name the axis's step and 2.0 * h; ``richardson``'s operations, in its order."""
+    plus, minus, plus_half, minus_half = (f"({value(1 + 4 * axis + j)})" for j in range(4))
+    return f"(4.0 * (({plus_half} - {minus_half}) / {h}) - ({plus} - {minus}) / {h2}) / 3.0"
 
 
 def stacked_partials(values: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
 code generated once per method and state length that unrolls the method's
 tableau term by term in its order. The right-hand side takes the
-acceleration -Gamma(v, v): on the closed route from base data in one kernel
-generated once per n (``christoffel_closed`` with ``along``), on the oracle
-route by contracting the symbols in code generated once per n; both sum as
-numpy's einsum does. Either gives every float that the same sums over
-arrays give.
+acceleration -Gamma(v, v) from one kernel generated once per n, given the
+velocity as ``along``: on the closed route from base data
+(``christoffel_closed``), on the oracle route from the field values at the
+stencil points (``christoffel_numeric``); both sum as numpy's einsum does.
+Either gives every float that the same sums over arrays give.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -49,7 +49,7 @@ from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, Chart, Point, dot, square
-from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric, contracted
+from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -84,7 +84,11 @@ class GeodesicState:
 
     @property
     def vtb(self) -> float:
-        return self.vt / self.t
+        """The fiber rate vt / t; one past the float range (a tiny t) is a DomainError."""
+        rate = self.vt / self.t
+        if not math.isfinite(rate):
+            raise DomainError(f"the fiber rate vt / t = {self.vt:.3e} / {self.t:.3e} overflows")
+        return rate
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, [self.t], self.vx, [self.vt]])
@@ -174,7 +178,7 @@ def null_residual(state: GeodesicState, scenario: Scenario, gauge: GaugeField | 
     x, vx = state.x[None], state.vx[None]
     a, g = gauge.at(x, chart), scenario.metric.at(x, [state.t], chart)
     with _monitor_overflow():
-        omega_v = state.vt / state.t + float(_along(vx, a)[0])
+        omega_v = state.vtb + float(_along(vx, a)[0])
         speed = float(_along(vx, g)[0])
     return speed - square(omega_v, "vt / t + vx . A")
 
@@ -270,15 +274,14 @@ def _gamma_provider(kk: KKMetric, chart: str,
     as a function of the raw position (x..., t) and a velocity v, float lists.
     The closed form runs where it is validated against the oracle, a gauge
     field known to vanish, unless ``cfg.christoffel`` is "numeric"; the
-    oracle runs everywhere else, its symbols contracted by ``_contraction``."""
+    oracle runs everywhere else. Both give the acceleration ``along`` v."""
     if cfg.christoffel not in ("closed", "numeric"):
         raise ContractViolation(f"unknown christoffel provider {cfg.christoffel!r}")
     if cfg.christoffel == "closed" and kk.gauge.is_zero:
         return "closed", lambda raw, v: christoffel_closed(kk, raw, chart=chart, along=v)
     # the fiber guard owns the t -> 0 boundary, so no conditioning gate here;
     # the stencil's sign guard refuses a fiber coordinate near zero
-    return "numeric", lambda raw, v: _contraction(len(v) - 1)(
-        christoffel_numeric(kk, raw, cond_limit=None, chart=chart).ravel().tolist(), v)
+    return "numeric", lambda raw, v: christoffel_numeric(kk, raw, cond_limit=None, chart=chart, along=v)
 
 
 def geodesic_rhs(accel: Callable[[list[float], list[float]], list[float]],
@@ -297,13 +300,6 @@ def geodesic_rhs(accel: Callable[[list[float], list[float]], list[float]],
         return vel + acc[:n] + [acc[n] / t - w * w]
 
     return rhs
-
-
-@cache
-def _contraction(n: int) -> Callable[[list[float], list[float]], list[float]]:
-    """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1, and v on Python floats, generated
-    once per n as ``contracted`` sums it."""
-    return run_generated(["def kernel(g, v):", *contracted([f"g[{k}]" for k in range((n + 1) ** 3)], n + 1)])["kernel"]
 
 
 def printed_spatial_acceleration(
@@ -612,8 +608,7 @@ def integrate(
     n = state0.dim
     if abs(state0.t) < FIBER_CUTOFF:
         raise DomainError(f"fiber coordinate too close to zero: t = {state0.t:.3e}")
-    if not math.isfinite(state0.vtb):
-        raise DomainError(f"the fiber rate vt / t = {state0.vt:.3e} / {state0.t:.3e} overflows")
+    vtb = state0.vtb
     sign, u0 = math.copysign(1.0, state0.t), math.log(abs(state0.t))
 
     def guard(y: list[float]) -> str | None:
@@ -622,7 +617,7 @@ def integrate(
         return None if chart_obj.inside(y[:n]) else "left_chart"
 
     route, gamma_at = _gamma_provider(kk, chart, cfg)
-    y0 = np.concatenate([state0.x, [u0], state0.vx, [state0.vtb]])
+    y0 = np.concatenate([state0.x, [u0], state0.vx, [vtb]])
     finite = lambda y: y[n] <= _LOG_MAX and all(map(math.isfinite, y))  # and |t| = e^u is a float
     lams, ys, events = _drive(geodesic_rhs(gamma_at, sign), y0, cfg.lambda_max, cfg, guard, finite)
     arr = np.array(ys)

@@ -19,11 +19,14 @@ can (a block conformal in t gives the rate as (Omega'/Omega) I, with no
 inverse). It is validated against the oracle only when the gauge field
 vanishes, which is where geodesics use it by default, and with a nonzero
 gauge field its output is something to compare, not to trust (see
-``closed_form_deviation``).
+``closed_form_deviation``). Given a velocity v (``along``), either route
+returns the acceleration -Gamma^a(v, v) at one point as a float list from
+one generated kernel, with the floats its symbols would give contracted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
@@ -117,8 +120,8 @@ def signature_counts(g: np.ndarray) -> tuple:
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
-def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: float | None = 1e12,
-                        chart: str | None = None) -> np.ndarray:
+def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, cond_limit: float | None = 1e12,
+                        chart: str | None = None, along: list[float] | None = None) -> np.ndarray | list[float]:
     """Levi-Civita symbols of the raw metric by central differences.
 
     ``p`` is a Point, or raw coordinates (x..., t) on ``chart``, one point or
@@ -128,20 +131,83 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray, *, cond_limit: floa
     the 1-norm condition number ||g||_1 ||g^-1||_1 from that inverse, and
     differenced as stacked arrays. Returns Gamma[..., A, B, C] with the upper
     index first, symmetrized in the lower pair.
+
+    Given ``along``, a velocity v of m = n + 1 floats, and one point (on
+    ``chart`` a list, read as it is, or a 1-d array), the call returns
+    -Gamma^a(v, v) as a float list instead, the symbols' contraction bit for
+    bit: the same stencil, reads, inverse and gate, the rest on Python floats.
     """
+    if along is not None:
+        if chart is None:
+            p, chart = [*p.x.tolist(), p.t], p.chart
+        elif isinstance(p, np.ndarray):
+            if p.ndim != 1:
+                raise ContractViolation(f"the oracle's acceleration takes one raw point, got shape {p.shape}")
+            p = p.tolist()
+        points, h = _fd.float_stencil(p, keep_sign=(len(p) - 1,))
+        gm, a = _stencil_fields(kk, points, len(p), chart)
+        return _numeric_floats(len(p))(kk.sign, gm, a, points, h, along, cond_limit)
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
     stack = raw.reshape(-1, raw.shape[-1])
     points, h = _fd.stencil(stack, keep_sign=(stack.shape[1] - 1,))
     g = kk.components(points.reshape(-1, stack.shape[1]), chart).reshape(points.shape + stack.shape[1:])
-    ginv = _inverse(g[:, 0])
+    ginv = _gated_inverse(g[:, 0], cond_limit)
+    gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h))
+    return gamma.reshape(raw.shape[:-1] + gamma.shape[1:])
+
+
+def _gated_inverse(g: np.ndarray, cond_limit: float | None) -> np.ndarray:
+    """``_inverse`` of a stack of metrics; a NumericError names the first whose 1-norm condition number
+    exceeds ``cond_limit`` (None: no gate) or is NaN."""
+    ginv = _inverse(g)
     if cond_limit is not None:
         # a matrix's 1-norm is its largest absolute column sum
-        cond = np.abs(g[:, 0]).sum(axis=1).max(axis=1) * np.abs(ginv).sum(axis=1).max(axis=1)
+        cond = np.abs(g).sum(axis=1).max(axis=1) * np.abs(ginv).sum(axis=1).max(axis=1)
         if not np.all(cond <= cond_limit):  # a NaN fails too; an empty stack passes
             k = np.flatnonzero(~(cond <= cond_limit))[0]
             raise NumericError(f"metric condition number (1-norm) {cond[k]:.3e} at point {k} exceeds {cond_limit:.0e}")
-    gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h))
-    return gamma.reshape(raw.shape[:-1] + gamma.shape[1:])
+    return ginv
+
+
+def _stencil_fields(kk: KKMetric, points: list[float], m: int, chart: str) -> tuple[list[float], list[float]]:
+    """g_M and A, as ``KKMetric.components`` reads them, at raw points of m floats one after the other."""
+    raw = np.array(points).reshape(-1, m)
+    x = raw[:, :-1]
+    return kk.metric.at(x, raw[:, -1], chart).ravel().tolist(), kk.gauge.at(x, chart).ravel().tolist()
+
+
+def _centre_inverse(g: list[float], cond_limit: float | None) -> list[float]:
+    """``_gated_inverse`` of one m x m metric, given and returned as a flat C-order list."""
+    return _gated_inverse(np.array(g).reshape(1, math.isqrt(len(g)), -1), cond_limit).ravel().tolist()
+
+
+@cache
+def _numeric_floats(m: int) -> Callable[..., list[float]]:
+    """``christoffel_numeric``'s acceleration, generated once per m = n + 1, from the sign s, g_M and A at the
+    4m + 1 stencil points, the points, their steps h, a velocity v and the gate's limit: the raw components
+    assembled as ``KKMetric.components`` does, differenced, the centre inverted, and the symbols summed and
+    contracted, each float as the stacked oracle gives it."""
+    n, size = m - 1, 4 * m + 1
+
+    def entry(k: int, i: int, j: int) -> str:
+        if i < n and j < n:
+            return f"gm[{(k * n + i) * n + j}] + sa{k}_{i} * a[{k * n + j}]"
+        return f"f{k}" if i == j else f"sa{k}_{min(i, j)} / t{k}"
+
+    names: dict[str, str] = {}  # a mixed entry's partial serves both of its places
+    partials = [names.setdefault(_fd.partial_text(lambda k: entry(k, i, j), c, f"h{c}", f"hh{c}"), f"d{len(names)}")
+                for c, i, j in product(range(m), repeat=3)]
+    return run_generated(["def kernel(s, gm, a, points, h, v, cond_limit):",
+                          f"    {', '.join(f'h{c}' for c in range(m))}, = h",
+                          *(f"    hh{c} = 2.0 * h{c}" for c in range(m)),
+                          *(f"    t{k} = points[{k * m + n}]" for k in range(size)),
+                          *(f"    sa{k}_{i} = s * a[{k * n + i}]" for k in range(size) for i in range(n)),
+                          *(f"    f{k} = s / square(t{k}, 'the fiber coordinate t')" for k in range(size)),
+                          f"    g = [{', '.join(entry(0, i, j) for i, j in product(range(m), repeat=2))}]",
+                          *(f"    {name} = {text}" for text, name in names.items()),
+                          f"    gamma = levi(inverse(g, cond_limit), g + [{', '.join(partials)}])[0]",
+                          *contracted([f"gamma[{k}]" for k in range(m**3)], m)],
+                         square=square, inverse=_centre_inverse, levi=_levi_civita_floats(m, False))["kernel"]
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -156,15 +222,17 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 @cache
 def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[float]], tuple]:
-    """``_levi_civita`` of one n x n block on Python floats, generated once per
-    (n, fiber). It takes the inverse, ginv[a * n + d], and a block's jet, its
+    """``_levi_civita`` of one n x n metric on Python floats, generated once per
+    (n, fiber). It takes the inverse, ginv[a * n + d], and a jet, the metric's
     entries and then its partials dg[(c * n + a) * n + b] on the axes x1..xn
-    (and t, for a fiber-dependent block), and gives ``base_data``'s (base,
+    (and t, for a fiber-dependent base block), and gives ``base_data``'s (base,
     dgdt, rate): the symbols Gamma[(a * n + b) * n + c] and, for a
     fiber-dependent block, the jet's t partials as they are and the rate
-    g^{cd} dg_ad/dt at [c * n + a] (else None, None). Each sum starts at 0.0
-    and runs over d in index order, as numpy's einsum sums these small
-    contractions, so the symbols are ``_levi_civita``'s bit for bit."""
+    g^{cd} dg_ad/dt at [c * n + a] (else None, None). The metric is a base
+    block, or with fiber False the raw metric of m = n + 1 coordinates
+    (x..., t), for the oracle. Each sum starts at 0.0 and runs over d in
+    index order, as numpy's einsum sums these small contractions, so the
+    symbols are ``_levi_civita``'s bit for bit."""
     dg = lambda c, a, b: f"jet[{(c * n + a) * n + b + n * n}]"
     lines = [f"    l{d}_{b}_{c} = {dg(b, d, c)} + {dg(c, d, b)} - {dg(d, b, c)}"
              for d in range(n) for b in range(n) for c in range(n)]

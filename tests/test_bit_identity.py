@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -143,6 +144,15 @@ def _ref_geodesic_rhs(gamma_at, sign):
         return np.concatenate([vel, acc[:n], [acc[n] / t - w * w]])
 
     return lambda y: rhs(np.array(y)).tolist()
+
+
+@functools.cache
+def _contraction(n):
+    """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1, as a float list, and v on Python
+    floats, generated once per n as ``kaluza.contracted`` sums it: the einsum's bytes for a symbol list."""
+    m = n + 1
+    lines = kaluza.contracted([f"g[{k}]" for k in range(m**3)], m)
+    return expressions.run_generated(["def kernel(g, v):", *lines])["kernel"]
 
 
 def _ref_gamma_provider(kk, chart, cfg, provider=geodesics._gamma_provider):
@@ -562,6 +572,11 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _nan_bits(values):
+    """``_bits`` with every NaN as the one NaN: a NaN's sign bit is not reproducible (see below)."""
+    return _bits([math.nan if a != a else a for a in values])
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 @pytest.mark.parametrize("tableau", [geodesics._TSITOURAS54, geodesics._RK4], ids=["tsitouras", "rk4"])
 def test_generated_step_equals_the_tableau_loop(tableau, m):
@@ -627,12 +642,12 @@ def test_generated_contraction_equals_einsum(n):
     numpy's kernels need not share with Python's (one draw in 3,000 at n = 3),
     and a NaN slope ends a run whatever its sign."""
     rng = np.random.default_rng([31, n])
-    kernel, m = geodesics._contraction(n), n + 1
+    kernel, m = _contraction(n), n + 1
     for k in range(1000):
         g, v = _draws(rng, m**3, k % 2), _draws(rng, m, k % 2)
         with np.errstate(all="ignore"):
             ref = -np.einsum("abc,b,c->a", np.reshape(g, (m, m, m)), np.array(v), np.array(v))
-        assert _bits([math.nan if a != a else a for a in kernel(g, v)]) == np.where(np.isnan(ref), math.nan, ref).tobytes()
+        assert _nan_bits(kernel(g, v)) == np.where(np.isnan(ref), math.nan, ref).tobytes()
 
 
 @pytest.mark.parametrize("fiber", [False, True], ids=["fixed", "fiber"])
@@ -646,14 +661,13 @@ def test_closed_form_acceleration_equals_the_contracted_symbols(n, fiber):
     the other as its float operation is specialized or not, so its sign
     bit changes as the interpreter warms up, even within one kernel."""
     rng = np.random.default_rng([59, n, fiber])
-    symbols, accel, contract = kaluza._closed_floats(n, fiber), kaluza._closed_floats(n, fiber, along=True), \
-        geodesics._contraction(n)
-    nan_bits = lambda values: _bits([math.nan if a != a else a for a in values])
+    symbols, accel = kaluza._closed_floats(n, fiber), kaluza._closed_floats(n, fiber, along=True)
+    contract = _contraction(n)
     for k in range(1000):
         t, s = _draws(rng, 1, k % 2)[0] or 0.5, float(rng.choice([-1.0, 1.0]))  # the closed form divides by t
         data = [_draws(rng, n**3, k % 2)] + [_draws(rng, n * n, k % 2) for _ in range(2 * fiber)]
         v = _draws(rng, n + 1, k % 2)
-        assert nan_bits(accel(t, s, *data, v)) == nan_bits(contract(symbols(t, s, *data), v))
+        assert _nan_bits(accel(t, s, *data, v)) == _nan_bits(contract(symbols(t, s, *data), v))
 
 
 def test_the_acceleration_along_a_velocity_needs_a_vanishing_gauge_field(flat2):
@@ -661,10 +675,102 @@ def test_the_acceleration_along_a_velocity_needs_a_vanishing_gauge_field(flat2):
     raw, v = [0.1, 0.2, -1.3], [0.4, -0.0, 0.7]
     symbols = kaluza.christoffel_closed(flat2.kk(-1), raw, chart="cartesian")
     assert kaluza.christoffel_closed(flat2.kk(-1), raw, chart="cartesian", along=v) == \
-        geodesics._contraction(2)(symbols.ravel().tolist(), v)
+        _contraction(2)(symbols.ravel().tolist(), v)
     gauge = GaugeField(components={"cartesian": lambda x: np.array([x[1], -x[0]])})
     with pytest.raises(cg.ContractViolation, match="vanishing gauge field"):
         kaluza.christoffel_closed(flat2.kk(+1, gauge), raw, chart="cartesian", along=v)
+
+
+# a gauged expression file: its metric and gauge field both vary over the chart
+GAUGED = ("[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\n"
+          "main = matrix(1 + 0.5 * x1^2, 0.1 * x2; 0.1 * x2, 2 + sin(x1))\n[gauge]\nmain = vector(0.3 * x2, -0.2 * sin(x1))\n")
+_ORACLE_CASES = [*scenarios.catalog_names(), "flat2-gauge", "gauged-file", "grid-file", "cone-file", "three-d-file"]
+
+
+def _oracle_case(case, tmp_path, workloads):
+    """(scenario, gauge field) of a named case of ``_ORACLE_CASES``."""
+    if case == "flat2-gauge":
+        return cg.load("flat", n=2), GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1],
+                                                                                              0.3 * math.sin(x[0])])})
+    if case == "grid-file":
+        return cg.load(str(workloads.write_grid_scenario(tmp_path, np.random.default_rng([3, 0])))), None
+    texts = {"gauged-file": GAUGED, "cone-file": CONE, "three-d-file": THREE}
+    return cg.load(str(_write(tmp_path, f"{case}.ini", texts[case])) if case in texts else case), None
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_oracle_acceleration_equals_the_contracted_stacked_oracle(case, tmp_path, workloads):
+    """``christoffel_numeric(..., along=v)`` is ``_contraction`` of the stacked
+    oracle's symbols at the same point byte for byte, a NaN counting as a
+    NaN: for both signs of the metric, at sample points of every chart with
+    both signs of t, for a raw list, a 1-d array and a Point, and for
+    velocities with signed zeros, subnormals, infinities and NaN."""
+    scenario, gauge = _oracle_case(case, tmp_path, workloads)
+    assert (gauge or scenario.gauge).is_zero is (case in scenarios.catalog_names() + ["cone-file", "three-d-file"])
+    rng = np.random.default_rng([61, sum(map(ord, case))])
+    m = scenario.dim + 1
+    for sign in (+1, -1):
+        kk = scenario.kk(sign, gauge)
+        for chart in scenario.atlas.chart_names():
+            for k, p in enumerate(scenario.sample_points(rng, 4, chart=chart)):
+                for point in (p, cg.Point(p.x, -p.t, chart)):
+                    raw, v = point.raw(), _draws(rng, m, k % 2)
+                    symbols = kaluza.christoffel_numeric(kk, raw[None], cond_limit=None, chart=chart)[0]
+                    ref = _nan_bits(_contraction(m - 1)(symbols.ravel().tolist(), v))
+                    for form, on in ((raw.tolist(), chart), (raw, chart), (point, None)):
+                        assert _nan_bits(kaluza.christoffel_numeric(kk, form, cond_limit=None, chart=on, along=v)) == ref
+
+
+def _outcome(call):
+    """The float list ``call()`` gives, a NaN as a NaN, or the type and text of the error it raises."""
+    try:
+        return _nan_bits(np.ravel(call()).tolist())
+    except cg.CarrollError as exc:
+        return type(exc), str(exc)
+
+
+def test_oracle_acceleration_fails_as_the_stacked_oracle_does(flat2):
+    """The same error with the same text, or NaN in the same places, as
+    ``christoffel_numeric`` of the point contracted: the sign guard near
+    t = 0, a singular centre, a fiber square past the float range, the gate
+    (``cond_limit``) and a field that reads NaN at some stencil points."""
+    nan_at = lambda x, t: np.eye(2) * (math.nan if x[0] > 0.5 else 1.0)  # at the +h points of x1 = 0.5
+    metric = lambda fn: cg.DegenerateMetric(blocks={"cartesian": fn})
+    cases = [(flat2.metric, [0.1, 0.2, 1e-10], None, cg.DomainError),
+             (metric(lambda x, t: np.zeros((2, 2))), [0.1, 0.2, 1.3], None, cg.NumericError),
+             (flat2.metric, [0.1, 0.2, -1e160], None, cg.NumericError),
+             (flat2.metric, [0.1, 0.2, 1e-7], 1e12, cg.NumericError),
+             (metric(nan_at), [0.5, 0.2, 1.3], None, None)]
+    for block, raw, cond_limit, error in cases:
+        for sign in (+1, -1):
+            kk = kaluza.KKMetric(sign, block, flat2.gauge)
+            v = [0.4, -0.3, 0.7]
+            along = _outcome(lambda: kaluza.christoffel_numeric(kk, raw, cond_limit=cond_limit, chart="cartesian",
+                                                                along=v))
+            ref = _outcome(lambda: _contraction(2)(kaluza.christoffel_numeric(
+                kk, raw, cond_limit=cond_limit, chart="cartesian").ravel().tolist(), v))
+            assert along == ref and (along[0] is error if error else math.isnan(np.frombuffer(along).sum())), raw
+    with pytest.raises(cg.ContractViolation, match=re.escape("takes one raw point, got shape (2, 3)")):
+        kaluza.christoffel_numeric(flat2.kk(-1), np.ones((2, 3)), chart="cartesian", along=[0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_float_levi_civita_of_a_raw_metric_equals_the_stacked_oracles(m):
+    """The oracle's acceleration sums its symbols with
+    ``_levi_civita_floats(m, False)``: over the m = n + 1 raw coordinates,
+    m = 4 included, its symbols equal ``_levi_civita`` of the stack (one
+    point, as the oracle calls it) byte for byte, signed zeros included."""
+    rng = np.random.default_rng([67, m])
+    kernel = kaluza._levi_civita_floats(m, False)
+    for k in range(300):
+        a = rng.normal(size=(m, m))
+        ginv = np.linalg.inv(a @ a.T + m * np.eye(m))
+        dg = rng.normal(size=(m, m, m)) * 10.0 ** rng.integers(-3, 4, size=(m, m, m))
+        if k % 2:
+            dg[rng.random(dg.shape) < 0.3] = 0.0
+            dg[rng.random(dg.shape) < 0.2] = -0.0
+        base, dgdt, rate = kernel(ginv.ravel().tolist(), [math.nan] * m * m + dg.ravel().tolist())
+        assert _bits(base) == kaluza._levi_civita(ginv[None], dg[None]).tobytes() and dgdt is rate is None
 
 
 def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
@@ -794,17 +900,23 @@ def test_closed_form_gives_the_same_bytes_for_a_point_an_array_and_a_list(tmp_pa
 
 # -- the closed orbit path reaches no BLAS or LAPACK --------------------------------
 
-def _rounding_numpy_calls(run, every=False):
+def _rounding_numpy_calls(run, every=False, within=()):
     """(what, caller) of each call that ``run()`` makes, recorded with
     sys.setprofile, of numpy code whose result rounds as the BLAS or LAPACK
     build or numpy's summation order decides: a numpy.linalg function, numpy's
     dot, vdot or inner, einsum's c_einsum, ndarray.dot, or a method such as
     ``reduce`` of a ufunc other than maximum and minimum (exact in any order);
     with ``every``, of any numpy code: a C function of numpy, a method of a
-    numpy object or a Python function of a numpy module. A matmul, called or
+    numpy object or a Python function of a numpy module. Calls made while a
+    function named in ``within`` runs are not recorded. A matmul, called or
     written as @, raises no profile event, nor does arithmetic on arrays
     made before ``run``; see ``test_orbit_path_functions_write_no_matmul``."""
     calls = []
+
+    def inside(frame):
+        while frame is not None and frame.f_code.co_name not in within:
+            frame = frame.f_back
+        return frame is not None
 
     def caller(frame):
         while frame.f_globals.get("__name__", "").startswith("numpy"):
@@ -812,6 +924,8 @@ def _rounding_numpy_calls(run, every=False):
         return f"{frame.f_code.co_name}:{frame.f_lineno}"
 
     def profile(frame, event, arg):
+        if within and event in ("c_call", "call") and inside(frame):
+            return
         if event == "c_call":
             owner = getattr(arg, "__self__", None)
             if every and (str(getattr(arg, "__module__", "")).startswith("numpy")
@@ -906,14 +1020,51 @@ def test_a_closed_route_stage_calls_no_numpy(tmp_path):
     assert what[:2] == ["array", "ndarray.tolist"] and what[2].startswith("numpy._core.fromnumeric.")
 
 
-# the functions that shoot, step and monitor a closed-route orbit; the reduced flow
+def _numeric_stage(scenario, chart, gauge=None):
+    """``_closed_stage`` on the oracle route."""
+    rng = np.random.default_rng(sum(map(ord, scenario.name + chart)))
+    lo, hi = np.array(scenario.atlas.chart(chart).box).T
+    x0, sign = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi), float(rng.choice([-1.0, 1.0]))
+    route, accel = geodesics._gamma_provider(scenario.kk(-1, gauge), chart, IntegratorConfig(christoffel="numeric"))
+    assert route == "numeric"
+    rhs, y = geodesics.geodesic_rhs(accel, sign), [*x0.tolist(), 0.3, *rng.uniform(-1.0, 1.0, scenario.dim + 1).tolist()]
+    rhs(y)
+    return lambda: rhs(y)
+
+
+def test_an_oracle_route_stage_calls_numpy_only_to_read_the_fields_and_invert(tmp_path, workloads):
+    """From the raw position and velocity to the slope, a stage of an
+    oracle-route orbit calls numpy in two places: the stacked reads of g_M
+    and A at the stencil points (``_stencil_fields``, whatever the fields
+    call) and LAPACK's inverse of the centre (``_centre_inverse``). Nothing
+    else, so no einsum, dot or rounding reduce: on every catalog scenario and
+    chart, flat(2) with a callable gauge field, the gauged and grid files and
+    time-dependent files at n = 2 and 3."""
+    for case in _ORACLE_CASES:
+        scenario, gauge = _oracle_case(case, tmp_path, workloads)
+        for chart in scenario.atlas.chart_names():
+            stage = _numeric_stage(scenario, chart, gauge)
+            rounding = _rounding_numpy_calls(stage, within=("_stencil_fields",))
+            assert "numpy.linalg._linalg.inv" in dict(rounding), (case, chart)
+            assert {caller.partition(":")[0] for _, caller in rounding} == {"_inverse"}, (case, chart)
+            assert _rounding_numpy_calls(stage, every=True, within=("_stencil_fields", "_centre_inverse")) == [], \
+                (case, chart)
+    # ``within`` spares what runs beneath the named functions only
+    run = lambda: (kaluza._centre_inverse([2.0, 0.0, 0.0, 2.0], None), np.einsum("a,a->", [1.0], [1.0]))
+    assert [what for what, _ in _rounding_numpy_calls(run, within=("_centre_inverse",))] == ["c_einsum"]
+
+
+# the functions that shoot, step and monitor an orbit on the closed route or the oracle's; the reduced flow
 # (``integrate_small_gauge``) and the published transcriptions stay on numpy's linear algebra
 _ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carroll_charge", "null_residual",
                                 "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
-                                "_contraction", "_pairwise_sum", "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
+                                "_pairwise_sum", "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
                                 "_first_step", "_drive", "_initial_chart", "integrate"),
                "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats",
-                             "contracted"),
+                             "contracted", "christoffel_numeric", "_gated_inverse", "_stencil_fields",
+                             "_centre_inverse", "_numeric_floats"),
+               "_fd.py": ("_guarded_step", "step_size", "float_stencil", "_stencil_floats", "_unit_offsets",
+                          "partial_text"),
                "geometry.py": ("dot",)}
 
 

@@ -386,14 +386,20 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
 @pytest.mark.parametrize("factory, key", [
     (geodesics._step_kernel, (geodesics._TSITOURAS54, 6)),
     (geodesics._step_kernel, (geodesics._RK4, 8)),
-    (geodesics._contraction, (2,)),
+    (kaluza._numeric_floats, (3,)),
+    (_fd._stencil_floats, (3,)),
     (kaluza._closed_floats, (2, True)),
     (kaluza._closed_floats, (3, False)),
     (kaluza._levi_civita_floats, (2, True)),
-], ids=["tsitouras_step", "rk4_step", "contraction", "closed_fiber", "closed", "levi_civita"])
+], ids=["tsitouras_step", "rk4_step", "oracle_acceleration", "stencil", "closed_fiber", "closed", "levi_civita"])
 def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_key(factory, key, monkeypatch):
-    """The stepping and symbol kernels: no builtins, a namespace of exactly
-    the names the code reads, and one compile per key."""
+    """The stepping, stencil and symbol kernels: no builtins, a namespace of
+    exactly the names the code reads, and one compile per key. Each is built
+    once first, so that a kernel it is built on (the oracle's acceleration
+    is built on ``_levi_civita_floats``) is cached and only its own source
+    compiles."""
+    factory.cache_clear()
+    factory(*key)
     compiled = []
 
     def spy(*args):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -251,6 +252,19 @@ def test_a_null_residual_whose_base_speed_overflows_is_the_monitors_numeric_erro
     for monitors in (lambda: null_residual(fast, flat2), lambda: integrate(fast, flat2, IntegratorConfig(lambda_max=0.0))):
         with pytest.raises(NumericError, match="^the fiber velocity, base speed or charge of a sample overflows"):
             monitors()
+
+
+def test_monitors_of_a_state_whose_fiber_rate_overflows_are_integrates_domain_error(flat2):
+    """vt / t = 1e10 / 1e-300 is past the float range: the charge and the null
+    residual raise the DomainError that ``integrate`` raises for a state
+    whose fiber rate overflows, where they returned -inf."""
+    for state, monitors in ((GeodesicState([0.1, 0.2], 1e-300, [0.3, 0.4], 1e10),
+                             (lambda s: carroll_charge(s, flat2.gauge, "cartesian"), lambda s: null_residual(s, flat2))),
+                            (GeodesicState([0.1, 0.2], 1e-8, [0.3, 0.4], 1e305),
+                             (lambda s: integrate(s, flat2, IntegratorConfig(lambda_max=0.0)),))):
+        for monitor in monitors:
+            with pytest.raises(DomainError, match=re.escape(f"the fiber rate vt / t = {state.vt:.3e} / {state.t:.3e} overflows")):
+                monitor(state)
 
 
 # -- log time -------------------------------------------------------------------

@@ -27,10 +27,14 @@ from carrollgeo.linearize import linearize, shift_transitions, synthetic_circle_
 CATALOG = ["flat", "lightcone", "sphere_pullback", "moebius", "schwarzschild", "thakurta"]
 
 
-def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None):
+def reference_christoffel(kk, p, *, cond_limit=1e12, chart=None, along=None):
     """The oracle one point and one axis at a time: ``_fd.partial`` over
-    ``kk.raw_field``, row by row for a stack of raw points."""
+    ``kk.raw_field``, row by row for a stack of raw points; given ``along``,
+    a velocity v, the symbols contracted by einsum, -Gamma^a(v, v), as a list."""
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
+    if along is not None:
+        v = np.array(along)
+        return (-np.einsum("abc,b,c->a", reference_christoffel(kk, raw, cond_limit=cond_limit, chart=chart), v, v)).tolist()
     if raw.ndim == 2:
         return np.array([reference_christoffel(kk, row, cond_limit=cond_limit, chart=chart) for row in raw])
     field_fn = kk.raw_field(chart)
@@ -146,6 +150,32 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     p = scenario.point([0.4, 0.3], 1.3)
     christoffel_numeric(kk, p)
     assert calls == {"block": 13, "gauge": 13 if use_gauge else 0}
+    christoffel_numeric(kk, p, along=[0.2, -0.1, 0.7])
+    assert calls == {"block": 26, "gauge": 26 if use_gauge else 0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_oracle_acceleration_reads_each_field_once_per_call(n, monkeypatch):
+    """``along``: one stacked ``metric.at`` and one ``gauge.at`` call per
+    oracle call, each calling its callable at the 4m + 1 stencil points."""
+    scenario = cg.load("flat", n=n)
+    gauge = GaugeField(components={"cartesian": lambda x: 0.3 * np.sin(x)})
+    calls = {"block": 0, "gauge": 0, "metric.at": 0, "gauge.at": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    scenario.metric.blocks.update({chart: counted("block", fn) for chart, fn in scenario.metric.blocks.items()})
+    gauge.components = {chart: counted("gauge", fn) for chart, fn in gauge.components.items()}
+    monkeypatch.setattr(DegenerateMetric, "at", counted("metric.at", DegenerateMetric.at))
+    monkeypatch.setattr(GaugeField, "at", counted("gauge.at", GaugeField.at))
+    kk, m = scenario.kk(-1, gauge), n + 1
+    for k in range(1, 3):
+        christoffel_numeric(kk, [0.4, 0.3, -0.2][:n] + [1.3], chart="cartesian", along=[0.2] * m)
+        assert calls == {"block": k * (4 * m + 1), "gauge": k * (4 * m + 1), "metric.at": k, "gauge.at": k}
 
 
 @pytest.fixture(scope="module")
