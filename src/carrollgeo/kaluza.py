@@ -135,7 +135,8 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, co
     Given ``along``, a velocity v of m = n + 1 floats, and one point (on
     ``chart`` a list, read as it is, or a 1-d array), the call returns
     -Gamma^a(v, v) as a float list instead, the symbols' contraction bit for
-    bit: the same stencil, reads, inverse and gate, the rest on Python floats.
+    bit: the same stencil, inverse and gate, g_M read at every stencil point
+    and A at the 4n + 1 whose x differ, the rest on Python floats.
     """
     if along is not None:
         if chart is None:
@@ -170,10 +171,12 @@ def _gated_inverse(g: np.ndarray, cond_limit: float | None) -> np.ndarray:
 
 
 def _stencil_fields(kk: KKMetric, points: list[float], m: int, chart: str) -> tuple[list[float], list[float]]:
-    """g_M and A, as ``KKMetric.components`` reads them, at raw points of m floats one after the other."""
+    """g_M and A, as ``KKMetric.components`` reads them, from the 4m + 1 raw points of ``_fd.float_stencil``, m
+    floats one after the other: g_M at all of them, and A at the first 4n + 1 (n = m - 1), the centre and the x
+    axes. The t-axis points carry the centre's x floats, so ``_numeric_floats`` gives them the centre's A."""
     raw = np.array(points).reshape(-1, m)
     x = raw[:, :-1]
-    return kk.metric.at(x, raw[:, -1], chart).ravel().tolist(), kk.gauge.at(x, chart).ravel().tolist()
+    return kk.metric.at(x, raw[:, -1], chart).ravel().tolist(), kk.gauge.at(x[:4 * m - 3], chart).ravel().tolist()
 
 
 def _centre_inverse(g: list[float], cond_limit: float | None) -> list[float]:
@@ -183,16 +186,21 @@ def _centre_inverse(g: list[float], cond_limit: float | None) -> list[float]:
 
 @cache
 def _numeric_floats(m: int) -> Callable[..., list[float]]:
-    """``christoffel_numeric``'s acceleration, generated once per m = n + 1, from the sign s, g_M and A at the
-    4m + 1 stencil points, the points, their steps h, a velocity v and the gate's limit: the raw components
-    assembled as ``KKMetric.components`` does, differenced, the centre inverted, and the symbols summed and
-    contracted, each float as the stacked oracle gives it."""
-    n, size = m - 1, 4 * m + 1
+    """``christoffel_numeric``'s acceleration, generated once per m = n + 1, from the sign s, g_M at the 4m + 1
+    stencil points and A at the first 4n + 1 (``_stencil_fields``), the points, their steps h, a velocity v and
+    the gate's limit: the raw components assembled as ``KKMetric.components`` does, differenced, the centre
+    inverted, and the symbols summed and contracted, each float as the stacked oracle gives it. The stencil
+    gives the t-axis points the centre's x floats and the x-axis points its t, so those take the centre's A
+    and s A, and its t and s / t^2, computed once."""
+    n = m - 1
+    ka = lambda k: 0 if k > 4 * n else k  # point k's A is point ka(k)'s: a t-axis point has the centre's x
+    kt = lambda k: 0 if 0 < k <= 4 * n else k  # point k's t is point kt(k)'s: an x-axis point has the centre's t
+    distinct_t = [0, *range(4 * n + 1, 4 * m + 1)]
 
     def entry(k: int, i: int, j: int) -> str:
         if i < n and j < n:
-            return f"gm[{(k * n + i) * n + j}] + sa{k}_{i} * a[{k * n + j}]"
-        return f"f{k}" if i == j else f"sa{k}_{min(i, j)} / t{k}"
+            return f"gm[{(k * n + i) * n + j}] + sa{ka(k)}_{i} * a[{ka(k) * n + j}]"
+        return f"f{kt(k)}" if i == j else f"sa{ka(k)}_{min(i, j)} / t{kt(k)}"
 
     names: dict[str, str] = {}  # a mixed entry's partial serves both of its places
     partials = [names.setdefault(_fd.partial_text(lambda k: entry(k, i, j), c, f"h{c}", f"hh{c}"), f"d{len(names)}")
@@ -200,9 +208,9 @@ def _numeric_floats(m: int) -> Callable[..., list[float]]:
     return run_generated(["def kernel(s, gm, a, points, h, v, cond_limit):",
                           f"    {', '.join(f'h{c}' for c in range(m))}, = h",
                           *(f"    hh{c} = 2.0 * h{c}" for c in range(m)),
-                          *(f"    t{k} = points[{k * m + n}]" for k in range(size)),
-                          *(f"    sa{k}_{i} = s * a[{k * n + i}]" for k in range(size) for i in range(n)),
-                          *(f"    f{k} = s / square(t{k}, 'the fiber coordinate t')" for k in range(size)),
+                          *(f"    t{k} = points[{k * m + n}]" for k in distinct_t),
+                          *(f"    sa{k}_{i} = s * a[{k * n + i}]" for k in range(4 * n + 1) for i in range(n)),
+                          *(f"    f{k} = s / square(t{k}, 'the fiber coordinate t')" for k in distinct_t),
                           f"    g = [{', '.join(entry(0, i, j) for i, j in product(range(m), repeat=2))}]",
                           *(f"    {name} = {text}" for text, name in names.items()),
                           f"    gamma = levi(inverse(g, cond_limit), g + [{', '.join(partials)}])[0]",

@@ -684,14 +684,19 @@ def test_the_acceleration_along_a_velocity_needs_a_vanishing_gauge_field(flat2):
 # a gauged expression file: its metric and gauge field both vary over the chart
 GAUGED = ("[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n[metric]\n"
           "main = matrix(1 + 0.5 * x1^2, 0.1 * x2; 0.1 * x2, 2 + sin(x1))\n[gauge]\nmain = vector(0.3 * x2, -0.2 * sin(x1))\n")
-_ORACLE_CASES = [*scenarios.catalog_names(), "flat2-gauge", "gauged-file", "grid-file", "cone-file", "three-d-file"]
+_ORACLE_CASES = [*scenarios.catalog_names(), "flat1-gauge", "flat2-gauge", "flat3-gauge", "gauged-file", "grid-file",
+                 "cone-file", "three-d-file"]
+# callable gauge fields on flat(n), each component varying along every axis it may
+_FLAT_GAUGES = {1: lambda x: np.array([0.3 * math.sin(x[0]) + x[0] ** 2]),
+                2: lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[0])]),
+                3: lambda x: np.array([x[0] * x[1], 0.3 * math.sin(x[2]) - x[1], x[1] - 0.5 * x[0] * x[2] ** 2])}
 
 
 def _oracle_case(case, tmp_path, workloads):
     """(scenario, gauge field) of a named case of ``_ORACLE_CASES``."""
-    if case == "flat2-gauge":
-        return cg.load("flat", n=2), GaugeField(components={"cartesian": lambda x: np.array([x[0] * x[1],
-                                                                                              0.3 * math.sin(x[0])])})
+    if case.startswith("flat") and case.endswith("-gauge"):
+        n = int(case[4])
+        return cg.load("flat", n=n), GaugeField(components={"cartesian": _FLAT_GAUGES[n]})
     if case == "grid-file":
         return cg.load(str(workloads.write_grid_scenario(tmp_path, np.random.default_rng([3, 0])))), None
     texts = {"gauged-file": GAUGED, "cone-file": CONE, "three-d-file": THREE}

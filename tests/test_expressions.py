@@ -296,20 +296,21 @@ def test_a_constant_expression_has_zero_partials():
 
 def test_a_second_load_of_the_same_text_compiles_nothing(tmp_path, monkeypatch):
     """Generated code is cached by its source text across loads. From a cold
-    cache the first load compiles four sources: the box's constants -1 and 1,
-    the block, and its Levi-Civita kernel; the second compiles nothing. Each
-    load still runs its code in a namespace of its own, and a failing entry
-    is still named by each."""
+    cache the first load compiles five sources: the box's constants -1 and 1,
+    the block, its inverse and its Levi-Civita kernel; the second compiles
+    nothing. Each load still runs its code in a namespace of its own, and a
+    failing entry is still named by each."""
     compiled = []
     monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
     monkeypatch.setattr(expressions, "_CODE", {})
     kaluza.jet_base_data.cache_clear()
     kaluza._levi_civita_floats.cache_clear()
+    kaluza._block_inverse.cache_clear()
     path = tmp_path / "cached.ini"
     path.write_text("[meta]\ndim = 2\n[charts]\nmain = box(-1, 1; -1, 1)\n[metric]\n"
                     "main = matrix(1 + 0.4375 * x1^2, 0; 0, sqrt(x2 + 1.8125))\n")
     loads = []
-    for count in (4, 0):
+    for count in (5, 0):
         compiled.clear()
         loads.append(scenarios.load(str(path)))
         assert len(compiled) == count

@@ -8,6 +8,7 @@ of the CLI commands that use them.
 """
 
 import ast
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -90,6 +91,26 @@ def test_partial_is_the_richardson_combination_of_two_central_differences():
                 assert known[axis] == expected
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_float_stencil_keeps_every_coordinate_its_offset_does_not_move(m):
+    """``_fd.float_stencil`` gives its centre p bit for bit, every t-axis point
+    p's x floats and every x-axis point p's t: the oracle's acceleration reads
+    the gauge at the centre and the x axes only, and shares the centre's t, on
+    this. Both signs of t, near 1e300 and the sign guard's 1e-9, and x with
+    signed zeros and magnitudes near 1e-300 and 1e300; a +0.0 offset would
+    turn a -0.0 coordinate into 0.0."""
+    bits = lambda floats: np.array(floats, dtype=float).tobytes()
+    xs = [-0.0, 0.0, 1e-300, -5e-324, -1.7e300, 0.4]
+    for t in (1.3, -1.3, 2e-9, -3e-9, 1e300, -1.7e300):
+        for x in itertools.product(xs, repeat=m - 1):
+            p = [*x, t]
+            points, _ = _fd.float_stencil(p, keep_sign=(m - 1,))
+            rows = [points[k * m:(k + 1) * m] for k in range(4 * m + 1)]
+            assert bits(rows[0]) == bits(p)
+            assert all(bits(row[:-1]) == bits(x) for row in rows[4 * m - 3:])
+            assert all(bits(row[-1:]) == bits([t]) for row in rows[1:4 * m - 3])
+
+
 def test_stacked_assembly_is_the_per_point_formula():
     """[[g_M + s A A^T, s A / t], [s A^T / t, s / t^2]] at each point, as the
     reference's ``raw_field`` sees it, with t**2 taken as a Python float."""
@@ -128,8 +149,9 @@ def test_one_pass_oracle_is_bit_identical_to_per_axis_reference(scenario, gauge,
 @pytest.mark.parametrize("name, use_gauge", [("schwarzschild", False), ("flat", True)])
 def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     """Counted as the benchmark tracer counts: wrappers around the per-chart
-    callables. At n = 2 the stencil has 4 * 3 + 1 = 13 points. Schwarzschild's
-    gauge is known to vanish (``is_zero``), so it is never read."""
+    callables. At n = 2 the stencil has 4 * 3 + 1 = 13 points; the ``along``
+    call reads the gauge at the 4 * 2 + 1 = 9 of them whose x differ.
+    Schwarzschild's gauge is known to vanish (``is_zero``), so it is never read."""
     if use_gauge:
         scenario, gauge = _gauged_flat2()
     else:
@@ -151,13 +173,14 @@ def test_oracle_reads_each_field_once_per_stencil_point(name, use_gauge):
     christoffel_numeric(kk, p)
     assert calls == {"block": 13, "gauge": 13 if use_gauge else 0}
     christoffel_numeric(kk, p, along=[0.2, -0.1, 0.7])
-    assert calls == {"block": 26, "gauge": 26 if use_gauge else 0}
+    assert calls == {"block": 26, "gauge": 13 + 9 if use_gauge else 0}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_oracle_acceleration_reads_each_field_once_per_call(n, monkeypatch):
     """``along``: one stacked ``metric.at`` and one ``gauge.at`` call per
-    oracle call, each calling its callable at the 4m + 1 stencil points."""
+    oracle call, the block's callable called at the 4m + 1 stencil points and
+    the gauge's at the 4n + 1 with distinct x, the centre and the x axes."""
     scenario = cg.load("flat", n=n)
     gauge = GaugeField(components={"cartesian": lambda x: 0.3 * np.sin(x)})
     calls = {"block": 0, "gauge": 0, "metric.at": 0, "gauge.at": 0}
@@ -175,7 +198,23 @@ def test_the_oracle_acceleration_reads_each_field_once_per_call(n, monkeypatch):
     kk, m = scenario.kk(-1, gauge), n + 1
     for k in range(1, 3):
         christoffel_numeric(kk, [0.4, 0.3, -0.2][:n] + [1.3], chart="cartesian", along=[0.2] * m)
-        assert calls == {"block": k * (4 * m + 1), "gauge": k * (4 * m + 1), "metric.at": k, "gauge.at": k}
+        assert calls == {"block": k * (4 * m + 1), "gauge": k * (4 * n + 1), "metric.at": k, "gauge.at": k}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_oracle_acceleration_reads_the_gauge_once_at_each_distinct_base_point(n):
+    """The gauge callable of an ``along`` call sees the stencil's centre and
+    then its x-axis points, in stencil order, each once and bit for bit; the
+    t-axis points, which carry the centre's x, are not read again."""
+    scenario = cg.load("flat", n=n)
+    seen = []
+    gauge = GaugeField(components={"cartesian": lambda x: seen.append(x.tobytes()) or 0.3 * np.sin(x)})
+    p = [0.4, -0.0, -0.2][:n] + [1.3]
+    christoffel_numeric(scenario.kk(-1, gauge), p, chart="cartesian", along=[0.2] * (n + 1))
+    points, _ = _fd.float_stencil(p, keep_sign=(n,))
+    stencil = np.array(points).reshape(-1, n + 1)[:, :n]
+    assert seen == [x.tobytes() for x in stencil[:4 * n + 1]]
+    assert len(set(seen)) == 4 * n + 1
 
 
 @pytest.fixture(scope="module")
