@@ -399,30 +399,20 @@ _RK4 = _Tableau(stages=((2.0, (1.0,)), (2.0, (0.0, 1.0)), (1.0, (0.0, 0.0, 1.0))
                 solution=(6.0, (1.0, 2.0, 2.0, 1.0)), error=None, start=-0.0)
 
 
-def _pairwise_sum(terms: list[str]) -> str:
-    """The sum of the float expressions ``terms``, none -0.0, in the order np.add.reduce takes over a
-    contiguous array (numpy's pairwise sum, numpy 2.4), which a plain loop does not: below 8 terms from 0.0
-    in index order; up to 128, eight running sums over blocks of 8, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), then the rest in index order; above, the sums of two halves split at a multiple of 8."""
-    m = len(terms)
-    if m < 8:
-        return "(0.0" + "".join(f" + {t}" for t in terms) + ")"
-    if m > 128:
-        return f"({_pairwise_sum(terms[:m // 2 - m // 2 % 8])} + {_pairwise_sum(terms[m // 2 - m // 2 % 8 :])})"
-    r = [f"({' + '.join(terms[j : m - m % 8 : 8])})" for j in range(8)]
-    rest = "".join(f" + {t}" for t in terms[m - m % 8 :])
-    return f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})){rest})"
-
-
 def _rms(values: list[float]) -> float:
-    """The root mean square of ``values``, their squares summed by ``_pairwise_sum``."""
+    """The root mean square of ``values``, as ``_rms_text`` writes it."""
     return _rms_kernel(len(values))(values)
 
 
 @cache
 def _rms_kernel(m: int) -> Callable[[list[float]], float]:
-    squares = _pairwise_sum([f"v[{j}] * v[{j}]" for j in range(m)])
-    return run_generated(["def kernel(v):", f"    return sqrt({squares} / {m}.0)"], sqrt=math.sqrt)["kernel"]
+    return run_generated(["def kernel(v):", "    return " + _rms_text([f"v[{j}]" for j in range(m)])],
+                         sqrt=math.sqrt)["kernel"]
+
+
+def _rms_text(names: list[str]) -> str:
+    """The root mean square of the floats ``names`` as code: their squares summed from 0.0 in index order."""
+    return f"sqrt((0.0{''.join(f' + {v} * {v}' for v in names)}) / {len(names)}.0)"
 
 
 def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
@@ -439,7 +429,7 @@ def _step_kernel(tableau: _Tableau, m: int) -> Callable:
     """``_rk_step`` for ``tableau`` on states of m floats, generated once: every row unrolled per
     component as y_j + h_r * (start + w_0 k0_j + ...), h_r = h / div once per row, with the tableau's
     weights written by ``repr``; the error row is taken over a zero state, and the squares of its
-    scaled components are summed by ``_pairwise_sum``, as ``_rms`` sums them."""
+    scaled components are summed by ``_rms_text``, as ``_rms`` sums them."""
     comps = lambda name: ", ".join(f"{name}{j}" for j in range(m))
     lines = ["def kernel(rhs, y, k0, h, tol):", f"    {comps('y')}, = y", f"    {comps('k0_')}, = k0"]
 
@@ -461,9 +451,8 @@ def _step_kernel(tableau: _Tableau, m: int) -> Callable:
     lines += [f"    k{r} = rhs(n)", f"    {comps(f'k{r}_')}, = k{r}"]
     lines += [f"    e{j} = ({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
               for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
-    squares = _pairwise_sum([f"e{j} * e{j}" for j in range(m)])
-    return run_generated(lines + [f"    return n, k{r}, sqrt({squares} / {m}.0)"], sqrt=math.sqrt, abs=abs,
-                         max=max)["kernel"]
+    return run_generated(lines + [f"    return n, k{r}, {_rms_text([f'e{j}' for j in range(m)])}"], sqrt=math.sqrt,
+                         abs=abs, max=max)["kernel"]
 
 
 def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: float) -> float:

@@ -340,7 +340,8 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
         Gamma^t_ab = -sign * (t^2/2) dg_ab/dt,  Gamma^t_tt = -1/t.
 
     With a nonzero gauge field only sign +1 is available; the gauge-dependent
-    terms are evaluated exactly as published for that case, and their
+    terms are evaluated exactly as published for that case and added to the
+    zero-gauge symbols before the lower pair is symmetrized, and their
     disagreement with the oracle is reported by ``closed_form_deviation``
     rather than asserted away.
     """
@@ -356,31 +357,21 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
             raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
     if along is not None and not kk.gauge.is_zero:
         raise ContractViolation("the closed-form acceleration along a velocity needs a vanishing gauge field")
-    n = len(x)
-    s = kk.sign
+    n, s = len(x), kk.sign
     base, dgdt, rate = base_data(kk, x, t, chart)
+    if not kk.gauge.is_zero and s != +1:
+        raise NumericError("closed-form symbols with a nonzero gauge field are only defined for sign +1; "
+                           "use the finite-difference oracle")
+    blocks = () if dgdt is None else (dgdt, rate)
+    if along is not None:
+        return _closed_floats(n, dgdt is not None, True)(t, s, base, *blocks, along)
+    gamma = np.array(_closed_floats(n, dgdt is not None)(t, s, base, *blocks)).reshape(n + 1, n + 1, n + 1)
     if kk.gauge.is_zero:
-        blocks = () if dgdt is None else (dgdt, rate)
-        if along is not None:
-            return _closed_floats(n, dgdt is not None, True)(t, s, base, *blocks, along)
-        return np.array(_closed_floats(n, dgdt is not None)(t, s, base, *blocks)).reshape(n + 1, n + 1, n + 1)
-    if s != +1:
-        raise NumericError(
-            "closed-form symbols with a nonzero gauge field are only defined for sign +1; "
-            "use the finite-difference oracle"
-        )
+        return gamma
 
+    # the published gauge terms, added to the zero-gauge symbols
     x, base = np.array(x), np.reshape(base, (n, n, n))
-    gamma = np.zeros((n + 1, n + 1, n + 1))
-    gamma[:n, :n, :n] = base
-    gamma[n, n, n] = -1.0 / t
-    if dgdt is None:
-        gamma[n, :n, :n] = -s * 0.0
-        dgdt = np.zeros((n, n))
-    else:
-        dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
-        gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
-        gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
+    dgdt = np.zeros((n, n)) if dgdt is None else np.reshape(dgdt, (n, n))
     gminv = base_inverse(kk, x, t, chart)
     a = kk.gauge.at(x, chart)
     jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b

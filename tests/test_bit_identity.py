@@ -230,6 +230,45 @@ def _ref_christoffel_closed(kk, p, *, chart=None):
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
+def _ref_published_closed(kk, p):
+    """The published sign +1 assembly with a nonzero gauge field over arrays: the zero-gauge blocks written as
+    they are (the fiber block -s (t^2/2) dg_M/dt unsymmetrized), the gauge terms added, then the lower pair
+    symmetrized."""
+    x, t, chart = p.x, p.t, p.chart
+    n, s = x.size, kk.sign
+    base, dgdt, rate = kaluza.base_data(kk, x.tolist(), t, chart)
+    base = np.reshape(base, (n, n, n))
+    gamma = np.zeros((n + 1, n + 1, n + 1))
+    gamma[:n, :n, :n] = base
+    gamma[n, n, n] = -1.0 / t
+    if dgdt is None:
+        gamma[n, :n, :n] = -s * 0.0
+        dgdt = np.zeros((n, n))
+    else:
+        dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
+        gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
+        gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
+    gminv = kaluza.base_inverse(kk, x, t, chart)
+    a = kk.gauge.at(x, chart)
+    jac_a = kk.gauge.jacobian(x, chart)
+    f = jac_a.T - jac_a
+    sym_da = jac_a + jac_a.T
+    ag = gminv @ a
+    gamma[:n, :n, :n] += 0.5 * (np.einsum("cd,b,ad->cab", gminv, a, f) + np.einsum("cd,a,bd->cab", gminv, a, f))
+    gamma[:n, :n, :n] += 0.5 * t * np.einsum("c,ab->cab", ag, dgdt)
+    gamma[:n, :n, n] += 0.5 / t * np.einsum("cd,da->ca", gminv, f)
+    gamma[:n, n, :n] = gamma[:n, :n, n]
+    gamma[n, :n, :n] += -t * np.einsum("c,cab->ab", a, base)
+    gamma[n, :n, :n] += -(t / 2.0) * (np.einsum("c,b,ac->ab", ag, a, f) + np.einsum("c,a,bc->ab", ag, a, f))
+    gamma[n, :n, :n] += (t / 2.0) * sym_da
+    gamma[n, :n, :n] += -(t**2 / 2.0) * float(a @ gminv @ a) * dgdt
+    scalar = -(t / 2.0) * float(np.einsum("cd,d,cd->", gminv, a, dgdt))
+    mixed_f = -0.5 * np.einsum("cd,d,ca->a", gminv, a, f)
+    gamma[n, :n, n] = mixed_f + scalar
+    gamma[n, n, :n] = gamma[n, :n, n]
+    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+
+
 def _ref_stereo_symbols(x):
     rho2 = sum(v * v for v in x.tolist())  # in index order
     grad_f = -2.0 * x / (1.0 + rho2)
@@ -396,6 +435,44 @@ def test_closed_form_equals_the_reference_on_the_check_sample_points(tmp_path, m
     for kk, points in recorded:
         for p in points:
             assert kaluza.christoffel_closed(kk, p).tobytes() == _ref_christoffel_closed(kk, p).tobytes(), p
+
+
+def _gauge_on(scenario):
+    """A callable gauge field on every chart of ``scenario``, each component varying along every axis."""
+    fn = lambda x: np.array([0.3 * math.sin(x[i - 1]) + 0.2 * x[i] * x[-1] for i in range(x.size)])
+    return GaugeField(components={chart: fn for chart in scenario.atlas.chart_names()})
+
+
+def test_published_gauged_closed_form_equals_the_reference(tmp_path):
+    """With a nonzero gauge field the sign +1 closed form adds the published
+    terms to the zero-gauge symbols of ``_closed_floats``, whose fiber block
+    is 0.5 (f_ab + f_ba), f = -(t^2/2) dg_M/dt: byte for byte the assembly
+    that writes f_ab as it is, wherever dg_M/dt is symmetric to the bit. So
+    on every catalog chart (lightcone and thakurta fiber-dependent), the
+    demo file and a gauged expression file, at both signs of t; on the cone
+    file with a gauge field, whose dg_M/dt is symmetric only up to rounding,
+    at the points where it is, and within rounding at the others."""
+    scenario_list = [cg.load(name) for name in scenarios.catalog_names()] + [cg.load(str(DEMO))]
+    cases = [(scenario, _gauge_on(scenario)) for scenario in scenario_list]
+    cases += [(cg.load(str(_write(tmp_path, "gauged.ini", GAUGED))), None)]
+    rng = np.random.default_rng(71)
+    for scenario, gauge in cases:
+        kk = scenario.kk(+1, gauge)
+        assert not kk.gauge.is_zero
+        for chart in scenario.atlas.chart_names():
+            for p in scenario.sample_points(rng, 6, chart=chart, include_negative_t=True):
+                assert kaluza.christoffel_closed(kk, p).tobytes() == _ref_published_closed(kk, p).tobytes(), (chart, p)
+    cone = cg.load(str(_write(tmp_path, "cone.ini", CONE)))
+    kk, moved = cone.kk(+1, _gauge_on(cone)), 0
+    for p in cone.sample_points(rng, 40, chart="main", include_negative_t=True):
+        closed, ref = kaluza.christoffel_closed(kk, p), _ref_published_closed(kk, p)
+        dgdt = kaluza.base_data(kk, p.x.tolist(), p.t, "main")[1]
+        if dgdt[1] == dgdt[2]:
+            assert closed.tobytes() == ref.tobytes(), p
+        else:
+            moved += closed.tobytes() != ref.tobytes()
+            assert np.max(np.abs(closed - ref)) <= 1e-15 * np.max(np.abs(ref)), p
+    assert moved > 0
 
 
 def test_stereographic_symbols_equal_the_loop():
@@ -595,34 +672,34 @@ def test_generated_step_equals_the_tableau_loop(tableau, m):
         assert runs[0] == runs[1]
 
 
-# values whose RMS, with the squares summed as np.add.reduce sums them (numpy's pairwise sum: in index order
-# below 8 terms, else over eight running sums and then the rest), is pinned here; it differs from the RMS of
-# the correctly rounded sum, of the sum in reverse order and, from m = 8, of the sum in index order
+# values whose RMS, with the squares summed from 0.0 in index order, is pinned here; it differs from the RMS of
+# the correctly rounded sum, of the sum in reverse order and, from m = 8, of np.add.reduce's (numpy's pairwise
+# sum, which below 8 terms is the index-order sum)
 _RMS_PINS = {
     4: (["-0x1.9415c6c00e554p-1", "0x1.0d3c00a7cd698p-3", "-0x1.fb425de53fefep-1", "-0x1.1dbe573984590p-4"],
         "0x1.467f66ed23287p-1"),
     6: (["0x1.bad9bba0012e8p-2", "-0x1.60a30d3463e40p-4", "0x1.6cd9ebaad5660p-3", "-0x1.6a1794d548dcep-1",
          "0x1.3534bda30f1e8p-1", "-0x1.ee60125725af8p-3"], "0x1.c02be2042ec12p-2"),
-    8: (["-0x1.ec7794da8f3bcp-2", "0x1.b198bb28aa110p-1", "0x1.f4fe2d42b7c38p-3", "0x1.9bacc4fa355b0p-1",
-         "0x1.41640cd1e3d56p-1", "-0x1.5e9007d02d320p-3", "0x1.948e33400a264p-1", "0x1.eee16d2e390bap-1"],
-        "0x1.593517c2a6517p-1"),
-    10: (["-0x1.5b624da104548p-2", "0x1.1f1900dd2b910p-1", "0x1.8ea6f94aa54c6p-1", "-0x1.108df691006d2p-1",
-          "-0x1.3b4bf76625426p-1", "-0x1.af4f236d56ce0p-2", "0x1.d4cee1b39d320p-1", "-0x1.f5606ff4c4ef8p-1",
-          "0x1.ed75099ba1cc8p-2", "0x1.c7fe493f20714p-1"], "0x1.5ef438f23c89ap-1"),
+    8: (["0x1.ebce2f9ecd7eep-1", "-0x1.0adbc835d87b8p-1", "-0x1.f6a4af1bc702cp-1", "0x1.594941636bf88p-3",
+         "0x1.4717dc8f545b8p-2", "0x1.95e334235a066p-1", "-0x1.b99bc7e6b2e32p-1", "-0x1.523dff88eebf8p-1"],
+        "0x1.6e6b6194629aap-1"),
+    10: (["-0x1.dab7d9c51bc38p-2", "0x1.5faff03af4ce2p-1", "-0x1.f8e1f7d1a6c2cp-2", "0x1.5d578121942e8p-2",
+          "-0x1.a92aa8fa05654p-2", "0x1.3318606082944p-1", "0x1.efa5ebc96d310p-4", "0x1.4cf6890760fe0p-5",
+          "-0x1.a441f103979b4p-1", "0x1.9aa0ef7b0aa10p-3"], "0x1.ec02a7781e1cdp-2"),
 }
 
 
 @pytest.mark.parametrize("m", sorted(_RMS_PINS))
-def test_rms_sums_the_squares_in_numpy_order(m):
+def test_rms_sums_the_squares_in_index_order(m):
     """The error norm of a step (and of the first-step probes) is the RMS of
-    m values with their squares summed in np.add.reduce's order on Python
-    floats: the pin, numpy's own sum and the generated step's norm agree."""
+    m values with their squares summed from 0.0 in index order, as every
+    generated sum runs: the pin, the loop and the generated step's norm agree."""
     values, rms = [float.fromhex(v) for v in _RMS_PINS[m][0]], float.fromhex(_RMS_PINS[m][1])
     squares = [v * v for v in values]
     in_order = lambda terms: functools.reduce(operator.add, terms, 0.0)  # Python's sum() may compensate
-    sums = [math.fsum(squares), in_order(reversed(squares))] + [in_order(squares)] * (m >= 8)
+    sums = [math.fsum(squares), in_order(reversed(squares))] + [float(np.add.reduce(squares))] * (m >= 8)
     assert rms not in [math.sqrt(s / m) for s in sums]
-    assert math.sqrt(np.add.reduce(squares) / m) == rms
+    assert math.sqrt(in_order(squares) / m) == rms
     assert geodesics._rms(values) == rms
     rng = np.random.default_rng([53, m])
     for _ in range(200):
@@ -632,7 +709,7 @@ def test_rms_sums_the_squares_in_numpy_order(m):
                 for step in (geodesics._rk_step, _ref_loop_step)]
         assert _bits([runs[0][2]]) == _bits([runs[1][2]])
         values = _draws(rng, m, False)
-        assert geodesics._rms(values) == math.sqrt(np.add.reduce([v * v for v in values]) / m)
+        assert geodesics._rms(values) == math.sqrt(in_order([v * v for v in values]) / m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1063,7 +1140,7 @@ def test_an_oracle_route_stage_calls_numpy_only_to_read_the_fields_and_invert(tm
 # (``integrate_small_gauge``) and the published transcriptions stay on numpy's linear algebra
 _ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carroll_charge", "null_residual",
                                 "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
-                                "_pairwise_sum", "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
+                                "_rms", "_rms_kernel", "_rk_step", "_step_kernel",
                                 "_first_step", "_drive", "_initial_chart", "integrate"),
                "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats",
                              "contracted", "christoffel_numeric", "_gated_inverse", "_stencil_fields",
