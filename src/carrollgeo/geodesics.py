@@ -13,12 +13,12 @@ else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
 Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
 code generated once per method and state length that unrolls the method's
-tableau term by term in its order. The right-hand side takes the
-acceleration -Gamma(v, v) from one kernel generated once per n, given the
-velocity as ``along``: on the closed route from base data
+tableau term by term in its order and sums the error norm's squares from 0.0
+in index order. The right-hand side takes the acceleration -Gamma(v, v),
+given the velocity as ``along``: on the closed route from base data
 (``christoffel_closed``), on the oracle route from the field values at the
-stencil points (``christoffel_numeric``); both sum as numpy's einsum does.
-Either gives every float that the same sums over arrays give.
+stencil points or, above n = 3, the stacked symbols (``christoffel_numeric``),
+in generated code that sums as numpy's einsum does, float for float.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -201,10 +201,8 @@ def _monitor_overflow():
 class NullShootSpec:
     """Initial data for a null geodesic: base point, unit direction, charge.
 
-    ``q`` is the signed conserved charge. ``eps`` flips the spatial
-    direction; ``delta`` (the sign of the fiber exponent for a trivial
-    connection) is determined by -sign(q) and may be passed only as a
-    consistency check.
+    ``q`` is the signed conserved charge (the fiber exponent of a trivial
+    connection has the sign -sign(q)); ``eps`` flips the spatial direction.
     """
 
     x0: np.ndarray
@@ -212,7 +210,6 @@ class NullShootSpec:
     q: float
     t0: float
     eps: int = +1
-    delta: int | None = None
     chart: str | None = None
 
 
@@ -250,8 +247,6 @@ def shoot_null(spec: NullShootSpec, scenario: Scenario, gauge: GaugeField | None
         raise DomainError(f"t0 must be finite and nonzero, and q finite, got t0 = {t0}, q = {q}")
     if spec.eps not in (+1, -1):
         raise ContractViolation("eps must be +1 or -1")
-    if spec.delta is not None and q != 0.0 and spec.delta != -int(math.copysign(1.0, q)):
-        raise ContractViolation("delta contradicts the sign of q (delta = -sign(q))")
     if q == 0.0:
         return GeodesicState(x0, t0, np.zeros(x0.size), 0.0)
     u = np.asarray(spec.u, dtype=float)

@@ -20,8 +20,8 @@ inverse). It is validated against the oracle only when the gauge field
 vanishes, which is where geodesics use it by default, and with a nonzero
 gauge field its output is something to compare, not to trust (see
 ``closed_form_deviation``). Given a velocity v (``along``), either route
-returns the acceleration -Gamma^a(v, v) at one point as a float list from
-one generated kernel, with the floats its symbols would give contracted.
+returns the acceleration -Gamma^a(v, v) at one point as a float list, its
+symbols contracted in generated code (the oracle's stacked ones above n = 3).
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .connection import GaugeField
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, dot, read_raw, square
+
+# the largest n with generated one-point kernels: a block's cofactor inverse, the oracle's m^4-text acceleration
+_FLOAT_KERNEL_MAX_N = 3
 
 
 @dataclass
@@ -135,8 +138,10 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, co
     Given ``along``, a velocity v of m = n + 1 floats, and one point (on
     ``chart`` a list, read as it is, or a 1-d array), the call returns
     -Gamma^a(v, v) as a float list instead, the symbols' contraction bit for
-    bit: the same stencil, inverse and gate, g_M read at every stencil point
-    and A at the 4n + 1 whose x differ, the rest on Python floats.
+    bit. Up to n = ``_FLOAT_KERNEL_MAX_N``: the same stencil, inverse and
+    gate, g_M read at every stencil point and A at the 4n + 1 whose x
+    differ, the rest on Python floats. Above it: the stacked symbols at the
+    point, contracted on Python floats.
     """
     if along is not None:
         if chart is None:
@@ -145,16 +150,17 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, co
             if p.ndim != 1:
                 raise ContractViolation(f"the oracle's acceleration takes one raw point, got shape {p.shape}")
             p = p.tolist()
-        points, h = _fd.float_stencil(p, keep_sign=(len(p) - 1,))
-        gm, a = _stencil_fields(kk, points, len(p), chart)
-        return _numeric_floats(len(p))(kk.sign, gm, a, points, h, along, cond_limit)
+        if len(p) - 1 <= _FLOAT_KERNEL_MAX_N:
+            points, h = _fd.float_stencil(p, keep_sign=(len(p) - 1,))
+            gm, a = _stencil_fields(kk, points, len(p), chart)
+            return _numeric_floats(len(p))(kk.sign, gm, a, points, h, along, cond_limit)
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
     stack = raw.reshape(-1, raw.shape[-1])
     points, h = _fd.stencil(stack, keep_sign=(stack.shape[1] - 1,))
     g = kk.components(points.reshape(-1, stack.shape[1]), chart).reshape(points.shape + stack.shape[1:])
     ginv = _gated_inverse(g[:, 0], cond_limit)
-    gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h))
-    return gamma.reshape(raw.shape[:-1] + gamma.shape[1:])
+    gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h)).reshape(raw.shape[:-1] + (raw.shape[-1],) * 3)
+    return gamma if along is None else _contraction_floats(raw.size)(gamma.ravel().tolist(), along)
 
 
 def _gated_inverse(g: np.ndarray, cond_limit: float | None) -> np.ndarray:
@@ -218,6 +224,12 @@ def _numeric_floats(m: int) -> Callable[..., list[float]]:
                          square=square, inverse=_centre_inverse, levi=_levi_civita_floats(m, False))["kernel"]
 
 
+@cache
+def _contraction_floats(m: int) -> Callable[[list[float], list[float]], list[float]]:
+    """``contracted`` as a kernel of m^3 symbols Gamma[(a * m + b) * m + c] and v, generated once per m."""
+    return run_generated(["def kernel(gamma, v):", *contracted([f"gamma[{k}]" for k in range(m**3)], m)])["kernel"]
+
+
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., a, b, c] from the inverse metric and the metric's partials
     dg[..., c, a, b] = d_c g_ab, symmetrized in the lower pair (the raw
@@ -265,12 +277,13 @@ def jet_base_data(n: int, fiber: bool) -> Callable[[list[float]], tuple]:
 @cache
 def _block_inverse(n: int) -> Callable[[Sequence[float]], list[float]]:
     """The inverse of one n x n block as a flat C-order list of Python floats from its entries g[a * n + b]
-    (the first n * n of its jet), bound once per n. Up to n = 3, generated adj(g) / det(g), det(g) expanded
-    along the first row: within a few ulps times the condition number of LAPACK's LU inverse (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14). LAPACK's (``_inverse``) above n = 3 and for
-    a zero, subnormal or non-finite det(g), so a singular block is the NumericError that LAPACK raises."""
+    (the first n * n of its jet), bound once per n. Up to n = 3 (``_FLOAT_KERNEL_MAX_N``), generated adj(g) /
+    det(g), det(g) expanded along the first row: within a few ulps times the condition number of LAPACK's LU
+    inverse (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14). LAPACK's
+    (``_inverse``) above n = 3 and for a zero, subnormal or non-finite det(g), so a singular block is the
+    NumericError that LAPACK raises."""
     lapack = lambda g: _inverse(np.array(g[:n * n]).reshape(n, n)).ravel().tolist()
-    if n > 3:
+    if n > _FLOAT_KERNEL_MAX_N:
         return lapack
     g = lambda a, b: f"g[{a % n * n + b % n}]"
     cofactors = (["1.0"] if n == 1 else [g(1, 1), f"-{g(1, 0)}", f"-{g(0, 1)}", g(0, 0)] if n == 2

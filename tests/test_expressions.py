@@ -388,11 +388,13 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
     (geodesics._step_kernel, (geodesics._TSITOURAS54, 6)),
     (geodesics._step_kernel, (geodesics._RK4, 8)),
     (kaluza._numeric_floats, (3,)),
+    (kaluza._contraction_floats, (5,)),
     (_fd._stencil_floats, (3,)),
     (kaluza._closed_floats, (2, True)),
     (kaluza._closed_floats, (3, False)),
     (kaluza._levi_civita_floats, (2, True)),
-], ids=["tsitouras_step", "rk4_step", "oracle_acceleration", "stencil", "closed_fiber", "closed", "levi_civita"])
+], ids=["tsitouras_step", "rk4_step", "oracle_acceleration", "oracle_contraction", "stencil", "closed_fiber", "closed",
+        "levi_civita"])
 def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_key(factory, key, monkeypatch):
     """The stepping, stencil and symbol kernels: no builtins, a namespace of
     exactly the names the code reads, and one compile per key. Each is built

@@ -107,13 +107,6 @@ def test_shoot_rejects_non_unit_direction(flat2):
         shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[2.0, 0.0], q=1.0, t0=1.0), flat2)
 
 
-def test_shoot_rejects_inconsistent_delta(flat2):
-    with pytest.raises(ContractViolation):
-        shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=1.0, t0=1.0, delta=+1), flat2)
-    state = shoot_null(NullShootSpec(x0=[0.0, 0.0], u=[1.0, 0.0], q=1.0, t0=1.0, delta=-1), flat2)
-    assert state.vt == -1.0
-
-
 def test_unit_direction_normalizes(schwarzschild):
     u = unit_direction(schwarzschild, [math.pi / 2, 0.0], [0.0, 5.0], 1.0)
     assert np.allclose(u, [0.0, 1.0])
