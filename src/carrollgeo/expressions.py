@@ -75,12 +75,12 @@ _ARITHMETIC = (ZeroDivisionError, ValueError, OverflowError)
 
 class Expression(NamedTuple):
     """An expression validated by ``compile_expression``: its text, its
-    positional variables, its tree (see ``_tree``) and whether it reads none of them."""
+    positional variables, its tree (see ``_tree``) and the positions of the variables it reads."""
 
     source: str
     variables: tuple[str, ...]
     tree: tuple
-    constant: bool
+    reads: frozenset[int]
 
 
 def compile_expression(text: str, variables: Sequence[str]) -> Expression:
@@ -93,7 +93,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Expression:
         raise ConstructionError(f"cannot parse expression {text!r}: {exc}") from exc
     except RecursionError:  # ast.parse recurses far deeper than MAX_DEPTH before it gives up
         raise ConstructionError(f"expression nests deeper than {MAX_DEPTH} operations") from None
-    return Expression(source, tuple(variables), tree, not _reads(tree))
+    return Expression(source, tuple(variables), tree, _reads(tree))
 
 
 def _tree(node: ast.AST, slots: Mapping[str, int], depth: int = 0) -> tuple:
@@ -129,8 +129,10 @@ def _tree(node: ast.AST, slots: Mapping[str, int], depth: int = 0) -> tuple:
     raise ConstructionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def _reads(tree: tuple) -> bool:
-    return tree[0] == "var" or (tree[0] != "num" and any(map(_reads, tree[1:])))
+def _reads(tree: tuple) -> frozenset[int]:
+    if tree[0] in ("num", "var"):
+        return frozenset(tree[1:] if tree[0] == "var" else ())
+    return frozenset().union(*map(_reads, tree[1:]))
 
 
 class _Emitter:

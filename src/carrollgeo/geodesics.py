@@ -15,7 +15,7 @@ Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
 code generated once per method and state length that unrolls the method's
 tableau term by term in its order and sums the error norm's squares from 0.0
 in index order. The right-hand side takes the acceleration -Gamma(v, v),
-given the velocity as ``along``: on the closed route from base data
+given the velocity as ``along``: on the closed route from the base block's jet
 (``christoffel_closed``), on the oracle route from the field values at the
 stencil points or, above n = 3, the stacked symbols (``christoffel_numeric``),
 in generated code that sums as numpy's einsum does, float for float.
@@ -49,7 +49,7 @@ from .connection import GaugeField, curvature
 from .errors import ContractViolation, DomainError, NumericError
 from .expressions import run_generated
 from .geometry import FIBER_CUTOFF, Chart, Point, dot, square
-from .kaluza import KKMetric, base_data, base_inverse, christoffel_closed, christoffel_numeric
+from .kaluza import KKMetric, base_inverse, base_symbols, christoffel_closed, christoffel_numeric
 from .scenarios import Scenario
 
 
@@ -318,7 +318,7 @@ def printed_spatial_acceleration(
         raise ContractViolation("reference accelerations assume a fiber-independent base metric")
     p = Point(state.x, state.t, chart)
     kk = scenario.kk(-1, gauge)
-    base = np.reshape(base_data(kk, p.x.tolist(), p.t, chart)[0], (p.dim,) * 3)
+    base = base_symbols(kk, p.x.tolist(), p.t, chart)
     gminv = base_inverse(kk, p.x, p.t, chart)
     a = gauge.at(state.x, chart)
     f = curvature(gauge, state.x, chart)
@@ -684,7 +684,7 @@ def integrate_small_gauge(
 
     def rhs(y: list[float]) -> list[float]:
         x, v = np.array(y[:n]), y[n:]
-        base = np.reshape(base_data(kk, y[:n], 1.0, chart)[0], (n, n, n))
+        base = base_symbols(kk, y[:n], 1.0, chart)
         gminv = base_inverse(kk, x, 1.0, chart)
         f = np.asarray(curvature_fn(x), dtype=float)
         va = np.array(v)

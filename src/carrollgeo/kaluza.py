@@ -13,24 +13,27 @@ det(raw) * t^2 = s * det(g_M).
 Two Christoffel routes are provided. ``christoffel_numeric`` differentiates
 the raw metric components directly (the brute-force oracle, and the
 reference for the other route). ``christoffel_closed`` assembles the symbols
-from base data: the base symbols, dg_M/dt and the rate g_M^-1 dg_M/dt as flat
-float lists, which a scenario registers exactly as its ``base_jet`` where it
-can (a block conformal in t gives the rate as (Omega'/Omega) I, with no
-inverse). It is validated against the oracle only when the gauge field
-vanishes, which is where geodesics use it by default, and with a nonzero
-gauge field its output is something to compare, not to trust (see
-``closed_form_deviation``). Given a velocity v (``along``), either route
-returns the acceleration -Gamma^a(v, v) at one point as a float list, its
-symbols contracted in generated code (the oracle's stacked ones above n = 3).
+from the base block's jet, its entries and their exact partials as one flat
+float list, which a scenario registers as a ``Jet`` per chart where it can
+(every expression block, the catalog's included, and the constant blocks), and
+which is differenced from g_M otherwise. One kernel per (n, fiber, structural
+zeros of the jet) goes from the jet to the symbols or the acceleration,
+leaving out every product by a structural zero. It is validated against the
+oracle only when the gauge field vanishes, which is where geodesics use it by
+default, and with a nonzero gauge field its output is something to compare,
+not to trust (see ``closed_form_deviation``). Given a velocity v (``along``),
+either route returns the acceleration -Gamma^a(v, v) at one point as a float
+list, its symbols contracted in generated code (the oracle's stacked ones
+above n = 3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,18 +47,51 @@ from .geometry import FIBER_CUTOFF, DegenerateMetric, Point, TangentVector, dot,
 _FLOAT_KERNEL_MAX_N = 3
 
 
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """A base block's jet on one chart: ``values(x1, ..., xn, t)`` gives the
+    block's entries g[a * n + b], then their partials d_c g_ab at
+    [n * n + (c * n + a) * n + b] on x1..xn and, for a fiber-dependent block
+    (``fiber``), on t (c = n), as one flat list of floats. ``zeros`` marks its
+    structural zeros, derived from where the block comes from (an entry that
+    is the constant 0, a partial on an axis its entry does not read), each
+    +-0.0 for finite inputs. Its ``_jet_kernel``s are bound once per object."""
+
+    values: Callable[..., Sequence[float]] | None
+    zeros: tuple[bool, ...] | None
+    n: int
+    fiber: bool
+
+    @classmethod
+    def constant(cls, block: np.ndarray) -> Jet:
+        """The jet of a block that reads no coordinate: one tuple of its entries and zero partials."""
+        n, entries = len(block), block.ravel().tolist()
+        jet = (*entries, *[0.0] * n**3)
+        return cls(lambda *point: jet, tuple(e == 0.0 for e in entries) + (True,) * n**3, n, False)
+
+    @cached_property
+    def symbols(self) -> Callable[..., list[float]]:
+        return _jet_kernel(self.n, self.fiber, self.zeros, False)
+
+    @cached_property
+    def accel(self) -> Callable[..., list[float]]:
+        return _jet_kernel(self.n, self.fiber, self.zeros, True)
+
+
 @dataclass
 class KKMetric:
-    """Assembled non-degenerate metric; ``base_jet``, if any, gives base data as float lists (see ``base_data``)."""
+    """Assembled non-degenerate metric; ``jet``, if any, maps each chart to its base block's registered ``Jet``."""
 
     sign: int
     metric: DegenerateMetric
     gauge: GaugeField
-    base_jet: Callable[[Sequence[float], float, str], tuple] | None = None
+    jet: Mapping[str, Jet] | None = None
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ContractViolation("sign must be +1 or -1")
+        if self.jet is not None and any(j.fiber != self.metric.time_dependent for j in self.jet.values()):
+            raise ContractViolation("a registered jet gives t partials exactly where the block depends on t")
 
     # -- components ---------------------------------------------------------
 
@@ -65,14 +101,15 @@ class KKMetric:
     def raw(self, p: Point) -> np.ndarray:
         return self.components(p.raw()[None], p.chart)[0]
 
-    def components(self, raw: np.ndarray, chart: str, adapted: bool = False) -> np.ndarray:
+    def components(self, raw: np.ndarray, chart: str, adapted: bool = False, a: np.ndarray | None = None) -> np.ndarray:
         """Raw components (adapted ones: fiber frame vector t * d/dt) at the
         K raw points (x..., t) of ``raw``, shape (K, n + 1, n + 1). Each field
-        is read with one stacked call to ``metric.at`` and ``gauge.at``; the
-        blocks are filled for all points at once."""
+        is read with one stacked call to ``metric.at`` and ``gauge.at`` (none
+        where ``a`` gives A at the K points); the blocks are filled for all
+        points at once."""
         x, t = raw[:, :-1], raw[:, -1]
         gm = self.metric.at(x, t, chart)
-        a = self.gauge.at(x, chart)
+        a = self.gauge.at(x, chart) if a is None else a
         sa = self.sign * a
         n = x.shape[1]
         out = np.empty((len(t), n + 1, n + 1))
@@ -130,9 +167,10 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, co
     ``p`` is a Point, or raw coordinates (x..., t) on ``chart``, one point or
     a stack of K, shape (K, n + 1); a single point is a stack of one. One pass
     over the stack: the metric is assembled at all K (4m + 1) stencil points
-    with one read per field, inverted once at each centre, gated per point on
-    the 1-norm condition number ||g||_1 ||g^-1||_1 from that inverse, and
-    differenced as stacked arrays. Returns Gamma[..., A, B, C] with the upper
+    with one read per field, g_M read at all of them and A at the K (4n + 1)
+    whose x differ (a t-axis point takes its centre's), inverted once at each
+    centre, gated per point on the 1-norm condition number ||g||_1 ||g^-1||_1
+    from that inverse, and differenced as stacked arrays. Returns Gamma[..., A, B, C] with the upper
     index first, symmetrized in the lower pair.
 
     Given ``along``, a velocity v of m = n + 1 floats, and one point (on
@@ -156,8 +194,12 @@ def christoffel_numeric(kk: KKMetric, p: Point | np.ndarray | list[float], *, co
             return _numeric_floats(len(p))(kk.sign, gm, a, points, h, along, cond_limit)
     raw, chart = (p.raw(), p.chart) if chart is None else (np.asarray(p, dtype=float), chart)
     stack = raw.reshape(-1, raw.shape[-1])
-    points, h = _fd.stencil(stack, keep_sign=(stack.shape[1] - 1,))
-    g = kk.components(points.reshape(-1, stack.shape[1]), chart).reshape(points.shape + stack.shape[1:])
+    m = stack.shape[1]
+    points, h = _fd.stencil(stack, keep_sign=(m - 1,))
+    # A at the 4n + 1 points of each stencil whose x differ; the t-axis points, the last 4, have the centre's x
+    a = kk.gauge.at(points[:, :4 * m - 3, :-1].reshape(-1, m - 1), chart).reshape(len(stack), 4 * m - 3, m - 1)
+    a = np.concatenate([a, np.repeat(a[:, :1], 4, axis=1)], axis=1).reshape(-1, m - 1)
+    g = kk.components(points.reshape(-1, m), chart, a=a).reshape(points.shape + stack.shape[1:])
     ginv = _gated_inverse(g[:, 0], cond_limit)
     gamma = _levi_civita(ginv, _fd.stacked_partials(g[:, 1:], h)).reshape(raw.shape[:-1] + (raw.shape[-1],) * 3)
     return gamma if along is None else _contraction_floats(raw.size)(gamma.ravel().tolist(), along)
@@ -195,9 +237,9 @@ def _numeric_floats(m: int) -> Callable[..., list[float]]:
     """``christoffel_numeric``'s acceleration, generated once per m = n + 1, from the sign s, g_M at the 4m + 1
     stencil points and A at the first 4n + 1 (``_stencil_fields``), the points, their steps h, a velocity v and
     the gate's limit: the raw components assembled as ``KKMetric.components`` does, differenced, the centre
-    inverted, and the symbols summed and contracted, each float as the stacked oracle gives it. The stencil
-    gives the t-axis points the centre's x floats and the x-axis points its t, so those take the centre's A
-    and s A, and its t and s / t^2, computed once."""
+    inverted, and the symbols summed (``_levi_civita_lines``) and contracted, each float as the stacked oracle
+    gives it. The stencil gives the t-axis points the centre's x floats and the x-axis points its t, so those
+    take the centre's A and s A, and its t and s / t^2, computed once."""
     n = m - 1
     ka = lambda k: 0 if k > 4 * n else k  # point k's A is point ka(k)'s: a t-axis point has the centre's x
     kt = lambda k: 0 if 0 < k <= 4 * n else k  # point k's t is point kt(k)'s: an x-axis point has the centre's t
@@ -211,6 +253,8 @@ def _numeric_floats(m: int) -> Callable[..., list[float]]:
     names: dict[str, str] = {}  # a mixed entry's partial serves both of its places
     partials = [names.setdefault(_fd.partial_text(lambda k: entry(k, i, j), c, f"h{c}", f"hh{c}"), f"d{len(names)}")
                 for c, i, j in product(range(m), repeat=3)]
+    inverse = [f"i{k}" for k in range(m * m)]
+    sums, symbols = _levi_civita_lines(m, inverse, partials)
     return run_generated(["def kernel(s, gm, a, points, h, v, cond_limit):",
                           f"    {', '.join(f'h{c}' for c in range(m))}, = h",
                           *(f"    hh{c} = 2.0 * h{c}" for c in range(m)),
@@ -219,9 +263,8 @@ def _numeric_floats(m: int) -> Callable[..., list[float]]:
                           *(f"    f{k} = s / square(t{k}, 'the fiber coordinate t')" for k in distinct_t),
                           f"    g = [{', '.join(entry(0, i, j) for i, j in product(range(m), repeat=2))}]",
                           *(f"    {name} = {text}" for text, name in names.items()),
-                          f"    gamma = levi(inverse(g, cond_limit), g + [{', '.join(partials)}])[0]",
-                          *contracted([f"gamma[{k}]" for k in range(m**3)], m)],
-                         square=square, inverse=_centre_inverse, levi=_levi_civita_floats(m, False))["kernel"]
+                          f"    {', '.join(inverse)}, = inverse(g, cond_limit)", *sums, *contracted(symbols, m)],
+                         square=square, inverse=_centre_inverse)["kernel"]
 
 
 @cache
@@ -240,60 +283,32 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.25 * (gamma + np.swapaxes(gamma, -1, -2))  # the formula's 1/2 times the symmetrization's
 
 
-@cache
-def _levi_civita_floats(n: int, fiber: bool) -> Callable[[list[float], list[float]], tuple]:
-    """``_levi_civita`` of one n x n metric on Python floats, generated once per
-    (n, fiber). It takes the inverse, ginv[a * n + d], and a jet, the metric's
-    entries and then its partials dg[(c * n + a) * n + b] on the axes x1..xn
-    (and t, for a fiber-dependent base block), and gives ``base_data``'s (base,
-    dgdt, rate): the symbols Gamma[(a * n + b) * n + c] and, for a
-    fiber-dependent block, the jet's t partials as they are and the rate
-    g^{cd} dg_ad/dt at [c * n + a] (else None, None). The metric is a base
-    block, or with fiber False the raw metric of m = n + 1 coordinates
-    (x..., t), for the oracle. Each sum starts at 0.0 and runs over d in
-    index order, as numpy's einsum sums these small contractions, so the
-    symbols are ``_levi_civita``'s bit for bit."""
-    dg = lambda c, a, b: f"jet[{(c * n + a) * n + b + n * n}]"
-    lines = [f"    l{d}_{b}_{c} = {dg(b, d, c)} + {dg(c, d, b)} - {dg(d, b, c)}"
-             for d in range(n) for b in range(n) for c in range(n)]
-    lines += [f"    s{a}_{b}_{c} = 0.0" + "".join(f" + g[{a * n + d}] * l{d}_{b}_{c}" for d in range(n))
-              for a in range(n) for b in range(n) for c in range(n)]
-    base = ", ".join(f"0.25 * (s{a}_{b}_{c} + s{a}_{c}_{b})" for a in range(n) for b in range(n) for c in range(n))
-    rate = ", ".join("0.0" + "".join(f" + g[{c * n + d}] * {dg(n, a, d)}" for d in range(n))
-                     for c in range(n) for a in range(n) if fiber)
-    rest = f"jet[{n * n + n**3}:], [{rate}]" if fiber else "None, None"
-    return run_generated(["def kernel(g, jet):", *lines, f"    return [{base}], {rest}"])["kernel"]
-
-
-@cache
-def jet_base_data(n: int, fiber: bool) -> Callable[[list[float]], tuple]:
-    """``base_data``'s (base, dgdt, rate) as a function of one n x n block's jet, bound once per (n, fiber):
-    its entries, then their partials on x1..xn (and t, for a fiber-dependent block) in C order. One inverse
-    of the block, ``_block_inverse``'s, feeds ``_levi_civita_floats``."""
-    kernel, inverse = _levi_civita_floats(n, fiber), _block_inverse(n)
-    return lambda jet: kernel(inverse(jet), jet)
-
-
-@cache
-def _block_inverse(n: int) -> Callable[[Sequence[float]], list[float]]:
-    """The inverse of one n x n block as a flat C-order list of Python floats from its entries g[a * n + b]
-    (the first n * n of its jet), bound once per n. Up to n = 3 (``_FLOAT_KERNEL_MAX_N``), generated adj(g) /
-    det(g), det(g) expanded along the first row: within a few ulps times the condition number of LAPACK's LU
-    inverse (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14). LAPACK's
-    (``_inverse``) above n = 3 and for a zero, subnormal or non-finite det(g), so a singular block is the
-    NumericError that LAPACK raises."""
-    lapack = lambda g: _inverse(np.array(g[:n * n]).reshape(n, n)).ravel().tolist()
-    if n > _FLOAT_KERNEL_MAX_N:
-        return lapack
-    g = lambda a, b: f"g[{a % n * n + b % n}]"
-    cofactors = (["1.0"] if n == 1 else [g(1, 1), f"-{g(1, 0)}", f"-{g(0, 1)}", g(0, 0)] if n == 2
-                 else [f"{g(a + 1, b + 1)} * {g(a + 2, b + 2)} - {g(a + 1, b + 2)} * {g(a + 2, b + 1)}"
-                       for a in range(3) for b in range(3)])  # at n = 3 the cyclic form carries the signs
-    return run_generated(["def kernel(g):", *(f"    c{k} = {c}" for k, c in enumerate(cofactors)),
-                          "    det = " + " + ".join(f"{g(0, b)} * c{b}" for b in range(n)),
-                          "    if not tiny <= abs(det) < inf:", "        return lapack(g)",
-                          f"    return [{', '.join(f'c{b * n + a} / det' for a in range(n) for b in range(n))}]"],
-                         lapack=lapack, abs=abs, tiny=float(np.finfo(float).tiny), inf=np.inf)["kernel"]
+def _levi_civita_lines(n: int, inv: Sequence[str | None], dg: Sequence[str],
+                       zero: Sequence[bool] | None = None) -> tuple[list[str], list[str | None]]:
+    """``_levi_civita`` of one n x n metric as lines of generated code on floats, from the texts of its
+    inverse's entries inv[a * n + d] (None for a structural zero) and of its partials dg[(c * n + a) * n + b]
+    = d_c g_ab, structural zeros where ``zero`` says so: the lines, and the texts of the symbols
+    Gamma[(a * n + b) * n + c], None for a structural zero. Each sum starts at 0.0 and runs over d in index
+    order, as numpy's einsum sums these small contractions, so the symbols are ``_levi_civita``'s bit for
+    bit. A product by a structural zero is left out of its sum: where the factors are finite that changes no
+    bit, as the product is +-0.0 and a sum from 0.0 is never -0.0."""
+    at = lambda c, a, b: (c * n + a) * n + b
+    lines, pairs = [], {}  # (b, c) -> each d, in order, whose l_dbc is not a structural zero
+    for d, b, c in product(range(n), repeat=3):
+        terms = at(b, d, c), at(c, d, b), at(d, b, c)
+        if zero is None or not all(zero[k] for k in terms):
+            pairs.setdefault((b, c), []).append(d)
+            lines.append(f"    l{d}_{b}_{c} = {dg[terms[0]]} + {dg[terms[1]]} - {dg[terms[2]]}")
+    sums = set()
+    for a, b, c in product(range(n), repeat=3):
+        terms = "".join(f" + {inv[a * n + d]} * l{d}_{b}_{c}" for d in pairs.get((b, c), ()) if inv[a * n + d])
+        if terms:
+            sums.add((a, b, c))
+            lines.append(f"    s{a}_{b}_{c} = 0.0{terms}")
+    s = lambda a, b, c: f"s{a}_{b}_{c}" if (a, b, c) in sums else "0.0"
+    symbols = [f"0.25 * ({s(a, b, c)} + {s(a, c, b)})" if (a, b, c) in sums or (a, c, b) in sums else None
+               for a, b, c in product(range(n), repeat=3)]
+    return lines, symbols
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
@@ -304,30 +319,106 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric is not invertible: {exc}") from None
 
 
-def base_data(kk: KKMetric, x: Sequence[float], t: float,
-              chart: str) -> tuple[Sequence[float], Sequence[float] | None, Sequence[float] | None]:
-    """The Levi-Civita symbols of the base block at frozen t, dg_M/dt and the rate g_M^-1 dg_M/dt at (x, t),
-    x a flat sequence of floats, as flat lists of Python floats in C order: base[(a * n + b) * n + c] =
-    Gamma^a_bc, dgdt[a * n + b] and rate[c * n + a] = g^{cd} dg_ad/dt; dg_M/dt and the rate are None for a
-    fiber-independent block. They are the registered ``kk.base_jet`` where there is one, which gives them
-    so and reads no g_M here (see ``base_inverse``); one that gives no dg_M/dt for a fiber-dependent block
-    is a ContractViolation. Otherwise g_M is read once, stacked, on the stencil around x, or around (x, t)
-    for a fiber-dependent block, and its centre and central differences are the jet that ``jet_base_data``
-    turns into base data, as it does a scenario file's generated jet."""
-    if kk.base_jet is not None:
-        base, dgdt, rate = kk.base_jet(x, t, chart)
-        if dgdt is None and kk.metric.time_dependent:
-            raise ContractViolation(f"the registered base jet on chart {chart!r} gives no dg_M/dt for a "
-                                    "fiber-dependent block")
-        return base, dgdt, rate
+@cache
+def _jet_kernel(n: int, fiber: bool, zeros: tuple[bool, ...] | None, along: bool) -> Callable[..., list[float]]:
+    """The zero-gauge closed form of a block's jet (laid out as ``Jet`` says) on Python floats, generated once
+    per (n, fiber, zeros, along): from the jet, t and the sign s, the (n + 1)^3 symbols in C order, or with
+    ``along`` -Gamma^a(v, v) for a velocity v (``contracted``). The block's inverse is adj(g) / det(g), det(g)
+    expanded along the first row, up to n = ``_FLOAT_KERNEL_MAX_N``, within a few ulps times the condition
+    number of LAPACK's (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 14); it is
+    LAPACK's above, and for a zero, subnormal or non-finite det(g), so a singular block is LAPACK's
+    NumericError. The symbols are those of ``christoffel_closed``, each sum from 0.0 in index order: the rate
+    is rate[c * n + a] = g^{cd} dg_ad/dt, the fiber block 0.5 (f_ab + f_ba) with f = -s (t^2/2) dg_M/dt, and
+    without dg_M/dt the mixed blocks are 0 and the fiber one -s (t^2/2) times 0, a zero with the sign of -s.
+
+    ``zeros`` marks the jet's structural zeros (None: none, and nothing is left out). A product by one, by an
+    inverse entry whose cofactor is one, or by a sum that is one as a result, is left out of its sum from 0.0,
+    and in the contraction so is one by a zero block of the layout. For a finite jet, inverse and velocity that
+    changes no bit. Where a structural zero meets an infinity (a non-finite jet or velocity, or LAPACK's
+    inverse past the float range) it gives no NaN for the 0 * inf that it leaves out. det(g), and above n = 3
+    LAPACK's inverse, is taken even where no inverse entry is used (a constant block), so a singular block
+    fails as LAPACK's at every n."""
+    m, size, fold = n + 1, n * n, zeros is not None
+    zero = lambda k: fold and zeros[k]
+    g = lambda a, b: f"jet[{a % n * n + b % n}]"
+    gz = lambda a, b: zero(a % n * n + b % n)
+    cofactors = ([("1.0", False)] if n == 1 else
+                 [(g(1, 1), gz(1, 1)), (f"-{g(1, 0)}", gz(1, 0)), (f"-{g(0, 1)}", gz(0, 1)), (g(0, 0), gz(0, 0))]
+                 if n == 2 else  # at n = 3 the cyclic form carries the signs
+                 [(f"{g(a + 1, b + 1)} * {g(a + 2, b + 2)} - {g(a + 1, b + 2)} * {g(a + 2, b + 1)}",
+                   (gz(a + 1, b + 1) or gz(a + 2, b + 2)) and (gz(a + 1, b + 2) or gz(a + 2, b + 1)))
+                  for a in range(3) for b in range(3)] if n == 3 else [])
+    inv = [None if cofactors and cofactors[b * n + a][1] else f"i{a * n + b}" for a in range(n) for b in range(n)]
+    dt = lambda a, b: size + size * n + a * n + b  # the jet's index of d_t g_ab
+    lines, base = _levi_civita_lines(n, inv, [f"jet[{size + k}]" for k in range(size * n)],
+                                     [zero(size + k) for k in range(size * n)] if fold else None)
+    rates = set()
+    for c, a in (product(range(n), repeat=2) if fiber else ()):
+        terms = "".join(f" + {inv[c * n + d]} * jet[{dt(a, d)}]"
+                        for d in range(n) if inv[c * n + d] and not zero(dt(a, d)))
+        if terms:
+            rates.add((c, a))
+            lines.append(f"    r{c}_{a} = 0.0{terms}")
+
+    entries, skip = ["0.0"] * m**3, [fold] * m**3  # skip: a structural zero, left out of the contraction
+    for (a, b, c), text in zip(product(range(n), repeat=3), base):
+        entries[(a * m + b) * m + c], skip[(a * m + b) * m + c] = text or "0.0", text is None
+    for a, b in product(range(n), repeat=2):
+        if fiber:
+            mixed = f"0.5 * r{a}_{b}" if (a, b) in rates else "0.0"
+            entries[(a * m + b) * m + n] = entries[(a * m + n) * m + b] = mixed
+            skip[(a * m + b) * m + n] = skip[(a * m + n) * m + b] = (a, b) not in rates
+            entries[(n * m + a) * m + b] = f"0.5 * (f{a}_{b} + f{b}_{a})"
+            skip[(n * m + a) * m + b] = zero(dt(a, b)) and zero(dt(b, a))
+        else:
+            entries[(n * m + a) * m + b] = "z"
+    entries[-1], skip[-1] = "-1.0 / t", False
+    fibers = {f for a, b in product(range(n), repeat=2) if fiber and not (along and skip[(n * m + a) * m + b])
+              for f in ((a, b), (b, a))}
+    if fibers or not (fiber or along and fold):
+        lines += [f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}",
+                  *(f"    f{a}_{b} = z * jet[{dt(a, b)}]" for a, b in sorted(fibers))]
+
+    used = [k for k in range(size) if inv[k] and any(f" + {inv[k]} * " in line for line in lines)]
+    names = {"lapack": lambda jet: _inverse(np.array(jet[:size]).reshape(n, n)).ravel().tolist()}
+    head = [f"    {', '.join(f'i{k}' for k in range(size))}, = lapack(jet)"]
+    if n <= _FLOAT_KERNEL_MAX_N:
+        wanted = sorted({*range(n), *(k % n * n + k // n for k in used)})  # det's cofactors, those of used entries
+        names.update(abs=abs, tiny=float(np.finfo(float).tiny), inf=np.inf)
+        head = [*(f"    c{k} = {cofactors[k][0]}" for k in wanted),
+                "    det = " + " + ".join(f"{g(0, b)} * c{b}" for b in range(n)), "    if tiny <= abs(det) < inf:",
+                *([f"        i{k} = c{k % n * n + k // n} / det" for k in used] or ["        pass"]),
+                "    else:", "    " + head[0]]
+    tail = contracted(entries, m, skip if fold else None) if along else [f"    return [{', '.join(entries)}]"]
+    return run_generated([f"def kernel(jet, t, s{', v' if along else ''}):", *head, *lines, *tail], **names)["kernel"]
+
+
+def block_jet(kk: KKMetric, x: Sequence[float], t: float, chart: str) -> tuple[Jet, Sequence[float]]:
+    """The base block's jet at (x, t), x a flat sequence of floats, and the ``Jet`` that lays it out: where
+    ``kk.jet`` registers one for ``chart``, that one's values, which read no g_M here; otherwise g_M read once,
+    stacked, on the stencil around x, or around (x, t) for a fiber-dependent block, its centre and its central
+    differences, with no structural zeros."""
+    if kk.jet is not None:
+        try:
+            jet = kk.jet[chart]
+        except KeyError:
+            raise ContractViolation(f"no registered jet for chart {chart!r}") from None
+        return jet, jet.values(*x, t)
     x = np.asarray(x, dtype=float)
-    n = x.size
-    fiber = kk.metric.time_dependent
+    n, fiber = x.size, kk.metric.time_dependent
     points, h = _fd.stencil((np.append(x, t) if fiber else x)[None], keep_sign=(n,))
     stencil = points[0]
     gms = kk.metric.at(stencil[:, :n], stencil[:, n] if fiber else np.full(len(stencil), t), chart)
     partials = _fd.stacked_partials(gms[None, 1:], h)[0]  # [axis, a, b]
-    return jet_base_data(n, fiber)(gms[0].ravel().tolist() + partials.ravel().tolist())
+    return Jet(None, None, n, fiber), gms[0].ravel().tolist() + partials.ravel().tolist()
+
+
+def base_symbols(kk: KKMetric, x: Sequence[float], t: float, chart: str) -> np.ndarray:
+    """The Levi-Civita symbols Gamma^a_bc of the base block at (x, t), frozen t, as an (n, n, n) array: the
+    base block of the zero-gauge closed form of ``block_jet``."""
+    jet, values = block_jet(kk, x, t, chart)
+    m = len(x) + 1
+    return np.reshape(jet.symbols(values, t, kk.sign), (m, m, m))[:-1, :-1, :-1].copy()
 
 
 def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarray:
@@ -337,7 +428,7 @@ def base_inverse(kk: KKMetric, x: np.ndarray, t: float, chart: str) -> np.ndarra
 
 def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, chart: str | None = None,
                        along: list[float] | None = None) -> np.ndarray | list[float]:
-    """Closed-form symbols assembled from base data.
+    """Closed-form symbols assembled from the base block's jet (``block_jet``).
 
     ``p`` is a Point, or raw coordinates (x..., t) of one point on ``chart``,
     a list of floats (read as it is) or a 1-d array; a raw fiber coordinate
@@ -347,7 +438,7 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
     kernel; with a nonzero gauge field that is a ContractViolation.
 
     For a vanishing gauge field (both signs) the output agrees with the
-    finite-difference oracle and is the validated regime:
+    finite-difference oracle and is the validated regime (``_jet_kernel``):
 
         Gamma^c_ab = base symbols,  Gamma^c_at = (1/2) g^{cd} dg_ad/dt,
         Gamma^t_ab = -sign * (t^2/2) dg_ab/dt,  Gamma^t_tt = -1/t.
@@ -371,20 +462,19 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
     if along is not None and not kk.gauge.is_zero:
         raise ContractViolation("the closed-form acceleration along a velocity needs a vanishing gauge field")
     n, s = len(x), kk.sign
-    base, dgdt, rate = base_data(kk, x, t, chart)
+    jet, values = block_jet(kk, x, t, chart)
+    if along is not None:
+        return jet.accel(values, t, s, along)
     if not kk.gauge.is_zero and s != +1:
         raise NumericError("closed-form symbols with a nonzero gauge field are only defined for sign +1; "
                            "use the finite-difference oracle")
-    blocks = () if dgdt is None else (dgdt, rate)
-    if along is not None:
-        return _closed_floats(n, dgdt is not None, True)(t, s, base, *blocks, along)
-    gamma = np.array(_closed_floats(n, dgdt is not None)(t, s, base, *blocks)).reshape(n + 1, n + 1, n + 1)
+    gamma = np.array(jet.symbols(values, t, s)).reshape(n + 1, n + 1, n + 1)
     if kk.gauge.is_zero:
         return gamma
 
     # the published gauge terms, added to the zero-gauge symbols
-    x, base = np.array(x), np.reshape(base, (n, n, n))
-    dgdt = np.zeros((n, n)) if dgdt is None else np.reshape(dgdt, (n, n))
+    x, base = np.array(x), gamma[:n, :n, :n].copy()
+    dgdt = np.reshape(values[n * n + n**3:], (n, n)) if jet.fiber else np.zeros((n, n))
     gminv = base_inverse(kk, x, t, chart)
     a = kk.gauge.at(x, chart)
     jac_a = kk.gauge.jacobian(x, chart)  # jac[b, a] = d_a A_b
@@ -416,38 +506,14 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
-@cache
-def _closed_floats(n: int, fiber: bool, along: bool = False) -> Callable[..., list[float]]:
-    """The zero-gauge closed form on Python floats, generated once per (n,
-    fiber, along): from t, the sign s, the base symbols base[(a * n + b) * n + c]
-    and, for a fiber-dependent block, dg_M/dt and the rate (each [a * n + b]),
-    the (n + 1)^3 symbols in C order, or with ``along`` -Gamma^a(v, v) for
-    a velocity v, summed by ``contracted`` with each symbol's expression in
-    place of its value. Every block is symmetric in the lower pair without
-    a gauge field: the base symbols are, and the fiber block is symmetrized,
-    0.5 (f_bc + f_cb) with f = -s (t^2/2) dg_M/dt. Without dg_M/dt the
-    mixed blocks are 0 and the fiber one is -s (t^2/2) times 0, a zero with
-    the sign of -s."""
-    m = n + 1
-    entries = ["0.0"] * m**3
-    for a, b, c in product(range(n), repeat=3):
-        entries[(a * m + b) * m + c] = f"base[{(a * n + b) * n + c}]"
-    for a, b in product(range(n), repeat=2):
-        entries[(a * m + b) * m + n] = entries[(a * m + n) * m + b] = f"0.5 * rate[{a * n + b}]" if fiber else "0.0"
-        entries[(n * m + a) * m + b] = f"0.5 * (f{a}_{b} + f{b}_{a})" if fiber else "z"
-    entries[-1] = "-1.0 / t"
-    head = [f"    f{a}_{b} = z * dgdt[{a * n + b}]" for a, b in product(range(n), repeat=2)] if fiber else []
-    return run_generated([f"def kernel(t, s, base{', dgdt, rate' if fiber else ''}{', v' if along else ''}):",
-                          f"    z = -s * {'(t ** 2 / 2.0)' if fiber else '0.0'}", *head,
-                          *(contracted(entries, m) if along else [f"    return [{', '.join(entries)}]"])])["kernel"]
-
-
-def contracted(symbols: list[str], m: int) -> list[str]:
+def contracted(symbols: list[str], m: int, skip: Sequence[bool] | None = None) -> list[str]:
     """The lines of a generated kernel that return -Gamma^a(v, v) from a velocity v of m floats, given the m^3
     symbols Gamma[(a * m + b) * m + c] as float expressions: each sum starts at 0.0 and adds (Gamma[a, b, c] v_b)
-    v_c over (b, c) in C order, as np.einsum("abc,b,c->a") sums it. No zero symbol is skipped: 0 * inf stays NaN."""
-    sums = ("-(0.0" + "".join(f" + ({symbols[(a * m + b) * m + c]}) * v{b} * v{c}" for b in range(m) for c in range(m))
-            + ")" for a in range(m))
+    v_c over (b, c) in C order, as np.einsum("abc,b,c->a") sums it, less the products by a symbol that ``skip``
+    marks as a structural zero (for a finite v, +-0.0 that change no bit). No other zero symbol is skipped:
+    0 * inf stays NaN."""
+    sums = ("-(0.0" + "".join(f" + ({symbols[(a * m + b) * m + c]}) * v{b} * v{c}" for b in range(m) for c in range(m)
+                              if not (skip and skip[(a * m + b) * m + c])) + ")" for a in range(m))
     return [f"    {', '.join(f'v{b}' for b in range(m))}, = v", f"    return [{', '.join(sums)}]"]
 
 

@@ -1,16 +1,16 @@
 """Built-in scenario catalog and scenario-file ingestion.
 
 A scenario bundles an atlas, a degenerate metric, a default gauge field,
-its registered closed-form base data (``base_jet``: the base Christoffel
-symbols, dg_M/dt and g_M^-1 dg_M/dt as flat float lists, as
-``kaluza.base_data`` returns them) and the properties it is expected to
-satisfy. Loading only builds the scenario; the check suites verify the
-declared expectations.
+the registered jet of each chart's base block (``jet``: a ``kaluza.Jet``, the
+entries and their exact partials, from which the closed form takes its
+symbols) and the properties it is expected to satisfy. Loading only builds
+the scenario; the check suites verify the declared expectations.
 
 Catalog: flat(n), lightcone, sphere_pullback, moebius, schwarzschild(GM),
 thakurta(GM, U). Sphere scenarios carry an angular chart (kept inside a
 guard band away from the poles, for the closed-form equatorial runs) plus
-two stereographic charts that cover the poles.
+two stereographic charts that cover the poles; their blocks are expression
+text, built as a scenario file's ``matrix(...)`` is.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -38,7 +39,7 @@ from .geometry import (
     Point,
     dot,
 )
-from .kaluza import KKMetric, jet_base_data
+from .kaluza import Jet, KKMetric
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ class Scenario:
     default_chart: str
     params: dict = field(default_factory=dict)
     expects: dict = field(default_factory=dict)
-    base_jet: Callable[[Sequence[float], float, str], tuple] | None = None  # float lists; see ``kaluza.base_data``
+    jet: Mapping[str, Jet] | None = None  # chart -> its block's registered jet
     description: str = ""
 
     def point(self, x, t: float, chart: str | None = None) -> Point:
@@ -71,7 +72,7 @@ class Scenario:
             sign=int(sign),
             metric=self.metric,
             gauge=self.gauge if gauge is None else gauge,
-            base_jet=self.base_jet,
+            jet=self.jet,
         )
 
     def sample_points(
@@ -96,41 +97,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # round-sphere building blocks
 # ---------------------------------------------------------------------------
-
-def _angular_entries(radius2: float, x: Sequence[float]) -> list[float]:
-    """The entries [a * 2 + b] of the round block radius^2 (dtheta^2 + sin^2 theta dphi^2) at x = (theta, phi)."""
-    return [radius2, 0.0, 0.0, radius2 * math.sin(x[0]) ** 2]
-
-
-def _angular_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    return lambda x, t: np.array(_angular_entries(radius2, x.tolist())).reshape(2, 2)
-
-
-def _angular_symbols(x: Sequence[float]) -> list[float]:
-    theta = x[0]
-    cot = math.cos(theta) / math.sin(theta)
-    return [0.0, 0.0, 0.0, -math.sin(theta) * math.cos(theta), 0.0, cot, cot, 0.0]
-
-
-def _stereo_entries(radius2: float, x: Sequence[float]) -> list[float]:
-    """The entries [a * 2 + b] of the round block in a stereographic chart, 4 radius^2 / (1 + |x|^2)^2 times delta."""
-    c = 4.0 * radius2 / (1.0 + dot(x, x)) ** 2
-    return [c, 0.0, 0.0, c]
-
-
-def _stereo_block(radius2: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    return lambda x, t: np.array(_stereo_entries(radius2, x.tolist())).reshape(2, 2)
-
-
-def _stereo_symbols(x: Sequence[float]) -> list[float]:
-    # conformally flat metric exp(2 f) * delta with f = const - log(1 + |x|^2):
-    # delta_ab df_c + delta_ac df_b - delta_bc df_a, each entry summed from 0 in that order
-    rho2 = dot(x, x)
-    df = [-2.0 * v / (1.0 + rho2) for v in x]
-    axes = range(len(x))
-    return [0.0 + (df[c] if a == b else 0.0) + (df[b] if a == c else 0.0) - (df[a] if b == c else 0.0)
-            for a in axes for b in axes for c in axes]
-
 
 def _angular_to_stereo(x: np.ndarray) -> np.ndarray:
     theta, phi = x
@@ -183,19 +149,6 @@ def sphere_atlas() -> Atlas:
         ),
     ]
     return Atlas([angular, stereo_n, stereo_s], transitions)
-
-
-def _sphere_charts_metric(radius2: float, scale: Callable[[float], float] | None = None):
-    """Per-chart blocks for (scale factor)(t) * radius^2 * round metric."""
-    angular = _angular_block(radius2)
-    stereo = _stereo_block(radius2)
-    if scale is None:
-        return {"angular": angular, "stereo_n": stereo, "stereo_s": stereo}
-    return {
-        "angular": lambda x, t: scale(t) * angular(x, t),
-        "stereo_n": lambda x, t: scale(t) * stereo(x, t),
-        "stereo_s": lambda x, t: scale(t) * stereo(x, t),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +217,24 @@ def _number_param(params: Mapping, key: str, default: float) -> float:
         raise ConstructionError(f"parameter {key} must be a number, got {value!r}") from None
 
 
-def _mass_param(params: Mapping) -> float:
+def _mass_param(params: Mapping) -> tuple[float, float]:
+    """GM and the squared radius (2 GM)^2, the one way GM enters the metric: a positive, finite, normal float."""
     gm = _number_param(params, "GM", 0.5)
-    if not (math.isfinite(gm) and gm > 0.0):  # the radius 2 GM enters the metric only squared
-        raise ConstructionError(f"parameter GM must be finite and positive, got {gm:g}")
-    return gm
+    try:
+        radius2 = (2.0 * gm) ** 2
+    except OverflowError:
+        radius2 = math.inf
+    if not (gm > 0.0 and sys.float_info.min <= radius2 < math.inf):
+        raise ConstructionError(f"parameter GM must be positive with (2 GM)^2 a finite, normal float, got {gm:g}")
+    return gm, radius2
+
+
+def _identity_block(n: int, charts: Sequence[str]) -> tuple[DegenerateMetric, dict[str, Jet]]:
+    """The identity block on ``charts`` and its constant jet, built once: one read-only array and one tuple,
+    which no caller can change."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return DegenerateMetric(blocks=dict.fromkeys(charts, lambda x, t: eye)), dict.fromkeys(charts, Jet.constant(eye))
 
 
 def _build_flat(params: Mapping) -> Scenario:
@@ -278,140 +244,66 @@ def _build_flat(params: Mapping) -> Scenario:
         raise ConstructionError(f"flat scenario needs an integer n with 1 <= n <= 32, got {n:g}")
     n = int(n)
     chart = Chart(name="cartesian", coords=tuple(f"x{i + 1}" for i in range(n)), box=((-2.0, 2.0),) * n)
-    atlas = Atlas([chart])
-    # built once: a read-only block and a tuple of zero symbols, which no caller can change
-    eye, zero = np.eye(n), ((0.0,) * n**3, None, None)
-    eye.flags.writeable = False
-    metric = DegenerateMetric(blocks={"cartesian": lambda x, t: eye}, time_dependent=False)
-    return Scenario(
-        name=f"flat({n})",
-        dim=n,
-        atlas=atlas,
-        metric=metric,
-        gauge=GaugeField.trivial(n, ["cartesian"]),
-        default_chart="cartesian",
-        params={"n": n},
-        expects={"euler_killing": True, "weight": 0.0},
-        base_jet=lambda x, t, chart_name: zero,
-        description="Euclidean base metric on a trivial bundle",
-    )
+    metric, jet = _identity_block(n, ["cartesian"])
+    return Scenario(name=f"flat({n})", dim=n, atlas=Atlas([chart]), metric=metric,
+                    gauge=GaugeField.trivial(n, ["cartesian"]), default_chart="cartesian", params={"n": n},
+                    expects={"euler_killing": True, "weight": 0.0}, jet=jet,
+                    description="Euclidean base metric on a trivial bundle")
 
 
-def _build_sphere_like(name, radius2, scale, dgdt_factor, expects, description):
-    """Common assembly for the sphere-based scenarios.
-
-    ``scale(t)`` multiplies the round block; ``dgdt_factor(t)`` is its exact
-    t-derivative divided by scale, i.e. d(scale)/dt = dgdt_factor * scale, so
-    the registered (dg_M/dt, g_M^-1 dg_M/dt) is (dgdt_factor g_M, dgdt_factor I).
-    The base symbols of a round metric are unchanged by any such factor.
-    """
-    metric = DegenerateMetric(blocks=_sphere_charts_metric(radius2, scale), time_dependent=dgdt_factor is not None)
-
-    def base_jet(x, t, chart_name):
-        angular = chart_name == "angular"
-        table = _angular_symbols(x) if angular else _stereo_symbols(x)
-        if dgdt_factor is None:
-            return table, None, None
-        factor, scaled = dgdt_factor(t), scale(t)
-        entries = _angular_entries(radius2, x) if angular else _stereo_entries(radius2, x)
-        # the block's entries as ``metric.at`` gives them, scale(t) times the round ones, then times the factor
-        return table, [factor * (scaled * e) for e in entries], [factor * e for e in (1.0, 0.0, 0.0, 1.0)]
-
-    return Scenario(
-        name=name,
-        dim=2,
-        atlas=sphere_atlas(),
-        metric=metric,
-        gauge=GaugeField.trivial(2, ["angular", "stereo_n", "stereo_s"]),
-        default_chart="angular",
-        params={},
-        expects=expects,
-        base_jet=base_jet,
-        description=description,
-    )
+def _build_sphere_like(name, radius2, scale, params, expects, description):
+    """Common assembly for the sphere-based scenarios: the round block of radius^2 ``radius2`` on each chart as
+    expression text, its entries multiplied by the text ``scale`` in t where one is given, built as a scenario
+    file's ``matrix(...)`` is (``_expression_block``). The angular block is radius^2 (dtheta^2 + sin^2 theta
+    dphi^2) at (theta, phi), the stereographic ones 4 radius^2 / (1 + |x|^2)^2 times delta, |x|^2 summed in
+    index order."""
+    r2 = repr(radius2)
+    stereo = f"4.0 * {r2} / (1 + (x1*x1 + x2*x2))^2"
+    texts = {"angular": (r2, "0", "0", f"{r2} * sin(x1)^2"), "stereo_n": (stereo, "0", "0", stereo)}
+    texts["stereo_s"] = texts["stereo_n"]
+    if scale is not None:
+        texts = {chart: tuple(e if e == "0" else f"{scale} * ({e})" for e in entries)
+                 for chart, entries in texts.items()}
+    built = {chart: _expression_block(entries, 2, scale is not None) for chart, entries in texts.items()}
+    metric = DegenerateMetric(blocks={c: gm for c, (gm, _) in built.items()}, time_dependent=scale is not None)
+    return Scenario(name=name, dim=2, atlas=sphere_atlas(), metric=metric, gauge=GaugeField.trivial(2, list(texts)),
+                    default_chart="angular", params=params, expects=expects,
+                    jet={c: jet for c, (_, jet) in built.items()}, description=description)
 
 
 def _build_sphere_pullback(params: Mapping) -> Scenario:
-    return _build_sphere_like(
-        "sphere_pullback",
-        radius2=1.0,
-        scale=None,
-        dgdt_factor=None,
-        expects={"euler_killing": True, "weight": 0.0},
-        description="unit round sphere pulled back to a trivial bundle",
-    )
+    return _build_sphere_like("sphere_pullback", 1.0, None, {}, {"euler_killing": True, "weight": 0.0},
+                              "unit round sphere pulled back to a trivial bundle")
 
 
 def _build_schwarzschild(params: Mapping) -> Scenario:
-    gm_param = _mass_param(params)
-    radius = 2.0 * gm_param
-    sc = _build_sphere_like(
-        f"schwarzschild(GM={gm_param:g})",
-        radius2=radius**2,
-        scale=None,
-        dgdt_factor=None,
-        expects={"euler_killing": True, "weight": 0.0},
-        description="horizon sphere of radius 2*GM with a fiber-independent metric",
-    )
-    sc.params = {"GM": gm_param, "radius": radius}
-    return sc
+    gm, radius2 = _mass_param(params)
+    return _build_sphere_like(f"schwarzschild(GM={gm:g})", radius2, None, {"GM": gm, "radius": 2.0 * gm},
+                              {"euler_killing": True, "weight": 0.0},
+                              "horizon sphere of radius 2*GM with a fiber-independent metric")
 
 
 def _build_lightcone(params: Mapping) -> Scenario:
-    sc = _build_sphere_like(
-        "lightcone",
-        radius2=1.0,
-        scale=lambda t: t**2,
-        dgdt_factor=lambda t: 2.0 / t,
-        expects={"euler_killing": False, "weight": 2.0},
-        description="round sphere scaled by t^2 (degree-two homogeneous)",
-    )
-    return sc
+    return _build_sphere_like("lightcone", 1.0, "t^2", {}, {"euler_killing": False, "weight": 2.0},
+                              "round sphere scaled by t^2 (degree-two homogeneous)")
 
 
 def _build_thakurta(params: Mapping) -> Scenario:
-    gm_param = _mass_param(params)
-    radius = 2.0 * gm_param
+    gm, radius2 = _mass_param(params)
     u_text = str(params.get("U", "t"))
-    u = compile_expression(u_text, ("t",))
-    u_value, u_slope = generate([[(u, None)], [(u, "t")]])
-
-    def scale(t: float) -> float:
-        return math.exp(-u_value(float(t))[0])
-
-    def dgdt_factor(t: float) -> float:
-        return -u_slope(float(t))[0]
-
-    sc = _build_sphere_like(
-        f"thakurta(GM={gm_param:g}, U={u_text})",
-        radius2=radius**2,
-        scale=scale,
-        dgdt_factor=dgdt_factor,
-        expects={"euler_killing": False, "conformal": True},
-        description="horizon sphere with a fiber-dependent conformal factor exp(-U(t))",
-    )
-    sc.params = {"GM": gm_param, "radius": radius, "U": u_text}
-    return sc
+    compile_expression(u_text, ("t",))  # U reads t alone; the blocks embed its text
+    return _build_sphere_like(f"thakurta(GM={gm:g}, U={u_text})", radius2, f"exp(-({u_text}))",
+                              {"GM": gm, "radius": 2.0 * gm, "U": u_text}, {"euler_killing": False, "conformal": True},
+                              "horizon sphere with a fiber-dependent conformal factor exp(-U(t))")
 
 
 def _build_moebius(params: Mapping) -> Scenario:
+    metric, jet = _identity_block(1, ["east", "west"])
     atlas = circle_atlas(fiber_upper=lambda th: 1.0, fiber_lower=lambda th: -1.0)
-    # built once, as in ``_build_flat``
-    eye, zero = np.eye(1), ((0.0,), None, None)
-    eye.flags.writeable = False
-    metric = DegenerateMetric(blocks={"east": lambda x, t: eye, "west": lambda x, t: eye}, time_dependent=False)
-    return Scenario(
-        name="moebius",
-        dim=1,
-        atlas=atlas,
-        metric=metric,
-        gauge=GaugeField.trivial(1, ["east", "west"]),
-        default_chart="east",
-        params={},
-        expects={"euler_killing": True, "weight": 0.0},
-        base_jet=lambda x, t, chart_name: zero,
-        description="flat circle metric on the twisted two-chart bundle",
-    )
+    return Scenario(name="moebius", dim=1, atlas=atlas, metric=metric, gauge=GaugeField.trivial(1, ["east", "west"]),
+                    default_chart="east", params={},
+                    expects={"euler_killing": True, "weight": 0.0}, jet=jet,
+                    description="flat circle metric on the twisted two-chart bundle")
 
 
 # name -> (builder, the parameter keys the builder reads)
@@ -518,32 +410,42 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(parse_pair(span) for span in unwrap(text, "box")[1].split(";"))
 
 
-def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tuple[Callable, Callable | None]:
-    """The base block of a [metric] entry, expressions in x1..xn, t or a grid file beside the scenario file,
-    and for expressions its jet, a function of the floats x1..xn, t that gives the block's entries and then
-    their partials on the axes x1..xn (and t for a fiber-dependent block) as one flat float list,
-    [(axis * n + a) * n + b] with the entries at axis -1, which ``kaluza.jet_base_data`` turns into base
-    data; for a grid, None."""
+def _parse_matrix(text: str, dim: int, time_dependent: bool, folder: Path) -> tuple[Callable, Jet | None]:
+    """The base block of a [metric] entry, expressions in x1..xn, t (with its ``Jet``, ``_expression_block``)
+    or a grid file beside the scenario file (with None)."""
     kind, body = unwrap(text, "matrix", "grid")
     if kind == "grid":
         return load_metric_grid(folder / body.strip(), dim, time_dependent), None
     rows = body.split(";")
     if len(rows) != dim:
         raise ConstructionError(f"matrix has {len(rows)} rows, expected {dim}")
-    variables = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
     entries = []
     for row in rows:
         cols = row.split(",")
         if len(cols) != dim:
             raise ConstructionError(f"matrix row has {len(cols)} entries, expected {dim}")
-        entries.extend(compile_expression(c, variables) for c in cols)
-    axes = variables if time_dependent else variables[:dim]
-    values, jet = generate([[(e, None) for e in entries], [(e, name) for name in (None, *axes) for e in entries]])
+        entries.extend(c.strip() for c in cols)
+    return _expression_block(tuple(entries), dim, time_dependent)
+
+
+@lru_cache(maxsize=256)
+def _expression_block(entries: tuple[str, ...], dim: int, time_dependent: bool) -> tuple[Callable, Jet]:
+    """The base block whose entries, row by row, are the expressions ``entries`` in x1..xn, t, and its jet,
+    built once per text: one generated function gives the entries and then their exact partials on the axes
+    x1..xn (and t for a fiber-dependent block) as ``Jet`` lays them out. An entry that is the constant 0 and a
+    partial on an axis its entry does not read are the jet's structural zeros. A reload of the same text, from
+    a file or the catalog, builds nothing."""
+    variables = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
+    exprs = [compile_expression(e, variables) for e in entries]
+    axes = range(dim + 1 if time_dependent else dim)
+    values, jet = generate([[(e, None) for e in exprs], [(e, None) for e in exprs]
+                            + [(e, variables[c]) for c in axes for e in exprs]])
+    zeros = tuple(e.tree == ("num", 0.0) for e in exprs) + tuple(c not in e.reads for c in axes for e in exprs)
 
     def gm(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array(values(*np.asarray(x, dtype=float).tolist(), float(t))).reshape(dim, dim)
+        return np.array(values(*x.tolist(), float(t))).reshape(dim, dim)  # x: ``metric.at``'s float array
 
-    return gm, jet
+    return gm, Jet(jet, zeros, dim, time_dependent)
 
 
 def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
@@ -561,7 +463,7 @@ def _parse_vector(text: str, dim: int, folder: Path) -> tuple[Callable[[np.ndarr
         return np.array(values(*np.asarray(x, dtype=float).tolist()))
 
     # zero only when every component is a constant expression equal to 0
-    return a_fn, all(c.constant for c in comps) and values(*[0.0] * dim) == [0.0] * dim
+    return a_fn, not any(c.reads for c in comps) and values(*[0.0] * dim) == [0.0] * dim
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
@@ -597,9 +499,6 @@ def load_scenario_file(path: str | Path) -> Scenario:
     metric = DegenerateMetric(blocks={c: gm for c, (gm, _) in blocks.items()}, time_dependent=time_dependent)
     # exact partials where every block is an expression, taken here: the entries of metric.blocks may be replaced
     jets = {c: jet for c, (_, jet) in blocks.items()}
-    exact = all(jet is not None for jet in jets.values())
-
-    from_jet = jet_base_data(dim, time_dependent)
 
     if "gauge" in parser:
         ini_keys(parser["gauge"], names)
@@ -626,7 +525,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
         default_chart=default_chart,
         params={},
         expects=expects,
-        base_jet=(lambda x, t, chart: from_jet(jets[chart](*x, t))) if exact else None,
+        jet=jets if all(jet is not None for jet in jets.values()) else None,
         description=f"scenario file {path.name}",
     )
 

@@ -9,13 +9,12 @@ closed route's right-hand side takes it. None may change a bit against the
 straightforward code, which is kept here as the reference: the tableau loop
 that the generated step unrolls, the Tsitouras and RK4 steps over arrays,
 each evaluating every stage afresh, the array right-hand side, and the
-zero-gauge closed-form assembly, whose mixed block is a registered rate
-g_M^-1 dg_M/dt where one is given and the inverse times dg_M/dt otherwise.
-Seeded orbits run once as they are and once with the references patched
-in, and every array of the two trajectories must be equal byte for byte.
-The registered base data are flat lists of Python floats; every registered
-jet, and the differenced base data, must equal array references float for
-float.
+zero-gauge closed-form assembly from the block's jet (registered or
+differenced) over arrays, with the cofactor inverse. Seeded orbits run once
+as they are and once with the references patched in, and every array of the
+two trajectories must be equal byte for byte. The jet kernel that leaves out
+the products by structural zeros must equal the one that keeps them, and a
+registered jet must read its block and zeros where it declares them.
 """
 
 import ast
@@ -184,31 +183,23 @@ def _ref_cofactor_inverse(g):
 
 
 def _ref_base_data(kk, x, t, chart):
-    """The inverse base block, the base symbols, dg_M/dt and the rate as
-    arrays: a registered jet's flat lists shaped, with LAPACK's inverse (as
-    ``base_inverse`` reads it), or the differences, with the cofactor one."""
+    """The cofactor inverse of the base block, the base symbols, dg_M/dt and
+    the rate as arrays, from the block's jet: a registered jet's values, or
+    the centre and the central differences of g_M read on the stencil."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    t_differenced = kk.base_jet is None and kk.metric.time_dependent
-    if kk.base_jet is not None:
-        gminv = np.linalg.inv(kk.metric.at(x, t, chart))
+    n, fiber = x.size, kk.metric.time_dependent
+    if kk.jet is not None:
+        values = np.array(kk.jet[chart].values(*x.tolist(), t))
+        gm, partials = values[: n * n].reshape(n, n), values[n * n :].reshape(-1, n, n)
     else:
-        points, h = _fd.stencil((np.append(x, t) if t_differenced else x)[None], keep_sign=(n,))
+        points, h = _fd.stencil((np.append(x, t) if fiber else x)[None], keep_sign=(n,))
         stencil = points[0]
-        gm = kk.metric.at(stencil[:, :n], stencil[:, n] if t_differenced else np.full(len(stencil), t), chart)
-        gminv = _ref_cofactor_inverse(gm[0])
-        partials = _fd.stacked_partials(gm[None, 1:], h)[0]
-    if kk.base_jet is not None:
-        base, dgdt, rate = kk.base_jet(x.tolist(), t, chart)
-        base = np.reshape(base, (n, n, n))
-        if dgdt is not None:
-            dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
-    else:
-        base, dgdt, rate = kaluza._levi_civita(gminv, partials[:n]), None, None
-    if dgdt is None:
-        dgdt = partials[n] if t_differenced else np.zeros((n, n))
-        rate = np.einsum("cd,da->ca", gminv, np.ascontiguousarray(dgdt.T))
-    return gminv, base, dgdt, rate
+        gms = kk.metric.at(stencil[:, :n], stencil[:, n] if fiber else np.full(len(stencil), t), chart)
+        gm, partials = gms[0], _fd.stacked_partials(gms[None, 1:], h)[0]
+    gminv = _ref_cofactor_inverse(gm)
+    dgdt = partials[n] if fiber else np.zeros((n, n))
+    rate = np.einsum("cd,da->ca", gminv, np.ascontiguousarray(dgdt.T))
+    return gminv, kaluza._levi_civita(gminv, partials[:n]), dgdt, rate
 
 
 def _ref_christoffel_closed(kk, p, *, chart=None):
@@ -236,16 +227,13 @@ def _ref_published_closed(kk, p):
     symmetrized."""
     x, t, chart = p.x, p.t, p.chart
     n, s = x.size, kk.sign
-    base, dgdt, rate = kaluza.base_data(kk, x.tolist(), t, chart)
-    base = np.reshape(base, (n, n, n))
+    _, base, dgdt, rate = _ref_base_data(kk, x, t, chart)
     gamma = np.zeros((n + 1, n + 1, n + 1))
     gamma[:n, :n, :n] = base
     gamma[n, n, n] = -1.0 / t
-    if dgdt is None:
+    if not kk.metric.time_dependent:
         gamma[n, :n, :n] = -s * 0.0
-        dgdt = np.zeros((n, n))
     else:
-        dgdt, rate = np.reshape(dgdt, (n, n)), np.reshape(rate, (n, n))
         gamma[:n, :n, n] = gamma[:n, n, :n] = 0.5 * rate
         gamma[n, :n, :n] = -s * (t**2 / 2.0) * dgdt
     gminv = kaluza.base_inverse(kk, x, t, chart)
@@ -267,25 +255,6 @@ def _ref_published_closed(kk, p):
     gamma[n, :n, n] = mixed_f + scalar
     gamma[n, n, :n] = gamma[n, :n, n]
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
-
-
-def _ref_stereo_symbols(x):
-    rho2 = sum(v * v for v in x.tolist())  # in index order
-    grad_f = -2.0 * x / (1.0 + rho2)
-    n = x.size
-    out = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                val = 0.0
-                if a == b:
-                    val += grad_f[c]
-                if a == c:
-                    val += grad_f[b]
-                if b == c:
-                    val -= grad_f[a]
-                out[a, b, c] = val
-    return out
 
 
 @pytest.fixture
@@ -387,7 +356,8 @@ def test_small_gauge_orbit_equals_the_reference(schwarzschild, method, reference
     def rhs(y):
         y = np.array(y)
         x, v = y[:2], y[2:]
-        gminv, symbols, _, _ = _ref_base_data(kk, x, 1.0, "angular")
+        _, symbols, _, _ = _ref_base_data(kk, x, 1.0, "angular")
+        gminv = np.linalg.inv(kk.metric.at(x, 1.0, "angular"))
         acc = -np.einsum("abc,b,c->a", symbols, v, v) + sign_q * (gminv @ field(x) @ v)
         return np.concatenate([v, acc]).tolist()
 
@@ -405,8 +375,8 @@ def _check_scenarios(tmp_path):
     yield cg.load(str(DEMO))
     cone = cg.load(str(_write(tmp_path, "cone.ini", CONE)))
     yield cone
-    # without registered base data the closed form differences the symbols and dg_M/dt around (x, t)
-    yield dataclasses.replace(cone, base_jet=None)
+    # without a registered jet the closed form differences the block around (x, t)
+    yield dataclasses.replace(cone, jet=None)
 
 
 def _write(folder, name, text):
@@ -445,7 +415,7 @@ def _gauge_on(scenario):
 
 def test_published_gauged_closed_form_equals_the_reference(tmp_path):
     """With a nonzero gauge field the sign +1 closed form adds the published
-    terms to the zero-gauge symbols of ``_closed_floats``, whose fiber block
+    terms to the zero-gauge symbols of its jet kernel, whose fiber block
     is 0.5 (f_ab + f_ba), f = -(t^2/2) dg_M/dt: byte for byte the assembly
     that writes f_ab as it is, wherever dg_M/dt is symmetric to the bit. So
     on every catalog chart (lightcone and thakurta fiber-dependent), the
@@ -466,7 +436,7 @@ def test_published_gauged_closed_form_equals_the_reference(tmp_path):
     kk, asymmetric = cone.kk(+1, _gauge_on(cone)), 0
     for p in cone.sample_points(rng, 40, chart="main", include_negative_t=True):
         closed, ref = kaluza.christoffel_closed(kk, p), _ref_published_closed(kk, p)
-        dgdt = kaluza.base_data(kk, p.x.tolist(), p.t, "main")[1]
+        dgdt = kaluza.block_jet(kk, p.x.tolist(), p.t, "main")[1][12:]
         if dgdt[1] == dgdt[2]:
             assert closed.tobytes() == ref.tobytes(), p
         else:
@@ -475,10 +445,64 @@ def test_published_gauged_closed_form_equals_the_reference(tmp_path):
     assert asymmetric > 0
 
 
-def test_stereographic_symbols_equal_the_loop():
-    on_axes = [np.array(x) for x in ([0.0, 0.0], [0.0, -0.7], [1.2, 0.0], [-0.0, 0.3])]  # df = -0.0 there
-    for x in on_axes + list(np.random.default_rng(5).uniform(-2, 2, (50, 2))):
-        assert np.array(scenarios._stereo_symbols(x.tolist())).tobytes() == _ref_stereo_symbols(x).tobytes(), x
+def _ref_angular_symbols(x):
+    theta = x[0]
+    out = np.zeros((2, 2, 2))
+    out[0, 1, 1] = -math.sin(theta) * math.cos(theta)
+    out[1, 0, 1] = out[1, 1, 0] = math.cos(theta) / math.sin(theta)
+    return out
+
+
+def _ref_stereo_symbols(x):
+    rho2 = sum(v * v for v in x.tolist())  # in index order
+    grad_f = -2.0 * x / (1.0 + rho2)
+    n = x.size
+    out = np.zeros((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                val = 0.0
+                if a == b:
+                    val += grad_f[c]
+                if a == c:
+                    val += grad_f[b]
+                if b == c:
+                    val -= grad_f[a]
+                out[a, b, c] = val
+    return out
+
+
+_SPHERES = [pytest.param(name, params, id=name + "".join(f"-{v}" for v in params.values()))
+            for name, params in (("sphere_pullback", {}), ("schwarzschild", {"GM": 0.8}), ("lightcone", {}),
+                                 ("thakurta", {"U": "t"}), ("thakurta", {"U": "t^2/3 + 0.3*sin(t)"}))]
+
+
+@pytest.mark.parametrize("name, params", _SPHERES)
+def test_catalog_symbols_equal_the_analytic_tables(name, params):
+    """The closed form that the sphere scenarios derive from the jet of their
+    expression text agrees with the round sphere's analytic symbols to 1e-14
+    relative, block by block, on every chart, at both signs of t and of the
+    metric: Gamma^theta_phiphi = -sin cos and Gamma^phi_thetaphi = cot on the
+    angular chart, delta_ab df_c + delta_ac df_b - delta_bc df_a with
+    df = -2 x / (1 + |x|^2) on a stereographic one; a block scaled by Omega(t)
+    has the rate (Omega'/Omega) I and dg_M/dt = (Omega'/Omega) g_M, with
+    Omega'/Omega = 2 / t on lightcone and -U'(t) on thakurta."""
+    scenario = cg.load(name, **params)
+    slope = expressions.generate([[(expressions.compile_expression(params.get("U", "t"), ("t",)), "t")]])[0]
+    factor = {"lightcone": lambda t: 2.0 / t, "thakurta": lambda t: -slope(t)[0]}.get(name)
+    rng = np.random.default_rng(sum(map(ord, scenario.name)))
+    for chart in scenario.atlas.chart_names():
+        for p in scenario.sample_points(rng, 20, chart=chart, include_negative_t=True):
+            ref = np.zeros((3, 3, 3))
+            ref[:2, :2, :2] = _ref_angular_symbols(p.x) if chart == "angular" else _ref_stereo_symbols(p.x)
+            for sign in (+1, -1):
+                if factor:
+                    ref[:2, :2, 2] = ref[:2, 2, :2] = 0.5 * factor(p.t) * np.eye(2)
+                    ref[2, :2, :2] = -sign * (p.t**2 / 2.0) * factor(p.t) * scenario.metric.at(p.x, p.t, chart)
+                got = kaluza.christoffel_closed(scenario.kk(sign), p)
+                assert got[2, 2, 2] == -1.0 / p.t and not got[2, 2, :2].any() and not got[:2, 2, 2].any()
+                for block in (np.s_[:2, :2, :2], np.s_[:2, :2, 2], np.s_[2, :2, :2]):
+                    assert np.max(np.abs(got[block] - ref[block])) <= 1e-14 * np.max(np.abs(ref[block])), (chart, p)
 
 
 # points of the stereographic box where x1^2 + x2^2 summed in index order, pinned here,
@@ -490,15 +514,17 @@ _RHO2_PINS = [("0x1.06143ff60cb98p-1", "0x1.c42a8abe4eb28p-2", "0x1.d3f704c6265b
 
 @pytest.mark.parametrize("pin", _RHO2_PINS, ids=["first", "second", "third"])
 def test_stereographic_square_norm_sums_in_index_order(pin):
-    """The stereographic block, symbols and inversion read rho^2 summed in
-    index order, whatever rounding numpy's dot product takes on the host."""
+    """The loaded stereographic block, its jet's entries and the inversion
+    read rho^2 summed in index order, whatever rounding numpy's dot product
+    takes on the host."""
     x0, x1, rho2 = (float.fromhex(v) for v in pin)
     exact = lambda a, b: Fraction(a) * Fraction(a) + Fraction(b * b)
     assert x0 * x0 + x1 * x1 == rho2 and rho2 not in (float(exact(x0, x1)), float(exact(x1, x0)))
     x = np.array([x0, x1])
-    assert scenarios._stereo_block(0.25)(x, 1.0).tobytes() == np.diag([1.0 / (1.0 + rho2) ** 2] * 2).tobytes()
-    df = [-2.0 * v / (1.0 + rho2) for v in (x0, x1)]
-    assert scenarios._stereo_symbols([x0, x1]) == [df[0], df[1], df[1], -df[0], -df[1], df[0], df[0], df[1]]
+    sphere = cg.load("schwarzschild", GM=0.25)  # radius^2 = 0.25
+    block = np.diag([1.0 / (1.0 + rho2) ** 2] * 2)
+    assert sphere.metric.blocks["stereo_n"](x, 1.0).tobytes() == block.tobytes()
+    assert _bits(sphere.jet["stereo_n"].values(x0, x1, 1.0)[:4]) == block.tobytes()
     assert scenarios._stereo_inversion(x).tobytes() == (np.array([x0, -x1]) / rho2).tobytes()
 
 
@@ -592,42 +618,45 @@ def test_monitors_sum_in_index_order(dot_pin, norm_pin, flat2):
 
 
 def test_thakurta_fiber_derivative_is_minus_the_block_for_u_equal_t(thakurta):
-    """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the
-    exact derivative of U, which is 1.0 for U = t."""
+    """dg_M/dt = -U'(t) g_M, the jet's t partials, with U' from the exact
+    derivative of U, which is 1.0 for U = t; the rate g_M^-1 dg_M/dt, twice
+    the mixed block, is -I up to the rounding of the block's inverse."""
     x = [1.1, 0.4]
-    for t in (0.3, -0.8, 1.7, -2.5):
-        gm = thakurta.metric.at(x, t, "angular")
-        _, dgdt, rate = thakurta.base_jet(x, t, "angular")
-        assert np.array(dgdt).tobytes() == (-gm).tobytes()
-        assert np.array(rate).tobytes() == (-np.eye(2)).tobytes()
+    for chart in thakurta.atlas.chart_names():
+        for t in (0.3, -0.8, 1.7, -2.5):
+            gm = thakurta.metric.at(x, t, chart)
+            assert thakurta.jet[chart].values(*x, t)[12:] == (-gm).ravel().tolist()  # 0.0 off the diagonal
+            rate = 2.0 * kaluza.christoffel_closed(thakurta.kk(-1), [*x, t], chart=chart)[:2, 2, :2]
+            assert np.max(np.abs(rate + np.eye(2))) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_float_levi_civita_sum_and_rate_equal_the_stacked_assembly(n):
-    """A scenario file's base symbols and rate are summed on floats: they
-    equal ``_levi_civita`` of the LAPACK inverse byte for byte, signed zeros
-    included, and the rate equals the same contraction with the partials laid
-    out as ``_levi_civita`` reads them ([d, a]; up to n = 2 the pairwise
-    sums of the dot-product layout [a, d] give the same bytes)."""
+    """A jet's base symbols and rate are summed on floats in its kernel: they
+    equal ``_levi_civita`` of the cofactor inverse byte for byte, signed zeros
+    included, and the rate (twice the mixed block) equals the same
+    contraction with the partials laid out as ``_levi_civita`` reads them
+    ([d, a]; up to n = 2 the pairwise sums of the dot-product layout [a, d]
+    give the same bytes). Without t partials the base block is the same."""
     rng = np.random.default_rng([41, n])
-    kernel = kaluza._levi_civita_floats(n, True)
+    kernel, fixed, m = kaluza._jet_kernel(n, True, None, False), kaluza._jet_kernel(n, False, None, False), n + 1
     for k in range(300):
         a = rng.normal(size=(n, n))
-        ginv = np.linalg.inv(a @ a.T + n * np.eye(n))
+        g = a @ a.T + n * np.eye(n)
+        ginv = _ref_cofactor_inverse(g)
         dg = rng.normal(size=(n + 1, n, n))
         if k % 2:
             dg[rng.random(dg.shape) < 0.5] = 0.0
             dg[rng.random(dg.shape) < 0.3] = -0.0
-        jet = [math.nan] * n * n + dg.ravel().tolist()  # the kernel reads no entry of the block
-        base, dgdt, rate = kernel(ginv.ravel().tolist(), jet)
-        assert np.array(base).tobytes() == kaluza._levi_civita(ginv, dg[:n]).tobytes()
-        assert dgdt == dg[n].ravel().tolist()
-        rate = np.array(rate)
+        jet = g.ravel().tolist() + dg.ravel().tolist()
+        gamma = np.reshape(kernel(jet, 1.3, -1.0), (m, m, m))
+        assert gamma[:n, :n, :n].tobytes() == kaluza._levi_civita(ginv, dg[:n]).tobytes()
+        rate = 2.0 * gamma[:n, :n, n]
         assert rate.tobytes() == np.einsum("cd,da->ca", ginv, np.ascontiguousarray(dg[n].T)).tobytes()
         if n <= 2:
             assert rate.tobytes() == np.einsum("cd,ad->ca", ginv, dg[n]).tobytes()
-    fixed = kaluza._levi_civita_floats(n, False)(ginv.ravel().tolist(), jet)
-    assert np.array(fixed[0]).tobytes() == np.array(base).tobytes() and fixed[1:] == (None, None)
+        base = np.reshape(fixed(jet[: n * n + n**3], 1.3, -1.0), (m, m, m))[:n, :n, :n]
+        assert base.tobytes() == gamma[:n, :n, :n].tobytes()
 
 
 # -- generated kernels --------------------------------------------------------------
@@ -730,21 +759,80 @@ def test_generated_contraction_equals_einsum(n):
 @pytest.mark.parametrize("fiber", [False, True], ids=["fixed", "fiber"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_acceleration_equals_the_contracted_symbols(n, fiber):
-    """The acceleration kernel sums each symbol's expression where
-    ``_contraction`` sums the symbol list, every structural zero kept: the
-    same bytes as ``_contraction`` of the symbol kernel, signed zeros, inf
-    and the place of every NaN included, for any base data, velocity and
-    nonzero t. A NaN counts as a NaN: where two meet, CPython keeps one or
-    the other as its float operation is specialized or not, so its sign
-    bit changes as the interpreter warms up, even within one kernel."""
+    """The unfolded acceleration kernel of a jet sums each symbol's
+    expression where ``_contraction`` sums the symbol list, every zero kept:
+    the same bytes as ``_contraction`` of the symbol kernel, signed zeros,
+    inf and the place of every NaN included, or the same error, for any jet,
+    velocity and nonzero t. A NaN counts as a NaN: where two meet, CPython
+    keeps one or the other as its float operation is specialized or not, so
+    its sign bit changes as the interpreter warms up, even within one kernel."""
     rng = np.random.default_rng([59, n, fiber])
-    symbols, accel = kaluza._closed_floats(n, fiber), kaluza._closed_floats(n, fiber, along=True)
+    symbols, accel = kaluza._jet_kernel(n, fiber, None, False), kaluza._jet_kernel(n, fiber, None, True)
     contract = _contraction(n)
-    for k in range(1000):
-        t, s = _draws(rng, 1, k % 2)[0] or 0.5, float(rng.choice([-1.0, 1.0]))  # the closed form divides by t
-        data = [_draws(rng, n**3, k % 2)] + [_draws(rng, n * n, k % 2) for _ in range(2 * fiber)]
-        v = _draws(rng, n + 1, k % 2)
-        assert _nan_bits(accel(t, s, *data, v)) == _nan_bits(contract(symbols(t, s, *data), v))
+    with np.errstate(all="ignore"):  # LAPACK's inverse of a non-finite block
+        for k in range(1000):
+            t, s = _draws(rng, 1, k % 2)[0] or 0.5, float(rng.choice([-1.0, 1.0]))  # the closed form divides by t
+            jet = _draws(rng, n * n * (n + 1 + fiber), k % 2)
+            v = _draws(rng, n + 1, k % 2)
+            assert _outcome(lambda: accel(jet, t, s, v)) == _outcome(lambda: contract(symbols(jet, t, s), v))
+
+
+def _patterned_jet(rng, n, fiber):
+    """A random structural-zero pattern of an n x n block's jet and a finite jet of it: each structural zero
+    +-0.0; the block's diagonal of size in [1, 2) and either sign, never a structural zero, its other entries
+    below 0.1, so that det(g) stays normal; the partials of mixed magnitude; about a quarter of the entries
+    that are not structural zeros signed zeros or subnormals."""
+    size, entries = n * n * (n + 1 + fiber), n * n
+    zeros = (rng.random(size) < 0.5) & ~np.isin(np.arange(size), np.arange(0, entries, n + 1))
+    jet = _draws(rng, size, False)
+    for k in range(entries):
+        jet[k] = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)) if k % (n + 1) == 0 else 0.1 * math.tanh(jet[k])
+    for k in np.flatnonzero(rng.random(size) < 0.25).tolist():
+        jet[k] = _SPECIAL[rng.integers(6)] if k % (n + 1) or k >= entries else jet[k]
+    for k in np.flatnonzero(zeros).tolist():
+        jet[k] = float(rng.choice([0.0, -0.0]))
+    return tuple(zeros.tolist()), jet
+
+
+@pytest.mark.parametrize("fiber", [False, True], ids=["fixed", "fiber"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_folded_jet_kernel_equals_the_unfolded_one(n, fiber):
+    """Leaving out every product by a structural zero changes no bit: on
+    random finite jets whose structural zeros are +-0.0 and whose other
+    entries include signed zeros and subnormals, the kernel folded on their
+    pattern gives the symbols and the acceleration of the same kernel built
+    with no structural zeros byte for byte, at both signs of the metric and
+    of t, for velocities with signed zeros and subnormals."""
+    rng = np.random.default_rng([73, n, fiber])
+    unfolded = [kaluza._jet_kernel(n, fiber, None, along) for along in (False, True)]
+    for _ in range(60):
+        zeros, _ = _patterned_jet(rng, n, fiber)
+        folded = [kaluza._jet_kernel(n, fiber, zeros, along) for along in (False, True)]
+        for _ in range(10):
+            jet = _patterned_jet(np.random.default_rng(rng.integers(2**32)), n, fiber)[1]
+            jet = [0.0 * v if z else v for v, z in zip(jet, zeros)]  # this pattern's zeros, each sign kept
+            t, s = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)), float(rng.choice([-1.0, 1.0]))
+            v = [_SPECIAL[rng.integers(6)] if rng.random() < 0.25 else x for x in _draws(rng, n + 1, False)]
+            assert _bits(folded[0](jet, t, s)) == _bits(unfolded[0](jet, t, s))
+            assert _bits(folded[1](jet, t, s, v)) == _bits(unfolded[1](jet, t, s, v))
+
+
+def test_a_folded_kernel_gives_no_nan_for_the_zero_times_inf_it_leaves_out():
+    """Where a structural zero meets an infinity the folded kernel leaves the
+    product out: on the angular chart's pattern with d_theta g_phiphi = inf,
+    g^{theta phi} (+-0.0) times l_{phi theta phi} (inf) makes the unfolded
+    kernel's Gamma^theta_thetaphi NaN, and g^{phi theta} times l_{theta phi phi}
+    (-inf) its Gamma^phi_phiphi; the folded kernel's are 0.0, the other
+    symbols alike, and its acceleration is inf where the unfolded one's is NaN."""
+    zeros = cg.load("schwarzschild").jet["angular"].zeros
+    jet = [1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, math.inf] + [0.0] * 4
+    folded, unfolded = (kaluza._jet_kernel(2, False, z, False)(jet, 1.3, -1.0) for z in (zeros, None))
+    nan = [k for k, value in enumerate(unfolded) if math.isnan(value)]
+    assert nan == [1, 3, 13] and [folded[k] for k in nan] == [0.0] * 3  # Gamma^0_01 = Gamma^0_10, Gamma^1_11
+    assert _nan_bits(np.delete(folded, nan)) == _nan_bits(np.delete(unfolded, nan))
+    v = [0.3, -0.4, 0.5]
+    folded, unfolded = (kaluza._jet_kernel(2, False, z, True)(jet, 1.3, -1.0, v) for z in (zeros, None))
+    assert folded[:2] == [math.inf] * 2 and all(map(math.isnan, unfolded[:2])) and folded[2] == unfolded[2]
 
 
 def test_the_acceleration_along_a_velocity_needs_a_vanishing_gauge_field(flat2):
@@ -855,12 +943,15 @@ def test_oracle_acceleration_fails_as_the_stacked_oracle_does(flat2):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_float_levi_civita_of_a_raw_metric_equals_the_stacked_oracles(m):
-    """The oracle's acceleration sums its symbols with
-    ``_levi_civita_floats(m, False)``: over the m = n + 1 raw coordinates,
-    m = 4 included, its symbols equal ``_levi_civita`` of the stack (one
-    point, as the oracle calls it) byte for byte, signed zeros included."""
+    """The oracle's acceleration sums its symbols with the lines of
+    ``_levi_civita_lines``: over the m = n + 1 raw coordinates, m = 4
+    included, its symbols equal ``_levi_civita`` of the stack (one point, as
+    the oracle calls it) byte for byte, signed zeros included."""
     rng = np.random.default_rng([67, m])
-    kernel = kaluza._levi_civita_floats(m, False)
+    lines, symbols = kaluza._levi_civita_lines(m, [f"ginv[{k}]" for k in range(m * m)],
+                                               [f"dg[{k}]" for k in range(m**3)])
+    kernel = expressions.run_generated(["def kernel(ginv, dg):", *lines,
+                                        f"    return [{', '.join(symbols)}]"])["kernel"]
     for k in range(300):
         a = rng.normal(size=(m, m))
         ginv = np.linalg.inv(a @ a.T + m * np.eye(m))
@@ -868,15 +959,15 @@ def test_float_levi_civita_of_a_raw_metric_equals_the_stacked_oracles(m):
         if k % 2:
             dg[rng.random(dg.shape) < 0.3] = 0.0
             dg[rng.random(dg.shape) < 0.2] = -0.0
-        base, dgdt, rate = kernel(ginv.ravel().tolist(), [math.nan] * m * m + dg.ravel().tolist())
-        assert _bits(base) == kaluza._levi_civita(ginv[None], dg[None]).tobytes() and dgdt is rate is None
+        symbols = kernel(ginv.ravel().tolist(), dg.ravel().tolist())
+        assert _bits(symbols) == kaluza._levi_civita(ginv[None], dg[None]).tobytes()
 
 
 def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
-    """A 3-d fiber-dependent file without registered base data: the rate
+    """A 3-d fiber-dependent file without a registered jet: the rate
     g^{cd} dg_ad/dt sums over d in index order from 0.0, whatever order
     numpy's dot-product kernels take, and the closed form equals the reference."""
-    kk = dataclasses.replace(cg.load(str(_write(tmp_path, "three.ini", THREE))), base_jet=None).kk(-1)
+    kk = dataclasses.replace(cg.load(str(_write(tmp_path, "three.ini", THREE))), jet=None).kk(-1)
     rng = np.random.default_rng(43)
     for _ in range(200):
         x, t = rng.uniform(-1.0, 1.0, 3), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
@@ -888,57 +979,13 @@ def test_differenced_rate_sums_in_index_order_at_n_3(tmp_path):
                 for d in range(3):
                     acc += gminv[c, d] * dgdt[a, d]
                 loop[c, a] = acc
-        assert np.array(kaluza.base_data(kk, x, t, "main")[2]).tobytes() == loop.tobytes()
         raw = np.append(x, t)
-        assert kaluza.christoffel_closed(kk, raw, chart="main").tobytes() == \
-            _ref_christoffel_closed(kk, raw, chart="main").tobytes()
+        closed = kaluza.christoffel_closed(kk, raw, chart="main")
+        assert (2.0 * closed[:3, :3, 3]).tobytes() == loop.tobytes()
+        assert closed.tobytes() == _ref_christoffel_closed(kk, raw, chart="main").tobytes()
 
 
-# -- the float-list base data contract ------------------------------------------------
-
-def _ref_angular_symbols(x):
-    theta = x[0]
-    out = np.zeros((2, 2, 2))
-    out[0, 1, 1] = -math.sin(theta) * math.cos(theta)
-    out[1, 0, 1] = out[1, 1, 0] = math.cos(theta) / math.sin(theta)
-    return out
-
-
-def _ref_base_jet(scenario, jets, x, t, chart):
-    """A registered jet's base symbols, dg_M/dt and rate as arrays: zeros for
-    a flat block; the round symbols for a sphere, with (f g_M, f I) for a
-    block scaled by exp(s(t)), f = s'(t); for an expression file,
-    ``_levi_civita`` and the rate of the cofactor inverse of its generated jet."""
-    n = x.size
-    if jets:
-        values = np.array(jets[chart](*x.tolist(), t))
-        gminv, partials = _ref_cofactor_inverse(values[: n * n].reshape(n, n)), values[n * n :].reshape(-1, n, n)
-        base = kaluza._levi_civita(gminv, partials[:n])
-        if not scenario.metric.time_dependent:
-            return base, None, None
-        return base, partials[n], np.einsum("cd,da->ca", gminv, np.ascontiguousarray(partials[n].T))
-    if scenario.name.startswith(("flat", "moebius")):
-        return np.zeros((n, n, n)), None, None
-    symbols = _ref_angular_symbols(x) if chart == "angular" else _ref_stereo_symbols(x)
-    if scenario.name == "lightcone":
-        factor = 2.0 / t
-    elif scenario.name.startswith("thakurta"):
-        slope = expressions.generate([[(expressions.compile_expression(scenario.params["U"], ("t",)), "t")]])
-        factor = -slope[0](t)[0]
-    else:
-        return symbols, None, None
-    return symbols, factor * scenario.metric.at(x, t, chart), factor * np.eye(2)
-
-
-def _load_with_jets(monkeypatch, path):
-    """A scenario file and the generated jet of each chart's block."""
-    jets, parse = [], scenarios._parse_matrix
-    with monkeypatch.context() as patch:
-        patch.setattr(scenarios, "_parse_matrix", lambda *args, **kw: (lambda out: jets.append(out[1]) or out)(
-            parse(*args, **kw)))
-        scenario = cg.load(str(path))
-    return scenario, dict(zip(scenario.atlas.chart_names(), jets))
-
+# -- registered jets and their structural zeros ------------------------------------
 
 _JETS = [*(pytest.param("flat", {"n": n}, id=f"flat{n}") for n in (1, 2, 3)),
          *(pytest.param(name, {}, id=name) for name in ("moebius", "sphere_pullback", "schwarzschild", "lightcone")),
@@ -947,42 +994,42 @@ _JETS = [*(pytest.param("flat", {"n": n}, id=f"flat{n}") for n in (1, 2, 3)),
 
 
 @pytest.mark.parametrize("name, params", _JETS)
-def test_registered_jet_equals_the_array_reference(name, params, tmp_path, monkeypatch):
+def test_registered_jet_reads_its_block_and_its_structural_zeros_read_zero(name, params, tmp_path, monkeypatch):
     """At the check sample points, each also with t negated, a registered jet
-    gives flat lists of Python floats in C order, float for float the arrays
-    of the reference; every chart of the sphere scenarios is sampled."""
+    gives Python floats, its entries are the block that ``metric.at`` reads,
+    float for float, and each of its structural zeros reads +-0.0; every
+    chart of the sphere scenarios is sampled."""
     if name in ("demo", "three"):
-        scenario, jets = _load_with_jets(monkeypatch, DEMO if name == "demo" else _write(tmp_path, "three.ini", THREE))
+        scenario = cg.load(str(DEMO if name == "demo" else _write(tmp_path, "three.ini", THREE)))
     else:
-        scenario, jets = cg.load(name, **params), {}
+        scenario = cg.load(name, **params)
     checked = set()
     for _, points in _check_sample_points(monkeypatch, [scenario]):
         for p, t in ((p, t) for p in points for t in (p.t, -p.t)):
-            got = scenario.base_jet(p.x.tolist(), t, p.chart)
-            ref = _ref_base_jet(scenario, jets, p.x, t, p.chart)
-            assert [block is None for block in got] == [block is None for block in ref]
-            for block, ref_block in zip(got, ref):
-                if block is not None:
-                    assert all(type(v) is float for v in block) and _bits(block) == ref_block.tobytes(), (p, t)
+            jet = scenario.jet[p.chart]
+            values = jet.values(*p.x.tolist(), t)
+            assert all(type(v) is float for v in values) and len(values) == len(jet.zeros)
+            assert _bits(values[: p.dim**2]) == scenario.metric.at(p.x, t, p.chart).tobytes(), (p, t)
+            assert not any(v for v, zero in zip(values, jet.zeros) if zero), (p, t)
             checked.add(p.chart)
     assert checked == set(scenario.atlas.chart_names())
 
 
 @pytest.mark.parametrize("text", [None, CONE, THREE], ids=["demo-file", "cone-file", "three-d-file"])
-def test_differenced_base_data_equals_the_array_reference(text, tmp_path, monkeypatch):
-    """Without a registered jet, ``base_data`` gives the differences as flat
-    float lists, float for float the arrays of ``_ref_base_data``."""
+def test_differenced_jet_equals_the_array_reference(text, tmp_path, monkeypatch):
+    """Without a registered jet, ``block_jet`` gives the centre and the
+    differences of g_M as one flat float list with no structural zeros,
+    float for float the stacked stencil of the reference."""
     path = DEMO if text is None else _write(tmp_path, "file.ini", text)
-    scenario = dataclasses.replace(cg.load(str(path)), base_jet=None)
+    scenario = dataclasses.replace(cg.load(str(path)), jet=None)
+    n, fiber = scenario.dim, scenario.metric.time_dependent
     for kk, points in _check_sample_points(monkeypatch, [scenario]):
         for p, t in ((p, t) for p in points for t in (p.t, -p.t)):
-            got = kaluza.base_data(kk, p.x.tolist(), t, p.chart)
-            _, base, dgdt, rate = _ref_base_data(kk, p.x, t, p.chart)
-            assert _bits(got[0]) == base.tobytes()
-            if scenario.metric.time_dependent:
-                assert _bits(got[1]) == dgdt.tobytes() and _bits(got[2]) == rate.tobytes()
-            else:
-                assert got[1:] == (None, None)
+            jet, values = kaluza.block_jet(kk, p.x.tolist(), t, p.chart)
+            assert (jet.n, jet.fiber, jet.zeros) == (n, fiber, None)
+            raw, h = _fd.stencil((np.append(p.x, t) if fiber else p.x)[None], keep_sign=(n,))
+            gms = kk.metric.at(raw[0, :, :n], raw[0, :, n] if fiber else np.full(len(raw[0]), t), p.chart)
+            assert _bits(values) == np.append(gms[0], _fd.stacked_partials(gms[None, 1:], h)[0]).tobytes()
 
 
 def test_closed_form_gives_the_same_bytes_for_a_point_an_array_and_a_list(tmp_path):
@@ -1105,7 +1152,7 @@ def _closed_stage(scenario, chart):
 
 def test_a_closed_route_stage_calls_no_numpy(tmp_path):
     """From the raw position and velocity to the slope, a stage of a
-    closed-route orbit runs on Python floats alone, base data included: on
+    closed-route orbit runs on Python floats alone, the jet included: on
     every catalog scenario and chart, the demo file, and time-dependent
     files at n = 2 and 3."""
     cases = [cg.load(name) for name in scenarios.catalog_names()] + [cg.load(str(DEMO))]
@@ -1163,7 +1210,7 @@ _ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carrol
                                 "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
                                 "_rms", "_rms_kernel", "_rms_text", "_rk_step", "_step_kernel",
                                 "_first_step", "_drive", "_initial_chart", "integrate"),
-               "kaluza.py": ("base_data", "jet_base_data", "_block_inverse", "_levi_civita_floats", "_closed_floats",
+               "kaluza.py": ("Jet", "block_jet", "_jet_kernel", "_levi_civita_lines", "_inverse",
                              "contracted", "christoffel_numeric", "_gated_inverse", "_stencil_fields",
                              "_centre_inverse", "_numeric_floats", "KKMetric", "_levi_civita", "_contraction_floats"),
                "_fd.py": ("_guarded_step", "step_size", "float_stencil", "_stencil_floats", "_unit_offsets",

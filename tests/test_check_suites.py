@@ -20,6 +20,7 @@ from carrollgeo import _fd, suites
 from carrollgeo.connection import ConnectionOneForm, GaugeField, overlap_gauge_residual
 from carrollgeo.errors import CarrollError, ConstructionError
 from carrollgeo.geometry import DegenerateMetric, Point, TangentVector
+from carrollgeo.kaluza import Jet
 from carrollgeo.suites import CheckResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,7 +153,8 @@ MUTATIONS = {
         gauge=GaugeField(components={"cartesian": lambda x: 1e6 * np.array([x[0] * x[1], 0.3 * math.sin(x[0])])})
     ),
     "lorentzian_signature": lambda: _flat2(metric=_block(lambda x, t: np.diag([-1.0, 1.0]))),
-    "christoffel_oracle_agreement": lambda: _flat2(base_jet=lambda x, t, chart: ([0.1] * 8, None, None)),
+    "christoffel_oracle_agreement": lambda: _flat2(jet={"cartesian": Jet(lambda *p: (1.0, 0.0, 0.0, 1.0, *[0.1] * 8),
+                                                                      (False,) * 12, 2, False)}),
     "metric_overlap_consistency": lambda: _moebius(scale_west=1.1),
 }
 

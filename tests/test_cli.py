@@ -258,6 +258,8 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (["check", "schwarzschild", "--param", "GM=1/0"], "1/0"),
         (["check", "schwarzschild", "--param", "GM=-1"], "GM"),
         (["check", "thakurta", "--param", "GM=0"], "GM"),
+        (["check", "schwarzschild", "--param", "GM=1e160"], "(2 GM)^2 a finite, normal float, got 1e+160"),
+        (["check", "thakurta", "--param", "GM=1e-200"], "(2 GM)^2 a finite, normal float, got 1e-200"),
         (["check", "flat", "--param", "n=abc"], "abc"),
         (["check", "flat", "--param", "n=2.5"], "integer"),
         (["check", "flat", "--param", "n=200"], "1 <= n <= 32, got 200"),
@@ -318,7 +320,8 @@ SMALL_GAUGE_FLAT = ["geodesic", "flat", "--small-gauge", "--field", "1", "--stat
         (SMALL_GAUGE_FLAT + ["--tol", "1e-300"], "tol must be at least the float"),
         (SHOOT_FLAT + ["--method", "rk4", "--tol", "5e-324"], "tol must be at least the float"),
     ],
-    ids=["GM_div0", "GM_negative", "GM_zero", "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
+    ids=["GM_div0", "GM_negative", "GM_zero", "GM_square_overflows", "GM_square_underflows",
+         "n_name", "n_fraction", "n_too_large", "n_huge", "off_chart",
          "zero_section", "shoot_chart", "small_gauge_chart",
          "geodesic_chart", "field_3d", "field_1d", "lambda_nan", "lambda_negative", "rk4_step_negative", "rk4_step_zero",
          "tol_zero", "count_negative", "param_unknown", "param_file", "field_full_flow", "sign_q_full_flow",
@@ -338,6 +341,16 @@ def test_bad_input_is_one_line_usage_error(argv, needle, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err and "unexpected" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("u", ["t^0.5", "1e308*t"])
+def test_a_thakurta_profile_that_fails_on_the_samples_fails_its_checks(u, capsys):
+    """exp(-U(t)) that cannot be evaluated at some sampled t (t^0.5 for t < 0,
+    exp past the float range for U = 1e308 t) or that vanishes there is a
+    field that fails its checks: FAIL rows and exit 1, never a backstop."""
+    assert main(["check", "thakurta", "--param", f"U={u}"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  christoffel_suite" in out and "unexpected" not in out + err
 
 
 @pytest.mark.parametrize(
@@ -573,6 +586,24 @@ def test_singular_base_block_is_numeric_failure_on_both_routes(route, tmp_path, 
     path = tmp_path / "singular.ini"
     path.write_text(SCENARIO_FILE.replace("matrix(1, 0; 0, 1)", "matrix(x1^2, 0; 0, 1)"))
     argv = ["geodesic", str(path), "--christoffel", route, "--state", "0, 0, 1, 0.5, 0.5, -1", "--lambda-max", "0.1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numeric failure: metric is not invertible: Singular matrix\n"
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("route", ["closed", "numeric"])
+def test_a_constant_singular_block_is_numeric_failure_on_both_routes(route, dim, tmp_path, capsys):
+    """g_M = diag(0, 1, ...) everywhere: the closed form's symbols of a
+    constant block read no inverse, but its determinant (up to n = 3) or
+    LAPACK's inverse (above) is still taken, so each route exits 3 as on a
+    block that is singular at one point."""
+    path = tmp_path / "constant.ini"
+    block = "; ".join(", ".join("1" if i == j > 0 else "0" for j in range(dim)) for i in range(dim))
+    box = "; ".join(["-1, 1"] * dim)
+    path.write_text(SCENARIO_FILE.replace("dim = 2", f"dim = {dim}").replace("box(-1, 1; -1, 1)", f"box({box})")
+                    .replace("matrix(1, 0; 0, 1)", f"matrix({block})"))
+    state = ", ".join(["0"] * dim + ["1"] + ["0.5"] * dim + ["-1"])
+    argv = ["geodesic", str(path), "--christoffel", route, "--state", state, "--lambda-max", "0.1"]
     assert main(argv) == 3
     assert capsys.readouterr().err == "numeric failure: metric is not invertible: Singular matrix\n"
 

@@ -276,7 +276,7 @@ def test_constant_requests_give_the_references_floats_and_errors(text):
     alone, in a request of the variables x and y and through parse_number,
     and a failure names its expression, also after an entry that succeeds."""
     fn = compile_expression(text, ())
-    assert fn.constant and compile_expression(text, ("x", "y")).constant
+    assert not fn.reads and not compile_expression(text, ("x", "y")).reads
     _assert_generated_equals_the_reference(text, [(0.5, -0.0), (math.nan, math.inf)])
     value = _reference(text, ())[0]
     expected = _outcome(lambda: [value()])
@@ -289,33 +289,37 @@ def test_constant_requests_give_the_references_floats_and_errors(text):
 
 def test_a_constant_expression_has_zero_partials():
     fn = compile_expression("2 * pi + e", ("x", "y"))
-    assert fn.constant
+    assert not fn.reads
     assert generate([[(fn, None), (fn, "x"), (fn, "y")]])[0](0.5, 0.7) == [2 * math.pi + math.e, 0.0, 0.0]
     assert parse_number("sin(pi/2) + 1e400") == math.inf
 
 
 def test_a_second_load_of_the_same_text_compiles_nothing(tmp_path, monkeypatch):
-    """Generated code is cached by its source text across loads. From a cold
-    cache the first load compiles five sources: the box's constants -1 and 1,
-    the block, its inverse and its Levi-Civita kernel; the second compiles
-    nothing. Each load still runs its code in a namespace of its own, and a
-    failing entry is still named by each."""
-    compiled = []
+    """Generated code is cached by its source text across loads, and an
+    expression block's functions by its entries' texts. From a cold cache
+    the first load compiles three sources: the box's constants -1 and 1 and
+    the block, whose jet's closed-form kernel compiles at its first call;
+    the second load builds and compiles nothing and shares the first's block
+    and jet, kernel included. A failing entry is still named by each."""
+    compiled, built = [], []
     monkeypatch.setattr(expressions, "compile", lambda *args: compiled.append(args) or compile(*args), raising=False)
     monkeypatch.setattr(expressions, "_CODE", {})
-    kaluza.jet_base_data.cache_clear()
-    kaluza._levi_civita_floats.cache_clear()
-    kaluza._block_inverse.cache_clear()
+    monkeypatch.setattr(scenarios, "generate", lambda *args: built.append(args) or expressions.generate(*args))
+    scenarios._expression_block.cache_clear()
+    kaluza._jet_kernel.cache_clear()
     path = tmp_path / "cached.ini"
     path.write_text("[meta]\ndim = 2\n[charts]\nmain = box(-1, 1; -1, 1)\n[metric]\n"
                     "main = matrix(1 + 0.4375 * x1^2, 0; 0, sqrt(x2 + 1.8125))\n")
     loads = []
-    for count in (5, 0):
-        compiled.clear()
+    for count, builds in ((3, 1), (0, 0)):
+        compiled.clear(), built.clear()
         loads.append(scenarios.load(str(path)))
-        assert len(compiled) == count
+        assert len(compiled) == count and len(built) == builds
+        compiled.clear()
+        kaluza.christoffel_closed(loads[-1].kk(-1), [0.5, 0.5, 1.0], chart="main", along=[0.1, 0.2, 0.3])
+        assert len(compiled) == (1 if builds else 0)
     assert loads[0].metric.at([0.5, 0.5], 1.0, "main").tobytes() == loads[1].metric.at([0.5, 0.5], 1.0, "main").tobytes()
-    assert loads[0].base_jet is not loads[1].base_jet
+    assert loads[0].jet["main"] is loads[1].jet["main"] and loads[0].metric is not loads[1].metric
     for scenario in loads:
         with pytest.raises(ConstructionError, match=re.escape("'sqrt(x2 + 1.8125)'")):
             scenario.metric.at([0.5, -1.9], 1.0, "main")
@@ -390,17 +394,18 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
     (kaluza._numeric_floats, (3,)),
     (kaluza._contraction_floats, (5,)),
     (_fd._stencil_floats, (3,)),
-    (kaluza._closed_floats, (2, True)),
-    (kaluza._closed_floats, (3, False)),
-    (kaluza._levi_civita_floats, (2, True)),
+    (kaluza._jet_kernel, (2, True, None, False)),
+    (kaluza._jet_kernel, (3, False, None, True)),
+    (kaluza._jet_kernel, (2, False, (False, True, True, False) + (True,) * 3 + (False,) + (True,) * 4, True)),
+    (kaluza._jet_kernel, (4, False, None, False)),
+    (kaluza._jet_kernel, (5, False, (False,) * 25 + (True,) * 125, True)),
 ], ids=["tsitouras_step", "rk4_step", "oracle_acceleration", "oracle_contraction", "stencil", "closed_fiber", "closed",
-        "levi_civita"])
+        "closed_folded", "closed_lapack", "closed_constant"])
 def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_key(factory, key, monkeypatch):
     """The stepping, stencil and symbol kernels: no builtins, a namespace of
-    exactly the names the code reads, and one compile per key. Each is built
-    once first, so that a kernel it is built on (the oracle's acceleration
-    is built on ``_levi_civita_floats``) is cached and only its own source
-    compiles."""
+    exactly the names the code reads (a constant block's jet kernel, which
+    uses no inverse entry, still names LAPACK's inverse, whose error it
+    raises for a singular block), and one compile per key. Each is built once first, so that only its own source compiles."""
     factory.cache_clear()
     factory(*key)
     compiled = []

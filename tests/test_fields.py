@@ -273,14 +273,20 @@ def test_gauge_known_to_vanish_is_never_called(monkeypatch):
         curvature(gauge, x[0], "elsewhere")
 
 
-def test_sphere_blocks_equal_the_scaled_constant_matrices():
+@pytest.mark.parametrize("scale", [None, "t^2", "exp(-(t))"], ids=["fixed", "lightcone", "thakurta"])
+def test_sphere_blocks_equal_the_scaled_constant_matrices(scale):
+    """The catalog's sphere blocks, expression text, read as the scale times
+    the round matrices written out on floats, byte for byte: radius^2 diag(1,
+    sin^2 theta) and 4 radius^2 / (1 + |x|^2)^2 times the identity."""
     rng = np.random.default_rng(9)
+    factor = {None: lambda t: 1.0, "t^2": lambda t: t**2, "exp(-(t))": lambda t: math.exp(-t)}[scale]
     for radius2 in (1.0, 0.37, 4.0 * 2.5**2):
-        angular, stereo = scenarios._angular_block(radius2), scenarios._stereo_block(radius2)
-        for theta, phi in rng.uniform((0.02, -3.0), (math.pi - 0.02, 3.0), (200, 2)):
+        blocks = scenarios._build_sphere_like("sphere", radius2, scale, {}, {}, "").metric.blocks
+        for (theta, phi), t in zip(rng.uniform((0.02, -3.0), (math.pi - 0.02, 3.0), (200, 2)), rng.uniform(-2, 2, 200)):
             x = np.array([theta, phi])
             old = radius2 * np.array([[1.0, 0.0], [0.0, math.sin(theta) ** 2]])
-            assert angular(x, 1.0).tobytes() == old.tobytes()
-        for x in rng.uniform(-1.5, 1.5, (200, 2)):
+            assert blocks["angular"](x, t).tobytes() == (factor(t) * old if scale else old).tobytes()
+        for x, t in zip(rng.uniform(-1.5, 1.5, (200, 2)), rng.uniform(-2, 2, 200)):
             old = (4.0 * radius2 / (1.0 + (x[0] * x[0] + x[1] * x[1])) ** 2) * np.eye(2)
-            assert stereo(x, 1.0).tobytes() == old.tobytes()
+            for chart in ("stereo_n", "stereo_s"):
+                assert blocks[chart](x, t).tobytes() == (factor(t) * old if scale else old).tobytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import carrollgeo as cg
-from carrollgeo import geodesics, kaluza, scenarios
+from carrollgeo import geodesics, scenarios
 from carrollgeo.connection import GaugeField
 from carrollgeo.errors import CarrollError, ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import DegenerateMetric
@@ -434,10 +434,10 @@ def _load_text(text):
 
 
 def _differenced(scenario):
-    """``scenario`` without its registered base data, so that the closed form
-    differences the base symbols and dg_M/dt from one read of g_M around (x, t),
-    as it does for grid blocks and Python callables."""
-    return dataclasses.replace(scenario, base_jet=None)
+    """``scenario`` without its registered jets, so that the closed form
+    differences its block's jet from one read of g_M around (x, t), as it
+    does for grid blocks and Python callables."""
+    return dataclasses.replace(scenario, jet=None)
 
 
 def _route_cases():
@@ -474,16 +474,16 @@ def test_default_route_is_the_closed_form_and_agrees_with_the_oracle(scenario, c
 
 
 def test_default_route_on_a_fiber_dependent_file_agrees_with_the_oracle(tmp_path):
-    """A file of expression blocks registers its base symbols and dg_M/dt,
-    both from the exact partials of its entries; without them the closed form
-    differences both, and either way it agrees with the oracle."""
+    """A file of expression blocks registers its block's jet, the exact
+    partials of its entries in x and t; without it the closed form differences
+    the block, and either way it agrees with the oracle."""
     path = tmp_path / "cone.ini"
     path.write_text(
         "[meta]\ndim = 2\n[charts]\nmain = box(-1.5, 1.5; -1.5, 1.5)\n"
         "[metric]\ntime_dependent = true\nmain = matrix(t^2 * (1 + 0.5 * x1^2), 0.1 * t; 0.1 * t, 2 + t^2)\n"
     )
     scenario = cg.load(str(path))
-    assert scenario.base_jet is not None
+    assert scenario.jet is not None
     for case in (scenario, _differenced(scenario)):
         for sign in (+1, -1):
             _assert_routes_agree(case, "main", sign)
@@ -492,9 +492,9 @@ def test_default_route_on_a_fiber_dependent_file_agrees_with_the_oracle(tmp_path
 @pytest.mark.parametrize("text", [WAVE, DEMO.read_text()], ids=["wave", "demo"])
 def test_the_oracle_reads_no_registered_base_data(text):
     """The oracle differences the metric itself: a file scenario's registered
-    base symbols and dg_M/dt, from exact partials, do not change one bit of it."""
+    jet, of exact partials, does not change one bit of it."""
     scenario = _load_text(text)
-    assert scenario.base_jet is not None
+    assert scenario.jet is not None
     bare = _differenced(scenario)
     rng = np.random.default_rng(29)
     raw = np.column_stack([rng.uniform(-1.5, 1.5, (8, 2)), rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 2.0, 8)])
@@ -504,33 +504,27 @@ def test_the_oracle_reads_no_registered_base_data(text):
 
 
 def test_a_time_dependent_file_evaluates_one_jet_per_closed_form_call(monkeypatch):
-    """On a time-dependent expression file the registered base symbols,
-    dg_M/dt and g_M^-1 dg_M/dt all come from the generated jet of the block
-    at (x, t) and its one inverse: one closed-form call evaluates the jet once,
-    inverts once with the generated cofactor inverse and never with LAPACK,
-    reads no block, and the next point evaluates it anew."""
-    calls, reads, inverses, lapack = [], [], [], []
-    parse, at, cofactor, inverse = scenarios._parse_matrix, DegenerateMetric.at, kaluza._block_inverse, np.linalg.inv
-
-    def counted(*args, **kwargs):
-        gm, jet = parse(*args, **kwargs)
-        return gm, lambda *args: calls.append(args) or jet(*args)
-
-    monkeypatch.setattr(scenarios, "_parse_matrix", counted)
+    """On a time-dependent expression file the base symbols, dg_M/dt and
+    g_M^-1 dg_M/dt all come from the generated jet of the block at (x, t)
+    and its one inverse, generated in the jet's kernel: one closed-form call
+    evaluates the jet once, never inverts with LAPACK, reads no block, and
+    the next point evaluates it anew."""
+    calls, reads, lapack = [], [], []
+    at, inverse = DegenerateMetric.at, np.linalg.inv
     monkeypatch.setattr(DegenerateMetric, "at", lambda self, *args: reads.append(args) or at(self, *args))
-    monkeypatch.setattr(kaluza, "_block_inverse", lambda n: lambda g: inverses.append(g) or cofactor(n)(g))
-    monkeypatch.setattr(scenarios, "jet_base_data", kaluza.jet_base_data.__wrapped__)  # bound anew at load
     monkeypatch.setattr(np.linalg, "inv", lambda g: lapack.append(g) or inverse(g))
     wave = _load_text(WAVE)
-    assert wave.base_jet is not None and wave.metric.time_dependent
+    assert wave.jet is not None and wave.metric.time_dependent
+    jet = wave.jet["main"]
+    wave.jet = {"main": dataclasses.replace(jet, values=lambda *args: calls.append(args) or jet.values(*args))}
     rng = np.random.default_rng(3)
     for sign in (+1, -1):
         kk = wave.kk(sign)
         for p in wave.sample_points(rng, 4, include_negative_t=True):
-            for log in (calls, reads, inverses, lapack):
+            for log in (calls, reads, lapack):
                 log.clear()
             christoffel_closed(kk, p)
-            assert calls == [(*p.x.tolist(), p.t)] and reads == [] and len(inverses) == 1 and lapack == []
+            assert calls == [(*p.x.tolist(), p.t)] and reads == [] and lapack == []
 
 
 FOUR = (
@@ -544,7 +538,7 @@ def test_a_four_dimensional_file_integrates_on_the_closed_route(monkeypatch):
     """Above n = 3 a file jet's block is inverted by LAPACK, and its orbits
     still take the closed form, which agrees with the oracle."""
     four = _load_text(FOUR)
-    assert four.base_jet is not None
+    assert four.jet is not None
     lapack, inverse = [], np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda g: lapack.append(g) or inverse(g))
     for sign in (+1, -1):

@@ -11,7 +11,6 @@ from carrollgeo.errors import ContractViolation, DomainError, NumericError
 from carrollgeo.geometry import TangentVector, VectorField, euler, basis_vector
 from carrollgeo.kaluza import (
     _density_field,
-    base_data,
     christoffel_closed,
     christoffel_numeric,
     closed_form_deviation,
@@ -163,17 +162,17 @@ def test_closed_form_rejects_lorentzian_gauge(flat2):
         christoffel_closed(kk, flat2.point([0.1, 0.2], 1.0))
 
 
-@pytest.mark.parametrize("name", ["lightcone", "thakurta"])
+@pytest.mark.parametrize("name", ["lightcone", "thakurta", "schwarzschild"])
 def test_a_registered_jet_without_dgdt_on_a_fiber_dependent_block_is_a_contract_violation(name):
-    """``base_jet`` gives dg_M/dt and the rate wherever the block depends on
-    t; leaving them out there would silently drop the mixed and fiber blocks."""
+    """A registered ``Jet`` gives the t partials, dg_M/dt, exactly where the
+    block depends on t: leaving them out there would silently drop the mixed
+    and fiber blocks, and giving them on a fiber-independent block would add
+    blocks the metric does not have. Either is refused when the metric is assembled."""
     s = cg.load(name)
-    symbols = s.base_jet([1.1, 0.4], 1.3, "angular")[0]
-    bare = dataclasses.replace(s, base_jet=lambda x, t, chart: (symbols, None, None))
-    p = s.point([1.1, 0.4], 1.3)
-    for call in (lambda: base_data(bare.kk(-1), p.x, p.t, p.chart), lambda: christoffel_closed(bare.kk(+1), p)):
-        with pytest.raises(ContractViolation, match="dg_M/dt"):
-            call()
+    other = {chart: dataclasses.replace(jet, fiber=not jet.fiber) for chart, jet in s.jet.items()}
+    for sign in (+1, -1):
+        with pytest.raises(ContractViolation, match="t partials"):
+            dataclasses.replace(s, jet=other).kk(sign)
 
 
 def test_a_fiber_coordinate_whose_square_overflows_is_a_numeric_error(flat2):
@@ -309,17 +308,16 @@ def test_singular_metric_is_numeric_error(schwarzschild):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_block_inverse_is_within_a_few_ulps_of_lapack(n):
-    """The generated cofactor inverse that file jets and the differenced
-    closed form use is within 4 eps kappa_2(g) max|g^-1| of LAPACK's, entry by
+    """The generated cofactor inverse that the closed form's jet kernel
+    takes is within 4 eps kappa_2(g) max|g^-1| of LAPACK's, entry by
     entry, on random positive definite and indefinite symmetric blocks of
     mixed scale; at n = 1 both are 1 / g."""
     rng = np.random.default_rng([59, n])
-    inverse = kaluza._block_inverse(n)
     for k in range(2000):
         a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
         g = a @ a.T + 1e-3 * np.abs(a).max() ** 2 * np.eye(n) if k % 2 else a + a.T
         ref = np.linalg.inv(g)
-        got = np.array(inverse(g.ravel().tolist())).reshape(n, n)
+        got = np.array(_kernel_inverse(g)).reshape(n, n)
         assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.linalg.cond(g) * np.abs(ref).max(), g
         assert n > 1 or got.tobytes() == ref.tobytes()
 
@@ -332,8 +330,9 @@ def test_a_zero_determinant_is_the_singular_matrix_error(g):
     """A block whose cofactor determinant is exactly 0.0 fails with the
     error of LAPACK's inverse, directly and through a jet."""
     n = len(g)
-    for invert in (lambda: kaluza._block_inverse(n)(np.ravel(g).tolist()), lambda: kaluza._inverse(np.array(g)),
-                   lambda: kaluza.jet_base_data(n, False)(np.ravel(g).tolist() + [0.0] * n**3)):
+    unfolded = kaluza._jet_kernel(n, False, None, False)
+    for invert in (lambda: _kernel_inverse(g), lambda: kaluza._inverse(np.array(g)),
+                   lambda: unfolded(np.ravel(g).tolist() + [0.0] * n**3, 1.0, -1.0)):
         with pytest.raises(NumericError, match=r"^metric is not invertible: Singular matrix$"):
             invert()
 
@@ -346,17 +345,28 @@ def test_a_determinant_out_of_the_normal_range_is_lapacks(g):
     """A NaN, infinite, overflowing or underflowing determinant, whose
     cofactor quotients would be wrong or meaningless, leaves the inverse to
     LAPACK: its bytes, NaNs included."""
-    assert _bits(kaluza._block_inverse(len(g))(np.ravel(g).tolist())) == np.linalg.inv(np.array(g)).tobytes()
+    assert _bits(_kernel_inverse(g)) == _bits(np.linalg.inv(np.array(g)).ravel() + 0.0)
 
 
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _kernel_inverse(g):
+    """The inverse of the block g that the closed form's jet kernel takes, read off its mixed block: a jet with
+    no x partials and dg_M/dt = I, structurally diagonal, gives Gamma^c_at = 0.5 * (0.0 + ginv[c, a] * 1.0),
+    which is the inverse's entry halved, with -0.0 read as 0.0 (no entry here is subnormal)."""
+    n, m = len(g), len(g) + 1
+    zeros = (False,) * n * n + (True,) * n**3 + tuple(a != b for a in range(n) for b in range(n))
+    jet = np.ravel(g).tolist() + [0.0] * n**3 + np.eye(n).ravel().tolist()
+    symbols = kaluza._jet_kernel(n, True, zeros, False)(jet, 1.0, -1.0)
+    return [2.0 * symbols[(c * m + a) * m + n] for c in range(n) for a in range(n)]
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_blocks_above_three_dimensions_are_inverted_by_lapack(n):
     g = np.random.default_rng(n).normal(size=(n, n)) + n * np.eye(n)
-    assert _bits(kaluza._block_inverse(n)(g.ravel().tolist())) == np.linalg.inv(g).tobytes()
+    assert _bits(_kernel_inverse(g)) == _bits(np.linalg.inv(g).ravel() + 0.0)
 
 
 def test_oracle_gate_is_the_one_norm_condition_number():

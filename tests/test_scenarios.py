@@ -10,6 +10,7 @@ from carrollgeo._grid import GridSpline
 from carrollgeo.errors import ContractViolation
 from carrollgeo.geodesics import IntegratorConfig, NullShootSpec, integrate, shoot_null, unit_direction
 from carrollgeo.geometry import euler_weight
+from carrollgeo.kaluza import christoffel_closed
 from carrollgeo.scenarios import (
     catalog_names,
     load,
@@ -78,11 +79,13 @@ def test_thakurta_conformal_profile():
 
 
 def test_thakurta_fiber_derivative_agrees_with_the_difference_of_the_block():
-    """dg_M/dt = -U'(t) g_M and g_M^-1 dg_M/dt = -U'(t) I, with U' from the exact derivative of U."""
+    """dg_M/dt = -U'(t) g_M, the jet's t partials, from the exact derivative
+    of U, and g_M^-1 dg_M/dt = -U'(t) I, twice the closed form's mixed block."""
     s = load("thakurta", GM=0.5, U="0.3*sin(t) + t^2")
     x = np.array([1.1, 0.4])
     for t in (0.3, -0.8, 1.7, -2.5):
-        exact, rate = (np.reshape(block, (2, 2)) for block in s.base_jet(x.tolist(), t, "angular")[1:])
+        exact = np.reshape(s.jet["angular"].values(*x.tolist(), t)[12:], (2, 2))
+        rate = 2.0 * christoffel_closed(s.kk(-1), s.point(x, t, "angular"))[:2, 2, :2]
         difference = _fd.partial(lambda arr: s.metric.at(x, float(arr[0]), "angular"), np.array([t]), 0, keep_sign=(0,))
         assert np.max(np.abs(exact - difference)) <= 1e-8 * np.max(np.abs(exact)), t
         differenced_rate = np.linalg.solve(s.metric.at(x, t, "angular"), difference)
@@ -120,17 +123,31 @@ def test_negative_fiber_sampling(rng):
 
 @pytest.mark.parametrize("name", ["flat", "moebius"])
 def test_constant_blocks_and_symbols_are_built_once_and_read_only(name, rng):
-    """Every read of a constant base block or of zero base symbols returns
-    the one read-only array or tuple built at load, which no caller can change."""
+    """Every read of a constant base block or of its jet returns the one
+    read-only array or tuple built at load, which no caller can change: the
+    entries, then zero partials, each a structural zero."""
     s = load(name)
-    blocks, symbols = set(), set()
+    blocks, jets = set(), set()
     for chart in s.atlas.chart_names():
         for p in s.sample_points(rng, 2, chart=chart):
-            g, gamma = s.metric.blocks[chart](p.x, p.t), s.base_jet(p.x.tolist(), p.t, chart)[0]
-            assert not g.flags.writeable and isinstance(gamma, tuple) and not any(gamma)
+            g, jet = s.metric.blocks[chart](p.x, p.t), s.jet[chart].values(*p.x.tolist(), p.t)
+            assert not g.flags.writeable and isinstance(jet, tuple) and jet[:g.size] == tuple(g.ravel().tolist())
+            assert not any(jet[g.size:]) and all(s.jet[chart].zeros[g.size:])
             blocks.add(id(g))
-            symbols.add(id(gamma))
-    assert len(blocks) == len(symbols) == 1
+            jets.add(id(jet))
+    assert len(blocks) == len(jets) == 1
+
+
+def test_a_blocks_structural_zeros_are_derived_from_its_expressions():
+    """An entry is a structural zero where it is the constant 0, and a
+    partial where its entry does not read the axis: 0*x1 is not one, nor is
+    its partial in x1, a constant 2 is not one but its partials are, and the
+    partial of sin(x1)^2 in x2 is one."""
+    jet = scenarios._expression_block(("0*x1", "0", "0", "sin(x1)^2"), 2, False)[1]
+    assert jet.zeros == (False, True, True, False) + (False, True, True, False) + (True, True, True, True)
+    cone = scenarios._expression_block(("t^2 * (1 + x1)", "0.1 * t", "0.1 * t", "2"), 2, True)[1]
+    assert cone.zeros == (False,) * 4 + (False, True, True, True) + (True,) * 4 + (False, False, False, True)
+    assert scenarios._expression_block(("0*x1", "0", "0", "sin(x1)^2"), 2, False)[1] is jet  # built once
 
 
 # -- scenario files ---------------------------------------------------------------
