@@ -149,7 +149,7 @@ class _Emitter:
         """``source`` as an operand: a name or a literal as it is, else a new temporary."""
         if not temporary and " " not in source and "(" not in source:
             return source
-        self.lines.append(f"    v{len(self.lines)} = {source}")
+        self.lines.append(f"        v{len(self.lines)} = {source}")
         return f"v{len(self.lines) - 1}"
 
     def emit(self, tree: tuple) -> tuple[str, tuple[str, ...] | None]:
@@ -189,7 +189,7 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
     expression alone, whatever else is asked for. The requests are emitted
     as one source and run by ``run_generated``. A function raises the
     ConstructionError naming the first output expression whose value or any
-    of whose partials fails."""
+    of whose partials fails, from a ``try`` written into its own code."""
     lines: list[str] = []
     owners: list[tuple[int, str]] = []  # (first line, source) of each output's code
     for k, request in enumerate(requests):
@@ -197,28 +197,20 @@ def generate(requests: Sequence[Sequence[tuple[Expression, str | None]]]) -> lis
         names = {name for _, name in request if name is not None}
         wanted = tuple(i for i, name in enumerate(variables) if name in names) if names else None
         emitter, outputs = _Emitter(lines, wanted), []
-        lines.append(f"def f{k}({', '.join(f'p{i}' for i in range(len(variables)))}):")
+        lines += [f"def f{k}({', '.join(f'p{i}' for i in range(len(variables)))}):", "    try:"]
         for expression, name in request:
             owners.append((len(lines) + 1, expression.source))
             value, grad = emitter.emit(expression.tree)
             outputs.append(value if name is None else grad[wanted.index(variables.index(name))] if grad else "0.0")
-        lines.append(f"    return [{', '.join(outputs)}]")
-    namespace = run_generated(lines, **_NAMESPACE)
+        lines += [f"        return [{', '.join(outputs)}]", "    except arithmetic as exc:", "        raise failed(exc) from exc"]
 
-    def checked(fn: Callable[..., list[float]]) -> Callable[..., list[float]]:
-        def run(*args: float) -> list[float]:
-            try:
-                return fn(*args)
-            except _ARITHMETIC as exc:
-                tb = exc.__traceback__
-                while tb.tb_next is not None:  # the generated frame: its line tells the output that failed
-                    tb = tb.tb_next
-                line = bisect.bisect_right([first for first, _ in owners], tb.tb_lineno) - 1
-                raise ConstructionError(f"cannot evaluate expression {owners[line][1]!r}: {exc}") from exc
+    def failed(exc: ArithmeticError | ValueError) -> ConstructionError:
+        # the generated frame's line tells the output that failed
+        line = bisect.bisect_right([first for first, _ in owners], exc.__traceback__.tb_lineno) - 1
+        return ConstructionError(f"cannot evaluate expression {owners[line][1]!r}: {exc}")
 
-        return run
-
-    return [checked(namespace[f"f{k}"]) for k in range(len(requests))]
+    namespace = run_generated(lines, arithmetic=_ARITHMETIC, failed=failed, **_NAMESPACE)
+    return [namespace[f"f{k}"] for k in range(len(requests))]
 
 
 _CODE: dict[str, CodeType] = {}  # compiled code by source text, the 256 most recently run, last run last

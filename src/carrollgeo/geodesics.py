@@ -4,21 +4,24 @@ A state is given and sampled as raw coordinates (x, t) and velocities (dx/dl,
 dt/dl) along an affine parameter, and stepped as y = (x, u, vx, w), u = log|t|
 and w = u' = vt / t: the frame of the Euler field t d/dt, in which the fiber
 motion t0 e^(-q l) of a fiber-independent orbit is linear. The geodesic
-equation (``geodesic_rhs``) is integrated with the embedded Tsitouras 5(4)
-pair (adaptive, the default, named "rk45") or a fixed-step classical RK4 for
-convergence studies. The symbols come from the closed form where it is
-validated against the finite-difference oracle, that is where the gauge field
-is known to vanish (``GaugeField.is_zero``), and from the oracle everywhere
-else; ``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
+equation, vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2 with
+V = (vx, t w), is integrated with the embedded Tsitouras 5(4) pair (adaptive,
+the default, named "rk45") or a fixed-step classical RK4 for convergence
+studies. The symbols come from the closed form where it is validated against
+the finite-difference oracle, that is where the gauge field is known to
+vanish (``GaugeField.is_zero``), and from the oracle everywhere else;
+``IntegratorConfig.christoffel = "numeric"`` forces the oracle.
 ``Trajectory.meta["christoffel"]`` names the route that ran. A step runs on
 Python floats, a state of 2n + 2 entries being too small for numpy to pay, as
-code generated once per method and state length that unrolls the method's
-tableau term by term in its order and sums the error norm's squares from 0.0
-in index order. The right-hand side takes the acceleration -Gamma(v, v),
-given the velocity as ``along``: on the closed route from the base block's jet
-(``christoffel_closed``), on the oracle route from the field values at the
-stencil points or, above n = 3, the stacked symbols (``christoffel_numeric``),
-in generated code that sums as numpy's einsum does, float for float.
+code generated once per method and dimension (``_step_kernel``) that unrolls
+the method's tableau term by term in its order, writes each stage's slope
+inline (its guard, the frozen-state shortcut and one call of the
+acceleration) and sums the error norm's squares from 0.0 in index order. The
+acceleration -Gamma(v, v) is taken given the velocity as ``along``: on the
+closed route from the base block's jet (``christoffel_closed``), on the oracle
+route from the field values at the stencil points or, above n = 3, the
+stacked symbols (``christoffel_numeric``), in generated code that sums as
+numpy's einsum does, float for float.
 
 Both flows, the full one (``integrate``) and the weak-gauge-field base
 reduction (``integrate_small_gauge``), run through one stepping loop,
@@ -279,24 +282,6 @@ def _gamma_provider(kk: KKMetric, chart: str,
     return "numeric", lambda raw, v: christoffel_numeric(kk, raw, cond_limit=None, chart=chart, along=v)
 
 
-def geodesic_rhs(accel: Callable[[list[float], list[float]], list[float]],
-                 sign: float) -> Callable[[list[float]], list[float]]:
-    """y' for y = [x..., u, vx..., w] as Python floats, t = sign e^u, given the acceleration -Gamma(V, V) at the
-    raw position (x..., t) and V = (vx, t w): vx' = -Gamma^x(V, V) and w' = -Gamma^t(V, V) / t - w^2."""
-
-    def rhs(y: list[float]) -> list[float]:
-        n = (len(y) - 2) // 2
-        vel = y[n + 1 :]
-        if not any(vel):
-            # frozen states are exact fixed points; skip the symbol evaluation
-            return vel + [0.0] * (n + 1)
-        t, w = sign * math.exp(y[n]), vel[n]
-        acc = accel(y[:n] + [t], vel[:n] + [t * w])
-        return vel + acc[:n] + [acc[n] / t - w * w]
-
-    return rhs
-
-
 def printed_spatial_acceleration(
     state: GeodesicState,
     scenario: Scenario,
@@ -359,7 +344,7 @@ class _Tableau:
     """An explicit Runge-Kutta method as the arithmetic of its steps, per
     component: y + (h / div) * (start + w_0 k_0 + w_1 k_1 + ...), added left
     to right, for each (div, weights) row; ``_step_kernel`` unrolls it into
-    one generated step per state length. A start of 0.0 turns a -0.0 sum into
+    one generated step per flow and dimension. A start of 0.0 turns a -0.0 sum into
     0.0; -0.0 starts from the first term as it is. A zero weight is skipped;
     after a start of 0.0 its term adds nothing, and a non-finite slope it
     would turn into NaN spoils the step anyway.
@@ -410,23 +395,40 @@ def _rms_text(names: list[str]) -> str:
     return f"sqrt((0.0{''.join(f' + {v} * {v}' for v in names)}) / {len(names)}.0)"
 
 
-def _rk_step(tableau: _Tableau, rhs, y: list[float], k0: list[float], h: float,
-             tol: float) -> tuple[list[float], list[float] | None, float]:
-    """One step of ``tableau`` from y, whose slope is k0: the propagated
-    state, its slope (None without an error row) and the RMS of the error
-    estimate, each component over tol + tol * max(|y|, |y_new|) (0.0 without
-    an error row)."""
-    return _step_kernel(tableau, len(y))(rhs, y, k0, h, tol)
-
-
 @cache
-def _step_kernel(tableau: _Tableau, m: int) -> Callable:
-    """``_rk_step`` for ``tableau`` on states of m floats, generated once: every row unrolled per
-    component as y_j + h_r * (start + w_0 k0_j + ...), h_r = h / div once per row, with the tableau's
-    weights written by ``repr``; the error row is taken over a zero state, and the squares of its
-    scaled components are summed by ``_rms_text``, as ``_rms`` sums them."""
+def _step_kernel(tableau: _Tableau, n: int, full: bool) -> Callable:
+    """The stepping code of ``tableau`` on n base dimensions, generated once: ``kernel(f, sign)`` gives the
+    slope at a state, ``slope(y)``, and one step from y whose slope is k0, ``step(y, k0, h, tol)``: the
+    propagated state, its slope (None without an error row) and the RMS of the error estimate, each component
+    over tol + tol * max(|y|, |y_new|); without an error row 0.0, or NaN for a state that fails the stage guard.
+    Every row is unrolled per component as y_j + h_r * (start + w_0 k0_j + ...), h_r = h / div once per row,
+    with the tableau's weights written by ``repr``; the error row is taken over a zero state, and the squares
+    of its scaled components are summed by ``_rms_text``, as ``_rms`` sums them.
+
+    Each stage's slope is written inline. Its guard: a point with a non-finite component has a NaN slope. On
+    the full flow (``full``), y = (x, u, vx, w) of m = 2n + 2 floats, so does a point whose |t| = e^u is past
+    the float range; t = sign e^u, a frozen point (zero velocity) has the slope (vx, w, 0...) and any other
+    (vx, w, acc_x, acc_t / t - w^2) from one call acc = f([x..., t], [vx..., t w]) of the acceleration f. On
+    the reduced flow, y of m = 2n floats, the slope is one call f(y) of its right-hand side f."""
+    m = 2 * n + 2 if full else 2 * n
     comps = lambda name: ", ".join(f"{name}{j}" for j in range(m))
-    lines = ["def kernel(rhs, y, k0, h, tol):", f"    {comps('y')}, = y", f"    {comps('k0_')}, = k0"]
+
+    def guard(point: list[str]) -> str:
+        return " and ".join([f"{point[n]} <= {_LOG_MAX!r}"] * full + [f"isfinite({p})" for p in point])
+
+    def stage(r: int, point: list[str]) -> list[str]:
+        # the slope k{r}_j at the stage point, a list of names
+        k, vel, w = [f"k{r}_{j}" for j in range(m)], point[n + 1:], point[-1]
+        body = [f"{', '.join(k[:n + 1])} = {', '.join(vel)}", f"if {' or '.join(vel)}:",
+                f"    t = sign * exp({point[n]})",
+                f"    {', '.join(k[n + 1:])}, = f([{', '.join(point[:n])}, t], [{', '.join(vel[:n])}, t * {w}])",
+                f"    {k[-1]} = {k[-1]} / t - {w} * {w}", "else:", f"    {' = '.join(k[n + 1:])} = 0.0"] \
+            if full else [f"{', '.join(k)}, = f([{', '.join(point)}])"]
+        return [f"    if {guard(point)}:", *(f"        {line}" for line in body), "    else:", f"        {' = '.join(k)} = nan"]
+
+    slope = ["def slope(y):", f"    {comps('y')}, = y", *stage(0, [f"y{j}" for j in range(m)]),
+             f"    return [{comps('k0_')}]"]
+    lines = ["def step(y, k0, h, tol):", f"    {comps('y')}, = y", f"    {comps('k0_')}, = k0"]
 
     def combine(r: int, row: tuple, base: str) -> list[str]:
         # emits h_r = h / div; returns row r's sum for each component j of base.format(j)
@@ -436,21 +438,25 @@ def _step_kernel(tableau: _Tableau, m: int) -> Callable:
                 + ")" for j in range(m)]
 
     for r, row in enumerate(tableau.stages, 1):
-        point = combine(r, row, "y{}")
-        lines += [f"    k{r} = rhs([{', '.join(point)}])", f"    {comps(f'k{r}_')}, = k{r}"]
-    r = len(tableau.stages) + 1
+        lines += [f"    p{j} = {value}" for j, value in enumerate(combine(r, row, "y{}"))]
+        lines += stage(r, [f"p{j}" for j in range(m)])
+    r, solution = len(tableau.stages) + 1, [f"n{j}" for j in range(m)]
     lines += [f"    n{j} = {value}" for j, value in enumerate(combine(r, tableau.solution, "y{}"))]
     lines.append(f"    n = [{comps('n')}]")
+    names = dict(isfinite=math.isfinite, nan=math.nan, **({"exp": math.exp} if full else {}))
     if tableau.error is None:
-        return run_generated(lines + ["    return n, None, 0.0"])["kernel"]
-    lines += [f"    k{r} = rhs(n)", f"    {comps(f'k{r}_')}, = k{r}"]
-    lines += [f"    e{j} = ({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
-              for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
-    return run_generated(lines + [f"    return n, k{r}, {_rms_text([f'e{j}' for j in range(m)])}"], sqrt=math.sqrt,
-                         abs=abs, max=max)["kernel"]
+        lines.append(f"    return n, None, 0.0 if {guard(solution)} else nan")
+    else:
+        lines += stage(r, solution)
+        lines += [f"    e{j} = ({e}) / (tol + tol * max(abs(y{j}), abs(n{j})))"
+                  for j, e in enumerate(combine(r + 1, tableau.error, "0.0"))]
+        lines.append(f"    return n, [{comps(f'k{r}_')}], {_rms_text([f'e{j}' for j in range(m)])}")
+        names.update(sqrt=math.sqrt, abs=abs, max=max)
+    body = ["    " + line for line in slope + lines]
+    return run_generated(["def kernel(f, sign):", *body, "    return slope, step"], **names)["kernel"]
 
 
-def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: float) -> float:
+def _first_step(slope, y: list[float], k0: list[float], tol: float, max_step: float) -> float:
     """The starting step of Hairer, Norsett & Wanner (Solving ODEs I, 2nd
     ed., 1993, II.4) for an error estimate of order 4, capped at
     ``max_step``: one probe slope at y + h0 k0 gauges the second derivative.
@@ -461,7 +467,7 @@ def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: floa
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([f / s for f, s in zip(k0, scale)])
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6
-    probe = rhs([v + h0 * f for v, f in zip(y, k0)])
+    probe = slope([v + h0 * f for v, f in zip(y, k0)])
     d2 = _rms([(g - f) / s for g, f, s in zip(probe, k0, scale)]) / h0
     # a NaN compares false: it falls back to the small step
     d = max(d1, d2)
@@ -474,33 +480,36 @@ def _first_step(rhs, y: list[float], k0: list[float], tol: float, max_step: floa
 # ---------------------------------------------------------------------------
 
 def _drive(
-    rhs: Callable[[list[float]], list[float]],
+    f: Callable[..., list[float]],
+    sign: float | None,
     y0: np.ndarray,
     span: float,
     cfg: IntegratorConfig,
     guard: Callable[[list[float]], str | None],
-    finite: Callable[[list[float]], bool] = lambda y: all(map(math.isfinite, y)),
 ) -> tuple[list[float], list[list[float]], list[dict]]:
-    """Step y' = rhs(y) from parameter 0 towards ``span``; returns the sample
-    parameters, the sampled states and the event records.
+    """Step the full flow from y0 = (x, u, vx, w), t = sign e^u, ``f`` its
+    acceleration, or for ``sign`` None the reduced flow y' = f(y), from
+    parameter 0 towards ``span``; returns the sample parameters, the sampled
+    states and the event records.
 
     ``cfg.method`` "rk45" takes Tsitouras 5(4) steps under error control,
-    six right-hand side calls an attempt: the slope at an accepted state
-    starts the next step, and a rejected step keeps the slope at y. Its first
-    step is ``_first_step``'s, at the cost of one probe call; a zero span
-    calls nothing. "rk4" is the same loop without error control:
-    round(span / rk4_step) steps of fixed size and four calls each, the last
-    step not clamped to ``span``. States are lists of Python
-    floats, and a step is the code that ``_step_kernel`` generates for the
-    tableau and the state length: it takes the stage points and solutions
-    term by term in the order of the ``_Tableau``, which gives every float
-    that the same sums over numpy arrays give. ``guard(y)`` names the reason an accepted
-    state ends the run (that state is kept), or returns None. A stage or step
-    result that ``finite`` refuses (by default, one with a non-finite entry)
-    ends the run as ``non_finite`` and is not kept. The span must be finite
-    and >= 0, the fixed step, the step cap ``max_step`` and the tolerance
-    ``tol`` finite and > 0, ``tol`` at least the float resolution (below it
-    the error norm's squares can overflow), and span / rk4_step at most
+    six slopes an attempt: the slope at an accepted state starts the next
+    step, and a rejected step keeps the slope at y. Its first step is
+    ``_first_step``'s, at the cost of one probe call; a zero span calls
+    nothing. "rk4" is the same loop without error control: round(span /
+    rk4_step) steps of fixed size and four calls each, the last step not
+    clamped to ``span``. States are lists of Python floats, and the slope and
+    the step are the code that ``_step_kernel`` generates for the tableau,
+    the flow and its dimension: it takes the stage points and solutions term
+    by term in the order of the ``_Tableau``, which gives every float that
+    the same sums over numpy arrays give, and each stage's slope inline.
+    ``guard(y)`` names the reason an accepted state ends the run (that state
+    is kept), or returns None. A step whose error norm is not finite, which
+    is so where a stage point or the result fails the stage guard, ends the
+    run as ``non_finite`` and is not kept. The span must be finite and >= 0,
+    the fixed step, the step cap ``max_step`` and the tolerance ``tol``
+    finite and > 0, ``tol`` at least the float resolution (below it the error
+    norm's squares can overflow), and span / rk4_step at most
     ``MAX_STEPS`` for "rk4", else the run is a ContractViolation.
     """
     if cfg.method not in ("rk45", "rk4"):
@@ -515,27 +524,23 @@ def _drive(
     adaptive = cfg.method == "rk45"
     if not adaptive and span / cfg.rk4_step > MAX_STEPS:
         raise ContractViolation(f"rk4_step = {cfg.rk4_step} takes more than {MAX_STEPS} steps over the span {span}")
-    tableau = _TSITOURAS54 if adaptive else _RK4
-
-    def stage(y: list[float]) -> list[float]:
-        # a non-finite stage point has no symbols; its slope is non-finite too
-        return rhs(y) if finite(y) else [math.nan] * len(y)
-
+    full = sign is not None
+    slope, step = _step_kernel(_TSITOURAS54 if adaptive else _RK4, (y0.size - 2 * full) // 2, full)(f, sign)
     lam, y, k = 0.0, y0.tolist(), None
     params, states, events = [lam], [y], []
     h = cfg.rk4_step
     if adaptive and span > 0.0:
-        k = stage(y)
-        h = _first_step(stage, y, k, cfg.tol, cfg.max_step)
+        k = slope(y)
+        h = _first_step(slope, y, k, cfg.tol, cfg.max_step)
     for _ in range(MAX_STEPS if adaptive else int(round(span / h))):
         if adaptive:
             if lam >= span:
                 break
             h = min(h, span - lam)
         if k is None:
-            k = stage(y)
-        y_new, k_new, err_norm = _rk_step(tableau, stage, y, k, h, cfg.tol)
-        if not (math.isfinite(err_norm) and finite(y_new)):
+            k = slope(y)
+        y_new, k_new, err_norm = step(y, k, h, cfg.tol)
+        if not math.isfinite(err_norm):
             events.append({"kind": "non_finite", "lambda": lam + h})
             break
         if err_norm <= 1.0:
@@ -600,10 +605,9 @@ def integrate(
             return "t_guard"
         return None if chart_obj.inside(y[:n]) else "left_chart"
 
-    route, gamma_at = _gamma_provider(kk, chart, cfg)
+    route, accel = _gamma_provider(kk, chart, cfg)
     y0 = np.concatenate([state0.x, [u0], state0.vx, [vtb]])
-    finite = lambda y: y[n] <= _LOG_MAX and all(map(math.isfinite, y))  # and |t| = e^u is a float
-    lams, ys, events = _drive(geodesic_rhs(gamma_at, sign), y0, cfg.lambda_max, cfg, guard, finite)
+    lams, ys, events = _drive(accel, sign, y0, cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, vxs, ws = arr[:, :n], arr[:, n + 1 : 2 * n + 1], arr[:, 2 * n + 1]
     ts = np.array([state0.t] + [sign * math.exp(u) for u in arr[1:, n].tolist()])  # e^log|t0| may not be t0
@@ -692,7 +696,7 @@ def integrate_small_gauge(
 
     guard = lambda y: None if chart_obj.inside(y[:n]) else "left_chart"
     with np.errstate(all="ignore"):  # a non-finite slope ends the run as an event, with no numpy warning
-        us, ys, events = _drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
+        us, ys, events = _drive(rhs, None, np.concatenate([x0, v0]), cfg.lambda_max, cfg, guard)
     arr = np.array(ys)
     xs, vs = arr[:, :n], arr[:, n:]
     return BaseTrajectory(

@@ -450,21 +450,25 @@ def christoffel_closed(kk: KKMetric, p: Point | np.ndarray | list[float], *, cha
     rather than asserted away.
     """
     if chart is None:
-        x, t, chart = p.x.tolist(), p.t, p.chart
-    else:
-        if isinstance(p, np.ndarray):
-            if p.ndim != 1:
-                raise ContractViolation(f"closed-form symbols take one raw point, got shape {p.shape}")
-            p = p.tolist()
-        x, t = p[:-1], p[-1]
-        if abs(t) < FIBER_CUTOFF:
-            raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
-    if along is not None and not kk.gauge.is_zero:
-        raise ContractViolation("the closed-form acceleration along a velocity needs a vanishing gauge field")
-    n, s = len(x), kk.sign
-    jet, values = block_jet(kk, x, t, chart)
+        p, chart = [*p.x.tolist(), p.t], p.chart
+    elif isinstance(p, np.ndarray):
+        if p.ndim != 1:
+            raise ContractViolation(f"closed-form symbols take one raw point, got shape {p.shape}")
+        p = p.tolist()
+    t = p[-1]
+    if abs(t) < FIBER_CUTOFF:
+        raise DomainError(f"fiber coordinate too close to zero: t = {t:.3e}")
     if along is not None:
-        return jet.accel(values, t, s, along)
+        if not kk.gauge.is_zero:
+            raise ContractViolation("the closed-form acceleration along a velocity needs a vanishing gauge field")
+        if kk.jet is not None and chart in kk.jet:  # ``block_jet``'s registered jet, read at p = (x..., t)
+            jet = kk.jet[chart]
+            return jet.accel(jet.values(*p), t, kk.sign, along)
+        jet, values = block_jet(kk, p[:-1], t, chart)
+        return jet.accel(values, t, kk.sign, along)
+    x, s = p[:-1], kk.sign
+    n = len(x)
+    jet, values = block_jet(kk, x, t, chart)
     if not kk.gauge.is_zero and s != +1:
         raise NumericError("closed-form symbols with a nonzero gauge field are only defined for sign +1; "
                            "use the finite-difference oracle")

@@ -1,18 +1,19 @@
 """Bit identity of the generated float kernels and the closed form.
 
-A step, the geodesic right-hand side's contraction and the zero-gauge
-closed form run as code generated once per shape on Python floats: a step
-unrolls its tableau's sums, the contraction sums as numpy's einsum does, and
-the closed form writes each entry once, or sums each entry with the
-velocity where the contraction sums the symbol list, which is how the
-closed route's right-hand side takes it. None may change a bit against the
-straightforward code, which is kept here as the reference: the tableau loop
-that the generated step unrolls, the Tsitouras and RK4 steps over arrays,
-each evaluating every stage afresh, the array right-hand side, and the
-zero-gauge closed-form assembly from the block's jet (registered or
-differenced) over arrays, with the cofactor inverse. Seeded orbits run once
-as they are and once with the references patched in, and every array of the
-two trajectories must be equal byte for byte. The jet kernel that leaves out
+A step, with each stage's slope, the contraction and the zero-gauge closed
+form run as code generated once per shape on Python floats: a step unrolls
+its tableau's sums and writes its stages' guard and slope inline, the
+contraction sums as numpy's einsum does, and the closed form writes each
+entry once, or sums each entry with the velocity where the contraction sums
+the symbol list, which is how the closed route's right-hand side takes it.
+None may change a bit against the straightforward code, which is kept here
+as the reference: the tableau loop that the generated step unrolls, the
+Tsitouras and RK4 steps over arrays, each evaluating every stage afresh, the
+array right-hand side behind the stage guard, and the zero-gauge
+closed-form assembly from the block's jet (registered or differenced) over
+arrays, with the cofactor inverse. Seeded orbits run once as they are and
+once with the references patched in, and every array of the two
+trajectories must be equal byte for byte. The jet kernel that leaves out
 the products by structural zeros must equal the one that keeps them, and a
 registered jet must read its block and zeros where it declares them.
 """
@@ -20,6 +21,7 @@ registered jet must read its block and zeros where it declares them.
 import ast
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 import re
@@ -145,6 +147,29 @@ def _ref_geodesic_rhs(gamma_at, sign):
     return lambda y: rhs(np.array(y)).tolist()
 
 
+_REF_LOG_MAX = math.log(sys.float_info.max)  # the largest u = log|t| whose e^u is a float
+
+
+def _ref_step_kernel(tableau, n, full):
+    """``_step_kernel``'s slope and step over arrays: the full flow's ``_ref_geodesic_rhs`` (or the reduced
+    flow's own right-hand side) behind the stage guard, a point with a non-finite entry or, on the full flow,
+    a u past the float range of e^u having a NaN slope, and ``_ref_step``, whose error norm is NaN for a state
+    that fails the guard."""
+
+    def bind(f, sign):
+        rhs = _ref_geodesic_rhs(f, sign) if full else f
+        finite = lambda y: all(map(math.isfinite, y)) and not (full and y[n] > _REF_LOG_MAX)
+        slope = lambda y: rhs(y) if finite(y) else [math.nan] * len(y)
+
+        def step(y, k0, h, tol):
+            y_new, k_new, err = _ref_step(tableau, slope, y, k0, h, tol)
+            return y_new, k_new, err if finite(y_new) else math.nan
+
+        return slope, step
+
+    return bind
+
+
 @functools.cache
 def _contraction(n):
     """-Gamma^a(v, v) for the symbols Gamma[(a * m + b) * m + c], m = n + 1, as a float list, and v on Python
@@ -262,8 +287,7 @@ def references(monkeypatch):
     """Patch the references in where the package looks them up at call time."""
 
     def patch():
-        monkeypatch.setattr(geodesics, "_rk_step", _ref_step)
-        monkeypatch.setattr(geodesics, "geodesic_rhs", _ref_geodesic_rhs)
+        monkeypatch.setattr(geodesics, "_step_kernel", _ref_step_kernel)
         monkeypatch.setattr(geodesics, "_gamma_provider", _ref_gamma_provider)
 
     return patch
@@ -362,10 +386,94 @@ def test_small_gauge_orbit_equals_the_reference(schwarzschild, method, reference
         return np.concatenate([v, acc]).tolist()
 
     references()
-    us, ys, events = geodesics._drive(rhs, np.concatenate([x0, v0]), cfg.lambda_max, cfg, lambda y: None)
+    us, ys, events = geodesics._drive(rhs, None, np.concatenate([x0, v0]), cfg.lambda_max, cfg, lambda y: None)
     assert events == base.events
     assert np.array(us).tobytes() == base.u.tobytes()
     assert np.array(ys)[:, :2].tobytes() == base.x.tobytes() and np.array(ys)[:, 2:].tobytes() == base.vx.tobytes()
+
+
+@pytest.fixture(scope="module")
+def orbit_context(workloads):
+    return workloads.OrbitContext()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_benchmark_orbit_members_equal_the_reference(workloads, orbit_context, k, references):
+    """The first member of each class of the benchmark's seed-1 ``orbits`` stream, drawn and run by
+    ``perfbench/workloads.py`` as the benchmark runs it: the oracle route of ``flat_gauge`` included."""
+    member = next(itertools.islice(workloads.orbit_members(1), k, None))
+    assert member.cls == workloads.ORBIT_CLASSES[k]
+    run = orbit_context.op(member).run
+    assert run().meta["christoffel"] == ("numeric" if member.cls == "flat_gauge" else "closed")
+    _assert_same_orbit(run, references)
+
+
+# -- the stage guard ----------------------------------------------------------------
+
+def _symbols(n, nan_beyond=math.inf):
+    """Symbols at a raw point (x..., t) for the stage guard's orbits: constant in the base block, zero in the
+    fiber's, so that w' = -w^2; NaN everywhere where x1 > ``nan_beyond``."""
+    gamma = np.zeros((n + 1, n + 1, n + 1))
+    gamma[:n, :n, :n] = 0.1 * np.arange(1, n**3 + 1).reshape(n, n, n) / n**3
+    return lambda raw: gamma * math.nan if raw[0] > nan_beyond else gamma
+
+
+def _guarded_orbits(gamma_at, sign, y0, method, references):
+    """``_drive``'s samples, states and events on the full flow with the symbols ``gamma_at``, and the raw
+    points at which the generated stages called the acceleration: run as generated, its acceleration
+    contracted by ``_contraction``, and then through the array references."""
+    n, calls = (len(y0) - 2) // 2, []
+    accel = lambda raw, v: calls.append(raw) or _contraction(n)(gamma_at(raw).ravel().tolist(), v)
+    cfg = IntegratorConfig(method=method, lambda_max=1.0, rk4_step=0.05)
+    drive = lambda f: geodesics._drive(f, sign, np.array(y0), cfg.lambda_max, cfg, lambda y: None)
+    generated = drive(accel)
+    references()
+    with np.errstate(all="ignore"):
+        return generated, drive(gamma_at), calls
+
+
+def _assert_same_samples(generated, reference):
+    assert generated[2] == reference[2]
+    assert _bits(generated[0]) == _bits(reference[0]) and _bits(generated[1]) == _bits(reference[1])
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_a_frozen_state_makes_no_acceleration_call(sign, method, references):
+    """Zero velocity, signed zeros included, is a fixed point: no stage calls
+    the acceleration, and every sample keeps the references' bytes (the
+    Tsitouras sums turn -0.0 into 0.0, the RK4 ones keep it)."""
+    y0 = [0.3, -0.2, 0.1, 0.0, -0.0, -0.0]
+    generated, reference, calls = _guarded_orbits(_symbols(2), sign, y0, method, references)
+    assert calls == [] and generated[2] == [] and len(generated[0]) > 10
+    _assert_same_samples(generated, reference)
+    assert all(y == y0 for y in generated[1])
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_a_stage_point_past_the_float_range_of_t_ends_the_run_as_non_finite(sign, method, references):
+    """u = log|t| grows towards log(float max) with w = 0.5 and w' = -w^2; the
+    first stage point past it, where e^u overflows, has a NaN slope and ends
+    the run at the references' lambda, with no acceleration call there."""
+    y0 = [0.3, -0.2, 709.7, 0.4, -0.0, 0.5]
+    generated, reference, calls = _guarded_orbits(_symbols(2), sign, y0, method, references)
+    assert [e["kind"] for e in generated[2]] == ["non_finite"] and generated[0][-1] < 1.0
+    _assert_same_samples(generated, reference)
+    assert all(math.isfinite(raw[-1]) for raw in calls) and max(abs(raw[-1]) for raw in calls) > 1e308
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_an_acceleration_that_returns_nan_ends_the_run_as_non_finite(sign, method, references):
+    """Symbols that are NaN beyond x1 = 0.25 give a NaN slope at the first
+    stage point there: the run ends at the references' lambda, the state
+    before it kept; a signed-zero velocity component rides along."""
+    y0 = [0.0, -0.0, 0.2, 1.0, -0.0, 0.1]
+    generated, reference, calls = _guarded_orbits(_symbols(2, nan_beyond=0.25), sign, y0, method, references)
+    assert [e["kind"] for e in generated[2]] == ["non_finite"] and 0.2 < generated[0][-1] < 0.3
+    _assert_same_samples(generated, reference)
+    assert any(raw[0] > 0.25 for raw in calls) and all(y[0] <= 0.25 for y in generated[1])
 
 
 # -- symbols ----------------------------------------------------------------------
@@ -683,18 +791,31 @@ def _nan_bits(values):
     return _bits([math.nan if a != a else a for a in values])
 
 
+def _generated_step(tableau, rhs, y, k0, h, tol):
+    """One step of the generated code of the reduced flow, whose right-hand side is ``rhs``."""
+    return geodesics._step_kernel(tableau, len(y) // 2, False)(rhs, None)[1](y, k0, h, tol)
+
+
+def _guarded_loop_step(tableau, rhs, y, k0, h, tol):
+    """``_ref_loop_step`` behind the stage guard of the reduced flow: a point with a non-finite entry has a NaN
+    slope, and a state with one a NaN error norm."""
+    finite = lambda v: all(map(math.isfinite, v))
+    y_new, k_new, err = _ref_loop_step(tableau, lambda p: rhs(p) if finite(p) else [math.nan] * len(p), y, k0, h, tol)
+    return y_new, k_new, err if finite(y_new) else math.nan
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 @pytest.mark.parametrize("tableau", [geodesics._TSITOURAS54, geodesics._RK4], ids=["tsitouras", "rk4"])
 def test_generated_step_equals_the_tableau_loop(tableau, m):
     """The slopes are drawn, not computed, so that every special value reaches
-    every sum: each stage point, the state, its slope and the error norm
-    equal the loop's byte for byte."""
+    every sum: each stage point that passes the guard, the state, its slope
+    and the error norm equal the loop's byte for byte."""
     rng = np.random.default_rng([29, m])
     for k in range(400):
         slopes = [_draws(rng, m, k % 2) for _ in range(len(tableau.stages) + 2)]
         y, h = _draws(rng, m, k % 2), float(rng.uniform(1e-4, 0.1))
         runs = []
-        for step in (geodesics._rk_step, _ref_loop_step):
+        for step in (_generated_step, _guarded_loop_step):
             points, rest = [], iter(slopes[1:])
             y_new, k_new, err = step(tableau, lambda point: points.append(point) or next(rest), y, slopes[0], h, 1e-10)
             runs.append((_bits(sum(points, [])), _bits(y_new), k_new and _bits(k_new), _bits([err])))
@@ -735,7 +856,7 @@ def test_rms_sums_the_squares_in_index_order(m):
         slopes = [_draws(rng, m, False) for _ in range(len(geodesics._TSITOURAS54.stages) + 2)]
         y, h = _draws(rng, m, False), float(rng.uniform(1e-4, 0.1))
         runs = [step(geodesics._TSITOURAS54, lambda point, rest=iter(slopes[1:]): next(rest), y, slopes[0], h, 1e-10)
-                for step in (geodesics._rk_step, _ref_loop_step)]
+                for step in (_generated_step, _ref_loop_step)]
         assert _bits([runs[0][2]]) == _bits([runs[1][2]])
         values = _draws(rng, m, False)
         assert geodesics._rms(values) == math.sqrt(in_order([v * v for v in values]) / m)
@@ -1137,50 +1258,42 @@ def test_the_closed_orbit_path_reaches_no_blas_or_lapack(tmp_path):
     assert lapack["numpy.linalg._linalg.inv"].startswith("_inverse:")
 
 
-def _closed_stage(scenario, chart):
-    """One call of the right-hand side that ``integrate`` builds on the closed route, at a seeded moving
-    state inside the chart's box; called once here, so that its kernels are generated."""
+def _whole_step(scenario, chart, christoffel, gauge=None):
+    """One whole Tsitouras step of the code that ``integrate`` generates on the route ``christoffel``: the
+    slope at a seeded moving state inside the chart's box, the six stage slopes and the error norm. Taken once
+    here, so that its kernels are generated."""
     rng = np.random.default_rng(sum(map(ord, scenario.name + chart)))
     lo, hi = np.array(scenario.atlas.chart(chart).box).T
     x0, sign = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi), float(rng.choice([-1.0, 1.0]))
-    route, accel = geodesics._gamma_provider(scenario.kk(-1), chart, IntegratorConfig())
-    assert route == "closed"
-    rhs, y = geodesics.geodesic_rhs(accel, sign), [*x0.tolist(), 0.3, *rng.uniform(-1.0, 1.0, scenario.dim + 1).tolist()]
-    rhs(y)
-    return lambda: rhs(y)
+    route, accel = geodesics._gamma_provider(scenario.kk(-1, gauge), chart, IntegratorConfig(christoffel=christoffel))
+    assert route == christoffel
+    slope, step = geodesics._step_kernel(geodesics._TSITOURAS54, scenario.dim, True)(accel, sign)
+    y = [*x0.tolist(), 0.3, *rng.uniform(-1.0, 1.0, scenario.dim + 1).tolist()]
+    run = lambda: step(y, slope(y), 1e-3, 1e-10)
+    assert math.isfinite(run()[2])
+    return run
 
 
-def test_a_closed_route_stage_calls_no_numpy(tmp_path):
-    """From the raw position and velocity to the slope, a stage of a
-    closed-route orbit runs on Python floats alone, the jet included: on
-    every catalog scenario and chart, the demo file, and time-dependent
-    files at n = 2 and 3."""
+def test_a_closed_route_step_calls_no_numpy(tmp_path):
+    """From a state to the next and its error norm, every stage included, a
+    step of a closed-route orbit runs on Python floats alone, the jet
+    included: on every catalog scenario and chart, the demo file, and
+    time-dependent files at n = 2 and 3."""
     cases = [cg.load(name) for name in scenarios.catalog_names()] + [cg.load(str(DEMO))]
     cases += [cg.load(str(_write(tmp_path, name, text))) for name, text in (("cone.ini", CONE), ("three.ini", THREE))]
     for scenario in cases:
         for chart in scenario.atlas.chart_names():
-            assert _rounding_numpy_calls(_closed_stage(scenario, chart), every=True) == [], (scenario.name, chart)
+            assert _rounding_numpy_calls(_whole_step(scenario, chart, "closed"), every=True) == [], \
+                (scenario.name, chart)
     # the guard sees what it looks for: a numpy C function, an array method and a numpy Python function
     seen = _rounding_numpy_calls(lambda: np.reshape(np.array([1.0, 2.0]).tolist(), (2, 1)), every=True)
     what = [what for what, _ in seen]
     assert what[:2] == ["array", "ndarray.tolist"] and what[2].startswith("numpy._core.fromnumeric.")
 
 
-def _numeric_stage(scenario, chart, gauge=None):
-    """``_closed_stage`` on the oracle route."""
-    rng = np.random.default_rng(sum(map(ord, scenario.name + chart)))
-    lo, hi = np.array(scenario.atlas.chart(chart).box).T
-    x0, sign = rng.uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi), float(rng.choice([-1.0, 1.0]))
-    route, accel = geodesics._gamma_provider(scenario.kk(-1, gauge), chart, IntegratorConfig(christoffel="numeric"))
-    assert route == "numeric"
-    rhs, y = geodesics.geodesic_rhs(accel, sign), [*x0.tolist(), 0.3, *rng.uniform(-1.0, 1.0, scenario.dim + 1).tolist()]
-    rhs(y)
-    return lambda: rhs(y)
-
-
-def test_an_oracle_route_stage_calls_numpy_only_to_read_the_fields_and_invert(tmp_path, workloads):
-    """From the raw position and velocity to the slope, a stage of an
-    oracle-route orbit calls numpy in two places: the stacked reads of g_M
+def test_an_oracle_route_step_calls_numpy_only_to_read_the_fields_and_invert(tmp_path, workloads):
+    """From a state to the next and its error norm, a step of an
+    oracle-route orbit calls numpy in two places, at each stage: the stacked reads of g_M
     and A at the stencil points (``_stencil_fields``, whatever the fields
     call) and LAPACK's inverse of the centre (``_centre_inverse``). Nothing
     else, so no einsum, dot or rounding reduce: on every catalog scenario and
@@ -1193,7 +1306,7 @@ def test_an_oracle_route_stage_calls_numpy_only_to_read_the_fields_and_invert(tm
         if scenario.dim > kaluza._FLOAT_KERNEL_MAX_N:
             continue
         for chart in scenario.atlas.chart_names():
-            stage = _numeric_stage(scenario, chart, gauge)
+            stage = _whole_step(scenario, chart, "numeric", gauge)
             rounding = _rounding_numpy_calls(stage, within=("_stencil_fields",))
             assert "numpy.linalg._linalg.inv" in dict(rounding), (case, chart)
             assert {caller.partition(":")[0] for _, caller in rounding} == {"_inverse"}, (case, chart)
@@ -1207,8 +1320,8 @@ def test_an_oracle_route_stage_calls_numpy_only_to_read_the_fields_and_invert(tm
 # the functions that shoot, step and monitor an orbit on the closed route or the oracle's; the reduced flow
 # (``integrate_small_gauge``) and the published transcriptions stay on numpy's linear algebra
 _ORBIT_PATH = {"geodesics.py": ("GeodesicState", "Trajectory", "_along", "carroll_charge", "null_residual",
-                                "unit_direction", "_norm", "shoot_null", "_gamma_provider", "geodesic_rhs",
-                                "_rms", "_rms_kernel", "_rms_text", "_rk_step", "_step_kernel",
+                                "unit_direction", "_norm", "shoot_null", "_gamma_provider", "_rms",
+                                "_rms_kernel", "_rms_text", "_step_kernel",
                                 "_first_step", "_drive", "_initial_chart", "integrate"),
                "kaluza.py": ("Jet", "block_jet", "_jet_kernel", "_levi_civita_lines", "_inverse",
                              "contracted", "christoffel_numeric", "_gated_inverse", "_stencil_fields",

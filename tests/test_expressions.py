@@ -1,5 +1,4 @@
 import ast
-import inspect
 import math
 import operator
 import re
@@ -378,19 +377,20 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
     functions, codes = _generated_code(monkeypatch, [[(fn, name) for name in (None, "x", "y") for fn in fns],
                                                      [(fn, None) for fn in fns]])
     assert len(codes) == 2
-    allowed = set(expressions._UNARY) - {"neg"} | {"pow", "copysign", "inf"}
+    # and the two names of the try that names a failing expression: the errors it catches and what it raises
+    allowed = set(expressions._UNARY) - {"neg"} | {"pow", "copysign", "inf", "arithmetic", "failed"}
     for code in codes:
-        assert set(code.co_names) <= allowed and {"pow", "inf"} <= set(code.co_names)
-        assert all(re.fullmatch(r"p\d+|v\d+", name) for name in code.co_varnames)
+        assert set(code.co_names) <= allowed and {"pow", "inf", "arithmetic", "failed"} <= set(code.co_names)
+        assert all(re.fullmatch(r"p\d+|v\d+|exc", name) for name in code.co_varnames)
         assert code.co_varnames[:code.co_argcount] == ("p0", "p1")
-    for run in functions:
-        generated = inspect.getclosurevars(run).nonlocals["fn"]
+    for generated in functions:
         assert generated.__code__ in codes and generated.__globals__["__builtins__"] == {}
 
 
 @pytest.mark.parametrize("factory, key", [
-    (geodesics._step_kernel, (geodesics._TSITOURAS54, 6)),
-    (geodesics._step_kernel, (geodesics._RK4, 8)),
+    (geodesics._step_kernel, (geodesics._TSITOURAS54, 2, True)),
+    (geodesics._step_kernel, (geodesics._RK4, 3, True)),
+    (geodesics._step_kernel, (geodesics._TSITOURAS54, 2, False)),
     (kaluza._numeric_floats, (3,)),
     (kaluza._contraction_floats, (5,)),
     (_fd._stencil_floats, (3,)),
@@ -399,13 +399,14 @@ def test_generated_code_names_only_whitelisted_functions_its_parameters_and_temp
     (kaluza._jet_kernel, (2, False, (False, True, True, False) + (True,) * 3 + (False,) + (True,) * 4, True)),
     (kaluza._jet_kernel, (4, False, None, False)),
     (kaluza._jet_kernel, (5, False, (False,) * 25 + (True,) * 125, True)),
-], ids=["tsitouras_step", "rk4_step", "oracle_acceleration", "oracle_contraction", "stencil", "closed_fiber", "closed",
-        "closed_folded", "closed_lapack", "closed_constant"])
+], ids=["tsitouras_step", "rk4_step", "reduced_step", "oracle_acceleration", "oracle_contraction", "stencil",
+        "closed_fiber", "closed", "closed_folded", "closed_lapack", "closed_constant"])
 def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_key(factory, key, monkeypatch):
     """The stepping, stencil and symbol kernels: no builtins, a namespace of
-    exactly the names the code reads (a constant block's jet kernel, which
-    uses no inverse entry, still names LAPACK's inverse, whose error it
-    raises for a singular block), and one compile per key. Each is built once first, so that only its own source compiles."""
+    exactly the names the code reads, the functions it defines included (a
+    constant block's jet kernel, which uses no inverse entry, still names
+    LAPACK's inverse, whose error it raises for a singular block), and one
+    compile per key. Each is built once first, so that only its own source compiles."""
     factory.cache_clear()
     factory(*key)
     compiled = []
@@ -422,7 +423,8 @@ def test_generated_kernels_reach_only_the_names_they_use_and_compile_once_per_ke
     assert kernel.__code__ in compiled[0].co_consts
     namespace = kernel.__globals__
     assert namespace["__builtins__"] == {}
-    assert set(namespace) - {"__builtins__", "kernel"} == set(kernel.__code__.co_names)
+    names = lambda code: set(code.co_names).union(*(names(c) for c in code.co_consts if isinstance(c, types.CodeType)))
+    assert set(namespace) - {"__builtins__", "kernel"} == names(kernel.__code__)
 
 
 RUNNERS = {"compile", "exec"}

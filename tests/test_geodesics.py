@@ -595,22 +595,30 @@ def _count_calls(monkeypatch, name):
 
 
 def _record_steps(monkeypatch):
-    """Record (rhs, y, k0, h) of every attempted step, ``_rk_step`` being looked up at call time."""
+    """Record (slope, y, k0, h) of every attempted step, ``_step_kernel`` being looked up at call time."""
     seen = []
-    rk_step = geodesics._rk_step
+    kernel = geodesics._step_kernel
 
-    def recorded(tableau, rhs, y, k0, h, tol):
-        seen.append((rhs, y, k0, h))
-        return rk_step(tableau, rhs, y, k0, h, tol)
+    def recorded(tableau, n, full):
+        def bind(f, sign):
+            slope, step = kernel(tableau, n, full)(f, sign)
 
-    monkeypatch.setattr(geodesics, "_rk_step", recorded)
+            def step_recorded(y, k0, h, tol):
+                seen.append((slope, y, k0, h))
+                return step(y, k0, h, tol)
+
+            return slope, step_recorded
+
+        return bind
+
+    monkeypatch.setattr(geodesics, "_step_kernel", recorded)
     return seen
 
 
 def _assert_first_slopes_are_fresh(attempts):
-    # the first slope an attempt is handed, reused or not, is the right-hand side at its state
-    for rhs, y, k0, _ in attempts:
-        assert np.array(rhs(y)).tobytes() == np.array(k0).tobytes()
+    # the first slope an attempt is handed, reused or not, is the slope at its state
+    for slope, y, k0, _ in attempts:
+        assert np.array(slope(y)).tobytes() == np.array(k0).tobytes()
 
 
 def _first_step_of_the_whole_span(monkeypatch):
@@ -618,8 +626,8 @@ def _first_step_of_the_whole_span(monkeypatch):
     the next; the starting-step rule still runs, and its probe call counts."""
     first_step = geodesics._first_step
 
-    def whole_span(rhs, y, k0, tol, max_step):
-        first_step(rhs, y, k0, tol, max_step)
+    def whole_span(slope, y, k0, tol, max_step):
+        first_step(slope, y, k0, tol, max_step)
         return max_step
 
     monkeypatch.setattr(geodesics, "_first_step", whole_span)
@@ -743,7 +751,7 @@ def test_first_step_of_a_frozen_state_is_finite_and_within_the_span(schwarzschil
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_slope_at_the_initial_state_ends_the_run_at_a_finite_lambda(flat2, bad):
     y0 = np.array([0.1, 0.2, 0.3, 0.4])
-    lams, ys, events = geodesics._drive(lambda y: [bad] * len(y), y0, 1.0, IntegratorConfig(), lambda y: None)
+    lams, ys, events = geodesics._drive(lambda y: [bad] * len(y), None, y0, 1.0, IntegratorConfig(), lambda y: None)
     assert lams == [0.0] and ys == [y0.tolist()]
     assert [e["kind"] for e in events] == ["non_finite"] and 0.0 < events[0]["lambda"] <= 0.1
     field = lambda x: np.full((2, 2), bad)
